@@ -12,25 +12,23 @@ and a hypothetical extra observation at xt shrinks the variance by
 S(xt)^2, where S = int k_n(xt, x) p(x) dx / sqrt(k_n(xt, xt) + noise).
 The expected KL information gain of that observation reduces exactly to
 log(sigma1 / sigma2); the four-term form is kept alongside the reduced
-one so the cancellation is checkable rather than assumed.
+one so the cancellation is checkable rather than assumed.  Every scalar
+form is a view over one probe per point: a kernel vector and one Gram
+solve give both v(xt) and the predictive variance (Rasmussen & Williams,
+GPML, Alg. 2.1); :func:`acquisition_profile` is the grid counterpart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from gpexpect.errors import DegenerateEstimateError
-from gpexpect.gp import GpPosterior, posterior_cov, posterior_mean
-from gpexpect.kernels import (
-    RbfKernel,
-    eval_kernel_scaled,
-    kernel_cross,
-    kernel_vector,
-    kernel_vector_jacobian,
-)
+from gpexpect.gp import GpPosterior
+from gpexpect.kernels import RbfKernel, eval_kernel_scaled, kernel_cross, kernel_vector
 from gpexpect.mixtures import GaussianMixture
 
 # log-gain sentinel standing in for +inf when sigma2^2 underflows to 0;
@@ -60,19 +58,44 @@ class QEstimate:
         object.__setattr__(self, "variance", v)
 
 
-def _log_det_scale_ratio(ker: RbfKernel, cov: np.ndarray):
-    """log |I + inv(L) C| for L = diag(lengthscales), plus chol(L + C).
+def _component_factors(ker: RbfKernel, covs, det_power: float = -0.5):
+    """Cholesky of cov_i + Lambda and |I + inv(Lambda) cov_i|^det_power per component.
 
-    Computed as log|L + C| - log|L| through the Cholesky factor, which
-    stays finite and accurate for strongly anisotropic scales.
+    The log-determinant is log|Lambda + C| - log|Lambda| through the
+    Cholesky factor, which stays finite and accurate for strongly
+    anisotropic scales.
     """
-    total = cov + np.diag(ker.lengthscales)
-    try:
-        chol = np.linalg.cholesky(0.5 * (total + total.T))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("component covariance must be SPD") from exc
-    log_det = 2.0 * np.sum(np.log(np.diag(chol))) - np.sum(np.log(ker.lengthscales))
-    return float(log_det), chol
+    chols = np.empty((len(covs), ker.dim, ker.dim))
+    factors = np.empty(len(covs))
+    for i, cov in enumerate(covs):
+        total = cov + np.diag(ker.lengthscales)
+        try:
+            chols[i] = np.linalg.cholesky(0.5 * (total + total.T))
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("component covariance must be SPD") from exc
+        log_det = 2.0 * np.sum(np.log(np.diag(chols[i]))) - np.sum(np.log(ker.lengthscales))
+        factors[i] = np.exp(det_power * float(log_det))
+    return chols, factors
+
+
+def _component_means(x: np.ndarray, amplitude_sq: float, means, chols, factors) -> np.ndarray:
+    """K_i(x) = factor_i * k(x, mean_i; cov_i + Lambda) for each component."""
+    if x.shape != means.shape[1:]:
+        raise ValueError(f"x has dimension {x.shape}, expected {means.shape[1:]}")
+    out = np.empty(len(means))
+    for i, (mean, chol, factor) in enumerate(zip(means, chols, factors)):
+        u = solve_triangular(chol, x - mean, lower=True, check_finite=False)
+        out[i] = factor * (amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
+    return out
+
+
+def _kernel_mean_gradient(x, amplitude_sq: float, mix: GaussianMixture, chols, factors):
+    """Sum over components of -w_i K_i(x) (cov_i + Lambda)^-1 (x - mean_i)."""
+    k_i = _component_means(x, amplitude_sq, mix.means, chols, factors)
+    grad = np.zeros(x.size)
+    for w, mean, chol, k in zip(mix.weights, mix.means, chols, k_i):
+        grad -= w * k * cho_solve((chol, True), x - mean, check_finite=False)
+    return grad
 
 
 def kernel_mean_component(x, ker: RbfKernel, mean, cov, det_power: float = -0.5) -> float:
@@ -85,22 +108,16 @@ def kernel_mean_component(x, ker: RbfKernel, mean, cov, det_power: float = -0.5)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    log_det, _ = _log_det_scale_ratio(ker, cov)
-    factor = np.exp(det_power * log_det)
-    return float(
-        factor
-        * eval_kernel_scaled(x, mean, ker.amplitude_sq, cov + np.diag(ker.lengthscales))
-    )
+    chols, factors = _component_factors(ker, cov[None], det_power)
+    return float(_component_means(x, ker.amplitude_sq, mean[None], chols, factors)[0])
 
 
 def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture, det_power: float = -0.5) -> float:
     """Kernel mean K(x) = int k(x, x') p(x') dx' under the mixture."""
-    return float(
-        sum(
-            w * kernel_mean_component(x, ker, m, c, det_power=det_power)
-            for w, m, c in zip(mix.weights, mix.means, mix.covs)
-        )
-    )
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    chols, factors = _component_factors(ker, mix.covs, det_power)
+    k_i = _component_means(x, ker.amplitude_sq, mix.means, chols, factors)
+    return float(sum(w * k for w, k in zip(mix.weights, k_i)))
 
 
 def kernel_mean_gradient(x, ker: RbfKernel, mix: GaussianMixture) -> np.ndarray:
@@ -109,15 +126,8 @@ def kernel_mean_gradient(x, ker: RbfKernel, mix: GaussianMixture) -> np.ndarray:
     Per component: -(cov + Lambda)^-1 (x - mean) * K_i(x).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    grad = np.zeros(ker.dim)
-    for w, m, c in zip(mix.weights, mix.means, mix.covs):
-        log_det, chol = _log_det_scale_ratio(ker, c)
-        ki = np.exp(-0.5 * log_det) * eval_kernel_scaled(
-            x, m, ker.amplitude_sq, c + np.diag(ker.lengthscales)
-        )
-        direction = cho_solve((chol, True), x - m, check_finite=False)
-        grad -= w * ki * direction
-    return grad
+    chols, factors = _component_factors(ker, mix.covs)
+    return _kernel_mean_gradient(x, ker.amplitude_sq, mix, chols, factors)
 
 
 def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
@@ -188,13 +198,7 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
     if gp.dim != mix.dim:
         raise ValueError(f"gp dimension {gp.dim} != mixture dimension {mix.dim}")
     ker = gp.kernel
-
-    comp_chols = np.empty((mix.n_components, ker.dim, ker.dim))
-    comp_factors = np.empty(mix.n_components)
-    for i in range(mix.n_components):
-        log_det, chol = _log_det_scale_ratio(ker, mix.covs[i])
-        comp_chols[i] = chol
-        comp_factors[i] = np.exp(-0.5 * log_det)
+    comp_chols, comp_factors = _component_factors(ker, mix.covs)
 
     if gp.n == 0:
         kmean_train = np.zeros(0)
@@ -230,17 +234,64 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
     )
 
 
-def posterior_kernel_mean(ctx: AcquisitionContext, xt) -> float:
-    """v(xt) = int k_n(xt, x) p(x) dx, the posterior-covariance kernel mean."""
+class _Probe(NamedTuple):
+    """Everything the scalar acquisition forms need at one candidate point."""
+
+    kv: np.ndarray  # k(xt, X_n)
+    solved_kv: np.ndarray  # (K + noise I)^-1 k(xt, X_n)
+    v: float  # int k_n(xt, x) p(x) dx, the posterior-covariance kernel mean
+    pred_var: float  # k_n(xt, xt) + noise
+    live: bool  # False when pred_var is below the floor: nothing left to learn
+
+
+def _probe(ctx: AcquisitionContext, xt) -> _Probe:
     xt = np.atleast_1d(np.asarray(xt, dtype=float))
+    gp = ctx.gp
     v = _kernel_mean_many(ctx, xt[None, :])[0]
-    if ctx.gp.n:
-        v -= kernel_vector(xt, ctx.gp.data.X, ctx.gp.kernel) @ ctx.solved_kmean
-    return float(v)
+    kv = kernel_vector(xt, gp.data.X, gp.kernel)
+    if gp.n:
+        solved_kv = cho_solve((gp.gram_factor, True), kv, check_finite=False)
+        pred_var = float(gp.kernel.amplitude_sq - kv @ solved_kv) + gp.noise.variance
+        v -= kv @ ctx.solved_kmean
+    else:
+        solved_kv = kv
+        pred_var = gp.kernel.amplitude_sq + gp.noise.variance
+    live = pred_var >= _PRED_VAR_FLOOR * gp.kernel.amplitude_sq
+    return _Probe(kv, solved_kv, float(v), pred_var, live)
 
 
-def _predictive_variance(ctx: AcquisitionContext, xt) -> float:
-    return posterior_cov(ctx.gp, xt, xt) + ctx.gp.noise.variance
+def _sigma2_sq(ctx: AcquisitionContext, p: _Probe) -> float:
+    if not p.live:
+        return ctx.sigma1_sq
+    return max(ctx.sigma1_sq - p.v * p.v / p.pred_var, 0.0)
+
+
+def _s_sq_gradient(ctx: AcquisitionContext, xt: np.ndarray, p: _Probe) -> np.ndarray:
+    """Gradient of S^2 = v^2 / D by the quotient rule.
+
+    grad v is the kernel-mean gradient minus the Jacobian J of k(xt, X_n)
+    against the solved kernel-mean system; grad D = -2 J^T (Gram^-1 k(xt, X_n)).
+    """
+    gp = ctx.gp
+    if not p.live:
+        return np.zeros(gp.dim)
+    grad_v = _kernel_mean_gradient(
+        xt, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
+    )
+    J = -(xt - gp.data.X) / gp.kernel.lengthscales * p.kv[:, None]
+    grad_v = grad_v - J.T @ ctx.solved_kmean
+    grad_D = -2.0 * (J.T @ p.solved_kv)
+    v, D = p.v, p.pred_var
+    return (2.0 * v / D) * grad_v - (v * v / D**2) * grad_D
+
+
+def _gain(ctx: AcquisitionContext, sigma2_sq: float) -> float:
+    """log(sigma1 / sigma2), or the sentinel when sigma2^2 is zero."""
+    if ctx.sigma1_sq <= 0.0:
+        raise DegenerateEstimateError("estimate variance is zero; nothing to gain")
+    if sigma2_sq == 0.0:
+        return GAIN_SENTINEL
+    return float(0.5 * np.log(ctx.sigma1_sq / sigma2_sq))
 
 
 def variance_reduction_s(ctx: AcquisitionContext, xt) -> float:
@@ -249,10 +300,8 @@ def variance_reduction_s(ctx: AcquisitionContext, xt) -> float:
     Returns 0 when the predictive variance vanishes (noiseless duplicate):
     the observation would carry no new information.
     """
-    denom = _predictive_variance(ctx, xt)
-    if denom < _PRED_VAR_FLOOR * ctx.gp.kernel.amplitude_sq:
-        return 0.0
-    return posterior_kernel_mean(ctx, xt) / np.sqrt(denom)
+    p = _probe(ctx, xt)
+    return p.v / np.sqrt(p.pred_var) if p.live else 0.0
 
 
 def acquisition_value(ctx: AcquisitionContext, xt) -> float:
@@ -262,28 +311,9 @@ def acquisition_value(ctx: AcquisitionContext, xt) -> float:
 
 
 def acquisition_gradient(ctx: AcquisitionContext, xt) -> np.ndarray:
-    """Gradient of S^2 = v^2 / D by the quotient rule.
-
-    grad v comes from the kernel-mean gradient minus the Jacobian of the
-    cross-kernel vector against the solved kernel-mean system; grad D is
-    the gradient of the posterior variance, -2 J^T (Gram^-1 k(xt, X_n)).
-    """
+    """Gradient of the acquisition S(xt)^2 in xt."""
     xt = np.atleast_1d(np.asarray(xt, dtype=float))
-    gp = ctx.gp
-    D = _predictive_variance(ctx, xt)
-    if D < _PRED_VAR_FLOOR * gp.kernel.amplitude_sq:
-        return np.zeros(gp.dim)
-    v = posterior_kernel_mean(ctx, xt)
-    grad_v = kernel_mean_gradient(xt, gp.kernel, ctx.mix)
-    if gp.n:
-        J = kernel_vector_jacobian(xt, gp.data.X, gp.kernel)
-        grad_v = grad_v - J.T @ ctx.solved_kmean
-        kv = kernel_vector(xt, gp.data.X, gp.kernel)
-        solved_kv = cho_solve((gp.gram_factor, True), kv, check_finite=False)
-        grad_D = -2.0 * (J.T @ solved_kv)
-    else:
-        grad_D = np.zeros(gp.dim)
-    return (2.0 * v / D) * grad_v - (v * v / D**2) * grad_D
+    return _s_sq_gradient(ctx, xt, _probe(ctx, xt))
 
 
 @dataclass(frozen=True)
@@ -302,16 +332,11 @@ class HypotheticalUpdate:
 
 def hypothetical_update(ctx: AcquisitionContext, xt) -> HypotheticalUpdate:
     """Innovation coefficient, predicted value, and sigma2^2 at ``xt``."""
-    denom = _predictive_variance(ctx, xt)
-    pred = posterior_mean(ctx.gp, xt)
-    if denom < _PRED_VAR_FLOOR * ctx.gp.kernel.amplitude_sq:
-        return HypotheticalUpdate(
-            innovation_coeff=0.0, pred_mean=pred, sigma2_sq=ctx.sigma1_sq
-        )
-    v = posterior_kernel_mean(ctx, xt)
-    sigma2_sq = max(ctx.sigma1_sq - v * v / denom, 0.0)
+    p = _probe(ctx, xt)
     return HypotheticalUpdate(
-        innovation_coeff=v / denom, pred_mean=pred, sigma2_sq=sigma2_sq
+        innovation_coeff=p.v / p.pred_var if p.live else 0.0,
+        pred_mean=float(p.kv @ ctx.gp.weights),
+        sigma2_sq=_sigma2_sq(ctx, p),
     )
 
 
@@ -341,23 +366,12 @@ def info_gain_four_term(ctx: AcquisitionContext, xt):
     DegenerateEstimateError
         If sigma1^2 is zero: the integral is already known exactly.
     """
-    if ctx.sigma1_sq <= 0.0:
-        raise DegenerateEstimateError("estimate variance is zero; nothing to gain")
-    denom = _predictive_variance(ctx, xt)
-    if denom < _PRED_VAR_FLOOR * ctx.gp.kernel.amplitude_sq:
-        v = 0.0
-        sigma2_sq = ctx.sigma1_sq
-        t4 = 0.0
-    else:
-        v = posterior_kernel_mean(ctx, xt)
-        sigma2_sq = max(ctx.sigma1_sq - v * v / denom, 0.0)
-        t4 = v * v / (2.0 * ctx.sigma1_sq * denom)
-    if sigma2_sq == 0.0:
-        t1 = GAIN_SENTINEL
-    else:
-        t1 = 0.5 * np.log(ctx.sigma1_sq / sigma2_sq)
+    p = _probe(ctx, xt)
+    sigma2_sq = _sigma2_sq(ctx, p)
+    t1 = _gain(ctx, sigma2_sq)
     t2 = sigma2_sq / (2.0 * ctx.sigma1_sq)
     t3 = -0.5
+    t4 = p.v * p.v / (2.0 * ctx.sigma1_sq * p.pred_var) if p.live else 0.0
     g = t1 + t2 + t3 + t4
     return float(g), (float(t1), float(t2), float(t3), float(t4))
 
@@ -368,12 +382,7 @@ def info_gain_simplified(ctx: AcquisitionContext, xt) -> float:
     Equal to the four-term form; a zero sigma2^2 (complete variance
     collapse) maps to the finite sentinel so argmax semantics survive.
     """
-    if ctx.sigma1_sq <= 0.0:
-        raise DegenerateEstimateError("estimate variance is zero; nothing to gain")
-    sigma2_sq = hypothetical_update(ctx, xt).sigma2_sq
-    if sigma2_sq == 0.0:
-        return GAIN_SENTINEL
-    return float(0.5 * np.log(ctx.sigma1_sq / sigma2_sq))
+    return _gain(ctx, _sigma2_sq(ctx, _probe(ctx, xt)))
 
 
 def _check_shared_instance(contexts) -> None:
@@ -414,11 +423,13 @@ def multi_theta_gradient(contexts, xt) -> np.ndarray:
     if not contexts:
         raise ValueError("need at least one acquisition context")
     _check_shared_instance(contexts)
+    xt = np.atleast_1d(np.asarray(xt, dtype=float))
     grad = np.zeros(contexts[0].gp.dim)
     for ctx in contexts:
-        sigma2_sq = hypothetical_update(ctx, xt).sigma2_sq
+        p = _probe(ctx, xt)
+        sigma2_sq = _sigma2_sq(ctx, p)
         if sigma2_sq > 0.0:
-            grad += acquisition_gradient(ctx, xt) / (2.0 * sigma2_sq)
+            grad += _s_sq_gradient(ctx, xt, p) / (2.0 * sigma2_sq)
     return grad / len(contexts)
 
 

@@ -81,6 +81,15 @@ def gaussian_second_moment(mix: GaussianMixture) -> float:
 _REFERENCE_CACHE: dict = {}
 
 
+def _mc_reference(fn, mix: GaussianMixture):
+    """Seeded Monte-Carlo reference q and its provenance line."""
+    q, se = mc_expectation(fn, mix, _MC_REFERENCE_DRAWS, _MC_REFERENCE_SEED)
+    return q, (
+        f"mc_oracle: {_MC_REFERENCE_DRAWS} draws, seed {_MC_REFERENCE_SEED}, "
+        f"std_error {se:.3e}"
+    )
+
+
 def available_benchmarks() -> tuple:
     return ("x_squared", "sin3x_plus_xsq", "branin_gmm")
 
@@ -99,35 +108,17 @@ def benchmark_problem(name: str) -> BenchmarkProblem:
     if name == "sin3x_plus_xsq":
         mix = _standard_normal_1d()
         if name not in _REFERENCE_CACHE:
-            _REFERENCE_CACHE[name] = mc_expectation(
-                _sin3x_plus_xsq, mix, _MC_REFERENCE_DRAWS, _MC_REFERENCE_SEED
-            )
-        q, se = _REFERENCE_CACHE[name]
+            _REFERENCE_CACHE[name] = _mc_reference(_sin3x_plus_xsq, mix)
+        q, provenance = _REFERENCE_CACHE[name]
         return BenchmarkProblem(
-            name=name,
-            fn=_sin3x_plus_xsq,
-            mix=mix,
-            reference_q=q,
-            provenance=(
-                f"mc_oracle: {_MC_REFERENCE_DRAWS} draws, seed {_MC_REFERENCE_SEED}, "
-                f"std_error {se:.3e}"
-            ),
+            name=name, fn=_sin3x_plus_xsq, mix=mix, reference_q=q, provenance=provenance
         )
     if name == "branin_gmm":
         mix = _branin_mixture()
         if name not in _REFERENCE_CACHE:
-            _REFERENCE_CACHE[name] = mc_expectation(
-                branin, mix, _MC_REFERENCE_DRAWS, _MC_REFERENCE_SEED
-            )
-        q, se = _REFERENCE_CACHE[name]
+            _REFERENCE_CACHE[name] = _mc_reference(branin, mix)
+        q, provenance = _REFERENCE_CACHE[name]
         return BenchmarkProblem(
-            name=name,
-            fn=branin,
-            mix=mix,
-            reference_q=q,
-            provenance=(
-                f"mc_oracle: {_MC_REFERENCE_DRAWS} draws, seed {_MC_REFERENCE_SEED}, "
-                f"std_error {se:.3e}"
-            ),
+            name=name, fn=branin, mix=mix, reference_q=q, provenance=provenance
         )
     raise ValueError(f"unknown benchmark {name!r}; available: {available_benchmarks()}")

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from gpexpect.benchmarks import (
+    _mc_reference,
     available_benchmarks,
     benchmark_problem,
     gaussian_second_moment,
@@ -34,16 +35,12 @@ from gpexpect.mixtures import (
     mixture_from_dict,
 )
 from gpexpect.optimize import BoxBounds, OptimizerConfig
-from gpexpect.oracles import mc_expectation
 from gpexpect.validation import run_validation
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
 _EXIT_CONFIG = 2
 _EXIT_NUMERICAL = 3
-
-_MC_REFERENCE_DRAWS = 10_000_000
-_MC_REFERENCE_SEED = 20240801
 
 
 class ConfigError(Exception):
@@ -292,11 +289,8 @@ def _reference_q(problem, mix: GaussianMixture):
         return problem.reference_q, problem.provenance
     if problem.name == "x_squared":
         return gaussian_second_moment(mix), "analytic: E[x^2] = sum_i a_i (w_i^2 + var_i)"
-    q, se = mc_expectation(problem.fn, mix, _MC_REFERENCE_DRAWS, _MC_REFERENCE_SEED)
-    return q, (
-        f"mc_oracle: {_MC_REFERENCE_DRAWS} draws, seed {_MC_REFERENCE_SEED}, "
-        f"std_error {se:.3e} (config mixture)"
-    )
+    q, provenance = _mc_reference(problem.fn, mix)
+    return q, provenance + " (config mixture)"
 
 
 def _write_run_csv(path: Path, records, dimension: int, q_ref: float) -> None:

@@ -1,11 +1,13 @@
-"""The sequential loop: fit, acquire, evaluate, update, record.
+"""The sequential loop: acquire, evaluate, update, record.
 
-Each iteration fits the surrogate (re-selecting hyperparameters on a
-fixed cadence), maximizes the variance-reduction acquisition over the
-design box, evaluates the black box at the winner, and records the
-updated integral estimate.  A parallel entry point draws points from the
-input distribution instead, which is the baseline the acquisition is
-meant to beat.
+Hyperparameters are selected once on the initial design and again
+before every ``refit_every``-th step.  Each step maximizes the
+variance-reduction acquisition over the design box, evaluates the black
+box at the winner, fits the GP once with the new point, and records the
+updated integral estimate; the next step acquires on that same fit
+unless it re-selects the hyperparameters.  A parallel entry point draws
+points from the input distribution instead, which is the baseline the
+acquisition is meant to beat.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from gpexpect.acquisition import (
+    AcquisitionContext,
     acquisition_gradient,
     acquisition_value,
     build_context,
@@ -69,7 +72,8 @@ class DesignConfig:
     """Settings for a sequential run.
 
     ``pinned_theta`` freezes the hyperparameters for the whole run
-    (otherwise they are re-selected every ``refit_every`` iterations);
+    (otherwise they are selected on the initial design and re-selected
+    before every ``refit_every``-th step);
     ``theta_samples > 1`` averages the acquisition over that many
     log-space perturbations of the selected hyperparameters.
     ``center_y`` fits the GP on mean-centered observations and adds the
@@ -111,6 +115,8 @@ class DesignState:
     hyper: HyperparameterSample | None = None
     history: list = field(default_factory=list)
     iteration: int = 0
+    # context fitted with ``hyper`` on ``data``; None until the first fit
+    context: AcquisitionContext | None = field(default=None, repr=False)
 
 
 def initial_design(mix: GaussianMixture, n0: int, seed: int) -> np.ndarray:
@@ -137,7 +143,7 @@ def _select_theta(state: DesignState) -> HyperparameterSample:
     cfg = state.cfg
     if cfg.pinned_theta is not None:
         return cfg.pinned_theta
-    if state.hyper is None or state.iteration % cfg.refit_every == 0:
+    if state.hyper is None or (state.iteration > 0 and state.iteration % cfg.refit_every == 0):
         return select_hyperparameters(state.data, cfg.hyper_search)
     return state.hyper
 
@@ -155,22 +161,64 @@ def _fit_gp(state: DesignState, theta: HyperparameterSample, offset: float) -> G
     return fit(data, theta.kernel, theta.noise)
 
 
-def _acquisition_functions(state: DesignState, gp: GpPosterior, theta, iteration: int):
+def _fit_context(state: DesignState, theta: HyperparameterSample):
+    """Fit ``theta`` to the current data; returns the context and the y offset."""
+    offset = _offset(state)
+    return build_context(_fit_gp(state, theta, offset), state.mix), offset
+
+
+def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
     """Value/gradient callables, either single-theta or averaged."""
-    ctx = build_context(gp, state.mix)
     if state.cfg.theta_samples <= 1:
-        return ctx, (lambda x: acquisition_value(ctx, x)), (
-            lambda x: acquisition_gradient(ctx, x)
-        )
+        return (lambda x: acquisition_value(ctx, x)), (lambda x: acquisition_gradient(ctx, x))
     rng = np.random.default_rng(_derive_seed(state.cfg.seed, iteration, 1))
     contexts = [ctx]
     offset = _offset(state)
     for _ in range(state.cfg.theta_samples - 1):
         extra = _perturbed_theta(theta, rng)
         contexts.append(build_context(_fit_gp(state, extra, offset), state.mix))
-    return ctx, (lambda x: multi_theta_acquisition(contexts, x)), (
+    return (lambda x: multi_theta_acquisition(contexts, x)), (
         lambda x: multi_theta_gradient(contexts, x)
     )
+
+
+def _evaluate(black_box, x: np.ndarray) -> float:
+    """One black-box call; a raise or a non-finite value becomes EvaluationError."""
+    try:
+        y = float(black_box(x))
+    except Exception as exc:
+        raise EvaluationError(
+            f"black box raised {type(exc).__name__} at {x.tolist()}: {exc}"
+        ) from exc
+    if not np.isfinite(y):
+        raise EvaluationError(f"black box returned non-finite value at {x.tolist()}")
+    return y
+
+
+def _absorb(state: DesignState, black_box, x, theta, acquisition: float, t0: float):
+    """Evaluate ``x``, refit ``theta`` with it, and record the new estimate.
+
+    The refitted context stays in ``state`` for the next step, which
+    reuses it unless the hyperparameters are re-selected.
+    """
+    y = _evaluate(black_box, x)
+    state.data = state.data.append(x, y)
+    state.hyper = theta
+    state.context, offset = _fit_context(state, theta)
+    wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
+    state.history.append(
+        RunRecord(
+            iteration=state.data.n - 1,
+            chosen_x=x,
+            observed_y=y,
+            mu1=state.context.mu1 + offset,
+            sigma1=float(np.sqrt(state.context.sigma1_sq)),
+            acquisition_at_chosen=acquisition,
+            wall_ms=max(wall_ms, 0),
+        )
+    )
+    state.iteration += 1
+    return state
 
 
 def step(state: DesignState, black_box) -> DesignState:
@@ -178,84 +226,36 @@ def step(state: DesignState, black_box) -> DesignState:
     t0 = time.perf_counter()
     cfg = state.cfg
     theta = _select_theta(state)
-    offset = _offset(state)
-    gp = _fit_gp(state, theta, offset)
-    _, value_fn, gradient_fn = _acquisition_functions(state, gp, theta, state.iteration)
+    if theta is state.hyper and state.context is not None:
+        ctx = state.context
+    else:
+        ctx, _ = _fit_context(state, theta)
+    value_fn, gradient_fn = _acquisition_functions(state, ctx, theta, state.iteration)
 
     bounds = cfg.bounds if cfg.bounds is not None else default_bounds(state.mix)
     starts = mixture_starts(
         state.mix, bounds, cfg.optimizer.starts, _derive_seed(cfg.seed, state.iteration, 2)
     )
     x_star, acq = maximize(value_fn, gradient_fn, bounds, cfg.optimizer, start_points=starts)
-
-    y = float(black_box(x_star))
-    if not np.isfinite(y):
-        raise EvaluationError(f"black box returned non-finite value at {x_star.tolist()}")
-
-    state.data = state.data.append(x_star, y)
-    state.hyper = theta
-    # estimate reported after the new point is absorbed
-    new_offset = _offset(state)
-    new_ctx = build_context(_fit_gp(state, theta, new_offset), state.mix)
-    wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
-    state.history.append(
-        RunRecord(
-            iteration=state.data.n - 1,
-            chosen_x=x_star,
-            observed_y=y,
-            mu1=new_ctx.mu1 + new_offset,
-            sigma1=float(np.sqrt(new_ctx.sigma1_sq)),
-            acquisition_at_chosen=float(acq),
-            wall_ms=max(wall_ms, 0),
-        )
-    )
-    state.iteration += 1
-    return state
+    return _absorb(state, black_box, x_star, theta, float(acq), t0)
 
 
 def _random_step(state: DesignState, black_box) -> DesignState:
     """Baseline iteration: next point drawn from the mixture, no acquisition."""
     t0 = time.perf_counter()
-    cfg = state.cfg
     theta = _select_theta(state)
-    x_star = sample(state.mix, 1, _derive_seed(cfg.seed, state.iteration, 3))[0]
-    y = float(black_box(x_star))
-    if not np.isfinite(y):
-        raise EvaluationError(f"black box returned non-finite value at {x_star.tolist()}")
-    state.data = state.data.append(x_star, y)
-    state.hyper = theta
-    new_offset = _offset(state)
-    new_ctx = build_context(_fit_gp(state, theta, new_offset), state.mix)
-    wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
-    state.history.append(
-        RunRecord(
-            iteration=state.data.n - 1,
-            chosen_x=x_star,
-            observed_y=y,
-            mu1=new_ctx.mu1 + new_offset,
-            sigma1=float(np.sqrt(new_ctx.sigma1_sq)),
-            acquisition_at_chosen=0.0,
-            wall_ms=max(wall_ms, 0),
-        )
-    )
-    state.iteration += 1
-    return state
+    x_star = sample(state.mix, 1, _derive_seed(state.cfg.seed, state.iteration, 3))[0]
+    return _absorb(state, black_box, x_star, theta, 0.0, t0)
 
 
 def _start_state(mix: GaussianMixture, black_box, cfg: DesignConfig) -> DesignState:
     X0 = initial_design(mix, cfg.n0, _derive_seed(cfg.seed, 0, 0))
-    y0 = np.array([float(black_box(x)) for x in X0])
-    if not np.all(np.isfinite(y0)):
-        bad = X0[~np.isfinite(y0)][0]
-        raise EvaluationError(f"black box returned non-finite value at {bad.tolist()}")
+    y0 = np.array([_evaluate(black_box, x) for x in X0])
     state = DesignState(data=Dataset(X=X0, y=y0), mix=mix, cfg=cfg)
-
-    theta = _select_theta(state)
-    offset = _offset(state)
-    ctx = build_context(_fit_gp(state, theta, offset), mix)
-    state.hyper = theta
-    mu1 = ctx.mu1 + offset
-    sigma1 = float(np.sqrt(ctx.sigma1_sq))
+    state.hyper = _select_theta(state)
+    state.context, offset = _fit_context(state, state.hyper)
+    mu1 = state.context.mu1 + offset
+    sigma1 = float(np.sqrt(state.context.sigma1_sq))
     # initial points share the post-initial-fit estimate; acquisition 0
     for i in range(cfg.n0):
         state.history.append(
@@ -269,7 +269,6 @@ def _start_state(mix: GaussianMixture, black_box, cfg: DesignConfig) -> DesignSt
                 wall_ms=0,
             )
         )
-    state.iteration = 0
     return state
 
 

@@ -27,4 +27,4 @@ class OptimizationFailedError(GpExpectError):
 
 
 class EvaluationError(GpExpectError):
-    """The black-box function returned a non-finite value."""
+    """The black box raised (the error is the ``__cause__``) or returned a non-finite value."""

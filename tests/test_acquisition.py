@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
 from gpexpect.acquisition import (
@@ -21,7 +23,7 @@ from gpexpect.acquisition import (
     kernel_mean_gradient,
     kl_gaussian,
     multi_theta_acquisition,
-    posterior_kernel_mean,
+    multi_theta_gradient,
     variance_reduction_s,
 )
 from gpexpect.errors import DegenerateEstimateError
@@ -657,3 +659,28 @@ class TestQEstimate:
     def test_rejects_real_negative_variance(self):
         with pytest.raises(ValueError):
             QEstimate(mean=0.0, variance=-1e-6)
+
+
+class TestScalarFormsMatchProfile:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), off_mixture=st.booleans())
+    def test_scalar_forms_agree_with_profile_row(self, seed, off_mixture):
+        rng = np.random.default_rng(seed)
+        gp, mix = random_instance(rng)
+        ctx = build_context(gp, mix)
+        if off_mixture:
+            x = rng.uniform(-4.0, 4.0, size=mix.dim)
+        else:
+            x = sample(mix, 1, seed=int(rng.integers(2**63)))[0]
+        prof = acquisition_profile(ctx, x[None, :])
+        # S^2 <= sigma1^2 and v cancels near the data, so rounding is
+        # bounded relative to sigma1^2 rather than to S^2 itself
+        atol = 1e-10 * ctx.sigma1_sq
+        assert_allclose(acquisition_value(ctx, x), prof["s_sq"][0], rtol=1e-10, atol=atol)
+        sigma2_sq = hypothetical_update(ctx, x).sigma2_sq
+        assert_allclose(sigma2_sq, prof["sigma2_sq"][0], rtol=1e-10, atol=atol)
+        assert_allclose(
+            info_gain_simplified(ctx, x), prof["gain_simplified"][0], rtol=1e-10, atol=1e-10
+        )
+        expected = acquisition_gradient(ctx, x) / (2.0 * sigma2_sq)
+        assert_array_equal(multi_theta_gradient([ctx], x), expected)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gpexpect.design
+from gpexpect.benchmarks import benchmark_problem
 from gpexpect.design import (
     DesignConfig,
     DesignState,
@@ -212,3 +214,93 @@ class TestRandomBaseline:
         history = run_random_baseline(mix, lambda x: float(x[0]), cfg)
         xs = np.array([r.chosen_x[0] for r in history])
         assert abs(xs.mean() - 5.0) < 4.0 / np.sqrt(len(xs))
+
+
+class TestBlackBoxFailure:
+    @pytest.mark.parametrize("runner", [run, run_random_baseline])
+    @pytest.mark.parametrize("failing_call", [1, 4])
+    def test_raising_black_box_becomes_evaluation_error(self, runner, failing_call):
+        # call 1 is in the initial design, call 4 in the first step (n0=3)
+        seen = []
+        original = ValueError("simulator diverged")
+
+        def black_box(x):
+            seen.append(x.copy())
+            if len(seen) == failing_call:
+                raise original
+            return float(x[0] ** 2)
+
+        cfg = DesignConfig(n0=3, budget=6, seed=16, pinned_theta=pinned(noise=0.05))
+        with pytest.raises(EvaluationError) as info:
+            runner(std_normal_mix(), black_box, cfg)
+        assert len(seen) == failing_call
+        assert str(seen[-1].tolist()) in str(info.value)
+        assert info.value.__cause__ is original
+
+
+class TestWorkPerStep:
+    def test_one_selection_per_refit_and_one_fit_per_step(self, monkeypatch):
+        counts = {"select": 0, "fit": 0}
+        select, fit = gpexpect.design.select_hyperparameters, gpexpect.design.fit
+
+        def counting_select(*args, **kwargs):
+            counts["select"] += 1
+            return select(*args, **kwargs)
+
+        def counting_fit(*args, **kwargs):
+            counts["fit"] += 1
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(gpexpect.design, "select_hyperparameters", counting_select)
+        monkeypatch.setattr(gpexpect.design, "fit", counting_fit)
+        problem = benchmark_problem("x_squared")
+        history = run(problem.mix, problem.black_box, DesignConfig(n0=5, budget=30, seed=900))
+        assert len(history) == 30
+        # selections: the initial design, then before steps 5, 10, 15, 20
+        assert counts["select"] == 5
+        # fits: the initial one, one per absorbed point, one after each re-selection
+        assert counts["fit"] == 1 + 25 + 4
+
+
+# (chosen_x, mu1, sigma1, acquisition_at_chosen) as float.hex, one row per record
+GOLDEN_PINNED_RUN = [
+    ("-0x1.317b0e6bf2d18p+1", "0x1.d3f3d46cc34f0p-2", "0x1.8f6578051d254p-1", "0x0.0p+0"),
+    ("-0x1.70e0ac366bcb4p-2", "0x1.d3f3d46cc34f0p-2", "0x1.8f6578051d254p-1", "0x0.0p+0"),
+    ("0x1.4f9ee70757c38p-3", "0x1.d3f3d46cc34f0p-2", "0x1.8f6578051d254p-1", "0x0.0p+0"),
+    ("0x1.a702c8f6ee2fbp+0", "0x1.dfce35ff060e2p-1", "0x1.de0a9e7f09fd2p-2",
+     "0x1.8ff28a4311d16p-2"),
+    ("-0x1.1dfcc0cc8adefp+0", "0x1.533839138afecp+0", "0x1.1eb2598033ae0p-2",
+     "0x1.1dcc560c12289p-3"),
+    ("0x1.70618565d90aep+1", "0x1.340eab82bfd8fp+1", "0x1.1ce07bc7c5759p-3",
+     "0x1.e3a48cb8064c4p-5"),
+    ("0x1.693d83c6e9cf1p-1", "0x1.33ff6b5ca364fp+1", "0x1.65c84758446b3p-4",
+     "0x1.8001952250d80p-7"),
+    ("-0x1.d0af030be4519p+0", "0x1.305964d945183p+1", "0x1.036eba0581ee6p-4",
+     "0x1.da3deec06772cp-9"),
+]
+
+
+class TestGoldenHistory:
+    def test_pinned_1d_run_is_bit_identical(self):
+        """A short pinned run reproduces its recorded history bit for bit.
+
+        Refactors of the acquisition and the loop must keep every
+        floating-point operation the loop consumes in the same order.  The
+        hex values were recorded with numpy 2.4 and scipy 1.17 on the
+        bundled OpenBLAS 0.3.31 (x86-64); another numpy or BLAS build may
+        round differently, so re-record them there rather than loosen this.
+        """
+        mix = GaussianMixture(
+            weights=np.array([0.4, 0.6]),
+            means=np.array([[-1.0], [1.5]]),
+            covs=np.array([[[0.5]], [[1.2]]]),
+        )
+        theta = pinned(ls=0.5, s2=4.0, noise=1e-4)
+        cfg = DesignConfig(n0=3, budget=8, seed=21, pinned_theta=theta)
+        history = run(mix, lambda x: float(np.sin(3.0 * x[0]) + x[0] ** 2), cfg)
+        got = [
+            (r.chosen_x[0].hex(), float(r.mu1).hex(), float(r.sigma1).hex(),
+             float(r.acquisition_at_chosen).hex())
+            for r in history
+        ]
+        assert got == GOLDEN_PINNED_RUN
