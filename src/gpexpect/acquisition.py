@@ -12,10 +12,14 @@ and a hypothetical extra observation at xt shrinks the variance by
 S(xt)^2, where S = int k_n(xt, x) p(x) dx / sqrt(k_n(xt, xt) + noise).
 The expected KL information gain of that observation reduces exactly to
 log(sigma1 / sigma2); the four-term form is kept alongside the reduced
-one so the cancellation is checkable rather than assumed.  Every scalar
-form is a view over one probe per point: a kernel vector and one Gram
-solve give both v(xt) and the predictive variance (Rasmussen & Williams,
-GPML, Alg. 2.1); :func:`acquisition_profile` is the grid counterpart.
+one so the cancellation is checkable rather than assumed.
+
+One probe of candidate rows gives k(x, X_n) and one Gram solve of it,
+hence v(x) and the predictive variance (Rasmussen & Williams, GPML,
+Alg. 2.1); S, sigma2^2 and the gain terms are each derived once, on
+arrays.  :func:`acquisition_profile` returns them for a grid, and every
+scalar form is row 0 of a one-row probe, so a one-row profile equals the
+scalar forms bit for bit (larger ones to rounding).
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from gpexpect.errors import DegenerateEstimateError
 from gpexpect.gp import GpPosterior
-from gpexpect.kernels import RbfKernel, eval_kernel_scaled, kernel_cross, kernel_vector
-from gpexpect.mixtures import GaussianMixture
+from gpexpect.kernels import (
+    RbfKernel, _as_points, _cho_solve, _forward_solve, eval_kernel_scaled, kernel_cross,
+)
+from gpexpect.mixtures import GaussianMixture, same_mixture
 
 # log-gain sentinel standing in for +inf when sigma2^2 underflows to 0;
 # comfortably above any finite log-variance ratio that matters while
@@ -84,7 +89,7 @@ def _component_means(x: np.ndarray, amplitude_sq: float, means, chols, factors) 
         raise ValueError(f"x has dimension {x.shape}, expected {means.shape[1:]}")
     out = np.empty(len(means))
     for i, (mean, chol, factor) in enumerate(zip(means, chols, factors)):
-        u = solve_triangular(chol, x - mean, lower=True, check_finite=False)
+        u = _forward_solve(chol, x - mean)
         out[i] = factor * (amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
     return out
 
@@ -94,7 +99,7 @@ def _kernel_mean_gradient(x, amplitude_sq: float, mix: GaussianMixture, chols, f
     k_i = _component_means(x, amplitude_sq, mix.means, chols, factors)
     grad = np.zeros(x.size)
     for w, mean, chol, k in zip(mix.weights, mix.means, chols, k_i):
-        grad -= w * k * cho_solve((chol, True), x - mean, check_finite=False)
+        grad -= w * k * _cho_solve(chol, x - mean)
     return grad
 
 
@@ -185,10 +190,8 @@ def _kernel_mean_many(ctx: AcquisitionContext, X: np.ndarray) -> np.ndarray:
     ker = ctx.gp.kernel
     out = np.zeros(X.shape[0])
     for i in range(ctx.mix.n_components):
-        u = solve_triangular(
-            ctx._comp_chols[i], (X - ctx.mix.means[i]).T, lower=True, check_finite=False
-        )
-        quad = np.sum(u * u, axis=0)
+        u = _forward_solve(ctx._comp_chols[i], (X - ctx.mix.means[i]).T)
+        quad = (u * u).sum(axis=0)
         out += ctx.mix.weights[i] * ctx._comp_factors[i] * ker.amplitude_sq * np.exp(-0.5 * quad)
     return out
 
@@ -208,9 +211,7 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
     else:
         u = np.stack(
             [
-                solve_triangular(
-                    comp_chols[i], (gp.data.X - mix.means[i]).T, lower=True, check_finite=False
-                )
+                _forward_solve(comp_chols[i], (gp.data.X - mix.means[i]).T)
                 for i in range(mix.n_components)
             ]
         )
@@ -218,7 +219,7 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
         kmean_train = (
             (mix.weights * comp_factors) @ (ker.amplitude_sq * np.exp(-0.5 * quad))
         )
-        solved = cho_solve((gp.gram_factor, True), kmean_train, check_finite=False)
+        solved = _cho_solve(gp.gram_factor, kmean_train)
         mu1 = float(kmean_train @ gp.weights)
         sigma1_sq = float(double_kernel_mean(ker, mix) - kmean_train @ solved)
     sigma1_sq = max(sigma1_sq, 0.0)
@@ -235,63 +236,97 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
 
 
 class _Probe(NamedTuple):
-    """Everything the scalar acquisition forms need at one candidate point."""
+    """Everything the acquisition forms need at each of m candidate rows."""
 
-    kv: np.ndarray  # k(xt, X_n)
-    solved_kv: np.ndarray  # (K + noise I)^-1 k(xt, X_n)
-    v: float  # int k_n(xt, x) p(x) dx, the posterior-covariance kernel mean
-    pred_var: float  # k_n(xt, xt) + noise
-    live: bool  # False when pred_var is below the floor: nothing left to learn
+    kv: np.ndarray  # (m, n) kernel rows k(x, X_n)
+    solved_kv: np.ndarray  # (m, n) rows of (K + noise I)^-1 k(x, X_n)
+    v: np.ndarray  # (m,) int k_n(x, x') p(x') dx', the posterior-covariance kernel mean
+    pred_var: np.ndarray  # (m,) k_n(x, x) + noise
+    live: np.ndarray  # (m,) False where pred_var is below the floor: nothing left to learn
 
 
-def _probe(ctx: AcquisitionContext, xt) -> _Probe:
-    xt = np.atleast_1d(np.asarray(xt, dtype=float))
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """a_i @ b_i per row of A (B: matching rows or one vector), one BLAS dot each as ``a @ b``."""
+    return (A[:, None, :] @ B[..., None])[:, 0, 0]
+
+
+def _probe(ctx: AcquisitionContext, X: np.ndarray) -> _Probe:
+    """Probe the (m, d) candidate rows of ``X`` with one Gram solve."""
     gp = ctx.gp
-    v = _kernel_mean_many(ctx, xt[None, :])[0]
-    kv = kernel_vector(xt, gp.data.X, gp.kernel)
+    kv = kernel_cross(X, gp.data.X, gp.kernel)
+    v = _kernel_mean_many(ctx, X)
     if gp.n:
-        solved_kv = cho_solve((gp.gram_factor, True), kv, check_finite=False)
-        pred_var = float(gp.kernel.amplitude_sq - kv @ solved_kv) + gp.noise.variance
-        v -= kv @ ctx.solved_kmean
+        solved_kv = _cho_solve(gp.gram_factor, kv.T).T
+        pred_var = gp.kernel.amplitude_sq - _row_dots(kv, solved_kv) + gp.noise.variance
+        v = v - _row_dots(kv, ctx.solved_kmean)
     else:
         solved_kv = kv
-        pred_var = gp.kernel.amplitude_sq + gp.noise.variance
+        pred_var = np.full(len(v), gp.kernel.amplitude_sq + gp.noise.variance)
     live = pred_var >= _PRED_VAR_FLOOR * gp.kernel.amplitude_sq
-    return _Probe(kv, solved_kv, float(v), pred_var, live)
+    return _Probe(kv, solved_kv, v, pred_var, live)
 
 
-def _sigma2_sq(ctx: AcquisitionContext, p: _Probe) -> float:
-    if not p.live:
-        return ctx.sigma1_sq
-    return max(ctx.sigma1_sq - p.v * p.v / p.pred_var, 0.0)
+def _one_row(xt) -> np.ndarray:
+    return np.atleast_1d(np.asarray(xt, dtype=float))[None, :]
+
+
+def _informative_var(p: _Probe) -> np.ndarray:
+    """The predictive variance where live, else +inf: S, v^2 / D and v / D read zero there."""
+    return np.where(p.live, p.pred_var, np.inf)
+
+
+def _s(p: _Probe) -> np.ndarray:
+    """S = v / sqrt(D), zero where not live."""
+    return p.v / np.sqrt(_informative_var(p))
+
+
+def _s_sq(p: _Probe) -> np.ndarray:
+    """The acquisition S^2, the drop in estimate variance."""
+    s = _s(p)
+    return s * s
+
+
+def _sigma2_sq(ctx: AcquisitionContext, p: _Probe) -> np.ndarray:
+    """sigma2^2 = max(sigma1^2 - v^2 / D, 0), or sigma1^2 where not live."""
+    return np.maximum(ctx.sigma1_sq - p.v * p.v / _informative_var(p), 0.0)
+
+
+def _gain(ctx: AcquisitionContext, sigma2_sq: np.ndarray) -> np.ndarray:
+    """log(sigma1 / sigma2), or the sentinel where sigma2^2 is zero."""
+    if ctx.sigma1_sq <= 0.0:
+        raise DegenerateEstimateError("estimate variance is zero; nothing to gain")
+    gain = np.full(sigma2_sq.shape, GAIN_SENTINEL)
+    positive = sigma2_sq > 0.0
+    gain[positive] = 0.5 * np.log(ctx.sigma1_sq / sigma2_sq[positive])
+    return gain
+
+
+def _four_term(ctx: AcquisitionContext, p: _Probe, sigma2_sq: np.ndarray):
+    """The four-term gain and its terms; t1 first, so a zero sigma1^2 raises before a division."""
+    t1 = _gain(ctx, sigma2_sq)
+    t2 = sigma2_sq / (2.0 * ctx.sigma1_sq)
+    t3 = np.full(t2.shape, -0.5)
+    t4 = p.v * p.v / (2.0 * ctx.sigma1_sq * _informative_var(p))
+    return t1 + t2 + t3 + t4, (t1, t2, t3, t4)
 
 
 def _s_sq_gradient(ctx: AcquisitionContext, xt: np.ndarray, p: _Probe) -> np.ndarray:
-    """Gradient of S^2 = v^2 / D by the quotient rule.
+    """Gradient of S^2 = v^2 / D at ``xt``, the probe's only row, by the quotient rule.
 
     grad v is the kernel-mean gradient minus the Jacobian J of k(xt, X_n)
     against the solved kernel-mean system; grad D = -2 J^T (Gram^-1 k(xt, X_n)).
     """
     gp = ctx.gp
-    if not p.live:
+    if not p.live[0]:
         return np.zeros(gp.dim)
     grad_v = _kernel_mean_gradient(
         xt, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
     )
-    J = -(xt - gp.data.X) / gp.kernel.lengthscales * p.kv[:, None]
+    J = -(xt - gp.data.X) / gp.kernel.lengthscales * p.kv[0][:, None]
     grad_v = grad_v - J.T @ ctx.solved_kmean
-    grad_D = -2.0 * (J.T @ p.solved_kv)
-    v, D = p.v, p.pred_var
+    grad_D = -2.0 * (J.T @ p.solved_kv[0])
+    v, D = float(p.v[0]), float(p.pred_var[0])
     return (2.0 * v / D) * grad_v - (v * v / D**2) * grad_D
-
-
-def _gain(ctx: AcquisitionContext, sigma2_sq: float) -> float:
-    """log(sigma1 / sigma2), or the sentinel when sigma2^2 is zero."""
-    if ctx.sigma1_sq <= 0.0:
-        raise DegenerateEstimateError("estimate variance is zero; nothing to gain")
-    if sigma2_sq == 0.0:
-        return GAIN_SENTINEL
-    return float(0.5 * np.log(ctx.sigma1_sq / sigma2_sq))
 
 
 def variance_reduction_s(ctx: AcquisitionContext, xt) -> float:
@@ -300,20 +335,18 @@ def variance_reduction_s(ctx: AcquisitionContext, xt) -> float:
     Returns 0 when the predictive variance vanishes (noiseless duplicate):
     the observation would carry no new information.
     """
-    p = _probe(ctx, xt)
-    return p.v / np.sqrt(p.pred_var) if p.live else 0.0
+    return float(_s(_probe(ctx, _one_row(xt)))[0])
 
 
 def acquisition_value(ctx: AcquisitionContext, xt) -> float:
     """The acquisition S(xt)^2, the reduction in estimate variance."""
-    s = variance_reduction_s(ctx, xt)
-    return s * s
+    return float(_s_sq(_probe(ctx, _one_row(xt)))[0])
 
 
 def acquisition_gradient(ctx: AcquisitionContext, xt) -> np.ndarray:
     """Gradient of the acquisition S(xt)^2 in xt."""
-    xt = np.atleast_1d(np.asarray(xt, dtype=float))
-    return _s_sq_gradient(ctx, xt, _probe(ctx, xt))
+    X = _one_row(xt)
+    return _s_sq_gradient(ctx, X[0], _probe(ctx, X))
 
 
 @dataclass(frozen=True)
@@ -332,11 +365,11 @@ class HypotheticalUpdate:
 
 def hypothetical_update(ctx: AcquisitionContext, xt) -> HypotheticalUpdate:
     """Innovation coefficient, predicted value, and sigma2^2 at ``xt``."""
-    p = _probe(ctx, xt)
+    p = _probe(ctx, _one_row(xt))
     return HypotheticalUpdate(
-        innovation_coeff=p.v / p.pred_var if p.live else 0.0,
-        pred_mean=float(p.kv @ ctx.gp.weights),
-        sigma2_sq=_sigma2_sq(ctx, p),
+        innovation_coeff=float((p.v / _informative_var(p))[0]),
+        pred_mean=float(_row_dots(p.kv, ctx.gp.weights)[0]),
+        sigma2_sq=float(_sigma2_sq(ctx, p)[0]),
     )
 
 
@@ -366,14 +399,9 @@ def info_gain_four_term(ctx: AcquisitionContext, xt):
     DegenerateEstimateError
         If sigma1^2 is zero: the integral is already known exactly.
     """
-    p = _probe(ctx, xt)
-    sigma2_sq = _sigma2_sq(ctx, p)
-    t1 = _gain(ctx, sigma2_sq)
-    t2 = sigma2_sq / (2.0 * ctx.sigma1_sq)
-    t3 = -0.5
-    t4 = p.v * p.v / (2.0 * ctx.sigma1_sq * p.pred_var) if p.live else 0.0
-    g = t1 + t2 + t3 + t4
-    return float(g), (float(t1), float(t2), float(t3), float(t4))
+    p = _probe(ctx, _one_row(xt))
+    g, terms = _four_term(ctx, p, _sigma2_sq(ctx, p))
+    return float(g[0]), tuple(float(t[0]) for t in terms)
 
 
 def info_gain_simplified(ctx: AcquisitionContext, xt) -> float:
@@ -382,20 +410,25 @@ def info_gain_simplified(ctx: AcquisitionContext, xt) -> float:
     Equal to the four-term form; a zero sigma2^2 (complete variance
     collapse) maps to the finite sentinel so argmax semantics survive.
     """
-    return _gain(ctx, _sigma2_sq(ctx, _probe(ctx, xt)))
+    p = _probe(ctx, _one_row(xt))
+    return float(_gain(ctx, _sigma2_sq(ctx, p))[0])
 
 
-def _check_shared_instance(contexts) -> None:
-    first = contexts[0]
+def _shared_contexts(contexts) -> list:
+    """The contexts as a non-empty list, checked to share their data and mixture."""
+    contexts = list(contexts)
+    if not contexts:
+        raise ValueError("need at least one acquisition context")
+    first = contexts[0].gp.data
     for ctx in contexts[1:]:
+        data = ctx.gp.data
         if not (
-            np.array_equal(ctx.gp.data.X, first.gp.data.X)
-            and np.array_equal(ctx.gp.data.y, first.gp.data.y)
-            and np.array_equal(ctx.mix.weights, first.mix.weights)
-            and np.array_equal(ctx.mix.means, first.mix.means)
-            and np.array_equal(ctx.mix.covs, first.mix.covs)
+            (data.X is first.X or np.array_equal(data.X, first.X))
+            and (data.y is first.y or np.array_equal(data.y, first.y))
+            and same_mixture(ctx.mix, contexts[0].mix)
         ):
             raise ValueError("contexts must share the same data and mixture")
+    return contexts
 
 
 def multi_theta_acquisition(contexts, xt) -> float:
@@ -405,10 +438,7 @@ def multi_theta_acquisition(contexts, xt) -> float:
     argmax over candidates equals the argmin of the product of the
     per-sample sigma2^2 values.
     """
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("need at least one acquisition context")
-    _check_shared_instance(contexts)
+    contexts = _shared_contexts(contexts)
     return float(np.mean([info_gain_simplified(ctx, xt) for ctx in contexts]))
 
 
@@ -419,57 +449,35 @@ def multi_theta_gradient(contexts, xt) -> np.ndarray:
     samples sitting at the variance-collapse sentinel contribute zero
     (the sentinel is a plateau).
     """
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("need at least one acquisition context")
-    _check_shared_instance(contexts)
-    xt = np.atleast_1d(np.asarray(xt, dtype=float))
+    contexts = _shared_contexts(contexts)
+    X = _one_row(xt)
     grad = np.zeros(contexts[0].gp.dim)
     for ctx in contexts:
-        p = _probe(ctx, xt)
-        sigma2_sq = _sigma2_sq(ctx, p)
+        p = _probe(ctx, X)
+        sigma2_sq = float(_sigma2_sq(ctx, p)[0])
         if sigma2_sq > 0.0:
-            grad += _s_sq_gradient(ctx, xt, p) / (2.0 * sigma2_sq)
+            grad += _s_sq_gradient(ctx, X[0], p) / (2.0 * sigma2_sq)
     return grad / len(contexts)
 
 
 def acquisition_profile(ctx: AcquisitionContext, X):
-    """Vectorized acquisition quantities over candidate rows of ``X``.
+    """Acquisition quantities at every candidate row of ``X``.
 
     Returns a dict of arrays: ``s_sq`` (the acquisition), ``sigma2_sq``,
-    ``gain_simplified``, and ``gain_four_term``.  Used for dense grids
-    where per-point calls would dominate runtime.
+    ``gain_simplified`` and ``gain_four_term``, from one probe of all
+    rows.  Row i equals the scalar forms at ``X[i]`` to rounding, and
+    exactly for a one-row ``X``.
+
+    Raises
+    ------
+    DegenerateEstimateError
+        If sigma1^2 is zero: the integral is already known exactly.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1) if ctx.gp.dim == 1 else X.reshape(1, -1)
-    gp = ctx.gp
-    kmean = _kernel_mean_many(ctx, X)
-    if gp.n:
-        C = kernel_cross(X, gp.data.X, gp.kernel)
-        v = kmean - C @ ctx.solved_kmean
-        U = solve_triangular(gp.gram_factor, C.T, lower=True, check_finite=False)
-        pred_var = gp.kernel.amplitude_sq - np.sum(U * U, axis=0) + gp.noise.variance
-    else:
-        v = kmean
-        pred_var = np.full(X.shape[0], gp.kernel.amplitude_sq + gp.noise.variance)
-
-    live = pred_var >= _PRED_VAR_FLOOR * gp.kernel.amplitude_sq
-    s_sq = np.zeros(X.shape[0])
-    np.divide(v * v, pred_var, out=s_sq, where=live)
-    sigma2_sq = np.maximum(ctx.sigma1_sq - s_sq, 0.0)
-
-    gain = np.full(X.shape[0], GAIN_SENTINEL)
-    positive = sigma2_sq > 0.0
-    gain[positive] = 0.5 * np.log(ctx.sigma1_sq / sigma2_sq[positive])
-
-    t1 = gain
-    t2 = sigma2_sq / (2.0 * ctx.sigma1_sq)
-    t4 = np.zeros(X.shape[0])
-    np.divide(v * v, 2.0 * ctx.sigma1_sq * pred_var, out=t4, where=live)
-    four = t1 + t2 - 0.5 + t4
+    p = _probe(ctx, _as_points(X, ctx.gp.dim))
+    sigma2_sq = _sigma2_sq(ctx, p)
+    four, (gain, _, _, _) = _four_term(ctx, p, sigma2_sq)
     return {
-        "s_sq": s_sq,
+        "s_sq": _s_sq(p),
         "sigma2_sq": sigma2_sq,
         "gain_simplified": gain,
         "gain_four_term": four,

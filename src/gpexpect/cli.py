@@ -33,6 +33,7 @@ from gpexpect.mixtures import (
     fit_em,
     gmm_from_box,
     mixture_from_dict,
+    same_mixture,
 )
 from gpexpect.optimize import BoxBounds, OptimizerConfig
 from gpexpect.validation import run_validation
@@ -91,7 +92,7 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _build_mixture(doc: dict, dimension: int, seed: int) -> GaussianMixture:
+def _build_mixture(doc: dict, dimension: int) -> GaussianMixture:
     sources = [k for k in ("mixture", "samples_file", "uniform_box") if k in doc]
     if "n_gmm" in doc and "samples_file" not in doc:
         raise ConfigError("config: 'n_gmm' only applies together with 'samples_file'")
@@ -200,7 +201,7 @@ def _parse_common(doc: dict):
     n0 = _as_int(_require(doc, "n0"), "n0", minimum=2)
     budget = _as_int(_require(doc, "budget"), "budget", minimum=n0)
 
-    mix = _build_mixture(doc, dimension, seed)
+    mix = _build_mixture(doc, dimension)
     problem = benchmark_problem(name)
     if problem.mix.dim != dimension:
         raise ConfigError(
@@ -216,28 +217,19 @@ def _parse_common(doc: dict):
         search = HyperSearchConfig(seed=seed, fixed_noise=_as_number(doc["fixed_noise"],
                                                                      "fixed_noise"))
 
-    opt_kwargs = {"seed": seed}
+    opt_kwargs = {}
     if "optimizer" in doc:
         spec = doc["optimizer"]
         if not isinstance(spec, dict):
             raise ConfigError("config: 'optimizer' must be an object")
-        _check_keys(
-            spec,
-            ("starts", "max_iterations", "gradient_tolerance", "step_shrink"),
-            "config: optimizer",
-        )
-        if "starts" in spec:
-            opt_kwargs["starts"] = _as_int(spec["starts"], "optimizer.starts", minimum=1)
-        if "max_iterations" in spec:
-            opt_kwargs["max_iterations"] = _as_int(
-                spec["max_iterations"], "optimizer.max_iterations", minimum=1
-            )
-        if "gradient_tolerance" in spec:
-            opt_kwargs["gradient_tolerance"] = _as_number(
-                spec["gradient_tolerance"], "optimizer.gradient_tolerance"
-            )
-        if "step_shrink" in spec:
-            opt_kwargs["step_shrink"] = _as_number(spec["step_shrink"], "optimizer.step_shrink")
+        counts = ("starts", "max_iterations")
+        keys = counts + ("gradient_tolerance", "step_shrink")
+        _check_keys(spec, keys, "config: optimizer")
+        for key in (k for k in keys if k in spec):
+            if key in counts:
+                opt_kwargs[key] = _as_int(spec[key], f"optimizer.{key}", minimum=1)
+            else:
+                opt_kwargs[key] = _as_number(spec[key], f"optimizer.{key}")
 
     bounds = None
     if "bounds" in doc:
@@ -280,12 +272,7 @@ def _parse_common(doc: dict):
 
 def _reference_q(problem, mix: GaussianMixture):
     """Reference expectation for the configured mixture, with provenance."""
-    same_mix = (
-        np.array_equal(problem.mix.weights, mix.weights)
-        and np.array_equal(problem.mix.means, mix.means)
-        and np.array_equal(problem.mix.covs, mix.covs)
-    )
-    if same_mix:
+    if same_mixture(problem.mix, mix):
         return problem.reference_q, problem.provenance
     if problem.name == "x_squared":
         return gaussian_second_moment(mix), "analytic: E[x^2] = sum_i a_i (w_i^2 + var_i)"

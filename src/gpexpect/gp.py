@@ -18,6 +18,7 @@ from scipy.optimize import minimize
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.kernels import (
     RbfKernel,
+    _as_points,
     eval_kernel,
     kernel_cross,
     kernel_matrix,
@@ -178,9 +179,7 @@ def posterior_mean(gp: GpPosterior, x) -> float:
 
 def posterior_mean_many(gp: GpPosterior, X) -> np.ndarray:
     """Posterior mean at each row of ``X``."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1) if gp.dim == 1 else X.reshape(1, -1)
+    X = _as_points(X, gp.dim)
     if gp.n == 0:
         return np.zeros(X.shape[0])
     return kernel_cross(X, gp.data.X, gp.kernel) @ gp.weights
@@ -198,9 +197,7 @@ def posterior_cov(gp: GpPosterior, a, b) -> float:
 
 def posterior_var_many(gp: GpPosterior, X) -> np.ndarray:
     """Posterior variance at each row of ``X`` (diagonal of the covariance)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1) if gp.dim == 1 else X.reshape(1, -1)
+    X = _as_points(X, gp.dim)
     if gp.n == 0:
         return np.full(X.shape[0], gp.kernel.amplitude_sq)
     C = kernel_cross(X, gp.data.X, gp.kernel)

@@ -16,6 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.linalg import get_lapack_funcs
+
+_TRTRS, _POTRS = get_lapack_funcs(("trtrs", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +74,9 @@ def _as_points(X, dim: int, name: str = "X") -> np.ndarray:
 
 
 def eval_kernel(a, b, ker: RbfKernel) -> float:
-    """Kernel value ``s2 * exp(-0.5 * sum_j (a_j - b_j)^2 / L_j)``."""
+    """Kernel value ``s2 * exp(-0.5 * sum_j (a_j - b_j)^2 / L_j)``, as :func:`kernel_cross`."""
     a = _as_point(a, ker.dim, "a")
-    b = _as_point(b, ker.dim, "b")
-    sq = np.sum((a - b) ** 2 / ker.lengthscales)
-    return float(ker.amplitude_sq * np.exp(-0.5 * sq))
+    return float(kernel_cross(a[None, :], _as_point(b, ker.dim, "b")[None, :], ker)[0, 0])
 
 
 def eval_kernel_scaled(a, b, amplitude_sq: float, scale) -> float:
@@ -98,15 +100,29 @@ def eval_kernel_scaled(a, b, amplitude_sq: float, scale) -> float:
         chol = np.linalg.cholesky(scale)
     except np.linalg.LinAlgError as exc:
         raise ValueError("scale matrix is not symmetric positive definite") from exc
-    u = _solve_lower(chol, a - b)
+    u = _forward_solve(chol, a - b)
     return float(amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
 
 
-def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution with a lower-triangular factor."""
-    from scipy.linalg import solve_triangular
+# scipy.linalg's exact LAPACK calls, without its per-call validation and batching
+def _forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """chol^-1 rhs for a lower-triangular ``chol``, as solve_triangular(lower=True)."""
+    if chol.flags.f_contiguous:
+        x, info = _TRTRS(chol, rhs, lower=1)
+    else:
+        # trtrs expects Fortran order: solve the transposed upper system
+        x, info = _TRTRS(chol.T, rhs, lower=0, trans=1)
+    if info:
+        raise LinAlgError(f"triangular solve failed (LAPACK info {info})")
+    return x
 
-    return solve_triangular(chol, rhs, lower=True, check_finite=False)
+
+def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(chol chol^T)^-1 rhs for a lower Cholesky factor ``chol``, as cho_solve((chol, True))."""
+    x, info = _POTRS(chol, rhs, lower=1)
+    if info:
+        raise LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
+    return x
 
 
 def kernel_matrix(X, ker: RbfKernel) -> np.ndarray:
@@ -125,21 +141,16 @@ def kernel_cross(A, B, ker: RbfKernel) -> np.ndarray:
     """Cross-kernel matrix with entries ``k(a_i, b_j)``, shape (m, n)."""
     A = _as_points(A, ker.dim, "A")
     B = _as_points(B, ker.dim, "B")
-    inv_ls = 1.0 / np.sqrt(ker.lengthscales)
-    sa = A * inv_ls
-    sb = B * inv_ls
-    sq = np.sum((sa[:, None, :] - sb[None, :, :]) ** 2, axis=-1)
+    sq = ((B[None, :, :] - A[:, None, :]) ** 2 / ker.lengthscales).sum(axis=-1)
     return ker.amplitude_sq * np.exp(-0.5 * sq)
 
 
 def kernel_vector(x, X, ker: RbfKernel) -> np.ndarray:
-    """Cross-kernel vector with entries ``k(x, x_i)``; empty for n = 0."""
-    x = _as_point(x, ker.dim, "x")
-    X = _as_points(X, ker.dim)
-    if X.shape[0] == 0:
-        return np.zeros(0)
-    sq = np.sum((X - x) ** 2 / ker.lengthscales, axis=1)
-    return ker.amplitude_sq * np.exp(-0.5 * sq)
+    """Cross-kernel vector with entries ``k(x, x_i)``; empty for n = 0.
+
+    The one-row case of :func:`kernel_cross`, bit for bit.
+    """
+    return kernel_cross(_as_point(x, ker.dim, "x")[None, :], X, ker)[0]
 
 
 def kernel_gradient(a, b, ker: RbfKernel) -> np.ndarray:
@@ -148,9 +159,7 @@ def kernel_gradient(a, b, ker: RbfKernel) -> np.ndarray:
     Equals ``-(a - b) / lengthscales * k(a, b)``; antisymmetric under
     swapping the arguments and zero at ``a = b``.
     """
-    a = _as_point(a, ker.dim, "a")
-    b = _as_point(b, ker.dim, "b")
-    return -(a - b) / ker.lengthscales * eval_kernel(a, b, ker)
+    return kernel_vector_jacobian(a, _as_point(b, ker.dim, "b")[None, :], ker)[0]
 
 
 def kernel_vector_jacobian(x, X, ker: RbfKernel) -> np.ndarray:

@@ -84,6 +84,12 @@ def _component_log_pdfs(mix: GaussianMixture, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def same_mixture(a: GaussianMixture, b: GaussianMixture) -> bool:
+    """Whether two mixtures hold equal weights, means and covariances."""
+    pairs = ((a.weights, b.weights), (a.means, b.means), (a.covs, b.covs))
+    return all(x is y or np.array_equal(x, y) for x, y in pairs)
+
+
 def log_pdf(mix: GaussianMixture, x) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (mix.dim,):

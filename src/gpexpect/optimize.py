@@ -53,7 +53,6 @@ class OptimizerConfig:
     max_iterations: int = 100
     gradient_tolerance: float = 1e-8
     step_shrink: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.starts < 1:
@@ -104,8 +103,8 @@ def _projected_gradient(x, g, bounds: BoxBounds) -> np.ndarray:
     return pg
 
 
-def maximize(value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig, start_points=None):
-    """Maximize ``value_fn`` over the box; returns ``(x_best, value)``.
+def maximize(value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
+    """Maximize ``value_fn`` over the box from ``start_points``; returns ``(x_best, value)``.
 
     Each start ascends along the projected gradient with backtracking:
     a trial step is shrunk until the value strictly improves, so accepted
@@ -117,14 +116,7 @@ def maximize(value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig, sta
     OptimizationFailedError
         If every start was abandoned.
     """
-    if start_points is None:
-        rng = np.random.default_rng(cfg.seed)
-        starts = [0.5 * (bounds.lower + bounds.upper)]
-        for _ in range(cfg.starts - 1):
-            starts.append(rng.uniform(bounds.lower, bounds.upper))
-        start_points = np.array(starts)
-    else:
-        start_points = np.atleast_2d(np.asarray(start_points, dtype=float))
+    start_points = np.atleast_2d(np.asarray(start_points, dtype=float))
 
     box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
     best_x = None

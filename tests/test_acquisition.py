@@ -517,6 +517,17 @@ class TestInfoGainFourTerm:
         with pytest.raises(DegenerateEstimateError):
             info_gain_four_term(ctx, np.array([1.0]))
 
+    def test_degenerate_profile_raises(self):
+        # as the scalar forms do, and before any term divides by sigma1^2 = 0
+        gp = fit(
+            Dataset(X=np.array([[0.0]]), y=np.array([1.0])),
+            UNIT_KERNEL,
+            NoiseModel(variance=0.0),
+        )
+        ctx = build_context(gp, point_mass_1d(0.0))
+        with pytest.raises(DegenerateEstimateError):
+            acquisition_profile(ctx, np.array([[1.0], [0.0]]))
+
 
 class TestInfoGainSimplified:
     def test_uninformative_point_is_zero(self):
@@ -634,6 +645,35 @@ class TestMultiTheta:
         with pytest.raises(ValueError):
             multi_theta_acquisition([], np.array([0.0]))
 
+    def test_equal_but_distinct_arrays_accepted(self):
+        rng = np.random.default_rng(38)
+        ctx = self.make_contexts(rng, count=1)[0]
+        gp, mix = ctx.gp, ctx.mix
+        data = Dataset(X=gp.data.X.copy(), y=gp.data.y.copy())
+        mix_copy = GaussianMixture(
+            weights=mix.weights.copy(), means=mix.means.copy(), covs=mix.covs.copy()
+        )
+        twin = build_context(fit(data, gp.kernel, gp.noise), mix_copy)
+        xt = np.array([0.2])
+        assert multi_theta_acquisition([ctx, twin], xt) == info_gain_simplified(ctx, xt)
+        assert_array_equal(
+            multi_theta_gradient([ctx, twin], xt), multi_theta_gradient([ctx], xt)
+        )
+
+    def test_different_data_or_mixture_rejected(self):
+        rng = np.random.default_rng(39)
+        ctx = self.make_contexts(rng, count=1)[0]
+        gp = ctx.gp
+        moved = Dataset(X=gp.data.X + 0.1, y=gp.data.y)
+        other_data = build_context(fit(moved, gp.kernel, gp.noise), ctx.mix)
+        other_mix = build_context(gp, single_comp())
+        xt = np.array([0.2])
+        for other in (other_data, other_mix):
+            with pytest.raises(ValueError, match="same data and mixture"):
+                multi_theta_acquisition([ctx, other], xt)
+            with pytest.raises(ValueError, match="same data and mixture"):
+                multi_theta_gradient([ctx, other], xt)
+
 
 class TestArgmaxChain:
     def test_all_criteria_select_same_grid_point(self):
@@ -684,3 +724,30 @@ class TestScalarFormsMatchProfile:
         )
         expected = acquisition_gradient(ctx, x) / (2.0 * sigma2_sq)
         assert_array_equal(multi_theta_gradient([ctx], x), expected)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), off_mixture=st.booleans())
+    def test_one_row_profile_is_the_scalar_forms(self, seed, off_mixture):
+        rng = np.random.default_rng(seed)
+        gp, mix = random_instance(rng)
+        ctx = build_context(gp, mix)
+        if off_mixture:
+            X = rng.uniform(-4.0, 4.0, size=(6, mix.dim))
+        else:
+            X = sample(mix, 6, seed=int(rng.integers(2**63)))
+        for x in X:
+            prof = acquisition_profile(ctx, x[None, :])
+            s = variance_reduction_s(ctx, x)
+            assert_array_equal(prof["s_sq"], [acquisition_value(ctx, x)])
+            assert_array_equal(prof["s_sq"], [s * s])
+            assert_array_equal(prof["sigma2_sq"], [hypothetical_update(ctx, x).sigma2_sq])
+            assert_array_equal(prof["gain_simplified"], [info_gain_simplified(ctx, x)])
+            assert_array_equal(prof["gain_simplified"], [multi_theta_acquisition([ctx], x)])
+            assert_array_equal(prof["gain_four_term"], [info_gain_four_term(ctx, x)[0]])
+        # several rows at once: the kernel mean's multi-column solve may
+        # round differently, so rows agree to rounding only
+        prof = acquisition_profile(ctx, X)
+        atol = 1e-10 * ctx.sigma1_sq
+        assert_allclose(
+            prof["s_sq"], [acquisition_value(ctx, x) for x in X], rtol=1e-10, atol=atol
+        )

@@ -19,6 +19,7 @@ from gpexpect.mixtures import (
     mixture_to_dict,
     pdf,
     pdf_many,
+    same_mixture,
     sample,
 )
 from gpexpect.oracles import quad_integral_1d
@@ -246,3 +247,18 @@ class TestSerialization:
         mix = two_bumps(offset=0.5)
         back = mixture_from_dict(json.loads(json.dumps(mixture_to_dict(mix))))
         assert_allclose(back.means, mix.means)
+
+
+class TestSameMixture:
+    def test_equal_copies_match(self):
+        a = two_bumps()
+        b = GaussianMixture(weights=a.weights.copy(), means=a.means.copy(), covs=a.covs.copy())
+        assert same_mixture(a, a)
+        assert same_mixture(a, b)
+
+    def test_any_difference_fails(self):
+        a = two_bumps()
+        assert not same_mixture(a, two_bumps(offset=1.5))
+        assert not same_mixture(a, std_normal_1d())
+        wider = GaussianMixture(weights=a.weights, means=a.means, covs=2.0 * a.covs)
+        assert not same_mixture(a, wider)

@@ -22,6 +22,13 @@ def box(lo, hi, d=1):
     return BoxBounds(lower=np.full(d, float(lo)), upper=np.full(d, float(hi)))
 
 
+def uniform_starts(bounds, count, seed):
+    """The box center, then count - 1 seeded uniform draws from the box."""
+    rng = np.random.default_rng(seed)
+    rest = [rng.uniform(bounds.lower, bounds.upper) for _ in range(count - 1)]
+    return np.array([0.5 * (bounds.lower + bounds.upper)] + rest)
+
+
 class TestMaximize:
     def test_concave_quadratic_reaches_center(self):
         c = np.array([0.3, -0.6])
@@ -32,16 +39,19 @@ class TestMaximize:
         def grad(x):
             return -2.0 * (x - c)
 
-        x_star, val = maximize(value, grad, box(-2, 2, d=2), OptimizerConfig(seed=0))
+        bounds = box(-2, 2, d=2)
+        x_star, val = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 8, 0))
         assert np.linalg.norm(x_star - c) < 1e-6
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_linear_objective_hits_boundary(self):
+        bounds = box(0, 1)
         x_star, val = maximize(
             lambda x: float(x[0]),
             lambda x: np.array([1.0]),
-            box(0, 1),
-            OptimizerConfig(seed=0),
+            bounds,
+            OptimizerConfig(),
+            uniform_starts(bounds, 8, 0),
         )
         assert x_star[0] == pytest.approx(1.0, abs=1e-10)
         assert val == pytest.approx(1.0, abs=1e-10)
@@ -61,7 +71,8 @@ class TestMaximize:
             lambda x: acquisition_value(ctx, x),
             lambda x: acquisition_gradient(ctx, x),
             bounds,
-            OptimizerConfig(seed=1, starts=8),
+            OptimizerConfig(),
+            uniform_starts(bounds, 8, 1),
         )
         grid = np.linspace(-4, 4, 10_000).reshape(-1, 1)
         grid_vals = np.array([acquisition_value(ctx, g) for g in grid])
@@ -80,7 +91,7 @@ class TestMaximize:
             return -2.0 * x
 
         bounds = box(0.5, 2.0, d=2)
-        maximize(value, grad, bounds, OptimizerConfig(seed=2, starts=4))
+        maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 4, 2))
         P = np.array(probes)
         assert np.all(P >= bounds.lower - 1e-12)
         assert np.all(P <= bounds.upper + 1e-12)
@@ -99,8 +110,7 @@ class TestMaximize:
 
         bounds = box(-2, 2)
         starts = [np.array([v]) for v in np.linspace(-2, 2, 6)]
-        _, val = maximize(value, grad, bounds, OptimizerConfig(seed=4),
-                          start_points=starts)
+        _, val = maximize(value, grad, bounds, OptimizerConfig(), start_points=starts)
         assert all(val >= value(s) - 1e-12 for s in starts)
 
     def test_coarse_grid_dominance_2d(self):
@@ -114,7 +124,7 @@ class TestMaximize:
             )
 
         bounds = box(-3, 3, d=2)
-        _, val = maximize(value, grad, bounds, OptimizerConfig(seed=5, starts=12))
+        _, val = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 12, 5))
         axis = np.linspace(-3, 3, 32)
         G = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
         grid_best = max(value(g) for g in G)
@@ -127,8 +137,9 @@ class TestMaximize:
         def grad(x):
             return np.array([5 * np.cos(5 * x[0]) - 0.6 * x[0]])
 
-        a = maximize(value, grad, box(-3, 3), OptimizerConfig(seed=6, starts=5))
-        b = maximize(value, grad, box(-3, 3), OptimizerConfig(seed=6, starts=5))
+        bounds = box(-3, 3)
+        a = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6))
+        b = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6))
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
 
@@ -143,7 +154,7 @@ class TestMaximize:
 
         starts = [np.array([-1.0]), np.array([1.0])]
         with pytest.warns(RuntimeWarning):
-            x_star, _ = maximize(value, grad, box(-2, 2), OptimizerConfig(seed=7),
+            x_star, _ = maximize(value, grad, box(-2, 2), OptimizerConfig(),
                                  start_points=starts)
         assert x_star[0] == pytest.approx(1.5, abs=1e-6)
 
@@ -155,7 +166,8 @@ class TestMaximize:
             return np.zeros(1)
 
         with pytest.raises(OptimizationFailedError), pytest.warns(RuntimeWarning):
-            maximize(value, grad, box(-1, 1), OptimizerConfig(seed=8, starts=3))
+            bounds = box(-1, 1)
+            maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 3, 8))
 
 
 class TestBounds:
