@@ -29,11 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from gpexpect._numerics import as_point, as_points, chol_solve, forward_solve
 from gpexpect.errors import DegenerateEstimateError
 from gpexpect.gp import GpPosterior
-from gpexpect.kernels import (
-    RbfKernel, _as_points, _cho_solve, _forward_solve, eval_kernel_scaled, kernel_cross,
-)
+from gpexpect.kernels import RbfKernel, eval_kernel_scaled, kernel_cross
 from gpexpect.mixtures import GaussianMixture, same_mixture
 
 # log-gain sentinel standing in for +inf when sigma2^2 underflows to 0;
@@ -83,13 +82,12 @@ def _component_factors(ker: RbfKernel, covs, det_power: float = -0.5):
     return chols, factors
 
 
-def _component_means(x: np.ndarray, amplitude_sq: float, means, chols, factors) -> np.ndarray:
+def _component_means(x, amplitude_sq: float, means, chols, factors) -> np.ndarray:
     """K_i(x) = factor_i * k(x, mean_i; cov_i + Lambda) for each component."""
-    if x.shape != means.shape[1:]:
-        raise ValueError(f"x has dimension {x.shape}, expected {means.shape[1:]}")
+    x = as_point(x, means.shape[1], "x")
     out = np.empty(len(means))
     for i, (mean, chol, factor) in enumerate(zip(means, chols, factors)):
-        u = _forward_solve(chol, x - mean)
+        u = forward_solve(chol, x - mean)
         out[i] = factor * (amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
     return out
 
@@ -99,7 +97,7 @@ def _kernel_mean_gradient(x, amplitude_sq: float, mix: GaussianMixture, chols, f
     k_i = _component_means(x, amplitude_sq, mix.means, chols, factors)
     grad = np.zeros(x.size)
     for w, mean, chol, k in zip(mix.weights, mix.means, chols, k_i):
-        grad -= w * k * _cho_solve(chol, x - mean)
+        grad -= w * k * chol_solve(chol, x - mean)
     return grad
 
 
@@ -110,7 +108,6 @@ def kernel_mean_component(x, ker: RbfKernel, mean, cov, det_power: float = -0.5)
     ``det_power`` exists as a validation hook (the determinant exponent is
     exactly the part a typo would get wrong); leave it at the default.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     chols, factors = _component_factors(ker, cov[None], det_power)
@@ -119,7 +116,6 @@ def kernel_mean_component(x, ker: RbfKernel, mean, cov, det_power: float = -0.5)
 
 def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture, det_power: float = -0.5) -> float:
     """Kernel mean K(x) = int k(x, x') p(x') dx' under the mixture."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     chols, factors = _component_factors(ker, mix.covs, det_power)
     k_i = _component_means(x, ker.amplitude_sq, mix.means, chols, factors)
     return float(sum(w * k for w, k in zip(mix.weights, k_i)))
@@ -190,7 +186,7 @@ def _kernel_mean_many(ctx: AcquisitionContext, X: np.ndarray) -> np.ndarray:
     ker = ctx.gp.kernel
     out = np.zeros(X.shape[0])
     for i in range(ctx.mix.n_components):
-        u = _forward_solve(ctx._comp_chols[i], (X - ctx.mix.means[i]).T)
+        u = forward_solve(ctx._comp_chols[i], (X - ctx.mix.means[i]).T)
         quad = (u * u).sum(axis=0)
         out += ctx.mix.weights[i] * ctx._comp_factors[i] * ker.amplitude_sq * np.exp(-0.5 * quad)
     return out
@@ -211,7 +207,7 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
     else:
         u = np.stack(
             [
-                _forward_solve(comp_chols[i], (gp.data.X - mix.means[i]).T)
+                forward_solve(comp_chols[i], (gp.data.X - mix.means[i]).T)
                 for i in range(mix.n_components)
             ]
         )
@@ -219,7 +215,7 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
         kmean_train = (
             (mix.weights * comp_factors) @ (ker.amplitude_sq * np.exp(-0.5 * quad))
         )
-        solved = _cho_solve(gp.gram_factor, kmean_train)
+        solved = chol_solve(gp.gram_factor, kmean_train)
         mu1 = float(kmean_train @ gp.weights)
         sigma1_sq = float(double_kernel_mean(ker, mix) - kmean_train @ solved)
     sigma1_sq = max(sigma1_sq, 0.0)
@@ -256,7 +252,7 @@ def _probe(ctx: AcquisitionContext, X: np.ndarray) -> _Probe:
     kv = kernel_cross(X, gp.data.X, gp.kernel)
     v = _kernel_mean_many(ctx, X)
     if gp.n:
-        solved_kv = _cho_solve(gp.gram_factor, kv.T).T
+        solved_kv = chol_solve(gp.gram_factor, kv.T).T
         pred_var = gp.kernel.amplitude_sq - _row_dots(kv, solved_kv) + gp.noise.variance
         v = v - _row_dots(kv, ctx.solved_kmean)
     else:
@@ -296,8 +292,8 @@ def _gain(ctx: AcquisitionContext, sigma2_sq: np.ndarray) -> np.ndarray:
     if ctx.sigma1_sq <= 0.0:
         raise DegenerateEstimateError("estimate variance is zero; nothing to gain")
     gain = np.full(sigma2_sq.shape, GAIN_SENTINEL)
-    positive = sigma2_sq > 0.0
-    gain[positive] = 0.5 * np.log(ctx.sigma1_sq / sigma2_sq[positive])
+    nonzero = sigma2_sq != 0.0  # a NaN stays NaN, so maximize drops its start
+    gain[nonzero] = 0.5 * np.log(ctx.sigma1_sq / sigma2_sq[nonzero])
     return gain
 
 
@@ -473,7 +469,7 @@ def acquisition_profile(ctx: AcquisitionContext, X):
     DegenerateEstimateError
         If sigma1^2 is zero: the integral is already known exactly.
     """
-    p = _probe(ctx, _as_points(X, ctx.gp.dim))
+    p = _probe(ctx, as_points(X, ctx.gp.dim))
     sigma2_sq = _sigma2_sq(ctx, p)
     four, (gain, _, _, _) = _four_term(ctx, p, sigma2_sq)
     return {

@@ -223,13 +223,12 @@ def _parse_common(doc: dict):
         if not isinstance(spec, dict):
             raise ConfigError("config: 'optimizer' must be an object")
         counts = ("starts", "max_iterations")
-        keys = counts + ("gradient_tolerance", "step_shrink")
-        _check_keys(spec, keys, "config: optimizer")
-        for key in (k for k in keys if k in spec):
-            if key in counts:
-                opt_kwargs[key] = _as_int(spec[key], f"optimizer.{key}", minimum=1)
-            else:
-                opt_kwargs[key] = _as_number(spec[key], f"optimizer.{key}")
+        numbers = ("gradient_tolerance", "step_shrink")
+        _check_keys(spec, counts + numbers, "config: optimizer")
+        for key in (k for k in counts if k in spec):
+            opt_kwargs[key] = _as_int(spec[key], f"optimizer.{key}", minimum=1)
+        for key in (k for k in numbers if k in spec):
+            opt_kwargs[key] = _as_number(spec[key], f"optimizer.{key}")
 
     bounds = None
     if "bounds" in doc:

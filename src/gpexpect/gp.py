@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import minimize
 
+from gpexpect._numerics import as_points, chol_solve, forward_solve
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.kernels import (
     RbfKernel,
-    _as_points,
     eval_kernel,
     kernel_cross,
     kernel_matrix,
@@ -158,16 +157,10 @@ def fit(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> GpPosterior:
         raise NumericalConditioningError(
             f"Gram matrix not positive definite even with jitter {jitters[-1]:.3e}"
         )
-    weights = cho_solve((chol, True), data.y, check_finite=False)
+    weights = chol_solve(chol, data.y)
     return GpPosterior(
         kernel=ker, data=data, noise=noise, gram_factor=chol, weights=weights, jitter=used
     )
-
-
-def _gram_solve(gp: GpPosterior, rhs: np.ndarray) -> np.ndarray:
-    if gp.n == 0:
-        return np.zeros_like(rhs)
-    return cho_solve((gp.gram_factor, True), rhs, check_finite=False)
 
 
 def posterior_mean(gp: GpPosterior, x) -> float:
@@ -179,7 +172,7 @@ def posterior_mean(gp: GpPosterior, x) -> float:
 
 def posterior_mean_many(gp: GpPosterior, X) -> np.ndarray:
     """Posterior mean at each row of ``X``."""
-    X = _as_points(X, gp.dim)
+    X = as_points(X, gp.dim)
     if gp.n == 0:
         return np.zeros(X.shape[0])
     return kernel_cross(X, gp.data.X, gp.kernel) @ gp.weights
@@ -192,16 +185,16 @@ def posterior_cov(gp: GpPosterior, a, b) -> float:
         return prior
     ka = kernel_vector(a, gp.data.X, gp.kernel)
     kb = kernel_vector(b, gp.data.X, gp.kernel)
-    return float(prior - ka @ _gram_solve(gp, kb))
+    return float(prior - ka @ chol_solve(gp.gram_factor, kb))
 
 
 def posterior_var_many(gp: GpPosterior, X) -> np.ndarray:
     """Posterior variance at each row of ``X`` (diagonal of the covariance)."""
-    X = _as_points(X, gp.dim)
+    X = as_points(X, gp.dim)
     if gp.n == 0:
         return np.full(X.shape[0], gp.kernel.amplitude_sq)
     C = kernel_cross(X, gp.data.X, gp.kernel)
-    U = solve_triangular(gp.gram_factor, C.T, lower=True, check_finite=False)
+    U = forward_solve(gp.gram_factor, C.T)
     return gp.kernel.amplitude_sq - np.sum(U * U, axis=0)
 
 

@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import get_lapack_funcs
 
-_TRTRS, _POTRS = get_lapack_funcs(("trtrs", "potrs"), dtype=np.float64)
+from gpexpect._numerics import as_point, as_points, forward_solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,28 +53,10 @@ class RbfKernel:
         return self.lengthscales.size
 
 
-def _as_point(x, dim: int, name: str) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (dim,):
-        raise ValueError(f"{name} has dimension {x.shape}, expected ({dim},)")
-    return x
-
-
-def _as_points(X, dim: int, name: str = "X") -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
-        return X.reshape(0, dim)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1) if dim == 1 else X.reshape(1, -1)
-    if X.ndim != 2 or X.shape[1] != dim:
-        raise ValueError(f"{name} has shape {X.shape}, expected (n, {dim})")
-    return X
-
-
 def eval_kernel(a, b, ker: RbfKernel) -> float:
     """Kernel value ``s2 * exp(-0.5 * sum_j (a_j - b_j)^2 / L_j)``, as :func:`kernel_cross`."""
-    a = _as_point(a, ker.dim, "a")
-    return float(kernel_cross(a[None, :], _as_point(b, ker.dim, "b")[None, :], ker)[0, 0])
+    a = as_point(a, ker.dim, "a")
+    return float(kernel_cross(a[None, :], as_point(b, ker.dim, "b")[None, :], ker)[0, 0])
 
 
 def eval_kernel_scaled(a, b, amplitude_sq: float, scale) -> float:
@@ -94,35 +74,14 @@ def eval_kernel_scaled(a, b, amplitude_sq: float, scale) -> float:
     d = scale.shape[0]
     if scale.shape != (d, d):
         raise ValueError(f"scale must be square, got shape {scale.shape}")
-    a = _as_point(a, d, "a")
-    b = _as_point(b, d, "b")
+    a = as_point(a, d, "a")
+    b = as_point(b, d, "b")
     try:
         chol = np.linalg.cholesky(scale)
     except np.linalg.LinAlgError as exc:
         raise ValueError("scale matrix is not symmetric positive definite") from exc
-    u = _forward_solve(chol, a - b)
+    u = forward_solve(chol, a - b)
     return float(amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
-
-
-# scipy.linalg's exact LAPACK calls, without its per-call validation and batching
-def _forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """chol^-1 rhs for a lower-triangular ``chol``, as solve_triangular(lower=True)."""
-    if chol.flags.f_contiguous:
-        x, info = _TRTRS(chol, rhs, lower=1)
-    else:
-        # trtrs expects Fortran order: solve the transposed upper system
-        x, info = _TRTRS(chol.T, rhs, lower=0, trans=1)
-    if info:
-        raise LinAlgError(f"triangular solve failed (LAPACK info {info})")
-    return x
-
-
-def _cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(chol chol^T)^-1 rhs for a lower Cholesky factor ``chol``, as cho_solve((chol, True))."""
-    x, info = _POTRS(chol, rhs, lower=1)
-    if info:
-        raise LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
-    return x
 
 
 def kernel_matrix(X, ker: RbfKernel) -> np.ndarray:
@@ -130,7 +89,7 @@ def kernel_matrix(X, ker: RbfKernel) -> np.ndarray:
 
     Symmetric with diagonal ``amplitude_sq``; positive semidefinite.
     """
-    X = _as_points(X, ker.dim)
+    X = as_points(X, ker.dim)
     scaled = X / np.sqrt(ker.lengthscales)
     sq = np.sum((scaled[:, None, :] - scaled[None, :, :]) ** 2, axis=-1)
     K = ker.amplitude_sq * np.exp(-0.5 * sq)
@@ -139,8 +98,8 @@ def kernel_matrix(X, ker: RbfKernel) -> np.ndarray:
 
 def kernel_cross(A, B, ker: RbfKernel) -> np.ndarray:
     """Cross-kernel matrix with entries ``k(a_i, b_j)``, shape (m, n)."""
-    A = _as_points(A, ker.dim, "A")
-    B = _as_points(B, ker.dim, "B")
+    A = as_points(A, ker.dim, "A")
+    B = as_points(B, ker.dim, "B")
     sq = ((B[None, :, :] - A[:, None, :]) ** 2 / ker.lengthscales).sum(axis=-1)
     return ker.amplitude_sq * np.exp(-0.5 * sq)
 
@@ -150,7 +109,7 @@ def kernel_vector(x, X, ker: RbfKernel) -> np.ndarray:
 
     The one-row case of :func:`kernel_cross`, bit for bit.
     """
-    return kernel_cross(_as_point(x, ker.dim, "x")[None, :], X, ker)[0]
+    return kernel_cross(as_point(x, ker.dim, "x")[None, :], X, ker)[0]
 
 
 def kernel_gradient(a, b, ker: RbfKernel) -> np.ndarray:
@@ -159,7 +118,7 @@ def kernel_gradient(a, b, ker: RbfKernel) -> np.ndarray:
     Equals ``-(a - b) / lengthscales * k(a, b)``; antisymmetric under
     swapping the arguments and zero at ``a = b``.
     """
-    return kernel_vector_jacobian(a, _as_point(b, ker.dim, "b")[None, :], ker)[0]
+    return kernel_vector_jacobian(a, as_point(b, ker.dim, "b")[None, :], ker)[0]
 
 
 def kernel_vector_jacobian(x, X, ker: RbfKernel) -> np.ndarray:
@@ -168,7 +127,7 @@ def kernel_vector_jacobian(x, X, ker: RbfKernel) -> np.ndarray:
     Returns an ``(n, d)`` array whose row ``i`` is the gradient of
     ``k(x, x_i)`` in ``x``.
     """
-    x = _as_point(x, ker.dim, "x")
-    X = _as_points(X, ker.dim)
+    x = as_point(x, ker.dim, "x")
+    X = as_points(X, ker.dim)
     kv = kernel_vector(x, X, ker)
     return -(x - X) / ker.lengthscales * kv[:, None]

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
+from gpexpect._numerics import as_points, forward_solve
 from gpexpect.errors import InsufficientDataError
 
 _WEIGHT_TOL = 1e-12
@@ -78,7 +78,7 @@ def _component_log_pdfs(mix: GaussianMixture, X: np.ndarray) -> np.ndarray:
     out = np.empty((n, k))
     for i in range(k):
         L = mix._chols[i]
-        u = solve_triangular(L, (X - mix.means[i]).T, lower=True, check_finite=False)
+        u = forward_solve(L, (X - mix.means[i]).T)
         log_det = np.sum(np.log(np.diag(L)))
         out[:, i] = -0.5 * np.sum(u * u, axis=0) - log_det - 0.5 * d * np.log(2 * np.pi)
     return out
@@ -105,12 +105,7 @@ def pdf(mix: GaussianMixture, x) -> float:
 
 def pdf_many(mix: GaussianMixture, X) -> np.ndarray:
     """Mixture density at each row of the ``(n, d)`` array ``X``."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1) if mix.dim == 1 else X.reshape(1, -1)
-    if X.ndim != 2 or X.shape[1] != mix.dim:
-        raise ValueError(f"X has shape {X.shape}, expected (n, {mix.dim})")
-    lp = _component_log_pdfs(mix, X)
+    lp = _component_log_pdfs(mix, as_points(X, mix.dim))
     return np.exp(logsumexp(lp, axis=1, b=mix.weights[None, :]))
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
+from gpexpect._numerics import chol_solve
 from gpexpect.acquisition import (
     acquisition_gradient,
     acquisition_value,
@@ -260,7 +260,7 @@ def check_kernel_integrals(
             prior = _paired_kernel(a, b, gp.kernel)
             Ca = kernel_cross(a, gp.data.X, gp.kernel)
             Cb = kernel_cross(b, gp.data.X, gp.kernel)
-            solved = cho_solve((gp.gram_factor, True), Cb.T, check_finite=False)
+            solved = chol_solve(gp.gram_factor, Cb.T)
             post = prior - np.sum(Ca * solved.T, axis=1)
             return post * pdf_many(mix, a) * pdf_many(mix, b)
 

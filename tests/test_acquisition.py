@@ -751,3 +751,18 @@ class TestScalarFormsMatchProfile:
         assert_allclose(
             prof["s_sq"], [acquisition_value(ctx, x) for x in X], rtol=1e-10, atol=atol
         )
+
+    def test_nan_point_is_nan_in_every_form(self):
+        # a NaN candidate must read NaN, not the sentinel, so the optimizer drops its start
+        rng = np.random.default_rng(53)
+        gp, mix = random_instance(rng)
+        ctx = build_context(gp, mix)
+        x = np.full(mix.dim, np.nan)
+        prof = acquisition_profile(ctx, x[None, :])
+        assert np.isnan(prof["gain_simplified"][0])
+        assert_array_equal(prof["s_sq"], [acquisition_value(ctx, x)])
+        assert_array_equal(prof["sigma2_sq"], [hypothetical_update(ctx, x).sigma2_sq])
+        assert_array_equal(prof["gain_simplified"], [info_gain_simplified(ctx, x)])
+        assert_array_equal(prof["gain_simplified"], [multi_theta_acquisition([ctx], x)])
+        assert_array_equal(prof["gain_four_term"], [info_gain_four_term(ctx, x)[0]])
+        assert all(np.isnan(v) for v in prof.values())
