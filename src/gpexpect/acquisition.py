@@ -17,9 +17,11 @@ one so the cancellation is checkable rather than assumed.
 One probe of candidate rows gives k(x, X_n) and one Gram solve of it,
 hence v(x) and the predictive variance (Rasmussen & Williams, GPML,
 Alg. 2.1); S, sigma2^2 and the gain terms are each derived once, on
-arrays.  :func:`acquisition_profile` returns them for a grid, and every
-scalar form is row 0 of a one-row probe, so a one-row profile equals the
-scalar forms bit for bit (larger ones to rounding).
+arrays.  Each row of a probe is computed with the same operations
+whatever the other rows are, so :func:`acquisition_profile` on a grid,
+the batched :func:`acquisition_values` and :func:`multi_theta_values`
+the optimizer scores its trial steps with, and the scalar forms (row 0
+of a one-row probe) all agree bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gpexpect._numerics import as_point, as_points, chol_solve, forward_solve
+from gpexpect._numerics import (
+    as_point,
+    as_points,
+    chol_solve,
+    forward_solve,
+    forward_substitute,
+)
 from gpexpect.errors import DegenerateEstimateError
 from gpexpect.gp import GpPosterior
 from gpexpect.kernels import RbfKernel, eval_kernel_scaled, kernel_cross
@@ -87,7 +95,7 @@ def _component_means(x, amplitude_sq: float, means, chols, factors) -> np.ndarra
     x = as_point(x, means.shape[1], "x")
     out = np.empty(len(means))
     for i, (mean, chol, factor) in enumerate(zip(means, chols, factors)):
-        u = forward_solve(chol, x - mean)
+        u = forward_substitute(chol, x - mean)
         out[i] = factor * (amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
     return out
 
@@ -182,12 +190,17 @@ class AcquisitionContext:
 
 
 def _kernel_mean_many(ctx: AcquisitionContext, X: np.ndarray) -> np.ndarray:
-    """K(x) for each row of X, using the context's component caches."""
+    """K(x) for each row of X, using the context's component caches.
+
+    Each row's arithmetic is independent of the others (substitution
+    over rows, squares summed term by term), so a row reads the same in
+    any batch.
+    """
     ker = ctx.gp.kernel
     out = np.zeros(X.shape[0])
     for i in range(ctx.mix.n_components):
-        u = forward_solve(ctx._comp_chols[i], (X - ctx.mix.means[i]).T)
-        quad = (u * u).sum(axis=0)
+        u = forward_substitute(ctx._comp_chols[i], (X - ctx.mix.means[i]).T)
+        quad = sum(row * row for row in u)
         out += ctx.mix.weights[i] * ctx._comp_factors[i] * ker.amplitude_sq * np.exp(-0.5 * quad)
     return out
 
@@ -205,6 +218,7 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
         mu1 = 0.0
         sigma1_sq = double_kernel_mean(ker, mix)
     else:
+        # the multi-column solve stays: mu1 and sigma1 depend on its bits
         u = np.stack(
             [
                 forward_solve(comp_chols[i], (gp.data.X - mix.means[i]).T)
@@ -334,9 +348,14 @@ def variance_reduction_s(ctx: AcquisitionContext, xt) -> float:
     return float(_s(_probe(ctx, _one_row(xt)))[0])
 
 
+def acquisition_values(ctx: AcquisitionContext, X) -> np.ndarray:
+    """The acquisition S^2 at each (m, d) row of ``X``, from one probe."""
+    return _s_sq(_probe(ctx, as_points(X, ctx.gp.dim)))
+
+
 def acquisition_value(ctx: AcquisitionContext, xt) -> float:
     """The acquisition S(xt)^2, the reduction in estimate variance."""
-    return float(_s_sq(_probe(ctx, _one_row(xt)))[0])
+    return float(acquisition_values(ctx, _one_row(xt))[0])
 
 
 def acquisition_gradient(ctx: AcquisitionContext, xt) -> np.ndarray:
@@ -427,6 +446,15 @@ def _shared_contexts(contexts) -> list:
     return contexts
 
 
+def multi_theta_values(contexts, X) -> np.ndarray:
+    """Mean simplified gain across hyperparameter samples at each (m, d) row of ``X``."""
+    contexts = _shared_contexts(contexts)
+    X = as_points(X, contexts[0].gp.dim)
+    gains = [_gain(ctx, _sigma2_sq(ctx, _probe(ctx, X))) for ctx in contexts]
+    # a mean along the contiguous axis sums each row as np.mean sums one vector
+    return np.mean(np.stack(gains, axis=1), axis=1)
+
+
 def multi_theta_acquisition(contexts, xt) -> float:
     """Mean simplified gain across hyperparameter samples.
 
@@ -434,8 +462,7 @@ def multi_theta_acquisition(contexts, xt) -> float:
     argmax over candidates equals the argmin of the product of the
     per-sample sigma2^2 values.
     """
-    contexts = _shared_contexts(contexts)
-    return float(np.mean([info_gain_simplified(ctx, xt) for ctx in contexts]))
+    return float(multi_theta_values(contexts, _one_row(xt))[0])
 
 
 def multi_theta_gradient(contexts, xt) -> np.ndarray:
@@ -461,8 +488,7 @@ def acquisition_profile(ctx: AcquisitionContext, X):
 
     Returns a dict of arrays: ``s_sq`` (the acquisition), ``sigma2_sq``,
     ``gain_simplified`` and ``gain_four_term``, from one probe of all
-    rows.  Row i equals the scalar forms at ``X[i]`` to rounding, and
-    exactly for a one-row ``X``.
+    rows.  Row i equals the scalar forms at ``X[i]`` bit for bit.
 
     Raises
     ------

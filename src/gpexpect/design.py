@@ -20,10 +20,10 @@ import numpy as np
 from gpexpect.acquisition import (
     AcquisitionContext,
     acquisition_gradient,
-    acquisition_value,
+    acquisition_values,
     build_context,
-    multi_theta_acquisition,
     multi_theta_gradient,
+    multi_theta_values,
 )
 from gpexpect.errors import EvaluationError, InsufficientDataError
 from gpexpect.gp import (
@@ -168,16 +168,16 @@ def _fit_context(state: DesignState, theta: HyperparameterSample):
 
 
 def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
-    """Value/gradient callables, either single-theta or averaged."""
+    """Row-batched value and per-point gradient callables, either single-theta or averaged."""
     if state.cfg.theta_samples <= 1:
-        return (lambda x: acquisition_value(ctx, x)), (lambda x: acquisition_gradient(ctx, x))
+        return (lambda X: acquisition_values(ctx, X)), (lambda x: acquisition_gradient(ctx, x))
     rng = np.random.default_rng(_derive_seed(state.cfg.seed, iteration, 1))
     contexts = [ctx]
     offset = _offset(state)
     for _ in range(state.cfg.theta_samples - 1):
         extra = _perturbed_theta(theta, rng)
         contexts.append(build_context(_fit_gp(state, extra, offset), state.mix))
-    return (lambda x: multi_theta_acquisition(contexts, x)), (
+    return (lambda X: multi_theta_values(contexts, X)), (
         lambda x: multi_theta_gradient(contexts, x)
     )
 

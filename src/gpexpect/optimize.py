@@ -2,9 +2,10 @@
 
 The acquisition surface is smooth but multimodal (one bump per data gap),
 so a single ascent is not enough.  Each start runs projected gradient
-ascent with a backtracking line search inside the box; the best accepted
-iterate across all starts wins, with ties broken by start order so runs
-are reproducible.
+ascent with a backtracking line search inside the box, whose trial steps
+are scored together in one batched call; the best accepted iterate
+across all starts wins, with ties broken by start order so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ import numpy as np
 
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.mixtures import GaussianMixture, component_box, mixture_mean, sample
+
+# trial steps per backtracking line search, from half the box diagonal down
+# by factors of step_shrink; maximize scores each ladder in one value_fn call
+_MAX_SHRINKS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,68 +108,80 @@ def _projected_gradient(x, g, bounds: BoxBounds) -> np.ndarray:
     return pg
 
 
+def _values(value_fn, X: np.ndarray) -> np.ndarray:
+    values = np.asarray(value_fn(X), dtype=float)
+    if values.shape != (len(X),):
+        raise ValueError(f"value_fn returned shape {values.shape} for {len(X)} rows")
+    return values
+
+
+def _ascend(x, val: float, value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig,
+            box_diag: float):
+    """Projected gradient ascent from ``x``; ``(x, val)`` at the end, or None if abandoned."""
+    shrinks = np.full(_MAX_SHRINKS, cfg.step_shrink)
+    for _ in range(cfg.max_iterations):
+        g = np.asarray(gradient_fn(x), dtype=float)
+        if not np.all(np.isfinite(g)):
+            return None
+        pg = _projected_gradient(x, g, bounds)
+        gnorm = float(np.linalg.norm(pg))
+        if gnorm < cfg.gradient_tolerance:
+            break
+        # initial trial step spans a box fraction regardless of gradient scale;
+        # accumulate shrinks by repeated multiplication, as a sequential loop would
+        shrinks[0] = 0.5 * box_diag / gnorm
+        steps = np.multiply.accumulate(shrinks)
+        trials = bounds.clip(x + steps[:, None] * pg)
+        values = _values(value_fn, trials)
+        # the sequential search stops at the first non-finite or improving trial
+        stops = np.flatnonzero(~np.isfinite(values) | (values > val))
+        if not stops.size:
+            break
+        k = stops[0]
+        if not np.isfinite(values[k]):
+            return None
+        x, val = trials[k], float(values[k])
+    return x, val
+
+
 def maximize(value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
     """Maximize ``value_fn`` over the box from ``start_points``; returns ``(x_best, value)``.
 
-    Each start ascends along the projected gradient with backtracking:
-    a trial step is shrunk until the value strictly improves, so accepted
-    iterates are monotone.  Starts where the objective turns non-finite
-    are abandoned (a single warning reports how many).
+    ``value_fn`` maps ``(m, d)`` rows to their ``m`` values, each row
+    scored as it would be alone; ``gradient_fn`` maps one point to its
+    gradient.  Each start ascends along the projected gradient with
+    backtracking: of up to ``_MAX_SHRINKS`` trial steps, each
+    ``step_shrink`` times the last, the first that strictly improves is
+    accepted, so accepted iterates are monotone.  The whole ladder is
+    scored in one ``value_fn`` call, and all starts in one more.  Starts
+    where the objective turns non-finite before an improvement are
+    abandoned (a single warning reports how many).
 
     Raises
     ------
     OptimizationFailedError
         If every start was abandoned.
     """
-    start_points = np.atleast_2d(np.asarray(start_points, dtype=float))
+    starts = bounds.clip(np.atleast_2d(np.asarray(start_points, dtype=float)))
+    start_values = _values(value_fn, starts)
 
     box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
     best_x = None
     best_val = -np.inf
     abandoned = 0
 
-    for x0 in start_points:
-        x = bounds.clip(x0)
-        val = float(value_fn(x))
-        if not np.isfinite(val):
+    for x, val in zip(starts, start_values):
+        end = None
+        if np.isfinite(val):
+            end = _ascend(x, float(val), value_fn, gradient_fn, bounds, cfg, box_diag)
+        if end is None:
             abandoned += 1
-            continue
-        dead = False
-        for _ in range(cfg.max_iterations):
-            g = np.asarray(gradient_fn(x), dtype=float)
-            if not np.all(np.isfinite(g)):
-                dead = True
-                break
-            pg = _projected_gradient(x, g, bounds)
-            gnorm = float(np.linalg.norm(pg))
-            if gnorm < cfg.gradient_tolerance:
-                break
-            # initial trial step spans a box fraction regardless of gradient scale
-            step = 0.5 * box_diag / gnorm
-            improved = False
-            for _ in range(40):
-                trial = bounds.clip(x + step * pg)
-                trial_val = float(value_fn(trial))
-                if not np.isfinite(trial_val):
-                    dead = True
-                    break
-                if trial_val > val:
-                    x, val = trial, trial_val
-                    improved = True
-                    break
-                step *= cfg.step_shrink
-            if dead or not improved:
-                break
-        if dead:
-            abandoned += 1
-            continue
-        if val > best_val:
-            best_val = val
-            best_x = x
+        elif end[1] > best_val:
+            best_x, best_val = end
 
     if abandoned:
         warnings.warn(
-            f"{abandoned} of {len(start_points)} optimizer starts abandoned "
+            f"{abandoned} of {len(starts)} optimizer starts abandoned "
             "on non-finite objective values",
             RuntimeWarning,
             stacklevel=2,

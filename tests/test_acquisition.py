@@ -13,6 +13,7 @@ from gpexpect.acquisition import (
     acquisition_gradient,
     acquisition_profile,
     acquisition_value,
+    acquisition_values,
     build_context,
     double_kernel_mean,
     hypothetical_update,
@@ -24,6 +25,7 @@ from gpexpect.acquisition import (
     kl_gaussian,
     multi_theta_acquisition,
     multi_theta_gradient,
+    multi_theta_values,
     variance_reduction_s,
 )
 from gpexpect.errors import DegenerateEstimateError
@@ -744,13 +746,53 @@ class TestScalarFormsMatchProfile:
             assert_array_equal(prof["gain_simplified"], [info_gain_simplified(ctx, x)])
             assert_array_equal(prof["gain_simplified"], [multi_theta_acquisition([ctx], x)])
             assert_array_equal(prof["gain_four_term"], [info_gain_four_term(ctx, x)[0]])
-        # several rows at once: the kernel mean's multi-column solve may
-        # round differently, so rows agree to rounding only
+        # several rows at once: each row is its one-row profile, bit for bit
         prof = acquisition_profile(ctx, X)
-        atol = 1e-10 * ctx.sigma1_sq
-        assert_allclose(
-            prof["s_sq"], [acquisition_value(ctx, x) for x in X], rtol=1e-10, atol=atol
+        for i, x in enumerate(X):
+            one = acquisition_profile(ctx, x[None, :])
+            for key, values in prof.items():
+                assert_array_equal(values[i : i + 1], one[key])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rows_do_not_depend_on_the_batch(self, seed):
+        # d 1-4, n 1-30 and m 2-63 rows, half on the mixture and half off it
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        gp, mix = random_instance(rng, d=d, n=int(rng.integers(1, 31)))
+        ctx = build_context(gp, mix)
+        m = int(rng.integers(2, 64))
+        X = np.concatenate(
+            [sample(mix, m // 2, seed=int(rng.integers(2**63))),
+             rng.uniform(-4.0, 4.0, size=(m - m // 2, d))]
         )
+        prof = acquisition_profile(ctx, X)
+        values = acquisition_values(ctx, X)
+        assert_array_equal(values, prof["s_sq"])
+        for i, x in enumerate(X):
+            one = acquisition_profile(ctx, x[None, :])
+            for key, column in prof.items():
+                assert_array_equal(column[i : i + 1], one[key])
+            assert values[i] == acquisition_value(ctx, x)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9))
+    def test_multi_theta_rows_are_the_scalar_form(self, seed, k):
+        rng = np.random.default_rng(seed)
+        gp, mix = random_instance(rng, n=int(rng.integers(1, 9)))
+        contexts = [build_context(gp, mix)]
+        for _ in range(k - 1):
+            ker = RbfKernel(
+                amplitude_sq=gp.kernel.amplitude_sq * float(rng.uniform(0.5, 2.0)),
+                lengthscales=gp.kernel.lengthscales * rng.uniform(0.5, 2.0, size=mix.dim),
+            )
+            contexts.append(build_context(fit(gp.data, ker, gp.noise), mix))
+        X = rng.uniform(-4.0, 4.0, size=(int(rng.integers(2, 41)), mix.dim))
+        got = multi_theta_values(contexts, X)
+        assert_array_equal(got, [multi_theta_acquisition(contexts, x) for x in X])
+        # the mean is over contexts, row by row, exactly as np.mean of one row's gains
+        gains = [[info_gain_simplified(ctx, x) for ctx in contexts] for x in X]
+        assert_array_equal(got, [np.mean(g) for g in gains])
 
     def test_nan_point_is_nan_in_every_form(self):
         # a NaN candidate must read NaN, not the sentinel, so the optimizer drops its start

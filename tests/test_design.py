@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gpexpect.design
-from gpexpect.benchmarks import benchmark_problem
+from gpexpect.benchmarks import benchmark_problem, branin
 from gpexpect.design import (
     DesignConfig,
     DesignState,
@@ -279,6 +279,27 @@ GOLDEN_PINNED_RUN = [
      "0x1.da3deec06772cp-9"),
 ]
 
+# (x1, x2, mu1, sigma1, acquisition) of a pinned 5 + 3 step run on the
+# Branin mixture: pins the 2-d kernel-mean solve and the batched line search
+GOLDEN_PINNED_BRANIN_RUN = [
+    ("0x1.348a83fd75902p+3", "0x1.122a7d1836283p+1", "0x1.4c2b8fe633779p+0",
+     "0x1.f8aa61b173f7dp+3", "0x0.0p+0"),
+    ("-0x1.30c40aa9e3dcfp+2", "0x1.7b377ea54abb0p+3", "0x1.4c2b8fe633779p+0",
+     "0x1.f8aa61b173f7dp+3", "0x0.0p+0"),
+    ("0x1.5912fe1358df5p+3", "0x1.31e5ab7130fd0p+1", "0x1.4c2b8fe633779p+0",
+     "0x1.f8aa61b173f7dp+3", "0x0.0p+0"),
+    ("0x1.55f6316e8e930p+3", "0x1.6b17aa57f60a1p+1", "0x1.4c2b8fe633779p+0",
+     "0x1.f8aa61b173f7dp+3", "0x0.0p+0"),
+    ("-0x1.e9f12ca4d6db2p+1", "0x1.70182bdb5fe01p+3", "0x1.4c2b8fe633779p+0",
+     "0x1.f8aa61b173f7dp+3", "0x0.0p+0"),
+    ("0x1.992213f80dc2bp+1", "0x1.239a276fb1e3ap+1", "0x1.6dcae6de321b3p+0",
+     "0x1.431a4c0dfcadfp+3", "0x1.2589f9b8e4439p+7"),
+    ("-0x1.497b89c7ce327p+1", "0x1.96d2464c51de3p+3", "0x1.0c1db7e8864bep+2",
+     "0x1.15f0ac1b2c290p+2", "0x1.4c5ab0f158013p+6"),
+    ("0x1.cdd8b5043a08bp+2", "0x1.6ac0de881aa4dp+1", "0x1.6044c40f4ae70p+2",
+     "0x1.e39cada562ac7p+1", "0x1.257243b5a7355p+2"),
+]
+
 
 class TestGoldenHistory:
     def test_pinned_1d_run_is_bit_identical(self):
@@ -304,3 +325,20 @@ class TestGoldenHistory:
             for r in history
         ]
         assert got == GOLDEN_PINNED_RUN
+
+    def test_pinned_2d_branin_run_is_bit_identical(self):
+        """The same check in 2-d, on the Branin function and its mixture; same provenance."""
+        mix = GaussianMixture(
+            weights=np.array([0.5, 0.3, 0.2]),
+            means=np.array([[-np.pi, 12.275], [np.pi, 2.275], [9.42478, 2.475]]),
+            covs=np.array([np.eye(2)] * 3),
+        )
+        theta = pinned(ls=4.0, s2=2500.0, noise=1e-4, d=2)
+        cfg = DesignConfig(n0=5, budget=8, seed=33, pinned_theta=theta)
+        history = run(mix, lambda x: float(branin(x[None, :])[0]), cfg)
+        got = [
+            (r.chosen_x[0].hex(), r.chosen_x[1].hex(), float(r.mu1).hex(),
+             float(r.sigma1).hex(), float(r.acquisition_at_chosen).hex())
+            for r in history
+        ]
+        assert got == GOLDEN_PINNED_BRANIN_RUN

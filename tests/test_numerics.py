@@ -1,11 +1,11 @@
-"""Package-private helpers: the direct LAPACK solves."""
+"""Package-private helpers: the direct LAPACK solves and forward substitution."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve, solve_triangular
 
-from gpexpect._numerics import chol_solve, forward_solve
+from gpexpect._numerics import chol_solve, forward_solve, forward_substitute
 
 
 class TestLapackSolves:
@@ -49,3 +49,31 @@ class TestLapackSolves:
         L = np.array([[1.0, 0.0], [0.5, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
             forward_solve(L, np.ones(2))
+
+
+class TestForwardSubstitute:
+    @staticmethod
+    def factor(rng, n):
+        A = rng.normal(size=(n, n))
+        return np.linalg.cholesky(A @ A.T + np.diag(rng.uniform(0.1, 5.0, n)))
+
+    def test_columns_do_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(54)
+        for n in (1, 2, 3, 5, 17):
+            L = self.factor(rng, n)
+            rows = rng.normal(size=(40, n))
+            batch = forward_substitute(L, rows.T)
+            assert_allclose(batch, solve_triangular(L, rows.T, lower=True), rtol=1e-12)
+            for j, row in enumerate(rows):
+                assert_array_equal(batch[:, j], forward_substitute(L, row))
+                assert_array_equal(batch[:, j : j + 1], forward_substitute(L, row[:, None]))
+
+    def test_small_factors_match_one_column_trtrs(self):
+        # what keeps 1-d and 2-d histories unchanged by the row-exact kernel mean
+        rng = np.random.default_rng(55)
+        for n in (1, 2):
+            for _ in range(500):
+                L = self.factor(rng, n)
+                b = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+                assert_array_equal(forward_substitute(L, b), forward_solve(L, b))
+                assert_array_equal(forward_substitute(L, b[:, None]), forward_solve(L, b[:, None]))
