@@ -1,4 +1,4 @@
-"""Package-private helpers: point-shape checks and the linear solves.
+"""Package-private helpers: point-shape checks, row dots and the linear solves.
 
 Two solves make scipy.linalg's exact LAPACK calls for a lower factor, so they
 equal ``solve_triangular`` and ``cho_solve`` bit for bit, without the per-call
@@ -34,6 +34,15 @@ def as_points(X, dim: int, name: str = "X") -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != dim:
         raise ValueError(f"{name} has shape {X.shape}, expected (n, {dim})")
     return X
+
+
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """a_i @ b_i per row of A (B: matching rows or one vector), one BLAS dot each as ``a @ b``.
+
+    On contiguous rows this is the ``dot`` of ``np.dot(a, b)`` and
+    ``np.linalg.norm(a) ** 2``, so each row reads the same in any batch.
+    """
+    return (A[:, None, :] @ B[..., None])[:, 0, 0]
 
 
 def forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -21,7 +21,11 @@ arrays.  Each row of a probe is computed with the same operations
 whatever the other rows are, so :func:`acquisition_profile` on a grid,
 the batched :func:`acquisition_values` and :func:`multi_theta_values`
 the optimizer scores its trial steps with, and the scalar forms (row 0
-of a one-row probe) all agree bit for bit.
+of a one-row probe) all agree bit for bit.  The gradients are row views
+of a probe too: :func:`acquisition_gradients` and
+:func:`multi_theta_gradients` give the optimizer the gradients of many
+rows at once, and :func:`acquisition_gradient` and
+:func:`multi_theta_gradient` are row 0 of a one-row call.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from gpexpect._numerics import (
     chol_solve,
     forward_solve,
     forward_substitute,
+    row_dots,
 )
 from gpexpect.errors import DegenerateEstimateError
 from gpexpect.gp import GpPosterior
@@ -90,22 +95,25 @@ def _component_factors(ker: RbfKernel, covs, det_power: float = -0.5):
     return chols, factors
 
 
-def _component_means(x, amplitude_sq: float, means, chols, factors) -> np.ndarray:
-    """K_i(x) = factor_i * k(x, mean_i; cov_i + Lambda) for each component."""
-    x = as_point(x, means.shape[1], "x")
-    out = np.empty(len(means))
+def _component_means(X, amplitude_sq: float, means, chols, factors) -> np.ndarray:
+    """K_i(x) = factor_i * k(x, mean_i; cov_i + Lambda): one column per component, one row per x.
+
+    Each row is solved by substitution and its square summed with one
+    ``dot`` of a contiguous row, so it reads the same in any batch.
+    """
+    out = np.empty((len(X), len(means)))
     for i, (mean, chol, factor) in enumerate(zip(means, chols, factors)):
-        u = forward_substitute(chol, x - mean)
-        out[i] = factor * (amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
+        u = np.ascontiguousarray(forward_substitute(chol, (X - mean).T).T)
+        out[:, i] = factor * (amplitude_sq * np.exp(-0.5 * row_dots(u, u)))
     return out
 
 
-def _kernel_mean_gradient(x, amplitude_sq: float, mix: GaussianMixture, chols, factors):
-    """Sum over components of -w_i K_i(x) (cov_i + Lambda)^-1 (x - mean_i)."""
-    k_i = _component_means(x, amplitude_sq, mix.means, chols, factors)
-    grad = np.zeros(x.size)
-    for w, mean, chol, k in zip(mix.weights, mix.means, chols, k_i):
-        grad -= w * k * chol_solve(chol, x - mean)
+def _kernel_mean_gradients(X, amplitude_sq: float, mix: GaussianMixture, chols, factors):
+    """Sum over components of -w_i K_i(x) (cov_i + Lambda)^-1 (x - mean_i), per row of X."""
+    k_i = _component_means(X, amplitude_sq, mix.means, chols, factors)
+    grad = np.zeros(X.shape)
+    for i, (w, mean, chol) in enumerate(zip(mix.weights, mix.means, chols)):
+        grad -= (w * k_i[:, i])[:, None] * chol_solve(chol, (X - mean).T).T
     return grad
 
 
@@ -119,13 +127,15 @@ def kernel_mean_component(x, ker: RbfKernel, mean, cov, det_power: float = -0.5)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     chols, factors = _component_factors(ker, cov[None], det_power)
-    return float(_component_means(x, ker.amplitude_sq, mean[None], chols, factors)[0])
+    X = as_point(x, mean.size, "x")[None, :]
+    return float(_component_means(X, ker.amplitude_sq, mean[None], chols, factors)[0, 0])
 
 
 def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture, det_power: float = -0.5) -> float:
     """Kernel mean K(x) = int k(x, x') p(x') dx' under the mixture."""
     chols, factors = _component_factors(ker, mix.covs, det_power)
-    k_i = _component_means(x, ker.amplitude_sq, mix.means, chols, factors)
+    X = as_point(x, mix.dim, "x")[None, :]
+    k_i = _component_means(X, ker.amplitude_sq, mix.means, chols, factors)[0]
     return float(sum(w * k for w, k in zip(mix.weights, k_i)))
 
 
@@ -134,9 +144,9 @@ def kernel_mean_gradient(x, ker: RbfKernel, mix: GaussianMixture) -> np.ndarray:
 
     Per component: -(cov + Lambda)^-1 (x - mean) * K_i(x).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     chols, factors = _component_factors(ker, mix.covs)
-    return _kernel_mean_gradient(x, ker.amplitude_sq, mix, chols, factors)
+    X = as_point(x, mix.dim, "x")[None, :]
+    return _kernel_mean_gradients(X, ker.amplitude_sq, mix, chols, factors)[0]
 
 
 def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
@@ -255,11 +265,6 @@ class _Probe(NamedTuple):
     live: np.ndarray  # (m,) False where pred_var is below the floor: nothing left to learn
 
 
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """a_i @ b_i per row of A (B: matching rows or one vector), one BLAS dot each as ``a @ b``."""
-    return (A[:, None, :] @ B[..., None])[:, 0, 0]
-
-
 def _probe(ctx: AcquisitionContext, X: np.ndarray) -> _Probe:
     """Probe the (m, d) candidate rows of ``X`` with one Gram solve."""
     gp = ctx.gp
@@ -267,8 +272,8 @@ def _probe(ctx: AcquisitionContext, X: np.ndarray) -> _Probe:
     v = _kernel_mean_many(ctx, X)
     if gp.n:
         solved_kv = chol_solve(gp.gram_factor, kv.T).T
-        pred_var = gp.kernel.amplitude_sq - _row_dots(kv, solved_kv) + gp.noise.variance
-        v = v - _row_dots(kv, ctx.solved_kmean)
+        pred_var = gp.kernel.amplitude_sq - row_dots(kv, solved_kv) + gp.noise.variance
+        v = v - row_dots(kv, ctx.solved_kmean)
     else:
         solved_kv = kv
         pred_var = np.full(len(v), gp.kernel.amplitude_sq + gp.noise.variance)
@@ -320,23 +325,29 @@ def _four_term(ctx: AcquisitionContext, p: _Probe, sigma2_sq: np.ndarray):
     return t1 + t2 + t3 + t4, (t1, t2, t3, t4)
 
 
-def _s_sq_gradient(ctx: AcquisitionContext, xt: np.ndarray, p: _Probe) -> np.ndarray:
-    """Gradient of S^2 = v^2 / D at ``xt``, the probe's only row, by the quotient rule.
+def _s_sq_gradients(ctx: AcquisitionContext, X: np.ndarray, p: _Probe) -> np.ndarray:
+    """Gradient of S^2 = v^2 / D at each row of ``X``, the probe's rows, by the quotient rule.
 
-    grad v is the kernel-mean gradient minus the Jacobian J of k(xt, X_n)
-    against the solved kernel-mean system; grad D = -2 J^T (Gram^-1 k(xt, X_n)).
+    grad v is the kernel-mean gradient minus the Jacobian J of k(x, X_n)
+    against the solved kernel-mean system; grad D = -2 J^T (Gram^-1 k(x, X_n)).
+    Rows that are not live read zero.  Each row takes the operations of
+    a one-row call, D^2 included: it is squared as a Python float, whose
+    rounding (libm ``pow``) can differ from numpy's ``square``.
     """
     gp = ctx.gp
-    if not p.live[0]:
-        return np.zeros(gp.dim)
-    grad_v = _kernel_mean_gradient(
-        xt, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
+    grad_v = _kernel_mean_gradients(
+        X, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
     )
-    J = -(xt - gp.data.X) / gp.kernel.lengthscales * p.kv[0][:, None]
-    grad_v = grad_v - J.T @ ctx.solved_kmean
-    grad_D = -2.0 * (J.T @ p.solved_kv[0])
-    v, D = float(p.v[0]), float(p.pred_var[0])
-    return (2.0 * v / D) * grad_v - (v * v / D**2) * grad_D
+    # J[j] is the (n, d) Jacobian at row j; J[j].T is its transposed view
+    J = -(X[:, None, :] - gp.data.X) / gp.kernel.lengthscales * p.kv[:, :, None]
+    JT = np.swapaxes(J, 1, 2)
+    grad_v = grad_v - JT @ ctx.solved_kmean
+    grad_D = -2.0 * (JT @ p.solved_kv[:, :, None])[:, :, 0]
+    D = np.where(p.live, p.pred_var, 1.0)
+    D_sq = np.array([d**2 for d in D.tolist()])
+    grad = (2.0 * p.v / D)[:, None] * grad_v - (p.v * p.v / D_sq)[:, None] * grad_D
+    grad[~p.live] = 0.0
+    return grad
 
 
 def variance_reduction_s(ctx: AcquisitionContext, xt) -> float:
@@ -358,10 +369,15 @@ def acquisition_value(ctx: AcquisitionContext, xt) -> float:
     return float(acquisition_values(ctx, _one_row(xt))[0])
 
 
+def acquisition_gradients(ctx: AcquisitionContext, X) -> np.ndarray:
+    """Gradient of the acquisition S^2 at each (m, d) row of ``X``, from one probe."""
+    X = as_points(X, ctx.gp.dim)
+    return _s_sq_gradients(ctx, X, _probe(ctx, X))
+
+
 def acquisition_gradient(ctx: AcquisitionContext, xt) -> np.ndarray:
     """Gradient of the acquisition S(xt)^2 in xt."""
-    X = _one_row(xt)
-    return _s_sq_gradient(ctx, X[0], _probe(ctx, X))
+    return acquisition_gradients(ctx, _one_row(xt))[0]
 
 
 @dataclass(frozen=True)
@@ -383,7 +399,7 @@ def hypothetical_update(ctx: AcquisitionContext, xt) -> HypotheticalUpdate:
     p = _probe(ctx, _one_row(xt))
     return HypotheticalUpdate(
         innovation_coeff=float((p.v / _informative_var(p))[0]),
-        pred_mean=float(_row_dots(p.kv, ctx.gp.weights)[0]),
+        pred_mean=float(row_dots(p.kv, ctx.gp.weights)[0]),
         sigma2_sq=float(_sigma2_sq(ctx, p)[0]),
     )
 
@@ -465,22 +481,27 @@ def multi_theta_acquisition(contexts, xt) -> float:
     return float(multi_theta_values(contexts, _one_row(xt))[0])
 
 
-def multi_theta_gradient(contexts, xt) -> np.ndarray:
-    """Gradient of the mean simplified gain.
+def multi_theta_gradients(contexts, X) -> np.ndarray:
+    """Gradient of the mean simplified gain at each (m, d) row of ``X``.
 
     Per sample, d/dx log(sigma1/sigma2) = (d/dx S^2) / (2 sigma2^2);
     samples sitting at the variance-collapse sentinel contribute zero
     (the sentinel is a plateau).
     """
     contexts = _shared_contexts(contexts)
-    X = _one_row(xt)
-    grad = np.zeros(contexts[0].gp.dim)
+    X = as_points(X, contexts[0].gp.dim)
+    grad = np.zeros(X.shape)
     for ctx in contexts:
         p = _probe(ctx, X)
-        sigma2_sq = float(_sigma2_sq(ctx, p)[0])
-        if sigma2_sq > 0.0:
-            grad += _s_sq_gradient(ctx, X[0], p) / (2.0 * sigma2_sq)
+        sigma2_sq = _sigma2_sq(ctx, p)
+        rows = sigma2_sq > 0.0
+        grad[rows] += _s_sq_gradients(ctx, X, p)[rows] / (2.0 * sigma2_sq[rows, None])
     return grad / len(contexts)
+
+
+def multi_theta_gradient(contexts, xt) -> np.ndarray:
+    """Gradient of the mean simplified gain: row 0 of :func:`multi_theta_gradients`."""
+    return multi_theta_gradients(contexts, _one_row(xt))[0]
 
 
 def acquisition_profile(ctx: AcquisitionContext, X):

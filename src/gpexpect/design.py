@@ -19,10 +19,10 @@ import numpy as np
 
 from gpexpect.acquisition import (
     AcquisitionContext,
-    acquisition_gradient,
+    acquisition_gradients,
     acquisition_values,
     build_context,
-    multi_theta_gradient,
+    multi_theta_gradients,
     multi_theta_values,
 )
 from gpexpect.errors import EvaluationError, InsufficientDataError
@@ -168,9 +168,9 @@ def _fit_context(state: DesignState, theta: HyperparameterSample):
 
 
 def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
-    """Row-batched value and per-point gradient callables, either single-theta or averaged."""
+    """Row-batched value and gradient callables, either single-theta or averaged."""
     if state.cfg.theta_samples <= 1:
-        return (lambda X: acquisition_values(ctx, X)), (lambda x: acquisition_gradient(ctx, x))
+        return (lambda X: acquisition_values(ctx, X)), (lambda X: acquisition_gradients(ctx, X))
     rng = np.random.default_rng(_derive_seed(state.cfg.seed, iteration, 1))
     contexts = [ctx]
     offset = _offset(state)
@@ -178,7 +178,7 @@ def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
         extra = _perturbed_theta(theta, rng)
         contexts.append(build_context(_fit_gp(state, extra, offset), state.mix))
     return (lambda X: multi_theta_values(contexts, X)), (
-        lambda x: multi_theta_gradient(contexts, x)
+        lambda X: multi_theta_gradients(contexts, X)
     )
 
 

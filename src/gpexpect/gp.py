@@ -284,6 +284,9 @@ def select_hyperparameters(
     ------
     InsufficientDataError
         If fewer than two data points are available.
+    NumericalConditioningError
+        If no objective evaluation was finite; the message gives how many
+        evaluations failed out of how many.
     """
     if data.n < 2:
         raise InsufficientDataError("hyperparameter selection needs at least 2 points")
@@ -310,14 +313,17 @@ def select_hyperparameters(
     )
 
     best = {"value": np.inf, "z": None}
+    counts = {"evaluations": 0, "failed": 0}
 
     def objective(z):
+        counts["evaluations"] += 1
         try:
             theta = _unpack_theta(z, d, search)
             val = -log_marginal_likelihood(data, theta.kernel, theta.noise)
         except (NumericalConditioningError, FloatingPointError, ValueError):
-            return 1e12
+            val = np.nan
         if not np.isfinite(val):
+            counts["failed"] += 1
             return 1e12
         if val < best["value"]:
             best["value"] = val
@@ -339,5 +345,8 @@ def select_hyperparameters(
         )
 
     if best["z"] is None:
-        raise NumericalConditioningError("no hyperparameter candidate was evaluable")
+        raise NumericalConditioningError(
+            f"no hyperparameter candidate was evaluable: {counts['failed']} of "
+            f"{counts['evaluations']} objective evaluations failed"
+        )
     return _unpack_theta(best["z"], d, search)

@@ -2,10 +2,13 @@
 
 The acquisition surface is smooth but multimodal (one bump per data gap),
 so a single ascent is not enough.  Each start runs projected gradient
-ascent with a backtracking line search inside the box, whose trial steps
-are scored together in one batched call; the best accepted iterate
-across all starts wins, with ties broken by start order so runs are
-reproducible.
+ascent with a backtracking line search inside the box.  The starts ascend
+in lockstep: each round takes the gradients of every start still running
+in one batched call and scores all of their line searches in one more.
+The objective and its gradient work on rows, each row computed as it
+would be alone, so every start follows its own sequential path.  The best
+accepted iterate across all starts wins, with ties broken by start order
+so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gpexpect._numerics import row_dots
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.mixtures import GaussianMixture, component_box, mixture_mean, sample
 
@@ -100,92 +104,99 @@ def mixture_starts(mix: GaussianMixture, bounds: BoxBounds, count: int, seed: in
     return np.array(starts)
 
 
-def _projected_gradient(x, g, bounds: BoxBounds) -> np.ndarray:
-    pg = g.copy()
-    at_lower = np.isclose(x, bounds.lower) & (g < 0)
-    at_upper = np.isclose(x, bounds.upper) & (g > 0)
-    pg[at_lower | at_upper] = 0.0
-    return pg
+def _projected_gradient(X, G, bounds: BoxBounds) -> np.ndarray:
+    """``G`` with each component zeroed where its row of ``X`` sits at a bound it points past.
+
+    "At a bound" is ``np.isclose``'s default test, ``|x - b| <= 1e-8 + 1e-5 |b|``
+    (the bounds are finite), so a NaN coordinate is never at a bound.
+    """
+    near_lower = np.abs(X - bounds.lower) <= 1e-8 + 1e-5 * np.abs(bounds.lower)
+    near_upper = np.abs(X - bounds.upper) <= 1e-8 + 1e-5 * np.abs(bounds.upper)
+    return np.where((near_lower & (G < 0)) | (near_upper & (G > 0)), 0.0, G)
 
 
-def _values(value_fn, X: np.ndarray) -> np.ndarray:
-    values = np.asarray(value_fn(X), dtype=float)
-    if values.shape != (len(X),):
-        raise ValueError(f"value_fn returned shape {values.shape} for {len(X)} rows")
-    return values
-
-
-def _ascend(x, val: float, value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig,
-            box_diag: float):
-    """Projected gradient ascent from ``x``; ``(x, val)`` at the end, or None if abandoned."""
-    shrinks = np.full(_MAX_SHRINKS, cfg.step_shrink)
-    for _ in range(cfg.max_iterations):
-        g = np.asarray(gradient_fn(x), dtype=float)
-        if not np.all(np.isfinite(g)):
-            return None
-        pg = _projected_gradient(x, g, bounds)
-        gnorm = float(np.linalg.norm(pg))
-        if gnorm < cfg.gradient_tolerance:
-            break
-        # initial trial step spans a box fraction regardless of gradient scale;
-        # accumulate shrinks by repeated multiplication, as a sequential loop would
-        shrinks[0] = 0.5 * box_diag / gnorm
-        steps = np.multiply.accumulate(shrinks)
-        trials = bounds.clip(x + steps[:, None] * pg)
-        values = _values(value_fn, trials)
-        # the sequential search stops at the first non-finite or improving trial
-        stops = np.flatnonzero(~np.isfinite(values) | (values > val))
-        if not stops.size:
-            break
-        k = stops[0]
-        if not np.isfinite(values[k]):
-            return None
-        x, val = trials[k], float(values[k])
-    return x, val
+def _on_rows(fn, X: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """``fn(X)`` as a float array, checked to have ``shape``."""
+    out = np.asarray(fn(X), dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"{name} returned shape {out.shape} for {len(X)} rows")
+    return out
 
 
 def maximize(value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
     """Maximize ``value_fn`` over the box from ``start_points``; returns ``(x_best, value)``.
 
-    ``value_fn`` maps ``(m, d)`` rows to their ``m`` values, each row
-    scored as it would be alone; ``gradient_fn`` maps one point to its
-    gradient.  Each start ascends along the projected gradient with
-    backtracking: of up to ``_MAX_SHRINKS`` trial steps, each
-    ``step_shrink`` times the last, the first that strictly improves is
-    accepted, so accepted iterates are monotone.  The whole ladder is
-    scored in one ``value_fn`` call, and all starts in one more.  Starts
-    where the objective turns non-finite before an improvement are
-    abandoned (a single warning reports how many).
+    ``value_fn`` maps ``(m, d)`` rows to their ``m`` values and
+    ``gradient_fn`` maps them to their ``(m, d)`` gradients, each row
+    computed as it would be alone.  Each start ascends along the projected
+    gradient with backtracking: of up to ``_MAX_SHRINKS`` trial steps,
+    each ``step_shrink`` times the last, the first that strictly improves
+    is accepted, so accepted iterates are monotone.  All starts ascend in
+    lockstep rounds: one ``gradient_fn`` call on the rows of the starts
+    still running, then one ``value_fn`` call on all of their ladders.  A
+    start stops when its projected gradient falls below
+    ``gradient_tolerance``, when no trial improves, or after
+    ``max_iterations`` accepted steps, and is abandoned when its gradient
+    or a trial before the first improving one is non-finite (a single
+    warning reports how many).  Every start follows the path it would
+    follow alone, and the best is taken in start order, so ties go to
+    the earlier start.
 
     Raises
     ------
     OptimizationFailedError
         If every start was abandoned.
     """
-    starts = bounds.clip(np.atleast_2d(np.asarray(start_points, dtype=float)))
-    start_values = _values(value_fn, starts)
+    x = bounds.clip(np.atleast_2d(np.asarray(start_points, dtype=float)))
+    val = _on_rows(value_fn, x, x.shape[:1], "value_fn").copy()
+    abandoned = ~np.isfinite(val)
+    running = np.flatnonzero(~abandoned)
 
     box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
-    best_x = None
-    best_val = -np.inf
-    abandoned = 0
+    for _ in range(cfg.max_iterations):
+        if not running.size:
+            break
+        grads = _on_rows(gradient_fn, x[running], (running.size, bounds.dim), "gradient_fn")
+        finite = np.all(np.isfinite(grads), axis=1)
+        abandoned[running[~finite]] = True
+        running = running[finite]
+        pg = _projected_gradient(x[running], grads[finite], bounds)
+        # np.linalg.norm of each row: the square root of its dot with itself
+        gnorm = np.sqrt(row_dots(pg, pg))
+        moving = ~(gnorm < cfg.gradient_tolerance)
+        running, pg, gnorm = running[moving], pg[moving], gnorm[moving]
+        if not running.size:
+            break
+        # initial trial step spans a box fraction regardless of gradient scale;
+        # accumulate shrinks by repeated multiplication, as a sequential loop would
+        shrinks = np.full((running.size, _MAX_SHRINKS), cfg.step_shrink)
+        shrinks[:, 0] = 0.5 * box_diag / gnorm
+        steps = np.multiply.accumulate(shrinks, axis=1)
+        trials = bounds.clip(x[running, None, :] + steps[:, :, None] * pg[:, None, :])
+        ladders = trials.reshape(-1, bounds.dim)
+        values = _on_rows(value_fn, ladders, ladders.shape[:1], "value_fn").reshape(steps.shape)
+        # each start stops at its first non-finite or improving trial
+        stops = ~np.isfinite(values) | (values > val[running, None])
+        first = np.argmax(stops, axis=1)
+        rows = np.arange(running.size)
+        chosen = values[rows, first]
+        stopped = stops[rows, first]
+        dead = stopped & ~np.isfinite(chosen)
+        accept = stopped & ~dead
+        abandoned[running[dead]] = True
+        x[running[accept]] = trials[rows[accept], first[accept]]
+        val[running[accept]] = chosen[accept]
+        running = running[accept]
 
-    for x, val in zip(starts, start_values):
-        end = None
-        if np.isfinite(val):
-            end = _ascend(x, float(val), value_fn, gradient_fn, bounds, cfg, box_diag)
-        if end is None:
-            abandoned += 1
-        elif end[1] > best_val:
-            best_x, best_val = end
-
-    if abandoned:
+    if abandoned.any():
         warnings.warn(
-            f"{abandoned} of {len(starts)} optimizer starts abandoned "
+            f"{np.count_nonzero(abandoned)} of {len(x)} optimizer starts abandoned "
             "on non-finite objective values",
             RuntimeWarning,
             stacklevel=2,
         )
-    if best_x is None:
+    if abandoned.all():
         raise OptimizationFailedError("all optimizer starts failed")
-    return best_x, best_val
+    # the first start with the best value, as a strict > over starts in order
+    best = int(np.argmax(np.where(abandoned, -np.inf, val)))
+    return x[best], float(val[best])

@@ -24,6 +24,8 @@ from gpexpect.acquisition import (
     info_gain_four_term,
     info_gain_simplified,
     kernel_mean,
+    multi_theta_gradients,
+    multi_theta_values,
     variance_reduction_s,
 )
 from gpexpect.gp import (
@@ -347,13 +349,26 @@ def check_rank1_updates(seed: int = 105, tolerance_scale: float = 1.0) -> CheckR
     )
 
 
+def perturbed_contexts(rng, gp, mix, count: int) -> list:
+    """``count`` contexts on the data of ``gp``: its own, then rescaled kernels."""
+    contexts = [build_context(gp, mix)]
+    for _ in range(count - 1):
+        ker = RbfKernel(
+            amplitude_sq=gp.kernel.amplitude_sq * float(rng.uniform(0.5, 2.0)),
+            lengthscales=gp.kernel.lengthscales * rng.uniform(0.5, 2.0, size=mix.dim),
+        )
+        contexts.append(build_context(fit(gp.data, ker, gp.noise), mix))
+    return contexts
+
+
 def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResult:
-    """Acquisition and kernel gradients vs central finite differences."""
+    """Acquisition, multi-theta gain and kernel gradients vs central finite differences."""
     rng = np.random.default_rng(seed)
     acq_tol = 1e-5 * tolerance_scale
     ker_tol = 1e-6 * tolerance_scale
     h = 1e-5
     worst_acq = 0.0
+    worst_multi = 0.0
     worst_ker = 0.0
 
     probes = 0
@@ -395,7 +410,23 @@ def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResul
         worst_ker = max(worst_ker, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
         pairs += 1
 
-    if probes < 100 or pairs < 100:
+    multi = 0
+    attempts = 0
+    while multi < 100 and attempts < 2000:
+        attempts += 1
+        gp, mix = random_instance(rng, n=int(rng.integers(0, 7)))
+        contexts = perturbed_contexts(rng, gp, mix, int(rng.integers(1, 5)))
+        xt = _mixture_probe(mix, rng)
+        grad = multi_theta_gradients(contexts, xt[None, :])[0]
+        steps = h * np.eye(xt.size)
+        gains = multi_theta_values(contexts, np.concatenate([xt + steps, xt - steps]))
+        fd = (gains[: xt.size] - gains[xt.size :]) / (2 * h)
+        if np.linalg.norm(fd) < 1e-3:
+            continue
+        worst_multi = max(worst_multi, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
+        multi += 1
+
+    if probes < 100 or pairs < 100 or multi < 100:
         return CheckResult(
             name="gradient_checks",
             passed=False,
@@ -404,16 +435,17 @@ def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResul
             detail="could not assemble 100 usable probes",
         )
 
-    passed = worst_acq <= acq_tol and worst_ker <= ker_tol
+    passed = worst_acq <= acq_tol and worst_multi <= acq_tol and worst_ker <= ker_tol
     return CheckResult(
         name="gradient_checks",
         passed=passed,
-        max_deviation=max(worst_acq / acq_tol, worst_ker / ker_tol),
+        max_deviation=max(worst_acq / acq_tol, worst_multi / acq_tol, worst_ker / ker_tol),
         tolerance=1.0,
         detail=(
-            f"acquisition FD rel dev {worst_acq:.3e} (tol {acq_tol:.1e}), "
-            f"kernel FD rel dev {worst_ker:.3e} (tol {ker_tol:.1e}); deviation "
-            "column is the worse of the two as a fraction of its tolerance"
+            f"acquisition FD rel dev {worst_acq:.3e}, multi-theta gain FD rel dev "
+            f"{worst_multi:.3e} (tol {acq_tol:.1e}), kernel FD rel dev {worst_ker:.3e} "
+            f"(tol {ker_tol:.1e}); deviation column is the worst of the three as a "
+            "fraction of its tolerance"
         ),
     )
 

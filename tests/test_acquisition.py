@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
+from gpexpect._numerics import chol_solve, forward_substitute
 from gpexpect.acquisition import (
     GAIN_SENTINEL,
     QEstimate,
+    _probe,
     acquisition_gradient,
+    acquisition_gradients,
     acquisition_profile,
     acquisition_value,
     acquisition_values,
@@ -25,6 +28,7 @@ from gpexpect.acquisition import (
     kl_gaussian,
     multi_theta_acquisition,
     multi_theta_gradient,
+    multi_theta_gradients,
     multi_theta_values,
     variance_reduction_s,
 )
@@ -33,7 +37,7 @@ from gpexpect.gp import Dataset, NoiseModel, fit
 from gpexpect.kernels import RbfKernel, eval_kernel, kernel_cross, kernel_matrix, kernel_vector
 from gpexpect.mixtures import GaussianMixture, pdf, pdf_many, sample
 from gpexpect.oracles import quad_integral_1d, quad_integral_2d
-from gpexpect.validation import random_instance
+from gpexpect.validation import perturbed_contexts, random_instance
 
 UNIT_KERNEL = RbfKernel(amplitude_sq=1.0, lengthscales=np.array([1.0]))
 
@@ -382,6 +386,28 @@ class TestVarianceReductionS:
         assert abs(variance_reduction_s(ctx, xt) - mc) < 4 * se
 
 
+def reference_acquisition_gradient(ctx, xt):
+    """Reference: the per-point gradient of S^2 as one-point code computed it.
+
+    Kernel means by substitution and ``np.dot``, one single-column Cholesky
+    solve per component, ``J.T`` products, and D^2 on a Python float.
+    """
+    gp, mix = ctx.gp, ctx.mix
+    p = _probe(ctx, xt[None, :])
+    if not p.live[0]:
+        return np.zeros(gp.dim)
+    grad_v = np.zeros(xt.size)
+    for w, mean, chol, factor in zip(mix.weights, mix.means, ctx._comp_chols, ctx._comp_factors):
+        u = forward_substitute(chol, xt - mean)
+        k = factor * (gp.kernel.amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
+        grad_v -= w * k * chol_solve(chol, xt - mean)
+    J = -(xt - gp.data.X) / gp.kernel.lengthscales * p.kv[0][:, None]
+    grad_v = grad_v - J.T @ ctx.solved_kmean
+    grad_D = -2.0 * (J.T @ p.solved_kv[0])
+    v, D = float(p.v[0]), float(p.pred_var[0])
+    return (2.0 * v / D) * grad_v - (v * v / D**2) * grad_D
+
+
 class TestAcquisitionValueGradient:
     def test_symmetric_midpoint_gradient_zero(self):
         gp = fit(
@@ -414,6 +440,45 @@ class TestAcquisitionValueGradient:
             grad = acquisition_gradient(ctx, xt)
             assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(fd)
             checked += 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_row_is_the_reference_gradient(self, d):
+        # 3,600 rows per dimension; squaring D with numpy's square instead of
+        # a Python float's libm pow changes a few of them in the last bits
+        rng = np.random.default_rng(2024 + d)
+        for _ in range(60):
+            gp, mix = random_instance(rng, d=d, n=int(rng.integers(1, 31)))
+            ctx = build_context(gp, mix)
+            X = np.concatenate([sample(mix, 30, seed=int(rng.integers(2**63))),
+                                rng.uniform(-4.0, 4.0, size=(30, d))])
+            got = np.array([acquisition_gradient(ctx, x) for x in X])
+            want = np.array([reference_acquisition_gradient(ctx, x) for x in X])
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_non_live_row_reads_zero_in_a_batch(self, n):
+        # a noiseless duplicate of a data point has nothing left to learn;
+        # its row must read zero without dividing by its zero variance
+        # (one unit-amplitude data point makes that variance exactly 0)
+        rng = np.random.default_rng(19 + n)
+        gp, mix = random_instance(rng, d=2, n=n, noise=0.0)
+        if n == 1:
+            gp = fit(gp.data, RbfKernel(amplitude_sq=1.0, lengthscales=gp.kernel.lengthscales),
+                     gp.noise)
+        ctx = build_context(gp, mix)
+        X = np.concatenate([sample(mix, 5, seed=4), gp.data.X[:1], rng.uniform(-2, 2, (3, 2))])
+        p = _probe(ctx, X)
+        assert not p.live[5] and p.live[np.arange(9) != 5].all()
+        assert n > 1 or p.pred_var[5] == 0.0
+        with np.errstate(divide="raise", invalid="raise"):
+            G = acquisition_gradients(ctx, X)
+            GM = multi_theta_gradients([ctx], X)
+        assert G[5].tobytes() == np.zeros(2).tobytes()
+        assert_array_equal(GM[5], np.zeros(2))
+        for i, x in enumerate(X):
+            assert G[i].tobytes() == acquisition_gradient(ctx, x).tobytes()
+            assert G[i].tobytes() == reference_acquisition_gradient(ctx, x).tobytes()
+            assert GM[i].tobytes() == multi_theta_gradient([ctx], x).tobytes()
 
     def test_value_nonnegative_and_bounded(self):
         rng = np.random.default_rng(18)
@@ -676,6 +741,61 @@ class TestMultiTheta:
             with pytest.raises(ValueError, match="same data and mixture"):
                 multi_theta_gradient([ctx, other], xt)
 
+    @staticmethod
+    def central_differences(value_rows, X, h=1e-5):
+        """Central differences of a rows function at each row of X, from one call."""
+        m, d = X.shape
+        steps = h * np.eye(d)
+        plus = (X[:, None, :] + steps).reshape(-1, d)
+        minus = (X[:, None, :] - steps).reshape(-1, d)
+        diff = value_rows(np.concatenate([plus, minus]))
+        return (diff[: m * d] - diff[m * d :]).reshape(m, d) / (2 * h)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gradient_matches_finite_differences(self, d, count):
+        rng = np.random.default_rng(40 + 10 * d + count)
+        checked = 0
+        while checked < 20:
+            gp, mix = random_instance(rng, d=d, n=int(rng.integers(1, 9)))
+            contexts = perturbed_contexts(rng, gp, mix, count)
+            X = sample(mix, 4, seed=int(rng.integers(2**31)))
+            fd = self.central_differences(lambda Y: multi_theta_values(contexts, Y), X)
+            grad = multi_theta_gradients(contexts, X)
+            for g, f in zip(grad, fd):
+                if np.linalg.norm(f) < 1e-3:
+                    continue  # too close to a stationary point for a relative check
+                assert np.linalg.norm(g - f) <= 1e-5 * np.linalg.norm(f)
+                checked += 1
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_plateau_context_contributes_zero(self, d, count):
+        # a kernel flat across the mixture, without noise and without data:
+        # one observation anywhere pins q, so sigma2^2 = 0 and the gain is
+        # the sentinel on a whole neighbourhood
+        rng = np.random.default_rng(60 + 10 * d + count)
+        mix = single_comp(0.3, var=0.7, d=d)
+        data = Dataset.empty(d)
+        flat = build_context(
+            fit(data, RbfKernel(amplitude_sq=1.0, lengthscales=np.full(d, 2.0**64)),
+                NoiseModel(variance=0.0)),
+            mix,
+        )
+        gp = fit(data, RbfKernel(amplitude_sq=1.3, lengthscales=np.full(d, 0.8)),
+                 NoiseModel(variance=0.05))
+        contexts = perturbed_contexts(rng, gp, mix, count)
+        X = sample(mix, 8, seed=5)
+        stencil = np.concatenate([X + 1e-5, X - 1e-5, X])
+        assert_array_equal(acquisition_profile(flat, stencil)["sigma2_sq"], 0.0)
+        assert_array_equal(multi_theta_gradients([flat], X), 0.0)
+        with_flat = multi_theta_gradients(contexts + [flat], X)
+        assert_allclose(with_flat, multi_theta_gradients(contexts, X) * count / (count + 1),
+                        rtol=1e-15, atol=0)
+        fd = self.central_differences(lambda Y: multi_theta_values(contexts + [flat], Y), X)
+        for g, f in zip(with_flat, fd):
+            assert np.linalg.norm(g - f) <= 1e-5 * np.linalg.norm(f)
+
 
 class TestArgmaxChain:
     def test_all_criteria_select_same_grid_point(self):
@@ -774,6 +894,26 @@ class TestScalarFormsMatchProfile:
             for key, column in prof.items():
                 assert_array_equal(column[i : i + 1], one[key])
             assert values[i] == acquisition_value(ctx, x)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
+    def test_gradient_rows_do_not_depend_on_the_batch(self, seed, k):
+        # d 1-4, n 1-30 and m 2-63 rows, half on the mixture and half off it
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        gp, mix = random_instance(rng, d=d, n=int(rng.integers(1, 31)))
+        contexts = perturbed_contexts(rng, gp, mix, k)
+        m = int(rng.integers(2, 64))
+        X = np.concatenate(
+            [sample(mix, m // 2, seed=int(rng.integers(2**63))),
+             rng.uniform(-4.0, 4.0, size=(m - m // 2, d))]
+        )
+        G = acquisition_gradients(contexts[0], X)
+        GM = multi_theta_gradients(contexts, X)
+        assert G.shape == GM.shape == (m, d)
+        for i, x in enumerate(X):
+            assert G[i].tobytes() == acquisition_gradient(contexts[0], x).tobytes()
+            assert GM[i].tobytes() == multi_theta_gradient(contexts, x).tobytes()
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9))

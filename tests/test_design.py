@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import gpexpect.design
@@ -18,6 +20,7 @@ from gpexpect.errors import EvaluationError, InsufficientDataError
 from gpexpect.gp import Dataset, HyperparameterSample, NoiseModel
 from gpexpect.kernels import RbfKernel
 from gpexpect.mixtures import GaussianMixture
+from gpexpect.validation import random_instance
 
 
 def std_normal_mix(d=1):
@@ -342,3 +345,30 @@ class TestGoldenHistory:
             for r in history
         ]
         assert got == GOLDEN_PINNED_BRANIN_RUN
+
+
+class TestTelescoping:
+    """Along a pinned run each step removes exactly the variance it predicted."""
+
+    # relative to sigma1_{k-1}^2
+    RTOL = 1e-8
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 2), n0=st.integers(2, 4))
+    def test_sigma1_drops_by_the_acquisition(self, seed, d, n0):
+        rng = np.random.default_rng(seed)
+        gp, mix = random_instance(rng, d=d, n=0)
+        coeffs = rng.normal(size=3)
+
+        def black_box(x):
+            return float(coeffs[0] * np.sin(2.0 * x[0]) + coeffs[1] * np.sum(x**2)
+                         + coeffs[2] * x[-1])
+
+        theta = HyperparameterSample(kernel=gp.kernel, noise=gp.noise)
+        cfg = DesignConfig(n0=n0, budget=n0 + 4, seed=seed, pinned_theta=theta)
+        history = run(mix, black_box, cfg)
+        assert len(history) == n0 + 4
+        for prev, rec in zip(history[n0 - 1 :], history[n0:]):
+            predicted = prev.sigma1**2 - rec.acquisition_at_chosen
+            assert abs(rec.sigma1**2 - predicted) <= self.RTOL * prev.sigma1**2
+            assert rec.sigma1 <= prev.sigma1

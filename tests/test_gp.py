@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gpexpect.errors import InsufficientDataError
+import gpexpect.gp
+from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.gp import (
     Dataset,
     HyperSearchConfig,
@@ -273,6 +274,27 @@ class TestSelectHyperparameters:
         data = Dataset(X=rng.normal(size=(10, 1)), y=rng.normal(size=10))
         theta = select_hyperparameters(data, HyperSearchConfig(seed=0, fixed_noise=0.123))
         assert theta.noise.variance == 0.123
+
+    @pytest.mark.parametrize("failure", ["raise", "nan"])
+    def test_all_candidates_failing_reports_the_count(self, monkeypatch, failure):
+        calls = []
+
+        def failing(data, kernel, noise):
+            calls.append(kernel)
+            if failure == "raise":
+                raise NumericalConditioningError("forced")
+            return np.nan
+
+        monkeypatch.setattr(gpexpect.gp, "log_marginal_likelihood", failing)
+        rng = np.random.default_rng(15)
+        data = Dataset(X=rng.normal(size=(6, 1)), y=rng.normal(size=6))
+        with pytest.raises(NumericalConditioningError) as caught:
+            select_hyperparameters(data, HyperSearchConfig(seed=0, starts=3))
+        assert len(calls) > 3
+        assert str(caught.value) == (
+            f"no hyperparameter candidate was evaluable: {len(calls)} of {len(calls)} "
+            "objective evaluations failed"
+        )
 
     def test_needs_two_points(self):
         with pytest.raises(InsufficientDataError):

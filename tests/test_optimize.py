@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from gpexpect.acquisition import (
     acquisition_gradient,
+    acquisition_gradients,
     acquisition_value,
     acquisition_values,
     build_context,
@@ -46,8 +47,8 @@ class TestMaximize:
         def value(X):
             return -np.sum((X - c) ** 2, axis=1)
 
-        def grad(x):
-            return -2.0 * (x - c)
+        def grad(X):
+            return -2.0 * (X - c)
 
         bounds = box(-2, 2, d=2)
         x_star, val = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 8, 0))
@@ -58,7 +59,7 @@ class TestMaximize:
         bounds = box(0, 1)
         x_star, val = maximize(
             lambda X: X[:, 0],
-            lambda x: np.array([1.0]),
+            lambda X: np.ones_like(X),
             bounds,
             OptimizerConfig(),
             uniform_starts(bounds, 8, 0),
@@ -79,7 +80,7 @@ class TestMaximize:
         bounds = box(-4, 4)
         x_star, val = maximize(
             lambda X: acquisition_values(ctx, X),
-            lambda x: acquisition_gradient(ctx, x),
+            lambda X: acquisition_gradients(ctx, X),
             bounds,
             OptimizerConfig(),
             uniform_starts(bounds, 8, 1),
@@ -97,8 +98,8 @@ class TestMaximize:
             probes.append(X.copy())
             return -np.sum(X**2, axis=1)
 
-        def grad(x):
-            return -2.0 * x
+        def grad(X):
+            return -2.0 * X
 
         bounds = box(0.5, 2.0, d=2)
         maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 4, 2))
@@ -114,9 +115,8 @@ class TestMaximize:
             x = X[:, 0]
             return coeffs[0] * np.sin(3 * x) + coeffs[1] * x**2 + coeffs[2] * x
 
-        def grad(x):
-            return np.array([3 * coeffs[0] * np.cos(3 * x[0]) + 2 * coeffs[1] * x[0]
-                             + coeffs[2]])
+        def grad(X):
+            return 3 * coeffs[0] * np.cos(3 * X) + 2 * coeffs[1] * X + coeffs[2]
 
         bounds = box(-2, 2)
         starts = np.linspace(-2, 2, 6).reshape(-1, 1)
@@ -127,10 +127,12 @@ class TestMaximize:
         def value(X):
             return np.sin(2 * X[:, 0]) * np.cos(X[:, 1]) - 0.1 * np.sum(X**2, axis=1)
 
-        def grad(x):
-            return np.array(
-                [2 * np.cos(2 * x[0]) * np.cos(x[1]) - 0.2 * x[0],
-                 -np.sin(2 * x[0]) * np.sin(x[1]) - 0.2 * x[1]]
+        def grad(X):
+            x0, x1 = X[:, 0], X[:, 1]
+            return np.stack(
+                [2 * np.cos(2 * x0) * np.cos(x1) - 0.2 * x0,
+                 -np.sin(2 * x0) * np.sin(x1) - 0.2 * x1],
+                axis=1,
             )
 
         bounds = box(-3, 3, d=2)
@@ -144,8 +146,8 @@ class TestMaximize:
         def value(X):
             return np.sin(5 * X[:, 0]) - 0.3 * X[:, 0] ** 2
 
-        def grad(x):
-            return np.array([5 * np.cos(5 * x[0]) - 0.6 * x[0]])
+        def grad(X):
+            return 5 * np.cos(5 * X) - 0.6 * X
 
         bounds = box(-3, 3)
         a = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6))
@@ -157,8 +159,8 @@ class TestMaximize:
         def value(X):
             return np.where(X[:, 0] < -0.5, np.nan, -((X[:, 0] - 1.5) ** 2))
 
-        def grad(x):
-            return np.array([-2.0 * (x[0] - 1.5)])
+        def grad(X):
+            return -2.0 * (X - 1.5)
 
         starts = [np.array([-1.0]), np.array([1.0])]
         # perfbench's tracer parses this text
@@ -172,16 +174,25 @@ class TestMaximize:
         def value(X):
             return np.full(len(X), np.nan)
 
-        def grad(x):
-            return np.zeros(1)
+        def grad(X):
+            return np.zeros_like(X)
 
         with pytest.raises(OptimizationFailedError), pytest.warns(RuntimeWarning):
             bounds = box(-1, 1)
             maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 3, 8))
 
 
+def isclose_projected_gradient(x, g, bounds):
+    """Reference: the per-point projection through np.isclose."""
+    pg = g.copy()
+    at_lower = np.isclose(x, bounds.lower) & (g < 0)
+    at_upper = np.isclose(x, bounds.upper) & (g > 0)
+    pg[at_lower | at_upper] = 0.0
+    return pg
+
+
 def sequential_maximize(value, gradient_fn, bounds, cfg, start_points):
-    """Reference: the one-trial-at-a-time backtracking search, with a scalar ``value``."""
+    """Reference: one start, then one trial at a time, with a scalar ``value`` and gradient."""
     box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
     best_x, best_val, abandoned = None, -np.inf, 0
     for x0 in np.atleast_2d(start_points):
@@ -196,7 +207,7 @@ def sequential_maximize(value, gradient_fn, bounds, cfg, start_points):
             if not np.all(np.isfinite(g)):
                 dead = True
                 break
-            pg = _projected_gradient(x, g, bounds)
+            pg = isclose_projected_gradient(x, g, bounds)
             gnorm = float(np.linalg.norm(pg))
             if gnorm < cfg.gradient_tolerance:
                 break
@@ -221,36 +232,43 @@ def sequential_maximize(value, gradient_fn, bounds, cfg, start_points):
     return best_x, best_val, abandoned
 
 
-def batched_maximize(value, gradient_fn, bounds, cfg, starts):
+def batched_maximize(value, gradients, bounds, cfg, starts):
     """``maximize`` on ``value`` applied row by row, with the abandoned-start count."""
     x, val = None, -np.inf
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.suppress(OptimizationFailedError):
             x, val = maximize(
-                lambda X: np.array([value(x) for x in X]), gradient_fn, bounds, cfg, starts
+                lambda X: np.array([value(x) for x in X]), gradients, bounds, cfg, starts
             )
     counts = [int(str(w.message).split()[0]) for w in caught]
     return x, val, sum(counts)
 
 
 class TestBatchedLadderIsTheSequentialSearch:
-    """Scoring each backtracking ladder in one call keeps every accepted iterate."""
+    """Lockstep rounds over all starts keep every start's accepted iterates."""
 
     @pytest.mark.parametrize("d, seed", [(1, 0), (1, 1), (2, 2), (2, 3)])
     def test_acquisition_contexts(self, d, seed):
+        self.check_acquisition_context(d, seed, OptimizerConfig())
+
+    @pytest.mark.parametrize("d, seed", [(1, 4), (2, 5)])
+    def test_acquisition_contexts_with_an_iteration_cap(self, d, seed):
+        self.check_acquisition_context(d, seed, OptimizerConfig(max_iterations=2, step_shrink=0.7))
+
+    @staticmethod
+    def check_acquisition_context(d, seed, cfg):
         rng = np.random.default_rng(seed)
         gp, mix = random_instance(rng, d=d)
         ctx = build_context(gp, mix)
         bounds = default_bounds(mix)
         starts = mixture_starts(mix, bounds, 6, seed)
-        cfg = OptimizerConfig()
         want = sequential_maximize(
             lambda x: acquisition_value(ctx, x), lambda x: acquisition_gradient(ctx, x),
             bounds, cfg, starts,
         )
         x, val = maximize(
-            lambda X: acquisition_values(ctx, X), lambda x: acquisition_gradient(ctx, x),
+            lambda X: acquisition_values(ctx, X), lambda X: acquisition_gradients(ctx, X),
             bounds, cfg, starts,
         )
         assert want[2] == 0
@@ -259,45 +277,121 @@ class TestBatchedLadderIsTheSequentialSearch:
 
     @staticmethod
     def banded(lo, hi):
-        """-(x - 1)^2, NaN on the open band (lo, hi), and its gradient."""
+        """-(x - 1)^2, NaN on the open band (lo, hi), and its gradient on rows."""
 
         def value(x):
             return np.nan if lo < x[0] < hi else float(-((x[0] - 1.0) ** 2))
 
-        return value, lambda x: np.array([-2.0 * (x[0] - 1.0)])
+        return value, lambda X: -2.0 * (X - 1.0)
 
     @pytest.mark.parametrize("band", [(-0.3, -0.1), (0.9, 1.1), (-2.0, -1.0), (2.0, 2.5)])
     def test_non_finite_trials(self, band):
-        value, grad = self.banded(*band)
+        value, grads = self.banded(*band)
         bounds = box(-4, 4)
         starts = np.linspace(-3, 3.5, 6).reshape(-1, 1)
         cfg = OptimizerConfig(step_shrink=0.7)
-        want = sequential_maximize(value, grad, bounds, cfg, starts)
-        got = batched_maximize(value, grad, bounds, cfg, starts)
+        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, cfg, starts)
+        got = batched_maximize(value, grads, bounds, cfg, starts)
         assert want[2] > 0
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
 
     def test_nan_after_an_improving_trial_keeps_the_start(self):
         # from -3 the ladder is -3 + 4 * 0.7^k: 1.0 improves, -0.2 is NaN
-        value, grad = self.banded(-0.3, -0.1)
+        value, grads = self.banded(-0.3, -0.1)
         x, val, abandoned = batched_maximize(
-            value, grad, box(-4, 4), OptimizerConfig(step_shrink=0.7), np.array([[-3.0]])
+            value, grads, box(-4, 4), OptimizerConfig(step_shrink=0.7), np.array([[-3.0]])
         )
         assert (x[0], val, abandoned) == (1.0, 0.0, 0)
 
     def test_nan_before_an_improving_trial_abandons_the_start(self):
-        value, grad = self.banded(0.9, 1.1)
+        value, grads = self.banded(0.9, 1.1)
         x, _, abandoned = batched_maximize(
-            value, grad, box(-4, 4), OptimizerConfig(step_shrink=0.7), np.array([[-3.0]])
+            value, grads, box(-4, 4), OptimizerConfig(step_shrink=0.7), np.array([[-3.0]])
         )
         assert x is None and abandoned == 1
+
+    def test_non_finite_gradient_abandons_only_its_start(self):
+        def grads(X):
+            return np.where(X > 2.5, np.nan, -2.0 * (X - 1.0))
+
+        bounds = box(-4, 4)
+        starts = np.array([[3.0], [-3.0], [2.9]])
+        cfg = OptimizerConfig()
+        value = lambda x: float(-((x[0] - 1.0) ** 2))  # noqa: E731
+        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, cfg, starts)
+        got = batched_maximize(value, grads, bounds, cfg, starts)
+        assert want[2] == 2
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+    def test_one_gradient_call_per_round_on_the_running_starts(self):
+        gradient_rows, value_rows = [], []
+
+        def value(X):
+            value_rows.append(len(X))
+            return np.sin(5 * X[:, 0]) - 0.3 * X[:, 0] ** 2
+
+        def grads(X):
+            gradient_rows.append(len(X))
+            return 5 * np.cos(5 * X) - 0.6 * X
+
+        bounds = box(-3, 3)
+        maximize(value, grads, bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6))
+        # every start runs in the first round, and starts only ever leave
+        assert gradient_rows[0] == 5
+        assert all(a >= b for a, b in zip(gradient_rows, gradient_rows[1:]))
+        # the starts, then one ladder of 40 trials per start still moving, each round
+        assert value_rows[0] == 5
+        assert all(rows % 40 == 0 for rows in value_rows[1:])
+        assert len(value_rows) - 1 <= len(gradient_rows)
 
     def test_value_fn_must_return_one_value_per_row(self):
         bounds = box(-1, 1)
         with pytest.raises(ValueError, match="rows"):
-            maximize(lambda X: float(X[0, 0]), lambda x: -2 * x, bounds, OptimizerConfig(),
+            maximize(lambda X: float(X[0, 0]), lambda X: -2 * X, bounds, OptimizerConfig(),
                      np.zeros((2, 1)))
+
+    def test_gradient_fn_must_return_one_row_per_row(self):
+        bounds = box(-1, 1)
+        with pytest.raises(ValueError, match="rows"):
+            maximize(lambda X: -(X[:, 0] ** 2), lambda X: -2 * X[0], bounds, OptimizerConfig(),
+                     np.full((2, 1), 0.5))
+
+
+class TestProjectedGradient:
+    """The rows projection is the per-point np.isclose projection, bit for bit."""
+
+    def test_rows_are_the_isclose_form(self):
+        rng = np.random.default_rng(11)
+        bounds = BoxBounds(lower=np.array([-3.0, 0.0, 2.5, -1e3]),
+                           upper=np.array([1.5, 4.0, 7.0, 1e-3]))
+        tol_lo = 1e-8 + 1e-5 * np.abs(bounds.lower)
+        tol_hi = 1e-8 + 1e-5 * np.abs(bounds.upper)
+        rows = [rng.uniform(bounds.lower, bounds.upper, size=(200, 4))]
+        for bound, tol in ((bounds.lower, tol_lo), (bounds.upper, tol_hi)):
+            # exactly at, just inside and just outside the tolerance, on both sides
+            for offset in (0.0, 0.5, 0.999, 1.001, 2.0, -0.5, -0.999, -1.001, -2.0):
+                rows.append(np.tile(bound + offset * tol, (4, 1)))
+            rows.append(np.tile(np.nextafter(bound + tol, np.inf), (4, 1)))
+            rows.append(np.tile(np.nextafter(bound - tol, -np.inf), (4, 1)))
+            rows.append(np.tile(bound + tol, (4, 1)))
+        X = np.concatenate(rows)
+        X[rng.random(X.shape) < 0.05] = np.nan
+        G = rng.normal(size=X.shape)
+        G[rng.random(G.shape) < 0.1] = 0.0
+        G[rng.random(G.shape) < 0.02] = np.nan
+        got = _projected_gradient(X, G, bounds)
+        want = np.array([isclose_projected_gradient(x, g, bounds) for x, g in zip(X, G)])
+        assert got.tobytes() == want.tobytes()
+        # the NaN rows and the edge cases really occur
+        assert np.isnan(X).any() and (got == 0.0).sum() > (G == 0.0).sum()
+
+    def test_nan_is_never_at_a_bound(self):
+        bounds = box(-1, 1, d=2)
+        G = np.array([[-1.0, 1.0]])
+        got = _projected_gradient(np.full((1, 2), np.nan), G, bounds)
+        assert_allclose(got, G)
 
 
 class TestBounds:
