@@ -13,7 +13,7 @@ import numpy as np
 from gpexpect import Dataset, GaussianMixture, NoiseModel, RbfKernel
 from gpexpect.acquisition import (
     acquisition_profile,
-    acquisition_value,
+    acquisition_values,
     build_context,
     info_gain_four_term,
     info_gain_simplified,
@@ -46,7 +46,7 @@ best = grid[np.argmax(profile["s_sq"]), 0]
 print(f"\nacquisition peaks at x = {best:.4f}")
 print("profile at a few points:")
 for xv in (-2.5, -1.2, 0.1, 1.2, 2.5):
-    print(f"  x = {xv:5.1f}   value {acquisition_value(ctx, np.array([xv])):.3e}")
+    print(f"  x = {xv:5.1f}   value {acquisition_values(ctx, np.array([[xv]]))[0]:.3e}")
 print("it is near zero on top of existing data and far outside the mixture mass")
 
 # 2. the argmax chain: four scores, one maximizer.  A spot check with the

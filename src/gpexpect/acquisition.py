@@ -20,12 +20,12 @@ Alg. 2.1); S, sigma2^2 and the gain terms are each derived once, on
 arrays.  Each row of a probe is computed with the same operations
 whatever the other rows are, so :func:`acquisition_profile` on a grid,
 the batched :func:`acquisition_values` and :func:`multi_theta_values`
-the optimizer scores its trial steps with, and the scalar forms (row 0
-of a one-row probe) all agree bit for bit.  The gradients are row views
-of a probe too: :func:`acquisition_gradients` and
-:func:`multi_theta_gradients` give the optimizer the gradients of many
-rows at once, and :func:`acquisition_gradient` and
-:func:`multi_theta_gradient` are row 0 of a one-row call.
+the optimizer scores its trial steps with, and the one-point forms
+(S, the hypothetical update and both gains, row 0 of a one-row probe)
+all agree bit for bit.  The gradients are row views of a probe too:
+:func:`acquisition_gradients` and :func:`multi_theta_gradients` give the
+optimizer the gradients of many rows at once.  A single point is row 0
+of a one-row call, ``acquisition_values(ctx, x[None])[0]``.
 """
 
 from __future__ import annotations
@@ -56,23 +56,6 @@ GAIN_SENTINEL = 700.0
 # predictive variances below this fraction of the amplitude mean the
 # candidate is already fully observed (duplicated noiseless point)
 _PRED_VAR_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class QEstimate:
-    """Gaussian posterior of the integral: mean mu1 and variance sigma1^2."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        v = float(self.variance)
-        if v < 0.0:
-            if v < -1e-12:
-                raise ValueError(f"estimate variance {v} is negative beyond tolerance")
-            v = 0.0
-        object.__setattr__(self, "mean", float(self.mean))
-        object.__setattr__(self, "variance", v)
 
 
 def _component_factors(ker: RbfKernel, covs, det_power: float = -0.5):
@@ -193,10 +176,6 @@ class AcquisitionContext:
     sigma1_sq: float
     _comp_chols: np.ndarray = field(repr=False)
     _comp_factors: np.ndarray = field(repr=False)
-
-    @property
-    def estimate(self) -> QEstimate:
-        return QEstimate(mean=self.mu1, variance=self.sigma1_sq)
 
 
 def _kernel_mean_many(ctx: AcquisitionContext, X: np.ndarray) -> np.ndarray:
@@ -364,20 +343,10 @@ def acquisition_values(ctx: AcquisitionContext, X) -> np.ndarray:
     return _s_sq(_probe(ctx, as_points(X, ctx.gp.dim)))
 
 
-def acquisition_value(ctx: AcquisitionContext, xt) -> float:
-    """The acquisition S(xt)^2, the reduction in estimate variance."""
-    return float(acquisition_values(ctx, _one_row(xt))[0])
-
-
 def acquisition_gradients(ctx: AcquisitionContext, X) -> np.ndarray:
     """Gradient of the acquisition S^2 at each (m, d) row of ``X``, from one probe."""
     X = as_points(X, ctx.gp.dim)
     return _s_sq_gradients(ctx, X, _probe(ctx, X))
-
-
-def acquisition_gradient(ctx: AcquisitionContext, xt) -> np.ndarray:
-    """Gradient of the acquisition S(xt)^2 in xt."""
-    return acquisition_gradients(ctx, _one_row(xt))[0]
 
 
 @dataclass(frozen=True)
@@ -463,22 +432,17 @@ def _shared_contexts(contexts) -> list:
 
 
 def multi_theta_values(contexts, X) -> np.ndarray:
-    """Mean simplified gain across hyperparameter samples at each (m, d) row of ``X``."""
+    """Mean simplified gain across hyperparameter samples at each (m, d) row of ``X``.
+
+    With one context a row is exactly :func:`info_gain_simplified`; the
+    argmax over rows equals the argmin of the product of the per-sample
+    sigma2^2 values.
+    """
     contexts = _shared_contexts(contexts)
     X = as_points(X, contexts[0].gp.dim)
     gains = [_gain(ctx, _sigma2_sq(ctx, _probe(ctx, X))) for ctx in contexts]
     # a mean along the contiguous axis sums each row as np.mean sums one vector
     return np.mean(np.stack(gains, axis=1), axis=1)
-
-
-def multi_theta_acquisition(contexts, xt) -> float:
-    """Mean simplified gain across hyperparameter samples.
-
-    With one context this is exactly :func:`info_gain_simplified`; its
-    argmax over candidates equals the argmin of the product of the
-    per-sample sigma2^2 values.
-    """
-    return float(multi_theta_values(contexts, _one_row(xt))[0])
 
 
 def multi_theta_gradients(contexts, X) -> np.ndarray:
@@ -499,17 +463,12 @@ def multi_theta_gradients(contexts, X) -> np.ndarray:
     return grad / len(contexts)
 
 
-def multi_theta_gradient(contexts, xt) -> np.ndarray:
-    """Gradient of the mean simplified gain: row 0 of :func:`multi_theta_gradients`."""
-    return multi_theta_gradients(contexts, _one_row(xt))[0]
-
-
 def acquisition_profile(ctx: AcquisitionContext, X):
     """Acquisition quantities at every candidate row of ``X``.
 
     Returns a dict of arrays: ``s_sq`` (the acquisition), ``sigma2_sq``,
     ``gain_simplified`` and ``gain_four_term``, from one probe of all
-    rows.  Row i equals the scalar forms at ``X[i]`` bit for bit.
+    rows.  Row i equals the one-point forms at ``X[i]`` bit for bit.
 
     Raises
     ------

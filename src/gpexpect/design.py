@@ -114,9 +114,13 @@ class DesignState:
     cfg: DesignConfig
     hyper: HyperparameterSample | None = None
     history: list = field(default_factory=list)
-    iteration: int = 0
     # context fitted with ``hyper`` on ``data``; None until the first fit
     context: AcquisitionContext | None = field(default=None, repr=False)
+
+    @property
+    def iteration(self) -> int:
+        """Acquisition steps taken: the points absorbed after the initial design."""
+        return self.data.n - self.cfg.n0
 
 
 def initial_design(mix: GaussianMixture, n0: int, seed: int) -> np.ndarray:
@@ -217,7 +221,6 @@ def _absorb(state: DesignState, black_box, x, theta, acquisition: float, t0: flo
             wall_ms=max(wall_ms, 0),
         )
     )
-    state.iteration += 1
     return state
 
 

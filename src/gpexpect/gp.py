@@ -1,10 +1,10 @@
-"""Gaussian-process regression with rank-1 hypothetical updates.
+"""Gaussian-process regression and marginal-likelihood hyperparameter search.
 
 A fitted :class:`GpPosterior` stores the Cholesky factor of the noisy Gram
 matrix and the weight vector ``(K + noise * I)^-1 y``.  Posterior queries
-are pure functions of that state.  The rank-1 update operations answer
-"what would the posterior be after one more observation" without
-refactorizing, which is what the acquisition layer needs per candidate.
+are pure functions of that state.  What one more observation would do to
+the estimate of the integral is answered by the acquisition layer from a
+probe of the candidate rows against this factor, without refitting.
 """
 
 from __future__ import annotations
@@ -24,9 +24,14 @@ from gpexpect.kernels import (
     kernel_vector,
 )
 
-# rank-1 denominators below this fraction of the amplitude are treated as
-# zero: the point is already fully determined and carries no information
-_DENOM_FLOOR = 1e-12
+# hyperparameter search boxes, relative to the data: lengthscale variances
+# span these multiples of range(X)^2 per dimension, the amplitude and the
+# noise these multiples of var(y)
+_LENGTHSCALE_BOX = (1e-2, 1e2)
+_AMPLITUDE_BOX = (1e-3, 1e3)
+_NOISE_BOX = (1e-8, 1.0)
+# L-BFGS-B iteration cap per start
+_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,37 +203,6 @@ def posterior_var_many(gp: GpPosterior, X) -> np.ndarray:
     return gp.kernel.amplitude_sq - np.sum(U * U, axis=0)
 
 
-def _rank1_denominator(gp: GpPosterior, xt) -> float:
-    return posterior_cov(gp, xt, xt) + gp.noise.variance
-
-
-def rank1_update_mean(gp: GpPosterior, xt, yt: float, x) -> float:
-    """Posterior mean at ``x`` after hypothetically observing ``(xt, yt)``.
-
-    Matches a full refit on the augmented dataset with the same
-    hyperparameters.  A vanishing denominator (duplicated noiseless
-    point) makes the update a no-op: the point is already determined.
-    """
-    denom = _rank1_denominator(gp, xt)
-    base = posterior_mean(gp, x)
-    if denom < _DENOM_FLOOR * gp.kernel.amplitude_sq:
-        return base
-    return base + posterior_cov(gp, xt, x) * (yt - posterior_mean(gp, xt)) / denom
-
-
-def rank1_update_cov(gp: GpPosterior, xt, a, b) -> float:
-    """Posterior covariance of ``a, b`` after a hypothetical observation at ``xt``.
-
-    Independent of the observed value; same degenerate-point guard as
-    :func:`rank1_update_mean`.
-    """
-    denom = _rank1_denominator(gp, xt)
-    base = posterior_cov(gp, a, b)
-    if denom < _DENOM_FLOOR * gp.kernel.amplitude_sq:
-        return base
-    return base - posterior_cov(gp, xt, a) * posterior_cov(gp, xt, b) / denom
-
-
 def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> float:
     """Log evidence of the data under the GP prior with the given kernel/noise."""
     if data.n < 1:
@@ -244,18 +218,15 @@ def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) ->
 class HyperSearchConfig:
     """Multi-start marginal-likelihood search settings.
 
-    Boxes are relative: lengthscale variances span
-    ``lengthscale_box * range(X)^2`` per dimension, amplitude spans
-    ``amplitude_box * var(y)``, noise spans ``noise_box * var(y)``.
-    ``fixed_noise`` pins the noise variance instead of searching it.
+    ``starts`` L-BFGS-B ascents, seeded by ``seed``; ``fixed_noise`` pins
+    the noise variance instead of searching it.  The search boxes, which
+    are relative to the data, and the iteration cap are module constants:
+    ``_LENGTHSCALE_BOX``, ``_AMPLITUDE_BOX``, ``_NOISE_BOX`` and
+    ``_MAX_ITERATIONS``.
     """
 
     starts: int = 8
     seed: int = 0
-    max_iterations: int = 200
-    lengthscale_box: tuple = (1e-2, 1e2)
-    amplitude_box: tuple = (1e-3, 1e3)
-    noise_box: tuple = (1e-8, 1.0)
     fixed_noise: float | None = None
 
 
@@ -299,16 +270,16 @@ def select_hyperparameters(
 
     lo = np.concatenate(
         [
-            np.log(search.lengthscale_box[0] * span**2),
-            [np.log(search.amplitude_box[0] * scale_y)],
-            [] if search.fixed_noise is not None else [np.log(search.noise_box[0] * scale_y)],
+            np.log(_LENGTHSCALE_BOX[0] * span**2),
+            [np.log(_AMPLITUDE_BOX[0] * scale_y)],
+            [] if search.fixed_noise is not None else [np.log(_NOISE_BOX[0] * scale_y)],
         ]
     )
     hi = np.concatenate(
         [
-            np.log(search.lengthscale_box[1] * span**2),
-            [np.log(search.amplitude_box[1] * scale_y)],
-            [] if search.fixed_noise is not None else [np.log(search.noise_box[1] * scale_y)],
+            np.log(_LENGTHSCALE_BOX[1] * span**2),
+            [np.log(_AMPLITUDE_BOX[1] * scale_y)],
+            [] if search.fixed_noise is not None else [np.log(_NOISE_BOX[1] * scale_y)],
         ]
     )
 
@@ -341,7 +312,7 @@ def select_hyperparameters(
             z0,
             method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
-            options={"maxiter": search.max_iterations},
+            options={"maxiter": _MAX_ITERATIONS},
         )
 
     if best["z"] is None:

@@ -118,16 +118,6 @@ def kernel_gradient(a, b, ker: RbfKernel) -> np.ndarray:
     Equals ``-(a - b) / lengthscales * k(a, b)``; antisymmetric under
     swapping the arguments and zero at ``a = b``.
     """
-    return kernel_vector_jacobian(a, as_point(b, ker.dim, "b")[None, :], ker)[0]
-
-
-def kernel_vector_jacobian(x, X, ker: RbfKernel) -> np.ndarray:
-    """Jacobian of :func:`kernel_vector` with respect to ``x``.
-
-    Returns an ``(n, d)`` array whose row ``i`` is the gradient of
-    ``k(x, x_i)`` in ``x``.
-    """
-    x = as_point(x, ker.dim, "x")
-    X = as_points(X, ker.dim)
-    kv = kernel_vector(x, X, ker)
-    return -(x - X) / ker.lengthscales * kv[:, None]
+    a = as_point(a, ker.dim, "a")
+    b = as_point(b, ker.dim, "b")
+    return -(a - b) / ker.lengthscales * eval_kernel(a, b, ker)

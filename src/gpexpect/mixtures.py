@@ -14,10 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from gpexpect._numerics import as_points, forward_solve
+from gpexpect._numerics import as_point, as_points, forward_solve
 from gpexpect.errors import InsufficientDataError
 
 _WEIGHT_TOL = 1e-12
+
+# EM stops after this many iterations, or once the log-likelihood gains
+# less than this fraction of its magnitude (at least 1) in one iteration
+_EM_MAX_ITERATIONS = 200
+_EM_REL_TOLERANCE = 1e-8
+# covariance eigenvalue floor, as a fraction of the mean per-dimension
+# sample variance
+_EM_VARIANCE_FLOOR_SCALE = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +99,7 @@ def same_mixture(a: GaussianMixture, b: GaussianMixture) -> bool:
 
 
 def log_pdf(mix: GaussianMixture, x) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (mix.dim,):
-        raise ValueError(f"x has shape {x.shape}, expected ({mix.dim},)")
+    x = as_point(x, mix.dim, "x")
     lp = _component_log_pdfs(mix, x[None, :])[0]
     return float(logsumexp(lp, b=mix.weights))
 
@@ -146,16 +152,6 @@ def component_box(mix: GaussianMixture, width: float):
     return lower, upper
 
 
-@dataclass(frozen=True)
-class EmConfig:
-    """Settings for :func:`fit_em`."""
-
-    max_iterations: int = 200
-    rel_tolerance: float = 1e-8
-    seed: int = 0
-    variance_floor_scale: float = 1e-6
-
-
 def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
     """Clamp eigenvalues from below so the covariance stays SPD."""
     vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
@@ -192,12 +188,12 @@ def _kmeans_init(X: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def fit_em_trace(samples, k: int, cfg: EmConfig = EmConfig()):
+def fit_em_trace(samples, k: int, seed: int = 0):
     """EM fit returning the mixture and the per-iteration log-likelihood.
 
     The trace is the total data log-likelihood after each EM iteration;
     it is non-decreasing up to arithmetic noise.  Deterministic given
-    ``cfg.seed``.
+    ``seed``, which seeds the k-means initialization.
 
     Raises
     ------
@@ -213,10 +209,10 @@ def fit_em_trace(samples, k: int, cfg: EmConfig = EmConfig()):
     if n < 10 * k:
         raise InsufficientDataError(f"EM with k={k} needs at least {10 * k} samples, got {n}")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     # variance floor is relative to the overall data spread
     data_var = float(np.mean(np.var(X, axis=0)))
-    floor = cfg.variance_floor_scale * max(data_var, 1e-30)
+    floor = _EM_VARIANCE_FLOOR_SCALE * max(data_var, 1e-30)
 
     centers = _kmeans_init(X, k, rng)
     assign = np.argmin(np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
@@ -237,7 +233,7 @@ def fit_em_trace(samples, k: int, cfg: EmConfig = EmConfig()):
 
     trace = []
     mix = GaussianMixture(weights=weights, means=means, covs=covs)
-    for _ in range(cfg.max_iterations):
+    for _ in range(_EM_MAX_ITERATIONS):
         # E step: responsibilities in log space
         lp = _component_log_pdfs(mix, X) + np.log(mix.weights)[None, :]
         norm = logsumexp(lp, axis=1)
@@ -258,16 +254,16 @@ def fit_em_trace(samples, k: int, cfg: EmConfig = EmConfig()):
 
         if len(trace) >= 2:
             prev, cur = trace[-2], trace[-1]
-            if cur - prev <= cfg.rel_tolerance * max(1.0, abs(prev)):
+            if cur - prev <= _EM_REL_TOLERANCE * max(1.0, abs(prev)):
                 break
     lp = _component_log_pdfs(mix, X) + np.log(mix.weights)[None, :]
     trace.append(float(logsumexp(lp, axis=1).sum()))
     return mix, np.array(trace)
 
 
-def fit_em(samples, k: int, cfg: EmConfig = EmConfig()) -> GaussianMixture:
+def fit_em(samples, k: int, seed: int = 0) -> GaussianMixture:
     """Fit a k-component mixture to empirical samples by EM."""
-    mix, _ = fit_em_trace(samples, k, cfg)
+    mix, _ = fit_em_trace(samples, k, seed)
     return mix
 
 

@@ -10,12 +10,9 @@ from scipy.linalg import cho_solve
 from gpexpect._numerics import chol_solve, forward_substitute
 from gpexpect.acquisition import (
     GAIN_SENTINEL,
-    QEstimate,
     _probe,
-    acquisition_gradient,
     acquisition_gradients,
     acquisition_profile,
-    acquisition_value,
     acquisition_values,
     build_context,
     double_kernel_mean,
@@ -26,12 +23,11 @@ from gpexpect.acquisition import (
     kernel_mean_component,
     kernel_mean_gradient,
     kl_gaussian,
-    multi_theta_acquisition,
-    multi_theta_gradient,
     multi_theta_gradients,
     multi_theta_values,
     variance_reduction_s,
 )
+from gpexpect.benchmarks import branin
 from gpexpect.errors import DegenerateEstimateError
 from gpexpect.gp import Dataset, NoiseModel, fit
 from gpexpect.kernels import RbfKernel, eval_kernel, kernel_cross, kernel_matrix, kernel_vector
@@ -54,6 +50,15 @@ def two_comp_1d():
         weights=np.array([0.4, 0.6]),
         means=np.array([[-1.0], [1.5]]),
         covs=np.array([[[0.5]], [[1.2]]]),
+    )
+
+
+def branin_mixture():
+    # the three-component input density of the Branin benchmark
+    return GaussianMixture(
+        weights=np.array([0.5, 0.3, 0.2]),
+        means=np.array([[-np.pi, 12.275], [np.pi, 2.275], [9.42478, 2.475]]),
+        covs=np.array([np.eye(2)] * 3),
     )
 
 
@@ -301,6 +306,32 @@ class TestBuildContext:
         with pytest.raises(ValueError):
             build_context(gp, single_comp(d=1))
 
+    def test_golden_branin_estimate(self):
+        # a fixed design, kernel and mixture: mu1 and sigma1^2 keep their bits
+        # through any change that is meant to leave the estimate alone
+        X = np.array([[-3.0, 12.0], [-2.0, 11.5], [3.0, 2.0], [4.0, 3.0], [9.0, 2.5],
+                      [0.5, 6.0]])
+        ker = RbfKernel(amplitude_sq=2500.0, lengthscales=np.array([4.0, 4.0]))
+        gp = fit(Dataset(X=X, y=branin(X)), ker, NoiseModel(variance=1e-4))
+        ctx = build_context(gp, branin_mixture())
+        assert ctx.mu1.hex() == "0x1.d5806347ba7acp-1"
+        assert ctx.sigma1_sq.hex() == "0x1.02ed5064ab980p+5"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_component_order_does_not_move_the_estimate(self, seed, data):
+        rng = np.random.default_rng(seed)
+        gp, mix = random_instance(rng, n=int(rng.integers(0, 9)), n_gmm=int(rng.integers(2, 5)))
+        order = data.draw(st.permutations(range(mix.n_components)))
+        permuted = GaussianMixture(
+            weights=mix.weights[order], means=mix.means[order], covs=mix.covs[order]
+        )
+        ctx = build_context(gp, mix)
+        moved = build_context(gp, permuted)
+        sigma1 = np.sqrt(ctx.sigma1_sq)
+        assert abs(moved.mu1 - ctx.mu1) <= 1e-10 * (abs(ctx.mu1) + sigma1)
+        assert abs(moved.sigma1_sq - ctx.sigma1_sq) <= 1e-10 * double_kernel_mean(gp.kernel, mix)
+
 
 class TestVarianceReductionS:
     def test_prior_point_mass_case(self):
@@ -416,7 +447,7 @@ class TestAcquisitionValueGradient:
             NoiseModel(variance=0.1),
         )
         ctx = build_context(gp, single_comp())
-        grad = acquisition_gradient(ctx, np.array([0.0]))
+        grad = acquisition_gradients(ctx, np.array([[0.0]]))[0]
         assert abs(grad[0]) < 1e-8
 
     def test_finite_differences_random_instances(self):
@@ -428,16 +459,12 @@ class TestAcquisitionValueGradient:
             ctx = build_context(gp, mix)
             d = mix.means.shape[1]
             xt = sample(mix, 1, seed=int(rng.integers(2**31)))[0]
-            fd = np.empty(d)
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                fd[j] = (
-                    acquisition_value(ctx, xt + e) - acquisition_value(ctx, xt - e)
-                ) / (2 * h)
+            steps = h * np.eye(d)
+            values = acquisition_values(ctx, np.concatenate([xt + steps, xt - steps]))
+            fd = (values[:d] - values[d:]) / (2 * h)
             if np.linalg.norm(fd) < 1e-3:
                 continue
-            grad = acquisition_gradient(ctx, xt)
+            grad = acquisition_gradients(ctx, xt[None])[0]
             assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(fd)
             checked += 1
 
@@ -451,7 +478,7 @@ class TestAcquisitionValueGradient:
             ctx = build_context(gp, mix)
             X = np.concatenate([sample(mix, 30, seed=int(rng.integers(2**63))),
                                 rng.uniform(-4.0, 4.0, size=(30, d))])
-            got = np.array([acquisition_gradient(ctx, x) for x in X])
+            got = np.array([acquisition_gradients(ctx, x[None])[0] for x in X])
             want = np.array([reference_acquisition_gradient(ctx, x) for x in X])
             assert got.tobytes() == want.tobytes()
 
@@ -476,9 +503,9 @@ class TestAcquisitionValueGradient:
         assert G[5].tobytes() == np.zeros(2).tobytes()
         assert_array_equal(GM[5], np.zeros(2))
         for i, x in enumerate(X):
-            assert G[i].tobytes() == acquisition_gradient(ctx, x).tobytes()
+            assert G[i].tobytes() == acquisition_gradients(ctx, x[None])[0].tobytes()
             assert G[i].tobytes() == reference_acquisition_gradient(ctx, x).tobytes()
-            assert GM[i].tobytes() == multi_theta_gradient([ctx], x).tobytes()
+            assert GM[i].tobytes() == multi_theta_gradients([ctx], x[None])[0].tobytes()
 
     def test_value_nonnegative_and_bounded(self):
         rng = np.random.default_rng(18)
@@ -486,7 +513,7 @@ class TestAcquisitionValueGradient:
         ctx = build_context(gp, mix)
         probes = sample(mix, 1000, seed=19)
         for xt in probes:
-            val = acquisition_value(ctx, xt)
+            val = acquisition_values(ctx, xt[None])[0]
             assert 0.0 <= val <= ctx.sigma1_sq + 1e-12
 
     def test_value_is_s_squared(self):
@@ -495,7 +522,7 @@ class TestAcquisitionValueGradient:
         ctx = build_context(gp, mix)
         xt = sample(mix, 1, seed=21)[0]
         s = variance_reduction_s(ctx, xt)
-        assert_allclose(acquisition_value(ctx, xt), s * s, rtol=1e-12)
+        assert_allclose(acquisition_values(ctx, xt[None])[0], s * s, rtol=1e-12)
 
 
 class TestHypotheticalUpdate:
@@ -618,7 +645,7 @@ class TestInfoGainSimplified:
         gp, mix = random_instance(rng, n=4)
         ctx = build_context(gp, mix)
         probes = sample(mix, 40, seed=33)
-        vals = np.array([acquisition_value(ctx, x) for x in probes])
+        vals = np.array([acquisition_values(ctx, x[None])[0] for x in probes])
         gains = np.array([info_gain_simplified(ctx, x) for x in probes])
         order = np.argsort(vals)
         distinct = np.diff(vals[order]) > 1e-15
@@ -681,7 +708,7 @@ class TestMultiTheta:
         ctx = self.make_contexts(rng, count=1)[0]
         xt = np.array([0.1])
         assert_allclose(
-            multi_theta_acquisition([ctx], xt), info_gain_simplified(ctx, xt), rtol=1e-14
+            multi_theta_values([ctx], xt[None])[0], info_gain_simplified(ctx, xt), rtol=1e-14
         )
 
     def test_duplicated_context_idempotent(self):
@@ -689,8 +716,8 @@ class TestMultiTheta:
         ctx = self.make_contexts(rng, count=1)[0]
         xt = np.array([-0.3])
         assert_allclose(
-            multi_theta_acquisition([ctx, ctx], xt),
-            multi_theta_acquisition([ctx], xt),
+            multi_theta_values([ctx, ctx], xt[None])[0],
+            multi_theta_values([ctx], xt[None])[0],
             rtol=1e-14,
         )
 
@@ -699,7 +726,7 @@ class TestMultiTheta:
         contexts = self.make_contexts(rng, count=3)
         grid = np.linspace(-3.0, 3.0, 50).reshape(-1, 1)
         mean_gain = np.array(
-            [multi_theta_acquisition(contexts, x) for x in grid]
+            [multi_theta_values(contexts, x[None])[0] for x in grid]
         )
         log_product = np.zeros(len(grid))
         for ctx in contexts:
@@ -710,7 +737,7 @@ class TestMultiTheta:
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            multi_theta_acquisition([], np.array([0.0]))
+            multi_theta_values([], np.array([[0.0]]))
 
     def test_equal_but_distinct_arrays_accepted(self):
         rng = np.random.default_rng(38)
@@ -722,9 +749,9 @@ class TestMultiTheta:
         )
         twin = build_context(fit(data, gp.kernel, gp.noise), mix_copy)
         xt = np.array([0.2])
-        assert multi_theta_acquisition([ctx, twin], xt) == info_gain_simplified(ctx, xt)
+        assert multi_theta_values([ctx, twin], xt[None])[0] == info_gain_simplified(ctx, xt)
         assert_array_equal(
-            multi_theta_gradient([ctx, twin], xt), multi_theta_gradient([ctx], xt)
+            multi_theta_gradients([ctx, twin], xt[None]), multi_theta_gradients([ctx], xt[None])
         )
 
     def test_different_data_or_mixture_rejected(self):
@@ -737,9 +764,9 @@ class TestMultiTheta:
         xt = np.array([0.2])
         for other in (other_data, other_mix):
             with pytest.raises(ValueError, match="same data and mixture"):
-                multi_theta_acquisition([ctx, other], xt)
+                multi_theta_values([ctx, other], xt[None])
             with pytest.raises(ValueError, match="same data and mixture"):
-                multi_theta_gradient([ctx, other], xt)
+                multi_theta_gradients([ctx, other], xt[None])
 
     @staticmethod
     def central_differences(value_rows, X, h=1e-5):
@@ -813,16 +840,6 @@ class TestArgmaxChain:
             assert int(np.argmin(prof["sigma2_sq"])) == idx
 
 
-class TestQEstimate:
-    def test_clamps_tiny_negative_variance(self):
-        est = QEstimate(mean=0.1, variance=-5e-13)
-        assert est.variance == 0.0
-
-    def test_rejects_real_negative_variance(self):
-        with pytest.raises(ValueError):
-            QEstimate(mean=0.0, variance=-1e-6)
-
-
 class TestScalarFormsMatchProfile:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), off_mixture=st.booleans())
@@ -838,14 +855,14 @@ class TestScalarFormsMatchProfile:
         # S^2 <= sigma1^2 and v cancels near the data, so rounding is
         # bounded relative to sigma1^2 rather than to S^2 itself
         atol = 1e-10 * ctx.sigma1_sq
-        assert_allclose(acquisition_value(ctx, x), prof["s_sq"][0], rtol=1e-10, atol=atol)
+        assert_allclose(acquisition_values(ctx, x[None]), prof["s_sq"], rtol=1e-10, atol=atol)
         sigma2_sq = hypothetical_update(ctx, x).sigma2_sq
         assert_allclose(sigma2_sq, prof["sigma2_sq"][0], rtol=1e-10, atol=atol)
         assert_allclose(
             info_gain_simplified(ctx, x), prof["gain_simplified"][0], rtol=1e-10, atol=1e-10
         )
-        expected = acquisition_gradient(ctx, x) / (2.0 * sigma2_sq)
-        assert_array_equal(multi_theta_gradient([ctx], x), expected)
+        expected = acquisition_gradients(ctx, x[None])[0] / (2.0 * sigma2_sq)
+        assert_array_equal(multi_theta_gradients([ctx], x[None])[0], expected)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), off_mixture=st.booleans())
@@ -860,11 +877,11 @@ class TestScalarFormsMatchProfile:
         for x in X:
             prof = acquisition_profile(ctx, x[None, :])
             s = variance_reduction_s(ctx, x)
-            assert_array_equal(prof["s_sq"], [acquisition_value(ctx, x)])
+            assert_array_equal(prof["s_sq"], acquisition_values(ctx, x[None]))
             assert_array_equal(prof["s_sq"], [s * s])
             assert_array_equal(prof["sigma2_sq"], [hypothetical_update(ctx, x).sigma2_sq])
             assert_array_equal(prof["gain_simplified"], [info_gain_simplified(ctx, x)])
-            assert_array_equal(prof["gain_simplified"], [multi_theta_acquisition([ctx], x)])
+            assert_array_equal(prof["gain_simplified"], multi_theta_values([ctx], x[None]))
             assert_array_equal(prof["gain_four_term"], [info_gain_four_term(ctx, x)[0]])
         # several rows at once: each row is its one-row profile, bit for bit
         prof = acquisition_profile(ctx, X)
@@ -893,7 +910,7 @@ class TestScalarFormsMatchProfile:
             one = acquisition_profile(ctx, x[None, :])
             for key, column in prof.items():
                 assert_array_equal(column[i : i + 1], one[key])
-            assert values[i] == acquisition_value(ctx, x)
+            assert values[i] == acquisition_values(ctx, x[None])[0]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
@@ -912,8 +929,8 @@ class TestScalarFormsMatchProfile:
         GM = multi_theta_gradients(contexts, X)
         assert G.shape == GM.shape == (m, d)
         for i, x in enumerate(X):
-            assert G[i].tobytes() == acquisition_gradient(contexts[0], x).tobytes()
-            assert GM[i].tobytes() == multi_theta_gradient(contexts, x).tobytes()
+            assert G[i].tobytes() == acquisition_gradients(contexts[0], x[None])[0].tobytes()
+            assert GM[i].tobytes() == multi_theta_gradients(contexts, x[None])[0].tobytes()
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9))
@@ -929,7 +946,7 @@ class TestScalarFormsMatchProfile:
             contexts.append(build_context(fit(gp.data, ker, gp.noise), mix))
         X = rng.uniform(-4.0, 4.0, size=(int(rng.integers(2, 41)), mix.dim))
         got = multi_theta_values(contexts, X)
-        assert_array_equal(got, [multi_theta_acquisition(contexts, x) for x in X])
+        assert_array_equal(got, [multi_theta_values(contexts, x[None])[0] for x in X])
         # the mean is over contexts, row by row, exactly as np.mean of one row's gains
         gains = [[info_gain_simplified(ctx, x) for ctx in contexts] for x in X]
         assert_array_equal(got, [np.mean(g) for g in gains])
@@ -942,9 +959,9 @@ class TestScalarFormsMatchProfile:
         x = np.full(mix.dim, np.nan)
         prof = acquisition_profile(ctx, x[None, :])
         assert np.isnan(prof["gain_simplified"][0])
-        assert_array_equal(prof["s_sq"], [acquisition_value(ctx, x)])
+        assert_array_equal(prof["s_sq"], acquisition_values(ctx, x[None]))
         assert_array_equal(prof["sigma2_sq"], [hypothetical_update(ctx, x).sigma2_sq])
         assert_array_equal(prof["gain_simplified"], [info_gain_simplified(ctx, x)])
-        assert_array_equal(prof["gain_simplified"], [multi_theta_acquisition([ctx], x)])
+        assert_array_equal(prof["gain_simplified"], multi_theta_values([ctx], x[None]))
         assert_array_equal(prof["gain_four_term"], [info_gain_four_term(ctx, x)[0]])
         assert all(np.isnan(v) for v in prof.values())

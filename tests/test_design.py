@@ -97,7 +97,7 @@ class TestStep:
         assert abs(rec.sigma1**2 - predicted) <= 1e-8 * max(1.0, ctx_before.sigma1_sq)
 
     def test_acquisition_recorded_from_prior_context(self):
-        from gpexpect.acquisition import acquisition_value, build_context
+        from gpexpect.acquisition import acquisition_values, build_context
         from gpexpect.gp import fit
 
         state = self.make_state()
@@ -106,7 +106,7 @@ class TestStep:
         step(state, lambda x: float(np.sin(x[0])))
         rec = state.history[-1]
         assert_allclose(
-            rec.acquisition_at_chosen, acquisition_value(ctx_before, rec.chosen_x),
+            rec.acquisition_at_chosen, acquisition_values(ctx_before, rec.chosen_x[None])[0],
             rtol=1e-10,
         )
 

@@ -1,4 +1,4 @@
-"""GP fitting, posterior queries, rank-1 updates, hyperparameter search."""
+"""GP fitting, posterior queries, marginal likelihood, hyperparameter search."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,6 @@ from gpexpect.gp import (
     posterior_mean,
     posterior_mean_many,
     posterior_var_many,
-    rank1_update_cov,
-    rank1_update_mean,
     select_hyperparameters,
 )
 from gpexpect.kernels import RbfKernel, kernel_matrix, kernel_vector
@@ -133,59 +131,6 @@ class TestPosteriorQueries:
         for i in range(7):
             assert_allclose(means[i], posterior_mean(gp, P[i]), rtol=1e-12)
             assert_allclose(vars_[i], posterior_cov(gp, P[i], P[i]), rtol=1e-9, atol=1e-12)
-
-
-class TestRank1Updates:
-    def test_zero_innovation_keeps_mean(self):
-        rng = np.random.default_rng(6)
-        gp = random_gp(rng, d=1, n=4)
-        xt = np.array([0.3])
-        yt = posterior_mean(gp, xt)
-        for _ in range(10):
-            x = rng.normal(size=1)
-            assert_allclose(rank1_update_mean(gp, xt, yt, x), posterior_mean(gp, x),
-                            rtol=1e-12)
-
-    def test_noiseless_update_interpolates(self):
-        rng = np.random.default_rng(7)
-        X = rng.normal(size=(3, 1))
-        gp = fit(Dataset(X=X, y=rng.normal(size=3)), make_kernel(), NoiseModel(variance=0.0))
-        xt = np.array([2.0])
-        assert rank1_update_mean(gp, xt, 5.0, xt) == pytest.approx(5.0, abs=1e-8)
-        assert rank1_update_cov(gp, xt, xt, xt) <= 1e-8
-
-    def test_matches_full_refit(self):
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            d = int(rng.integers(1, 4))
-            n = int(rng.integers(1, 9))
-            gp = random_gp(rng, d=d, n=n, noise=float(rng.uniform(1e-3, 0.1)))
-            xt = rng.normal(size=d)
-            yt = float(rng.normal())
-            refit = fit(gp.data.append(xt, yt), gp.kernel, gp.noise)
-            for _ in range(5):
-                a, b = rng.normal(size=(2, d))
-                assert_allclose(rank1_update_mean(gp, xt, yt, a),
-                                posterior_mean(refit, a), rtol=1e-8, atol=1e-10)
-                assert_allclose(rank1_update_cov(gp, xt, a, b),
-                                posterior_cov(refit, a, b), rtol=1e-8, atol=1e-10)
-
-    def test_far_point_leaves_cov_unchanged(self):
-        rng = np.random.default_rng(9)
-        gp = random_gp(rng, d=1, n=3)
-        xt = np.array([500.0])
-        a, b = np.array([0.1]), np.array([-0.2])
-        assert_allclose(rank1_update_cov(gp, xt, a, b), posterior_cov(gp, a, b), atol=1e-6)
-
-    def test_cov_never_increases_under_conditioning(self):
-        rng = np.random.default_rng(10)
-        gp = random_gp(rng, d=2, n=5)
-        xt = rng.normal(size=2)
-        for _ in range(20):
-            x = rng.normal(size=2)
-            before = posterior_cov(gp, x, x)
-            after = rank1_update_cov(gp, xt, x, x)
-            assert after <= before + 1e-12
 
 
 class TestLogMarginalLikelihood:

@@ -12,7 +12,6 @@ from gpexpect.kernels import (
     kernel_gradient,
     kernel_matrix,
     kernel_vector,
-    kernel_vector_jacobian,
 )
 
 
@@ -182,14 +181,3 @@ class TestKernelGradient:
                 fd[j] = (eval_kernel(a + step, b, ker) - eval_kernel(a - step, b, ker)) / (2 * h)
             scale = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(grad - fd) / scale < 1e-6
-
-    def test_jacobian_rows_are_gradients(self):
-        rng = np.random.default_rng(17)
-        ker = random_kernel(rng, 2)
-        X = rng.normal(size=(4, 2))
-        x = rng.normal(size=2)
-        J = kernel_vector_jacobian(x, X, ker)
-        assert J.shape == (4, 2)
-        for i in range(4):
-            assert_allclose(J[i], kernel_gradient(x, X[i], ker), rtol=1e-14)
-

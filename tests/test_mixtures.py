@@ -7,7 +7,6 @@ from scipy import stats
 
 from gpexpect.errors import InsufficientDataError
 from gpexpect.mixtures import (
-    EmConfig,
     GaussianMixture,
     component_box,
     fit_em,
@@ -157,14 +156,14 @@ class TestEm:
         samples = np.concatenate(
             [rng.normal(-2, 0.8, size=(150, 1)), rng.normal(2, 1.2, size=(150, 1))]
         )
-        _, trace = fit_em_trace(samples, 2, EmConfig(seed=0))
+        _, trace = fit_em_trace(samples, 2, seed=0)
         diffs = np.diff(trace)
         assert diffs.min() >= -1e-9
 
     def test_single_component_exact_moments(self):
         rng = np.random.default_rng(6)
         samples = rng.normal(size=(200, 2)) @ np.array([[1.0, 0.4], [0.0, 0.9]])
-        mix = fit_em(samples, 1, EmConfig(seed=0))
+        mix = fit_em(samples, 1, seed=0)
         assert_allclose(mix.means[0], samples.mean(axis=0), atol=1e-9)
         centered = samples - samples.mean(axis=0)
         assert_allclose(mix.covs[0], centered.T @ centered / len(samples), atol=1e-8)
@@ -174,19 +173,19 @@ class TestEm:
         samples = np.concatenate(
             [rng.normal(-5, 1.0, size=(500, 1)), rng.normal(5, 1.0, size=(500, 1))]
         )
-        mix = fit_em(samples, 2, EmConfig(seed=0))
+        mix = fit_em(samples, 2, seed=0)
         assert_allclose(np.sort(mix.weights), [0.5, 0.5], atol=0.02)
         assert_allclose(np.sort(mix.means[:, 0]), [-5.0, 5.0], atol=0.2)
 
     def test_requires_enough_samples(self):
         with pytest.raises(InsufficientDataError):
-            fit_em(np.zeros((15, 1)), 2, EmConfig(seed=0))
+            fit_em(np.zeros((15, 1)), 2, seed=0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
         samples = rng.normal(size=(80, 1))
-        a = fit_em(samples, 2, EmConfig(seed=4))
-        b = fit_em(samples, 2, EmConfig(seed=4))
+        a = fit_em(samples, 2, seed=4)
+        b = fit_em(samples, 2, seed=4)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.weights, b.weights)
 

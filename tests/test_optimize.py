@@ -8,9 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gpexpect.acquisition import (
-    acquisition_gradient,
     acquisition_gradients,
-    acquisition_value,
     acquisition_values,
     build_context,
 )
@@ -264,7 +262,8 @@ class TestBatchedLadderIsTheSequentialSearch:
         bounds = default_bounds(mix)
         starts = mixture_starts(mix, bounds, 6, seed)
         want = sequential_maximize(
-            lambda x: acquisition_value(ctx, x), lambda x: acquisition_gradient(ctx, x),
+            lambda x: acquisition_values(ctx, x[None])[0],
+            lambda x: acquisition_gradients(ctx, x[None])[0],
             bounds, cfg, starts,
         )
         x, val = maximize(
