@@ -210,12 +210,11 @@ def _parse_common(doc: dict):
         )
 
     pinned = _build_pinned_theta(doc, dimension)
-    search = HyperSearchConfig(seed=seed)
+    fixed_noise = None
     if "fixed_noise" in doc:
         if pinned is not None:
             raise ConfigError("config: 'fixed_noise' conflicts with a fixed 'kernel'")
-        search = HyperSearchConfig(seed=seed, fixed_noise=_as_number(doc["fixed_noise"],
-                                                                     "fixed_noise"))
+        fixed_noise = _as_number(doc["fixed_noise"], "fixed_noise")
 
     opt_kwargs = {}
     if "optimizer" in doc:
@@ -261,7 +260,7 @@ def _parse_common(doc: dict):
             optimizer=OptimizerConfig(**opt_kwargs),
             bounds=bounds,
             pinned_theta=pinned,
-            hyper_search=search,
+            hyper_search=HyperSearchConfig(seed=seed, fixed_noise=fixed_noise),
             center_y=center_y,
         )
     except ValueError as exc:

@@ -5,6 +5,14 @@ matrix and the weight vector ``(K + noise * I)^-1 y``.  Posterior queries
 are pure functions of that state.  What one more observation would do to
 the estimate of the integral is answered by the acquisition layer from a
 probe of the candidate rows against this factor, without refitting.
+
+The hyperparameter search maximizes the log evidence with L-BFGS-B and a
+forward-difference gradient that this module computes itself, with the
+rule of scipy 1.17's ``approx_derivative`` (``2-point``, absolute step
+1e-8, one-sided at the box bounds).  Each iterate and its stencil are
+scored by one stacked probe, whose one-row case is
+:func:`log_marginal_likelihood`.  Because the rule lives here, a change
+to scipy's finite differences cannot move the selected hyperparameters.
 """
 
 from __future__ import annotations
@@ -14,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from gpexpect._numerics import as_points, chol_solve, forward_solve
+from gpexpect._numerics import as_points, chol_solve, forward_solve, row_dots
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.kernels import (
     RbfKernel,
     eval_kernel,
     kernel_cross,
+    kernel_matrices,
     kernel_matrix,
     kernel_vector,
 )
@@ -32,6 +41,11 @@ _AMPLITUDE_BOX = (1e-3, 1e3)
 _NOISE_BOX = (1e-8, 1.0)
 # L-BFGS-B iteration cap per start
 _MAX_ITERATIONS = 200
+# the search's forward-difference step, L-BFGS-B's default absolute step
+_FD_STEP = 1e-8
+# scipy's default L-BFGS-B cap on objective evaluations, which counted
+# every finite-difference stencil row as one
+_MAX_EVALUATIONS = 15000
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,43 +217,143 @@ def posterior_var_many(gp: GpPosterior, X) -> np.ndarray:
     return gp.kernel.amplitude_sq - np.sum(U * U, axis=0)
 
 
+def _evidence_from_factors(y: np.ndarray, factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Log evidence of ``y`` per Gram factor in ``factors`` (k, n, n).
+
+    ``weights[r]`` solves the Gram system of ``factors[r]`` against ``y``.
+    """
+    log_det_half = np.sum(np.log(np.diagonal(factors, axis1=1, axis2=2)), axis=1)
+    return row_dots(weights, -0.5 * y) - log_det_half - 0.5 * y.size * np.log(2 * np.pi)
+
+
+def _fit_log_evidence(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> float:
+    """Log evidence of one kernel/noise through :func:`fit`, jitter ladder included."""
+    gp = fit(data, ker, noise)
+    return float(_evidence_from_factors(data.y, gp.gram_factor[None], gp.weights[None])[0])
+
+
+def _log_evidences(
+    data: Dataset,
+    amplitude_sq: np.ndarray,
+    lengthscales: np.ndarray,
+    noise: np.ndarray,
+    strict: bool = False,
+) -> np.ndarray:
+    """Log evidence of ``data`` under each row's kernel and noise, from one stacked probe.
+
+    Row ``r`` is the kernel ``(amplitude_sq[r], lengthscales[r])`` with
+    noise variance ``noise[r]``.  The rows' Gram matrices come from
+    :func:`kernel_matrices` and are factored by one Cholesky call, which is
+    :func:`fit`'s unjittered first try.  If any row is not a valid kernel
+    and noise or does not factor, each row goes through :func:`fit` on its
+    own, jitter ladder included.  Either way a row's value is the one it
+    has alone.  A row that fails there is NaN, or raises if ``strict``.
+    """
+    y = data.y
+    try:
+        if not (
+            lengthscales.shape[1] == data.dim
+            and 0 < lengthscales.min() <= lengthscales.max() < np.inf
+            and 0 < amplitude_sq.min() <= amplitude_sq.max() < np.inf
+            and 0 <= noise.min() <= noise.max() < np.inf
+        ):
+            raise ValueError("not a valid kernel and noise")
+        eye = np.eye(data.n)
+        A = kernel_matrices(data.X, amplitude_sq, lengthscales) + noise[:, None, None] * eye
+        factors = np.linalg.cholesky(A + 0.0 * eye)
+    except (np.linalg.LinAlgError, FloatingPointError, ValueError):
+        values = np.full(len(amplitude_sq), np.nan)
+        for r in range(len(amplitude_sq)):
+            try:
+                ker = RbfKernel(amplitude_sq=amplitude_sq[r], lengthscales=lengthscales[r])
+                values[r] = _fit_log_evidence(data, ker, NoiseModel(variance=noise[r]))
+            except (NumericalConditioningError, FloatingPointError, ValueError):
+                if strict:
+                    raise
+        return values
+    weights = np.array([chol_solve(chol, y) for chol in factors])
+    return _evidence_from_factors(y, factors, weights)
+
+
 def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> float:
-    """Log evidence of the data under the GP prior with the given kernel/noise."""
+    """Log evidence of the data under the GP prior with the given kernel/noise.
+
+    The one-row case of the hyperparameter search's stacked probe.
+
+    Raises
+    ------
+    NumericalConditioningError
+        If the Gram matrix does not factor even at :func:`fit`'s largest jitter.
+    """
     if data.n < 1:
         raise InsufficientDataError("log marginal likelihood needs at least one point")
-    gp = fit(data, ker, noise)
-    log_det_half = float(np.sum(np.log(np.diag(gp.gram_factor))))
-    return float(
-        -0.5 * data.y @ gp.weights - log_det_half - 0.5 * data.n * np.log(2 * np.pi)
+    rows = _log_evidences(
+        data,
+        np.array([ker.amplitude_sq]),
+        ker.lengthscales[None, :],
+        np.array([noise.variance]),
+        strict=True,
     )
+    return float(rows[0])
 
 
 @dataclass(frozen=True)
 class HyperSearchConfig:
     """Multi-start marginal-likelihood search settings.
 
-    ``starts`` L-BFGS-B ascents, seeded by ``seed``; ``fixed_noise`` pins
-    the noise variance instead of searching it.  The search boxes, which
-    are relative to the data, and the iteration cap are module constants:
-    ``_LENGTHSCALE_BOX``, ``_AMPLITUDE_BOX``, ``_NOISE_BOX`` and
-    ``_MAX_ITERATIONS``.
+    ``starts`` (at least 1) L-BFGS-B ascents, seeded by ``seed``;
+    ``fixed_noise``, finite and nonnegative, pins the noise variance
+    instead of searching it.  The search boxes, which are relative to the
+    data, and the iteration cap are module constants: ``_LENGTHSCALE_BOX``,
+    ``_AMPLITUDE_BOX``, ``_NOISE_BOX`` and ``_MAX_ITERATIONS``.
     """
 
     starts: int = 8
     seed: int = 0
     fixed_noise: float | None = None
 
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"hyperparameter search needs starts >= 1, got {self.starts}")
+        if self.fixed_noise is not None and not (
+            np.isfinite(self.fixed_noise) and self.fixed_noise >= 0
+        ):
+            raise ValueError(f"fixed_noise must be finite and >= 0, got {self.fixed_noise}")
 
-def _unpack_theta(z: np.ndarray, d: int, cfg: HyperSearchConfig) -> HyperparameterSample:
-    ls = np.exp(z[:d])
-    s2 = float(np.exp(z[d]))
-    if cfg.fixed_noise is not None:
-        nv = cfg.fixed_noise
+
+def _unpack_rows(Z: np.ndarray, d: int, fixed_noise: float | None):
+    """Amplitudes, lengthscale rows and noises of log-parameter rows ``Z``.
+
+    Each row is exponentiated on its own, as one theta would be.
+    """
+    lengthscales = np.array([np.exp(z[:d]) for z in Z])
+    amplitude_sq = np.array([float(np.exp(z[d])) for z in Z])
+    if fixed_noise is not None:
+        noise = np.full(len(Z), float(fixed_noise))
     else:
-        nv = float(np.exp(z[d + 1]))
-    return HyperparameterSample(
-        kernel=RbfKernel(amplitude_sq=s2, lengthscales=ls), noise=NoiseModel(variance=nv)
+        noise = np.array([float(np.exp(z[d + 1])) for z in Z])
+    return amplitude_sq, lengthscales, noise
+
+
+def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Forward-difference step per coordinate of ``z`` in the box ``[lo, hi]``.
+
+    The step is ``_FD_STEP``; where ``z + _FD_STEP`` rounds back to ``z``
+    it is ``sqrt(eps) * sign(z) * max(1, |z|)`` (sign +1 at 0).  A step
+    that leaves the box is flipped if it fits on the other side, else it
+    becomes the distance to the farther bound, signed toward it.
+    """
+    sign = (z >= 0).astype(float) * 2 - 1
+    h = np.where(
+        (z + _FD_STEP) - z == 0,
+        np.finfo(float).eps ** 0.5 * sign * np.maximum(1.0, np.abs(z)),
+        _FD_STEP,
     )
+    below, above = z - lo, hi - z
+    fits = np.abs(h) <= np.maximum(below, above)
+    leaves = ((z + h) < lo) | ((z + h) > hi)
+    h = np.where(leaves & fits, -h, h)
+    return np.where(fits, h, np.where(above >= below, above, -below))
 
 
 def select_hyperparameters(
@@ -250,6 +364,18 @@ def select_hyperparameters(
     Runs ``search.starts`` L-BFGS-B ascents from the box center plus
     log-uniform random starts, and returns the best candidate seen at any
     evaluation.  Deterministic given ``search.seed``.
+
+    The gradient is a forward difference, computed here rather than by
+    scipy, so that each iterate ``z`` and its ``p`` stencil points
+    ``z + h_i e_i`` are scored in one stacked probe: ``g_i = (f_i - f_0) /
+    ((z_i + h_i) - z_i)`` with the steps of :func:`_forward_steps`.  These
+    are the evaluations and the arithmetic of scipy 1.17's ``2-point``
+    rule with L-BFGS-B's absolute step 1e-8, so results match a search
+    that lets L-BFGS-B estimate the gradient, and a change to scipy's
+    finite differences cannot move them.  Every row counts as one
+    objective evaluation, in stencil order, for the best candidate (first
+    strictly lowest ``-LML``) and for the failure count; a failed row
+    scores ``1e12``.
 
     Raises
     ------
@@ -282,24 +408,26 @@ def select_hyperparameters(
             [] if search.fixed_noise is not None else [np.log(_NOISE_BOX[1] * scale_y)],
         ]
     )
+    p = lo.size
 
     best = {"value": np.inf, "z": None}
     counts = {"evaluations": 0, "failed": 0}
 
-    def objective(z):
-        counts["evaluations"] += 1
-        try:
-            theta = _unpack_theta(z, d, search)
-            val = -log_marginal_likelihood(data, theta.kernel, theta.noise)
-        except (NumericalConditioningError, FloatingPointError, ValueError):
-            val = np.nan
-        if not np.isfinite(val):
-            counts["failed"] += 1
-            return 1e12
-        if val < best["value"]:
-            best["value"] = val
-            best["z"] = z.copy()
-        return val
+    def fun_and_grad(z):
+        h = _forward_steps(z, lo, hi)
+        Z = np.repeat(z[None, :], p + 1, axis=0)
+        Z[np.arange(1, p + 1), np.arange(p)] = z + h
+        values = -_log_evidences(data, *_unpack_rows(Z, d, search.fixed_noise))
+        ok = np.isfinite(values)
+        counts["evaluations"] += p + 1
+        counts["failed"] += int(np.sum(~ok))
+        scores = np.where(ok, values, np.inf)
+        r = int(np.argmin(scores))
+        if scores[r] < best["value"]:
+            best["value"] = scores[r]
+            best["z"] = Z[r].copy()
+        f = np.where(ok, values, 1e12)
+        return float(f[0]), (f[1:] - f[0]) / ((z + h) - z)
 
     rng = np.random.default_rng(search.seed)
     starts = [0.5 * (lo + hi)]
@@ -308,11 +436,12 @@ def select_hyperparameters(
 
     for z0 in starts:
         minimize(
-            objective,
+            fun_and_grad,
             z0,
+            jac=True,
             method="L-BFGS-B",
             bounds=list(zip(lo, hi)),
-            options={"maxiter": _MAX_ITERATIONS},
+            options={"maxiter": _MAX_ITERATIONS, "maxfun": _MAX_EVALUATIONS // (p + 1)},
         )
 
     if best["z"] is None:
@@ -320,4 +449,8 @@ def select_hyperparameters(
             f"no hyperparameter candidate was evaluable: {counts['failed']} of "
             f"{counts['evaluations']} objective evaluations failed"
         )
-    return _unpack_theta(best["z"], d, search)
+    amplitude_sq, lengthscales, noise = _unpack_rows(best["z"][None, :], d, search.fixed_noise)
+    return HyperparameterSample(
+        kernel=RbfKernel(amplitude_sq=amplitude_sq[0], lengthscales=lengthscales[0]),
+        noise=NoiseModel(variance=noise[0]),
+    )

@@ -87,13 +87,26 @@ def eval_kernel_scaled(a, b, amplitude_sq: float, scale) -> float:
 def kernel_matrix(X, ker: RbfKernel) -> np.ndarray:
     """Gram matrix with entries ``k(x_i, x_j)`` for rows of ``X``.
 
-    Symmetric with diagonal ``amplitude_sq``; positive semidefinite.
+    Symmetric with diagonal ``amplitude_sq``; positive semidefinite.  The
+    one-kernel case of :func:`kernel_matrices`.
     """
     X = as_points(X, ker.dim)
-    scaled = X / np.sqrt(ker.lengthscales)
-    sq = np.sum((scaled[:, None, :] - scaled[None, :, :]) ** 2, axis=-1)
-    K = ker.amplitude_sq * np.exp(-0.5 * sq)
-    return 0.5 * (K + K.T)
+    return kernel_matrices(X, np.array([ker.amplitude_sq]), ker.lengthscales[None, :])[0]
+
+
+def kernel_matrices(
+    X: np.ndarray, amplitude_sq: np.ndarray, lengthscales: np.ndarray
+) -> np.ndarray:
+    """Gram matrices of the rows of ``X`` (n, d) under k kernels at once, shape (k, n, n).
+
+    Kernel ``r`` has amplitude ``amplitude_sq[r]`` and scale variances
+    ``lengthscales[r]``.  Each matrix is computed elementwise, so it does
+    not depend on the other kernels.
+    """
+    scaled = X / np.sqrt(lengthscales)[:, None, :]
+    sq = np.sum((scaled[:, :, None, :] - scaled[:, None, :, :]) ** 2, axis=-1)
+    K = amplitude_sq[:, None, None] * np.exp(-0.5 * sq)
+    return 0.5 * (K + K.transpose(0, 2, 1))
 
 
 def kernel_cross(A, B, ker: RbfKernel) -> np.ndarray:

@@ -150,6 +150,17 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("fixed_noise", [-1.0, float("nan")])
+    def test_bad_fixed_noise_is_a_config_error(self, tmp_path, capsys, fixed_noise):
+        cfg = write_config(tmp_path / "cfg.json", fixed_noise=fixed_noise)
+        doc = json.loads(cfg.read_text())
+        del doc["kernel"], doc["noise_variance"]
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "fixed_noise must be finite and >= 0" in err
+
 
 class TestNumericalErrorExit:
     def test_evaluation_error_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):

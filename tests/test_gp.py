@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
+from scipy.optimize._numdiff import approx_derivative
 
 import gpexpect.gp
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
@@ -178,6 +182,42 @@ class TestLogMarginalLikelihood:
         with pytest.raises(InsufficientDataError):
             log_marginal_likelihood(Dataset.empty(1), make_kernel(), NoiseModel(variance=0.1))
 
+    def test_is_the_fit_based_formula_bit_for_bit(self):
+        """The one-row probe equals the formula on ``fit``'s factor, jittered fits included."""
+        rng = np.random.default_rng(16)
+        jittered = 0
+        for case in range(200):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 31))
+            X = rng.normal(size=(n, d))
+            if case % 4 == 0 and n > 1:
+                X[1] = X[0]
+            data = Dataset(X=X, y=rng.normal(size=n))
+            ker = RbfKernel(
+                amplitude_sq=float(np.exp(rng.uniform(-3, 3))),
+                lengthscales=np.exp(rng.uniform(-3, 3, size=d)),
+            )
+            noise_variance = 0.0 if case % 4 == 0 else float(np.exp(rng.uniform(-12, 0)))
+            noise = NoiseModel(variance=noise_variance)
+            jittered += fit(data, ker, noise).jitter > 0
+            got = log_marginal_likelihood(data, ker, noise)
+            assert got.hex() == reference_log_marginal_likelihood(data, ker, noise).hex()
+        assert jittered > 0
+
+    def test_unfactorable_gram_matrix_raises(self, monkeypatch):
+        def unfactorable(a):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "cholesky", unfactorable)
+        data = Dataset(X=np.array([[0.0], [1.0]]), y=np.array([0.5, -0.5]))
+        with pytest.raises(NumericalConditioningError, match="even with jitter"):
+            log_marginal_likelihood(data, make_kernel(), NoiseModel(variance=0.1))
+
+    def test_dimension_mismatch(self):
+        data = Dataset(X=np.zeros((2, 2)), y=np.zeros(2))
+        with pytest.raises(ValueError, match="dimension"):
+            log_marginal_likelihood(data, make_kernel(d=1), NoiseModel(variance=0.1))
+
 
 class TestSelectHyperparameters:
     def test_recovers_known_lengthscale(self):
@@ -230,7 +270,12 @@ class TestSelectHyperparameters:
                 raise NumericalConditioningError("forced")
             return np.nan
 
-        monkeypatch.setattr(gpexpect.gp, "log_marginal_likelihood", failing)
+        def unfactorable(a):
+            raise np.linalg.LinAlgError("forced")
+
+        # every stacked probe fails, so each row goes through the per-row fit
+        monkeypatch.setattr(np.linalg, "cholesky", unfactorable)
+        monkeypatch.setattr(gpexpect.gp, "_fit_log_evidence", failing)
         rng = np.random.default_rng(15)
         data = Dataset(X=rng.normal(size=(6, 1)), y=rng.normal(size=6))
         with pytest.raises(NumericalConditioningError) as caught:
@@ -246,3 +291,192 @@ class TestSelectHyperparameters:
             select_hyperparameters(
                 Dataset(X=np.array([[0.0]]), y=np.array([1.0])), HyperSearchConfig(seed=0)
             )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"starts": 0}, {"starts": -1}, {"fixed_noise": -1.0}, {"fixed_noise": np.nan},
+         {"fixed_noise": np.inf}],
+    )
+    def test_config_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            HyperSearchConfig(**kwargs)
+
+    def test_config_accepts_edge_values(self):
+        cfg = HyperSearchConfig(starts=1, fixed_noise=0.0)
+        assert (cfg.starts, cfg.fixed_noise) == (1, 0.0)
+
+
+def reference_log_marginal_likelihood(data, ker, noise):
+    """The log evidence as computed on ``fit``'s factor before the stacked probe."""
+    gp = gpexpect.gp.fit(data, ker, noise)
+    log_det_half = float(np.sum(np.log(np.diag(gp.gram_factor))))
+    return float(
+        -0.5 * data.y @ gp.weights - log_det_half - 0.5 * data.n * np.log(2 * np.pi)
+    )
+
+
+def reference_search(data, search):
+    """The search as it was before the stacked probe: one objective call per point,
+    with the gradient estimated by L-BFGS-B through scipy's finite differences.
+
+    Returns ``(theta, evaluations, failed)`` with ``theta`` the best
+    ``(amplitude_sq, lengthscales, noise)``, or None if nothing was finite.
+    """
+    d = data.dim
+    span = np.ptp(data.X, axis=0)
+    span = np.where(span > 0, span, 1.0)
+    var_y = float(np.var(data.y))
+    scale_y = var_y if var_y > 0 else 1.0
+    lo = [np.log(gpexpect.gp._LENGTHSCALE_BOX[0] * span**2),
+          [np.log(gpexpect.gp._AMPLITUDE_BOX[0] * scale_y)]]
+    hi = [np.log(gpexpect.gp._LENGTHSCALE_BOX[1] * span**2),
+          [np.log(gpexpect.gp._AMPLITUDE_BOX[1] * scale_y)]]
+    if search.fixed_noise is None:
+        lo.append([np.log(gpexpect.gp._NOISE_BOX[0] * scale_y)])
+        hi.append([np.log(gpexpect.gp._NOISE_BOX[1] * scale_y)])
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+
+    def unpack(z):
+        ker = RbfKernel(amplitude_sq=float(np.exp(z[d])), lengthscales=np.exp(z[:d]))
+        nv = search.fixed_noise if search.fixed_noise is not None else float(np.exp(z[d + 1]))
+        return ker, NoiseModel(variance=nv)
+
+    best = {"value": np.inf, "z": None}
+    counts = {"evaluations": 0, "failed": 0}
+
+    def objective(z):
+        counts["evaluations"] += 1
+        try:
+            val = -reference_log_marginal_likelihood(data, *unpack(z))
+        except (NumericalConditioningError, FloatingPointError, ValueError):
+            val = np.nan
+        if not np.isfinite(val):
+            counts["failed"] += 1
+            return 1e12
+        if val < best["value"]:
+            best["value"] = val
+            best["z"] = z.copy()
+        return val
+
+    rng = np.random.default_rng(search.seed)
+    starts = [0.5 * (lo + hi)] + [rng.uniform(lo, hi) for _ in range(search.starts - 1)]
+    for z0 in starts:
+        minimize(objective, z0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                 options={"maxiter": gpexpect.gp._MAX_ITERATIONS})
+    theta = None
+    if best["z"] is not None:
+        ker, noise = unpack(best["z"])
+        theta = (ker.amplitude_sq, ker.lengthscales.tolist(), noise.variance)
+    return theta, counts["evaluations"], counts["failed"]
+
+
+class TestSearchMatchesReference:
+    """The stacked search makes the reference search's evaluations, bit for bit."""
+
+    def test_forward_steps_are_scipys_two_point_stencil(self):
+        """``z + h_i e_i`` are the points scipy 1.17's 2-point rule evaluates, as
+        L-BFGS-B calls it, on the large-|z| fallback step, on a bound and in a
+        box narrower than the step."""
+        rng = np.random.default_rng(19)
+        for case in range(300):
+            lo = rng.uniform(-10, 0, size=3)
+            hi = lo + np.where(rng.random(3) < 0.1, 5e-9, rng.uniform(1e-3, 10, size=3))
+            z = rng.uniform(lo, hi)
+            z = np.where(rng.random(3) < 0.2, hi, np.where(rng.random(3) < 0.2, lo, z))
+            if case % 10 == 0:
+                z[0], lo[0], hi[0] = 1e9, -2e9, 2e9
+            points = []
+            approx_derivative(lambda x: points.append(x.copy()) or 0.0, z,
+                              method="2-point", abs_step=gpexpect.gp._FD_STEP,
+                              f0=0.0, bounds=(lo, hi))
+            h = gpexpect.gp._forward_steps(z, lo, hi)
+            for i, x in enumerate(points):
+                assert x[i].hex() == (z[i] + h[i]).hex()
+
+    @staticmethod
+    def check(data, search):
+        """Run both searches; returns the stacked search's probe values and steps."""
+        theta, evaluations, failed = reference_search(data, search)
+        log = {"values": [], "steps": []}
+        probe, steps = gpexpect.gp._log_evidences, gpexpect.gp._forward_steps
+
+        def logged_probe(*args, **kwargs):
+            values = probe(*args, **kwargs)
+            log["values"].append(values)
+            return values
+
+        def logged_steps(z, lo, hi):
+            h = steps(z, lo, hi)
+            log["steps"].append((z.copy(), h, hi))
+            return h
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gpexpect.gp, "_log_evidences", logged_probe)
+            mp.setattr(gpexpect.gp, "_forward_steps", logged_steps)
+            if theta is None:
+                with pytest.raises(NumericalConditioningError):
+                    select_hyperparameters(data, search)
+            else:
+                got = select_hyperparameters(data, search)
+                assert (
+                    got.kernel.amplitude_sq, got.kernel.lengthscales.tolist(),
+                    got.noise.variance,
+                ) == theta
+        values = np.concatenate(log["values"])
+        assert values.size == evaluations
+        assert int(np.sum(~np.isfinite(values))) == failed
+        return log
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        n=st.integers(2, 30),
+        fixed_noise=st.sampled_from([None, None, 0.0, 1e-3, 0.5]),
+        starts=st.integers(1, 3),
+    )
+    def test_random_data(self, seed, d, n, fixed_noise, starts):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        y = np.sin(2.0 * X.sum(axis=1)) + 0.1 * rng.normal(size=n)
+        search = HyperSearchConfig(starts=starts, seed=seed % 1000, fixed_noise=fixed_noise)
+        self.check(Dataset(X=X, y=y), search)
+
+    def test_iterate_on_an_upper_bound_flips_the_step(self):
+        X = np.linspace(-1, 1, 6).reshape(-1, 1)
+        log = self.check(Dataset(X=X, y=X[:, 0] ** 2), HyperSearchConfig(seed=0, starts=2))
+        assert any(np.any((z == hi) & (h < 0)) for z, h, hi in log["steps"])
+
+    def test_duplicate_noiseless_inputs_use_the_jitter_fallback(self, monkeypatch):
+        fits = []
+        fit_log_evidence = gpexpect.gp._fit_log_evidence
+
+        def counted(data, ker, noise):
+            fits.append(fit(data, ker, noise).jitter)
+            return fit_log_evidence(data, ker, noise)
+
+        monkeypatch.setattr(gpexpect.gp, "_fit_log_evidence", counted)
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(8, 2))
+        X[3] = X[0]
+        X[5] = X[1]
+        data = Dataset(X=X, y=np.cos(X.sum(axis=1)))
+        self.check(data, HyperSearchConfig(seed=1, starts=2, fixed_noise=0.0))
+        assert any(j > 0 for j in fits)
+
+    def test_stencil_with_some_failed_rows(self, monkeypatch):
+        # a Gram matrix whose (1, 0) entry has an odd last bit fails to
+        # factor at every jitter, so rows of one stencil fail independently
+        cholesky = np.linalg.cholesky
+
+        def picky(a):
+            if np.any(np.asarray(a)[..., 1, 0].view(np.int64) & 1):
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", picky)
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(7, 1))
+        data = Dataset(X=X, y=np.sin(3.0 * X[:, 0]))
+        log = self.check(data, HyperSearchConfig(seed=2, starts=2))
+        assert any(0 < np.sum(~np.isfinite(v)) < v.size for v in log["values"])

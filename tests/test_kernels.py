@@ -10,6 +10,7 @@ from gpexpect.kernels import (
     eval_kernel_scaled,
     kernel_cross,
     kernel_gradient,
+    kernel_matrices,
     kernel_matrix,
     kernel_vector,
 )
@@ -89,6 +90,19 @@ class TestEvalKernelScaled:
 
 
 class TestKernelMatrix:
+    def test_stacked_matrices_do_not_depend_on_the_stack(self):
+        """Each slice of a stack is the Gram matrix of its kernel alone, bit for bit."""
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            d = int(rng.integers(1, 5))
+            X = rng.normal(size=(int(rng.integers(1, 25)), d))
+            amplitude_sq = np.exp(rng.uniform(-4, 4, size=int(rng.integers(1, 7))))
+            lengthscales = np.exp(rng.uniform(-4, 4, size=(amplitude_sq.size, d)))
+            stack = kernel_matrices(X, amplitude_sq, lengthscales)
+            for r in range(amplitude_sq.size):
+                alone = kernel_matrices(X, amplitude_sq[r:r + 1], lengthscales[r:r + 1])
+                assert_array_equal(stack[r], alone[0])
+
     def test_single_point(self):
         ker = RbfKernel(amplitude_sq=1.7, lengthscales=np.array([1.0]))
         assert_allclose(kernel_matrix(np.array([[0.5]]), ker), [[1.7]])
