@@ -9,10 +9,13 @@ probe of the candidate rows against this factor, without refitting.
 The hyperparameter search maximizes the log evidence with L-BFGS-B and a
 forward-difference gradient that this module computes itself, with the
 rule of scipy 1.17's ``approx_derivative`` (``2-point``, absolute step
-1e-8, one-sided at the box bounds).  Each iterate and its stencil are
-scored by one stacked probe, whose one-row case is
-:func:`log_marginal_likelihood`.  Because the rule lives here, a change
-to scipy's finite differences cannot move the selected hyperparameters.
+1e-8, one-sided at the box bounds).  All starts run in lockstep: each
+drives its own state of scipy's reverse-communication routine ``setulb``
+as ``minimize(method="L-BFGS-B")`` would, and each round scores every
+start's requested iterate and its stencil in one stacked probe, whose
+one-row case is :func:`log_marginal_likelihood`.  Because the rule lives
+here, a change to scipy's finite differences cannot move the selected
+hyperparameters.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+
+# the routine scipy.optimize._lbfgsb_py._minimize_lbfgsb loops over (scipy >= 1.15)
+from scipy.optimize._lbfgsb import setulb
 
 from gpexpect._numerics import as_points, chol_solve, forward_solve, row_dots
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
@@ -46,6 +51,15 @@ _FD_STEP = 1e-8
 # scipy's default L-BFGS-B cap on objective evaluations, which counted
 # every finite-difference stencil row as one
 _MAX_EVALUATIONS = 15000
+# the rest of minimize(method="L-BFGS-B")'s defaults: memory, factr
+# (ftol / eps), projected-gradient tolerance and line-search steps
+_LBFGSB_MEMORY = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+# setulb's task codes: a request for f and g at x, and a new iterate
+_TASK_FG = 3
+_TASK_NEW_X = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +246,14 @@ def _fit_log_evidence(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> float
     return float(_evidence_from_factors(data.y, gp.gram_factor[None], gp.weights[None])[0])
 
 
+def _cholesky_alone(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``a``, or None if it does not factor."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _log_evidences(
     data: Dataset,
     amplitude_sq: np.ndarray,
@@ -242,37 +264,47 @@ def _log_evidences(
     """Log evidence of ``data`` under each row's kernel and noise, from one stacked probe.
 
     Row ``r`` is the kernel ``(amplitude_sq[r], lengthscales[r])`` with
-    noise variance ``noise[r]``.  The rows' Gram matrices come from
+    noise variance ``noise[r]``.  The valid rows' Gram matrices come from
     :func:`kernel_matrices` and are factored by one Cholesky call, which is
-    :func:`fit`'s unjittered first try.  If any row is not a valid kernel
-    and noise or does not factor, each row goes through :func:`fit` on its
-    own, jitter ladder included.  Either way a row's value is the one it
-    has alone.  A row that fails there is NaN, or raises if ``strict``.
+    :func:`fit`'s unjittered first try.  If that call fails, each row is
+    factored on its own.  Only a row that is not a valid kernel and noise,
+    or does not factor alone, goes through :func:`fit`, jitter ladder
+    included.  Either way a row's value is the one it has alone.  A row
+    that fails there is NaN, or raises if ``strict``.
     """
     y = data.y
-    try:
-        if not (
-            lengthscales.shape[1] == data.dim
-            and 0 < lengthscales.min() <= lengthscales.max() < np.inf
-            and 0 < amplitude_sq.min() <= amplitude_sq.max() < np.inf
-            and 0 <= noise.min() <= noise.max() < np.inf
-        ):
-            raise ValueError("not a valid kernel and noise")
+    values = np.full(len(amplitude_sq), np.nan)
+    valid = (
+        (lengthscales.shape[1] == data.dim)
+        & np.all((0 < lengthscales) & (lengthscales < np.inf), axis=1)
+        & (0 < amplitude_sq) & (amplitude_sq < np.inf)
+        & (0 <= noise) & (noise < np.inf)
+    )
+    factored = np.zeros(len(amplitude_sq), dtype=bool)
+    if np.any(valid):
         eye = np.eye(data.n)
-        A = kernel_matrices(data.X, amplitude_sq, lengthscales) + noise[:, None, None] * eye
-        factors = np.linalg.cholesky(A + 0.0 * eye)
-    except (np.linalg.LinAlgError, FloatingPointError, ValueError):
-        values = np.full(len(amplitude_sq), np.nan)
-        for r in range(len(amplitude_sq)):
-            try:
-                ker = RbfKernel(amplitude_sq=amplitude_sq[r], lengthscales=lengthscales[r])
-                values[r] = _fit_log_evidence(data, ker, NoiseModel(variance=noise[r]))
-            except (NumericalConditioningError, FloatingPointError, ValueError):
-                if strict:
-                    raise
-        return values
-    weights = np.array([chol_solve(chol, y) for chol in factors])
-    return _evidence_from_factors(y, factors, weights)
+        try:
+            A = kernel_matrices(data.X, amplitude_sq[valid], lengthscales[valid])
+            A = A + noise[valid, None, None] * eye
+            factors = np.linalg.cholesky(A + 0.0 * eye)
+            factored = valid
+        except FloatingPointError:
+            factors = []
+        except np.linalg.LinAlgError:
+            alone = [_cholesky_alone(a + 0.0 * eye) for a in A]
+            factored[valid] = [chol is not None for chol in alone]
+            factors = [chol for chol in alone if chol is not None]
+        if len(factors):
+            weights = np.array([chol_solve(chol, y) for chol in factors])
+            values[factored] = _evidence_from_factors(y, np.asarray(factors), weights)
+    for r in np.flatnonzero(~factored):
+        try:
+            ker = RbfKernel(amplitude_sq=amplitude_sq[r], lengthscales=lengthscales[r])
+            values[r] = _fit_log_evidence(data, ker, NoiseModel(variance=noise[r]))
+        except (NumericalConditioningError, FloatingPointError, ValueError):
+            if strict:
+                raise
+    return values
 
 
 def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> float:
@@ -324,15 +356,11 @@ class HyperSearchConfig:
 def _unpack_rows(Z: np.ndarray, d: int, fixed_noise: float | None):
     """Amplitudes, lengthscale rows and noises of log-parameter rows ``Z``.
 
-    Each row is exponentiated on its own, as one theta would be.
+    ``np.exp`` is elementwise, so each row reads as one theta alone would.
     """
-    lengthscales = np.array([np.exp(z[:d]) for z in Z])
-    amplitude_sq = np.array([float(np.exp(z[d])) for z in Z])
-    if fixed_noise is not None:
-        noise = np.full(len(Z), float(fixed_noise))
-    else:
-        noise = np.array([float(np.exp(z[d + 1])) for z in Z])
-    return amplitude_sq, lengthscales, noise
+    E = np.exp(Z)
+    noise = E[:, d + 1] if fixed_noise is None else np.full(len(Z), float(fixed_noise))
+    return E[:, d], E[:, :d], noise
 
 
 def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -356,6 +384,92 @@ def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(fits, h, np.where(above >= below, above, -below))
 
 
+class _LbfgsbStart:
+    """One start's ``setulb`` state: iterate, work arrays, counters and last evaluation."""
+
+    def __init__(self, x: np.ndarray):
+        m, p = _LBFGSB_MEMORY, x.size
+        self.x = x
+        self.nbd = np.full(p, 2, dtype=np.int32)  # both bounds finite
+        self.f = np.array(0.0)
+        self.g = np.zeros(p)
+        self.wa = np.zeros(2 * m * p + 5 * p + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * p, dtype=np.int32)
+        self.task = np.zeros(2, dtype=np.int32)
+        self.ln_task = np.zeros(2, dtype=np.int32)
+        self.lsave = np.zeros(4, dtype=np.int32)
+        self.isave = np.zeros(44, dtype=np.int32)
+        self.dsave = np.zeros(29)
+        self.iterations = 0
+        self.evaluations = 0
+        self.evaluated = None
+
+    def answer(self, f: float, g: np.ndarray):
+        """Take ``f, g`` evaluated at ``x``, the start point or the point ``setulb`` asked for."""
+        self.evaluated = (self.x.copy(), f, g)
+        self.evaluations += 1
+        if self.task[0] == _TASK_FG:
+            self.f, self.g = f, g
+
+    def advance(self, lo, hi, max_iterations: int, max_evaluations: int) -> bool:
+        """Step ``setulb`` until it asks for ``f, g`` at a new point (True) or stops (False).
+
+        A request for the last evaluated point is answered from that
+        evaluation without counting it, as scipy's ``ScalarFunction``
+        does.  At each new iterate the start stops once it has made
+        ``max_iterations`` iterations or more than ``max_evaluations``
+        evaluations.
+        """
+        while True:
+            # a fresh copy per call, as scipy passes it, so the stored
+            # evaluation stays as it was returned
+            self.g = self.g.astype(np.float64)
+            setulb(
+                _LBFGSB_MEMORY, self.x, lo, hi, self.nbd, self.f, self.g, _LBFGSB_FACTR,
+                _LBFGSB_PGTOL, self.wa, self.iwa, self.task, self.lsave, self.isave,
+                self.dsave, _LBFGSB_MAXLS, self.ln_task,
+            )
+            if self.task[0] == _TASK_FG:
+                if not np.array_equal(self.x, self.evaluated[0]):
+                    return True
+                self.f, self.g = self.evaluated[1:]
+            elif self.task[0] == _TASK_NEW_X:
+                self.iterations += 1
+                if self.iterations >= max_iterations:
+                    self.task[:] = 5, 504  # STOP: iteration limit
+                elif self.evaluations > max_evaluations:
+                    self.task[:] = 5, 502  # STOP: evaluation limit
+            else:
+                return False
+
+
+def _lbfgsb_lockstep(fun_and_grad, x0, lo, hi, max_iterations: int, max_evaluations: int):
+    """Minimize from each row of ``x0`` over the box ``[lo, hi]``, all starts in lockstep.
+
+    Each start makes the evaluations of scipy 1.17's
+    ``minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...)`` with
+    ``maxiter=max_iterations`` and ``maxfun=max_evaluations``: its start
+    is clipped into the box and evaluated once, and then it follows
+    ``_minimize_lbfgsb``'s loop over ``setulb`` with minimize's defaults.
+    Each round advances every running start to its next request and
+    answers all of them with one call ``fun_and_grad(owners, X)``, which
+    returns the values ``(k,)`` and gradients ``(k, p)`` at the rows of
+    ``X``; row ``j`` was requested by start ``owners[j]``.
+
+    Returns each start's final ``(x, evaluations, iterations)``.
+    """
+    starts = [_LbfgsbStart(x) for x in np.clip(np.asarray(x0, dtype=float), lo, hi)]
+    pending = list(range(len(starts)))
+    while pending:
+        values, grads = fun_and_grad(np.array(pending), np.array([starts[i].x for i in pending]))
+        for j, i in enumerate(pending):
+            starts[i].answer(float(values[j]), grads[j])
+        pending = [
+            i for i in pending if starts[i].advance(lo, hi, max_iterations, max_evaluations)
+        ]
+    return [(s.x, s.evaluations, s.iterations) for s in starts]
+
+
 def select_hyperparameters(
     data: Dataset, search: HyperSearchConfig = HyperSearchConfig()
 ) -> HyperparameterSample:
@@ -373,9 +487,16 @@ def select_hyperparameters(
     rule with L-BFGS-B's absolute step 1e-8, so results match a search
     that lets L-BFGS-B estimate the gradient, and a change to scipy's
     finite differences cannot move them.  Every row counts as one
-    objective evaluation, in stencil order, for the best candidate (first
-    strictly lowest ``-LML``) and for the failure count; a failed row
-    scores ``1e12``.
+    objective evaluation for the failure count; a failed row scores
+    ``1e12``.
+
+    The starts run in lockstep (:func:`_lbfgsb_lockstep`): each round
+    scores every running start's iterate and stencil in one probe, and
+    each start makes the evaluations ``minimize(method="L-BFGS-B")``
+    would make from it.  The best candidate is the one a run of the
+    starts one after another would keep: each start's rows are replayed in
+    its own evaluation and stencil order, the starts in start order, and
+    the first strictly lowest ``-LML`` wins.
 
     Raises
     ------
@@ -410,46 +531,45 @@ def select_hyperparameters(
     )
     p = lo.size
 
-    best = {"value": np.inf, "z": None}
+    best_value = np.full(search.starts, np.inf)
+    best_z = [None] * search.starts
     counts = {"evaluations": 0, "failed": 0}
 
-    def fun_and_grad(z):
+    def fun_and_grad(owners, z):
+        k = len(owners)
         h = _forward_steps(z, lo, hi)
-        Z = np.repeat(z[None, :], p + 1, axis=0)
-        Z[np.arange(1, p + 1), np.arange(p)] = z + h
-        values = -_log_evidences(data, *_unpack_rows(Z, d, search.fixed_noise))
+        Z = np.repeat(z[:, None, :], p + 1, axis=1)
+        Z[:, np.arange(1, p + 1), np.arange(p)] = z + h
+        rows = _unpack_rows(Z.reshape(-1, p), d, search.fixed_noise)
+        values = -_log_evidences(data, *rows).reshape(k, p + 1)
         ok = np.isfinite(values)
-        counts["evaluations"] += p + 1
+        counts["evaluations"] += ok.size
         counts["failed"] += int(np.sum(~ok))
         scores = np.where(ok, values, np.inf)
-        r = int(np.argmin(scores))
-        if scores[r] < best["value"]:
-            best["value"] = scores[r]
-            best["z"] = Z[r].copy()
+        for j, (i, r) in enumerate(zip(owners, np.argmin(scores, axis=1))):
+            if scores[j, r] < best_value[i]:
+                best_value[i] = scores[j, r]
+                best_z[i] = Z[j, r].copy()
         f = np.where(ok, values, 1e12)
-        return float(f[0]), (f[1:] - f[0]) / ((z + h) - z)
+        return f[:, 0], (f[:, 1:] - f[:, :1]) / ((z + h) - z)
 
     rng = np.random.default_rng(search.seed)
     starts = [0.5 * (lo + hi)]
     for _ in range(search.starts - 1):
         starts.append(rng.uniform(lo, hi))
+    _lbfgsb_lockstep(
+        fun_and_grad, starts, lo, hi, _MAX_ITERATIONS, _MAX_EVALUATIONS // (p + 1)
+    )
 
-    for z0 in starts:
-        minimize(
-            fun_and_grad,
-            z0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": _MAX_ITERATIONS, "maxfun": _MAX_EVALUATIONS // (p + 1)},
-        )
-
-    if best["z"] is None:
+    # each start's best is its first strictly lowest score; replayed in
+    # start order, the first strictly lowest of those is the search's
+    best = int(np.argmin(best_value))
+    if best_z[best] is None:
         raise NumericalConditioningError(
             f"no hyperparameter candidate was evaluable: {counts['failed']} of "
             f"{counts['evaluations']} objective evaluations failed"
         )
-    amplitude_sq, lengthscales, noise = _unpack_rows(best["z"][None, :], d, search.fixed_noise)
+    amplitude_sq, lengthscales, noise = _unpack_rows(best_z[best][None, :], d, search.fixed_noise)
     return HyperparameterSample(
         kernel=RbfKernel(amplitude_sq=amplitude_sq[0], lengthscales=lengthscales[0]),
         noise=NoiseModel(variance=noise[0]),

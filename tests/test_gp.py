@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.optimize import minimize
+from scipy.optimize import minimize, rosen, rosen_der
 from scipy.optimize._numdiff import approx_derivative
 
 import gpexpect.gp
@@ -286,6 +286,22 @@ class TestSelectHyperparameters:
             "objective evaluations failed"
         )
 
+    def test_ties_keep_the_earliest_evaluation(self, monkeypatch):
+        """On a flat objective every row ties, so start 0's first row, the box center, wins."""
+        monkeypatch.setattr(
+            gpexpect.gp, "_log_evidences", lambda data, amp, ls, noise: np.zeros(len(amp))
+        )
+        rng = np.random.default_rng(21)
+        data = Dataset(X=rng.normal(size=(6, 2)), y=rng.normal(size=6))
+        one = select_hyperparameters(data, HyperSearchConfig(seed=0, starts=1))
+        several = select_hyperparameters(data, HyperSearchConfig(seed=0, starts=4))
+        assert several.kernel.lengthscales.tolist() == one.kernel.lengthscales.tolist()
+        assert several.kernel.amplitude_sq == one.kernel.amplitude_sq
+        assert several.noise.variance == one.noise.variance
+        assert_allclose(one.kernel.lengthscales, np.ptp(data.X, axis=0) ** 2)
+        assert_allclose(one.kernel.amplitude_sq, np.var(data.y))
+        assert_allclose(one.noise.variance, 1e-4 * np.var(data.y))
+
     def test_needs_two_points(self):
         with pytest.raises(InsufficientDataError):
             select_hyperparameters(
@@ -342,7 +358,7 @@ def reference_search(data, search):
         return ker, NoiseModel(variance=nv)
 
     best = {"value": np.inf, "z": None}
-    counts = {"evaluations": 0, "failed": 0}
+    counts = {"evaluations": 0, "failed": 0, "per_start": []}
 
     def objective(z):
         counts["evaluations"] += 1
@@ -361,13 +377,14 @@ def reference_search(data, search):
     rng = np.random.default_rng(search.seed)
     starts = [0.5 * (lo + hi)] + [rng.uniform(lo, hi) for _ in range(search.starts - 1)]
     for z0 in starts:
-        minimize(objective, z0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
-                 options={"maxiter": gpexpect.gp._MAX_ITERATIONS})
+        res = minimize(objective, z0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                       options={"maxiter": gpexpect.gp._MAX_ITERATIONS})
+        counts["per_start"].append(res.nfev)
     theta = None
     if best["z"] is not None:
         ker, noise = unpack(best["z"])
         theta = (ker.amplitude_sq, ker.lengthscales.tolist(), noise.variance)
-    return theta, counts["evaluations"], counts["failed"]
+    return theta, counts["evaluations"], counts["failed"], counts["per_start"]
 
 
 class TestSearchMatchesReference:
@@ -395,8 +412,13 @@ class TestSearchMatchesReference:
 
     @staticmethod
     def check(data, search):
-        """Run both searches; returns the stacked search's probe values and steps."""
-        theta, evaluations, failed = reference_search(data, search)
+        """Run both searches; returns the stacked search's probe values and steps.
+
+        The lockstep search makes one probe per round, so as many probes as
+        the start with the most evaluated iterates, each iterate being
+        ``p + 1`` of the reference's evaluations.
+        """
+        theta, evaluations, failed, per_start = reference_search(data, search)
         log = {"values": [], "steps": []}
         probe, steps = gpexpect.gp._log_evidences, gpexpect.gp._forward_steps
 
@@ -425,6 +447,8 @@ class TestSearchMatchesReference:
         values = np.concatenate(log["values"])
         assert values.size == evaluations
         assert int(np.sum(~np.isfinite(values))) == failed
+        p = data.dim + (2 if search.fixed_noise is None else 1)
+        assert len(log["values"]) == max(per_start) // (p + 1)
         return log
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -433,7 +457,7 @@ class TestSearchMatchesReference:
         d=st.integers(1, 3),
         n=st.integers(2, 30),
         fixed_noise=st.sampled_from([None, None, 0.0, 1e-3, 0.5]),
-        starts=st.integers(1, 3),
+        starts=st.integers(1, 8),
     )
     def test_random_data(self, seed, d, n, fixed_noise, starts):
         rng = np.random.default_rng(seed)
@@ -480,3 +504,110 @@ class TestSearchMatchesReference:
         data = Dataset(X=X, y=np.sin(3.0 * X[:, 0]))
         log = self.check(data, HyperSearchConfig(seed=2, starts=2))
         assert any(0 < np.sum(~np.isfinite(v)) < v.size for v in log["values"])
+
+
+class TestLogEvidencesFallback:
+    def test_only_rows_that_do_not_factor_take_the_jitter_ladder(self, monkeypatch):
+        """One unfactorable row factors the others alone; only the failing rows reach ``fit``."""
+        cholesky = np.linalg.cholesky
+
+        def picky(a):
+            if np.any(np.asarray(a)[..., 1, 0].view(np.int64) & 1):
+                raise np.linalg.LinAlgError("forced")
+            return cholesky(a)
+
+        laddered = []
+        fit_log_evidence = gpexpect.gp._fit_log_evidence
+
+        def counted(data, ker, noise):
+            laddered.append(ker)
+            return fit_log_evidence(data, ker, noise)
+
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(7, 2))
+        data = Dataset(X=X, y=np.sin(X.sum(axis=1)))
+        k = 24
+        amplitude_sq = np.exp(rng.uniform(-2, 2, size=k))
+        lengthscales = np.exp(rng.uniform(-2, 2, size=(k, 2)))
+        noise = np.exp(rng.uniform(-8, -1, size=k))
+        alone = [
+            gpexpect.gp._log_evidences(data, amplitude_sq[[r]], lengthscales[[r]], noise[[r]])[0]
+            for r in range(k)
+        ]
+        monkeypatch.setattr(np.linalg, "cholesky", picky)
+        monkeypatch.setattr(gpexpect.gp, "_fit_log_evidence", counted)
+        values = gpexpect.gp._log_evidences(data, amplitude_sq, lengthscales, noise)
+        gram_10 = np.array([
+            kernel_matrix(X, RbfKernel(amplitude_sq=a, lengthscales=ls))[1, 0]
+            for a, ls in zip(amplitude_sq, lengthscales)
+        ])
+        odd = (gram_10.view(np.int64) & 1).astype(bool)
+        assert 0 < odd.sum() < k
+        assert len(laddered) == odd.sum()
+        assert np.array_equal(np.isnan(values), odd)
+        assert [v.hex() for v in values[~odd]] == [a.hex() for a, o in zip(alone, odd) if not o]
+
+
+def _rosen_rows(owners, X):
+    """Rosenbrock values and gradients per row, each row computed on its own."""
+    return np.array([rosen(x) for x in X]), np.array([rosen_der(x) for x in X])
+
+
+class TestLbfgsbLockstep:
+    """The lockstep driver makes scipy's ``minimize(jac=True, method="L-BFGS-B")`` evaluations."""
+
+    LO = np.array([-2.0, -1.5, -1.0])
+    HI = np.array([2.0, 1.5, 3.0])
+    STARTS = np.array([
+        [-1.2, 1.0, 0.5],   # interior
+        [2.0, -1.5, 0.0],   # on bounds
+        [0.3, 0.2, 0.1],
+        [-2.0, 1.5, 3.0],   # on the opposite bounds
+    ])
+
+    @pytest.mark.parametrize(
+        "max_iterations, max_evaluations, stop",
+        [(200, 1000, "CONVERGENCE"), (5, 1000, "ITERATIONS REACHED LIMIT"),
+         (200, 7, "EVALUATIONS EXCEEDS LIMIT")],
+    )
+    def test_matches_minimize(self, max_iterations, max_evaluations, stop):
+        lockstep = [[] for _ in self.STARTS]
+
+        def logged(owners, X):
+            for i, x in zip(owners, X):
+                lockstep[i].append([v.hex() for v in x])
+            return _rosen_rows(owners, X)
+
+        got = gpexpect.gp._lbfgsb_lockstep(
+            logged, self.STARTS, self.LO, self.HI, max_iterations, max_evaluations
+        )
+        messages = []
+        for i, x0 in enumerate(self.STARTS):
+            points = []
+
+            def fun(x):
+                points.append([v.hex() for v in x])
+                return rosen(x), rosen_der(x)
+
+            res = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                           bounds=list(zip(self.LO, self.HI)),
+                           options={"maxiter": max_iterations, "maxfun": max_evaluations})
+            x, evaluations, iterations = got[i]
+            assert lockstep[i] == points
+            assert [v.hex() for v in x] == [v.hex() for v in res.x]
+            assert (evaluations, iterations) == (res.nfev, res.nit)
+            messages.append(res.message)
+        assert any(stop in m for m in messages)
+        if stop == "CONVERGENCE":
+            # starts finish in different rounds
+            assert len({len(points) for points in lockstep}) > 1
+
+    def test_start_outside_the_box_is_clipped(self):
+        x0 = np.array([[3.0, -4.0, 0.0]])
+        (x, evaluations, iterations), = gpexpect.gp._lbfgsb_lockstep(
+            _rosen_rows, x0, self.LO, self.HI, 200, 1000
+        )
+        res = minimize(lambda z: (rosen(z), rosen_der(z)), x0[0], jac=True,
+                       method="L-BFGS-B", bounds=list(zip(self.LO, self.HI)))
+        assert [v.hex() for v in x] == [v.hex() for v in res.x]
+        assert (evaluations, iterations) == (res.nfev, res.nit)
