@@ -18,14 +18,19 @@ One probe of candidate rows gives k(x, X_n) and one Gram solve of it,
 hence v(x) and the predictive variance (Rasmussen & Williams, GPML,
 Alg. 2.1); S, sigma2^2 and the gain terms are each derived once, on
 arrays.  Each row of a probe is computed with the same operations
-whatever the other rows are, so :func:`acquisition_profile` on a grid,
-the batched :func:`acquisition_values` and :func:`multi_theta_values`
-the optimizer scores its trial steps with, and the one-point forms
-(S, the hypothetical update and both gains, row 0 of a one-row probe)
-all agree bit for bit.  The gradients are row views of a probe too:
-:func:`acquisition_gradients` and :func:`multi_theta_gradients` give the
-optimizer the gradients of many rows at once.  A single point is row 0
-of a one-row call, ``acquisition_values(ctx, x[None])[0]``.
+whatever the other rows are, so :func:`acquisition_profile` on a grid
+and the one-point forms (S, the hypothetical update and both gains,
+row 0 of a one-row probe) agree bit for bit.
+
+The optimizer sees an objective: :func:`acquisition_objective` (S^2) or
+:func:`multi_theta_objective` (the gain averaged over hyperparameter
+samples) maps rows ``X`` to ``(values, gradients_at)``, where
+``gradients_at(idx)`` differentiates rows ``X[idx]`` from the same probe
+that scored them, so an accepted trial step is never probed again.
+:func:`acquisition_values`, :func:`acquisition_gradients`,
+:func:`multi_theta_values` and :func:`multi_theta_gradients` are views
+of those objectives on all rows.  A single point is row 0 of a one-row
+call, ``acquisition_values(ctx, x[None])[0]``.
 """
 
 from __future__ import annotations
@@ -78,22 +83,36 @@ def _component_factors(ker: RbfKernel, covs, det_power: float = -0.5):
     return chols, factors
 
 
-def _component_means(X, amplitude_sq: float, means, chols, factors) -> np.ndarray:
+def _substitutions(X, means, chols) -> np.ndarray:
+    """(m, k, d): chol_i^-1 (x - mean_i) per row x of X and component i, by forward substitution.
+
+    Each row is solved with the same operations whatever the other rows
+    are, so a row of the result reads the same in any batch.
+    """
+    u = np.stack([forward_substitute(chol, (X - mean).T) for mean, chol in zip(means, chols)])
+    return u.transpose(2, 0, 1)
+
+
+def _component_means(u, amplitude_sq: float, factors) -> np.ndarray:
     """K_i(x) = factor_i * k(x, mean_i; cov_i + Lambda): one column per component, one row per x.
 
-    Each row is solved by substitution and its square summed with one
-    ``dot`` of a contiguous row, so it reads the same in any batch.
+    ``u`` holds the rows' :func:`_substitutions`.  Each row's square is
+    summed with one ``dot`` of a contiguous row, so it reads the same in
+    any batch.
     """
-    out = np.empty((len(X), len(means)))
-    for i, (mean, chol, factor) in enumerate(zip(means, chols, factors)):
-        u = np.ascontiguousarray(forward_substitute(chol, (X - mean).T).T)
-        out[:, i] = factor * (amplitude_sq * np.exp(-0.5 * row_dots(u, u)))
+    out = np.empty(u.shape[:2])
+    for i, factor in enumerate(factors):
+        u_i = np.ascontiguousarray(u[:, i, :])
+        out[:, i] = factor * (amplitude_sq * np.exp(-0.5 * row_dots(u_i, u_i)))
     return out
 
 
-def _kernel_mean_gradients(X, amplitude_sq: float, mix: GaussianMixture, chols, factors):
-    """Sum over components of -w_i K_i(x) (cov_i + Lambda)^-1 (x - mean_i), per row of X."""
-    k_i = _component_means(X, amplitude_sq, mix.means, chols, factors)
+def _kernel_mean_gradients(X, u, amplitude_sq: float, mix: GaussianMixture, chols, factors):
+    """Sum over components of -w_i K_i(x) (cov_i + Lambda)^-1 (x - mean_i), per row of X.
+
+    ``u`` holds the :func:`_substitutions` of the rows of ``X``.
+    """
+    k_i = _component_means(u, amplitude_sq, factors)
     grad = np.zeros(X.shape)
     for i, (w, mean, chol) in enumerate(zip(mix.weights, mix.means, chols)):
         grad -= (w * k_i[:, i])[:, None] * chol_solve(chol, (X - mean).T).T
@@ -110,15 +129,15 @@ def kernel_mean_component(x, ker: RbfKernel, mean, cov, det_power: float = -0.5)
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
     chols, factors = _component_factors(ker, cov[None], det_power)
-    X = as_point(x, mean.size, "x")[None, :]
-    return float(_component_means(X, ker.amplitude_sq, mean[None], chols, factors)[0, 0])
+    u = _substitutions(as_point(x, mean.size, "x")[None, :], mean[None], chols)
+    return float(_component_means(u, ker.amplitude_sq, factors)[0, 0])
 
 
 def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture, det_power: float = -0.5) -> float:
     """Kernel mean K(x) = int k(x, x') p(x') dx' under the mixture."""
     chols, factors = _component_factors(ker, mix.covs, det_power)
-    X = as_point(x, mix.dim, "x")[None, :]
-    k_i = _component_means(X, ker.amplitude_sq, mix.means, chols, factors)[0]
+    u = _substitutions(as_point(x, mix.dim, "x")[None, :], mix.means, chols)
+    k_i = _component_means(u, ker.amplitude_sq, factors)[0]
     return float(sum(w * k for w, k in zip(mix.weights, k_i)))
 
 
@@ -129,7 +148,8 @@ def kernel_mean_gradient(x, ker: RbfKernel, mix: GaussianMixture) -> np.ndarray:
     """
     chols, factors = _component_factors(ker, mix.covs)
     X = as_point(x, mix.dim, "x")[None, :]
-    return _kernel_mean_gradients(X, ker.amplitude_sq, mix, chols, factors)[0]
+    u = _substitutions(X, mix.means, chols)
+    return _kernel_mean_gradients(X, u, ker.amplitude_sq, mix, chols, factors)[0]
 
 
 def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
@@ -178,20 +198,20 @@ class AcquisitionContext:
     _comp_factors: np.ndarray = field(repr=False)
 
 
-def _kernel_mean_many(ctx: AcquisitionContext, X: np.ndarray) -> np.ndarray:
-    """K(x) for each row of X, using the context's component caches.
+def _kernel_mean_many(ctx: AcquisitionContext, X: np.ndarray):
+    """K(x) for each row of X, and the rows' :func:`_substitutions`, from the component caches.
 
     Each row's arithmetic is independent of the others (substitution
     over rows, squares summed term by term), so a row reads the same in
     any batch.
     """
     ker = ctx.gp.kernel
+    u = _substitutions(X, ctx.mix.means, ctx._comp_chols)
     out = np.zeros(X.shape[0])
     for i in range(ctx.mix.n_components):
-        u = forward_substitute(ctx._comp_chols[i], (X - ctx.mix.means[i]).T)
-        quad = sum(row * row for row in u)
+        quad = sum(row * row for row in u[:, i, :].T)
         out += ctx.mix.weights[i] * ctx._comp_factors[i] * ker.amplitude_sq * np.exp(-0.5 * quad)
-    return out
+    return out, u
 
 
 def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
@@ -242,13 +262,18 @@ class _Probe(NamedTuple):
     v: np.ndarray  # (m,) int k_n(x, x') p(x') dx', the posterior-covariance kernel mean
     pred_var: np.ndarray  # (m,) k_n(x, x) + noise
     live: np.ndarray  # (m,) False where pred_var is below the floor: nothing left to learn
+    u: np.ndarray  # (m, k, d) the rows' substitutions against each mixture component
+
+    def rows(self, idx) -> _Probe:
+        """The probe of rows ``idx`` alone."""
+        return _Probe(*(field[idx] for field in self))
 
 
 def _probe(ctx: AcquisitionContext, X: np.ndarray) -> _Probe:
     """Probe the (m, d) candidate rows of ``X`` with one Gram solve."""
     gp = ctx.gp
     kv = kernel_cross(X, gp.data.X, gp.kernel)
-    v = _kernel_mean_many(ctx, X)
+    v, u = _kernel_mean_many(ctx, X)
     if gp.n:
         solved_kv = chol_solve(gp.gram_factor, kv.T).T
         pred_var = gp.kernel.amplitude_sq - row_dots(kv, solved_kv) + gp.noise.variance
@@ -257,7 +282,7 @@ def _probe(ctx: AcquisitionContext, X: np.ndarray) -> _Probe:
         solved_kv = kv
         pred_var = np.full(len(v), gp.kernel.amplitude_sq + gp.noise.variance)
     live = pred_var >= _PRED_VAR_FLOOR * gp.kernel.amplitude_sq
-    return _Probe(kv, solved_kv, v, pred_var, live)
+    return _Probe(kv, solved_kv, v, pred_var, live, u)
 
 
 def _one_row(xt) -> np.ndarray:
@@ -315,7 +340,7 @@ def _s_sq_gradients(ctx: AcquisitionContext, X: np.ndarray, p: _Probe) -> np.nda
     """
     gp = ctx.gp
     grad_v = _kernel_mean_gradients(
-        X, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
+        X, p.u, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
     )
     # J[j] is the (n, d) Jacobian at row j; J[j].T is its transposed view
     J = -(X[:, None, :] - gp.data.X) / gp.kernel.lengthscales * p.kv[:, :, None]
@@ -338,15 +363,41 @@ def variance_reduction_s(ctx: AcquisitionContext, xt) -> float:
     return float(_s(_probe(ctx, _one_row(xt)))[0])
 
 
+def acquisition_objective(ctx: AcquisitionContext):
+    """The acquisition S^2 as an objective for :func:`gpexpect.optimize.maximize`.
+
+    ``objective(X)`` probes the (m, d) rows of ``X`` once and returns
+    their ``m`` values with ``gradients_at``; ``gradients_at(idx)`` gives
+    the ``(len(idx), d)`` gradients of rows ``X[idx]`` from that probe,
+    bit for bit what a fresh probe of those rows would give.
+    """
+
+    def objective(X):
+        X = as_points(X, ctx.gp.dim)
+        p = _probe(ctx, X)
+
+        def gradients_at(idx) -> np.ndarray:
+            return _s_sq_gradients(ctx, X[idx], p.rows(idx))
+
+        return _s_sq(p), gradients_at
+
+    return objective
+
+
+def _all_rows(objective, X):
+    """``objective``'s values and gradients at every row of ``X``."""
+    values, gradients_at = objective(X)
+    return values, gradients_at(np.arange(len(values)))
+
+
 def acquisition_values(ctx: AcquisitionContext, X) -> np.ndarray:
     """The acquisition S^2 at each (m, d) row of ``X``, from one probe."""
-    return _s_sq(_probe(ctx, as_points(X, ctx.gp.dim)))
+    return acquisition_objective(ctx)(X)[0]
 
 
 def acquisition_gradients(ctx: AcquisitionContext, X) -> np.ndarray:
     """Gradient of the acquisition S^2 at each (m, d) row of ``X``, from one probe."""
-    X = as_points(X, ctx.gp.dim)
-    return _s_sq_gradients(ctx, X, _probe(ctx, X))
+    return _all_rows(acquisition_objective(ctx), X)[1]
 
 
 @dataclass(frozen=True)
@@ -431,36 +482,61 @@ def _shared_contexts(contexts) -> list:
     return contexts
 
 
-def multi_theta_values(contexts, X) -> np.ndarray:
-    """Mean simplified gain across hyperparameter samples at each (m, d) row of ``X``.
+def multi_theta_objective(contexts):
+    """The mean simplified gain across hyperparameter samples, as an objective.
 
-    With one context a row is exactly :func:`info_gain_simplified`; the
-    argmax over rows equals the argmin of the product of the per-sample
-    sigma2^2 values.
-    """
-    contexts = _shared_contexts(contexts)
-    X = as_points(X, contexts[0].gp.dim)
-    gains = [_gain(ctx, _sigma2_sq(ctx, _probe(ctx, X))) for ctx in contexts]
-    # a mean along the contiguous axis sums each row as np.mean sums one vector
-    return np.mean(np.stack(gains, axis=1), axis=1)
-
-
-def multi_theta_gradients(contexts, X) -> np.ndarray:
-    """Gradient of the mean simplified gain at each (m, d) row of ``X``.
+    The contexts are checked once, here, to share their data and
+    mixture.  ``objective(X)`` probes the (m, d) rows of ``X`` once per
+    context and returns the mean gain of each row with ``gradients_at``,
+    as :func:`acquisition_objective` does.  With one context a value is
+    exactly :func:`info_gain_simplified`; the argmax over rows equals the
+    argmin of the product of the per-sample sigma2^2 values.
 
     Per sample, d/dx log(sigma1/sigma2) = (d/dx S^2) / (2 sigma2^2);
     samples sitting at the variance-collapse sentinel contribute zero
     (the sentinel is a plateau).
+
+    Raises
+    ------
+    DegenerateEstimateError
+        From ``objective`` if a context's sigma1^2 is zero.
     """
     contexts = _shared_contexts(contexts)
-    X = as_points(X, contexts[0].gp.dim)
-    grad = np.zeros(X.shape)
-    for ctx in contexts:
-        p = _probe(ctx, X)
-        sigma2_sq = _sigma2_sq(ctx, p)
-        rows = sigma2_sq > 0.0
-        grad[rows] += _s_sq_gradients(ctx, X, p)[rows] / (2.0 * sigma2_sq[rows, None])
-    return grad / len(contexts)
+    dim = contexts[0].gp.dim
+
+    def objective(X):
+        X = as_points(X, dim)
+        probes, sigma2_sqs, gains = [], [], []
+        for ctx in contexts:
+            probes.append(_probe(ctx, X))
+            sigma2_sqs.append(_sigma2_sq(ctx, probes[-1]))
+            gains.append(_gain(ctx, sigma2_sqs[-1]))
+
+        def gradients_at(idx) -> np.ndarray:
+            X_idx = X[idx]
+            grad = np.zeros(X_idx.shape)
+            for ctx, p, sigma2_sq in zip(contexts, probes, sigma2_sqs):
+                sigma2_sq = sigma2_sq[idx]
+                rows = sigma2_sq > 0.0
+                grad[rows] += (
+                    _s_sq_gradients(ctx, X_idx, p.rows(idx))[rows] / (2.0 * sigma2_sq[rows, None])
+                )
+            return grad / len(contexts)
+
+        # a mean along the contiguous axis sums each row as np.mean sums one vector
+        return np.mean(np.stack(gains, axis=1), axis=1), gradients_at
+
+    return objective
+
+
+def multi_theta_values(contexts, X) -> np.ndarray:
+    """Mean simplified gain across hyperparameter samples at each (m, d) row of ``X``."""
+    return multi_theta_objective(contexts)(X)[0]
+
+
+def multi_theta_gradients(contexts, X) -> np.ndarray:
+    """Gradient of the mean simplified gain at each (m, d) row of ``X``."""
+    return _all_rows(multi_theta_objective(contexts), X)[1]
 
 
 def acquisition_profile(ctx: AcquisitionContext, X):

@@ -19,11 +19,9 @@ import numpy as np
 
 from gpexpect.acquisition import (
     AcquisitionContext,
-    acquisition_gradients,
-    acquisition_values,
+    acquisition_objective,
     build_context,
-    multi_theta_gradients,
-    multi_theta_values,
+    multi_theta_objective,
 )
 from gpexpect.errors import EvaluationError, InsufficientDataError
 from gpexpect.gp import (
@@ -172,18 +170,16 @@ def _fit_context(state: DesignState, theta: HyperparameterSample):
 
 
 def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
-    """Row-batched value and gradient callables, either single-theta or averaged."""
+    """The objective :func:`maximize` ascends, either single-theta or averaged."""
     if state.cfg.theta_samples <= 1:
-        return (lambda X: acquisition_values(ctx, X)), (lambda X: acquisition_gradients(ctx, X))
+        return acquisition_objective(ctx)
     rng = np.random.default_rng(_derive_seed(state.cfg.seed, iteration, 1))
     contexts = [ctx]
     offset = _offset(state)
     for _ in range(state.cfg.theta_samples - 1):
         extra = _perturbed_theta(theta, rng)
         contexts.append(build_context(_fit_gp(state, extra, offset), state.mix))
-    return (lambda X: multi_theta_values(contexts, X)), (
-        lambda X: multi_theta_gradients(contexts, X)
-    )
+    return multi_theta_objective(contexts)
 
 
 def _evaluate(black_box, x: np.ndarray) -> float:
@@ -233,13 +229,13 @@ def step(state: DesignState, black_box) -> DesignState:
         ctx = state.context
     else:
         ctx, _ = _fit_context(state, theta)
-    value_fn, gradient_fn = _acquisition_functions(state, ctx, theta, state.iteration)
+    objective = _acquisition_functions(state, ctx, theta, state.iteration)
 
     bounds = cfg.bounds if cfg.bounds is not None else default_bounds(state.mix)
     starts = mixture_starts(
         state.mix, bounds, cfg.optimizer.starts, _derive_seed(cfg.seed, state.iteration, 2)
     )
-    x_star, acq = maximize(value_fn, gradient_fn, bounds, cfg.optimizer, start_points=starts)
+    x_star, acq = maximize(objective, bounds, cfg.optimizer, start_points=starts)
     return _absorb(state, black_box, x_star, theta, float(acq), t0)
 
 

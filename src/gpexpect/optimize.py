@@ -3,9 +3,10 @@
 The acquisition surface is smooth but multimodal (one bump per data gap),
 so a single ascent is not enough.  Each start runs projected gradient
 ascent with a backtracking line search inside the box.  The starts ascend
-in lockstep: each round takes the gradients of every start still running
-in one batched call and scores all of their line searches in one more.
-The objective and its gradient work on rows, each row computed as it
+in lockstep: each round scores the line searches of every start still
+running in one objective call, and the gradients at the trial steps the
+starts accept come from that same call, so no accepted iterate is
+evaluated twice.  The objective works on rows, each row computed as it
 would be alone, so every start follows its own sequential path.  The best
 accepted iterate across all starts wins, with ties broken by start order
 so runs are reproducible.
@@ -23,7 +24,8 @@ from gpexpect.errors import OptimizationFailedError
 from gpexpect.mixtures import GaussianMixture, component_box, mixture_mean, sample
 
 # trial steps per backtracking line search, from half the box diagonal down
-# by factors of step_shrink; maximize scores each ladder in one value_fn call
+# by factors of step_shrink; maximize scores all ladders of a round in one
+# objective call
 _MAX_SHRINKS = 40
 
 
@@ -115,48 +117,58 @@ def _projected_gradient(X, G, bounds: BoxBounds) -> np.ndarray:
     return np.where((near_lower & (G < 0)) | (near_upper & (G > 0)), 0.0, G)
 
 
-def _on_rows(fn, X: np.ndarray, shape: tuple, name: str) -> np.ndarray:
-    """``fn(X)`` as a float array, checked to have ``shape``."""
-    out = np.asarray(fn(X), dtype=float)
+def _checked(out, shape: tuple, name: str) -> np.ndarray:
+    """``out`` as a float array, checked to have ``shape``."""
+    out = np.asarray(out, dtype=float)
     if out.shape != shape:
-        raise ValueError(f"{name} returned shape {out.shape} for {len(X)} rows")
+        raise ValueError(f"{name} returned shape {out.shape} for {shape[0]} rows")
     return out
 
 
-def maximize(value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
-    """Maximize ``value_fn`` over the box from ``start_points``; returns ``(x_best, value)``.
+def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
+    """Maximize ``objective`` over the box from ``start_points``; returns ``(x_best, value)``.
 
-    ``value_fn`` maps ``(m, d)`` rows to their ``m`` values and
-    ``gradient_fn`` maps them to their ``(m, d)`` gradients, each row
-    computed as it would be alone.  Each start ascends along the projected
-    gradient with backtracking: of up to ``_MAX_SHRINKS`` trial steps,
-    each ``step_shrink`` times the last, the first that strictly improves
-    is accepted, so accepted iterates are monotone.  All starts ascend in
-    lockstep rounds: one ``gradient_fn`` call on the rows of the starts
-    still running, then one ``value_fn`` call on all of their ladders.  A
-    start stops when its projected gradient falls below
-    ``gradient_tolerance``, when no trial improves, or after
-    ``max_iterations`` accepted steps, and is abandoned when its gradient
-    or a trial before the first improving one is non-finite (a single
-    warning reports how many).  Every start follows the path it would
-    follow alone, and the best is taken in start order, so ties go to
-    the earlier start.
+    ``objective(X)`` maps ``(m, d)`` rows to ``(values, gradients_at)``:
+    the ``m`` values, and a function taking row indices ``idx`` to the
+    ``(len(idx), d)`` gradients of rows ``X[idx]``, each row computed as
+    it would be alone.  Each start ascends along the projected gradient
+    with backtracking: of up to ``_MAX_SHRINKS`` trial steps, each
+    ``step_shrink`` times the last, the first that strictly improves is
+    accepted, so accepted iterates are monotone.  All starts ascend in
+    lockstep rounds.  One objective call scores the starts; then each
+    round takes the gradients of the starts still running from the call
+    that scored their current iterates (one ``gradients_at`` call) and
+    scores all of their ladders in one objective call.  A start stops
+    when its projected gradient falls below ``gradient_tolerance``, when
+    no trial improves, or after ``max_iterations`` accepted steps, and
+    is abandoned when its gradient or a trial before the first improving
+    one is non-finite (a single warning reports how many).  Every start
+    follows the path it would follow alone, and the best is taken in
+    start order, so ties go to the earlier start.
 
     Raises
     ------
     OptimizationFailedError
         If every start was abandoned.
+    ValueError
+        If ``objective`` returns other than one value per row, or
+        ``gradients_at`` other than one ``d``-vector per index.
     """
     x = bounds.clip(np.atleast_2d(np.asarray(start_points, dtype=float)))
-    val = _on_rows(value_fn, x, x.shape[:1], "value_fn").copy()
+    val, gradients_at = objective(x)
+    val = _checked(val, x.shape[:1], "objective").copy()
     abandoned = ~np.isfinite(val)
     running = np.flatnonzero(~abandoned)
+    # the row of each running start's current iterate in the last objective call
+    scored_rows = running
 
     box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
     for _ in range(cfg.max_iterations):
         if not running.size:
             break
-        grads = _on_rows(gradient_fn, x[running], (running.size, bounds.dim), "gradient_fn")
+        grads = _checked(
+            gradients_at(scored_rows), (scored_rows.size, bounds.dim), "gradients_at"
+        )
         finite = np.all(np.isfinite(grads), axis=1)
         abandoned[running[~finite]] = True
         running = running[finite]
@@ -174,7 +186,8 @@ def maximize(value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig, sta
         steps = np.multiply.accumulate(shrinks, axis=1)
         trials = bounds.clip(x[running, None, :] + steps[:, :, None] * pg[:, None, :])
         ladders = trials.reshape(-1, bounds.dim)
-        values = _on_rows(value_fn, ladders, ladders.shape[:1], "value_fn").reshape(steps.shape)
+        values, gradients_at = objective(ladders)
+        values = _checked(values, ladders.shape[:1], "objective").reshape(steps.shape)
         # each start stops at its first non-finite or improving trial
         stops = ~np.isfinite(values) | (values > val[running, None])
         first = np.argmax(stops, axis=1)
@@ -187,6 +200,7 @@ def maximize(value_fn, gradient_fn, bounds: BoxBounds, cfg: OptimizerConfig, sta
         x[running[accept]] = trials[rows[accept], first[accept]]
         val[running[accept]] = chosen[accept]
         running = running[accept]
+        scored_rows = rows[accept] * _MAX_SHRINKS + first[accept]
 
     if abandoned.any():
         warnings.warn(

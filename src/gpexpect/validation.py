@@ -16,7 +16,7 @@ import numpy as np
 
 from gpexpect._numerics import chol_solve
 from gpexpect.acquisition import (
-    acquisition_gradients,
+    acquisition_objective,
     acquisition_values,
     build_context,
     double_kernel_mean,
@@ -24,8 +24,7 @@ from gpexpect.acquisition import (
     info_gain_four_term,
     info_gain_simplified,
     kernel_mean,
-    multi_theta_gradients,
-    multi_theta_values,
+    multi_theta_objective,
     variance_reduction_s,
 )
 from gpexpect.gp import (
@@ -37,6 +36,7 @@ from gpexpect.gp import (
 )
 from gpexpect.kernels import eval_kernel, kernel_cross, kernel_gradient
 from gpexpect.mixtures import GaussianMixture, pdf, pdf_many, sample
+from gpexpect.optimize import _MAX_SHRINKS
 from gpexpect.oracles import (
     mc_expectation,
     mc_info_gain,
@@ -358,8 +358,29 @@ def perturbed_contexts(rng, gp, mix, count: int) -> list:
     return contexts
 
 
+def _gradient_and_differences(objective, xt, row: int, h: float):
+    """The gradient of ``objective`` at ``xt`` and its central differences, from one call.
+
+    The call scores a line-search ladder shaped as :func:`gpexpect.optimize.maximize`
+    builds one, ``_MAX_SHRINKS`` trial steps halving along a fixed direction
+    whose row ``row`` is exactly ``xt``, then the difference stencil.  The
+    gradient is ``gradients_at`` of that row, as the optimizer takes it.
+    """
+    shrinks = 0.5 ** np.arange(_MAX_SHRINKS)
+    ladder = xt + (shrinks - shrinks[row])[:, None] * (np.ones(xt.size) / np.sqrt(xt.size))
+    steps = h * np.eye(xt.size)
+    values, gradients_at = objective(np.concatenate([ladder, xt + steps, xt - steps]))
+    stencil = values[_MAX_SHRINKS:]
+    fd = (stencil[: xt.size] - stencil[xt.size :]) / (2 * h)
+    return gradients_at(np.array([row]))[0], fd
+
+
 def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResult:
-    """Acquisition, multi-theta gain and kernel gradients vs central finite differences."""
+    """Acquisition, multi-theta gain and kernel gradients vs central finite differences.
+
+    The acquisition and multi-theta gradients are taken at a row inside a
+    ladder-shaped batch, the path the optimizer runs.
+    """
     rng = np.random.default_rng(seed)
     acq_tol = 1e-5 * tolerance_scale
     ker_tol = 1e-6 * tolerance_scale
@@ -375,10 +396,9 @@ def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResul
         gp, mix = random_instance(rng, n=int(rng.integers(0, 7)))
         ctx = build_context(gp, mix)
         xt = _mixture_probe(mix, rng)
-        grad = acquisition_gradients(ctx, xt[None, :])[0]
-        steps = h * np.eye(xt.size)
-        values = acquisition_values(ctx, np.concatenate([xt + steps, xt - steps]))
-        fd = (values[: xt.size] - values[xt.size :]) / (2 * h)
+        grad, fd = _gradient_and_differences(
+            acquisition_objective(ctx), xt, attempts % _MAX_SHRINKS, h
+        )
         if np.linalg.norm(fd) < 1e-3:
             continue  # too close to a stationary point for a relative check
         worst_acq = max(worst_acq, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
@@ -412,10 +432,9 @@ def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResul
         gp, mix = random_instance(rng, n=int(rng.integers(0, 7)))
         contexts = perturbed_contexts(rng, gp, mix, int(rng.integers(1, 5)))
         xt = _mixture_probe(mix, rng)
-        grad = multi_theta_gradients(contexts, xt[None, :])[0]
-        steps = h * np.eye(xt.size)
-        gains = multi_theta_values(contexts, np.concatenate([xt + steps, xt - steps]))
-        fd = (gains[: xt.size] - gains[xt.size :]) / (2 * h)
+        grad, fd = _gradient_and_differences(
+            multi_theta_objective(contexts), xt, attempts % _MAX_SHRINKS, h
+        )
         if np.linalg.norm(fd) < 1e-3:
             continue
         worst_multi = max(worst_multi, np.linalg.norm(grad - fd) / np.linalg.norm(fd))

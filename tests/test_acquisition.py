@@ -12,6 +12,7 @@ from gpexpect.acquisition import (
     GAIN_SENTINEL,
     _probe,
     acquisition_gradients,
+    acquisition_objective,
     acquisition_profile,
     acquisition_values,
     build_context,
@@ -24,6 +25,7 @@ from gpexpect.acquisition import (
     kernel_mean_gradient,
     kl_gaussian,
     multi_theta_gradients,
+    multi_theta_objective,
     multi_theta_values,
     variance_reduction_s,
 )
@@ -965,3 +967,48 @@ class TestScalarFormsMatchProfile:
         assert_array_equal(prof["gain_simplified"], multi_theta_values([ctx], x[None]))
         assert_array_equal(prof["gain_four_term"], [info_gain_four_term(ctx, x)[0]])
         assert all(np.isnan(v) for v in prof.values())
+
+
+class TestObjectiveRowReuse:
+    """``gradients_at`` of an objective call is a fresh probe of the rows it picks, bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), flat=st.booleans())
+    def test_gradients_at_is_a_probe_of_the_picked_rows(self, seed, d, flat):
+        rng = np.random.default_rng(seed)
+        if flat:
+            # no data, and one kernel flat across the mixture: one observation
+            # anywhere pins q, so that context's gain is the sentinel on every row
+            mix = single_comp(0.3, var=0.7, d=d)
+            gp = fit(Dataset.empty(d), RbfKernel(amplitude_sq=1.3, lengthscales=np.full(d, 0.8)),
+                     NoiseModel(variance=0.05))
+            flat_ctx = build_context(
+                fit(gp.data, RbfKernel(amplitude_sq=1.0, lengthscales=np.full(d, 2.0**64)),
+                    NoiseModel(variance=0.0)),
+                mix,
+            )
+            contexts = perturbed_contexts(rng, gp, mix, int(rng.integers(1, 4))) + [flat_ctx]
+            X = np.concatenate([sample(mix, 6, seed=int(rng.integers(2**63))),
+                                rng.uniform(-4.0, 4.0, size=(6, d))])
+            assert_array_equal(acquisition_profile(flat_ctx, X)["gain_simplified"], GAIN_SENTINEL)
+        else:
+            # noiseless data: rows repeating a data point have nothing left to learn
+            gp, mix = random_instance(rng, d=d, n=int(rng.integers(2, 9)), noise=0.0)
+            contexts = perturbed_contexts(rng, gp, mix, int(rng.integers(1, 5)))
+            X = np.concatenate([sample(mix, 5, seed=int(rng.integers(2**63))),
+                                gp.data.X[:2], rng.uniform(-4.0, 4.0, size=(5, d))])
+            X = X[rng.permutation(len(X))]
+            assert not _probe(contexts[0], X).live.all()
+        idx = rng.choice(len(X), size=int(rng.integers(1, len(X) + 1)), replace=False)
+
+        values, gradients_at = acquisition_objective(contexts[0])(X)
+        want = [acquisition_values(contexts[0], x[None])[0] for x in X]
+        assert values.tobytes() == np.array(want).tobytes()
+        got = gradients_at(idx)
+        assert got.tobytes() == acquisition_gradients(contexts[0], X[idx]).tobytes()
+
+        values, gradients_at = multi_theta_objective(contexts)(X)
+        want = [multi_theta_values(contexts, x[None])[0] for x in X]
+        assert values.tobytes() == np.array(want).tobytes()
+        got = gradients_at(idx)
+        assert got.tobytes() == multi_theta_gradients(contexts, X[idx]).tobytes()

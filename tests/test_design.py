@@ -304,6 +304,28 @@ GOLDEN_PINNED_BRANIN_RUN = [
 ]
 
 
+# (chosen_x, mu1, sigma1, acquisition) of a 5 + 5 step run on sin(3x) + x^2
+# averaging the log gain over 4 theta samples, with the default refits:
+# pins the multi-theta values and gradients the optimizer ascends
+GOLDEN_MULTI_THETA_RUN = [
+    ("0x1.6fc062dae41f9p-3", "0x1.51edcc0ddba3ap-1", "0x1.158e336bc9e44p-3", "0x0.0p+0"),
+    ("-0x1.95eae7d4ade54p+0", "0x1.51edcc0ddba3ap-1", "0x1.158e336bc9e44p-3", "0x0.0p+0"),
+    ("0x1.bef069ec68f2ep-2", "0x1.51edcc0ddba3ap-1", "0x1.158e336bc9e44p-3", "0x0.0p+0"),
+    ("-0x1.372c1f4333df1p-1", "0x1.51edcc0ddba3ap-1", "0x1.158e336bc9e44p-3", "0x0.0p+0"),
+    ("0x1.9572014ee5284p-1", "0x1.51edcc0ddba3ap-1", "0x1.158e336bc9e44p-3", "0x0.0p+0"),
+    ("0x1.d60faa4f5e87ap+0", "0x1.d0cd43728f071p-1", "0x1.faeb9a4403146p-6",
+     "0x1.78d24b0fa385dp+0"),
+    ("-0x1.685e5e038ee37p+1", "0x1.f1b8731779fb3p-1", "0x1.3b04d4508439ep-6",
+     "0x1.caeb7fcec040cp-2"),
+    ("-0x1.2fc5cdc800000p-2", "0x1.f0f781c083474p-1", "0x1.d2ba283a89822p-7",
+     "0x1.2cc83112e957ap-2"),
+    ("0x1.7f88a60718b34p+1", "0x1.04204e13c8c59p+0", "0x1.b609ca69c232ap-8",
+     "0x1.9b82f7473b574p-1"),
+    ("-0x1.41dfc9fb91cd3p+1", "0x1.ff3964855e179p-1", "0x1.dc0dba72b2b47p-9",
+     "0x1.a6a213dce1f46p-1"),
+]
+
+
 class TestGoldenHistory:
     def test_pinned_1d_run_is_bit_identical(self):
         """A short pinned run reproduces its recorded history bit for bit.
@@ -345,6 +367,23 @@ class TestGoldenHistory:
             for r in history
         ]
         assert got == GOLDEN_PINNED_BRANIN_RUN
+
+    def test_multi_theta_run_is_bit_identical(self):
+        """The multi-theta objective in a full loop, on a benchmark panel seed; same provenance."""
+        cfg = DesignConfig(n0=5, budget=10, seed=900, theta_samples=4)
+
+        def black_box(x):
+            # the sin3x_plus_xsq benchmark's arithmetic: numpy's sin on an array
+            X = x[None, :]
+            return float((np.sin(3.0 * X[:, 0]) + X[:, 0] ** 2)[0])
+
+        history = run(std_normal_mix(), black_box, cfg)
+        got = [
+            (r.chosen_x[0].hex(), float(r.mu1).hex(), float(r.sigma1).hex(),
+             float(r.acquisition_at_chosen).hex())
+            for r in history
+        ]
+        assert got == GOLDEN_MULTI_THETA_RUN
 
 
 class TestTelescoping:

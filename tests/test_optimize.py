@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from gpexpect.acquisition import (
     acquisition_gradients,
+    acquisition_objective,
     acquisition_values,
     build_context,
 )
@@ -31,6 +32,19 @@ def box(lo, hi, d=1):
     return BoxBounds(lower=np.full(d, float(lo)), upper=np.full(d, float(hi)))
 
 
+def objective_of(value, gradients):
+    """The objective of a rows ``value`` and rows ``gradients`` pair.
+
+    ``gradients_at(idx)`` differentiates the rows ``X[idx]`` of the call
+    that returned it.
+    """
+
+    def objective(X):
+        return value(X), lambda idx: gradients(X[idx])
+
+    return objective
+
+
 def uniform_starts(bounds, count, seed):
     """The box center, then count - 1 seeded uniform draws from the box."""
     rng = np.random.default_rng(seed)
@@ -49,15 +63,16 @@ class TestMaximize:
             return -2.0 * (X - c)
 
         bounds = box(-2, 2, d=2)
-        x_star, val = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 8, 0))
+        x_star, val = maximize(
+            objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 8, 0)
+        )
         assert np.linalg.norm(x_star - c) < 1e-6
         assert val == pytest.approx(0.0, abs=1e-10)
 
     def test_linear_objective_hits_boundary(self):
         bounds = box(0, 1)
         x_star, val = maximize(
-            lambda X: X[:, 0],
-            lambda X: np.ones_like(X),
+            objective_of(lambda X: X[:, 0], np.ones_like),
             bounds,
             OptimizerConfig(),
             uniform_starts(bounds, 8, 0),
@@ -77,8 +92,7 @@ class TestMaximize:
         ctx = build_context(gp, mix)
         bounds = box(-4, 4)
         x_star, val = maximize(
-            lambda X: acquisition_values(ctx, X),
-            lambda X: acquisition_gradients(ctx, X),
+            acquisition_objective(ctx),
             bounds,
             OptimizerConfig(),
             uniform_starts(bounds, 8, 1),
@@ -100,7 +114,7 @@ class TestMaximize:
             return -2.0 * X
 
         bounds = box(0.5, 2.0, d=2)
-        maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 4, 2))
+        maximize(objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 4, 2))
         P = np.concatenate(probes)
         assert np.all(P >= bounds.lower - 1e-12)
         assert np.all(P <= bounds.upper + 1e-12)
@@ -118,7 +132,7 @@ class TestMaximize:
 
         bounds = box(-2, 2)
         starts = np.linspace(-2, 2, 6).reshape(-1, 1)
-        _, val = maximize(value, grad, bounds, OptimizerConfig(), start_points=starts)
+        _, val = maximize(objective_of(value, grad), bounds, OptimizerConfig(), start_points=starts)
         assert np.all(val >= value(starts) - 1e-12)
 
     def test_coarse_grid_dominance_2d(self):
@@ -134,7 +148,9 @@ class TestMaximize:
             )
 
         bounds = box(-3, 3, d=2)
-        _, val = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 12, 5))
+        _, val = maximize(
+            objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 12, 5)
+        )
         axis = np.linspace(-3, 3, 32)
         G = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
         grid_best = value(G).max()
@@ -148,8 +164,12 @@ class TestMaximize:
             return 5 * np.cos(5 * X) - 0.6 * X
 
         bounds = box(-3, 3)
-        a = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6))
-        b = maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6))
+        a = maximize(
+            objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6)
+        )
+        b = maximize(
+            objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6)
+        )
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
 
@@ -164,7 +184,7 @@ class TestMaximize:
         # perfbench's tracer parses this text
         message = r"^1 of 2 optimizer starts abandoned on non-finite objective values$"
         with pytest.warns(RuntimeWarning, match=message):
-            x_star, _ = maximize(value, grad, box(-2, 2), OptimizerConfig(),
+            x_star, _ = maximize(objective_of(value, grad), box(-2, 2), OptimizerConfig(),
                                  start_points=starts)
         assert x_star[0] == pytest.approx(1.5, abs=1e-6)
 
@@ -177,7 +197,9 @@ class TestMaximize:
 
         with pytest.raises(OptimizationFailedError), pytest.warns(RuntimeWarning):
             bounds = box(-1, 1)
-            maximize(value, grad, bounds, OptimizerConfig(), uniform_starts(bounds, 3, 8))
+            maximize(
+                objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 3, 8)
+            )
 
 
 def isclose_projected_gradient(x, g, bounds):
@@ -237,7 +259,8 @@ def batched_maximize(value, gradients, bounds, cfg, starts):
         warnings.simplefilter("always")
         with contextlib.suppress(OptimizationFailedError):
             x, val = maximize(
-                lambda X: np.array([value(x) for x in X]), gradients, bounds, cfg, starts
+                objective_of(lambda X: np.array([value(x) for x in X]), gradients),
+                bounds, cfg, starts,
             )
     counts = [int(str(w.message).split()[0]) for w in caught]
     return x, val, sum(counts)
@@ -266,10 +289,7 @@ class TestBatchedLadderIsTheSequentialSearch:
             lambda x: acquisition_gradients(ctx, x[None])[0],
             bounds, cfg, starts,
         )
-        x, val = maximize(
-            lambda X: acquisition_values(ctx, X), lambda X: acquisition_gradients(ctx, X),
-            bounds, cfg, starts,
-        )
+        x, val = maximize(acquisition_objective(ctx), bounds, cfg, starts)
         assert want[2] == 0
         assert np.array_equal(x, want[0])
         assert val == want[1]
@@ -324,38 +344,68 @@ class TestBatchedLadderIsTheSequentialSearch:
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
 
-    def test_one_gradient_call_per_round_on_the_running_starts(self):
-        gradient_rows, value_rows = [], []
+    @staticmethod
+    def logged_objective(calls, gradient_calls):
+        """A sine objective that logs each call's values and each ``gradients_at`` call.
 
-        def value(X):
-            value_rows.append(len(X))
-            return np.sin(5 * X[:, 0]) - 0.3 * X[:, 0] ** 2
+        ``gradient_calls`` gets ``(k, idx)``: the rows ``idx`` of call ``k``.
+        """
 
-        def grads(X):
-            gradient_rows.append(len(X))
-            return 5 * np.cos(5 * X) - 0.6 * X
+        def objective(X):
+            k = len(calls)
+            values = np.sin(5 * X[:, 0]) - 0.3 * X[:, 0] ** 2
+            calls.append(values)
 
+            def gradients_at(idx):
+                gradient_calls.append((k, np.array(idx)))
+                return 5 * np.cos(5 * X[idx]) - 0.6 * X[idx]
+
+            return values, gradients_at
+
+        return objective
+
+    @pytest.mark.parametrize("max_iterations", [100, 3])
+    def test_one_gradient_call_per_round_on_the_running_starts(self, max_iterations):
+        calls, gradient_calls = [], []
         bounds = box(-3, 3)
-        maximize(value, grads, bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6))
-        # every start runs in the first round, and starts only ever leave
-        assert gradient_rows[0] == 5
-        assert all(a >= b for a, b in zip(gradient_rows, gradient_rows[1:]))
-        # the starts, then one ladder of 40 trials per start still moving, each round
-        assert value_rows[0] == 5
-        assert all(rows % 40 == 0 for rows in value_rows[1:])
-        assert len(value_rows) - 1 <= len(gradient_rows)
+        cfg = OptimizerConfig(max_iterations=max_iterations)
+        maximize(self.logged_objective(calls, gradient_calls), bounds, cfg,
+                 uniform_starts(bounds, 5, 6))
+        rounds = len(gradient_calls)
+        # the starts, then one ladder call per round; the cap of 3 ends the ascent early
+        assert len(calls) == 1 + rounds
+        assert rounds == 3 if max_iterations == 3 else 3 < rounds < max_iterations
+        # round r takes its gradients from call r, the starts' or the last round's ladders
+        assert [k for k, _ in gradient_calls] == list(range(rounds))
+        # every start runs in the first round
+        assert gradient_calls[0][1].tolist() == list(range(5))
+        current = calls[0]
+        for r in range(1, rounds + 1):
+            # one ladder of 40 trials per start that asked for a gradient
+            ladders = calls[r].reshape(-1, 40)
+            assert len(ladders) == len(gradient_calls[r - 1][1])
+            improving = ladders > current[:, None]
+            accepted = np.flatnonzero(improving.any(axis=1))
+            if r == rounds:
+                # the last ladder ends every start, or the cap does
+                assert rounds == max_iterations or not accepted.size
+                break
+            # gradients only at the first improving trial of each start still running
+            first = np.argmax(improving[accepted], axis=1)
+            assert gradient_calls[r][1].tolist() == (accepted * 40 + first).tolist()
+            current = calls[r][gradient_calls[r][1]]
 
-    def test_value_fn_must_return_one_value_per_row(self):
+    def test_objective_must_return_one_value_per_row(self):
         bounds = box(-1, 1)
         with pytest.raises(ValueError, match="rows"):
-            maximize(lambda X: float(X[0, 0]), lambda X: -2 * X, bounds, OptimizerConfig(),
-                     np.zeros((2, 1)))
+            maximize(objective_of(lambda X: float(X[0, 0]), lambda X: -2 * X), bounds,
+                     OptimizerConfig(), np.zeros((2, 1)))
 
-    def test_gradient_fn_must_return_one_row_per_row(self):
+    def test_gradients_at_must_return_one_row_per_index(self):
         bounds = box(-1, 1)
         with pytest.raises(ValueError, match="rows"):
-            maximize(lambda X: -(X[:, 0] ** 2), lambda X: -2 * X[0], bounds, OptimizerConfig(),
-                     np.full((2, 1), 0.5))
+            maximize(objective_of(lambda X: -(X[:, 0] ** 2), lambda X: -2 * X[0]), bounds,
+                     OptimizerConfig(), np.full((2, 1), 0.5))
 
 
 class TestProjectedGradient:
