@@ -63,8 +63,8 @@ GAIN_SENTINEL = 700.0
 _PRED_VAR_FLOOR = 1e-14
 
 
-def _component_factors(ker: RbfKernel, covs, det_power: float = -0.5):
-    """Cholesky of cov_i + Lambda and |I + inv(Lambda) cov_i|^det_power per component.
+def _component_factors(ker: RbfKernel, covs):
+    """Cholesky of cov_i + Lambda and |I + inv(Lambda) cov_i|^(-1/2) per component.
 
     The log-determinant is log|Lambda + C| - log|Lambda| through the
     Cholesky factor, which stays finite and accurate for strongly
@@ -79,7 +79,7 @@ def _component_factors(ker: RbfKernel, covs, det_power: float = -0.5):
         except np.linalg.LinAlgError as exc:
             raise ValueError("component covariance must be SPD") from exc
         log_det = 2.0 * np.sum(np.log(np.diag(chols[i]))) - np.sum(np.log(ker.lengthscales))
-        factors[i] = np.exp(det_power * float(log_det))
+        factors[i] = np.exp(-0.5 * float(log_det))
     return chols, factors
 
 
@@ -119,23 +119,21 @@ def _kernel_mean_gradients(X, u, amplitude_sq: float, mix: GaussianMixture, chol
     return grad
 
 
-def kernel_mean_component(x, ker: RbfKernel, mean, cov, det_power: float = -0.5) -> float:
+def kernel_mean_component(x, ker: RbfKernel, mean, cov) -> float:
     """Integral of k(x, .) against one Gaussian component N(mean, cov).
 
     Closed form: |I + inv(Lambda) cov|^(-1/2) * k(x, mean; cov + Lambda).
-    ``det_power`` exists as a validation hook (the determinant exponent is
-    exactly the part a typo would get wrong); leave it at the default.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    chols, factors = _component_factors(ker, cov[None], det_power)
+    chols, factors = _component_factors(ker, cov[None])
     u = _substitutions(as_point(x, mean.size, "x")[None, :], mean[None], chols)
     return float(_component_means(u, ker.amplitude_sq, factors)[0, 0])
 
 
-def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture, det_power: float = -0.5) -> float:
+def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture) -> float:
     """Kernel mean K(x) = int k(x, x') p(x') dx' under the mixture."""
-    chols, factors = _component_factors(ker, mix.covs, det_power)
+    chols, factors = _component_factors(ker, mix.covs)
     u = _substitutions(as_point(x, mix.dim, "x")[None, :], mix.means, chols)
     k_i = _component_means(u, ker.amplitude_sq, factors)[0]
     return float(sum(w * k for w, k in zip(mix.weights, k_i)))

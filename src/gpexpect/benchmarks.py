@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpexpect.mixtures import GaussianMixture
+from gpexpect.mixtures import GaussianMixture, same_mixture
 from gpexpect.oracles import mc_expectation
 
 _MC_REFERENCE_DRAWS = 10_000_000
@@ -88,6 +88,21 @@ def _mc_reference(fn, mix: GaussianMixture):
         f"mc_oracle: {_MC_REFERENCE_DRAWS} draws, seed {_MC_REFERENCE_SEED}, "
         f"std_error {se:.3e}"
     )
+
+
+def reference_q(problem: BenchmarkProblem, mix: GaussianMixture):
+    """Reference q of ``problem.fn`` under ``mix``, with its provenance line.
+
+    The problem's own reference when ``mix`` is its mixture; otherwise the
+    analytic second moment for ``x_squared`` and the seeded Monte-Carlo
+    oracle for the rest.
+    """
+    if same_mixture(problem.mix, mix):
+        return problem.reference_q, problem.provenance
+    if problem.name == "x_squared":
+        return gaussian_second_moment(mix), "analytic: E[x^2] = sum_i a_i (w_i^2 + var_i)"
+    q, provenance = _mc_reference(problem.fn, mix)
+    return q, provenance + " (config mixture)"
 
 
 def available_benchmarks() -> tuple:

@@ -19,22 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from gpexpect.benchmarks import (
-    _mc_reference,
-    available_benchmarks,
-    benchmark_problem,
-    gaussian_second_moment,
-)
+from gpexpect.benchmarks import available_benchmarks, benchmark_problem, reference_q
 from gpexpect.design import DesignConfig, run, run_random_baseline
 from gpexpect.errors import GpExpectError
 from gpexpect.gp import HyperparameterSample, HyperSearchConfig, NoiseModel, RbfKernel
-from gpexpect.mixtures import (
-    GaussianMixture,
-    fit_em,
-    gmm_from_box,
-    mixture_from_dict,
-    same_mixture,
-)
+from gpexpect.mixtures import GaussianMixture, fit_em, gmm_from_box, mixture_from_dict
 from gpexpect.optimize import BoxBounds, OptimizerConfig
 from gpexpect.validation import run_validation
 
@@ -268,16 +257,6 @@ def _parse_common(doc: dict):
     return problem, mix, design
 
 
-def _reference_q(problem, mix: GaussianMixture):
-    """Reference expectation for the configured mixture, with provenance."""
-    if same_mixture(problem.mix, mix):
-        return problem.reference_q, problem.provenance
-    if problem.name == "x_squared":
-        return gaussian_second_moment(mix), "analytic: E[x^2] = sum_i a_i (w_i^2 + var_i)"
-    q, provenance = _mc_reference(problem.fn, mix)
-    return q, provenance + " (config mixture)"
-
-
 def _write_run_csv(path: Path, records, dimension: int, q_ref: float) -> None:
     cols = ["iter"] + [f"x{j + 1}" for j in range(dimension)] + [
         "y", "mu1", "sigma1", "acq", "abs_err"
@@ -305,7 +284,7 @@ def _cmd_run(config_path: str) -> int:
     if not isinstance(output, str):
         raise ConfigError("config: 'output' must be a path string")
 
-    q_ref, provenance = _reference_q(problem, mix)
+    q_ref, provenance = reference_q(problem, mix)
     records = run(mix, problem.black_box, design)
 
     out_dir = Path(output)
@@ -350,7 +329,7 @@ def _cmd_benchmark(config_path: str) -> int:
     if not isinstance(output, str):
         raise ConfigError("config: 'output' must be a path string")
 
-    q_ref, provenance = _reference_q(problem, mix)
+    q_ref, provenance = reference_q(problem, mix)
 
     rows = []
     finals = {"acquisition": [], "random": []}
@@ -399,8 +378,8 @@ def _cmd_benchmark(config_path: str) -> int:
     return _EXIT_OK
 
 
-def _cmd_validate(tolerance_scale: float, det_power: float) -> int:
-    results = run_validation(tolerance_scale=tolerance_scale, det_power=det_power)
+def _cmd_validate() -> int:
+    results = run_validation()
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -431,23 +410,7 @@ def main(argv=None) -> int:
     )
     p_bench.add_argument("config", help="path to the benchmark config (JSON)")
 
-    p_val = sub.add_parser("validate", help="run the oracle cross-check matrix")
-    p_val.add_argument(
-        "--tolerance-scale",
-        type=float,
-        default=1.0,
-        help="multiply every check tolerance by this factor (default 1.0)",
-    )
-    p_val.add_argument(
-        "--det-power",
-        type=float,
-        default=-0.5,
-        help=(
-            "testing hook: determinant exponent used in the kernel-mean closed "
-            "form; any value other than -0.5 must make the kernel-integral "
-            "check fail"
-        ),
-    )
+    sub.add_parser("validate", help="run the oracle cross-check matrix")
 
     args = parser.parse_args(argv)
     try:
@@ -455,7 +418,7 @@ def main(argv=None) -> int:
             return _cmd_run(args.config)
         if args.command == "benchmark":
             return _cmd_benchmark(args.config)
-        return _cmd_validate(args.tolerance_scale, args.det_power)
+        return _cmd_validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

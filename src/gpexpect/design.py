@@ -272,6 +272,13 @@ def _start_state(mix: GaussianMixture, black_box, cfg: DesignConfig) -> DesignSt
 
 
 def _run_loop(mix, black_box, cfg: DesignConfig, step_fn) -> list:
+    # checked before the first black-box call, which a mismatch would waste
+    if cfg.bounds is not None and cfg.bounds.dim != mix.dim:
+        raise ValueError(f"bounds are {cfg.bounds.dim}-d, the mixture is {mix.dim}-d")
+    if cfg.pinned_theta is not None and cfg.pinned_theta.kernel.dim != mix.dim:
+        raise ValueError(
+            f"pinned kernel is {cfg.pinned_theta.kernel.dim}-d, the mixture is {mix.dim}-d"
+        )
     state = _start_state(mix, black_box, cfg)
     while state.data.n < cfg.budget:
         if state.history[-1].sigma1 < cfg.sigma_stop:
@@ -285,7 +292,9 @@ def run(mix: GaussianMixture, black_box, cfg: DesignConfig) -> list:
 
     Executes the initial design then acquisition steps until the budget
     is spent or sigma1 drops below ``cfg.sigma_stop``.  Deterministic
-    given ``cfg.seed`` (assuming a deterministic black box).
+    given ``cfg.seed`` (assuming a deterministic black box).  Bounds or a
+    pinned kernel of another dimension than ``mix`` raise ``ValueError``
+    before the black box is called.
     """
     return _run_loop(mix, black_box, cfg, step)
 

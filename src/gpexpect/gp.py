@@ -12,8 +12,10 @@ rule of scipy 1.17's ``approx_derivative`` (``2-point``, absolute step
 1e-8, one-sided at the box bounds).  All starts run in lockstep: each
 drives its own state of scipy's reverse-communication routine ``setulb``
 as ``minimize(method="L-BFGS-B")`` would, and each round scores every
-start's requested iterate and its stencil in one stacked probe, whose
-one-row case is :func:`log_marginal_likelihood`.  Because the rule lives
+start's requested iterate and its stencil in one stacked probe.  The
+probe has two paths: one Cholesky call on the stack of Gram matrices, or,
+if the stack does not factor, :func:`log_marginal_likelihood` on each row
+alone.  Both give a row the bits it has alone.  Because the rule lives
 here, a change to scipy's finite differences cannot move the selected
 hyperparameters.
 """
@@ -240,77 +242,41 @@ def _evidence_from_factors(y: np.ndarray, factors: np.ndarray, weights: np.ndarr
     return row_dots(weights, -0.5 * y) - log_det_half - 0.5 * y.size * np.log(2 * np.pi)
 
 
-def _fit_log_evidence(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> float:
-    """Log evidence of one kernel/noise through :func:`fit`, jitter ladder included."""
-    gp = fit(data, ker, noise)
-    return float(_evidence_from_factors(data.y, gp.gram_factor[None], gp.weights[None])[0])
-
-
-def _cholesky_alone(a: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of ``a``, or None if it does not factor."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _log_evidences(
-    data: Dataset,
-    amplitude_sq: np.ndarray,
-    lengthscales: np.ndarray,
-    noise: np.ndarray,
-    strict: bool = False,
+    data: Dataset, amplitude_sq: np.ndarray, lengthscales: np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
     """Log evidence of ``data`` under each row's kernel and noise, from one stacked probe.
 
     Row ``r`` is the kernel ``(amplitude_sq[r], lengthscales[r])`` with
-    noise variance ``noise[r]``.  The valid rows' Gram matrices come from
+    noise variance ``noise[r]``.  The rows' Gram matrices come from
     :func:`kernel_matrices` and are factored by one Cholesky call, which is
-    :func:`fit`'s unjittered first try.  If that call fails, each row is
-    factored on its own.  Only a row that is not a valid kernel and noise,
-    or does not factor alone, goes through :func:`fit`, jitter ladder
-    included.  Either way a row's value is the one it has alone.  A row
-    that fails there is NaN, or raises if ``strict``.
+    :func:`fit`'s unjittered first try.  If that stacked call fails, every
+    row is scored alone by :func:`log_marginal_likelihood`, jitter ladder
+    included, and a row that fails there is NaN.  Either way a row's value
+    is the one it has alone.
     """
-    y = data.y
-    values = np.full(len(amplitude_sq), np.nan)
-    valid = (
-        (lengthscales.shape[1] == data.dim)
-        & np.all((0 < lengthscales) & (lengthscales < np.inf), axis=1)
-        & (0 < amplitude_sq) & (amplitude_sq < np.inf)
-        & (0 <= noise) & (noise < np.inf)
-    )
-    factored = np.zeros(len(amplitude_sq), dtype=bool)
-    if np.any(valid):
-        eye = np.eye(data.n)
-        try:
-            A = kernel_matrices(data.X, amplitude_sq[valid], lengthscales[valid])
-            A = A + noise[valid, None, None] * eye
-            factors = np.linalg.cholesky(A + 0.0 * eye)
-            factored = valid
-        except FloatingPointError:
-            factors = []
-        except np.linalg.LinAlgError:
-            alone = [_cholesky_alone(a + 0.0 * eye) for a in A]
-            factored[valid] = [chol is not None for chol in alone]
-            factors = [chol for chol in alone if chol is not None]
-        if len(factors):
-            weights = np.array([chol_solve(chol, y) for chol in factors])
-            values[factored] = _evidence_from_factors(y, np.asarray(factors), weights)
-    for r in np.flatnonzero(~factored):
-        try:
-            ker = RbfKernel(amplitude_sq=amplitude_sq[r], lengthscales=lengthscales[r])
-            values[r] = _fit_log_evidence(data, ker, NoiseModel(variance=noise[r]))
-        except (NumericalConditioningError, FloatingPointError, ValueError):
-            if strict:
-                raise
-    return values
+    eye = np.eye(data.n)
+    try:
+        A = kernel_matrices(data.X, amplitude_sq, lengthscales) + noise[:, None, None] * eye
+        factors = np.linalg.cholesky(A + 0.0 * eye)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        values = np.full(len(amplitude_sq), np.nan)
+        for r in range(len(values)):
+            try:
+                ker = RbfKernel(amplitude_sq=amplitude_sq[r], lengthscales=lengthscales[r])
+                values[r] = log_marginal_likelihood(data, ker, NoiseModel(variance=noise[r]))
+            except (NumericalConditioningError, FloatingPointError, ValueError):
+                pass
+        return values
+    weights = np.array([chol_solve(chol, data.y) for chol in factors])
+    return _evidence_from_factors(data.y, factors, weights)
 
 
 def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> float:
     """Log evidence of the data under the GP prior with the given kernel/noise.
 
-    The one-row case of the hyperparameter search's stacked probe.
+    GPML Alg. 2.1 on :func:`fit`'s factor, jitter ladder included.  A row
+    of the hyperparameter search's stacked probe reads the same bits.
 
     Raises
     ------
@@ -319,14 +285,8 @@ def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) ->
     """
     if data.n < 1:
         raise InsufficientDataError("log marginal likelihood needs at least one point")
-    rows = _log_evidences(
-        data,
-        np.array([ker.amplitude_sq]),
-        ker.lengthscales[None, :],
-        np.array([noise.variance]),
-        strict=True,
-    )
-    return float(rows[0])
+    gp = fit(data, ker, noise)
+    return float(_evidence_from_factors(data.y, gp.gram_factor[None], gp.weights[None])[0])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from gpexpect.mixtures import GaussianMixture, component_box, mixture_mean, samp
 # trial steps per backtracking line search, from half the box diagonal down
 # by factors of step_shrink; maximize scores all ladders of a round in one
 # objective call
-_MAX_SHRINKS = 40
+MAX_SHRINKS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +132,7 @@ def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
     the ``m`` values, and a function taking row indices ``idx`` to the
     ``(len(idx), d)`` gradients of rows ``X[idx]``, each row computed as
     it would be alone.  Each start ascends along the projected gradient
-    with backtracking: of up to ``_MAX_SHRINKS`` trial steps, each
+    with backtracking: of up to ``MAX_SHRINKS`` trial steps, each
     ``step_shrink`` times the last, the first that strictly improves is
     accepted, so accepted iterates are monotone.  All starts ascend in
     lockstep rounds.  One objective call scores the starts; then each
@@ -181,7 +181,7 @@ def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
             break
         # initial trial step spans a box fraction regardless of gradient scale;
         # accumulate shrinks by repeated multiplication, as a sequential loop would
-        shrinks = np.full((running.size, _MAX_SHRINKS), cfg.step_shrink)
+        shrinks = np.full((running.size, MAX_SHRINKS), cfg.step_shrink)
         shrinks[:, 0] = 0.5 * box_diag / gnorm
         steps = np.multiply.accumulate(shrinks, axis=1)
         trials = bounds.clip(x[running, None, :] + steps[:, :, None] * pg[:, None, :])
@@ -200,7 +200,7 @@ def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
         x[running[accept]] = trials[rows[accept], first[accept]]
         val[running[accept]] = chosen[accept]
         running = running[accept]
-        scored_rows = rows[accept] * _MAX_SHRINKS + first[accept]
+        scored_rows = rows[accept] * MAX_SHRINKS + first[accept]
 
     if abandoned.any():
         warnings.warn(

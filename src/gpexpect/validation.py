@@ -36,7 +36,7 @@ from gpexpect.gp import (
 )
 from gpexpect.kernels import eval_kernel, kernel_cross, kernel_gradient
 from gpexpect.mixtures import GaussianMixture, pdf, pdf_many, sample
-from gpexpect.optimize import _MAX_SHRINKS
+from gpexpect.optimize import MAX_SHRINKS
 from gpexpect.oracles import (
     mc_expectation,
     mc_info_gain,
@@ -105,10 +105,10 @@ def _paired_kernel(A, B, ker) -> np.ndarray:
     return ker.amplitude_sq * np.exp(-0.5 * sq)
 
 
-def check_four_term_collapse(seed: int = 101, tolerance_scale: float = 1.0) -> CheckResult:
+def check_four_term_collapse(seed: int = 101) -> CheckResult:
     """The last three terms of the four-term gain must sum to zero."""
     rng = np.random.default_rng(seed)
-    tol = 1e-10 * tolerance_scale
+    tol = 1e-10
     worst = 0.0
     for _ in range(200):
         gp, mix = random_instance(rng)
@@ -128,7 +128,7 @@ def check_four_term_collapse(seed: int = 101, tolerance_scale: float = 1.0) -> C
     )
 
 
-def check_pythagorean_identity(seed: int = 102, tolerance_scale: float = 1.0) -> CheckResult:
+def check_pythagorean_identity(seed: int = 102) -> CheckResult:
     """sigma1^2 - sigma2^2 must equal S^2.
 
     The deviation is normalized by sigma1^2 (the scale of the
@@ -138,7 +138,7 @@ def check_pythagorean_identity(seed: int = 102, tolerance_scale: float = 1.0) ->
     most informative of 16 mixture draws so S^2 is never degenerate.
     """
     rng = np.random.default_rng(seed)
-    tol = 1e-12 * tolerance_scale
+    tol = 1e-12
     worst = 0.0
     for _ in range(200):
         gp, mix = random_instance(rng)
@@ -159,10 +159,10 @@ def check_pythagorean_identity(seed: int = 102, tolerance_scale: float = 1.0) ->
     )
 
 
-def check_info_gain_mc(seed: int = 103, tolerance_scale: float = 1.0) -> CheckResult:
+def check_info_gain_mc(seed: int = 103) -> CheckResult:
     """Simplified gain must match the Monte-Carlo expected KL."""
     rng = np.random.default_rng(seed)
-    tol = 4.0 * tolerance_scale
+    tol = 4.0
     worst = 0.0
     for _ in range(20):
         gp, mix = random_instance(rng, n=int(rng.integers(1, 9)))
@@ -186,18 +186,11 @@ def check_info_gain_mc(seed: int = 103, tolerance_scale: float = 1.0) -> CheckRe
     )
 
 
-def check_kernel_integrals(
-    seed: int = 104, tolerance_scale: float = 1.0, det_power: float = -0.5
-) -> CheckResult:
-    """Closed-form kernel integrals vs quadrature (d <= 2) and MC (d <= 5).
-
-    ``det_power`` perturbs the determinant exponent of the kernel-mean
-    closed form; any value other than -0.5 must make this check fail
-    (that is what proves the check has teeth).
-    """
+def check_kernel_integrals(seed: int = 104) -> CheckResult:
+    """Closed-form kernel integrals vs quadrature (d <= 2) and MC (d <= 5)."""
     rng = np.random.default_rng(seed)
-    rel_tol = 1e-6 * tolerance_scale
-    se_tol = 4.0 * tolerance_scale
+    rel_tol = 1e-6
+    se_tol = 4.0
     worst_rel = 0.0
     worst_se = 0.0
 
@@ -206,7 +199,7 @@ def check_kernel_integrals(
         gp, mix = random_instance(rng, d=1)
         ker = gp.kernel
         x = _mixture_probe(mix, rng)
-        closed = kernel_mean(x, ker, mix, det_power=det_power)
+        closed = kernel_mean(x, ker, mix)
         lo, hi = mixture_box(mix)
         val, _ = quad_integral_1d(
             lambda t: eval_kernel(x, np.array([t]), ker) * pdf(mix, np.array([t])),
@@ -221,7 +214,7 @@ def check_kernel_integrals(
         gp, mix = random_instance(rng, d=2)
         ker = gp.kernel
         x = _mixture_probe(mix, rng)
-        closed = kernel_mean(x, ker, mix, det_power=det_power)
+        closed = kernel_mean(x, ker, mix)
         lo, hi = mixture_box(mix)
         val = quad_integral_2d(
             lambda P: kernel_cross(x[None, :], P, ker)[0] * pdf_many(mix, P),
@@ -281,7 +274,7 @@ def check_kernel_integrals(
         gp, mix = random_instance(rng, d=d, n=0)
         ker = gp.kernel
         x = _mixture_probe(mix, rng)
-        closed = kernel_mean(x, ker, mix, det_power=det_power)
+        closed = kernel_mean(x, ker, mix)
         mc, se = mc_expectation(
             lambda P: kernel_cross(x[None, :], P, ker)[0],
             mix,
@@ -317,7 +310,7 @@ def check_kernel_integrals(
     )
 
 
-def check_rank1_updates(seed: int = 105, tolerance_scale: float = 1.0) -> CheckResult:
+def check_rank1_updates(seed: int = 105) -> CheckResult:
     """The hypothetical update at ``xt`` vs a refit with ``(xt, yt)`` appended.
 
     sigma2^2 must equal the refit's sigma1^2, and
@@ -325,7 +318,7 @@ def check_rank1_updates(seed: int = 105, tolerance_scale: float = 1.0) -> CheckR
     compared relative to the larger of its refit value and 1e-8.
     """
     rng = np.random.default_rng(seed)
-    tol = 1e-8 * tolerance_scale
+    tol = 1e-8
     worst = 0.0
     for _ in range(100):
         gp, mix = random_instance(rng, n=int(rng.integers(1, 9)))
@@ -362,28 +355,28 @@ def _gradient_and_differences(objective, xt, row: int, h: float):
     """The gradient of ``objective`` at ``xt`` and its central differences, from one call.
 
     The call scores a line-search ladder shaped as :func:`gpexpect.optimize.maximize`
-    builds one, ``_MAX_SHRINKS`` trial steps halving along a fixed direction
+    builds one, ``MAX_SHRINKS`` trial steps halving along a fixed direction
     whose row ``row`` is exactly ``xt``, then the difference stencil.  The
     gradient is ``gradients_at`` of that row, as the optimizer takes it.
     """
-    shrinks = 0.5 ** np.arange(_MAX_SHRINKS)
+    shrinks = 0.5 ** np.arange(MAX_SHRINKS)
     ladder = xt + (shrinks - shrinks[row])[:, None] * (np.ones(xt.size) / np.sqrt(xt.size))
     steps = h * np.eye(xt.size)
     values, gradients_at = objective(np.concatenate([ladder, xt + steps, xt - steps]))
-    stencil = values[_MAX_SHRINKS:]
+    stencil = values[MAX_SHRINKS:]
     fd = (stencil[: xt.size] - stencil[xt.size :]) / (2 * h)
     return gradients_at(np.array([row]))[0], fd
 
 
-def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResult:
+def check_gradients(seed: int = 106) -> CheckResult:
     """Acquisition, multi-theta gain and kernel gradients vs central finite differences.
 
     The acquisition and multi-theta gradients are taken at a row inside a
     ladder-shaped batch, the path the optimizer runs.
     """
     rng = np.random.default_rng(seed)
-    acq_tol = 1e-5 * tolerance_scale
-    ker_tol = 1e-6 * tolerance_scale
+    acq_tol = 1e-5
+    ker_tol = 1e-6
     h = 1e-5
     worst_acq = 0.0
     worst_multi = 0.0
@@ -397,7 +390,7 @@ def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResul
         ctx = build_context(gp, mix)
         xt = _mixture_probe(mix, rng)
         grad, fd = _gradient_and_differences(
-            acquisition_objective(ctx), xt, attempts % _MAX_SHRINKS, h
+            acquisition_objective(ctx), xt, attempts % MAX_SHRINKS, h
         )
         if np.linalg.norm(fd) < 1e-3:
             continue  # too close to a stationary point for a relative check
@@ -433,7 +426,7 @@ def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResul
         contexts = perturbed_contexts(rng, gp, mix, int(rng.integers(1, 5)))
         xt = _mixture_probe(mix, rng)
         grad, fd = _gradient_and_differences(
-            multi_theta_objective(contexts), xt, attempts % _MAX_SHRINKS, h
+            multi_theta_objective(contexts), xt, attempts % MAX_SHRINKS, h
         )
         if np.linalg.norm(fd) < 1e-3:
             continue
@@ -464,13 +457,13 @@ def check_gradients(seed: int = 106, tolerance_scale: float = 1.0) -> CheckResul
     )
 
 
-def run_validation(tolerance_scale: float = 1.0, det_power: float = -0.5):
+def run_validation():
     """All checks, in a stable order. Returns a list of CheckResult."""
     return [
-        check_four_term_collapse(tolerance_scale=tolerance_scale),
-        check_pythagorean_identity(tolerance_scale=tolerance_scale),
-        check_info_gain_mc(tolerance_scale=tolerance_scale),
-        check_kernel_integrals(tolerance_scale=tolerance_scale, det_power=det_power),
-        check_rank1_updates(tolerance_scale=tolerance_scale),
-        check_gradients(tolerance_scale=tolerance_scale),
+        check_four_term_collapse(),
+        check_pythagorean_identity(),
+        check_info_gain_mc(),
+        check_kernel_integrals(),
+        check_rank1_updates(),
+        check_gradients(),
     ]

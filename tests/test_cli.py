@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import gpexpect.acquisition
 from gpexpect.cli import main
 from gpexpect.errors import EvaluationError
 
@@ -215,7 +216,14 @@ class TestValidateCommand:
         assert "four_term_collapse" in out
         assert "FAIL" not in out
 
-    def test_perturbed_determinant_exponent_fails(self, capsys):
-        assert main(["validate", "--det-power", "-0.6"]) == 1
+    def test_perturbed_determinant_exponent_fails(self, capsys, monkeypatch):
+        component_factors = gpexpect.acquisition._component_factors
+
+        def perturbed(ker, covs):
+            chols, factors = component_factors(ker, covs)
+            return chols, factors**1.2  # |I + inv(Lambda) cov|^-0.6
+
+        monkeypatch.setattr(gpexpect.acquisition, "_component_factors", perturbed)
+        assert main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "FAIL kernel_integral_oracles" in out

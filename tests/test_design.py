@@ -20,6 +20,7 @@ from gpexpect.errors import EvaluationError, InsufficientDataError
 from gpexpect.gp import Dataset, HyperparameterSample, NoiseModel
 from gpexpect.kernels import RbfKernel
 from gpexpect.mixtures import GaussianMixture
+from gpexpect.optimize import BoxBounds
 from gpexpect.validation import random_instance
 
 
@@ -239,6 +240,31 @@ class TestBlackBoxFailure:
         assert len(seen) == failing_call
         assert str(seen[-1].tolist()) in str(info.value)
         assert info.value.__cause__ is original
+
+
+class TestDimensionMismatch:
+    """A config of the wrong dimension raises before the black box is called."""
+
+    @pytest.mark.parametrize("runner", [run, run_random_baseline])
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"bounds": BoxBounds(lower=[-3.0], upper=[3.0])}, "bounds are 1-d"),
+            ({"bounds": BoxBounds(lower=[-3.0] * 3, upper=[3.0] * 3)}, "bounds are 3-d"),
+            ({"pinned_theta": pinned(noise=0.05, d=1)}, "pinned kernel is 1-d"),
+        ],
+    )
+    def test_raises_before_any_black_box_call(self, runner, overrides, match):
+        calls = []
+
+        def black_box(x):
+            calls.append(x)
+            return float(np.sum(x**2))
+
+        cfg = DesignConfig(n0=4, budget=6, seed=17, **overrides)
+        with pytest.raises(ValueError, match=match):
+            runner(std_normal_mix(d=2), black_box, cfg)
+        assert len(calls) == 0
 
 
 class TestWorkPerStep:

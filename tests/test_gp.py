@@ -273,9 +273,9 @@ class TestSelectHyperparameters:
         def unfactorable(a):
             raise np.linalg.LinAlgError("forced")
 
-        # every stacked probe fails, so each row goes through the per-row fit
+        # every stacked probe fails, so each row is scored alone
         monkeypatch.setattr(np.linalg, "cholesky", unfactorable)
-        monkeypatch.setattr(gpexpect.gp, "_fit_log_evidence", failing)
+        monkeypatch.setattr(gpexpect.gp, "log_marginal_likelihood", failing)
         rng = np.random.default_rng(15)
         data = Dataset(X=rng.normal(size=(6, 1)), y=rng.normal(size=6))
         with pytest.raises(NumericalConditioningError) as caught:
@@ -473,13 +473,12 @@ class TestSearchMatchesReference:
 
     def test_duplicate_noiseless_inputs_use_the_jitter_fallback(self, monkeypatch):
         fits = []
-        fit_log_evidence = gpexpect.gp._fit_log_evidence
 
         def counted(data, ker, noise):
             fits.append(fit(data, ker, noise).jitter)
-            return fit_log_evidence(data, ker, noise)
+            return log_marginal_likelihood(data, ker, noise)
 
-        monkeypatch.setattr(gpexpect.gp, "_fit_log_evidence", counted)
+        monkeypatch.setattr(gpexpect.gp, "log_marginal_likelihood", counted)
         rng = np.random.default_rng(17)
         X = rng.normal(size=(8, 2))
         X[3] = X[0]
@@ -507,8 +506,33 @@ class TestSearchMatchesReference:
 
 
 class TestLogEvidencesFallback:
-    def test_only_rows_that_do_not_factor_take_the_jitter_ladder(self, monkeypatch):
-        """One unfactorable row factors the others alone; only the failing rows reach ``fit``."""
+    """A stack that does not factor is scored row by row by ``log_marginal_likelihood``."""
+
+    @staticmethod
+    def rows(seed, k=24, d=2, n=7):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        data = Dataset(X=X, y=np.sin(X.sum(axis=1)))
+        amplitude_sq = np.exp(rng.uniform(-2, 2, size=k))
+        lengthscales = np.exp(rng.uniform(-2, 2, size=(k, d)))
+        noise = np.exp(rng.uniform(-8, -1, size=k))
+        return data, amplitude_sq, lengthscales, noise
+
+    @staticmethod
+    def alone(data, amplitude_sq, lengthscales, noise):
+        """Each row's ``log_marginal_likelihood``, NaN where it raises."""
+        values = []
+        for a, ls, nv in zip(amplitude_sq, lengthscales, noise):
+            try:
+                ker = RbfKernel(amplitude_sq=a, lengthscales=ls)
+                values.append(log_marginal_likelihood(data, ker, NoiseModel(variance=nv)))
+            except NumericalConditioningError:
+                values.append(np.nan)
+        return values
+
+    def test_rows_read_log_marginal_likelihood_alone(self, monkeypatch):
+        """One unfactorable row sends every row to ``log_marginal_likelihood``; the
+        rows that fail alone read NaN, the others their stacked bits."""
         cholesky = np.linalg.cholesky
 
         def picky(a):
@@ -516,36 +540,46 @@ class TestLogEvidencesFallback:
                 raise np.linalg.LinAlgError("forced")
             return cholesky(a)
 
-        laddered = []
-        fit_log_evidence = gpexpect.gp._fit_log_evidence
+        data, amplitude_sq, lengthscales, noise = self.rows(20)
+        stacked = gpexpect.gp._log_evidences(data, amplitude_sq, lengthscales, noise)
+        scored = []
 
         def counted(data, ker, noise):
-            laddered.append(ker)
-            return fit_log_evidence(data, ker, noise)
+            scored.append(ker)
+            return log_marginal_likelihood(data, ker, noise)
 
-        rng = np.random.default_rng(20)
-        X = rng.normal(size=(7, 2))
-        data = Dataset(X=X, y=np.sin(X.sum(axis=1)))
-        k = 24
-        amplitude_sq = np.exp(rng.uniform(-2, 2, size=k))
-        lengthscales = np.exp(rng.uniform(-2, 2, size=(k, 2)))
-        noise = np.exp(rng.uniform(-8, -1, size=k))
-        alone = [
-            gpexpect.gp._log_evidences(data, amplitude_sq[[r]], lengthscales[[r]], noise[[r]])[0]
-            for r in range(k)
-        ]
         monkeypatch.setattr(np.linalg, "cholesky", picky)
-        monkeypatch.setattr(gpexpect.gp, "_fit_log_evidence", counted)
+        alone = self.alone(data, amplitude_sq, lengthscales, noise)
+        monkeypatch.setattr(gpexpect.gp, "log_marginal_likelihood", counted)
         values = gpexpect.gp._log_evidences(data, amplitude_sq, lengthscales, noise)
         gram_10 = np.array([
-            kernel_matrix(X, RbfKernel(amplitude_sq=a, lengthscales=ls))[1, 0]
+            kernel_matrix(data.X, RbfKernel(amplitude_sq=a, lengthscales=ls))[1, 0]
             for a, ls in zip(amplitude_sq, lengthscales)
         ])
         odd = (gram_10.view(np.int64) & 1).astype(bool)
-        assert 0 < odd.sum() < k
-        assert len(laddered) == odd.sum()
+        assert 0 < odd.sum() < len(odd)
+        assert len(scored) == len(odd)
         assert np.array_equal(np.isnan(values), odd)
-        assert [v.hex() for v in values[~odd]] == [a.hex() for a, o in zip(alone, odd) if not o]
+        assert [v.hex() for v in values] == [v.hex() for v in alone]
+        assert [v.hex() for v in values[~odd]] == [v.hex() for v in stacked[~odd]]
+
+    def test_floating_point_error_in_the_stack(self, monkeypatch):
+        """A stacked Cholesky that raises FloatingPointError takes the same fallback."""
+        cholesky = np.linalg.cholesky
+
+        def stack_overflows(a):
+            if np.ndim(a) == 3:
+                raise FloatingPointError("forced")
+            return cholesky(a)
+
+        data, amplitude_sq, lengthscales, noise = self.rows(21)
+        stacked = gpexpect.gp._log_evidences(data, amplitude_sq, lengthscales, noise)
+        alone = self.alone(data, amplitude_sq, lengthscales, noise)
+        monkeypatch.setattr(np.linalg, "cholesky", stack_overflows)
+        values = gpexpect.gp._log_evidences(data, amplitude_sq, lengthscales, noise)
+        assert np.all(np.isfinite(values))
+        assert [v.hex() for v in values] == [v.hex() for v in alone]
+        assert [v.hex() for v in values] == [v.hex() for v in stacked]
 
 
 def _rosen_rows(owners, X):
