@@ -1,10 +1,10 @@
-"""Built-in benchmark black boxes with reference expectations.
+"""Built-in benchmark black boxes with exact reference expectations.
 
-Each problem bundles a vectorized function, an input mixture, and the
-reference value of q = E[f(x)] together with how that reference was
-obtained (analytic, or the seeded Monte-Carlo oracle).  The desk-scale
-comparison of acquisition-driven sampling against random sampling runs
-on these.
+Each problem bundles a vectorized function, an input mixture, and a
+closed-form ``expectation(mix)`` of q = E[f(x)] that is exact under any
+Gaussian mixture of the problem's dimension, with one provenance line
+saying how.  The desk-scale comparison of acquisition-driven sampling
+against random sampling runs on these.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpexpect.mixtures import GaussianMixture, same_mixture
-from gpexpect.oracles import mc_expectation
+from gpexpect.mixtures import GaussianMixture
 
-_MC_REFERENCE_DRAWS = 10_000_000
-_MC_REFERENCE_SEED = 20240801
+# s (1 - t) of the Branin cosine term, with s = 10 and t = 1 / (8 pi)
+_BRANIN_COS = 10.0 * (1.0 - 1.0 / (8.0 * np.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,8 +25,9 @@ class BenchmarkProblem:
 
     name: str
     fn: object  # vectorized: (m, d) array -> (m,) values
+    expectation: object  # exact E[fn(x)] under any mixture of fn's dimension
     mix: GaussianMixture
-    reference_q: float
+    reference_q: float  # expectation(mix)
     provenance: str
 
     def black_box(self, x) -> float:
@@ -50,16 +50,15 @@ def _sin3x_plus_xsq(X):
     return np.sin(3.0 * X[:, 0]) + X[:, 0] ** 2
 
 
-def branin(X):
-    """The Branin function on (m, 2) input rows."""
+def _branin_bracket(X):
+    """x2 - b x1^2 + c x1 - r with b = 5.1 / (4 pi^2), c = 5 / pi, r = 6."""
     x1, x2 = X[:, 0], X[:, 1]
-    a = 1.0
-    b = 5.1 / (4.0 * np.pi**2)
-    c = 5.0 / np.pi
-    r = 6.0
-    s = 10.0
-    t = 1.0 / (8.0 * np.pi)
-    return a * (x2 - b * x1**2 + c * x1 - r) ** 2 + s * (1.0 - t) * np.cos(x1) + s
+    return x2 - 5.1 / (4.0 * np.pi**2) * x1**2 + 5.0 / np.pi * x1 - 6.0
+
+
+def branin(X):
+    """The Branin function on (m, 2) input rows (a = 1, s = 10)."""
+    return _branin_bracket(X) ** 2 + _BRANIN_COS * np.cos(X[:, 0]) + 10.0
 
 
 def _branin_mixture() -> GaussianMixture:
@@ -78,62 +77,62 @@ def gaussian_second_moment(mix: GaussianMixture) -> float:
     return float(np.sum(mix.weights * (mix.means[:, 0] ** 2 + mix.covs[:, 0, 0])))
 
 
-_REFERENCE_CACHE: dict = {}
+def sin3x_plus_xsq_expectation(mix: GaussianMixture) -> float:
+    """E[sin(3x) + x^2] under a 1-d mixture.
 
-
-def _mc_reference(fn, mix: GaussianMixture):
-    """Seeded Monte-Carlo reference q and its provenance line."""
-    q, se = mc_expectation(fn, mix, _MC_REFERENCE_DRAWS, _MC_REFERENCE_SEED)
-    return q, (
-        f"mc_oracle: {_MC_REFERENCE_DRAWS} draws, seed {_MC_REFERENCE_SEED}, "
-        f"std_error {se:.3e}"
-    )
-
-
-def reference_q(problem: BenchmarkProblem, mix: GaussianMixture):
-    """Reference q of ``problem.fn`` under ``mix``, with its provenance line.
-
-    The problem's own reference when ``mix`` is its mixture; otherwise the
-    analytic second moment for ``x_squared`` and the seeded Monte-Carlo
-    oracle for the rest.
+    E[sin(3x)] under N(mu, var) is exp(-9 var / 2) sin(3 mu).
     """
-    if same_mixture(problem.mix, mix):
-        return problem.reference_q, problem.provenance
-    if problem.name == "x_squared":
-        return gaussian_second_moment(mix), "analytic: E[x^2] = sum_i a_i (w_i^2 + var_i)"
-    q, provenance = _mc_reference(problem.fn, mix)
-    return q, provenance + " (config mixture)"
+    sin_part = np.exp(-4.5 * mix.covs[:, 0, 0]) * np.sin(3.0 * mix.means[:, 0])
+    return gaussian_second_moment(mix) + float(np.sum(mix.weights * sin_part))
+
+
+def branin_expectation(mix: GaussianMixture) -> float:
+    """E[branin(x)] under a 2-d mixture.
+
+    The squared bracket is a degree-4 polynomial, which a 3-node-per-axis
+    probabilists' Gauss-Hermite tensor rule integrates exactly once each
+    component is mapped to standard normal by its Cholesky factor (Golub &
+    Welsch, Math. Comp. 1969).  E[cos x1] under N(mu, C) is
+    exp(-C_11 / 2) cos(mu_1).
+    """
+    if mix.dim != 2:
+        raise ValueError("Branin reference is 2-d only")
+    nodes, node_weights = np.polynomial.hermite_e.hermegauss(3)
+    z = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    z_weights = np.outer(node_weights, node_weights).ravel() / (2.0 * np.pi)
+    X = mix.means[:, None, :] + z @ np.swapaxes(np.linalg.cholesky(mix.covs), 1, 2)
+    squares = _branin_bracket(X.reshape(-1, 2)).reshape(mix.n_components, -1) ** 2
+    cos_part = np.exp(-0.5 * mix.covs[:, 0, 0]) * np.cos(mix.means[:, 0])
+    per_component = squares @ z_weights + _BRANIN_COS * cos_part + 10.0
+    return float(mix.weights @ per_component)
+
+
+# name -> (fn, input mixture, exact expectation, provenance)
+_PROBLEMS = {
+    "x_squared": (
+        _x_squared, _standard_normal_1d, gaussian_second_moment,
+        "analytic: E[x^2] = sum_i w_i (mu_i^2 + var_i)",
+    ),
+    "sin3x_plus_xsq": (
+        _sin3x_plus_xsq, _standard_normal_1d, sin3x_plus_xsq_expectation,
+        "analytic: E[sin 3x + x^2] = sum_i w_i (exp(-9 var_i / 2) sin 3mu_i + mu_i^2 + var_i)",
+    ),
+    "branin_gmm": (
+        branin, _branin_mixture, branin_expectation,
+        "analytic: 3x3 Gauss-Hermite rule on the degree-4 part (exact), "
+        "E[cos x1] = exp(-C_11 / 2) cos mu_1",
+    ),
+}
 
 
 def available_benchmarks() -> tuple:
-    return ("x_squared", "sin3x_plus_xsq", "branin_gmm")
+    return tuple(_PROBLEMS)
 
 
 def benchmark_problem(name: str) -> BenchmarkProblem:
-    """Look up a built-in benchmark; MC references are computed once."""
-    if name == "x_squared":
-        mix = _standard_normal_1d()
-        return BenchmarkProblem(
-            name=name,
-            fn=_x_squared,
-            mix=mix,
-            reference_q=gaussian_second_moment(mix),
-            provenance="analytic: E[x^2] = sum_i a_i (w_i^2 + var_i) = 1",
-        )
-    if name == "sin3x_plus_xsq":
-        mix = _standard_normal_1d()
-        if name not in _REFERENCE_CACHE:
-            _REFERENCE_CACHE[name] = _mc_reference(_sin3x_plus_xsq, mix)
-        q, provenance = _REFERENCE_CACHE[name]
-        return BenchmarkProblem(
-            name=name, fn=_sin3x_plus_xsq, mix=mix, reference_q=q, provenance=provenance
-        )
-    if name == "branin_gmm":
-        mix = _branin_mixture()
-        if name not in _REFERENCE_CACHE:
-            _REFERENCE_CACHE[name] = _mc_reference(branin, mix)
-        q, provenance = _REFERENCE_CACHE[name]
-        return BenchmarkProblem(
-            name=name, fn=branin, mix=mix, reference_q=q, provenance=provenance
-        )
-    raise ValueError(f"unknown benchmark {name!r}; available: {available_benchmarks()}")
+    """Look up a built-in benchmark."""
+    if name not in _PROBLEMS:
+        raise ValueError(f"unknown benchmark {name!r}; available: {available_benchmarks()}")
+    fn, make_mix, expectation, provenance = _PROBLEMS[name]
+    mix = make_mix()
+    return BenchmarkProblem(name, fn, expectation, mix, expectation(mix), provenance)

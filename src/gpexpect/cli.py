@@ -1,9 +1,10 @@
 """Command-line front end: run, benchmark, validate.
 
 Every output file is a pure function of the config file, so reruns are
-byte-identical.  Config documents are strict JSON: unknown keys are
-rejected by key path rather than silently ignored, exactly one mixture
-source must be present, and the seed is mandatory (no implicit entropy).
+byte-identical.  Config documents are checked strictly: unknown keys are
+rejected by key path rather than silently ignored, numbers must be
+finite, exactly one mixture source must be present, and the seed is
+mandatory (no implicit entropy).
 
 Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
 error.
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gpexpect.benchmarks import available_benchmarks, benchmark_problem, reference_q
+from gpexpect.benchmarks import available_benchmarks, benchmark_problem
 from gpexpect.design import DesignConfig, run, run_random_baseline
 from gpexpect.errors import GpExpectError
 from gpexpect.gp import HyperparameterSample, HyperSearchConfig, NoiseModel, RbfKernel
@@ -64,6 +65,9 @@ def _as_int(value, key: str, minimum=None) -> int:
 def _as_number(value, key: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"config: '{key}' must be a number")
+    # NaN is left to the range check of the class that takes the value
+    if abs(value) > sys.float_info.max:
+        raise ConfigError(f"config: '{key}' must be finite")
     return float(value)
 
 
@@ -144,11 +148,11 @@ def _build_pinned_theta(doc: dict, dimension: int):
                 lengthscales=np.asarray(_require(spec, "lengthscales", "config: kernel"),
                                         dtype=float),
             )
+            noise = NoiseModel(variance=_as_number(doc["noise_variance"], "noise_variance"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config: kernel: {exc}") from exc
         if ker.dim != dimension:
             raise ConfigError(f"config: kernel has {ker.dim} lengthscales, expected {dimension}")
-        noise = NoiseModel(variance=_as_number(doc["noise_variance"], "noise_variance"))
         return HyperparameterSample(kernel=ker, noise=noise)
     if "noise_variance" in doc:
         raise ConfigError("config: 'noise_variance' only applies together with 'kernel'")
@@ -179,13 +183,16 @@ _RUN_KEYS = (
 
 
 def _parse_common(doc: dict):
-    """Shared run/benchmark parsing: problem, mixture, design config pieces."""
+    """Shared run/benchmark parsing: problem, mixture, design config, output dir."""
     name = _require(doc, "function")
     if name not in available_benchmarks():
         raise ConfigError(
             f"config: unknown function {name!r}; available: {list(available_benchmarks())}"
         )
     dimension = _as_int(_require(doc, "dimension"), "dimension", minimum=1)
+    output = _require(doc, "output")
+    if not isinstance(output, str):
+        raise ConfigError("config: 'output' must be a path string")
     seed = _as_int(_require(doc, "seed"), "seed")
     n0 = _as_int(_require(doc, "n0"), "n0", minimum=2)
     budget = _as_int(_require(doc, "budget"), "budget", minimum=n0)
@@ -254,7 +261,7 @@ def _parse_common(doc: dict):
         )
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
-    return problem, mix, design
+    return problem, mix, design, Path(output)
 
 
 def _write_run_csv(path: Path, records, dimension: int, q_ref: float) -> None:
@@ -279,15 +286,10 @@ def _write_run_csv(path: Path, records, dimension: int, q_ref: float) -> None:
 def _cmd_run(config_path: str) -> int:
     doc = _load_config(config_path)
     _check_keys(doc, _RUN_KEYS)
-    problem, mix, design = _parse_common(doc)
-    output = _require(doc, "output")
-    if not isinstance(output, str):
-        raise ConfigError("config: 'output' must be a path string")
-
-    q_ref, provenance = reference_q(problem, mix)
+    problem, mix, design, out_dir = _parse_common(doc)
+    q_ref = problem.expectation(mix)
     records = run(mix, problem.black_box, design)
 
-    out_dir = Path(output)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_csv(out_dir / "run.csv", records, mix.dim, q_ref)
 
@@ -301,7 +303,7 @@ def _cmd_run(config_path: str) -> int:
         "evaluations": len(records),
         "stopped_early": len(records) < design.budget,
         "q_reference": q_ref,
-        "q_reference_provenance": provenance,
+        "q_reference_provenance": problem.provenance,
         "final_mu1": final.mu1,
         "final_sigma1": final.sigma1,
         "final_abs_err": abs(final.mu1 - q_ref),
@@ -323,13 +325,9 @@ _BENCHMARK_KEYS = _RUN_KEYS + ("seeds",)
 def _cmd_benchmark(config_path: str) -> int:
     doc = _load_config(config_path)
     _check_keys(doc, _BENCHMARK_KEYS)
-    problem, mix, design = _parse_common(doc)
+    problem, mix, design, out_dir = _parse_common(doc)
     n_seeds = _as_int(_require(doc, "seeds"), "seeds", minimum=1)
-    output = _require(doc, "output")
-    if not isinstance(output, str):
-        raise ConfigError("config: 'output' must be a path string")
-
-    q_ref, provenance = reference_q(problem, mix)
+    q_ref = problem.expectation(mix)
 
     rows = []
     finals = {"acquisition": [], "random": []}
@@ -342,7 +340,6 @@ def _cmd_benchmark(config_path: str) -> int:
             finals[strategy].append(abs(records[-1].mu1 - q_ref))
 
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
-    out_dir = Path(output)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["strategy,iter,seed,abs_err"]
     lines += [f"{s},{it},{sd},{_fmt(err)}" for s, it, sd, err in rows]
@@ -370,7 +367,7 @@ def _cmd_benchmark(config_path: str) -> int:
     med_acq = float(np.median(finals["acquisition"]))
     med_rand = float(np.median(finals["random"]))
     print(f"wrote {out_dir / 'benchmark.csv'} and {out_dir / 'benchmark_summary.csv'}")
-    print(f"reference q {_fmt(q_ref)} ({provenance})")
+    print(f"reference q {_fmt(q_ref)} ({problem.provenance})")
     print(
         f"median final abs err over {n_seeds} seeds: "
         f"acquisition {_fmt(med_acq)}, random {_fmt(med_rand)}"

@@ -95,7 +95,7 @@ class DesignConfig:
             raise InsufficientDataError("n0 must be at least 2")
         if self.budget < self.n0:
             raise ValueError("budget must be at least n0")
-        if self.sigma_stop < 0:
+        if not self.sigma_stop >= 0:
             raise ValueError("sigma_stop must be nonnegative")
         if self.refit_every < 1:
             raise ValueError("refit_every must be at least 1")

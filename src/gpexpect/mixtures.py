@@ -60,8 +60,10 @@ class GaussianMixture:
             raise ValueError(
                 f"inconsistent shapes: weights {w.shape}, means {m.shape}, covs {c.shape}"
             )
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > _WEIGHT_TOL:
+        if not (np.all(w > 0) and abs(w.sum() - 1.0) <= _WEIGHT_TOL):
             raise ValueError("weights must be positive and sum to 1 within 1e-12")
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+            raise ValueError("means and covariances must be finite")
         try:
             chols = np.linalg.cholesky(0.5 * (c + np.swapaxes(c, 1, 2)))
         except np.linalg.LinAlgError as exc:
@@ -331,10 +333,10 @@ def mixture_from_dict(doc: dict) -> GaussianMixture:
         raise ValueError("mixture needs at least one component")
     weights, means, covs = [], [], []
     for i, comp in enumerate(comps):
-        extra = set(comp) - {"weight", "mean", "cov"}
-        if extra:
-            raise ValueError(f"component {i}: unknown keys {sorted(extra)}")
         try:
+            extra = set(comp) - {"weight", "mean", "cov"}
+            if extra:
+                raise ValueError(f"component {i}: unknown keys {sorted(extra)}")
             weights.append(float(comp["weight"]))
             means.append(np.asarray(comp["mean"], dtype=float))
             covs.append(np.asarray(comp["cov"], dtype=float))

@@ -68,7 +68,7 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if self.gradient_tolerance <= 0:
+        if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
         if not 0.0 < self.step_shrink < 1.0:
             raise ValueError("step_shrink must lie in (0, 1)")

@@ -162,6 +162,30 @@ class TestConfigErrors:
         assert err.startswith("config error:")
         assert "fixed_noise must be finite and >= 0" in err
 
+    @pytest.mark.parametrize(
+        "key, literal",
+        [
+            ("sigma_stop", "NaN"),
+            ("sigma_stop", "Infinity"),
+            ("sigma_stop", "1e400"),
+            ("sigma_stop", "1" + "0" * 400),
+            ("optimizer", '{"gradient_tolerance": NaN}'),
+            ("optimizer", '{"gradient_tolerance": 1e400}'),
+            ("mixture", '{"components": [5]}'),
+            ("noise_variance", "NaN"),
+            ("noise_variance", "-1.0"),
+        ],
+        ids=[
+            "nan", "infinity", "1e400", "huge_int", "gradient_nan", "gradient_1e400",
+            "component", "noise_nan", "noise_negative",
+        ],
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, key, literal):
+        cfg = write_config(tmp_path / "cfg.json", **{key: "VALUE"})
+        cfg.write_text(cfg.read_text().replace('"VALUE"', literal))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestNumericalErrorExit:
     def test_evaluation_error_maps_to_exit_3(self, tmp_path, capsys, monkeypatch):

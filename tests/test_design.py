@@ -66,6 +66,13 @@ class TestInitialDesign:
             initial_design(std_normal_mix(), 1, seed=0)
 
 
+class TestDesignConfig:
+    @pytest.mark.parametrize("sigma_stop", [-1.0, float("nan")])
+    def test_rejects_bad_sigma_stop(self, sigma_stop):
+        with pytest.raises(ValueError, match="sigma_stop"):
+            DesignConfig(n0=2, budget=4, seed=0, sigma_stop=sigma_stop)
+
+
 class TestStep:
     def make_state(self, seed=0, noise=0.01, **cfg_kwargs):
         rng = np.random.default_rng(seed)

@@ -83,6 +83,20 @@ class TestDensity:
                 covs=np.ones((2, 1, 1)),
             )
 
+    @pytest.mark.parametrize(
+        "weights, means, covs",
+        [
+            ([np.nan, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]]),
+            ([0.5, 0.5], [[np.nan], [1.0]], [[[1.0]], [[1.0]]]),
+            ([0.5, 0.5], [[np.inf], [1.0]], [[[1.0]], [[1.0]]]),
+            ([0.5, 0.5], [[0.0], [1.0]], [[[np.nan]], [[1.0]]]),
+            ([0.5, 0.5], [[0.0], [1.0]], [[[np.inf]], [[1.0]]]),
+        ],
+    )
+    def test_non_finite_parameters_are_rejected(self, weights, means, covs):
+        with pytest.raises(ValueError):
+            GaussianMixture(weights=np.array(weights), means=np.array(means), covs=np.array(covs))
+
 
 class TestMoments:
     def test_mixture_mean_weighted(self):
@@ -239,6 +253,11 @@ class TestSerialization:
         doc["components"][0]["extra"] = 1
         with pytest.raises(ValueError):
             mixture_from_dict(doc)
+
+    @pytest.mark.parametrize("component", [5, [1.0, 2.0], "weight", None])
+    def test_component_that_is_not_an_object_is_a_value_error(self, component):
+        with pytest.raises(ValueError, match="component 0"):
+            mixture_from_dict({"components": [component]})
 
     def test_round_trip_survives_json(self):
         import json

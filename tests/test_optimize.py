@@ -443,6 +443,21 @@ class TestProjectedGradient:
         assert_allclose(got, G)
 
 
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"starts": 0},
+            {"gradient_tolerance": 0.0},
+            {"gradient_tolerance": float("nan")},
+            {"step_shrink": float("nan")},
+        ],
+    )
+    def test_rejects_out_of_range_values(self, kwargs):
+        with pytest.raises(ValueError):
+            OptimizerConfig(**kwargs)
+
+
 class TestBounds:
     def test_default_bounds_cover_mixture_spread(self):
         mix = GaussianMixture(
