@@ -77,7 +77,12 @@ def forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(chol chol^T)^-1 rhs for a lower Cholesky factor ``chol``, as cho_solve((chol, True))."""
+    """(chol chol^T)^-1 rhs for a lower Cholesky factor ``chol``, as cho_solve((chol, True)).
+
+    A 0x0 factor (no data) gives the empty solution of the empty system.
+    """
+    if chol.shape[0] == 0:
+        return np.zeros(rhs.shape)
     x, info = _POTRS(chol, rhs, lower=1)
     if info:
         raise LinAlgError(f"Cholesky solve failed (LAPACK info {info})")

@@ -14,10 +14,11 @@ The expected KL information gain of that observation reduces exactly to
 log(sigma1 / sigma2); the four-term form is kept alongside the reduced
 one so the cancellation is checkable rather than assumed.
 
-One probe of candidate rows gives k(x, X_n) and one Gram solve of it,
-hence v(x) and the predictive variance (Rasmussen & Williams, GPML,
-Alg. 2.1); S, sigma2^2 and the gain terms are each derived once, on
-arrays.  Each row of a probe is computed with the same operations
+One probe of candidate rows builds on :func:`gpexpect.gp.posterior_rows`,
+the GP posterior there: k(x, X_n), its Gram solve and the posterior
+variance (Rasmussen & Williams, GPML, Alg. 2.1), hence v(x) and the
+predictive variance; S, sigma2^2 and the gain terms are each derived
+once, on arrays.  Each row of a probe is computed with the same operations
 whatever the other rows are, so :func:`acquisition_profile` on a grid
 and the one-point forms (S, the hypothetical update and both gains,
 row 0 of a one-row probe) agree bit for bit.
@@ -49,8 +50,8 @@ from gpexpect._numerics import (
     row_dots,
 )
 from gpexpect.errors import DegenerateEstimateError
-from gpexpect.gp import GpPosterior
-from gpexpect.kernels import RbfKernel, eval_kernel_scaled, kernel_cross
+from gpexpect.gp import GpPosterior, posterior_rows
+from gpexpect.kernels import RbfKernel
 from gpexpect.mixtures import GaussianMixture, same_mixture
 
 # log-gain sentinel standing in for +inf when sigma2^2 underflows to 0;
@@ -155,7 +156,8 @@ def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
 
     Sum over component pairs of
     |Lambda|^(1/2) |Lambda + C_i + C_j|^(-1/2) k(m_i, m_j; Lambda + C_i + C_j),
-    the prior variance of the integral estimate.
+    the prior variance of the integral estimate.  One Cholesky factor of
+    each pair's scale gives both the determinant and the kernel.
     """
     lam = np.diag(ker.lengthscales)
     log_lam = np.sum(np.log(ker.lengthscales))
@@ -166,12 +168,9 @@ def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
             scale = lam + mix.covs[i] + mix.covs[j]
             chol = np.linalg.cholesky(0.5 * (scale + scale.T))
             log_factor = 0.5 * log_lam - np.sum(np.log(np.diag(chol)))
-            term = (
-                mix.weights[i]
-                * mix.weights[j]
-                * np.exp(log_factor)
-                * eval_kernel_scaled(mix.means[i], mix.means[j], ker.amplitude_sq, scale)
-            )
+            u = forward_solve(chol, mix.means[i] - mix.means[j])
+            pair_kernel = float(ker.amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
+            term = mix.weights[i] * mix.weights[j] * np.exp(log_factor) * pair_kernel
             total += term if i == j else 2.0 * term
     return float(total)
 
@@ -219,27 +218,18 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
     ker = gp.kernel
     comp_chols, comp_factors = _component_factors(ker, mix.covs)
 
-    if gp.n == 0:
-        kmean_train = np.zeros(0)
-        solved = np.zeros(0)
-        mu1 = 0.0
-        sigma1_sq = double_kernel_mean(ker, mix)
-    else:
-        # the multi-column solve stays: mu1 and sigma1 depend on its bits
-        u = np.stack(
-            [
-                forward_solve(comp_chols[i], (gp.data.X - mix.means[i]).T)
-                for i in range(mix.n_components)
-            ]
-        )
-        quad = np.sum(u * u, axis=1)
-        kmean_train = (
-            (mix.weights * comp_factors) @ (ker.amplitude_sq * np.exp(-0.5 * quad))
-        )
-        solved = chol_solve(gp.gram_factor, kmean_train)
-        mu1 = float(kmean_train @ gp.weights)
-        sigma1_sq = float(double_kernel_mean(ker, mix) - kmean_train @ solved)
-    sigma1_sq = max(sigma1_sq, 0.0)
+    # the multi-column solve stays: mu1 and sigma1 depend on its bits
+    u = np.stack(
+        [
+            forward_solve(comp_chols[i], (gp.data.X - mix.means[i]).T)
+            for i in range(mix.n_components)
+        ]
+    )
+    quad = np.sum(u * u, axis=1)
+    kmean_train = (mix.weights * comp_factors) @ (ker.amplitude_sq * np.exp(-0.5 * quad))
+    solved = chol_solve(gp.gram_factor, kmean_train)
+    mu1 = float(kmean_train @ gp.weights)
+    sigma1_sq = max(float(double_kernel_mean(ker, mix) - kmean_train @ solved), 0.0)
     return AcquisitionContext(
         gp=gp,
         mix=mix,
@@ -268,17 +258,12 @@ class _Probe(NamedTuple):
 
 
 def _probe(ctx: AcquisitionContext, X: np.ndarray) -> _Probe:
-    """Probe the (m, d) candidate rows of ``X`` with one Gram solve."""
+    """Probe the (m, d) candidate rows of ``X``: the GP posterior there, and v."""
     gp = ctx.gp
-    kv = kernel_cross(X, gp.data.X, gp.kernel)
-    v, u = _kernel_mean_many(ctx, X)
-    if gp.n:
-        solved_kv = chol_solve(gp.gram_factor, kv.T).T
-        pred_var = gp.kernel.amplitude_sq - row_dots(kv, solved_kv) + gp.noise.variance
-        v = v - row_dots(kv, ctx.solved_kmean)
-    else:
-        solved_kv = kv
-        pred_var = np.full(len(v), gp.kernel.amplitude_sq + gp.noise.variance)
+    kv, solved_kv, var = posterior_rows(gp, X)
+    kmean, u = _kernel_mean_many(ctx, X)
+    v = kmean - row_dots(kv, ctx.solved_kmean)
+    pred_var = var + gp.noise.variance
     live = pred_var >= _PRED_VAR_FLOOR * gp.kernel.amplitude_sq
     return _Probe(kv, solved_kv, v, pred_var, live, u)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from gpexpect.benchmarks import available_benchmarks, benchmark_problem
 from gpexpect.design import DesignConfig, run, run_random_baseline
-from gpexpect.errors import GpExpectError
+from gpexpect.errors import GpExpectError, InsufficientDataError
 from gpexpect.gp import HyperparameterSample, HyperSearchConfig, NoiseModel, RbfKernel
 from gpexpect.mixtures import GaussianMixture, fit_em, gmm_from_box, mixture_from_dict
 from gpexpect.optimize import BoxBounds, OptimizerConfig
@@ -114,7 +114,12 @@ def _build_mixture(doc: dict, dimension: int) -> GaussianMixture:
             raise ConfigError(
                 f"config: samples_file has {samples.shape[1]} columns, expected {dimension}"
             )
-        mix = fit_em(samples, k=k)
+        try:
+            mix = fit_em(samples, k=k)
+        except InsufficientDataError:
+            raise  # too few samples stays a numerical error (exit 3)
+        except ValueError as exc:
+            raise ConfigError(f"config: samples_file {path}: {exc}") from exc
     else:
         box = doc["uniform_box"]
         if not isinstance(box, dict):

@@ -12,7 +12,6 @@ acquisition is meant to beat.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,6 @@ from gpexpect.acquisition import (
 from gpexpect.errors import EvaluationError, InsufficientDataError
 from gpexpect.gp import (
     Dataset,
-    GpPosterior,
     HyperparameterSample,
     HyperSearchConfig,
     NoiseModel,
@@ -62,7 +60,6 @@ class RunRecord:
     mu1: float
     sigma1: float
     acquisition_at_chosen: float
-    wall_ms: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,23 +147,17 @@ def _select_theta(state: DesignState) -> HyperparameterSample:
     return state.hyper
 
 
-def _offset(state: DesignState) -> float:
-    if state.cfg.center_y and state.data.n > 0:
-        return float(state.data.y.mean())
-    return 0.0
+def _fit_context(state: DesignState, theta: HyperparameterSample):
+    """Fit ``theta`` to the current data; returns the context and the y offset.
 
-
-def _fit_gp(state: DesignState, theta: HyperparameterSample, offset: float) -> GpPosterior:
+    With ``center_y`` the GP sees ``y`` minus the offset, the mean of
+    ``y`` (0 with no data); otherwise the offset is 0.
+    """
     data = state.data
+    offset = float(data.y.mean()) if state.cfg.center_y and data.n > 0 else 0.0
     if offset != 0.0:
         data = Dataset(X=data.X, y=data.y - offset)
-    return fit(data, theta.kernel, theta.noise)
-
-
-def _fit_context(state: DesignState, theta: HyperparameterSample):
-    """Fit ``theta`` to the current data; returns the context and the y offset."""
-    offset = _offset(state)
-    return build_context(_fit_gp(state, theta, offset), state.mix), offset
+    return build_context(fit(data, theta.kernel, theta.noise), state.mix), offset
 
 
 def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
@@ -175,10 +166,8 @@ def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
         return acquisition_objective(ctx)
     rng = np.random.default_rng(_derive_seed(state.cfg.seed, iteration, 1))
     contexts = [ctx]
-    offset = _offset(state)
     for _ in range(state.cfg.theta_samples - 1):
-        extra = _perturbed_theta(theta, rng)
-        contexts.append(build_context(_fit_gp(state, extra, offset), state.mix))
+        contexts.append(_fit_context(state, _perturbed_theta(theta, rng))[0])
     return multi_theta_objective(contexts)
 
 
@@ -195,7 +184,21 @@ def _evaluate(black_box, x: np.ndarray) -> float:
     return y
 
 
-def _absorb(state: DesignState, black_box, x, theta, acquisition: float, t0: float):
+def _record(state: DesignState, iteration: int, x, y: float, offset: float, acquisition: float):
+    """Append the record of point ``x`` with the estimate of ``state.context`` plus ``offset``."""
+    state.history.append(
+        RunRecord(
+            iteration=iteration,
+            chosen_x=x,
+            observed_y=y,
+            mu1=state.context.mu1 + offset,
+            sigma1=float(np.sqrt(state.context.sigma1_sq)),
+            acquisition_at_chosen=acquisition,
+        )
+    )
+
+
+def _absorb(state: DesignState, black_box, x, theta, acquisition: float):
     """Evaluate ``x``, refit ``theta`` with it, and record the new estimate.
 
     The refitted context stays in ``state`` for the next step, which
@@ -205,24 +208,12 @@ def _absorb(state: DesignState, black_box, x, theta, acquisition: float, t0: flo
     state.data = state.data.append(x, y)
     state.hyper = theta
     state.context, offset = _fit_context(state, theta)
-    wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
-    state.history.append(
-        RunRecord(
-            iteration=state.data.n - 1,
-            chosen_x=x,
-            observed_y=y,
-            mu1=state.context.mu1 + offset,
-            sigma1=float(np.sqrt(state.context.sigma1_sq)),
-            acquisition_at_chosen=acquisition,
-            wall_ms=max(wall_ms, 0),
-        )
-    )
+    _record(state, state.data.n - 1, x, y, offset, acquisition)
     return state
 
 
 def step(state: DesignState, black_box) -> DesignState:
     """Run one acquisition iteration, appending a data point and a record."""
-    t0 = time.perf_counter()
     cfg = state.cfg
     theta = _select_theta(state)
     if theta is state.hyper and state.context is not None:
@@ -236,15 +227,14 @@ def step(state: DesignState, black_box) -> DesignState:
         state.mix, bounds, cfg.optimizer.starts, _derive_seed(cfg.seed, state.iteration, 2)
     )
     x_star, acq = maximize(objective, bounds, cfg.optimizer, start_points=starts)
-    return _absorb(state, black_box, x_star, theta, float(acq), t0)
+    return _absorb(state, black_box, x_star, theta, float(acq))
 
 
 def _random_step(state: DesignState, black_box) -> DesignState:
     """Baseline iteration: next point drawn from the mixture, no acquisition."""
-    t0 = time.perf_counter()
     theta = _select_theta(state)
     x_star = sample(state.mix, 1, _derive_seed(state.cfg.seed, state.iteration, 3))[0]
-    return _absorb(state, black_box, x_star, theta, 0.0, t0)
+    return _absorb(state, black_box, x_star, theta, 0.0)
 
 
 def _start_state(mix: GaussianMixture, black_box, cfg: DesignConfig) -> DesignState:
@@ -253,21 +243,9 @@ def _start_state(mix: GaussianMixture, black_box, cfg: DesignConfig) -> DesignSt
     state = DesignState(data=Dataset(X=X0, y=y0), mix=mix, cfg=cfg)
     state.hyper = _select_theta(state)
     state.context, offset = _fit_context(state, state.hyper)
-    mu1 = state.context.mu1 + offset
-    sigma1 = float(np.sqrt(state.context.sigma1_sq))
     # initial points share the post-initial-fit estimate; acquisition 0
     for i in range(cfg.n0):
-        state.history.append(
-            RunRecord(
-                iteration=i,
-                chosen_x=X0[i],
-                observed_y=float(y0[i]),
-                mu1=mu1,
-                sigma1=sigma1,
-                acquisition_at_chosen=0.0,
-                wall_ms=0,
-            )
-        )
+        _record(state, i, X0[i], float(y0[i]), offset, 0.0)
     return state
 
 

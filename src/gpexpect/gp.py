@@ -2,9 +2,12 @@
 
 A fitted :class:`GpPosterior` stores the Cholesky factor of the noisy Gram
 matrix and the weight vector ``(K + noise * I)^-1 y``.  Posterior queries
-are pure functions of that state.  What one more observation would do to
-the estimate of the integral is answered by the acquisition layer from a
-probe of the candidate rows against this factor, without refitting.
+are pure functions of that state.  :func:`posterior_rows` is the one
+posterior formula at candidate rows: the variance queries here and the
+acquisition layer's probe, which answers what one more observation would
+do to the estimate of the integral without refitting, all read it.  The
+prior is its n = 0 case: the empty Gram system solves to nothing, so the
+variance is the amplitude and the mean 0, bit for bit.
 
 The hyperparameter search maximizes the log evidence with L-BFGS-B and a
 forward-difference gradient that this module computes itself, with the
@@ -29,7 +32,7 @@ import numpy as np
 # the routine scipy.optimize._lbfgsb_py._minimize_lbfgsb loops over (scipy >= 1.15)
 from scipy.optimize._lbfgsb import setulb
 
-from gpexpect._numerics import as_points, chol_solve, forward_solve, row_dots
+from gpexpect._numerics import as_point, as_points, chol_solve, row_dots
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.kernels import (
     RbfKernel,
@@ -154,7 +157,7 @@ class GpPosterior:
 
 
 def fit(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> GpPosterior:
-    """Condition the GP on ``data``; n = 0 returns the prior.
+    """Condition the GP on ``data``; n = 0 gives the prior (empty factor and weights).
 
     If the noisy Gram matrix is numerically singular (duplicated points
     with zero noise), a diagonal jitter is added, starting at
@@ -169,14 +172,6 @@ def fit(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> GpPosterior:
     if data.dim != ker.dim:
         raise ValueError(f"data dimension {data.dim} != kernel dimension {ker.dim}")
     n = data.n
-    if n == 0:
-        return GpPosterior(
-            kernel=ker,
-            data=data,
-            noise=noise,
-            gram_factor=np.zeros((0, 0)),
-            weights=np.zeros(0),
-        )
     A = kernel_matrix(data.X, ker) + noise.variance * np.eye(n)
     jitters = [0.0] + [10.0**e * ker.amplitude_sq for e in range(-10, -3)]
     chol = None
@@ -198,39 +193,40 @@ def fit(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> GpPosterior:
     )
 
 
+def posterior_rows(gp: GpPosterior, X: np.ndarray):
+    """The posterior at the (m, d) rows of ``X``: ``(kv, solved_kv, var)``.
+
+    ``kv`` (m, n) holds the kernel rows k(x, X_n), ``solved_kv`` (m, n)
+    their solves (K + noise I)^-1 k(x, X_n) with the Gram factor, and
+    ``var`` (m,) the posterior variance k(x, x) - k(x, X_n)^T solved_kv
+    (GPML Alg. 2.1).  The rows are taken as given, unchecked.
+    """
+    kv = kernel_cross(X, gp.data.X, gp.kernel)
+    solved_kv = chol_solve(gp.gram_factor, kv.T).T
+    return kv, solved_kv, gp.kernel.amplitude_sq - row_dots(kv, solved_kv)
+
+
 def posterior_mean(gp: GpPosterior, x) -> float:
-    """Posterior mean at one point; 0 for the prior."""
-    if gp.n == 0:
-        return 0.0
-    return float(kernel_vector(x, gp.data.X, gp.kernel) @ gp.weights)
+    """Posterior mean at one point, row 0 of :func:`posterior_mean_many`."""
+    return float(posterior_mean_many(gp, as_point(x, gp.dim, "x")[None, :])[0])
 
 
 def posterior_mean_many(gp: GpPosterior, X) -> np.ndarray:
-    """Posterior mean at each row of ``X``."""
+    """Posterior mean k(x, X_n)^T weights at each row of ``X``."""
     X = as_points(X, gp.dim)
-    if gp.n == 0:
-        return np.zeros(X.shape[0])
-    return kernel_cross(X, gp.data.X, gp.kernel) @ gp.weights
+    return row_dots(kernel_cross(X, gp.data.X, gp.kernel), gp.weights)
 
 
 def posterior_cov(gp: GpPosterior, a, b) -> float:
-    """Posterior covariance between two points; prior kernel for n = 0."""
-    prior = eval_kernel(a, b, gp.kernel)
-    if gp.n == 0:
-        return prior
+    """Posterior covariance k(a, b) - k(a, X_n)^T (K + noise I)^-1 k(b, X_n)."""
+    _, solved_kb, _ = posterior_rows(gp, as_point(b, gp.dim, "b")[None, :])
     ka = kernel_vector(a, gp.data.X, gp.kernel)
-    kb = kernel_vector(b, gp.data.X, gp.kernel)
-    return float(prior - ka @ chol_solve(gp.gram_factor, kb))
+    return float(eval_kernel(a, b, gp.kernel) - ka @ solved_kb[0])
 
 
 def posterior_var_many(gp: GpPosterior, X) -> np.ndarray:
     """Posterior variance at each row of ``X`` (diagonal of the covariance)."""
-    X = as_points(X, gp.dim)
-    if gp.n == 0:
-        return np.full(X.shape[0], gp.kernel.amplitude_sq)
-    C = kernel_cross(X, gp.data.X, gp.kernel)
-    U = forward_solve(gp.gram_factor, C.T)
-    return gp.kernel.amplitude_sq - np.sum(U * U, axis=0)
+    return posterior_rows(gp, as_points(X, gp.dim))[2]
 
 
 def _evidence_from_factors(y: np.ndarray, factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -475,19 +471,13 @@ def select_hyperparameters(
     var_y = float(np.var(data.y))
     scale_y = var_y if var_y > 0 else 1.0
 
-    lo = np.concatenate(
-        [
-            np.log(_LENGTHSCALE_BOX[0] * span**2),
-            [np.log(_AMPLITUDE_BOX[0] * scale_y)],
-            [] if search.fixed_noise is not None else [np.log(_NOISE_BOX[0] * scale_y)],
-        ]
-    )
-    hi = np.concatenate(
-        [
-            np.log(_LENGTHSCALE_BOX[1] * span**2),
-            [np.log(_AMPLITUDE_BOX[1] * scale_y)],
-            [] if search.fixed_noise is not None else [np.log(_NOISE_BOX[1] * scale_y)],
-        ]
+    # each block of log-parameters: its (low, high) box factors and its data scale
+    table = [(_LENGTHSCALE_BOX, span**2), (_AMPLITUDE_BOX, scale_y)]
+    if search.fixed_noise is None:
+        table.append((_NOISE_BOX, scale_y))
+    lo, hi = (
+        np.concatenate([np.atleast_1d(np.log(box[side] * scale)) for box, scale in table])
+        for side in (0, 1)
     )
     p = lo.size
 

@@ -1,11 +1,10 @@
-"""Squared-exponential (RBF) kernel and the generalized-scale variant.
+"""Squared-exponential (RBF) kernel.
 
 The kernel is ``k(a, b) = s2 * exp(-0.5 * (a-b)^T S^-1 (a-b))`` where the
-scale ``S`` is either the kernel's diagonal matrix of per-dimension
-lengthscale variances or, for :func:`eval_kernel_scaled`, an arbitrary
-symmetric positive-definite matrix.  Lengthscales are stored as variances
-(squared lengths), so they enter the quadratic form directly and add to
-Gaussian covariances without conversion.
+scale ``S`` is the diagonal matrix of per-dimension lengthscale
+variances.  Lengthscales are stored as variances (squared lengths), so
+they enter the quadratic form directly and add to Gaussian covariances
+without conversion.
 
 Points are 1-d float arrays of length ``d``; point sets are ``(n, d)``
 arrays.
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpexpect._numerics import as_point, as_points, forward_solve
+from gpexpect._numerics import as_point, as_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,31 +56,6 @@ def eval_kernel(a, b, ker: RbfKernel) -> float:
     """Kernel value ``s2 * exp(-0.5 * sum_j (a_j - b_j)^2 / L_j)``, as :func:`kernel_cross`."""
     a = as_point(a, ker.dim, "a")
     return float(kernel_cross(a[None, :], as_point(b, ker.dim, "b")[None, :], ker)[0, 0])
-
-
-def eval_kernel_scaled(a, b, amplitude_sq: float, scale) -> float:
-    """Kernel value with an arbitrary SPD scale matrix.
-
-    Computes ``amplitude_sq * exp(-0.5 * (a-b)^T scale^-1 (a-b))``.  With
-    ``scale = diag(lengthscales)`` this reproduces :func:`eval_kernel`.
-
-    Raises
-    ------
-    ValueError
-        If ``scale`` is not symmetric positive definite (Cholesky failure).
-    """
-    scale = np.atleast_2d(np.asarray(scale, dtype=float))
-    d = scale.shape[0]
-    if scale.shape != (d, d):
-        raise ValueError(f"scale must be square, got shape {scale.shape}")
-    a = as_point(a, d, "a")
-    b = as_point(b, d, "b")
-    try:
-        chol = np.linalg.cholesky(scale)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("scale matrix is not symmetric positive definite") from exc
-    u = forward_solve(chol, a - b)
-    return float(amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
 
 
 def kernel_matrix(X, ker: RbfKernel) -> np.ndarray:

@@ -199,6 +199,8 @@ def fit_em_trace(samples, k: int, seed: int = 0):
 
     Raises
     ------
+    ValueError
+        If a sample is not finite; the message names its row.
     InsufficientDataError
         If fewer than ``10 * k`` samples are supplied.
     """
@@ -206,6 +208,9 @@ def fit_em_trace(samples, k: int, seed: int = 0):
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     n, d = X.shape
+    bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
+    if bad.size:
+        raise ValueError(f"sample row {bad[0]} (from 0) is not finite: {X[bad[0]].tolist()}")
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < 10 * k:

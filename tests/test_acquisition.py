@@ -31,7 +31,15 @@ from gpexpect.acquisition import (
 )
 from gpexpect.benchmarks import branin
 from gpexpect.errors import DegenerateEstimateError
-from gpexpect.gp import Dataset, NoiseModel, fit
+from gpexpect.gp import (
+    Dataset,
+    NoiseModel,
+    fit,
+    posterior_cov,
+    posterior_mean,
+    posterior_mean_many,
+    posterior_var_many,
+)
 from gpexpect.kernels import RbfKernel, eval_kernel, kernel_cross, kernel_matrix, kernel_vector
 from gpexpect.mixtures import GaussianMixture, pdf, pdf_many, sample
 from gpexpect.oracles import quad_integral_1d, quad_integral_2d
@@ -1012,3 +1020,82 @@ class TestObjectiveRowReuse:
         assert values.tobytes() == np.array(want).tobytes()
         got = gradients_at(idx)
         assert got.tobytes() == multi_theta_gradients(contexts, X[idx]).tobytes()
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+# the prior at n = 0 as float.hex, recorded when the prior still had its
+# own branch in fit, build_context, the probe and each posterior query
+PRIOR_CASES = {
+    "1d": dict(
+        ker=RbfKernel(1.3, [0.7]),
+        noise=0.01,
+        mix=GaussianMixture(
+            weights=np.array([0.3, 0.7]),
+            means=np.array([[-0.5], [1.0]]),
+            covs=np.array([[[0.4]], [[0.2]]]),
+        ),
+        X=np.array([[-1.2], [0.3], [2.0]]),
+        sigma1_sq="0x1.836f3268e6262p-1",
+        acq=["0x1.2011a4364589fp-4", "0x1.1652921008c62p-1", "0x1.662266210e69cp-3"],
+        grad=["0x1.14e701b89fc55p-3", "0x1.941589827fa5fp-2", "-0x1.9db6428828c70p-2"],
+        cov01="0x1.0ada0b739c597p-2",
+        amplitude_sq="0x1.4cccccccccccdp+0",
+    ),
+    "2d": dict(
+        ker=RbfKernel(2.0, [0.5, 1.5]),
+        noise=1e-3,
+        mix=GaussianMixture(
+            weights=np.array([1.0]),
+            means=np.array([[0.2, -0.1]]),
+            covs=np.array([[[0.5, 0.1], [0.1, 0.3]]]),
+        ),
+        X=np.array([[0.0, 0.0], [1.0, -1.0], [-0.5, 0.7]]),
+        sigma1_sq="0x1.f6dd2395c380ap-1",
+        acq=["0x1.98b83d0a4d509p-1", "0x1.08756d8bad269p-2", "0x1.58405ceeaef77p-2"],
+        grad=[
+            "0x1.51ef924a4e3a1p-2", "-0x1.b6673a528eff2p-4", "-0x1.c41766e355c43p-2",
+            "0x1.21932c26873fcp-2", "0x1.01b5301df11a8p-1", "-0x1.4ea2ad4944899p-2",
+        ],
+        cov01="0x1.0dec687e1adf1p-1",
+        amplitude_sq="0x1.0000000000000p+1",
+    ),
+}
+
+
+class TestOnePosteriorFormula:
+    """The probe and the public posterior queries read the same bits; n = 0 is the prior."""
+
+    def test_queries_equal_the_probe_bit_for_bit(self):
+        rng = np.random.default_rng(120)
+        for _ in range(200):
+            gp, mix = random_instance(rng)
+            ctx = build_context(gp, mix)
+            X = sample(mix, 7, seed=int(rng.integers(2**63)))
+            p = _probe(ctx, X)
+            assert_array_equal(posterior_var_many(gp, X) + gp.noise.variance, p.pred_var)
+            means = posterior_mean_many(gp, X)
+            for i, x in enumerate(X):
+                assert means[i] == hypothetical_update(ctx, x).pred_mean
+                assert posterior_mean(gp, x) == means[i]
+
+    @pytest.mark.parametrize("name", sorted(PRIOR_CASES))
+    def test_prior_outputs_are_unchanged(self, name):
+        case = PRIOR_CASES[name]
+        ker, X = case["ker"], case["X"]
+        gp = fit(Dataset.empty(ker.dim), ker, NoiseModel(case["noise"]))
+        assert gp.gram_factor.shape == (0, 0)
+        assert gp.weights.shape == (0,)
+        assert gp.jitter == 0.0
+        ctx = build_context(gp, case["mix"])
+        assert _hex([ctx.mu1, ctx.sigma1_sq]) == ["0x0.0p+0", case["sigma1_sq"]]
+        assert ctx.kmean_train.shape == ctx.solved_kmean.shape == (0,)
+        assert _hex(acquisition_values(ctx, X)) == case["acq"]
+        assert _hex(acquisition_gradients(ctx, X)) == case["grad"]
+        assert _hex([posterior_mean(gp, x) for x in X]) == ["0x0.0p+0"] * 3
+        assert _hex(posterior_mean_many(gp, X)) == ["0x0.0p+0"] * 3
+        covs = [posterior_cov(gp, X[0], X[1])] + [posterior_cov(gp, x, x) for x in X]
+        assert _hex(covs) == [case["cov01"]] + [case["amplitude_sq"]] * 3
+        assert _hex(posterior_var_many(gp, X)) == [case["amplitude_sq"]] * 3

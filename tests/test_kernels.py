@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from gpexpect.kernels import (
     RbfKernel,
     eval_kernel,
-    eval_kernel_scaled,
     kernel_cross,
     kernel_gradient,
     kernel_matrices,
@@ -61,32 +60,6 @@ class TestEvalKernel:
             RbfKernel(amplitude_sq=-1.0, lengthscales=np.array([1.0]))
         with pytest.raises(ValueError):
             RbfKernel(amplitude_sq=1.0, lengthscales=np.array([0.0]))
-
-
-class TestEvalKernelScaled:
-    def test_zero_distance(self):
-        a = np.array([1.0, 2.0])
-        scale = np.array([[2.0, 0.5], [0.5, 1.0]])
-        assert eval_kernel_scaled(a, a, 3.0, scale) == pytest.approx(3.0)
-
-    def test_direct_substitution_1d(self):
-        val = eval_kernel_scaled(np.array([0.0]), np.array([2.0]), 1.0, np.array([[2.0]]))
-        assert_allclose(val, np.exp(-1.0), rtol=1e-12)
-
-    def test_reduces_to_eval_kernel(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            d = int(rng.integers(1, 4))
-            ker = random_kernel(rng, d)
-            a, b = rng.normal(size=(2, d))
-            plain = eval_kernel(a, b, ker)
-            scaled = eval_kernel_scaled(a, b, ker.amplitude_sq, np.diag(ker.lengthscales))
-            assert_allclose(scaled, plain, rtol=1e-14)
-
-    def test_non_spd_scale_rejected(self):
-        scale = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(ValueError):
-            eval_kernel_scaled(np.zeros(2), np.ones(2), 1.0, scale)
 
 
 class TestKernelMatrix:

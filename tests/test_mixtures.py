@@ -195,6 +195,14 @@ class TestEm:
         with pytest.raises(InsufficientDataError):
             fit_em(np.zeros((15, 1)), 2, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_names_its_row(self, bad):
+        samples = np.random.default_rng(9).normal(size=(30, 2))
+        samples[17, 1] = bad
+        with pytest.raises(ValueError, match="sample row 17 ") as info:
+            fit_em(samples, 1, seed=0)
+        assert not isinstance(info.value, InsufficientDataError)
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)
         samples = rng.normal(size=(80, 1))

@@ -45,6 +45,12 @@ class TestLapackSolves:
         assert_array_equal(chol_solve(L, rows.T), cho_solve((L, True), rows.T))
         assert_array_equal(forward_solve(L, rows.T), solve_triangular(L, rows.T, lower=True))
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (0, 0)])
+    def test_empty_factor_gives_the_empty_solution(self, shape):
+        got = chol_solve(np.zeros((0, 0)), np.zeros(shape))
+        assert got.shape == shape
+        assert got.dtype == np.float64
+
     def test_singular_factor_raises(self):
         L = np.array([[1.0, 0.0], [0.5, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
