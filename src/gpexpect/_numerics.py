@@ -3,8 +3,12 @@
 Two solves make scipy.linalg's exact LAPACK calls for a lower factor, so they
 equal ``solve_triangular`` and ``cho_solve`` bit for bit, without the per-call
 validation and batching that dominate the cost of a probe's small systems.
-:func:`forward_substitute` is the triangular solve whose columns do not
-depend on each other, for results that must not depend on the batch.
+:func:`forward_substitute` is the triangular solve whose right-hand sides
+do not depend on each other, for results that must not depend on the
+batch: it solves a stack of factors against a stack of rows in one pass.
+Where bits must not depend on the batch, a sum is written as explicit
+adds in a fixed order, never as an axis reduction: numpy sums a trailing
+axis of 8 or more terms pairwise.
 """
 
 from __future__ import annotations
@@ -37,12 +41,24 @@ def as_points(X, dim: int, name: str = "X") -> np.ndarray:
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """a_i @ b_i per row of A (B: matching rows or one vector), one BLAS dot each as ``a @ b``.
+    """a @ b per last-axis row of A (B: matching rows or one vector), one BLAS dot each.
 
     On contiguous rows this is the ``dot`` of ``np.dot(a, b)`` and
     ``np.linalg.norm(a) ** 2``, so each row reads the same in any batch.
     """
-    return (A[:, None, :] @ B[..., None])[:, 0, 0]
+    return (A[..., None, :] @ B[..., None])[..., 0, 0]
+
+
+def sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """``terms[0] + terms[1] + ...`` over the leading axis, added left to right.
+
+    Each entry takes the adds of a loop over its own terms, whatever the
+    other entries are; an axis reduction would add 8 or more terms pairwise.
+    """
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
 
 
 def forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -57,22 +73,22 @@ def forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward_substitute(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """chol^-1 rhs for a lower-triangular ``chol`` by forward substitution over rows.
+def forward_substitute(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """chols[i]^-1 rhs[j, i] for lower-triangular factors (k, d, d) and rows (m, k, d).
 
     ``u[r] = (rhs[r] - chol[r, 0] u[0] - ... - chol[r, r-1] u[r-1]) / chol[r, r]``,
-    subtracting term by term, so each column of a 2-d ``rhs`` is solved
-    with the same operations whatever the other columns are.  A
+    subtracting term by term on whole (m, k) arrays, so each row is solved
+    with the same operations whatever the other rows and factors are.  A
     multi-column ``trtrs`` does not promise that.  For a factor of size 1
     or 2 this equals the single-column :func:`forward_solve` bit for bit
     on OpenBLAS 0.3.31 (x86-64); larger factors may differ in the last bits.
     """
     u = np.empty_like(rhs)
-    for r in range(chol.shape[0]):
-        acc = rhs[r]
+    for r in range(chols.shape[-1]):
+        acc = rhs[..., r]
         for c in range(r):
-            acc = acc - chol[r, c] * u[c]
-        u[r] = acc / chol[r, r]
+            acc = acc - chols[:, r, c] * u[..., c]
+        u[..., r] = acc / chols[:, r, r]
     return u
 
 

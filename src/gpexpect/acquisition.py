@@ -21,7 +21,12 @@ predictive variance; S, sigma2^2 and the gain terms are each derived
 once, on arrays.  Each row of a probe is computed with the same operations
 whatever the other rows are, so :func:`acquisition_profile` on a grid
 and the one-point forms (S, the hypothetical update and both gains,
-row 0 of a one-row probe) agree bit for bit.
+row 0 of a one-row probe) agree bit for bit.  The kernel means at the
+rows are whole-array passes: one stacked forward substitution solves
+every row against every component's factor, then squares are added over
+dimensions and components into the sum one at a time.  Where bits must
+not depend on the batch, a sum is explicit adds, never an axis reduction
+(numpy sums 8 or more terms pairwise).
 
 The optimizer sees an objective: :func:`acquisition_objective` (S^2) or
 :func:`multi_theta_objective` (the gain averaged over hyperparameter
@@ -48,6 +53,7 @@ from gpexpect._numerics import (
     forward_solve,
     forward_substitute,
     row_dots,
+    sum_in_order,
 )
 from gpexpect.errors import DegenerateEstimateError
 from gpexpect.gp import GpPosterior, posterior_rows
@@ -90,22 +96,17 @@ def _substitutions(X, means, chols) -> np.ndarray:
     Each row is solved with the same operations whatever the other rows
     are, so a row of the result reads the same in any batch.
     """
-    u = np.stack([forward_substitute(chol, (X - mean).T) for mean, chol in zip(means, chols)])
-    return u.transpose(2, 0, 1)
+    return forward_substitute(chols, X[:, None, :] - means)
 
 
 def _component_means(u, amplitude_sq: float, factors) -> np.ndarray:
     """K_i(x) = factor_i * k(x, mean_i; cov_i + Lambda): one column per component, one row per x.
 
-    ``u`` holds the rows' :func:`_substitutions`.  Each row's square is
-    summed with one ``dot`` of a contiguous row, so it reads the same in
-    any batch.
+    ``u`` holds the rows' :func:`_substitutions`.  Each (row, component)
+    square is summed with one ``dot`` of a contiguous ``d``-vector, so it
+    reads the same in any batch.
     """
-    out = np.empty(u.shape[:2])
-    for i, factor in enumerate(factors):
-        u_i = np.ascontiguousarray(u[:, i, :])
-        out[:, i] = factor * (amplitude_sq * np.exp(-0.5 * row_dots(u_i, u_i)))
-    return out
+    return factors * (amplitude_sq * np.exp(-0.5 * row_dots(u, u)))
 
 
 def _kernel_mean_gradients(X, u, amplitude_sq: float, mix: GaussianMixture, chols, factors):
@@ -199,16 +200,13 @@ def _kernel_mean_many(ctx: AcquisitionContext, X: np.ndarray):
     """K(x) for each row of X, and the rows' :func:`_substitutions`, from the component caches.
 
     Each row's arithmetic is independent of the others (substitution
-    over rows, squares summed term by term), so a row reads the same in
-    any batch.
+    over rows, then squares and components added one at a time on whole
+    arrays), so a row reads the same in any batch.
     """
-    ker = ctx.gp.kernel
     u = _substitutions(X, ctx.mix.means, ctx._comp_chols)
-    out = np.zeros(X.shape[0])
-    for i in range(ctx.mix.n_components):
-        quad = sum(row * row for row in u[:, i, :].T)
-        out += ctx.mix.weights[i] * ctx._comp_factors[i] * ker.amplitude_sq * np.exp(-0.5 * quad)
-    return out, u
+    quad = sum_in_order(np.moveaxis(u * u, -1, 0))
+    coefs = ctx.mix.weights * ctx._comp_factors * ctx.gp.kernel.amplitude_sq
+    return sum_in_order((coefs * np.exp(-0.5 * quad)).T), u
 
 
 def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:

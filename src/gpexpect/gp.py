@@ -178,7 +178,7 @@ def fit(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> GpPosterior:
     used = 0.0
     for jit in jitters:
         try:
-            chol = np.linalg.cholesky(A + jit * np.eye(n))
+            chol = np.linalg.cholesky(A + jit * np.eye(n) if jit else A)
             used = jit
             break
         except np.linalg.LinAlgError:
@@ -251,10 +251,9 @@ def _log_evidences(
     included, and a row that fails there is NaN.  Either way a row's value
     is the one it has alone.
     """
-    eye = np.eye(data.n)
     try:
-        A = kernel_matrices(data.X, amplitude_sq, lengthscales) + noise[:, None, None] * eye
-        factors = np.linalg.cholesky(A + 0.0 * eye)
+        A = kernel_matrices(data.X, amplitude_sq, lengthscales)
+        factors = np.linalg.cholesky(A + noise[:, None, None] * np.eye(data.n))
     except (np.linalg.LinAlgError, FloatingPointError):
         values = np.full(len(amplitude_sq), np.nan)
         for r in range(len(values)):
@@ -386,7 +385,8 @@ class _LbfgsbStart:
                 self.dsave, _LBFGSB_MAXLS, self.ln_task,
             )
             if self.task[0] == _TASK_FG:
-                if not np.array_equal(self.x, self.evaluated[0]):
+                # same shape, finite: equal exactly when array_equal says so
+                if not (self.x == self.evaluated[0]).all():
                     return True
                 self.f, self.g = self.evaluated[1:]
             elif self.task[0] == _TASK_NEW_X:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpexpect._numerics import as_point, as_points
+from gpexpect._numerics import as_point, as_points, sum_in_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,20 +75,21 @@ def kernel_matrices(
 
     Kernel ``r`` has amplitude ``amplitude_sq[r]`` and scale variances
     ``lengthscales[r]``.  Each matrix is computed elementwise, so it does
-    not depend on the other kernels.
+    not depend on the other kernels, and is exactly symmetric:
+    ``(a - b)^2`` and ``(b - a)^2`` are the same bits.
     """
-    scaled = X / np.sqrt(lengthscales)[:, None, :]
-    sq = np.sum((scaled[:, :, None, :] - scaled[:, None, :, :]) ** 2, axis=-1)
-    K = amplitude_sq[:, None, None] * np.exp(-0.5 * sq)
-    return 0.5 * (K + K.transpose(0, 2, 1))
+    scaled = (X / np.sqrt(lengthscales)[:, None, :]).transpose(2, 0, 1)
+    return amplitude_sq[:, None, None] * np.exp(
+        -0.5 * sum_in_order((scaled[:, :, :, None] - scaled[:, :, None, :]) ** 2)
+    )
 
 
 def kernel_cross(A, B, ker: RbfKernel) -> np.ndarray:
     """Cross-kernel matrix with entries ``k(a_i, b_j)``, shape (m, n)."""
     A = as_points(A, ker.dim, "A")
     B = as_points(B, ker.dim, "B")
-    sq = ((B[None, :, :] - A[:, None, :]) ** 2 / ker.lengthscales).sum(axis=-1)
-    return ker.amplitude_sq * np.exp(-0.5 * sq)
+    terms = (B.T[:, None, :] - A.T[:, :, None]) ** 2 / ker.lengthscales[:, None, None]
+    return ker.amplitude_sq * np.exp(-0.5 * sum_in_order(terms))
 
 
 def kernel_vector(x, X, ker: RbfKernel) -> np.ndarray:

@@ -10,6 +10,8 @@ from scipy.linalg import cho_solve
 from gpexpect._numerics import chol_solve, forward_substitute
 from gpexpect.acquisition import (
     GAIN_SENTINEL,
+    _component_means,
+    _kernel_mean_many,
     _probe,
     acquisition_gradients,
     acquisition_objective,
@@ -175,6 +177,59 @@ class TestKernelMean:
         )
         mc, se = vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(kernel_mean(x, ker, mix) - mc) < 4 * se
+
+
+def reference_component_terms(ctx, X):
+    """Per row and component: the substitution, K_i by ``np.dot`` and w_i K_i by adds.
+
+    One row, one component and one dimension at a time: the substitution
+    one term at a time, the square of the substitution added one
+    dimension at a time.
+    """
+    mix, s2 = ctx.mix, ctx.gp.kernel.amplitude_sq
+    m, k, d = X.shape[0], mix.n_components, mix.dim
+    u, k_dot, w_k = np.empty((m, k, d)), np.empty((m, k)), np.empty((m, k))
+    for j in range(m):
+        for i in range(k):
+            chol = ctx._comp_chols[i]
+            for r in range(d):
+                acc = X[j, r] - mix.means[i, r]
+                for c in range(r):
+                    acc = acc - chol[r, c] * u[j, i, c]
+                u[j, i, r] = acc / chol[r, r]
+            quad = u[j, i, 0] * u[j, i, 0]
+            for r in range(1, d):
+                quad = quad + u[j, i, r] * u[j, i, r]
+            factor = ctx._comp_factors[i]
+            k_dot[j, i] = factor * (s2 * np.exp(-0.5 * np.dot(u[j, i], u[j, i])))
+            w_k[j, i] = mix.weights[i] * factor * s2 * np.exp(-0.5 * quad)
+    return u, k_dot, w_k
+
+
+class TestWholeArrayKernelMeans:
+    """The whole-array kernel means are the one-component, one-dimension loops bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 6),
+        k=st.integers(1, 10),
+        d=st.integers(1, 5),
+    )
+    def test_kernel_means_match_the_reference_loop(self, seed, m, k, d):
+        rng = np.random.default_rng(seed)
+        gp, mix = random_instance(rng, d=d, n=int(rng.integers(0, 5)), n_gmm=k)
+        ctx = build_context(gp, mix)
+        X = rng.uniform(-3.0, 3.0, size=(m, d))
+        u_ref, k_dot, w_k = reference_component_terms(ctx, X)
+        kmean, u = _kernel_mean_many(ctx, X)
+        assert u.tobytes() == u_ref.tobytes()
+        total = np.zeros(m)
+        for i in range(k):
+            total = total + w_k[:, i]
+        assert kmean.tobytes() == total.tobytes()
+        got = _component_means(u, gp.kernel.amplitude_sq, ctx._comp_factors)
+        assert got.tobytes() == k_dot.tobytes()
 
 
 class TestKernelMeanGradient:
@@ -439,7 +494,7 @@ def reference_acquisition_gradient(ctx, xt):
         return np.zeros(gp.dim)
     grad_v = np.zeros(xt.size)
     for w, mean, chol, factor in zip(mix.weights, mix.means, ctx._comp_chols, ctx._comp_factors):
-        u = forward_substitute(chol, xt - mean)
+        u = forward_substitute(chol[None], (xt - mean)[None, None])[0, 0]
         k = factor * (gp.kernel.amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
         grad_v -= w * k * chol_solve(chol, xt - mean)
     J = -(xt - gp.data.X) / gp.kernel.lengthscales * p.kv[0][:, None]

@@ -359,6 +359,40 @@ GOLDEN_MULTI_THETA_RUN = [
 ]
 
 
+# (chosen_x, mu1, sigma1, acquisition) of a 5 + 11 step run on x^2 under
+# N(0, 1) with the default refits, re-selecting before steps 5 and 10:
+# pins the hyperparameter search and the fits that follow it
+GOLDEN_REFIT_RUN = [
+    ("0x1.6fc062dae41f9p-3", "0x1.f460eb897a660p-1", "0x1.d057f2989c3e1p-8", "0x0.0p+0"),
+    ("-0x1.95eae7d4ade54p+0", "0x1.f460eb897a660p-1", "0x1.d057f2989c3e1p-8", "0x0.0p+0"),
+    ("0x1.bef069ec68f2ep-2", "0x1.f460eb897a660p-1", "0x1.d057f2989c3e1p-8", "0x0.0p+0"),
+    ("-0x1.372c1f4333df1p-1", "0x1.f460eb897a660p-1", "0x1.d057f2989c3e1p-8", "0x0.0p+0"),
+    ("0x1.9572014ee5284p-1", "0x1.f460eb897a660p-1", "0x1.d057f2989c3e1p-8", "0x0.0p+0"),
+    ("0x1.19e0000000000p+1", "0x1.ffb520db4d5a2p-1", "0x1.bb68b12c5f27fp-11",
+     "0x1.9f1f6fd43f4e6p-15"),
+    ("-0x1.4000000000000p+2", "0x1.00102f0886351p+0", "0x1.7a109756efa20p-11",
+     "0x1.a35d01298605ep-23"),
+    ("-0x1.8b316ec203f48p-1", "0x1.0013ac33837f4p+0", "0x1.5f0491d6d5c5cp-11",
+     "0x1.341dc9f382223p-24"),
+    ("0x1.3600000000000p-1", "0x1.001432461046dp+0", "0x1.401bb8663bd82p-11",
+     "0x1.4420fb0b96955p-24"),
+    ("0x1.1800000000000p-1", "0x1.00148037e8c9cp+0", "0x1.2dac492a5b13cp-11",
+     "0x1.6635d0e947b98p-25"),
+    ("-0x1.3d75aaa349379p+0", "0x1.00019fbf92a86p+0", "0x1.ed9b6cf3c4663p-13",
+     "0x1.bb4ffa2ee4edep-28"),
+    ("0x1.5fd1d5bf7ed60p-2", "0x1.00019c466b090p+0", "0x1.d2f4c3044dcc6p-13",
+     "0x1.90685ed065bf9p-28"),
+    ("0x1.fc26aab2f6096p-3", "0x1.0001970d5f93dp+0", "0x1.c12432fec0329p-13",
+     "0x1.fd544680d357cp-29"),
+    ("-0x1.3100c9c0c95dcp+0", "0x1.0001be5d24de1p+0", "0x1.aff684a2fda23p-13",
+     "0x1.d95bd5a6fb0cap-29"),
+    ("0x1.aa7a4cdc2da3cp-2", "0x1.0001bf61c1ba5p+0", "0x1.9f93a31dffe17p-13",
+     "0x1.b1f73ae82b7a5p-29"),
+    ("-0x1.246be59ec752ap+0", "0x1.00065a9000000p+0", "0x1.598f77516e584p-13",
+     "0x1.5eb3a3f4b88fcp-30"),
+]
+
+
 class TestGoldenHistory:
     def test_pinned_1d_run_is_bit_identical(self):
         """A short pinned run reproduces its recorded history bit for bit.
@@ -417,6 +451,23 @@ class TestGoldenHistory:
             for r in history
         ]
         assert got == GOLDEN_MULTI_THETA_RUN
+
+    def test_refit_run_is_bit_identical(self):
+        """A run that re-selects its hyperparameters twice; same provenance."""
+        cfg = DesignConfig(n0=5, budget=16, seed=900)
+
+        def black_box(x):
+            # the x_squared benchmark's arithmetic, on an array
+            X = x[None, :]
+            return float((X[:, 0] ** 2)[0])
+
+        history = run(std_normal_mix(), black_box, cfg)
+        got = [
+            (r.chosen_x[0].hex(), float(r.mu1).hex(), float(r.sigma1).hex(),
+             float(r.acquisition_at_chosen).hex())
+            for r in history
+        ]
+        assert got == GOLDEN_REFIT_RUN
 
 
 class TestTelescoping:

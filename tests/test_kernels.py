@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gpexpect.kernels import (
@@ -20,6 +22,54 @@ def random_kernel(rng, d):
         amplitude_sq=float(rng.uniform(0.5, 3.0)),
         lengthscales=rng.uniform(0.3, 2.0, size=d),
     )
+
+
+def reference_kernel(a, b, amplitude_sq, lengthscales, scaled_first):
+    """One kernel value, the squared distance added one dimension at a time.
+
+    ``scaled_first`` divides each coordinate by sqrt(lengthscale) before
+    the difference, as the Gram matrices do; otherwise the squared
+    difference is divided by the lengthscale, as the cross matrices do.
+    """
+    sq = 0.0
+    for c in range(len(a)):
+        if scaled_first:
+            root = np.sqrt(lengthscales[c])
+            t = a[c] / root - b[c] / root
+            term = t * t
+        else:
+            t = b[c] - a[c]
+            term = t * t / lengthscales[c]
+        sq = term if c == 0 else sq + term
+    return amplitude_sq * np.exp(-0.5 * sq)
+
+
+class TestWholeArrayDistances:
+    """Distances summed over dimensions on whole arrays are the per-dimension loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        k=st.integers(1, 10),
+        d=st.integers(1, 5),
+    )
+    def test_kernels_match_the_reference_loop(self, seed, m, n, k, d):
+        rng = np.random.default_rng(seed)
+        ker = random_kernel(rng, d)
+        A, X = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+        cross = np.array([[reference_kernel(a, x, ker.amplitude_sq, ker.lengthscales, False)
+                           for x in X] for a in A])
+        assert kernel_cross(A, X, ker).tobytes() == cross.tobytes()
+
+        amplitude_sq = np.exp(rng.uniform(-4, 4, size=k))
+        lengthscales = np.exp(rng.uniform(-4, 4, size=(k, d)))
+        stack = kernel_matrices(X, amplitude_sq, lengthscales)
+        gram = np.array([[[reference_kernel(xi, xj, amplitude_sq[r], lengthscales[r], True)
+                           for xj in X] for xi in X] for r in range(k)])
+        assert stack.tobytes() == gram.tobytes()
+        assert stack.tobytes() == stack.transpose(0, 2, 1).copy().tobytes()
 
 
 class TestEvalKernel:

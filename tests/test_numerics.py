@@ -1,7 +1,9 @@
-"""Package-private helpers: the direct LAPACK solves and forward substitution."""
+"""Package-private helpers: the direct LAPACK solves and the stacked forward substitution."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve, solve_triangular
 
@@ -57,22 +59,40 @@ class TestLapackSolves:
             forward_solve(L, np.ones(2))
 
 
+def reference_substitute(chols, rhs):
+    """chols[i]^-1 rhs[j, i], one row, one factor and one term at a time on Python floats."""
+    m, k, d = rhs.shape
+    u = np.empty(rhs.shape)
+    for j in range(m):
+        for i in range(k):
+            for r in range(d):
+                acc = float(rhs[j, i, r])
+                for c in range(r):
+                    acc = acc - float(chols[i, r, c]) * float(u[j, i, c])
+                u[j, i, r] = acc / float(chols[i, r, r])
+    return u
+
+
 class TestForwardSubstitute:
     @staticmethod
     def factor(rng, n):
         A = rng.normal(size=(n, n))
         return np.linalg.cholesky(A @ A.T + np.diag(rng.uniform(0.1, 5.0, n)))
 
-    def test_columns_do_not_depend_on_the_batch(self):
+    def test_rows_do_not_depend_on_the_batch(self):
         rng = np.random.default_rng(54)
         for n in (1, 2, 3, 5, 17):
-            L = self.factor(rng, n)
-            rows = rng.normal(size=(40, n))
-            batch = forward_substitute(L, rows.T)
-            assert_allclose(batch, solve_triangular(L, rows.T, lower=True), rtol=1e-12)
-            for j, row in enumerate(rows):
-                assert_array_equal(batch[:, j], forward_substitute(L, row))
-                assert_array_equal(batch[:, j : j + 1], forward_substitute(L, row[:, None]))
+            L = np.stack([self.factor(rng, n) for _ in range(3)])
+            rows = rng.normal(size=(40, 3, n))
+            batch = forward_substitute(L, rows)
+            for i in range(3):
+                assert_allclose(
+                    batch[:, i], solve_triangular(L[i], rows[:, i].T, lower=True).T, rtol=1e-12
+                )
+                alone = forward_substitute(L[i:i + 1], rows[:, i:i + 1])
+                assert_array_equal(batch[:, i:i + 1], alone)
+            for j in range(len(rows)):
+                assert_array_equal(batch[j:j + 1], forward_substitute(L, rows[j:j + 1]))
 
     def test_small_factors_match_one_column_trtrs(self):
         # what keeps 1-d and 2-d histories unchanged by the row-exact kernel mean
@@ -81,5 +101,18 @@ class TestForwardSubstitute:
             for _ in range(500):
                 L = self.factor(rng, n)
                 b = rng.normal(size=n) * rng.uniform(0.1, 10.0)
-                assert_array_equal(forward_substitute(L, b), forward_solve(L, b))
-                assert_array_equal(forward_substitute(L, b[:, None]), forward_solve(L, b[:, None]))
+                u = forward_substitute(L[None], b[None, None])[0, 0]
+                assert_array_equal(u, forward_solve(L, b))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 6),
+        k=st.integers(1, 10),
+        d=st.integers(1, 5),
+    )
+    def test_stack_is_the_reference_loop_bit_for_bit(self, seed, m, k, d):
+        rng = np.random.default_rng(seed)
+        L = np.stack([self.factor(rng, d) for _ in range(k)])
+        rhs = rng.normal(size=(m, k, d)) * rng.uniform(0.1, 10.0)
+        assert_array_equal(forward_substitute(L, rhs), reference_substitute(L, rhs))
