@@ -11,14 +11,7 @@ because the other three terms cancel in expectation.
 import numpy as np
 
 from gpexpect import Dataset, GaussianMixture, NoiseModel, RbfKernel
-from gpexpect.acquisition import (
-    acquisition_profile,
-    acquisition_values,
-    build_context,
-    info_gain_four_term,
-    info_gain_simplified,
-    variance_reduction_s,
-)
+from gpexpect.acquisition import acquisition_profile, build_context
 from gpexpect.gp import fit
 from gpexpect.oracles import mc_info_gain
 
@@ -45,14 +38,16 @@ profile = acquisition_profile(ctx, grid)
 best = grid[np.argmax(profile["s_sq"]), 0]
 print(f"\nacquisition peaks at x = {best:.4f}")
 print("profile at a few points:")
-for xv in (-2.5, -1.2, 0.1, 1.2, 2.5):
-    print(f"  x = {xv:5.1f}   value {acquisition_values(ctx, np.array([[xv]]))[0]:.3e}")
+spots = np.array([[-2.5], [-1.2], [0.1], [1.2], [2.5]])
+for xv, value in zip(spots[:, 0], acquisition_profile(ctx, spots)["s_sq"]):
+    print(f"  x = {xv:5.1f}   value {value:.3e}")
 print("it is near zero on top of existing data and far outside the mixture mass")
 
-# 2. the argmax chain: four scores, one maximizer.  A spot check with the
-#    per-point functions confirms the vectorized profile matches them.
-s_point = variance_reduction_s(ctx, np.array([best]))
-assert abs(s_point**2 - profile["s_sq"].max()) < 1e-12
+# 2. the argmax chain: four scores, one maximizer.  A spot check: S at
+#    the peak alone, squared, is the grid's largest S^2.
+xt = np.array([best])
+peak = acquisition_profile(ctx, xt[None])
+assert abs(peak["s"][0] ** 2 - profile["s_sq"].max()) < 1e-12
 
 print("\nsame grid index chosen by:")
 print(f"  argmax S^2 (the acquisition)  {np.argmax(profile['s_sq'])}")
@@ -61,12 +56,11 @@ print(f"  argmax four-term gain         {np.argmax(profile['gain_four_term'])}")
 print(f"  argmin sigma2^2               {np.argmin(profile['sigma2_sq'])}")
 
 # 3. at the chosen point, the four-term expected KL collapses
-xt = np.array([best])
-gain, terms = info_gain_four_term(ctx, xt)
+gain, terms = peak["gain_four_term"][0], peak["gain_terms"][0]
 print(f"\nfour-term gain at the peak: {gain:.8f}")
 print(f"  terms: {terms[0]:.8f} {terms[1]:+.8f} {terms[2]:+.8f} {terms[3]:+.8f}")
 print(f"  last three sum to {terms[1] + terms[2] + terms[3]:+.1e}, leaving log(sigma1/sigma2)")
-print(f"  simplified form gives      {info_gain_simplified(ctx, xt):.8f}")
+print(f"  simplified form gives      {peak['gain_simplified'][0]:.8f}")
 
 # 4. the same number from brute force: average the realized KL over draws of y
 mc, se = mc_info_gain(gp, mix, xt, 100_000, seed=0)

@@ -19,24 +19,23 @@ the GP posterior there: k(x, X_n), its Gram solve and the posterior
 variance (Rasmussen & Williams, GPML, Alg. 2.1), hence v(x) and the
 predictive variance; S, sigma2^2 and the gain terms are each derived
 once, on arrays.  Each row of a probe is computed with the same operations
-whatever the other rows are, so :func:`acquisition_profile` on a grid
-and the one-point forms (S, the hypothetical update and both gains,
-row 0 of a one-row probe) agree bit for bit.  The kernel means at the
-rows are whole-array passes: one stacked forward substitution solves
-every row against every component's factor, then squares are added over
-dimensions and components into the sum one at a time.  Where bits must
-not depend on the batch, a sum is explicit adds, never an axis reduction
-(numpy sums 8 or more terms pairwise).
+whatever the other rows are, so a row reads the same in any batch, a
+one-row probe included.  The kernel means at the rows are whole-array
+passes: one stacked forward substitution solves every row against every
+component's factor, then squares are added over dimensions and
+components into the sum one at a time.  Where bits must not depend on
+the batch, a sum is explicit adds, never an axis reduction (numpy sums
+8 or more terms pairwise).
 
-The optimizer sees an objective: :func:`acquisition_objective` (S^2) or
+There are three read-outs of a probe.  :func:`acquisition_profile` gives
+every quantity at every row: S, S^2, sigma2^2, the hypothetical update
+and both gains with their terms; a single point is row 0 of a one-row
+call, ``acquisition_profile(ctx, x[None])["s"][0]``.  The optimizer sees
+an objective: :func:`acquisition_objective` (S^2) or
 :func:`multi_theta_objective` (the gain averaged over hyperparameter
 samples) maps rows ``X`` to ``(values, gradients_at)``, where
 ``gradients_at(idx)`` differentiates rows ``X[idx]`` from the same probe
 that scored them, so an accepted trial step is never probed again.
-:func:`acquisition_values`, :func:`acquisition_gradients`,
-:func:`multi_theta_values` and :func:`multi_theta_gradients` are views
-of those objectives on all rows.  A single point is row 0 of a one-row
-call, ``acquisition_values(ctx, x[None])[0]``.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from gpexpect._numerics import (
 )
 from gpexpect.errors import DegenerateEstimateError
 from gpexpect.gp import GpPosterior, posterior_rows
-from gpexpect.kernels import RbfKernel
+from gpexpect.kernels import RbfKernel, kernel_jacobians
 from gpexpect.mixtures import GaussianMixture, same_mixture
 
 # log-gain sentinel standing in for +inf when sigma2^2 underflows to 0;
@@ -121,24 +120,29 @@ def _kernel_mean_gradients(X, u, amplitude_sq: float, mix: GaussianMixture, chol
     return grad
 
 
-def kernel_mean_component(x, ker: RbfKernel, mean, cov) -> float:
-    """Integral of k(x, .) against one Gaussian component N(mean, cov).
+def _kernel_mean_many(X, amplitude_sq: float, mix: GaussianMixture, chols, factors):
+    """K(x) for each row of X, and the rows' :func:`_substitutions`, from the component factors.
 
-    Closed form: |I + inv(Lambda) cov|^(-1/2) * k(x, mean; cov + Lambda).
+    Each row's arithmetic is independent of the others (substitution
+    over rows, then squares and components added one at a time on whole
+    arrays), so a row reads the same in any batch.
     """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    chols, factors = _component_factors(ker, cov[None])
-    u = _substitutions(as_point(x, mean.size, "x")[None, :], mean[None], chols)
-    return float(_component_means(u, ker.amplitude_sq, factors)[0, 0])
+    u = _substitutions(X, mix.means, chols)
+    quad = sum_in_order(np.moveaxis(u * u, -1, 0))
+    coefs = mix.weights * factors * amplitude_sq
+    return sum_in_order((coefs * np.exp(-0.5 * quad)).T), u
 
 
 def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture) -> float:
-    """Kernel mean K(x) = int k(x, x') p(x') dx' under the mixture."""
+    """Kernel mean K(x) = int k(x, x') p(x') dx' under the mixture.
+
+    Per component N(mean, cov), the closed form is
+    |I + inv(Lambda) cov|^(-1/2) * k(x, mean; cov + Lambda); the probe's
+    own sum over components, row 0 of a one-row :func:`_kernel_mean_many`.
+    """
     chols, factors = _component_factors(ker, mix.covs)
-    u = _substitutions(as_point(x, mix.dim, "x")[None, :], mix.means, chols)
-    k_i = _component_means(u, ker.amplitude_sq, factors)[0]
-    return float(sum(w * k for w, k in zip(mix.weights, k_i)))
+    X = as_point(x, mix.dim, "x")[None, :]
+    return float(_kernel_mean_many(X, ker.amplitude_sq, mix, chols, factors)[0][0])
 
 
 def kernel_mean_gradient(x, ker: RbfKernel, mix: GaussianMixture) -> np.ndarray:
@@ -196,19 +200,6 @@ class AcquisitionContext:
     _comp_factors: np.ndarray = field(repr=False)
 
 
-def _kernel_mean_many(ctx: AcquisitionContext, X: np.ndarray):
-    """K(x) for each row of X, and the rows' :func:`_substitutions`, from the component caches.
-
-    Each row's arithmetic is independent of the others (substitution
-    over rows, then squares and components added one at a time on whole
-    arrays), so a row reads the same in any batch.
-    """
-    u = _substitutions(X, ctx.mix.means, ctx._comp_chols)
-    quad = sum_in_order(np.moveaxis(u * u, -1, 0))
-    coefs = ctx.mix.weights * ctx._comp_factors * ctx.gp.kernel.amplitude_sq
-    return sum_in_order((coefs * np.exp(-0.5 * quad)).T), u
-
-
 def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
     """Assemble the estimate (mu1, sigma1^2) and the probe caches."""
     if gp.dim != mix.dim:
@@ -259,15 +250,13 @@ def _probe(ctx: AcquisitionContext, X: np.ndarray) -> _Probe:
     """Probe the (m, d) candidate rows of ``X``: the GP posterior there, and v."""
     gp = ctx.gp
     kv, solved_kv, var = posterior_rows(gp, X)
-    kmean, u = _kernel_mean_many(ctx, X)
+    kmean, u = _kernel_mean_many(
+        X, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
+    )
     v = kmean - row_dots(kv, ctx.solved_kmean)
     pred_var = var + gp.noise.variance
     live = pred_var >= _PRED_VAR_FLOOR * gp.kernel.amplitude_sq
     return _Probe(kv, solved_kv, v, pred_var, live, u)
-
-
-def _one_row(xt) -> np.ndarray:
-    return np.atleast_1d(np.asarray(xt, dtype=float))[None, :]
 
 
 def _informative_var(p: _Probe) -> np.ndarray:
@@ -301,15 +290,6 @@ def _gain(ctx: AcquisitionContext, sigma2_sq: np.ndarray) -> np.ndarray:
     return gain
 
 
-def _four_term(ctx: AcquisitionContext, p: _Probe, sigma2_sq: np.ndarray):
-    """The four-term gain and its terms; t1 first, so a zero sigma1^2 raises before a division."""
-    t1 = _gain(ctx, sigma2_sq)
-    t2 = sigma2_sq / (2.0 * ctx.sigma1_sq)
-    t3 = np.full(t2.shape, -0.5)
-    t4 = p.v * p.v / (2.0 * ctx.sigma1_sq * _informative_var(p))
-    return t1 + t2 + t3 + t4, (t1, t2, t3, t4)
-
-
 def _s_sq_gradients(ctx: AcquisitionContext, X: np.ndarray, p: _Probe) -> np.ndarray:
     """Gradient of S^2 = v^2 / D at each row of ``X``, the probe's rows, by the quotient rule.
 
@@ -324,8 +304,7 @@ def _s_sq_gradients(ctx: AcquisitionContext, X: np.ndarray, p: _Probe) -> np.nda
         X, p.u, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
     )
     # J[j] is the (n, d) Jacobian at row j; J[j].T is its transposed view
-    J = -(X[:, None, :] - gp.data.X) / gp.kernel.lengthscales * p.kv[:, :, None]
-    JT = np.swapaxes(J, 1, 2)
+    JT = np.swapaxes(kernel_jacobians(X, gp.data.X, gp.kernel, p.kv), 1, 2)
     grad_v = grad_v - JT @ ctx.solved_kmean
     grad_D = -2.0 * (JT @ p.solved_kv[:, :, None])[:, :, 0]
     D = np.where(p.live, p.pred_var, 1.0)
@@ -333,15 +312,6 @@ def _s_sq_gradients(ctx: AcquisitionContext, X: np.ndarray, p: _Probe) -> np.nda
     grad = (2.0 * p.v / D)[:, None] * grad_v - (p.v * p.v / D_sq)[:, None] * grad_D
     grad[~p.live] = 0.0
     return grad
-
-
-def variance_reduction_s(ctx: AcquisitionContext, xt) -> float:
-    """S(xt) = v(xt) / sqrt(k_n(xt, xt) + noise); S^2 is the variance drop.
-
-    Returns 0 when the predictive variance vanishes (noiseless duplicate):
-    the observation would carry no new information.
-    """
-    return float(_s(_probe(ctx, _one_row(xt)))[0])
 
 
 def acquisition_objective(ctx: AcquisitionContext):
@@ -363,87 +333,6 @@ def acquisition_objective(ctx: AcquisitionContext):
         return _s_sq(p), gradients_at
 
     return objective
-
-
-def _all_rows(objective, X):
-    """``objective``'s values and gradients at every row of ``X``."""
-    values, gradients_at = objective(X)
-    return values, gradients_at(np.arange(len(values)))
-
-
-def acquisition_values(ctx: AcquisitionContext, X) -> np.ndarray:
-    """The acquisition S^2 at each (m, d) row of ``X``, from one probe."""
-    return acquisition_objective(ctx)(X)[0]
-
-
-def acquisition_gradients(ctx: AcquisitionContext, X) -> np.ndarray:
-    """Gradient of the acquisition S^2 at each (m, d) row of ``X``, from one probe."""
-    return _all_rows(acquisition_objective(ctx), X)[1]
-
-
-@dataclass(frozen=True)
-class HypotheticalUpdate:
-    """Effect of one hypothetical observation on the integral estimate.
-
-    The updated mean is affine in the observed value,
-    mu2(y) = mu1 + innovation_coeff * (y - pred_mean), while the updated
-    variance sigma2_sq does not depend on it at all.
-    """
-
-    innovation_coeff: float
-    pred_mean: float
-    sigma2_sq: float
-
-
-def hypothetical_update(ctx: AcquisitionContext, xt) -> HypotheticalUpdate:
-    """Innovation coefficient, predicted value, and sigma2^2 at ``xt``."""
-    p = _probe(ctx, _one_row(xt))
-    return HypotheticalUpdate(
-        innovation_coeff=float((p.v / _informative_var(p))[0]),
-        pred_mean=float(row_dots(p.kv, ctx.gp.weights)[0]),
-        sigma2_sq=float(_sigma2_sq(ctx, p)[0]),
-    )
-
-
-def kl_gaussian(mu_a: float, var_a: float, mu_b: float, var_b: float) -> float:
-    """KL divergence between two univariate Gaussians, N_a against N_b."""
-    if var_a <= 0 or var_b <= 0:
-        raise ValueError("variances must be positive")
-    val = (
-        0.5 * np.log(var_b / var_a)
-        + (var_a + (mu_a - mu_b) ** 2) / (2.0 * var_b)
-        - 0.5
-    )
-    return max(float(val), 0.0)
-
-
-def info_gain_four_term(ctx: AcquisitionContext, xt):
-    """Expected KL information gain in its un-simplified four-term form.
-
-    Returns ``(g, (t1, t2, t3, t4))`` with
-    t1 = log(sigma1/sigma2), t2 = sigma2^2 / (2 sigma1^2), t3 = -1/2,
-    t4 = v^2 / (2 sigma1^2 (k_n(xt, xt) + noise)).
-    The last three terms cancel exactly in theory; they are returned so
-    the cancellation is observable.
-
-    Raises
-    ------
-    DegenerateEstimateError
-        If sigma1^2 is zero: the integral is already known exactly.
-    """
-    p = _probe(ctx, _one_row(xt))
-    g, terms = _four_term(ctx, p, _sigma2_sq(ctx, p))
-    return float(g[0]), tuple(float(t[0]) for t in terms)
-
-
-def info_gain_simplified(ctx: AcquisitionContext, xt) -> float:
-    """The reduced information gain log(sigma1 / sigma2(xt)).
-
-    Equal to the four-term form; a zero sigma2^2 (complete variance
-    collapse) maps to the finite sentinel so argmax semantics survive.
-    """
-    p = _probe(ctx, _one_row(xt))
-    return float(_gain(ctx, _sigma2_sq(ctx, p))[0])
 
 
 def _shared_contexts(contexts) -> list:
@@ -470,8 +359,9 @@ def multi_theta_objective(contexts):
     mixture.  ``objective(X)`` probes the (m, d) rows of ``X`` once per
     context and returns the mean gain of each row with ``gradients_at``,
     as :func:`acquisition_objective` does.  With one context a value is
-    exactly :func:`info_gain_simplified`; the argmax over rows equals the
-    argmin of the product of the per-sample sigma2^2 values.
+    exactly the ``gain_simplified`` column of :func:`acquisition_profile`;
+    the argmax over rows equals the argmin of the product of the
+    per-sample sigma2^2 values.
 
     Per sample, d/dx log(sigma1/sigma2) = (d/dx S^2) / (2 sigma2^2);
     samples sitting at the variance-collapse sentinel contribute zero
@@ -510,34 +400,54 @@ def multi_theta_objective(contexts):
     return objective
 
 
-def multi_theta_values(contexts, X) -> np.ndarray:
-    """Mean simplified gain across hyperparameter samples at each (m, d) row of ``X``."""
-    return multi_theta_objective(contexts)(X)[0]
-
-
-def multi_theta_gradients(contexts, X) -> np.ndarray:
-    """Gradient of the mean simplified gain at each (m, d) row of ``X``."""
-    return _all_rows(multi_theta_objective(contexts), X)[1]
-
-
 def acquisition_profile(ctx: AcquisitionContext, X):
-    """Acquisition quantities at every candidate row of ``X``.
+    """Every acquisition quantity at every candidate row of ``X``, from one probe of all rows.
 
-    Returns a dict of arrays: ``s_sq`` (the acquisition), ``sigma2_sq``,
-    ``gain_simplified`` and ``gain_four_term``, from one probe of all
-    rows.  Row i equals the one-point forms at ``X[i]`` bit for bit.
+    Returns a dict of arrays, one entry per row:
+
+    - ``s``: S = v / sqrt(k_n(x, x) + noise), and ``s_sq``, the acquisition
+      S^2, the drop in estimate variance; both are zero where the
+      predictive variance vanishes (a noiseless duplicate has nothing
+      left to learn);
+    - ``sigma2_sq``: the estimate variance after one more observation at
+      the row, sigma1^2 - S^2;
+    - ``innovation_coeff`` and ``pred_mean``: the updated estimate mean is
+      affine in the observed value y, mu2(y) = mu1 + innovation_coeff *
+      (y - pred_mean), while sigma2^2 does not depend on y at all;
+    - ``gain_simplified``: the expected KL information gain in its
+      reduced form log(sigma1 / sigma2), the finite ``GAIN_SENTINEL``
+      where sigma2^2 is zero, so argmax semantics survive;
+    - ``gain_four_term`` and ``gain_terms`` (m, 4): the same gain in its
+      un-simplified form t1 + t2 + t3 + t4 with t1 = log(sigma1/sigma2),
+      t2 = sigma2^2 / (2 sigma1^2), t3 = -1/2 and
+      t4 = v^2 / (2 sigma1^2 (k_n(x, x) + noise)).  The last three cancel
+      exactly in theory; they are returned so the cancellation is
+      observable.
+
+    Each row reads the same in any batch, so a single point is row 0 of a
+    one-row call.
 
     Raises
     ------
     DegenerateEstimateError
         If sigma1^2 is zero: the integral is already known exactly.
+        Every column raises, S and the update included (S is 0 there).
     """
     p = _probe(ctx, as_points(X, ctx.gp.dim))
     sigma2_sq = _sigma2_sq(ctx, p)
-    four, (gain, _, _, _) = _four_term(ctx, p, sigma2_sq)
+    # t1 first, so a zero sigma1^2 raises before a division
+    t1 = _gain(ctx, sigma2_sq)
+    t2 = sigma2_sq / (2.0 * ctx.sigma1_sq)
+    t3 = np.full(t2.shape, -0.5)
+    t4 = p.v * p.v / (2.0 * ctx.sigma1_sq * _informative_var(p))
+    s = _s(p)
     return {
-        "s_sq": _s_sq(p),
+        "s": s,
+        "s_sq": s * s,
         "sigma2_sq": sigma2_sq,
-        "gain_simplified": gain,
-        "gain_four_term": four,
+        "innovation_coeff": p.v / _informative_var(p),
+        "pred_mean": row_dots(p.kv, ctx.gp.weights),
+        "gain_simplified": t1,
+        "gain_four_term": t1 + t2 + t3 + t4,
+        "gain_terms": np.stack([t1, t2, t3, t4], axis=1),
     }

@@ -100,12 +100,23 @@ def kernel_vector(x, X, ker: RbfKernel) -> np.ndarray:
     return kernel_cross(as_point(x, ker.dim, "x")[None, :], X, ker)[0]
 
 
+def kernel_jacobians(
+    X: np.ndarray, B: np.ndarray, ker: RbfKernel, kv: np.ndarray
+) -> np.ndarray:
+    """Gradients of ``k(x, b_j)`` in ``x`` at each row of ``X`` (m, d), shape (m, n, d).
+
+    ``kv`` is ``kernel_cross(X, B, ker)``.  Entry ``[i, j]`` is
+    ``-(x_i - b_j) / lengthscales * k(x_i, b_j)``.
+    """
+    return -(X[:, None, :] - B) / ker.lengthscales * kv[:, :, None]
+
+
 def kernel_gradient(a, b, ker: RbfKernel) -> np.ndarray:
-    """Gradient of ``k(a, b)`` with respect to ``a``.
+    """Gradient of ``k(a, b)`` with respect to ``a``: one entry of :func:`kernel_jacobians`.
 
     Equals ``-(a - b) / lengthscales * k(a, b)``; antisymmetric under
     swapping the arguments and zero at ``a = b``.
     """
-    a = as_point(a, ker.dim, "a")
-    b = as_point(b, ker.dim, "b")
-    return -(a - b) / ker.lengthscales * eval_kernel(a, b, ker)
+    A = as_point(a, ker.dim, "a")[None, :]
+    B = as_point(b, ker.dim, "b")[None, :]
+    return kernel_jacobians(A, B, ker, kernel_cross(A, B, ker))[0, 0]

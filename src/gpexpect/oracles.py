@@ -3,7 +3,9 @@
 Nothing here is used on the hot path.  These estimators exist so every
 analytic quantity in :mod:`gpexpect.acquisition` can be checked against
 an independent computation: adaptive quadrature in 1-d, tensor
-Gauss-Legendre in 2-d, and seeded Monte Carlo in any dimension.
+Gauss-Legendre in 2-d, and seeded Monte Carlo in any dimension.  The
+Gaussian KL divergence that defines the information gain lives here,
+with the Monte-Carlo gain that averages it.
 """
 
 from __future__ import annotations
@@ -114,6 +116,24 @@ def mc_expectation(fn, mix: GaussianMixture, n_samples: int, seed: int):
     return mean, se
 
 
+def kl_gaussian(mu_a, var_a, mu_b, var_b):
+    """KL(N(mu_a, var_a) || N(mu_b, var_b)) of univariate Gaussians, elementwise on arrays.
+
+    0.5 log(var_b / var_a) + (var_a + (mu_a - mu_b)^2) / (2 var_b) - 1/2,
+    clamped at 0 against rounding below it.
+    """
+    var_a = np.asarray(var_a, dtype=float)
+    var_b = np.asarray(var_b, dtype=float)
+    if np.any(var_a <= 0) or np.any(var_b <= 0):
+        raise ValueError("variances must be positive")
+    val = (
+        0.5 * np.log(var_b / var_a)
+        + (var_a + (np.asarray(mu_a, dtype=float) - mu_b) ** 2) / (2.0 * var_b)
+        - 0.5
+    )
+    return np.maximum(val, 0.0)
+
+
 def mc_info_gain(gp: GpPosterior, mix: GaussianMixture, xt, n_samples: int, seed: int):
     """Monte-Carlo estimate of the expected KL information gain at ``xt``.
 
@@ -121,29 +141,32 @@ def mc_info_gain(gp: GpPosterior, mix: GaussianMixture, xt, n_samples: int, seed
     ``xt``, applies the closed-form update of the integral estimate for
     each, and averages the Gaussian KL divergence between the updated and
     current estimate distributions.  Returns ``(mean, std_error)``.
+
+    Raises
+    ------
+    DegenerateEstimateError
+        If the current estimate variance is zero.
+    ValueError
+        If the updated variance is zero: the KL draws are degenerate.
     """
     # imported here: acquisition sits above this module in the layering,
     # and only this oracle needs it
-    from gpexpect.acquisition import build_context, hypothetical_update
+    from gpexpect.acquisition import acquisition_profile, build_context
 
     ctx = build_context(gp, mix)
-    upd = hypothetical_update(ctx, xt)
+    xt = np.atleast_1d(np.asarray(xt, dtype=float))
+    upd = acquisition_profile(ctx, xt[None, :])
+    pred_mean, sigma2_sq = upd["pred_mean"][0], upd["sigma2_sq"][0]
     pred_var = posterior_cov(gp, xt, xt) + gp.noise.variance
     rng = np.random.default_rng(seed)
-    y_draws = upd.pred_mean + np.sqrt(max(pred_var, 0.0)) * rng.standard_normal(n_samples)
+    y_draws = pred_mean + np.sqrt(max(pred_var, 0.0)) * rng.standard_normal(n_samples)
 
-    if upd.sigma2_sq <= 0.0:
+    if sigma2_sq <= 0.0:
         # updated estimate is exact; KL against it is not defined through
         # kl_gaussian, and the acquisition layer treats this via a sentinel
         raise ValueError("hypothetical variance is zero; KL draws are degenerate")
-    mu2 = ctx.mu1 + upd.innovation_coeff * (y_draws - upd.pred_mean)
-    # vectorized kl_gaussian(mu2, sigma2_sq || mu1, sigma1_sq)
-    const = float(
-        np.log(np.sqrt(ctx.sigma1_sq / upd.sigma2_sq))
-        + upd.sigma2_sq / (2.0 * ctx.sigma1_sq)
-        - 0.5
-    )
-    kls = const + (mu2 - ctx.mu1) ** 2 / (2.0 * ctx.sigma1_sq)
+    mu2 = ctx.mu1 + upd["innovation_coeff"][0] * (y_draws - pred_mean)
+    kls = kl_gaussian(mu2, sigma2_sq, ctx.mu1, ctx.sigma1_sq)
     mean = float(kls.mean())
     se = float(kls.std(ddof=1) / np.sqrt(n_samples))
     return mean, se

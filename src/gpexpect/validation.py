@@ -17,15 +17,11 @@ import numpy as np
 from gpexpect._numerics import chol_solve
 from gpexpect.acquisition import (
     acquisition_objective,
-    acquisition_values,
+    acquisition_profile,
     build_context,
     double_kernel_mean,
-    hypothetical_update,
-    info_gain_four_term,
-    info_gain_simplified,
     kernel_mean,
     multi_theta_objective,
-    variance_reduction_s,
 )
 from gpexpect.gp import (
     Dataset,
@@ -116,7 +112,7 @@ def check_four_term_collapse(seed: int = 101) -> CheckResult:
         if ctx.sigma1_sq <= 0.0:
             continue
         xt = _mixture_probe(mix, rng)
-        _, (t1, t2, t3, t4) = info_gain_four_term(ctx, xt)
+        t1, t2, t3, t4 = acquisition_profile(ctx, xt[None])["gain_terms"][0]
         dev = abs(t2 + t3 + t4) / max(1.0, abs(t1))
         worst = max(worst, dev)
     return CheckResult(
@@ -144,10 +140,10 @@ def check_pythagorean_identity(seed: int = 102) -> CheckResult:
         gp, mix = random_instance(rng)
         ctx = build_context(gp, mix)
         candidates = sample(mix, 16, seed=int(rng.integers(2**63)))
-        xt = candidates[np.argmax(acquisition_values(ctx, candidates))]
-        s = variance_reduction_s(ctx, xt)
-        upd = hypothetical_update(ctx, xt)
-        drop = ctx.sigma1_sq - upd.sigma2_sq
+        xt = candidates[np.argmax(acquisition_objective(ctx)(candidates)[0])]
+        at_xt = acquisition_profile(ctx, xt[None])
+        s = at_xt["s"][0]
+        drop = ctx.sigma1_sq - at_xt["sigma2_sq"][0]
         dev = abs(drop - s * s) / max(ctx.sigma1_sq, s * s, 1e-300)
         worst = max(worst, dev)
     return CheckResult(
@@ -168,9 +164,10 @@ def check_info_gain_mc(seed: int = 103) -> CheckResult:
         gp, mix = random_instance(rng, n=int(rng.integers(1, 9)))
         ctx = build_context(gp, mix)
         xt = _mixture_probe(mix, rng)
-        if hypothetical_update(ctx, xt).sigma2_sq <= 0.0:
+        at_xt = acquisition_profile(ctx, xt[None])
+        if at_xt["sigma2_sq"][0] <= 0.0:
             continue
-        g = info_gain_simplified(ctx, xt)
+        g = at_xt["gain_simplified"][0]
         mc, se = mc_info_gain(gp, mix, xt, n_samples=100_000, seed=int(rng.integers(2**63)))
         if se == 0.0:
             dev = 0.0 if mc == g else np.inf
@@ -325,11 +322,12 @@ def check_rank1_updates(seed: int = 105) -> CheckResult:
         xt = _mixture_probe(mix, rng)
         yt = float(rng.normal())
         ctx = build_context(gp, mix)
-        upd = hypothetical_update(ctx, xt)
+        upd = acquisition_profile(ctx, xt[None])
         refit = build_context(fit(gp.data.append(xt, yt), gp.kernel, gp.noise), mix)
-        mu2 = ctx.mu1 + upd.innovation_coeff * (yt - upd.pred_mean)
+        mu2 = ctx.mu1 + upd["innovation_coeff"][0] * (yt - upd["pred_mean"][0])
+        sigma2_sq = upd["sigma2_sq"][0]
         worst = max(worst, abs(mu2 - refit.mu1) / max(abs(refit.mu1), 1e-8))
-        worst = max(worst, abs(upd.sigma2_sq - refit.sigma1_sq) / max(refit.sigma1_sq, 1e-8))
+        worst = max(worst, abs(sigma2_sq - refit.sigma1_sq) / max(refit.sigma1_sq, 1e-8))
     return CheckResult(
         name="rank1_refit_consistency",
         passed=worst <= tol,
@@ -372,7 +370,9 @@ def check_gradients(seed: int = 106) -> CheckResult:
     """Acquisition, multi-theta gain and kernel gradients vs central finite differences.
 
     The acquisition and multi-theta gradients are taken at a row inside a
-    ladder-shaped batch, the path the optimizer runs.
+    ladder-shaped batch, the path the optimizer runs.  The kernel gradient
+    is the one-entry case of :func:`gpexpect.kernels.kernel_jacobians`,
+    the Jacobian inside the acquisition gradient.
     """
     rng = np.random.default_rng(seed)
     acq_tol = 1e-5

@@ -13,23 +13,13 @@ from gpexpect.acquisition import (
     _component_means,
     _kernel_mean_many,
     _probe,
-    acquisition_gradients,
     acquisition_objective,
     acquisition_profile,
-    acquisition_values,
     build_context,
     double_kernel_mean,
-    hypothetical_update,
-    info_gain_four_term,
-    info_gain_simplified,
     kernel_mean,
-    kernel_mean_component,
     kernel_mean_gradient,
-    kl_gaussian,
-    multi_theta_gradients,
     multi_theta_objective,
-    multi_theta_values,
-    variance_reduction_s,
 )
 from gpexpect.benchmarks import branin
 from gpexpect.errors import DegenerateEstimateError
@@ -80,6 +70,25 @@ def point_mass_1d(w=0.0):
     return single_comp(w, var=5e-17)
 
 
+def component(mean, cov):
+    """The one-component mixture N(mean, cov)."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    return GaussianMixture(weights=np.array([1.0]), means=mean[None, :],
+                           covs=np.atleast_2d(np.asarray(cov, dtype=float))[None])
+
+
+def at_point(ctx, x) -> dict:
+    """Every acquisition quantity at the single point ``x``: row 0 of a one-row profile."""
+    prof = acquisition_profile(ctx, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
+    return {key: column[0] for key, column in prof.items()}
+
+
+def gradients(objective, X) -> np.ndarray:
+    """``objective``'s gradients at every row of ``X``, from one call."""
+    values, gradients_at = objective(X)
+    return gradients_at(np.arange(len(values)))
+
+
 def fitted_gp(rng, d=1, n=4, noise=0.05):
     ker = RbfKernel(amplitude_sq=1.0, lengthscales=np.full(d, 0.8))
     X = rng.normal(size=(n, d))
@@ -93,19 +102,17 @@ class TestKernelMeanComponent:
         ker = RbfKernel(amplitude_sq=1.3, lengthscales=np.array([0.7, 1.1]))
         for _ in range(5):
             x, w = rng.normal(size=(2, 2))
-            val = kernel_mean_component(x, ker, w, 1e-12 * np.eye(2))
+            val = kernel_mean(x, ker, component(w, 1e-12 * np.eye(2)))
             assert_allclose(val, eval_kernel(x, w, ker), rtol=1e-6)
 
     def test_unit_case_at_center(self):
-        val = kernel_mean_component(
-            np.array([0.0]), UNIT_KERNEL, np.array([0.0]), np.array([[1.0]])
-        )
+        val = kernel_mean(np.array([0.0]), UNIT_KERNEL, component([0.0], [[1.0]]))
         assert_allclose(val, 1.0 / np.sqrt(2.0), atol=1e-6)
         assert_allclose(val, 0.707107, atol=1e-6)
 
     def test_unit_case_offset_one_with_quadrature(self):
         x = np.array([1.0])
-        val = kernel_mean_component(x, UNIT_KERNEL, np.array([0.0]), np.array([[1.0]]))
+        val = kernel_mean(x, UNIT_KERNEL, component([0.0], [[1.0]]))
         assert_allclose(val, np.exp(-0.25) / np.sqrt(2.0), rtol=1e-12)
         assert_allclose(val, 0.550690, atol=1e-5)
 
@@ -126,25 +133,24 @@ class TestKernelMeanComponent:
         for _ in range(20):
             x, w = rng.normal(size=(2, 1))
             var = float(rng.uniform(0.1, 3.0))
-            val = kernel_mean_component(x, ker, w, np.array([[var]]))
+            val = kernel_mean(x, ker, component(w, [[var]]))
             assert 0.0 < val < ker.amplitude_sq
-        at_center = kernel_mean_component(w, ker, w, np.array([[1.0]]))
+        at_center = kernel_mean(w, ker, component(w, [[1.0]]))
         assert at_center < eval_kernel(w, w, ker)
 
     def test_rejects_non_spd_cov(self):
         with pytest.raises(ValueError):
-            kernel_mean_component(
-                np.array([0.0]), UNIT_KERNEL, np.array([0.0]), np.array([[-1.0]])
-            )
+            kernel_mean(np.array([0.0]), UNIT_KERNEL, component([0.0], [[-1.0]]))
 
 
 class TestKernelMean:
     def test_single_component_reduction(self):
+        # |I + cov / Lambda|^(-1/2) k(x, mean; cov + Lambda) with Lambda = 1, cov = 0.8
         x = np.array([0.3])
         mix = single_comp(0.5, 0.8)
         assert_allclose(
             kernel_mean(x, UNIT_KERNEL, mix),
-            kernel_mean_component(x, UNIT_KERNEL, mix.means[0], mix.covs[0]),
+            np.exp(-0.5 * 0.2**2 / 1.8) / np.sqrt(1.8),
             rtol=1e-14,
         )
 
@@ -222,7 +228,9 @@ class TestWholeArrayKernelMeans:
         ctx = build_context(gp, mix)
         X = rng.uniform(-3.0, 3.0, size=(m, d))
         u_ref, k_dot, w_k = reference_component_terms(ctx, X)
-        kmean, u = _kernel_mean_many(ctx, X)
+        kmean, u = _kernel_mean_many(
+            X, gp.kernel.amplitude_sq, mix, ctx._comp_chols, ctx._comp_factors
+        )
         assert u.tobytes() == u_ref.tobytes()
         total = np.zeros(m)
         for i in range(k):
@@ -402,7 +410,7 @@ class TestVarianceReductionS:
     def test_prior_point_mass_case(self):
         gp = fit(Dataset.empty(1), UNIT_KERNEL, NoiseModel(variance=0.0))
         ctx = build_context(gp, single_comp(0.0, 1.0))
-        s = variance_reduction_s(ctx, np.array([0.0]))
+        s = at_point(ctx, np.array([0.0]))["s"]
         assert_allclose(s, 1.0 / np.sqrt(2.0), rtol=1e-12)
         assert_allclose(s, 0.707107, atol=1e-6)
 
@@ -410,7 +418,7 @@ class TestVarianceReductionS:
         rng = np.random.default_rng(12)
         gp = fitted_gp(rng, n=4)
         ctx = build_context(gp, single_comp())
-        assert abs(variance_reduction_s(ctx, np.array([100.0]))) < 1e-10
+        assert abs(at_point(ctx, np.array([100.0]))["s"]) < 1e-10
 
     def test_updated_variance_against_quadrature(self):
         rng = np.random.default_rng(13)
@@ -418,7 +426,7 @@ class TestVarianceReductionS:
         mix = two_comp_1d()
         ctx = build_context(gp, mix)
         xt = np.array([0.4])
-        s = variance_reduction_s(ctx, xt)
+        s = at_point(ctx, xt)["s"]
 
         kt = kernel_vector(xt, gp.data.X, gp.kernel)
         denom = (
@@ -457,7 +465,7 @@ class TestVarianceReductionS:
             ctx = build_context(gp, mix)
             for _ in range(20):
                 xt = rng.normal(size=mix.means.shape[1])
-                s = variance_reduction_s(ctx, xt)
+                s = at_point(ctx, xt)["s"]
                 assert s * s <= ctx.sigma1_sq + 1e-12
 
     def test_correlation_form_monte_carlo(self):
@@ -479,7 +487,7 @@ class TestVarianceReductionS:
         kn_tx = k_prior - kx @ solved_t
         vals = kn_tx / np.sqrt(denom)
         mc, se = vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals))
-        assert abs(variance_reduction_s(ctx, xt) - mc) < 4 * se
+        assert abs(at_point(ctx, xt)["s"] - mc) < 4 * se
 
 
 def reference_acquisition_gradient(ctx, xt):
@@ -512,7 +520,7 @@ class TestAcquisitionValueGradient:
             NoiseModel(variance=0.1),
         )
         ctx = build_context(gp, single_comp())
-        grad = acquisition_gradients(ctx, np.array([[0.0]]))[0]
+        grad = gradients(acquisition_objective(ctx), np.array([[0.0]]))[0]
         assert abs(grad[0]) < 1e-8
 
     def test_finite_differences_random_instances(self):
@@ -525,11 +533,11 @@ class TestAcquisitionValueGradient:
             d = mix.means.shape[1]
             xt = sample(mix, 1, seed=int(rng.integers(2**31)))[0]
             steps = h * np.eye(d)
-            values = acquisition_values(ctx, np.concatenate([xt + steps, xt - steps]))
+            values = acquisition_objective(ctx)(np.concatenate([xt + steps, xt - steps]))[0]
             fd = (values[:d] - values[d:]) / (2 * h)
             if np.linalg.norm(fd) < 1e-3:
                 continue
-            grad = acquisition_gradients(ctx, xt[None])[0]
+            grad = gradients(acquisition_objective(ctx), xt[None])[0]
             assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(fd)
             checked += 1
 
@@ -543,7 +551,7 @@ class TestAcquisitionValueGradient:
             ctx = build_context(gp, mix)
             X = np.concatenate([sample(mix, 30, seed=int(rng.integers(2**63))),
                                 rng.uniform(-4.0, 4.0, size=(30, d))])
-            got = np.array([acquisition_gradients(ctx, x[None])[0] for x in X])
+            got = np.array([gradients(acquisition_objective(ctx), x[None])[0] for x in X])
             want = np.array([reference_acquisition_gradient(ctx, x) for x in X])
             assert got.tobytes() == want.tobytes()
 
@@ -563,14 +571,14 @@ class TestAcquisitionValueGradient:
         assert not p.live[5] and p.live[np.arange(9) != 5].all()
         assert n > 1 or p.pred_var[5] == 0.0
         with np.errstate(divide="raise", invalid="raise"):
-            G = acquisition_gradients(ctx, X)
-            GM = multi_theta_gradients([ctx], X)
+            G = gradients(acquisition_objective(ctx), X)
+            GM = gradients(multi_theta_objective([ctx]), X)
         assert G[5].tobytes() == np.zeros(2).tobytes()
         assert_array_equal(GM[5], np.zeros(2))
         for i, x in enumerate(X):
-            assert G[i].tobytes() == acquisition_gradients(ctx, x[None])[0].tobytes()
+            assert G[i].tobytes() == gradients(acquisition_objective(ctx), x[None])[0].tobytes()
             assert G[i].tobytes() == reference_acquisition_gradient(ctx, x).tobytes()
-            assert GM[i].tobytes() == multi_theta_gradients([ctx], x[None])[0].tobytes()
+            assert GM[i].tobytes() == gradients(multi_theta_objective([ctx]), x[None])[0].tobytes()
 
     def test_value_nonnegative_and_bounded(self):
         rng = np.random.default_rng(18)
@@ -578,7 +586,7 @@ class TestAcquisitionValueGradient:
         ctx = build_context(gp, mix)
         probes = sample(mix, 1000, seed=19)
         for xt in probes:
-            val = acquisition_values(ctx, xt[None])[0]
+            val = acquisition_objective(ctx)(xt[None])[0][0]
             assert 0.0 <= val <= ctx.sigma1_sq + 1e-12
 
     def test_value_is_s_squared(self):
@@ -586,8 +594,8 @@ class TestAcquisitionValueGradient:
         gp, mix = random_instance(rng, n=4)
         ctx = build_context(gp, mix)
         xt = sample(mix, 1, seed=21)[0]
-        s = variance_reduction_s(ctx, xt)
-        assert_allclose(acquisition_values(ctx, xt[None])[0], s * s, rtol=1e-12)
+        s = at_point(ctx, xt)["s"]
+        assert_allclose(acquisition_objective(ctx)(xt[None])[0][0], s * s, rtol=1e-12)
 
 
 class TestHypotheticalUpdate:
@@ -595,9 +603,9 @@ class TestHypotheticalUpdate:
         rng = np.random.default_rng(22)
         gp = fitted_gp(rng, n=3)
         ctx = build_context(gp, single_comp())
-        upd = hypothetical_update(ctx, np.array([200.0]))
-        assert_allclose(upd.sigma2_sq, ctx.sigma1_sq, rtol=1e-12)
-        assert abs(upd.innovation_coeff) < 1e-12
+        upd = at_point(ctx, np.array([200.0]))
+        assert_allclose(upd["sigma2_sq"], ctx.sigma1_sq, rtol=1e-12)
+        assert abs(upd["innovation_coeff"]) < 1e-12
 
     def test_y_independence_via_refit(self):
         rng = np.random.default_rng(23)
@@ -605,19 +613,19 @@ class TestHypotheticalUpdate:
         mix = two_comp_1d()
         ctx = build_context(gp, mix)
         xt = np.array([0.6])
-        upd = hypothetical_update(ctx, xt)
+        upd = at_point(ctx, xt)
         for yt in (-2.0, -0.5, 0.0, 1.0, 3.0):
             refit = fit(gp.data.append(xt, yt), gp.kernel, gp.noise)
             new_ctx = build_context(refit, mix)
-            assert_allclose(new_ctx.sigma1_sq, upd.sigma2_sq, rtol=1e-8, atol=1e-10)
+            assert_allclose(new_ctx.sigma1_sq, upd["sigma2_sq"], rtol=1e-8, atol=1e-10)
 
     def test_zero_innovation_keeps_mean(self):
         rng = np.random.default_rng(24)
         gp = fitted_gp(rng, n=4)
         ctx = build_context(gp, single_comp())
         xt = np.array([0.2])
-        upd = hypothetical_update(ctx, xt)
-        mu2 = ctx.mu1 + upd.innovation_coeff * (upd.pred_mean - upd.pred_mean)
+        upd = at_point(ctx, xt)
+        mu2 = ctx.mu1 + upd["innovation_coeff"] * (upd["pred_mean"] - upd["pred_mean"])
         assert mu2 == ctx.mu1
 
     def test_mu2_affine_matches_refit(self):
@@ -626,11 +634,11 @@ class TestHypotheticalUpdate:
         mix = two_comp_1d()
         ctx = build_context(gp, mix)
         xt = np.array([-0.4])
-        upd = hypothetical_update(ctx, xt)
+        upd = at_point(ctx, xt)
         for yt in (-1.0, 0.5, 2.0):
             refit = fit(gp.data.append(xt, yt), gp.kernel, gp.noise)
             new_ctx = build_context(refit, mix)
-            mu2 = ctx.mu1 + upd.innovation_coeff * (yt - upd.pred_mean)
+            mu2 = ctx.mu1 + upd["innovation_coeff"] * (yt - upd["pred_mean"])
             assert_allclose(new_ctx.mu1, mu2, rtol=1e-8, atol=1e-10)
 
 
@@ -641,7 +649,8 @@ class TestInfoGainFourTerm:
             gp, mix = random_instance(rng)
             ctx = build_context(gp, mix)
             xt = sample(mix, 1, seed=int(rng.integers(2**31)))[0]
-            g, terms = info_gain_four_term(ctx, xt)
+            row = at_point(ctx, xt)
+            g, terms = row["gain_four_term"], row["gain_terms"]
             assert_allclose(g, terms[0], rtol=0, atol=1e-10 * max(1.0, abs(terms[0])))
             assert abs(terms[1] + terms[2] + terms[3]) <= 1e-10 * max(1.0, abs(terms[0]))
 
@@ -649,7 +658,8 @@ class TestInfoGainFourTerm:
         rng = np.random.default_rng(27)
         gp = fitted_gp(rng, n=3)
         ctx = build_context(gp, single_comp())
-        g, terms = info_gain_four_term(ctx, np.array([150.0]))
+        row = at_point(ctx, np.array([150.0]))
+        g, terms = row["gain_four_term"], row["gain_terms"]
         assert abs(g) < 1e-12
         assert_allclose(terms, [0.0, 0.5, -0.5, 0.0], atol=1e-12)
 
@@ -661,7 +671,7 @@ class TestInfoGainFourTerm:
         mix = two_comp_1d()
         ctx = build_context(gp, mix)
         xt = np.array([0.5])
-        g, _ = info_gain_four_term(ctx, xt)
+        g = at_point(ctx, xt)["gain_four_term"]
         mc, se = mc_info_gain(gp, mix, xt, 100_000, seed=29)
         assert abs(g - mc) < 4 * se
 
@@ -674,10 +684,12 @@ class TestInfoGainFourTerm:
         ctx = build_context(gp, point_mass_1d(0.0))
         assert ctx.sigma1_sq == 0.0
         with pytest.raises(DegenerateEstimateError):
-            info_gain_four_term(ctx, np.array([1.0]))
+            acquisition_profile(ctx, np.array([[1.0]]))
+        with pytest.raises(DegenerateEstimateError):
+            multi_theta_objective([ctx])(np.array([[1.0]]))
 
     def test_degenerate_profile_raises(self):
-        # as the scalar forms do, and before any term divides by sigma1^2 = 0
+        # before any term divides by sigma1^2 = 0
         gp = fit(
             Dataset(X=np.array([[0.0]]), y=np.array([1.0])),
             UNIT_KERNEL,
@@ -693,7 +705,7 @@ class TestInfoGainSimplified:
         rng = np.random.default_rng(30)
         gp = fitted_gp(rng, n=3)
         ctx = build_context(gp, single_comp())
-        assert abs(info_gain_simplified(ctx, np.array([150.0]))) < 1e-12
+        assert abs(at_point(ctx, np.array([150.0]))["gain_simplified"]) < 1e-12
 
     def test_equals_four_term_sum(self):
         rng = np.random.default_rng(31)
@@ -701,17 +713,17 @@ class TestInfoGainSimplified:
             gp, mix = random_instance(rng)
             ctx = build_context(gp, mix)
             xt = sample(mix, 1, seed=int(rng.integers(2**31)))[0]
-            g, _ = info_gain_four_term(ctx, xt)
-            assert_allclose(info_gain_simplified(ctx, xt), g, rtol=0,
-                            atol=1e-10 * max(1.0, abs(g)))
+            row = at_point(ctx, xt)
+            g = row["gain_four_term"]
+            assert_allclose(row["gain_simplified"], g, rtol=0, atol=1e-10 * max(1.0, abs(g)))
 
     def test_monotone_in_s_squared(self):
         rng = np.random.default_rng(32)
         gp, mix = random_instance(rng, n=4)
         ctx = build_context(gp, mix)
         probes = sample(mix, 40, seed=33)
-        vals = np.array([acquisition_values(ctx, x[None])[0] for x in probes])
-        gains = np.array([info_gain_simplified(ctx, x) for x in probes])
+        vals = acquisition_objective(ctx)(probes)[0]
+        gains = acquisition_profile(ctx, probes)["gain_simplified"]
         order = np.argsort(vals)
         distinct = np.diff(vals[order]) > 1e-15
         assert np.all(np.diff(gains[order])[distinct] > 0)
@@ -722,35 +734,10 @@ class TestInfoGainSimplified:
         gp = fit(Dataset.empty(1), UNIT_KERNEL, NoiseModel(variance=0.0))
         ctx = build_context(gp, point_mass_1d(0.0))
         xt = np.array([0.0])
-        assert hypothetical_update(ctx, xt).sigma2_sq == 0.0
-        assert info_gain_simplified(ctx, xt) == GAIN_SENTINEL
-        g, terms = info_gain_four_term(ctx, xt)
-        assert terms[0] == GAIN_SENTINEL
-
-
-class TestKlGaussian:
-    def test_identical_is_zero(self):
-        assert kl_gaussian(0.3, 1.2, 0.3, 1.2) == 0.0
-
-    def test_unit_mean_shift(self):
-        assert_allclose(kl_gaussian(1.0, 1.0, 0.0, 1.0), 0.5, rtol=1e-12)
-
-    def test_quadrature_oracle(self):
-        mu_a, var_a, mu_b, var_b = 0.4, 0.7, -0.3, 1.6
-
-        def integrand(x):
-            log_pa = -0.5 * (x - mu_a) ** 2 / var_a - 0.5 * np.log(2 * np.pi * var_a)
-            log_pb = -0.5 * (x - mu_b) ** 2 / var_b - 0.5 * np.log(2 * np.pi * var_b)
-            return np.exp(log_pa) * (log_pa - log_pb)
-
-        quad, _ = quad_integral_1d(integrand, -14.0, 14.0, tol=1e-10)
-        assert_allclose(kl_gaussian(mu_a, var_a, mu_b, var_b), quad, atol=1e-6)
-
-    def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError):
-            kl_gaussian(0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            kl_gaussian(0.0, 1.0, 0.0, -2.0)
+        row = at_point(ctx, xt)
+        assert row["sigma2_sq"] == 0.0
+        assert row["gain_simplified"] == GAIN_SENTINEL
+        assert row["gain_terms"][0] == GAIN_SENTINEL
 
 
 class TestMultiTheta:
@@ -773,7 +760,8 @@ class TestMultiTheta:
         ctx = self.make_contexts(rng, count=1)[0]
         xt = np.array([0.1])
         assert_allclose(
-            multi_theta_values([ctx], xt[None])[0], info_gain_simplified(ctx, xt), rtol=1e-14
+            multi_theta_objective([ctx])(xt[None])[0][0], at_point(ctx, xt)["gain_simplified"],
+            rtol=1e-14,
         )
 
     def test_duplicated_context_idempotent(self):
@@ -781,8 +769,8 @@ class TestMultiTheta:
         ctx = self.make_contexts(rng, count=1)[0]
         xt = np.array([-0.3])
         assert_allclose(
-            multi_theta_values([ctx, ctx], xt[None])[0],
-            multi_theta_values([ctx], xt[None])[0],
+            multi_theta_objective([ctx, ctx])(xt[None])[0][0],
+            multi_theta_objective([ctx])(xt[None])[0][0],
             rtol=1e-14,
         )
 
@@ -790,19 +778,17 @@ class TestMultiTheta:
         rng = np.random.default_rng(36)
         contexts = self.make_contexts(rng, count=3)
         grid = np.linspace(-3.0, 3.0, 50).reshape(-1, 1)
-        mean_gain = np.array(
-            [multi_theta_values(contexts, x[None])[0] for x in grid]
-        )
+        objective = multi_theta_objective(contexts)
+        mean_gain = np.array([objective(x[None])[0][0] for x in grid])
         log_product = np.zeros(len(grid))
         for ctx in contexts:
             for i, x in enumerate(grid):
-                log_product[i] += np.log(max(hypothetical_update(ctx, x).sigma2_sq,
-                                             1e-300))
+                log_product[i] += np.log(max(at_point(ctx, x)["sigma2_sq"], 1e-300))
         assert int(np.argmax(mean_gain)) == int(np.argmin(log_product))
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            multi_theta_values([], np.array([[0.0]]))
+            multi_theta_objective([])
 
     def test_equal_but_distinct_arrays_accepted(self):
         rng = np.random.default_rng(38)
@@ -814,9 +800,10 @@ class TestMultiTheta:
         )
         twin = build_context(fit(data, gp.kernel, gp.noise), mix_copy)
         xt = np.array([0.2])
-        assert multi_theta_values([ctx, twin], xt[None])[0] == info_gain_simplified(ctx, xt)
+        pair = multi_theta_objective([ctx, twin])
+        assert pair(xt[None])[0][0] == at_point(ctx, xt)["gain_simplified"]
         assert_array_equal(
-            multi_theta_gradients([ctx, twin], xt[None]), multi_theta_gradients([ctx], xt[None])
+            gradients(pair, xt[None]), gradients(multi_theta_objective([ctx]), xt[None])
         )
 
     def test_different_data_or_mixture_rejected(self):
@@ -826,12 +813,9 @@ class TestMultiTheta:
         moved = Dataset(X=gp.data.X + 0.1, y=gp.data.y)
         other_data = build_context(fit(moved, gp.kernel, gp.noise), ctx.mix)
         other_mix = build_context(gp, single_comp())
-        xt = np.array([0.2])
         for other in (other_data, other_mix):
             with pytest.raises(ValueError, match="same data and mixture"):
-                multi_theta_values([ctx, other], xt[None])
-            with pytest.raises(ValueError, match="same data and mixture"):
-                multi_theta_gradients([ctx, other], xt[None])
+                multi_theta_objective([ctx, other])
 
     @staticmethod
     def central_differences(value_rows, X, h=1e-5):
@@ -852,8 +836,9 @@ class TestMultiTheta:
             gp, mix = random_instance(rng, d=d, n=int(rng.integers(1, 9)))
             contexts = perturbed_contexts(rng, gp, mix, count)
             X = sample(mix, 4, seed=int(rng.integers(2**31)))
-            fd = self.central_differences(lambda Y: multi_theta_values(contexts, Y), X)
-            grad = multi_theta_gradients(contexts, X)
+            objective = multi_theta_objective(contexts)
+            fd = self.central_differences(lambda Y: objective(Y)[0], X)
+            grad = gradients(objective, X)
             for g, f in zip(grad, fd):
                 if np.linalg.norm(f) < 1e-3:
                     continue  # too close to a stationary point for a relative check
@@ -880,11 +865,13 @@ class TestMultiTheta:
         X = sample(mix, 8, seed=5)
         stencil = np.concatenate([X + 1e-5, X - 1e-5, X])
         assert_array_equal(acquisition_profile(flat, stencil)["sigma2_sq"], 0.0)
-        assert_array_equal(multi_theta_gradients([flat], X), 0.0)
-        with_flat = multi_theta_gradients(contexts + [flat], X)
-        assert_allclose(with_flat, multi_theta_gradients(contexts, X) * count / (count + 1),
+        assert_array_equal(gradients(multi_theta_objective([flat]), X), 0.0)
+        objective = multi_theta_objective(contexts + [flat])
+        with_flat = gradients(objective, X)
+        assert_allclose(with_flat,
+                        gradients(multi_theta_objective(contexts), X) * count / (count + 1),
                         rtol=1e-15, atol=0)
-        fd = self.central_differences(lambda Y: multi_theta_values(contexts + [flat], Y), X)
+        fd = self.central_differences(lambda Y: objective(Y)[0], X)
         for g, f in zip(with_flat, fd):
             assert np.linalg.norm(g - f) <= 1e-5 * np.linalg.norm(f)
 
@@ -906,28 +893,7 @@ class TestArgmaxChain:
 
 
 class TestScalarFormsMatchProfile:
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), off_mixture=st.booleans())
-    def test_scalar_forms_agree_with_profile_row(self, seed, off_mixture):
-        rng = np.random.default_rng(seed)
-        gp, mix = random_instance(rng)
-        ctx = build_context(gp, mix)
-        if off_mixture:
-            x = rng.uniform(-4.0, 4.0, size=mix.dim)
-        else:
-            x = sample(mix, 1, seed=int(rng.integers(2**63)))[0]
-        prof = acquisition_profile(ctx, x[None, :])
-        # S^2 <= sigma1^2 and v cancels near the data, so rounding is
-        # bounded relative to sigma1^2 rather than to S^2 itself
-        atol = 1e-10 * ctx.sigma1_sq
-        assert_allclose(acquisition_values(ctx, x[None]), prof["s_sq"], rtol=1e-10, atol=atol)
-        sigma2_sq = hypothetical_update(ctx, x).sigma2_sq
-        assert_allclose(sigma2_sq, prof["sigma2_sq"][0], rtol=1e-10, atol=atol)
-        assert_allclose(
-            info_gain_simplified(ctx, x), prof["gain_simplified"][0], rtol=1e-10, atol=1e-10
-        )
-        expected = acquisition_gradients(ctx, x[None])[0] / (2.0 * sigma2_sq)
-        assert_array_equal(multi_theta_gradients([ctx], x[None])[0], expected)
+    """A one-row call (the scalar form of a point) is its row of any batch, in every read-out."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), off_mixture=st.booleans())
@@ -941,13 +907,16 @@ class TestScalarFormsMatchProfile:
             X = sample(mix, 6, seed=int(rng.integers(2**63)))
         for x in X:
             prof = acquisition_profile(ctx, x[None, :])
-            s = variance_reduction_s(ctx, x)
-            assert_array_equal(prof["s_sq"], acquisition_values(ctx, x[None]))
+            s = prof["s"][0]
+            assert_array_equal(prof["s_sq"], acquisition_objective(ctx)(x[None])[0])
             assert_array_equal(prof["s_sq"], [s * s])
-            assert_array_equal(prof["sigma2_sq"], [hypothetical_update(ctx, x).sigma2_sq])
-            assert_array_equal(prof["gain_simplified"], [info_gain_simplified(ctx, x)])
-            assert_array_equal(prof["gain_simplified"], multi_theta_values([ctx], x[None]))
-            assert_array_equal(prof["gain_four_term"], [info_gain_four_term(ctx, x)[0]])
+            assert_array_equal(prof["gain_simplified"], multi_theta_objective([ctx])(x[None])[0])
+            t1, t2, t3, t4 = prof["gain_terms"][0]
+            assert_array_equal(prof["gain_four_term"], [t1 + t2 + t3 + t4])
+            # one context: the gain's gradient is the S^2 gradient over 2 sigma2^2
+            expected = (gradients(acquisition_objective(ctx), x[None])[0]
+                        / (2.0 * prof["sigma2_sq"][0]))
+            assert_array_equal(gradients(multi_theta_objective([ctx]), x[None])[0], expected)
         # several rows at once: each row is its one-row profile, bit for bit
         prof = acquisition_profile(ctx, X)
         for i, x in enumerate(X):
@@ -969,13 +938,13 @@ class TestScalarFormsMatchProfile:
              rng.uniform(-4.0, 4.0, size=(m - m // 2, d))]
         )
         prof = acquisition_profile(ctx, X)
-        values = acquisition_values(ctx, X)
+        values = acquisition_objective(ctx)(X)[0]
         assert_array_equal(values, prof["s_sq"])
         for i, x in enumerate(X):
             one = acquisition_profile(ctx, x[None, :])
             for key, column in prof.items():
                 assert_array_equal(column[i : i + 1], one[key])
-            assert values[i] == acquisition_values(ctx, x[None])[0]
+            assert values[i] == acquisition_objective(ctx)(x[None])[0][0]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4))
@@ -990,12 +959,13 @@ class TestScalarFormsMatchProfile:
             [sample(mix, m // 2, seed=int(rng.integers(2**63))),
              rng.uniform(-4.0, 4.0, size=(m - m // 2, d))]
         )
-        G = acquisition_gradients(contexts[0], X)
-        GM = multi_theta_gradients(contexts, X)
+        single, multi = acquisition_objective(contexts[0]), multi_theta_objective(contexts)
+        G = gradients(single, X)
+        GM = gradients(multi, X)
         assert G.shape == GM.shape == (m, d)
         for i, x in enumerate(X):
-            assert G[i].tobytes() == acquisition_gradients(contexts[0], x[None])[0].tobytes()
-            assert GM[i].tobytes() == multi_theta_gradients(contexts, x[None])[0].tobytes()
+            assert G[i].tobytes() == gradients(single, x[None])[0].tobytes()
+            assert GM[i].tobytes() == gradients(multi, x[None])[0].tobytes()
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 9))
@@ -1010,10 +980,11 @@ class TestScalarFormsMatchProfile:
             )
             contexts.append(build_context(fit(gp.data, ker, gp.noise), mix))
         X = rng.uniform(-4.0, 4.0, size=(int(rng.integers(2, 41)), mix.dim))
-        got = multi_theta_values(contexts, X)
-        assert_array_equal(got, [multi_theta_values(contexts, x[None])[0] for x in X])
+        objective = multi_theta_objective(contexts)
+        got = objective(X)[0]
+        assert_array_equal(got, [objective(x[None])[0][0] for x in X])
         # the mean is over contexts, row by row, exactly as np.mean of one row's gains
-        gains = [[info_gain_simplified(ctx, x) for ctx in contexts] for x in X]
+        gains = [[at_point(ctx, x)["gain_simplified"] for ctx in contexts] for x in X]
         assert_array_equal(got, [np.mean(g) for g in gains])
 
     def test_nan_point_is_nan_in_every_form(self):
@@ -1024,12 +995,11 @@ class TestScalarFormsMatchProfile:
         x = np.full(mix.dim, np.nan)
         prof = acquisition_profile(ctx, x[None, :])
         assert np.isnan(prof["gain_simplified"][0])
-        assert_array_equal(prof["s_sq"], acquisition_values(ctx, x[None]))
-        assert_array_equal(prof["sigma2_sq"], [hypothetical_update(ctx, x).sigma2_sq])
-        assert_array_equal(prof["gain_simplified"], [info_gain_simplified(ctx, x)])
-        assert_array_equal(prof["gain_simplified"], multi_theta_values([ctx], x[None]))
-        assert_array_equal(prof["gain_four_term"], [info_gain_four_term(ctx, x)[0]])
-        assert all(np.isnan(v) for v in prof.values())
+        assert_array_equal(prof["s_sq"], acquisition_objective(ctx)(x[None])[0])
+        assert_array_equal(prof["gain_simplified"], multi_theta_objective([ctx])(x[None])[0])
+        for key in ("s", "s_sq", "sigma2_sq", "innovation_coeff", "gain_simplified",
+                    "gain_four_term"):
+            assert np.isnan(prof[key]).all(), key
 
 
 class TestObjectiveRowReuse:
@@ -1064,17 +1034,12 @@ class TestObjectiveRowReuse:
             assert not _probe(contexts[0], X).live.all()
         idx = rng.choice(len(X), size=int(rng.integers(1, len(X) + 1)), replace=False)
 
-        values, gradients_at = acquisition_objective(contexts[0])(X)
-        want = [acquisition_values(contexts[0], x[None])[0] for x in X]
-        assert values.tobytes() == np.array(want).tobytes()
-        got = gradients_at(idx)
-        assert got.tobytes() == acquisition_gradients(contexts[0], X[idx]).tobytes()
-
-        values, gradients_at = multi_theta_objective(contexts)(X)
-        want = [multi_theta_values(contexts, x[None])[0] for x in X]
-        assert values.tobytes() == np.array(want).tobytes()
-        got = gradients_at(idx)
-        assert got.tobytes() == multi_theta_gradients(contexts, X[idx]).tobytes()
+        for objective in (acquisition_objective(contexts[0]), multi_theta_objective(contexts)):
+            values, gradients_at = objective(X)
+            want = [objective(x[None])[0][0] for x in X]
+            assert values.tobytes() == np.array(want).tobytes()
+            got = gradients_at(idx)
+            assert got.tobytes() == gradients(objective, X[idx]).tobytes()
 
 
 def _hex(values) -> list:
@@ -1133,7 +1098,7 @@ class TestOnePosteriorFormula:
             assert_array_equal(posterior_var_many(gp, X) + gp.noise.variance, p.pred_var)
             means = posterior_mean_many(gp, X)
             for i, x in enumerate(X):
-                assert means[i] == hypothetical_update(ctx, x).pred_mean
+                assert means[i] == at_point(ctx, x)["pred_mean"]
                 assert posterior_mean(gp, x) == means[i]
 
     @pytest.mark.parametrize("name", sorted(PRIOR_CASES))
@@ -1147,8 +1112,8 @@ class TestOnePosteriorFormula:
         ctx = build_context(gp, case["mix"])
         assert _hex([ctx.mu1, ctx.sigma1_sq]) == ["0x0.0p+0", case["sigma1_sq"]]
         assert ctx.kmean_train.shape == ctx.solved_kmean.shape == (0,)
-        assert _hex(acquisition_values(ctx, X)) == case["acq"]
-        assert _hex(acquisition_gradients(ctx, X)) == case["grad"]
+        assert _hex(acquisition_objective(ctx)(X)[0]) == case["acq"]
+        assert _hex(gradients(acquisition_objective(ctx), X)) == case["grad"]
         assert _hex([posterior_mean(gp, x) for x in X]) == ["0x0.0p+0"] * 3
         assert _hex(posterior_mean_many(gp, X)) == ["0x0.0p+0"] * 3
         covs = [posterior_cov(gp, X[0], X[1])] + [posterior_cov(gp, x, x) for x in X]

@@ -93,7 +93,7 @@ class TestStep:
         assert rec.observed_y == pytest.approx(np.sin(rec.chosen_x[0]))
 
     def test_frozen_theta_telescoping(self):
-        from gpexpect.acquisition import build_context, hypothetical_update
+        from gpexpect.acquisition import acquisition_profile, build_context
         from gpexpect.gp import fit
 
         state = self.make_state(noise=0.01)
@@ -101,11 +101,11 @@ class TestStep:
         ctx_before = build_context(gp, state.mix)
         step(state, lambda x: float(np.sin(x[0])))
         rec = state.history[-1]
-        predicted = hypothetical_update(ctx_before, rec.chosen_x).sigma2_sq
+        predicted = acquisition_profile(ctx_before, rec.chosen_x[None])["sigma2_sq"][0]
         assert abs(rec.sigma1**2 - predicted) <= 1e-8 * max(1.0, ctx_before.sigma1_sq)
 
     def test_acquisition_recorded_from_prior_context(self):
-        from gpexpect.acquisition import acquisition_values, build_context
+        from gpexpect.acquisition import acquisition_objective, build_context
         from gpexpect.gp import fit
 
         state = self.make_state()
@@ -113,10 +113,8 @@ class TestStep:
         ctx_before = build_context(gp, state.mix)
         step(state, lambda x: float(np.sin(x[0])))
         rec = state.history[-1]
-        assert_allclose(
-            rec.acquisition_at_chosen, acquisition_values(ctx_before, rec.chosen_x[None])[0],
-            rtol=1e-10,
-        )
+        value = acquisition_objective(ctx_before)(rec.chosen_x[None])[0][0]
+        assert_allclose(rec.acquisition_at_chosen, value, rtol=1e-10)
 
     def test_zero_observations_keep_mu1_zero(self):
         mix = GaussianMixture(

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gpexpect.acquisition import (
-    acquisition_gradients,
-    acquisition_objective,
-    acquisition_values,
-    build_context,
-)
+from gpexpect.acquisition import acquisition_objective, build_context
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.gp import Dataset, NoiseModel, fit
 from gpexpect.kernels import RbfKernel
@@ -98,7 +93,7 @@ class TestMaximize:
             uniform_starts(bounds, 8, 1),
         )
         grid = np.linspace(-4, 4, 10_000).reshape(-1, 1)
-        grid_vals = acquisition_values(ctx, grid)
+        grid_vals = acquisition_objective(ctx)(grid)[0]
         spacing = 8.0 / 9_999
         assert abs(x_star[0] - grid[np.argmax(grid_vals), 0]) <= spacing
         assert val >= grid_vals.max() - 1e-12
@@ -284,12 +279,16 @@ class TestBatchedLadderIsTheSequentialSearch:
         ctx = build_context(gp, mix)
         bounds = default_bounds(mix)
         starts = mixture_starts(mix, bounds, 6, seed)
-        want = sequential_maximize(
-            lambda x: acquisition_values(ctx, x[None])[0],
-            lambda x: acquisition_gradients(ctx, x[None])[0],
-            bounds, cfg, starts,
-        )
-        x, val = maximize(acquisition_objective(ctx), bounds, cfg, starts)
+        objective = acquisition_objective(ctx)
+
+        def value(x):
+            return objective(x[None])[0][0]
+
+        def gradient(x):
+            return objective(x[None])[1](np.array([0]))[0]
+
+        want = sequential_maximize(value, gradient, bounds, cfg, starts)
+        x, val = maximize(objective, bounds, cfg, starts)
         assert want[2] == 0
         assert np.array_equal(x, want[0])
         assert val == want[1]

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from gpexpect.gp import Dataset, NoiseModel, fit
 from gpexpect.kernels import RbfKernel, eval_kernel
 from gpexpect.mixtures import GaussianMixture
 from gpexpect.oracles import (
+    kl_gaussian,
     mc_expectation,
     mc_info_gain,
     mixture_box,
@@ -159,3 +160,37 @@ class TestMcInfoGain:
         _, se_large = mc_info_gain(gp, std_normal(), np.array([0.4]), 40_000, seed=3)
         ratio = se_small / se_large
         assert abs(ratio - np.sqrt(2.0)) < 0.2 * np.sqrt(2.0)
+
+
+class TestKlGaussian:
+    def test_identical_is_zero(self):
+        assert kl_gaussian(0.3, 1.2, 0.3, 1.2) == 0.0
+
+    def test_unit_mean_shift(self):
+        assert_allclose(kl_gaussian(1.0, 1.0, 0.0, 1.0), 0.5, rtol=1e-12)
+
+    def test_quadrature_oracle(self):
+        mu_a, var_a, mu_b, var_b = 0.4, 0.7, -0.3, 1.6
+
+        def integrand(x):
+            log_pa = -0.5 * (x - mu_a) ** 2 / var_a - 0.5 * np.log(2 * np.pi * var_a)
+            log_pb = -0.5 * (x - mu_b) ** 2 / var_b - 0.5 * np.log(2 * np.pi * var_b)
+            return np.exp(log_pa) * (log_pa - log_pb)
+
+        quad, _ = quad_integral_1d(integrand, -14.0, 14.0, tol=1e-10)
+        assert_allclose(kl_gaussian(mu_a, var_a, mu_b, var_b), quad, atol=1e-6)
+
+    def test_rejects_nonpositive_variance(self):
+        with pytest.raises(ValueError):
+            kl_gaussian(0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            kl_gaussian(0.0, 1.0, 0.0, -2.0)
+
+    def test_elementwise_on_arrays(self):
+        mu_a, var_a = np.array([0.4, 1.0, 0.3]), np.array([0.7, 1.0, 1.2])
+        got = kl_gaussian(mu_a, var_a, 0.3, 1.2)
+        assert got.shape == (3,)
+        assert_array_equal(got, [kl_gaussian(m, v, 0.3, 1.2) for m, v in zip(mu_a, var_a)])
+        assert got[2] == 0.0
+        with pytest.raises(ValueError):
+            kl_gaussian(0.0, np.array([1.0, 0.0]), 0.0, 1.0)
