@@ -1,4 +1,4 @@
-"""Package-private helpers: point-shape checks, row dots and the linear solves.
+"""Package-private helpers: point-shape and count checks, row dots and the linear solves.
 
 Two solves make scipy.linalg's exact LAPACK calls for a lower factor, so they
 equal ``solve_triangular`` and ``cho_solve`` bit for bit, without the per-call
@@ -13,11 +13,19 @@ axis of 8 or more terms pairwise.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import get_lapack_funcs
 
 _TRTRS, _POTRS = get_lapack_funcs(("trtrs", "potrs"), dtype=np.float64)
+
+
+def require_count(value, name: str) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (a ``numbers.Integral``)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_point(x, dim: int, name: str) -> np.ndarray:

@@ -14,28 +14,37 @@ The expected KL information gain of that observation reduces exactly to
 log(sigma1 / sigma2); the four-term form is kept alongside the reduced
 one so the cancellation is checkable rather than assumed.
 
-One probe of candidate rows builds on :func:`gpexpect.gp.posterior_rows`,
-the GP posterior there: k(x, X_n), its Gram solve and the posterior
-variance (Rasmussen & Williams, GPML, Alg. 2.1), hence v(x) and the
-predictive variance; S, sigma2^2 and the gain terms are each derived
-once, on arrays.  Each row of a probe is computed with the same operations
-whatever the other rows are, so a row reads the same in any batch, a
-one-row probe included.  The kernel means at the rows are whole-array
-passes: one stacked forward substitution solves every row against every
-component's factor, then squares are added over dimensions and
-components into the sum one at a time.  Where bits must not depend on
-the batch, a sum is explicit adds, never an axis reduction (numpy sums
-8 or more terms pairwise).
+There is one probe, and it works on a stack of T contexts that share
+their data and mixture, such as T hyperparameter samples; one context
+is the T = 1 case.  The stack is built once per objective: the contexts'
+amplitudes, lengthscales, noises, Gram factors and kernel-mean solves,
+and the (T k) component factors with their coefficients w_i factor_i s^2.
+A probe of m candidate rows builds on :func:`gpexpect.gp.posterior_rows`,
+the GP posteriors there: k(x, X_n), its Gram solve and the posterior
+variance (Rasmussen & Williams, GPML, Alg. 2.1), one kernel pass for all
+contexts and one Gram solve per context; hence v(x) and the predictive
+variance per context and row.  The kernel means at the rows are
+whole-array passes: one stacked forward substitution solves every row
+against every (context, component) factor, then squares are added over
+dimensions and components into the sum one at a time.  S, sigma2^2 and
+the gain terms are each derived once, on (T, m) arrays, and the gradients
+at chosen rows in one pass over (T, rows, ...), one ``potrs`` per
+(context, component).  Each (context, row) entry is computed with the
+same operations whatever the other rows and contexts are, so it reads
+the same in any batch and any stack, a one-row, one-context probe
+included.  Where bits must not depend on the batch, a sum is explicit
+adds, never an axis reduction (numpy sums 8 or more terms pairwise).
 
 There are three read-outs of a probe.  :func:`acquisition_profile` gives
-every quantity at every row: S, S^2, sigma2^2, the hypothetical update
-and both gains with their terms; a single point is row 0 of a one-row
-call, ``acquisition_profile(ctx, x[None])["s"][0]``.  The optimizer sees
-an objective: :func:`acquisition_objective` (S^2) or
+every quantity at every row of one context: S, S^2, sigma2^2, the
+hypothetical update and both gains with their terms; a single point is
+row 0 of a one-row call, ``acquisition_profile(ctx, x[None])["s"][0]``.
+The optimizer sees an objective: :func:`acquisition_objective` (S^2) or
 :func:`multi_theta_objective` (the gain averaged over hyperparameter
-samples) maps rows ``X`` to ``(values, gradients_at)``, where
-``gradients_at(idx)`` differentiates rows ``X[idx]`` from the same probe
-that scored them, so an accepted trial step is never probed again.
+samples, from one probe of their stack) maps rows ``X`` to
+``(values, gradients_at)``, where ``gradients_at(idx)`` differentiates
+rows ``X[idx]`` from the same probe that scored them, so an accepted
+trial step is never probed again.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from gpexpect._numerics import (
     sum_in_order,
 )
 from gpexpect.errors import DegenerateEstimateError
-from gpexpect.gp import GpPosterior, posterior_rows
+from gpexpect.gp import GpPosterior, PosteriorStack, posterior_rows, stack_posteriors
 from gpexpect.kernels import RbfKernel, kernel_jacobians
 from gpexpect.mixtures import GaussianMixture, same_mixture
 
@@ -89,48 +98,82 @@ def _component_factors(ker: RbfKernel, covs):
     return chols, factors
 
 
-def _substitutions(X, means, chols) -> np.ndarray:
-    """(m, k, d): chol_i^-1 (x - mean_i) per row x of X and component i, by forward substitution.
+class _KernelMeans(NamedTuple):
+    """The kernel means of T kernels against one k-component mixture, as arrays.
 
-    Each row is solved with the same operations whatever the other rows
-    are, so a row of the result reads the same in any batch.
+    Kernel ``t`` and component ``i`` are entry ``t * k + i`` of ``means``
+    and ``chols``, and entry ``[t, i]`` of ``factors`` and ``coefs``.
     """
-    return forward_substitute(chols, X[:, None, :] - means)
+
+    weights: np.ndarray  # (k,) the mixture weights w_i
+    means: np.ndarray  # (T k, d) the component means, repeated per kernel
+    chols: np.ndarray  # (T k, d, d) Cholesky factors of cov_i + Lambda_t
+    factors: np.ndarray  # (T, k) |I + inv(Lambda_t) cov_i|^(-1/2)
+    amplitude_sq: np.ndarray  # (T,) the kernel amplitudes s_t^2
+    coefs: np.ndarray  # (T, k) w_i factor_ti s_t^2
 
 
-def _component_means(u, amplitude_sq: float, factors) -> np.ndarray:
-    """K_i(x) = factor_i * k(x, mean_i; cov_i + Lambda): one column per component, one row per x.
+def _kernel_means_of(mix: GaussianMixture, amplitude_sq, chols, factors) -> _KernelMeans:
+    """The :class:`_KernelMeans` of T kernels from their :func:`_component_factors`.
 
-    ``u`` holds the rows' :func:`_substitutions`.  Each (row, component)
-    square is summed with one ``dot`` of a contiguous ``d``-vector, so it
-    reads the same in any batch.
+    ``chols`` and ``factors`` hold one (k, d, d) and one (k,) array per kernel.
     """
-    return factors * (amplitude_sq * np.exp(-0.5 * row_dots(u, u)))
+    factors = np.array(factors)
+    return _KernelMeans(
+        weights=mix.weights,
+        means=np.tile(mix.means, (len(amplitude_sq), 1)),
+        chols=np.concatenate(chols),
+        factors=factors,
+        amplitude_sq=amplitude_sq,
+        coefs=mix.weights * factors * amplitude_sq[:, None],
+    )
 
 
-def _kernel_mean_gradients(X, u, amplitude_sq: float, mix: GaussianMixture, chols, factors):
-    """Sum over components of -w_i K_i(x) (cov_i + Lambda)^-1 (x - mean_i), per row of X.
+def _one_kernel_means(ker: RbfKernel, mix: GaussianMixture) -> _KernelMeans:
+    """The :class:`_KernelMeans` of ``ker`` alone, T = 1."""
+    chols, factors = _component_factors(ker, mix.covs)
+    return _kernel_means_of(mix, np.array([ker.amplitude_sq]), [chols], [factors])
 
-    ``u`` holds the :func:`_substitutions` of the rows of ``X``.
+
+def _kernel_means(km: _KernelMeans, X):
+    """K_t(x) (T, m) for each kernel and row of X, and the rows' substitutions u (m, T k, d).
+
+    ``u[j, t * k + i]`` is chol_ti^-1 (x_j - mean_i), from one stacked
+    forward substitution.  Squares are added over dimensions, then terms
+    over components, one at a time on whole arrays, so an entry reads the
+    same in any batch and beside any other kernels.
     """
-    k_i = _component_means(u, amplitude_sq, factors)
-    grad = np.zeros(X.shape)
-    for i, (w, mean, chol) in enumerate(zip(mix.weights, mix.means, chols)):
-        grad -= (w * k_i[:, i])[:, None] * chol_solve(chol, (X - mean).T).T
+    u = forward_substitute(km.chols, X[:, None, :] - km.means)
+    quad = sum_in_order((u * u).transpose(2, 0, 1)).reshape(len(X), *km.coefs.shape)
+    return sum_in_order((km.coefs * np.exp(-0.5 * quad)).transpose(2, 1, 0)), u
+
+
+def _component_means(km: _KernelMeans, u) -> np.ndarray:
+    """K_ti(x) = factor_ti * k_t(x, mean_i; cov_i + Lambda_t), shape (m, T, k).
+
+    ``u`` holds the rows' substitutions from :func:`_kernel_means`.  Each
+    (row, kernel, component) square is summed with one ``dot`` of a
+    contiguous ``d``-vector, so it reads the same in any batch.
+    """
+    e = np.exp(-0.5 * row_dots(u, u)).reshape(len(u), *km.factors.shape)
+    return km.factors * (km.amplitude_sq[:, None] * e)
+
+
+def _kernel_mean_gradients(km: _KernelMeans, X, u) -> np.ndarray:
+    """Sum over components of -w_i K_ti(x) (cov_i + Lambda_t)^-1 (x - mean_i), shape (T, m, d).
+
+    ``u`` holds the substitutions of the rows of ``X``.  One ``potrs``
+    solves all rows per (kernel, component); each kernel subtracts its
+    components one at a time.
+    """
+    n_kernels, k = km.factors.shape
+    w_k = km.weights * _component_means(km, u)
+    grad = np.zeros((n_kernels,) + X.shape)
+    for i, mean in enumerate(km.means[:k]):
+        rhs = (X - mean).T
+        for t in range(n_kernels):
+            grad[t] -= w_k[:, t, i, None] * chol_solve(km.chols[t * k + i], rhs).T
     return grad
-
-
-def _kernel_mean_many(X, amplitude_sq: float, mix: GaussianMixture, chols, factors):
-    """K(x) for each row of X, and the rows' :func:`_substitutions`, from the component factors.
-
-    Each row's arithmetic is independent of the others (substitution
-    over rows, then squares and components added one at a time on whole
-    arrays), so a row reads the same in any batch.
-    """
-    u = _substitutions(X, mix.means, chols)
-    quad = sum_in_order(np.moveaxis(u * u, -1, 0))
-    coefs = mix.weights * factors * amplitude_sq
-    return sum_in_order((coefs * np.exp(-0.5 * quad)).T), u
 
 
 def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture) -> float:
@@ -138,11 +181,10 @@ def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture) -> float:
 
     Per component N(mean, cov), the closed form is
     |I + inv(Lambda) cov|^(-1/2) * k(x, mean; cov + Lambda); the probe's
-    own sum over components, row 0 of a one-row :func:`_kernel_mean_many`.
+    own sum over components, at one kernel and one row.
     """
-    chols, factors = _component_factors(ker, mix.covs)
     X = as_point(x, mix.dim, "x")[None, :]
-    return float(_kernel_mean_many(X, ker.amplitude_sq, mix, chols, factors)[0][0])
+    return float(_kernel_means(_one_kernel_means(ker, mix), X)[0][0, 0])
 
 
 def kernel_mean_gradient(x, ker: RbfKernel, mix: GaussianMixture) -> np.ndarray:
@@ -150,10 +192,9 @@ def kernel_mean_gradient(x, ker: RbfKernel, mix: GaussianMixture) -> np.ndarray:
 
     Per component: -(cov + Lambda)^-1 (x - mean) * K_i(x).
     """
-    chols, factors = _component_factors(ker, mix.covs)
+    km = _one_kernel_means(ker, mix)
     X = as_point(x, mix.dim, "x")[None, :]
-    u = _substitutions(X, mix.means, chols)
-    return _kernel_mean_gradients(X, u, ker.amplitude_sq, mix, chols, factors)[0]
+    return _kernel_mean_gradients(km, X, _kernel_means(km, X)[1])[0, 0]
 
 
 def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
@@ -231,32 +272,69 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
     )
 
 
-class _Probe(NamedTuple):
-    """Everything the acquisition forms need at each of m candidate rows."""
+class _Stack(NamedTuple):
+    """T acquisition contexts that share data and mixture, as the arrays one probe reads."""
 
-    kv: np.ndarray  # (m, n) kernel rows k(x, X_n)
-    solved_kv: np.ndarray  # (m, n) rows of (K + noise I)^-1 k(x, X_n)
-    v: np.ndarray  # (m,) int k_n(x, x') p(x') dx', the posterior-covariance kernel mean
-    pred_var: np.ndarray  # (m,) k_n(x, x) + noise
-    live: np.ndarray  # (m,) False where pred_var is below the floor: nothing left to learn
-    u: np.ndarray  # (m, k, d) the rows' substitutions against each mixture component
+    posteriors: PosteriorStack
+    kernel_means: _KernelMeans
+    noise: np.ndarray  # (T,) noise variances
+    floor: np.ndarray  # (T,) predictive variances below this have nothing left to learn
+    solved_kmean: np.ndarray  # (T, n)
+    sigma1_sq: np.ndarray  # (T,)
+
+
+def _stack(contexts) -> _Stack:
+    """The :class:`_Stack` of ``contexts``, checked to be non-empty and share data and mixture."""
+    contexts = list(contexts)
+    if not contexts:
+        raise ValueError("need at least one acquisition context")
+    first = contexts[0].gp.data
+    for ctx in contexts[1:]:
+        data = ctx.gp.data
+        if not (
+            (data.X is first.X or np.array_equal(data.X, first.X))
+            and (data.y is first.y or np.array_equal(data.y, first.y))
+            and same_mixture(ctx.mix, contexts[0].mix)
+        ):
+            raise ValueError("contexts must share the same data and mixture")
+    posteriors = stack_posteriors([ctx.gp for ctx in contexts])
+    return _Stack(
+        posteriors=posteriors,
+        kernel_means=_kernel_means_of(
+            contexts[0].mix,
+            posteriors.amplitude_sq,
+            [ctx._comp_chols for ctx in contexts],
+            [ctx._comp_factors for ctx in contexts],
+        ),
+        noise=np.array([ctx.gp.noise.variance for ctx in contexts]),
+        floor=_PRED_VAR_FLOOR * posteriors.amplitude_sq,
+        solved_kmean=np.array([ctx.solved_kmean for ctx in contexts]),
+        sigma1_sq=np.array([ctx.sigma1_sq for ctx in contexts]),
+    )
+
+
+class _Probe(NamedTuple):
+    """Everything the acquisition forms need at each of m candidate rows, per context."""
+
+    kv: np.ndarray  # (T, m, n) kernel rows k(x, X_n)
+    solved_kv: np.ndarray  # (T, m, n) rows of (K + noise I)^-1 k(x, X_n)
+    v: np.ndarray  # (T, m) int k_n(x, x') p(x') dx', the posterior-covariance kernel mean
+    pred_var: np.ndarray  # (T, m) k_n(x, x) + noise
+    live: np.ndarray  # (T, m) False where pred_var is below the floor: nothing left to learn
+    u: np.ndarray  # (m, T k, d) the rows' substitutions against each component, per context
 
     def rows(self, idx) -> _Probe:
-        """The probe of rows ``idx`` alone."""
-        return _Probe(*(field[idx] for field in self))
+        """The probe of the rows at integer indices ``idx`` alone."""
+        return _Probe(*(field.take(idx, axis=1) for field in self[:5]), self.u.take(idx, axis=0))
 
 
-def _probe(ctx: AcquisitionContext, X: np.ndarray) -> _Probe:
-    """Probe the (m, d) candidate rows of ``X``: the GP posterior there, and v."""
-    gp = ctx.gp
-    kv, solved_kv, var = posterior_rows(gp, X)
-    kmean, u = _kernel_mean_many(
-        X, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
-    )
-    v = kmean - row_dots(kv, ctx.solved_kmean)
-    pred_var = var + gp.noise.variance
-    live = pred_var >= _PRED_VAR_FLOOR * gp.kernel.amplitude_sq
-    return _Probe(kv, solved_kv, v, pred_var, live, u)
+def _probe(stack: _Stack, X: np.ndarray) -> _Probe:
+    """Probe the (m, d) candidate rows of ``X`` in every context: the GP posterior there, and v."""
+    kv, solved_kv, var = posterior_rows(stack.posteriors, X)
+    kmean, u = _kernel_means(stack.kernel_means, X)
+    v = kmean - row_dots(kv, stack.solved_kmean[:, None, :])
+    pred_var = var + stack.noise[:, None]
+    return _Probe(kv, solved_kv, v, pred_var, pred_var >= stack.floor[:, None], u)
 
 
 def _informative_var(p: _Probe) -> np.ndarray:
@@ -275,41 +353,42 @@ def _s_sq(p: _Probe) -> np.ndarray:
     return s * s
 
 
-def _sigma2_sq(ctx: AcquisitionContext, p: _Probe) -> np.ndarray:
+def _sigma2_sq(stack: _Stack, p: _Probe) -> np.ndarray:
     """sigma2^2 = max(sigma1^2 - v^2 / D, 0), or sigma1^2 where not live."""
-    return np.maximum(ctx.sigma1_sq - p.v * p.v / _informative_var(p), 0.0)
+    return np.maximum(stack.sigma1_sq[:, None] - p.v * p.v / _informative_var(p), 0.0)
 
 
-def _gain(ctx: AcquisitionContext, sigma2_sq: np.ndarray) -> np.ndarray:
-    """log(sigma1 / sigma2), or the sentinel where sigma2^2 is zero."""
-    if ctx.sigma1_sq <= 0.0:
+def _gain(stack: _Stack, sigma2_sq: np.ndarray) -> np.ndarray:
+    """log(sigma1 / sigma2) per context and row, or the sentinel where sigma2^2 is zero."""
+    if np.any(stack.sigma1_sq <= 0.0):
         raise DegenerateEstimateError("estimate variance is zero; nothing to gain")
     gain = np.full(sigma2_sq.shape, GAIN_SENTINEL)
     nonzero = sigma2_sq != 0.0  # a NaN stays NaN, so maximize drops its start
-    gain[nonzero] = 0.5 * np.log(ctx.sigma1_sq / sigma2_sq[nonzero])
+    sigma1_sq = np.broadcast_to(stack.sigma1_sq[:, None], sigma2_sq.shape)
+    gain[nonzero] = 0.5 * np.log(sigma1_sq[nonzero] / sigma2_sq[nonzero])
     return gain
 
 
-def _s_sq_gradients(ctx: AcquisitionContext, X: np.ndarray, p: _Probe) -> np.ndarray:
-    """Gradient of S^2 = v^2 / D at each row of ``X``, the probe's rows, by the quotient rule.
+def _s_sq_gradients(stack: _Stack, X: np.ndarray, p: _Probe) -> np.ndarray:
+    """Gradient of S^2 = v^2 / D per context at each row of ``X``, the probe's rows, (T, m, d).
 
-    grad v is the kernel-mean gradient minus the Jacobian J of k(x, X_n)
-    against the solved kernel-mean system; grad D = -2 J^T (Gram^-1 k(x, X_n)).
-    Rows that are not live read zero.  Each row takes the operations of
-    a one-row call, D^2 included: it is squared as a Python float, whose
+    By the quotient rule: grad v is the kernel-mean gradient minus the
+    Jacobian J of k(x, X_n) against the solved kernel-mean system;
+    grad D = -2 J^T (Gram^-1 k(x, X_n)).  Rows that are not live read
+    zero.  Each (context, row) takes the operations of a one-context,
+    one-row call, D^2 included: it is squared as a Python float, whose
     rounding (libm ``pow``) can differ from numpy's ``square``.
     """
-    gp = ctx.gp
-    grad_v = _kernel_mean_gradients(
-        X, p.u, gp.kernel.amplitude_sq, ctx.mix, ctx._comp_chols, ctx._comp_factors
-    )
-    # J[j] is the (n, d) Jacobian at row j; J[j].T is its transposed view
-    JT = np.swapaxes(kernel_jacobians(X, gp.data.X, gp.kernel, p.kv), 1, 2)
-    grad_v = grad_v - JT @ ctx.solved_kmean
-    grad_D = -2.0 * (JT @ p.solved_kv[:, :, None])[:, :, 0]
+    post = stack.posteriors
+    grad_v = _kernel_mean_gradients(stack.kernel_means, X, p.u)
+    # J[t, j] is the (n, d) Jacobian at row j; its transposed view keeps
+    # the column-major (d, n) layout, and so the BLAS kernel, of one row
+    JT = kernel_jacobians(X, post.X, post.lengthscales, p.kv).transpose(0, 1, 3, 2)
+    grad_v = grad_v - (JT @ stack.solved_kmean[:, None, :, None])[..., 0]
+    grad_D = -2.0 * (JT @ p.solved_kv[..., None])[..., 0]
     D = np.where(p.live, p.pred_var, 1.0)
-    D_sq = np.array([d**2 for d in D.tolist()])
-    grad = (2.0 * p.v / D)[:, None] * grad_v - (p.v * p.v / D_sq)[:, None] * grad_D
+    D_sq = np.array([d**2 for d in D.ravel().tolist()]).reshape(D.shape)
+    grad = (2.0 * p.v / D)[..., None] * grad_v - (p.v * p.v / D_sq)[..., None] * grad_D
     grad[~p.live] = 0.0
     return grad
 
@@ -322,46 +401,30 @@ def acquisition_objective(ctx: AcquisitionContext):
     the ``(len(idx), d)`` gradients of rows ``X[idx]`` from that probe,
     bit for bit what a fresh probe of those rows would give.
     """
+    stack = _stack([ctx])
 
     def objective(X):
         X = as_points(X, ctx.gp.dim)
-        p = _probe(ctx, X)
+        p = _probe(stack, X)
 
         def gradients_at(idx) -> np.ndarray:
-            return _s_sq_gradients(ctx, X[idx], p.rows(idx))
+            return _s_sq_gradients(stack, X[idx], p.rows(idx))[0]
 
-        return _s_sq(p), gradients_at
+        return _s_sq(p)[0], gradients_at
 
     return objective
-
-
-def _shared_contexts(contexts) -> list:
-    """The contexts as a non-empty list, checked to share their data and mixture."""
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("need at least one acquisition context")
-    first = contexts[0].gp.data
-    for ctx in contexts[1:]:
-        data = ctx.gp.data
-        if not (
-            (data.X is first.X or np.array_equal(data.X, first.X))
-            and (data.y is first.y or np.array_equal(data.y, first.y))
-            and same_mixture(ctx.mix, contexts[0].mix)
-        ):
-            raise ValueError("contexts must share the same data and mixture")
-    return contexts
 
 
 def multi_theta_objective(contexts):
     """The mean simplified gain across hyperparameter samples, as an objective.
 
     The contexts are checked once, here, to share their data and
-    mixture.  ``objective(X)`` probes the (m, d) rows of ``X`` once per
-    context and returns the mean gain of each row with ``gradients_at``,
-    as :func:`acquisition_objective` does.  With one context a value is
-    exactly the ``gain_simplified`` column of :func:`acquisition_profile`;
-    the argmax over rows equals the argmin of the product of the
-    per-sample sigma2^2 values.
+    mixture, and stacked.  ``objective(X)`` probes the (m, d) rows of
+    ``X`` in all contexts at once and returns the mean gain of each row
+    with ``gradients_at``, as :func:`acquisition_objective` does.  With
+    one context a value is exactly the ``gain_simplified`` column of
+    :func:`acquisition_profile`; the argmax over rows equals the argmin of
+    the product of the per-sample sigma2^2 values.
 
     Per sample, d/dx log(sigma1/sigma2) = (d/dx S^2) / (2 sigma2^2);
     samples sitting at the variance-collapse sentinel contribute zero
@@ -372,30 +435,29 @@ def multi_theta_objective(contexts):
     DegenerateEstimateError
         From ``objective`` if a context's sigma1^2 is zero.
     """
-    contexts = _shared_contexts(contexts)
-    dim = contexts[0].gp.dim
+    stack = _stack(contexts)
+    dim = stack.posteriors.X.shape[1]
 
     def objective(X):
         X = as_points(X, dim)
-        probes, sigma2_sqs, gains = [], [], []
-        for ctx in contexts:
-            probes.append(_probe(ctx, X))
-            sigma2_sqs.append(_sigma2_sq(ctx, probes[-1]))
-            gains.append(_gain(ctx, sigma2_sqs[-1]))
+        p = _probe(stack, X)
+        sigma2_sq = _sigma2_sq(stack, p)
+        gains = _gain(stack, sigma2_sq)
 
         def gradients_at(idx) -> np.ndarray:
-            X_idx = X[idx]
-            grad = np.zeros(X_idx.shape)
-            for ctx, p, sigma2_sq in zip(contexts, probes, sigma2_sqs):
-                sigma2_sq = sigma2_sq[idx]
-                rows = sigma2_sq > 0.0
-                grad[rows] += (
-                    _s_sq_gradients(ctx, X_idx, p.rows(idx))[rows] / (2.0 * sigma2_sq[rows, None])
-                )
-            return grad / len(contexts)
+            sigma2_sq_idx = sigma2_sq[:, idx]
+            rows = sigma2_sq_idx > 0.0
+            terms = _s_sq_gradients(stack, X[idx], p.rows(idx))
+            terms /= 2.0 * np.where(rows, sigma2_sq_idx, 1.0)[..., None]
+            terms[~rows] = 0.0
+            # added context by context onto zeros, as a loop over contexts adds them
+            grad = np.zeros(terms.shape[1:])
+            for term in terms:
+                grad += term
+            return grad / len(terms)
 
         # a mean along the contiguous axis sums each row as np.mean sums one vector
-        return np.mean(np.stack(gains, axis=1), axis=1), gradients_at
+        return np.mean(np.ascontiguousarray(gains.T), axis=1), gradients_at
 
     return objective
 
@@ -433,15 +495,16 @@ def acquisition_profile(ctx: AcquisitionContext, X):
         If sigma1^2 is zero: the integral is already known exactly.
         Every column raises, S and the update included (S is 0 there).
     """
-    p = _probe(ctx, as_points(X, ctx.gp.dim))
-    sigma2_sq = _sigma2_sq(ctx, p)
+    stack = _stack([ctx])
+    p = _probe(stack, as_points(X, ctx.gp.dim))
+    sigma2_sq = _sigma2_sq(stack, p)
     # t1 first, so a zero sigma1^2 raises before a division
-    t1 = _gain(ctx, sigma2_sq)
+    t1 = _gain(stack, sigma2_sq)
     t2 = sigma2_sq / (2.0 * ctx.sigma1_sq)
     t3 = np.full(t2.shape, -0.5)
     t4 = p.v * p.v / (2.0 * ctx.sigma1_sq * _informative_var(p))
     s = _s(p)
-    return {
+    columns = {
         "s": s,
         "s_sq": s * s,
         "sigma2_sq": sigma2_sq,
@@ -449,5 +512,6 @@ def acquisition_profile(ctx: AcquisitionContext, X):
         "pred_mean": row_dots(p.kv, ctx.gp.weights),
         "gain_simplified": t1,
         "gain_four_term": t1 + t2 + t3 + t4,
-        "gain_terms": np.stack([t1, t2, t3, t4], axis=1),
+        "gain_terms": np.stack([t1, t2, t3, t4], axis=2),
     }
+    return {key: column[0] for key, column in columns.items()}

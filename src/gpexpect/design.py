@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from gpexpect._numerics import require_count
 from gpexpect.acquisition import (
     AcquisitionContext,
     acquisition_objective,
@@ -72,7 +73,9 @@ class DesignConfig:
     ``theta_samples > 1`` averages the acquisition over that many
     log-space perturbations of the selected hyperparameters.
     ``center_y`` fits the GP on mean-centered observations and adds the
-    offset back into the reported estimate mean.
+    offset back into the reported estimate mean.  The counts ``n0``,
+    ``budget``, ``refit_every`` and ``theta_samples`` must be integers;
+    anything else raises ``ValueError`` here, before a black-box call.
     """
 
     n0: int
@@ -88,6 +91,8 @@ class DesignConfig:
     center_y: bool = False
 
     def __post_init__(self):
+        for name in ("n0", "budget", "refit_every", "theta_samples"):
+            require_count(getattr(self, name), name)
         if self.n0 < 2:
             raise InsufficientDataError("n0 must be at least 2")
         if self.budget < self.n0:

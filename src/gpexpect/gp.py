@@ -3,11 +3,14 @@
 A fitted :class:`GpPosterior` stores the Cholesky factor of the noisy Gram
 matrix and the weight vector ``(K + noise * I)^-1 y``.  Posterior queries
 are pure functions of that state.  :func:`posterior_rows` is the one
-posterior formula at candidate rows: the variance queries here and the
-acquisition layer's probe, which answers what one more observation would
-do to the estimate of the integral without refitting, all read it.  The
-prior is its n = 0 case: the empty Gram system solves to nothing, so the
-variance is the amplitude and the mean 0, bit for bit.
+posterior formula at candidate rows.  It takes a :class:`PosteriorStack`
+of T posteriors that share their data, such as several hyperparameter
+samples, and evaluates all of them in one pass; one posterior is the
+T = 1 case.  The variance queries here and the acquisition layer's probe,
+which answers what one more observation would do to the estimate of the
+integral without refitting, all read it.  The prior is its n = 0 case:
+the empty Gram system solves to nothing, so the variance is the
+amplitude and the mean 0, bit for bit.
 
 The hyperparameter search maximizes the log evidence with L-BFGS-B and a
 forward-difference gradient that this module computes itself, with the
@@ -26,18 +29,20 @@ hyperparameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 # the routine scipy.optimize._lbfgsb_py._minimize_lbfgsb loops over (scipy >= 1.15)
 from scipy.optimize._lbfgsb import setulb
 
-from gpexpect._numerics import as_point, as_points, chol_solve, row_dots
+from gpexpect._numerics import as_point, as_points, chol_solve, require_count, row_dots
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.kernels import (
     RbfKernel,
     eval_kernel,
     kernel_cross,
+    kernel_crosses,
     kernel_matrices,
     kernel_matrix,
     kernel_vector,
@@ -193,17 +198,41 @@ def fit(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> GpPosterior:
     )
 
 
-def posterior_rows(gp: GpPosterior, X: np.ndarray):
-    """The posterior at the (m, d) rows of ``X``: ``(kv, solved_kv, var)``.
+class PosteriorStack(NamedTuple):
+    """T posteriors on the same data, as the arrays :func:`posterior_rows` reads."""
 
-    ``kv`` (m, n) holds the kernel rows k(x, X_n), ``solved_kv`` (m, n)
-    their solves (K + noise I)^-1 k(x, X_n) with the Gram factor, and
-    ``var`` (m,) the posterior variance k(x, x) - k(x, X_n)^T solved_kv
-    (GPML Alg. 2.1).  The rows are taken as given, unchecked.
+    X: np.ndarray  # (n, d) the shared training inputs
+    amplitude_sq: np.ndarray  # (T,)
+    lengthscales: np.ndarray  # (T, d)
+    gram_factors: tuple  # T lower Cholesky factors (n, n)
+
+
+def stack_posteriors(gps) -> PosteriorStack:
+    """The posteriors ``gps``, which must share their data (unchecked), as one stack."""
+    gps = list(gps)
+    return PosteriorStack(
+        X=gps[0].data.X,
+        amplitude_sq=np.array([gp.kernel.amplitude_sq for gp in gps]),
+        lengthscales=np.array([gp.kernel.lengthscales for gp in gps]),
+        gram_factors=tuple(gp.gram_factor for gp in gps),
+    )
+
+
+def posterior_rows(post: PosteriorStack, X: np.ndarray):
+    """Each posterior of ``post`` at the (m, d) rows of ``X``: ``(kv, solved_kv, var)``.
+
+    ``kv`` (T, m, n) holds the kernel rows k(x, X_n), ``solved_kv``
+    (T, m, n) their solves (K + noise I)^-1 k(x, X_n), one Gram factor's
+    ``potrs`` per posterior, and ``var`` (T, m) the posterior variance
+    k(x, x) - k(x, X_n)^T solved_kv (GPML Alg. 2.1).  Each (posterior,
+    row) entry reads as it does alone, so one posterior is the T = 1
+    case.  The rows are taken as given, unchecked.
     """
-    kv = kernel_cross(X, gp.data.X, gp.kernel)
-    solved_kv = chol_solve(gp.gram_factor, kv.T).T
-    return kv, solved_kv, gp.kernel.amplitude_sq - row_dots(kv, solved_kv)
+    kv = kernel_crosses(X, post.X, post.amplitude_sq, post.lengthscales)
+    solved_kv = np.empty_like(kv)
+    for t, factor in enumerate(post.gram_factors):
+        solved_kv[t] = chol_solve(factor, kv[t].T).T
+    return kv, solved_kv, post.amplitude_sq[:, None] - row_dots(kv, solved_kv)
 
 
 def posterior_mean(gp: GpPosterior, x) -> float:
@@ -219,14 +248,14 @@ def posterior_mean_many(gp: GpPosterior, X) -> np.ndarray:
 
 def posterior_cov(gp: GpPosterior, a, b) -> float:
     """Posterior covariance k(a, b) - k(a, X_n)^T (K + noise I)^-1 k(b, X_n)."""
-    _, solved_kb, _ = posterior_rows(gp, as_point(b, gp.dim, "b")[None, :])
+    solved_kb = posterior_rows(stack_posteriors([gp]), as_point(b, gp.dim, "b")[None, :])[1]
     ka = kernel_vector(a, gp.data.X, gp.kernel)
-    return float(eval_kernel(a, b, gp.kernel) - ka @ solved_kb[0])
+    return float(eval_kernel(a, b, gp.kernel) - ka @ solved_kb[0, 0])
 
 
 def posterior_var_many(gp: GpPosterior, X) -> np.ndarray:
     """Posterior variance at each row of ``X`` (diagonal of the covariance)."""
-    return posterior_rows(gp, as_points(X, gp.dim))[2]
+    return posterior_rows(stack_posteriors([gp]), as_points(X, gp.dim))[2][0]
 
 
 def _evidence_from_factors(y: np.ndarray, factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -288,7 +317,8 @@ def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) ->
 class HyperSearchConfig:
     """Multi-start marginal-likelihood search settings.
 
-    ``starts`` (at least 1) L-BFGS-B ascents, seeded by ``seed``;
+    ``starts`` (an integer, at least 1) L-BFGS-B ascents, seeded by the
+    integer ``seed``;
     ``fixed_noise``, finite and nonnegative, pins the noise variance
     instead of searching it.  The search boxes, which are relative to the
     data, and the iteration cap are module constants: ``_LENGTHSCALE_BOX``,
@@ -300,6 +330,8 @@ class HyperSearchConfig:
     fixed_noise: float | None = None
 
     def __post_init__(self):
+        require_count(self.starts, "starts")
+        require_count(self.seed, "seed")
         if self.starts < 1:
             raise ValueError(f"hyperparameter search needs starts >= 1, got {self.starts}")
         if self.fixed_noise is not None and not (

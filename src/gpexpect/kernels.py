@@ -7,7 +7,12 @@ they enter the quadratic form directly and add to Gaussian covariances
 without conversion.
 
 Points are 1-d float arrays of length ``d``; point sets are ``(n, d)``
-arrays.
+arrays.  The matrix forms come stacked over T kernels that share their
+points, such as hyperparameter samples: :func:`kernel_matrices` (Gram
+matrices), :func:`kernel_crosses` (cross matrices) and
+:func:`kernel_jacobians`.  Each entry of a stack reads as it does alone,
+so the one-kernel forms (:func:`kernel_matrix`, :func:`kernel_cross` and
+the point forms built on it) are their T = 1 views.
 """
 
 from __future__ import annotations
@@ -84,12 +89,27 @@ def kernel_matrices(
     )
 
 
+def kernel_crosses(
+    A: np.ndarray, B: np.ndarray, amplitude_sq: np.ndarray, lengthscales: np.ndarray
+) -> np.ndarray:
+    """Cross-kernel matrices ``k(a_i, b_j)`` of rows ``A`` (m, d) and ``B`` (n, d) under T kernels.
+
+    Shape (T, m, n); kernel ``t`` has amplitude ``amplitude_sq[t]`` and
+    scale variances ``lengthscales[t]``, as in :func:`kernel_matrices`.
+    The squared differences are formed once and scaled per kernel, and
+    each entry is computed elementwise, so it does not depend on the
+    other kernels or rows.  The rows are taken as given, unchecked.
+    """
+    squares = (B.T[:, None, None, :] - A.T[:, None, :, None]) ** 2
+    terms = squares / lengthscales.T[:, :, None, None]
+    return amplitude_sq[:, None, None] * np.exp(-0.5 * sum_in_order(terms))
+
+
 def kernel_cross(A, B, ker: RbfKernel) -> np.ndarray:
-    """Cross-kernel matrix with entries ``k(a_i, b_j)``, shape (m, n)."""
+    """Cross-kernel matrix ``k(a_i, b_j)``, shape (m, n): :func:`kernel_crosses` at T = 1."""
     A = as_points(A, ker.dim, "A")
     B = as_points(B, ker.dim, "B")
-    terms = (B.T[:, None, :] - A.T[:, :, None]) ** 2 / ker.lengthscales[:, None, None]
-    return ker.amplitude_sq * np.exp(-0.5 * sum_in_order(terms))
+    return kernel_crosses(A, B, np.array([ker.amplitude_sq]), ker.lengthscales[None, :])[0]
 
 
 def kernel_vector(x, X, ker: RbfKernel) -> np.ndarray:
@@ -101,14 +121,15 @@ def kernel_vector(x, X, ker: RbfKernel) -> np.ndarray:
 
 
 def kernel_jacobians(
-    X: np.ndarray, B: np.ndarray, ker: RbfKernel, kv: np.ndarray
+    X: np.ndarray, B: np.ndarray, lengthscales: np.ndarray, kv: np.ndarray
 ) -> np.ndarray:
-    """Gradients of ``k(x, b_j)`` in ``x`` at each row of ``X`` (m, d), shape (m, n, d).
+    """Gradients in ``x`` of ``k(x, b_j)`` at the rows of ``X`` (m, d), T kernels: (T, m, n, d).
 
-    ``kv`` is ``kernel_cross(X, B, ker)``.  Entry ``[i, j]`` is
-    ``-(x_i - b_j) / lengthscales * k(x_i, b_j)``.
+    ``lengthscales`` (T, d) are the kernels' scale variances and ``kv``
+    their :func:`kernel_crosses` of ``X`` and ``B``.  Entry ``[t, i, j]`` is
+    ``-(x_i - b_j) / lengthscales[t] * k_t(x_i, b_j)``.
     """
-    return -(X[:, None, :] - B) / ker.lengthscales * kv[:, :, None]
+    return -(X[:, None, :] - B) / lengthscales[:, None, None, :] * kv[..., None]
 
 
 def kernel_gradient(a, b, ker: RbfKernel) -> np.ndarray:
@@ -119,4 +140,5 @@ def kernel_gradient(a, b, ker: RbfKernel) -> np.ndarray:
     """
     A = as_point(a, ker.dim, "a")[None, :]
     B = as_point(b, ker.dim, "b")[None, :]
-    return kernel_jacobians(A, B, ker, kernel_cross(A, B, ker))[0, 0]
+    kv = kernel_cross(A, B, ker)[None]
+    return kernel_jacobians(A, B, ker.lengthscales[None, :], kv)[0, 0, 0]

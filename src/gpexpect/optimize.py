@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpexpect._numerics import row_dots
+from gpexpect._numerics import require_count, row_dots
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.mixtures import GaussianMixture, component_box, mixture_mean, sample
 
@@ -60,12 +60,16 @@ class BoxBounds:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings for :func:`maximize`; ``starts`` and ``max_iterations`` must be integers."""
+
     starts: int = 8
     max_iterations: int = 100
     gradient_tolerance: float = 1e-8
     step_shrink: float = 0.5
 
     def __post_init__(self):
+        require_count(self.starts, "starts")
+        require_count(self.max_iterations, "max_iterations")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
         if not self.gradient_tolerance > 0:

@@ -11,8 +11,12 @@ from gpexpect._numerics import chol_solve, forward_substitute
 from gpexpect.acquisition import (
     GAIN_SENTINEL,
     _component_means,
-    _kernel_mean_many,
+    _gain,
+    _kernel_means,
     _probe,
+    _s_sq,
+    _sigma2_sq,
+    _stack,
     acquisition_objective,
     acquisition_profile,
     build_context,
@@ -81,6 +85,13 @@ def at_point(ctx, x) -> dict:
     """Every acquisition quantity at the single point ``x``: row 0 of a one-row profile."""
     prof = acquisition_profile(ctx, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
     return {key: column[0] for key, column in prof.items()}
+
+
+def probe(ctx, X):
+    """The probe of rows ``X`` in ``ctx`` alone, its context axis dropped (``u`` keeps its own)."""
+    p = _probe(_stack([ctx]), X)
+    return p._replace(kv=p.kv[0], solved_kv=p.solved_kv[0], v=p.v[0], pred_var=p.pred_var[0],
+                      live=p.live[0])
 
 
 def gradients(objective, X) -> np.ndarray:
@@ -228,16 +239,15 @@ class TestWholeArrayKernelMeans:
         ctx = build_context(gp, mix)
         X = rng.uniform(-3.0, 3.0, size=(m, d))
         u_ref, k_dot, w_k = reference_component_terms(ctx, X)
-        kmean, u = _kernel_mean_many(
-            X, gp.kernel.amplitude_sq, mix, ctx._comp_chols, ctx._comp_factors
-        )
-        assert u.tobytes() == u_ref.tobytes()
+        km = _stack([ctx]).kernel_means
+        kmean, u = _kernel_means(km, X)
+        assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes()
         total = np.zeros(m)
         for i in range(k):
             total = total + w_k[:, i]
-        assert kmean.tobytes() == total.tobytes()
-        got = _component_means(u, gp.kernel.amplitude_sq, ctx._comp_factors)
-        assert got.tobytes() == k_dot.tobytes()
+        assert kmean.shape == (1, m) and kmean.tobytes() == total.tobytes()
+        got = _component_means(km, u)
+        assert got.shape == (m, 1, k) and got.tobytes() == k_dot.tobytes()
 
 
 class TestKernelMeanGradient:
@@ -497,7 +507,7 @@ def reference_acquisition_gradient(ctx, xt):
     solve per component, ``J.T`` products, and D^2 on a Python float.
     """
     gp, mix = ctx.gp, ctx.mix
-    p = _probe(ctx, xt[None, :])
+    p = probe(ctx, xt[None, :])
     if not p.live[0]:
         return np.zeros(gp.dim)
     grad_v = np.zeros(xt.size)
@@ -567,7 +577,7 @@ class TestAcquisitionValueGradient:
                      gp.noise)
         ctx = build_context(gp, mix)
         X = np.concatenate([sample(mix, 5, seed=4), gp.data.X[:1], rng.uniform(-2, 2, (3, 2))])
-        p = _probe(ctx, X)
+        p = probe(ctx, X)
         assert not p.live[5] and p.live[np.arange(9) != 5].all()
         assert n > 1 or p.pred_var[5] == 0.0
         with np.errstate(divide="raise", invalid="raise"):
@@ -1002,6 +1012,102 @@ class TestScalarFormsMatchProfile:
             assert np.isnan(prof[key]).all(), key
 
 
+def stack_case(seed, T, d, k, n, special):
+    """T contexts on shared random data, and m candidate rows on and off the mixture.
+
+    With ``special``, the last context is the empty-data plateau of
+    ``test_plateau_context_contributes_zero`` when n = 0, else a noiseless
+    fit that needs jitter, of the data with its first point repeated.
+    """
+    rng = np.random.default_rng(seed)
+    gp, mix = random_instance(rng, d=d, n=n, n_gmm=k)
+    special_ctx = None
+    if special and n == 0:
+        special_ctx = build_context(
+            fit(gp.data, RbfKernel(amplitude_sq=1.0, lengthscales=np.full(d, 2.0**64)),
+                NoiseModel(variance=0.0)),
+            mix,
+        )
+    elif special:
+        # the first point twice: under a unit amplitude without noise the
+        # second pivot of the Gram factor is exactly 0, so the fit jitters
+        data = Dataset(X=np.concatenate([gp.data.X[:1], gp.data.X]),
+                       y=np.concatenate([gp.data.y[:1], gp.data.y]))
+        gp = fit(data, gp.kernel, gp.noise)
+        jittered = fit(data, RbfKernel(amplitude_sq=1.0, lengthscales=gp.kernel.lengthscales),
+                       NoiseModel(variance=0.0))
+        assert jittered.jitter > 0.0
+        special_ctx = build_context(jittered, mix)
+    contexts = perturbed_contexts(rng, gp, mix, T)
+    if special_ctx is not None:
+        contexts[-1] = special_ctx
+    X = np.concatenate([sample(mix, 6, seed=int(rng.integers(2**63))),
+                        rng.uniform(-4.0, 4.0, size=(4, d)), gp.data.X[:2]])
+    return contexts, X
+
+
+class TestStackedProbe:
+    """A probe of T contexts is T one-context probes, each row a one-row probe, bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 4), d=st.integers(1, 3),
+           k=st.integers(1, 3), n=st.integers(0, 8), special=st.booleans())
+    def test_each_context_row_is_a_lone_call(self, seed, T, d, k, n, special):
+        contexts, X = stack_case(seed, T, d, k, n, special)
+        stack = _stack(contexts)
+        p = _probe(stack, X)
+        sigma2_sq = _sigma2_sq(stack, p)
+        gains = _gain(stack, sigma2_sq)
+        multi = multi_theta_objective(contexts)
+        values, gradients_at = multi(X)
+        grad = gradients_at(np.arange(len(X)))
+        for t, ctx in enumerate(contexts):
+            single = acquisition_objective(ctx)
+            prof = acquisition_profile(ctx, X)
+            s_sq, single_at = single(X)
+            assert s_sq.tobytes() == _s_sq(p)[t].tobytes()
+            for j, x in enumerate(X):
+                one = _probe(_stack([ctx]), x[None])
+                assert p.kv[t, j].tobytes() == one.kv[0, 0].tobytes()
+                assert p.solved_kv[t, j].tobytes() == one.solved_kv[0, 0].tobytes()
+                for field in ("v", "pred_var", "live"):
+                    assert getattr(p, field)[t, j] == getattr(one, field)[0, 0], field
+                assert p.u[j, t * k : (t + 1) * k].tobytes() == one.u[0].tobytes()
+                lone = acquisition_profile(ctx, x[None])
+                for key, column in prof.items():
+                    assert column[j : j + 1].tobytes() == lone[key].tobytes(), key
+                assert sigma2_sq[t, j] == lone["sigma2_sq"][0]
+                assert gains[t, j] == lone["gain_simplified"][0]
+                assert s_sq[j] == single(x[None])[0][0]
+                assert (single_at(np.array([j])).tobytes()
+                        == gradients(single, x[None]).tobytes())
+        for j, x in enumerate(X):
+            lone = [at_point(ctx, x) for ctx in contexts]
+            assert values[j] == np.mean([one["gain_simplified"] for one in lone])
+            want = np.zeros(d)
+            for ctx, one in zip(contexts, lone):
+                if one["sigma2_sq"] > 0.0:
+                    want += (gradients(acquisition_objective(ctx), x[None])[0]
+                             / (2.0 * one["sigma2_sq"]))
+            assert grad[j].tobytes() == (want / len(contexts)).tobytes()
+
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_zero_rows(self, T):
+        contexts, X = stack_case(7, T, 2, 2, 4, special=False)
+        none = X[:0]
+        p = _probe(_stack(contexts), none)
+        assert p.kv.shape == p.solved_kv.shape == (T, 0, 4)
+        assert p.v.shape == p.pred_var.shape == p.live.shape == (T, 0)
+        assert p.u.shape == (0, 2 * T, 2)
+        for objective in (acquisition_objective(contexts[0]), multi_theta_objective(contexts)):
+            values, gradients_at = objective(none)
+            assert values.shape == (0,)
+            assert gradients_at(np.arange(0)).shape == (0, 2)
+        prof = acquisition_profile(contexts[0], none)
+        assert prof.pop("gain_terms").shape == (0, 4)
+        assert all(column.shape == (0,) for column in prof.values())
+
+
 class TestObjectiveRowReuse:
     """``gradients_at`` of an objective call is a fresh probe of the rows it picks, bit for bit."""
 
@@ -1031,7 +1137,7 @@ class TestObjectiveRowReuse:
             X = np.concatenate([sample(mix, 5, seed=int(rng.integers(2**63))),
                                 gp.data.X[:2], rng.uniform(-4.0, 4.0, size=(5, d))])
             X = X[rng.permutation(len(X))]
-            assert not _probe(contexts[0], X).live.all()
+            assert not probe(contexts[0], X).live.all()
         idx = rng.choice(len(X), size=int(rng.integers(1, len(X) + 1)), replace=False)
 
         for objective in (acquisition_objective(contexts[0]), multi_theta_objective(contexts)):
@@ -1094,7 +1200,7 @@ class TestOnePosteriorFormula:
             gp, mix = random_instance(rng)
             ctx = build_context(gp, mix)
             X = sample(mix, 7, seed=int(rng.integers(2**63)))
-            p = _probe(ctx, X)
+            p = probe(ctx, X)
             assert_array_equal(posterior_var_many(gp, X) + gp.noise.variance, p.pred_var)
             means = posterior_mean_many(gp, X)
             for i, x in enumerate(X):

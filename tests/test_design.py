@@ -72,6 +72,21 @@ class TestDesignConfig:
         with pytest.raises(ValueError, match="sigma_stop"):
             DesignConfig(n0=2, budget=4, seed=0, sigma_stop=sigma_stop)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n0", 5.0), ("budget", 8.5), ("refit_every", 2.5), ("theta_samples", 2.5),
+         ("theta_samples", "2")],
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        # before the fix, theta_samples=2.5 spent the initial design, then
+        # failed in range(); refit_every=2.5 ran on float modulo
+        kwargs = dict(n0=5, budget=8, seed=1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DesignConfig(**kwargs)
+        kwargs[field] = np.int64(int(float(value)))
+        DesignConfig(**kwargs)
+
 
 class TestStep:
     def make_state(self, seed=0, noise=0.01, **cfg_kwargs):
@@ -357,6 +372,36 @@ GOLDEN_MULTI_THETA_RUN = [
 ]
 
 
+# (x1, x2, mu1, sigma1, acquisition) of a 5 + 6 step run on the Branin
+# mixture averaging the log gain over 3 theta samples, re-selecting theta
+# before the last step: pins the context-by-component layout of the
+# multi-theta probe, which one dimension and one component cannot show
+GOLDEN_MULTI_THETA_BRANIN_RUN = [
+    ("0x1.d258af5bb64acp+1", "0x1.5a23bac2fdb98p+1", "0x1.2623b8f8171e0p-1",
+     "0x1.60d38f34b6df2p+0", "0x0.0p+0"),
+    ("-0x1.6a1ef210024c4p+1", "0x1.6083823f6085cp+3", "0x1.2623b8f8171e0p-1",
+     "0x1.60d38f34b6df2p+0", "0x0.0p+0"),
+    ("0x1.11e02fd79e51cp+2", "0x1.0a4c3e9a3eb7fp+2", "0x1.2623b8f8171e0p-1",
+     "0x1.60d38f34b6df2p+0", "0x0.0p+0"),
+    ("0x1.c0b6d8d97494cp+1", "0x1.91b6c5e6c3782p+1", "0x1.2623b8f8171e0p-1",
+     "0x1.60d38f34b6df2p+0", "0x0.0p+0"),
+    ("-0x1.b747cb49ff231p+1", "0x1.99388e67b212fp+3", "0x1.2623b8f8171e0p-1",
+     "0x1.60d38f34b6df2p+0", "0x0.0p+0"),
+    ("0x1.2d9766fd0eb31p+3", "0x1.3cccc01846ce3p+1", "0x1.3cb1adfbd5290p-1",
+     "0x1.2f73341dc1374p+0", "0x1.37a751cbd3ef1p-3"),
+    ("0x1.4024867a3bd5bp+1", "0x1.20ca3764dbf06p+1", "0x1.15b3d34cef313p+0",
+     "0x1.f80acad9c0fd1p-1", "0x1.61a54d0f8f917p-3"),
+    ("-0x1.f387147b076f9p+0", "0x1.92fa001768b63p+3", "0x1.5f31bd5b3848fp+1",
+     "0x1.7d35b3dfddfd1p-1", "0x1.1ee5f08b80bc9p-2"),
+    ("-0x1.202068424e25ep+2", "0x1.7d9860678b5a9p+3", "0x1.2d69a4bb7a4b1p+2",
+     "0x1.171ab348ac895p-1", "0x1.3ffdf0b1928d3p-2"),
+    ("0x1.06a0debd57be5p+3", "0x1.3cc71975475a5p+1", "0x1.4080efbed7662p+2",
+     "0x1.f02e416a28ef0p-2", "0x1.b64e95c0db1acp-4"),
+    ("-0x1.0d024980695afp+0", "0x1.49febafa434f2p+3", "0x1.d5896f2c57df7p+2",
+     "0x1.0a184b8542c10p+1", "0x1.823daf7e01317p-5"),
+]
+
+
 # (chosen_x, mu1, sigma1, acquisition) of a 5 + 11 step run on x^2 under
 # N(0, 1) with the default refits, re-selecting before steps 5 and 10:
 # pins the hyperparameter search and the fits that follow it
@@ -449,6 +494,22 @@ class TestGoldenHistory:
             for r in history
         ]
         assert got == GOLDEN_MULTI_THETA_RUN
+
+    def test_multi_theta_branin_run_is_bit_identical(self):
+        """Multi-theta on 3 contexts of the 3-component Branin mixture; same provenance."""
+        mix = GaussianMixture(
+            weights=np.array([0.5, 0.3, 0.2]),
+            means=np.array([[-np.pi, 12.275], [np.pi, 2.275], [9.42478, 2.475]]),
+            covs=np.array([np.eye(2)] * 3),
+        )
+        cfg = DesignConfig(n0=5, budget=11, seed=901, theta_samples=3)
+        history = run(mix, lambda x: float(branin(x[None, :])[0]), cfg)
+        got = [
+            (r.chosen_x[0].hex(), r.chosen_x[1].hex(), float(r.mu1).hex(),
+             float(r.sigma1).hex(), float(r.acquisition_at_chosen).hex())
+            for r in history
+        ]
+        assert got == GOLDEN_MULTI_THETA_BRANIN_RUN
 
     def test_refit_run_is_bit_identical(self):
         """A run that re-selects its hyperparameters twice; same provenance."""

@@ -317,6 +317,12 @@ class TestSelectHyperparameters:
         with pytest.raises(ValueError):
             HyperSearchConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [("starts", 8.0), ("starts", 1.5), ("seed", 0.5)])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            HyperSearchConfig(**{field: value})
+        assert getattr(HyperSearchConfig(**{field: np.int64(value)}), field) == int(value)
+
     def test_config_accepts_edge_values(self):
         cfg = HyperSearchConfig(starts=1, fixed_noise=0.0)
         assert (cfg.starts, cfg.fixed_noise) == (1, 0.0)

@@ -456,6 +456,14 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value", [("starts", 8.0), ("starts", 2.5), ("max_iterations", 100.0)]
+    )
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{field: value})
+        assert getattr(OptimizerConfig(**{field: np.int64(value)}), field) == int(value)
+
 
 class TestBounds:
     def test_default_bounds_cover_mixture_spread(self):
