@@ -5,7 +5,8 @@ equal ``solve_triangular`` and ``cho_solve`` bit for bit, without the per-call
 validation and batching that dominate the cost of a probe's small systems.
 :func:`forward_substitute` is the triangular solve whose right-hand sides
 do not depend on each other, for results that must not depend on the
-batch: it solves a stack of factors against a stack of rows in one pass.
+batch: it solves a stack of factors against a stack of rows in one pass,
+with the rows innermost, so each of its elementwise passes is contiguous.
 Where bits must not depend on the batch, a sum is written as explicit
 adds in a fixed order, never as an axis reduction: numpy sums a trailing
 axis of 8 or more terms pairwise.
@@ -57,14 +58,15 @@ def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A[..., None, :] @ B[..., None])[..., 0, 0]
 
 
-def sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """``terms[0] + terms[1] + ...`` over the leading axis, added left to right.
+def sum_in_order(terms) -> np.ndarray:
+    """``terms[0] + terms[1] + ...`` over the leading axis (or an iterable), added left to right.
 
     Each entry takes the adds of a loop over its own terms, whatever the
     other entries are; an axis reduction would add 8 or more terms pairwise.
     """
-    total = terms[0]
-    for term in terms[1:]:
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
         total = total + term
     return total
 
@@ -82,21 +84,25 @@ def forward_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def forward_substitute(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """chols[i]^-1 rhs[j, i] for lower-triangular factors (k, d, d) and rows (m, k, d).
+    """chols[i]^-1 rhs[:, i, j] for lower-triangular factors (k, d, d) and rows (d, k, m).
 
+    The layout is dimension-major with the rows innermost: ``rhs[r]`` is
+    coordinate ``r`` of every (factor, row) pair.
     ``u[r] = (rhs[r] - chol[r, 0] u[0] - ... - chol[r, r-1] u[r-1]) / chol[r, r]``,
-    subtracting term by term on whole (m, k) arrays, so each row is solved
-    with the same operations whatever the other rows and factors are.  A
-    multi-column ``trtrs`` does not promise that.  For a factor of size 1
-    or 2 this equals the single-column :func:`forward_solve` bit for bit
-    on OpenBLAS 0.3.31 (x86-64); larger factors may differ in the last bits.
+    subtracting term by term on whole contiguous (k, m) arrays, so each row
+    is solved with the same operations whatever the other rows and factors
+    are.  A multi-column ``trtrs`` does not promise that.  For a factor of
+    size 1 or 2 this equals the single-column :func:`forward_solve` bit for
+    bit on OpenBLAS 0.3.31 (x86-64); larger factors may differ in the last bits.
     """
+    # entries (r, c) of every factor as (k, 1) columns against the rows
+    factor_entries = chols.transpose(1, 2, 0)[..., None]
     u = np.empty_like(rhs)
     for r in range(chols.shape[-1]):
-        acc = rhs[..., r]
+        acc = rhs[r]
         for c in range(r):
-            acc = acc - chols[:, r, c] * u[..., c]
-        u[..., r] = acc / chols[:, r, r]
+            acc = acc - factor_entries[r, c] * u[c]
+        u[r] = acc / factor_entries[r, r]
     return u
 
 

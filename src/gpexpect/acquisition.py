@@ -26,8 +26,12 @@ contexts and one Gram solve per context; hence v(x) and the predictive
 variance per context and row.  The kernel means at the rows are
 whole-array passes: one stacked forward substitution solves every row
 against every (context, component) factor, then squares are added over
-dimensions and components into the sum one at a time.  S, sigma2^2 and
-the gain terms are each derived once, on (T, m) arrays, and the gradients
+dimensions and components into the sum one at a time.  These elementwise
+passes run in a dimension-major layout with the candidate rows, the long
+axis, innermost; elementwise arithmetic gives the same bits in any
+layout.  Only the operands of BLAS dots keep their row-major layout: the
+substitutions reach the gradients as contiguous (m, T k, d) rows.  S,
+sigma2^2 and the gain terms are each derived once, on (T, m) arrays, and the gradients
 at chosen rows in one pass over (T, rows, ...), one ``potrs`` per
 (context, component).  Each (context, row) entry is computed with the
 same operations whatever the other rows and contexts are, so it reads
@@ -139,13 +143,16 @@ def _kernel_means(km: _KernelMeans, X):
     """K_t(x) (T, m) for each kernel and row of X, and the rows' substitutions u (m, T k, d).
 
     ``u[j, t * k + i]`` is chol_ti^-1 (x_j - mean_i), from one stacked
-    forward substitution.  Squares are added over dimensions, then terms
-    over components, one at a time on whole arrays, so an entry reads the
-    same in any batch and beside any other kernels.
+    forward substitution in the dimension-major (d, T k, m) layout, rows
+    innermost.  Squares are added over dimensions, then terms over
+    components, one at a time on whole arrays, so an entry reads the same
+    in any batch and beside any other kernels.  ``u`` is returned as a
+    C-contiguous copy, the layout :func:`_component_means` dots.
     """
-    u = forward_substitute(km.chols, X[:, None, :] - km.means)
-    quad = sum_in_order((u * u).transpose(2, 0, 1)).reshape(len(X), *km.coefs.shape)
-    return sum_in_order((km.coefs * np.exp(-0.5 * quad)).transpose(2, 1, 0)), u
+    u = forward_substitute(km.chols, X.T[:, None, :] - km.means.T[:, :, None])
+    quad = sum_in_order(u * u).reshape(*km.coefs.shape, len(X))
+    terms = km.coefs[..., None] * np.exp(-0.5 * quad)
+    return sum_in_order(terms.transpose(1, 0, 2)), np.ascontiguousarray(u.transpose(2, 1, 0))
 
 
 def _component_means(km: _KernelMeans, u) -> np.ndarray:

@@ -198,7 +198,7 @@ def _parse_common(doc: dict):
     output = _require(doc, "output")
     if not isinstance(output, str):
         raise ConfigError("config: 'output' must be a path string")
-    seed = _as_int(_require(doc, "seed"), "seed")
+    seed = _as_int(_require(doc, "seed"), "seed", minimum=0)
     n0 = _as_int(_require(doc, "n0"), "n0", minimum=2)
     budget = _as_int(_require(doc, "budget"), "budget", minimum=n0)
 

@@ -74,8 +74,9 @@ class DesignConfig:
     log-space perturbations of the selected hyperparameters.
     ``center_y`` fits the GP on mean-centered observations and adds the
     offset back into the reported estimate mean.  The counts ``n0``,
-    ``budget``, ``refit_every`` and ``theta_samples`` must be integers;
-    anything else raises ``ValueError`` here, before a black-box call.
+    ``budget``, ``refit_every`` and ``theta_samples`` and the ``seed``
+    must be integers, the seed ``>= 0``; anything else raises
+    ``ValueError`` here, before a black-box call.
     """
 
     n0: int
@@ -91,8 +92,10 @@ class DesignConfig:
     center_y: bool = False
 
     def __post_init__(self):
-        for name in ("n0", "budget", "refit_every", "theta_samples"):
+        for name in ("n0", "budget", "seed", "refit_every", "theta_samples"):
             require_count(getattr(self, name), name)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n0 < 2:
             raise InsufficientDataError("n0 must be at least 2")
         if self.budget < self.n0:

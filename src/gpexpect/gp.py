@@ -318,7 +318,7 @@ class HyperSearchConfig:
     """Multi-start marginal-likelihood search settings.
 
     ``starts`` (an integer, at least 1) L-BFGS-B ascents, seeded by the
-    integer ``seed``;
+    integer ``seed`` (at least 0);
     ``fixed_noise``, finite and nonnegative, pins the noise variance
     instead of searching it.  The search boxes, which are relative to the
     data, and the iteration cap are module constants: ``_LENGTHSCALE_BOX``,
@@ -334,6 +334,8 @@ class HyperSearchConfig:
         require_count(self.seed, "seed")
         if self.starts < 1:
             raise ValueError(f"hyperparameter search needs starts >= 1, got {self.starts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.fixed_noise is not None and not (
             np.isfinite(self.fixed_noise) and self.fixed_noise >= 0
         ):

@@ -12,7 +12,9 @@ points, such as hyperparameter samples: :func:`kernel_matrices` (Gram
 matrices), :func:`kernel_crosses` (cross matrices) and
 :func:`kernel_jacobians`.  Each entry of a stack reads as it does alone,
 so the one-kernel forms (:func:`kernel_matrix`, :func:`kernel_cross` and
-the point forms built on it) are their T = 1 views.
+the point forms built on it) are their T = 1 views.  The Gram and cross
+matrices are built one input dimension at a time on whole arrays, with
+the rows innermost, and the dimensions are added left to right.
 """
 
 from __future__ import annotations
@@ -96,12 +98,14 @@ def kernel_crosses(
 
     Shape (T, m, n); kernel ``t`` has amplitude ``amplitude_sq[t]`` and
     scale variances ``lengthscales[t]``, as in :func:`kernel_matrices`.
-    The squared differences are formed once and scaled per kernel, and
-    each entry is computed elementwise, so it does not depend on the
-    other kernels or rows.  The rows are taken as given, unchecked.
+    Each input dimension is one contiguous (m, n) pass, ``(b - a)^2 / L_t``
+    for all kernels, and the dimensions are added left to right.  Each
+    entry is computed elementwise, so it does not depend on the other
+    kernels or rows.  The rows are taken as given, unchecked.
     """
-    squares = (B.T[:, None, None, :] - A.T[:, None, :, None]) ** 2
-    terms = squares / lengthscales.T[:, :, None, None]
+    terms = (
+        (B[:, j] - A[:, j, None]) ** 2 / lengthscales[:, j, None, None] for j in range(A.shape[1])
+    )
     return amplitude_sq[:, None, None] * np.exp(-0.5 * sum_in_order(terms))
 
 

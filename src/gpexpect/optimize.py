@@ -9,13 +9,16 @@ starts accept come from that same call, so no accepted iterate is
 evaluated twice.  The objective works on rows, each row computed as it
 would be alone, so every start follows its own sequential path.  The best
 accepted iterate across all starts wins, with ties broken by start order
-so runs are reproducible.
+so runs are reproducible.  Past the objective calls, a round costs a
+fixed few array passes: the bound tolerances are computed once per box,
+starts are dropped only in rounds where one is abandoned or stalls, and
+accepted trials are taken by their flat row in the ladder call.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +38,9 @@ class BoxBounds:
 
     lower: np.ndarray
     upper: np.ndarray
+    # np.isclose's default tolerance at each bound, 1e-8 + 1e-5 |b|
+    _lower_tol: np.ndarray = field(init=False, repr=False)
+    _upper_tol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -49,6 +55,8 @@ class BoxBounds:
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "_lower_tol", 1e-8 + 1e-5 * np.abs(lo))
+        object.__setattr__(self, "_upper_tol", 1e-8 + 1e-5 * np.abs(hi))
 
     @property
     def dim(self) -> int:
@@ -116,8 +124,8 @@ def _projected_gradient(X, G, bounds: BoxBounds) -> np.ndarray:
     "At a bound" is ``np.isclose``'s default test, ``|x - b| <= 1e-8 + 1e-5 |b|``
     (the bounds are finite), so a NaN coordinate is never at a bound.
     """
-    near_lower = np.abs(X - bounds.lower) <= 1e-8 + 1e-5 * np.abs(bounds.lower)
-    near_upper = np.abs(X - bounds.upper) <= 1e-8 + 1e-5 * np.abs(bounds.upper)
+    near_lower = np.abs(X - bounds.lower) <= bounds._lower_tol
+    near_upper = np.abs(X - bounds.upper) <= bounds._upper_tol
     return np.where((near_lower & (G < 0)) | (near_upper & (G > 0)), 0.0, G)
 
 
@@ -167,44 +175,50 @@ def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
     scored_rows = running
 
     box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
+    # per start: its ladder's step factors (the first set each round) and first row
+    shrinks = np.full((len(x), MAX_SHRINKS), cfg.step_shrink)
+    ladder_rows = np.arange(0, shrinks.size, MAX_SHRINKS)
     for _ in range(cfg.max_iterations):
         if not running.size:
             break
         grads = _checked(
             gradients_at(scored_rows), (scored_rows.size, bounds.dim), "gradients_at"
         )
-        finite = np.all(np.isfinite(grads), axis=1)
-        abandoned[running[~finite]] = True
-        running = running[finite]
-        pg = _projected_gradient(x[running], grads[finite], bounds)
+        finite = np.isfinite(grads).all(axis=1)
+        if not finite.all():
+            abandoned[running[~finite]] = True
+            running, grads = running[finite], grads[finite]
+        current = x[running]
+        pg = _projected_gradient(current, grads, bounds)
         # np.linalg.norm of each row: the square root of its dot with itself
         gnorm = np.sqrt(row_dots(pg, pg))
         moving = ~(gnorm < cfg.gradient_tolerance)
-        running, pg, gnorm = running[moving], pg[moving], gnorm[moving]
-        if not running.size:
-            break
+        if not moving.all():
+            running, current = running[moving], current[moving]
+            pg, gnorm = pg[moving], gnorm[moving]
+            if not running.size:
+                break
         # initial trial step spans a box fraction regardless of gradient scale;
         # accumulate shrinks by repeated multiplication, as a sequential loop would
-        shrinks = np.full((running.size, MAX_SHRINKS), cfg.step_shrink)
-        shrinks[:, 0] = 0.5 * box_diag / gnorm
-        steps = np.multiply.accumulate(shrinks, axis=1)
-        trials = bounds.clip(x[running, None, :] + steps[:, :, None] * pg[:, None, :])
-        ladders = trials.reshape(-1, bounds.dim)
+        shrinks[: running.size, 0] = 0.5 * box_diag / gnorm
+        steps = np.multiply.accumulate(shrinks[: running.size], axis=1)
+        ladders = current[:, None, :] + steps[:, :, None] * pg[:, None, :]
+        ladders = ladders.reshape(-1, bounds.dim)
+        np.clip(ladders, bounds.lower, bounds.upper, out=ladders)
         values, gradients_at = objective(ladders)
         values = _checked(values, ladders.shape[:1], "objective").reshape(steps.shape)
         # each start stops at its first non-finite or improving trial
         stops = ~np.isfinite(values) | (values > val[running, None])
-        first = np.argmax(stops, axis=1)
-        rows = np.arange(running.size)
-        chosen = values[rows, first]
-        stopped = stops[rows, first]
-        dead = stopped & ~np.isfinite(chosen)
-        accept = stopped & ~dead
-        abandoned[running[dead]] = True
-        x[running[accept]] = trials[rows[accept], first[accept]]
-        val[running[accept]] = chosen[accept]
-        running = running[accept]
-        scored_rows = rows[accept] * MAX_SHRINKS + first[accept]
+        # the ladder row of that trial, or of its first trial where none stops
+        rows = ladder_rows[: running.size] + np.argmax(stops, axis=1)
+        chosen = values.ravel()[rows]
+        finite = np.isfinite(chosen)
+        accept = stops.ravel()[rows] & finite
+        if not finite.all():
+            abandoned[running[~finite]] = True
+        running, scored_rows = running[accept], rows[accept]
+        x[running] = ladders[scored_rows]
+        val[running] = chosen[accept]
 
     if abandoned.any():
         warnings.warn(

@@ -10,6 +10,11 @@ ladders of 40 trial steps per start, 320 with its 8 default starts):
 
 ``objective`` times one call on all m rows; ``gradients_at`` times the
 gradients of all m rows from a probe made once, outside the timing.
+``kernel_crosses`` times the stacked cross-kernel pass at the (m, n, d, T)
+shapes of a pinned Branin ladder call and a four-sample sin(3x) one, and
+``maximize`` one whole multi-start ascent on the pinned Branin objective
+from 8 ``mixture_starts``, so the cost of an ascent round can be compared
+across commits with ``--benchmark-save`` and ``--benchmark-compare``.
 """
 
 import numpy as np
@@ -18,8 +23,9 @@ import pytest
 from gpexpect.acquisition import acquisition_objective, build_context, multi_theta_objective
 from gpexpect.benchmarks import benchmark_problem
 from gpexpect.gp import Dataset, NoiseModel, fit
-from gpexpect.kernels import RbfKernel
+from gpexpect.kernels import RbfKernel, kernel_crosses
 from gpexpect.mixtures import sample
+from gpexpect.optimize import OptimizerConfig, default_bounds, maximize, mixture_starts
 from gpexpect.validation import perturbed_contexts
 
 ROWS = (8, 40, 320)
@@ -64,3 +70,21 @@ def test_gradients_at(benchmark, name, m):
     _, gradients_at = objective(X)
     grad = benchmark(gradients_at, np.arange(m))
     assert grad.shape == X.shape
+
+
+@pytest.mark.parametrize("m, n, d, T", [(184, 8, 2, 1), (240, 8, 1, 4)])
+def test_kernel_crosses(benchmark, m, n, d, T):
+    rng = np.random.default_rng(m)
+    A, B = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+    amplitude_sq, lengthscales = rng.uniform(0.5, 2.0, T), rng.uniform(0.3, 1.5, (T, d))
+    kv = benchmark(kernel_crosses, A, B, amplitude_sq, lengthscales)
+    assert kv.shape == (T, m, n)
+
+
+def test_maximize(benchmark):
+    objective, mix = _pinned_branin()
+    bounds = default_bounds(mix)
+    cfg = OptimizerConfig()
+    starts = mixture_starts(mix, bounds, cfg.starts, seed=900)
+    x, _ = benchmark(maximize, objective, bounds, cfg, starts)
+    assert x.shape == (2,)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
@@ -36,7 +36,14 @@ from gpexpect.gp import (
     posterior_mean_many,
     posterior_var_many,
 )
-from gpexpect.kernels import RbfKernel, eval_kernel, kernel_cross, kernel_matrix, kernel_vector
+from gpexpect.kernels import (
+    RbfKernel,
+    eval_kernel,
+    kernel_cross,
+    kernel_crosses,
+    kernel_matrix,
+    kernel_vector,
+)
 from gpexpect.mixtures import GaussianMixture, pdf, pdf_many, sample
 from gpexpect.oracles import quad_integral_1d, quad_integral_2d
 from gpexpect.validation import perturbed_contexts, random_instance
@@ -248,6 +255,47 @@ class TestWholeArrayKernelMeans:
         assert kmean.shape == (1, m) and kmean.tobytes() == total.tobytes()
         got = _component_means(km, u)
         assert got.shape == (m, 1, k) and got.tobytes() == k_dot.tobytes()
+
+
+class TestRowsInnermostLayout:
+    """The probe's rows-innermost passes read, entry by entry, as one-pair and reference loops."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), T=st.integers(1, 4),
+           k=st.integers(1, 3), m=st.integers(0, 6), n=st.integers(0, 8))
+    @example(seed=0, d=3, T=2, k=2, m=0, n=0)
+    @example(seed=1, d=1, T=1, k=1, m=3, n=0)
+    @example(seed=2, d=5, T=4, k=3, m=0, n=8)
+    def test_entries_match_one_pair_calls_and_the_reference_loop(self, seed, d, T, k, m, n):
+        rng = np.random.default_rng(seed)
+        gp, mix = random_instance(rng, d=d, n=n, n_gmm=k)
+        contexts = perturbed_contexts(rng, gp, mix, T)
+        stack = _stack(contexts)
+        post, km = stack.posteriors, stack.kernel_means
+        X = rng.uniform(-3.0, 3.0, size=(m, d))
+
+        kv = kernel_crosses(X, post.X, post.amplitude_sq, post.lengthscales)
+        assert kv.shape == (T, m, n)
+        for t in range(T):
+            for i in range(m):
+                for j in range(n):
+                    one = kernel_crosses(X[i:i + 1], post.X[j:j + 1], post.amplitude_sq[t:t + 1],
+                                         post.lengthscales[t:t + 1])
+                    assert kv[t, i, j].tobytes() == one.tobytes()
+
+        refs = [reference_component_terms(ctx, X) for ctx in contexts]
+        kmean, u = _kernel_means(km, X)
+        u_ref = np.concatenate([ref[0] for ref in refs], axis=1)
+        assert u.flags.c_contiguous
+        assert u.shape == u_ref.shape == (m, T * k, d) and u.tobytes() == u_ref.tobytes()
+        kmean_ref = np.zeros((T, m))
+        for t, (_, _, w_k) in enumerate(refs):
+            for i in range(k):
+                kmean_ref[t] = kmean_ref[t] + w_k[:, i]
+        assert kmean.shape == (T, m) and kmean.tobytes() == kmean_ref.tobytes()
+        got = _component_means(km, u)
+        k_dot = np.stack([ref[1] for ref in refs], axis=1)
+        assert got.shape == (m, T, k) and got.tobytes() == k_dot.tobytes()
 
 
 class TestKernelMeanGradient:
@@ -512,7 +560,7 @@ def reference_acquisition_gradient(ctx, xt):
         return np.zeros(gp.dim)
     grad_v = np.zeros(xt.size)
     for w, mean, chol, factor in zip(mix.weights, mix.means, ctx._comp_chols, ctx._comp_factors):
-        u = forward_substitute(chol[None], (xt - mean)[None, None])[0, 0]
+        u = forward_substitute(chol[None], (xt - mean)[:, None, None])[:, 0, 0]
         k = factor * (gp.kernel.amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
         grad_v -= w * k * chol_solve(chol, xt - mean)
     J = -(xt - gp.data.X) / gp.kernel.lengthscales * p.kv[0][:, None]

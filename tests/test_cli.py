@@ -167,6 +167,14 @@ class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command, extra", [("run", {}), ("benchmark", {"seeds": 2})])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, extra):
+        # before the fix, a negative seed ended in numpy's ValueError traceback
+        cfg = write_config(tmp_path / "cfg.json", seed=-1, **extra)
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'seed' must be >= 0" in err
+
     @pytest.mark.parametrize("fixed_noise", [-1.0, float("nan")])
     def test_bad_fixed_noise_is_a_config_error(self, tmp_path, capsys, fixed_noise):
         cfg = write_config(tmp_path / "cfg.json", fixed_noise=fixed_noise)

@@ -87,6 +87,17 @@ class TestDesignConfig:
         kwargs[field] = np.int64(int(float(value)))
         DesignConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "seed, message", [(-1, "seed must be >= 0"), (1.5, "seed must be an integer"),
+                          ("3", "seed must be an integer")],
+    )
+    def test_rejects_bad_seeds(self, seed, message):
+        # before the fix, seed=-1 spent the initial design's black-box calls and
+        # then failed inside numpy; seed=1.5 raised numpy's TypeError
+        with pytest.raises(ValueError, match=message):
+            DesignConfig(n0=2, budget=4, seed=seed)
+        assert DesignConfig(n0=2, budget=4, seed=np.int64(0)).seed == 0
+
 
 class TestStep:
     def make_state(self, seed=0, noise=0.01, **cfg_kwargs):

@@ -310,8 +310,8 @@ class TestSelectHyperparameters:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"starts": 0}, {"starts": -1}, {"fixed_noise": -1.0}, {"fixed_noise": np.nan},
-         {"fixed_noise": np.inf}],
+        [{"starts": 0}, {"starts": -1}, {"seed": -1}, {"fixed_noise": -1.0},
+         {"fixed_noise": np.nan}, {"fixed_noise": np.inf}],
     )
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

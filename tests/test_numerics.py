@@ -60,16 +60,16 @@ class TestLapackSolves:
 
 
 def reference_substitute(chols, rhs):
-    """chols[i]^-1 rhs[j, i], one row, one factor and one term at a time on Python floats."""
-    m, k, d = rhs.shape
+    """chols[i]^-1 rhs[:, i, j], one row, one factor and one term at a time on Python floats."""
+    d, k, m = rhs.shape
     u = np.empty(rhs.shape)
     for j in range(m):
         for i in range(k):
             for r in range(d):
-                acc = float(rhs[j, i, r])
+                acc = float(rhs[r, i, j])
                 for c in range(r):
-                    acc = acc - float(chols[i, r, c]) * float(u[j, i, c])
-                u[j, i, r] = acc / float(chols[i, r, r])
+                    acc = acc - float(chols[i, r, c]) * float(u[c, i, j])
+                u[r, i, j] = acc / float(chols[i, r, r])
     return u
 
 
@@ -83,16 +83,17 @@ class TestForwardSubstitute:
         rng = np.random.default_rng(54)
         for n in (1, 2, 3, 5, 17):
             L = np.stack([self.factor(rng, n) for _ in range(3)])
-            rows = rng.normal(size=(40, 3, n))
+            rows = rng.normal(size=(n, 3, 40))
             batch = forward_substitute(L, rows)
+            assert batch.shape == rows.shape
             for i in range(3):
                 assert_allclose(
-                    batch[:, i], solve_triangular(L[i], rows[:, i].T, lower=True).T, rtol=1e-12
+                    batch[:, i], solve_triangular(L[i], rows[:, i], lower=True), rtol=1e-12
                 )
                 alone = forward_substitute(L[i:i + 1], rows[:, i:i + 1])
                 assert_array_equal(batch[:, i:i + 1], alone)
-            for j in range(len(rows)):
-                assert_array_equal(batch[j:j + 1], forward_substitute(L, rows[j:j + 1]))
+            for j in range(rows.shape[2]):
+                assert_array_equal(batch[..., j:j + 1], forward_substitute(L, rows[..., j:j + 1]))
 
     def test_small_factors_match_one_column_trtrs(self):
         # what keeps 1-d and 2-d histories unchanged by the row-exact kernel mean
@@ -101,7 +102,7 @@ class TestForwardSubstitute:
             for _ in range(500):
                 L = self.factor(rng, n)
                 b = rng.normal(size=n) * rng.uniform(0.1, 10.0)
-                u = forward_substitute(L[None], b[None, None])[0, 0]
+                u = forward_substitute(L[None], b[:, None, None])[:, 0, 0]
                 assert_array_equal(u, forward_solve(L, b))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -114,5 +115,5 @@ class TestForwardSubstitute:
     def test_stack_is_the_reference_loop_bit_for_bit(self, seed, m, k, d):
         rng = np.random.default_rng(seed)
         L = np.stack([self.factor(rng, d) for _ in range(k)])
-        rhs = rng.normal(size=(m, k, d)) * rng.uniform(0.1, 10.0)
+        rhs = rng.normal(size=(d, k, m)) * rng.uniform(0.1, 10.0)
         assert_array_equal(forward_substitute(L, rhs), reference_substitute(L, rhs))

@@ -343,6 +343,40 @@ class TestBatchedLadderIsTheSequentialSearch:
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
 
+    def test_abandon_stall_and_bound_in_one_round(self):
+        # in the first round (-3, 0) meets NaN at its first trial (2.62, 0.70)
+        # and (0.5, -1) at its second (2.5, 1), (1, 4) stalls (its gradient
+        # (0, 1) points past y = 4) and (-2, 4) climbs along the bound y = 4
+        def value(x):
+            if 2.0 < x[0] < 3.0 and x[1] < 2.0:
+                return np.nan
+            return float(-((x[0] - 1.0) ** 2) + x[1])
+
+        def grads(X):
+            return np.stack([-2.0 * (X[:, 0] - 1.0), np.ones(len(X))], axis=1)
+
+        bounds = box(-4, 4, d=2)
+        starts = np.array([[-3.0, 0.0], [1.0, 4.0], [-2.0, 4.0], [0.5, -1.0]])
+        cfg = OptimizerConfig()
+        rows, gradient_rows = [], []
+
+        def logged_value(X):
+            rows.append(len(X))
+            return np.array([value(x) for x in X])
+
+        def logged_grads(X):
+            gradient_rows.append(len(X))
+            return grads(X)
+
+        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, cfg, starts)
+        assert want[2] == 2
+        with pytest.warns(RuntimeWarning, match="^2 of 4 optimizer starts abandoned"):
+            x, val = maximize(objective_of(logged_value, logged_grads), bounds, cfg, starts)
+        # the first round laddered three starts, and one of them goes on
+        assert rows[:2] == [4, 3 * 40] and gradient_rows[:2] == [4, 1]
+        assert [c.hex() for c in x] == [c.hex() for c in want[0]]
+        assert val.hex() == want[1].hex()
+
     @staticmethod
     def logged_objective(calls, gradient_calls):
         """A sine objective that logs each call's values and each ``gradients_at`` call.
