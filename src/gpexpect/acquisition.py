@@ -30,7 +30,7 @@ dimensions and components into the sum one at a time.  These elementwise
 passes run in a dimension-major layout with the candidate rows, the long
 axis, innermost; elementwise arithmetic gives the same bits in any
 layout.  Only the operands of BLAS dots keep their row-major layout: the
-substitutions reach the gradients as contiguous (m, T k, d) rows.  S,
+gradients copy the substitutions they dot into contiguous rows.  S,
 sigma2^2 and the gain terms are each derived once, on (T, m) arrays, and the gradients
 at chosen rows in one pass over (T, rows, ...), one ``potrs`` per
 (context, component).  Each (context, row) entry is computed with the
@@ -140,29 +140,29 @@ def _one_kernel_means(ker: RbfKernel, mix: GaussianMixture) -> _KernelMeans:
 
 
 def _kernel_means(km: _KernelMeans, X):
-    """K_t(x) (T, m) for each kernel and row of X, and the rows' substitutions u (m, T k, d).
+    """K_t(x) (T, m) for each kernel and row of X, and the rows' substitutions u (d, T k, m).
 
-    ``u[j, t * k + i]`` is chol_ti^-1 (x_j - mean_i), from one stacked
-    forward substitution in the dimension-major (d, T k, m) layout, rows
-    innermost.  Squares are added over dimensions, then terms over
-    components, one at a time on whole arrays, so an entry reads the same
-    in any batch and beside any other kernels.  ``u`` is returned as a
-    C-contiguous copy, the layout :func:`_component_means` dots.
+    ``u[:, t * k + i, j]`` is chol_ti^-1 (x_j - mean_i), from one stacked
+    forward substitution in the dimension-major layout, rows innermost.
+    Squares are added over dimensions, then terms over components, one at
+    a time on whole arrays, so an entry reads the same in any batch and
+    beside any other kernels.
     """
     u = forward_substitute(km.chols, X.T[:, None, :] - km.means.T[:, :, None])
     quad = sum_in_order(u * u).reshape(*km.coefs.shape, len(X))
     terms = km.coefs[..., None] * np.exp(-0.5 * quad)
-    return sum_in_order(terms.transpose(1, 0, 2)), np.ascontiguousarray(u.transpose(2, 1, 0))
+    return sum_in_order(terms.transpose(1, 0, 2)), u
 
 
 def _component_means(km: _KernelMeans, u) -> np.ndarray:
     """K_ti(x) = factor_ti * k_t(x, mean_i; cov_i + Lambda_t), shape (m, T, k).
 
-    ``u`` holds the rows' substitutions from :func:`_kernel_means`.  Each
-    (row, kernel, component) square is summed with one ``dot`` of a
-    contiguous ``d``-vector, so it reads the same in any batch.
+    ``u`` holds the rows' substitutions from :func:`_kernel_means`, copied
+    to contiguous (m, T k, d) rows: each square is summed with one ``dot``
+    of a contiguous ``d``-vector, so it reads the same in any batch.
     """
-    e = np.exp(-0.5 * row_dots(u, u)).reshape(len(u), *km.factors.shape)
+    rows = np.ascontiguousarray(u.transpose(2, 1, 0))
+    e = np.exp(-0.5 * row_dots(rows, rows)).reshape(len(rows), *km.factors.shape)
     return km.factors * (km.amplitude_sq[:, None] * e)
 
 
@@ -328,11 +328,11 @@ class _Probe(NamedTuple):
     v: np.ndarray  # (T, m) int k_n(x, x') p(x') dx', the posterior-covariance kernel mean
     pred_var: np.ndarray  # (T, m) k_n(x, x) + noise
     live: np.ndarray  # (T, m) False where pred_var is below the floor: nothing left to learn
-    u: np.ndarray  # (m, T k, d) the rows' substitutions against each component, per context
+    u: np.ndarray  # (d, T k, m) the rows' substitutions against each component, per context
 
     def rows(self, idx) -> _Probe:
         """The probe of the rows at integer indices ``idx`` alone."""
-        return _Probe(*(field.take(idx, axis=1) for field in self[:5]), self.u.take(idx, axis=0))
+        return _Probe(*(field.take(idx, axis=1) for field in self[:5]), self.u.take(idx, axis=2))
 
 
 def _probe(stack: _Stack, X: np.ndarray) -> _Probe:

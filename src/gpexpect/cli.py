@@ -71,6 +71,20 @@ def _as_number(value, key: str) -> float:
     return float(value)
 
 
+def _as_numbers(value, key: str):
+    """``value`` with each leaf of its nested objects and arrays checked by :func:`_as_number`."""
+    if isinstance(value, dict):
+        return {k: _as_numbers(v, f"{key}.{k}") for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_numbers(v, f"{key}[{i}]") for i, v in enumerate(value)]
+    return _as_number(value, key)
+
+
+def _require_numbers(doc: dict, key: str, name: str):
+    """The required ``key`` of the ``name`` object, its leaves checked by :func:`_as_number`."""
+    return _as_numbers(_require(doc, key, f"config: {name}"), f"{name}.{key}")
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -98,7 +112,7 @@ def _build_mixture(doc: dict, dimension: int) -> GaussianMixture:
     source = sources[0]
     if source == "mixture":
         try:
-            mix = mixture_from_dict(doc["mixture"])
+            mix = mixture_from_dict(_as_numbers(doc["mixture"], "mixture"))
         except ValueError as exc:
             raise ConfigError(f"config: mixture: {exc}") from exc
     elif source == "samples_file":
@@ -127,8 +141,8 @@ def _build_mixture(doc: dict, dimension: int) -> GaussianMixture:
         _check_keys(box, ("lower", "upper", "per_dim"), "config: uniform_box")
         try:
             mix = gmm_from_box(
-                _require(box, "lower", "config: uniform_box"),
-                _require(box, "upper", "config: uniform_box"),
+                _require_numbers(box, "lower", "uniform_box"),
+                _require_numbers(box, "upper", "uniform_box"),
                 _as_int(_require(box, "per_dim", "config: uniform_box"), "per_dim", minimum=1),
             )
         except ValueError as exc:
@@ -150,8 +164,7 @@ def _build_pinned_theta(doc: dict, dimension: int):
             ker = RbfKernel(
                 amplitude_sq=_as_number(_require(spec, "amplitude_sq", "config: kernel"),
                                         "kernel.amplitude_sq"),
-                lengthscales=np.asarray(_require(spec, "lengthscales", "config: kernel"),
-                                        dtype=float),
+                lengthscales=_require_numbers(spec, "lengthscales", "kernel"),
             )
             noise = NoiseModel(variance=_as_number(doc["noise_variance"], "noise_variance"))
         except (TypeError, ValueError) as exc:
@@ -185,6 +198,7 @@ _RUN_KEYS = (
     "seed",
     "output",
 )
+_OPTIMIZER_KEYS = ("starts", "max_iterations")
 
 
 def _parse_common(doc: dict):
@@ -217,18 +231,11 @@ def _parse_common(doc: dict):
             raise ConfigError("config: 'fixed_noise' conflicts with a fixed 'kernel'")
         fixed_noise = _as_number(doc["fixed_noise"], "fixed_noise")
 
-    opt_kwargs = {}
-    if "optimizer" in doc:
-        spec = doc["optimizer"]
-        if not isinstance(spec, dict):
-            raise ConfigError("config: 'optimizer' must be an object")
-        counts = ("starts", "max_iterations")
-        numbers = ("gradient_tolerance", "step_shrink")
-        _check_keys(spec, counts + numbers, "config: optimizer")
-        for key in (k for k in counts if k in spec):
-            opt_kwargs[key] = _as_int(spec[key], f"optimizer.{key}", minimum=1)
-        for key in (k for k in numbers if k in spec):
-            opt_kwargs[key] = _as_number(spec[key], f"optimizer.{key}")
+    spec = doc.get("optimizer", {})
+    if not isinstance(spec, dict):
+        raise ConfigError("config: 'optimizer' must be an object")
+    _check_keys(spec, _OPTIMIZER_KEYS, "config: optimizer")
+    opt_kwargs = {k: _as_int(v, f"optimizer.{k}", minimum=1) for k, v in spec.items()}
 
     bounds = None
     if "bounds" in doc:
@@ -237,10 +244,8 @@ def _parse_common(doc: dict):
             raise ConfigError("config: 'bounds' must be an object")
         _check_keys(spec, ("lower", "upper"), "config: bounds")
         try:
-            bounds = BoxBounds(
-                lower=np.asarray(_require(spec, "lower", "config: bounds"), dtype=float),
-                upper=np.asarray(_require(spec, "upper", "config: bounds"), dtype=float),
-            )
+            bounds = BoxBounds(lower=_require_numbers(spec, "lower", "bounds"),
+                               upper=_require_numbers(spec, "upper", "bounds"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config: bounds: {exc}") from exc
         if bounds.dim != dimension:

@@ -26,10 +26,12 @@ from gpexpect._numerics import require_count, row_dots
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.mixtures import GaussianMixture, component_box, mixture_mean, sample
 
-# trial steps per backtracking line search, from half the box diagonal down
-# by factors of step_shrink; maximize scores all ladders of a round in one
-# objective call
-MAX_SHRINKS = 40
+# the 40 trial steps of a backtracking line search as fractions of the first,
+# each half the last; maximize scores all ladders of a round in one objective
+# call, and stops a start once its projected gradient norm is below 1e-8
+STEP_FRACTIONS = 0.5 ** np.arange(40)
+STEP_FRACTIONS.setflags(write=False)
+_GRADIENT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,18 +74,12 @@ class OptimizerConfig:
 
     starts: int = 8
     max_iterations: int = 100
-    gradient_tolerance: float = 1e-8
-    step_shrink: float = 0.5
 
     def __post_init__(self):
         require_count(self.starts, "starts")
         require_count(self.max_iterations, "max_iterations")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        if not self.gradient_tolerance > 0:
-            raise ValueError("gradient_tolerance must be positive")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
 
 
 def default_bounds(mix: GaussianMixture, width: float = 5.0) -> BoxBounds:
@@ -140,23 +136,23 @@ def _checked(out, shape: tuple, name: str) -> np.ndarray:
 def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
     """Maximize ``objective`` over the box from ``start_points``; returns ``(x_best, value)``.
 
-    ``objective(X)`` maps ``(m, d)`` rows to ``(values, gradients_at)``:
-    the ``m`` values, and a function taking row indices ``idx`` to the
-    ``(len(idx), d)`` gradients of rows ``X[idx]``, each row computed as
-    it would be alone.  Each start ascends along the projected gradient
-    with backtracking: of up to ``MAX_SHRINKS`` trial steps, each
-    ``step_shrink`` times the last, the first that strictly improves is
-    accepted, so accepted iterates are monotone.  All starts ascend in
-    lockstep rounds.  One objective call scores the starts; then each
-    round takes the gradients of the starts still running from the call
-    that scored their current iterates (one ``gradients_at`` call) and
-    scores all of their ladders in one objective call.  A start stops
-    when its projected gradient falls below ``gradient_tolerance``, when
-    no trial improves, or after ``max_iterations`` accepted steps, and
-    is abandoned when its gradient or a trial before the first improving
-    one is non-finite (a single warning reports how many).  Every start
-    follows the path it would follow alone, and the best is taken in
-    start order, so ties go to the earlier start.
+    ``objective(X)`` maps ``(m, d)`` rows to ``(values, gradients_at)``: the
+    ``m`` values, and a function taking row indices ``idx`` to the
+    ``(len(idx), d)`` gradients of rows ``X[idx]``, each row computed as it
+    would be alone.  Each start ascends along the projected gradient with
+    backtracking: of the trial steps, half the box diagonal over the
+    gradient norm times ``STEP_FRACTIONS``, the first that strictly improves
+    is accepted, so accepted iterates are monotone.  All starts ascend in
+    lockstep rounds.  One objective call scores the starts; then each round
+    takes the gradients of the starts still running from the call that
+    scored their current iterates (one ``gradients_at`` call) and scores all
+    of their ladders in one objective call.  A start stops when its
+    projected gradient norm falls below 1e-8, when no trial improves, or
+    after ``max_iterations`` accepted steps, and is abandoned when its
+    gradient or a trial before the first improving one is non-finite (a
+    single warning reports how many).  Every start follows the path it would
+    follow alone, and the best is taken in start order, so ties go to the
+    earlier start.
 
     Raises
     ------
@@ -175,9 +171,8 @@ def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
     scored_rows = running
 
     box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
-    # per start: its ladder's step factors (the first set each round) and first row
-    shrinks = np.full((len(x), MAX_SHRINKS), cfg.step_shrink)
-    ladder_rows = np.arange(0, shrinks.size, MAX_SHRINKS)
+    # the first row of each start's ladder
+    ladder_rows = np.arange(0, len(x) * STEP_FRACTIONS.size, STEP_FRACTIONS.size)
     for _ in range(cfg.max_iterations):
         if not running.size:
             break
@@ -192,16 +187,16 @@ def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
         pg = _projected_gradient(current, grads, bounds)
         # np.linalg.norm of each row: the square root of its dot with itself
         gnorm = np.sqrt(row_dots(pg, pg))
-        moving = ~(gnorm < cfg.gradient_tolerance)
+        moving = ~(gnorm < _GRADIENT_TOLERANCE)
         if not moving.all():
             running, current = running[moving], current[moving]
             pg, gnorm = pg[moving], gnorm[moving]
             if not running.size:
                 break
-        # initial trial step spans a box fraction regardless of gradient scale;
-        # accumulate shrinks by repeated multiplication, as a sequential loop would
-        shrinks[: running.size, 0] = 0.5 * box_diag / gnorm
-        steps = np.multiply.accumulate(shrinks[: running.size], axis=1)
+        # the first step s0 spans a box fraction whatever the gradient scale. Halving a
+        # normal double is exact, so s0 * 2^-j is s0 halved j times unless a step turns
+        # subnormal: s0 < 2^-983, a gradient norm past 2^982 box diagonals
+        steps = (0.5 * box_diag / gnorm)[:, None] * STEP_FRACTIONS
         ladders = current[:, None, :] + steps[:, :, None] * pg[:, None, :]
         ladders = ladders.reshape(-1, bounds.dim)
         np.clip(ladders, bounds.lower, bounds.upper, out=ladders)

@@ -32,7 +32,7 @@ from gpexpect.gp import (
 )
 from gpexpect.kernels import eval_kernel, kernel_cross, kernel_gradient
 from gpexpect.mixtures import GaussianMixture, pdf, pdf_many, sample
-from gpexpect.optimize import MAX_SHRINKS
+from gpexpect.optimize import STEP_FRACTIONS
 from gpexpect.oracles import (
     mc_expectation,
     mc_info_gain,
@@ -349,19 +349,20 @@ def perturbed_contexts(rng, gp, mix, count: int) -> list:
     return contexts
 
 
-def _gradient_and_differences(objective, xt, row: int, h: float):
+def _gradient_and_differences(objective, xt, attempt: int, h: float):
     """The gradient of ``objective`` at ``xt`` and its central differences, from one call.
 
     The call scores a line-search ladder shaped as :func:`gpexpect.optimize.maximize`
-    builds one, ``MAX_SHRINKS`` trial steps halving along a fixed direction
-    whose row ``row`` is exactly ``xt``, then the difference stencil.  The
-    gradient is ``gradients_at`` of that row, as the optimizer takes it.
+    builds one, trial steps ``STEP_FRACTIONS`` along a fixed direction whose
+    row ``attempt % STEP_FRACTIONS.size`` is exactly ``xt``, then the difference
+    stencil.  The gradient is ``gradients_at`` of that row, as the optimizer takes it.
     """
-    shrinks = 0.5 ** np.arange(MAX_SHRINKS)
-    ladder = xt + (shrinks - shrinks[row])[:, None] * (np.ones(xt.size) / np.sqrt(xt.size))
+    row = attempt % STEP_FRACTIONS.size
+    offsets = STEP_FRACTIONS - STEP_FRACTIONS[row]
+    ladder = xt + offsets[:, None] * (np.ones(xt.size) / np.sqrt(xt.size))
     steps = h * np.eye(xt.size)
     values, gradients_at = objective(np.concatenate([ladder, xt + steps, xt - steps]))
-    stencil = values[MAX_SHRINKS:]
+    stencil = values[STEP_FRACTIONS.size:]
     fd = (stencil[: xt.size] - stencil[xt.size :]) / (2 * h)
     return gradients_at(np.array([row]))[0], fd
 
@@ -389,9 +390,7 @@ def check_gradients(seed: int = 106) -> CheckResult:
         gp, mix = random_instance(rng, n=int(rng.integers(0, 7)))
         ctx = build_context(gp, mix)
         xt = _mixture_probe(mix, rng)
-        grad, fd = _gradient_and_differences(
-            acquisition_objective(ctx), xt, attempts % MAX_SHRINKS, h
-        )
+        grad, fd = _gradient_and_differences(acquisition_objective(ctx), xt, attempts, h)
         if np.linalg.norm(fd) < 1e-3:
             continue  # too close to a stationary point for a relative check
         worst_acq = max(worst_acq, np.linalg.norm(grad - fd) / np.linalg.norm(fd))
@@ -425,9 +424,7 @@ def check_gradients(seed: int = 106) -> CheckResult:
         gp, mix = random_instance(rng, n=int(rng.integers(0, 7)))
         contexts = perturbed_contexts(rng, gp, mix, int(rng.integers(1, 5)))
         xt = _mixture_probe(mix, rng)
-        grad, fd = _gradient_and_differences(
-            multi_theta_objective(contexts), xt, attempts % MAX_SHRINKS, h
-        )
+        grad, fd = _gradient_and_differences(multi_theta_objective(contexts), xt, attempts, h)
         if np.linalg.norm(fd) < 1e-3:
             continue
         worst_multi = max(worst_multi, np.linalg.norm(grad - fd) / np.linalg.norm(fd))

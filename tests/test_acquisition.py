@@ -1,5 +1,7 @@
 """Estimate moments, kernel integrals, variance reduction, and information gain."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
-from gpexpect._numerics import chol_solve, forward_substitute
+from gpexpect._numerics import chol_solve, forward_substitute, row_dots
 from gpexpect.acquisition import (
     GAIN_SENTINEL,
     _component_means,
@@ -248,7 +250,8 @@ class TestWholeArrayKernelMeans:
         u_ref, k_dot, w_k = reference_component_terms(ctx, X)
         km = _stack([ctx]).kernel_means
         kmean, u = _kernel_means(km, X)
-        assert u.shape == u_ref.shape and u.tobytes() == u_ref.tobytes()
+        # u is dimension-major, (d, k, m) against the reference's (m, k, d)
+        assert u.shape == u_ref.shape[::-1] and u.transpose(2, 1, 0).tobytes() == u_ref.tobytes()
         total = np.zeros(m)
         for i in range(k):
             total = total + w_k[:, i]
@@ -286,14 +289,24 @@ class TestRowsInnermostLayout:
         refs = [reference_component_terms(ctx, X) for ctx in contexts]
         kmean, u = _kernel_means(km, X)
         u_ref = np.concatenate([ref[0] for ref in refs], axis=1)
-        assert u.flags.c_contiguous
-        assert u.shape == u_ref.shape == (m, T * k, d) and u.tobytes() == u_ref.tobytes()
+        assert u_ref.shape == (m, T * k, d) and u.shape == (d, T * k, m)
+        assert u.transpose(2, 1, 0).tobytes() == u_ref.tobytes()
         kmean_ref = np.zeros((T, m))
         for t, (_, _, w_k) in enumerate(refs):
             for i in range(k):
                 kmean_ref[t] = kmean_ref[t] + w_k[:, i]
         assert kmean.shape == (T, m) and kmean.tobytes() == kmean_ref.tobytes()
-        got = _component_means(km, u)
+        dotted = []
+
+        def logged_row_dots(A, B):
+            dotted.append(A)
+            return row_dots(A, B)
+
+        with mock.patch("gpexpect.acquisition.row_dots", logged_row_dots):
+            got = _component_means(km, u)
+        # the BLAS dots run on contiguous (m, T k, d) rows
+        assert len(dotted) == 1 and dotted[0].shape == (m, T * k, d)
+        assert dotted[0].flags.c_contiguous
         k_dot = np.stack([ref[1] for ref in refs], axis=1)
         assert got.shape == (m, T, k) and got.tobytes() == k_dot.tobytes()
 
@@ -1120,7 +1133,7 @@ class TestStackedProbe:
                 assert p.solved_kv[t, j].tobytes() == one.solved_kv[0, 0].tobytes()
                 for field in ("v", "pred_var", "live"):
                     assert getattr(p, field)[t, j] == getattr(one, field)[0, 0], field
-                assert p.u[j, t * k : (t + 1) * k].tobytes() == one.u[0].tobytes()
+                assert p.u[:, t * k : (t + 1) * k, j].tobytes() == one.u[..., 0].tobytes()
                 lone = acquisition_profile(ctx, x[None])
                 for key, column in prof.items():
                     assert column[j : j + 1].tobytes() == lone[key].tobytes(), key
@@ -1146,7 +1159,7 @@ class TestStackedProbe:
         p = _probe(_stack(contexts), none)
         assert p.kv.shape == p.solved_kv.shape == (T, 0, 4)
         assert p.v.shape == p.pred_var.shape == p.live.shape == (T, 0)
-        assert p.u.shape == (0, 2 * T, 2)
+        assert p.u.shape == (2, 2 * T, 0)
         for objective in (acquisition_objective(contexts[0]), multi_theta_objective(contexts)):
             values, gradients_at = objective(none)
             assert values.shape == (0,)

@@ -193,15 +193,12 @@ class TestConfigErrors:
             ("sigma_stop", "Infinity"),
             ("sigma_stop", "1e400"),
             ("sigma_stop", "1" + "0" * 400),
-            ("optimizer", '{"gradient_tolerance": NaN}'),
-            ("optimizer", '{"gradient_tolerance": 1e400}'),
             ("mixture", '{"components": [5]}'),
             ("noise_variance", "NaN"),
             ("noise_variance", "-1.0"),
         ],
         ids=[
-            "nan", "infinity", "1e400", "huge_int", "gradient_nan", "gradient_1e400",
-            "component", "noise_nan", "noise_negative",
+            "nan", "infinity", "1e400", "huge_int", "component", "noise_nan", "noise_negative",
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, key, literal):
@@ -209,6 +206,42 @@ class TestConfigErrors:
         cfg.write_text(cfg.read_text().replace('"VALUE"', literal))
         assert main(["run", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    NON_NUMBER_LEAVES = [
+        ("mixture.components[0].weight",
+         {"mixture": {"components": [{"weight": True, "mean": [0.0], "cov": [[1.0]]}]}}),
+        ("mixture.components[0].mean[0]",
+         {"mixture": {"components": [{"weight": 1.0, "mean": ["0.0"], "cov": [[1.0]]}]}}),
+        ("mixture.components[0].cov[0][0]",
+         {"mixture": {"components": [{"weight": 1.0, "mean": [0.0], "cov": [["1"]]}]}}),
+        ("kernel.lengthscales[0]", {"kernel": {"amplitude_sq": 1.0, "lengthscales": ["1.0"]}}),
+        ("bounds.lower[0]", {"bounds": {"lower": [True], "upper": [3.0]}}),
+        ("bounds.upper[0]", {"bounds": {"lower": [-3.0], "upper": ["3"]}}),
+        ("uniform_box.lower[0]",
+         {"mixture": None, "uniform_box": {"lower": ["-1"], "upper": [1.0], "per_dim": 2}}),
+        ("uniform_box.upper[0]",
+         {"mixture": None, "uniform_box": {"lower": [-1.0], "upper": [True], "per_dim": 2}}),
+    ]
+
+    @pytest.mark.parametrize(
+        "path, overrides", NON_NUMBER_LEAVES, ids=[path for path, _ in NON_NUMBER_LEAVES]
+    )
+    def test_non_number_array_leaf_is_a_config_error(self, tmp_path, capsys, path, overrides):
+        # before the fix, strings and booleans here were converted and the run exited 0
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        doc = {k: v for k, v in json.loads(cfg.read_text()).items() if v is not None}
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"'{path}' must be a number" in err
+
+    @pytest.mark.parametrize("key, value", [("step_shrink", 0.5), ("gradient_tolerance", 1e-8)])
+    def test_removed_optimizer_keys_are_unknown(self, tmp_path, capsys, key, value):
+        # the line search halves its step and stops below a gradient norm of 1e-8, fixed
+        cfg = write_config(tmp_path / "cfg.json", optimizer={"starts": 2, key: value})
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: optimizer: unknown key(s)") and key in err
 
 
 class TestNumericalErrorExit:

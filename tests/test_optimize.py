@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gpexpect.acquisition import acquisition_objective, build_context
@@ -13,6 +15,8 @@ from gpexpect.gp import Dataset, NoiseModel, fit
 from gpexpect.kernels import RbfKernel
 from gpexpect.mixtures import GaussianMixture
 from gpexpect.optimize import (
+    STEP_FRACTIONS,
+    _GRADIENT_TOLERANCE,
     BoxBounds,
     OptimizerConfig,
     _projected_gradient,
@@ -224,11 +228,11 @@ def sequential_maximize(value, gradient_fn, bounds, cfg, start_points):
                 break
             pg = isclose_projected_gradient(x, g, bounds)
             gnorm = float(np.linalg.norm(pg))
-            if gnorm < cfg.gradient_tolerance:
+            if gnorm < _GRADIENT_TOLERANCE:
                 break
             step = 0.5 * box_diag / gnorm
             improved = False
-            for _ in range(40):
+            for _ in range(STEP_FRACTIONS.size):
                 trial = bounds.clip(x + step * pg)
                 trial_val = float(value(trial))
                 if not np.isfinite(trial_val):
@@ -237,7 +241,7 @@ def sequential_maximize(value, gradient_fn, bounds, cfg, start_points):
                 if trial_val > val:
                     x, val, improved = trial, trial_val, True
                     break
-                step *= cfg.step_shrink
+                step *= 0.5
             if dead or not improved:
                 break
         if dead:
@@ -270,7 +274,7 @@ class TestBatchedLadderIsTheSequentialSearch:
 
     @pytest.mark.parametrize("d, seed", [(1, 4), (2, 5)])
     def test_acquisition_contexts_with_an_iteration_cap(self, d, seed):
-        self.check_acquisition_context(d, seed, OptimizerConfig(max_iterations=2, step_shrink=0.7))
+        self.check_acquisition_context(d, seed, OptimizerConfig(max_iterations=2))
 
     @staticmethod
     def check_acquisition_context(d, seed, cfg):
@@ -295,38 +299,50 @@ class TestBatchedLadderIsTheSequentialSearch:
 
     @staticmethod
     def banded(lo, hi):
-        """-(x - 1)^2, NaN on the open band (lo, hi), and its gradient on rows."""
+        """-(x - 1)^2, NaN on the open band (lo, hi), its gradient on rows, and the band's hits.
+
+        ``hits`` collects every point at which ``value`` met the band.
+        """
+        hits = []
 
         def value(x):
-            return np.nan if lo < x[0] < hi else float(-((x[0] - 1.0) ** 2))
+            if lo < x[0] < hi:
+                hits.append(x[0])
+                return np.nan
+            return float(-((x[0] - 1.0) ** 2))
 
-        return value, lambda X: -2.0 * (X - 1.0)
+        return value, lambda X: -2.0 * (X - 1.0), hits
 
-    @pytest.mark.parametrize("band", [(-0.3, -0.1), (0.9, 1.1), (-2.0, -1.0), (2.0, 2.5)])
+    # the first trial from x is 4 toward 1, the next ones halve the step back to x:
+    # (-2.6, -2.4) abandons 3.5 in its third round, after two accepted steps;
+    # (0.9, 1.1) holds the maximum and abandons every start
+    @pytest.mark.parametrize("band", [(-2.6, -2.4), (0.9, 1.1), (-2.0, -1.0), (2.0, 2.5)])
     def test_non_finite_trials(self, band):
-        value, grads = self.banded(*band)
+        value, grads, hits = self.banded(*band)
         bounds = box(-4, 4)
         starts = np.linspace(-3, 3.5, 6).reshape(-1, 1)
-        cfg = OptimizerConfig(step_shrink=0.7)
+        cfg = OptimizerConfig()
         want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, cfg, starts)
+        assert hits and want[2] > 0
         got = batched_maximize(value, grads, bounds, cfg, starts)
-        assert want[2] > 0
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
 
     def test_nan_after_an_improving_trial_keeps_the_start(self):
-        # from -3 the ladder is -3 + 4 * 0.7^k: 1.0 improves, -0.2 is NaN
-        value, grads = self.banded(-0.3, -0.1)
+        # from -3 the ladder is -3 + 4 * 2^-k: 1.0 improves, -1.0 is NaN
+        value, grads, hits = self.banded(-1.1, -0.9)
         x, val, abandoned = batched_maximize(
-            value, grads, box(-4, 4), OptimizerConfig(step_shrink=0.7), np.array([[-3.0]])
+            value, grads, box(-4, 4), OptimizerConfig(), np.array([[-3.0]])
         )
+        assert hits == [-1.0]
         assert (x[0], val, abandoned) == (1.0, 0.0, 0)
 
     def test_nan_before_an_improving_trial_abandons_the_start(self):
-        value, grads = self.banded(0.9, 1.1)
+        value, grads, hits = self.banded(0.9, 1.1)
         x, _, abandoned = batched_maximize(
-            value, grads, box(-4, 4), OptimizerConfig(step_shrink=0.7), np.array([[-3.0]])
+            value, grads, box(-4, 4), OptimizerConfig(), np.array([[-3.0]])
         )
+        assert hits == [1.0]
         assert x is None and abandoned == 1
 
     def test_non_finite_gradient_abandons_only_its_start(self):
@@ -373,7 +389,7 @@ class TestBatchedLadderIsTheSequentialSearch:
         with pytest.warns(RuntimeWarning, match="^2 of 4 optimizer starts abandoned"):
             x, val = maximize(objective_of(logged_value, logged_grads), bounds, cfg, starts)
         # the first round laddered three starts, and one of them goes on
-        assert rows[:2] == [4, 3 * 40] and gradient_rows[:2] == [4, 1]
+        assert rows[:2] == [4, 3 * STEP_FRACTIONS.size] and gradient_rows[:2] == [4, 1]
         assert [c.hex() for c in x] == [c.hex() for c in want[0]]
         assert val.hex() == want[1].hex()
 
@@ -412,10 +428,10 @@ class TestBatchedLadderIsTheSequentialSearch:
         assert [k for k, _ in gradient_calls] == list(range(rounds))
         # every start runs in the first round
         assert gradient_calls[0][1].tolist() == list(range(5))
-        current = calls[0]
+        current, trials = calls[0], STEP_FRACTIONS.size
         for r in range(1, rounds + 1):
-            # one ladder of 40 trials per start that asked for a gradient
-            ladders = calls[r].reshape(-1, 40)
+            # one ladder per start that asked for a gradient
+            ladders = calls[r].reshape(-1, trials)
             assert len(ladders) == len(gradient_calls[r - 1][1])
             improving = ladders > current[:, None]
             accepted = np.flatnonzero(improving.any(axis=1))
@@ -425,7 +441,7 @@ class TestBatchedLadderIsTheSequentialSearch:
                 break
             # gradients only at the first improving trial of each start still running
             first = np.argmax(improving[accepted], axis=1)
-            assert gradient_calls[r][1].tolist() == (accepted * 40 + first).tolist()
+            assert gradient_calls[r][1].tolist() == (accepted * trials + first).tolist()
             current = calls[r][gradient_calls[r][1]]
 
     def test_objective_must_return_one_value_per_row(self):
@@ -476,14 +492,34 @@ class TestProjectedGradient:
         assert_allclose(got, G)
 
 
+class TestStepFractions:
+    """The ladder's steps s0 * STEP_FRACTIONS are the halving loop's, bit for bit."""
+
+    def test_a_read_only_halving_ladder_from_one(self):
+        assert STEP_FRACTIONS[0] == 1.0 and not STEP_FRACTIONS.flags.writeable
+        assert np.all(STEP_FRACTIONS[1:] == STEP_FRACTIONS[:-1] / 2)
+
+    # s0 = mantissa * 2^exponent over every binade from 2^-983 up; below it
+    # the last steps are subnormal, where each halving rounds
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mantissa=st.floats(1.0, 2.0, exclude_max=True), exponent=st.integers(-983, 1023))
+    @example(mantissa=1.0, exponent=-983)
+    @example(mantissa=float(np.nextafter(2.0, 1.0)), exponent=-983)
+    @example(mantissa=float(np.nextafter(2.0, 1.0)), exponent=1023)
+    @example(mantissa=float("inf"), exponent=0)
+    def test_steps_are_repeated_halving(self, mantissa, exponent):
+        s0 = float(np.ldexp(mantissa, exponent))
+        halved = [s0]
+        for _ in range(STEP_FRACTIONS.size - 1):
+            halved.append(halved[-1] * 0.5)
+        assert (s0 * STEP_FRACTIONS).tobytes() == np.array(halved).tobytes()
+
+
 class TestOptimizerConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"starts": 0},
-            {"gradient_tolerance": 0.0},
-            {"gradient_tolerance": float("nan")},
-            {"step_shrink": float("nan")},
         ],
     )
     def test_rejects_out_of_range_values(self, kwargs):

@@ -1,9 +1,12 @@
-"""The README's Quick start snippet runs and prints what the README says it prints."""
+"""The README's Quick start snippet runs and prints what it says; its config keys are the CLI's."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
+
+from gpexpect.cli import _OPTIMIZER_KEYS, _RUN_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,18 @@ def test_quick_start_prints_its_documented_estimate():
     assert printed == "E[cos x] ~ 0.88250 +- 0.00001"
     # the snippet's last line is the comment that shows its output
     assert snippet.strip().splitlines()[-1] == "# " + printed
+
+
+def test_optional_keys_paragraph_names_the_keys_the_cli_accepts():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### `gpexpect run"):text.index("### `gpexpect benchmark")]
+    # the example config holds the required keys and one mixture source
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    sources = {"mixture", "samples_file", "n_gmm", "uniform_box"}
+    assert sources <= set(_RUN_KEYS) and set(example) <= set(_RUN_KEYS)
+    paragraph = re.search(r"Optional keys:(.*?):\n", section, re.S).group(1)
+    optimizer = re.search(r"`optimizer` \(([^)]*)\)", paragraph).group(1)
+    assert re.findall(r"`(\w+)`", optimizer) == list(_OPTIMIZER_KEYS)
+    # the keys outside parentheses are the top-level ones
+    top_level = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", paragraph))
+    assert sorted(top_level) == sorted(set(_RUN_KEYS) - set(example) - sources)
