@@ -24,8 +24,8 @@ _TRTRS, _POTRS = get_lapack_funcs(("trtrs", "potrs"), dtype=np.float64)
 
 
 def require_count(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer (a ``numbers.Integral``)."""
-    if not isinstance(value, numbers.Integral):
+    """Raise ``ValueError`` unless ``value`` is an integer: a ``numbers.Integral``, not a bool."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

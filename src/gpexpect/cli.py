@@ -25,7 +25,7 @@ from gpexpect.design import DesignConfig, run, run_random_baseline
 from gpexpect.errors import GpExpectError, InsufficientDataError
 from gpexpect.gp import HyperparameterSample, HyperSearchConfig, NoiseModel, RbfKernel
 from gpexpect.mixtures import GaussianMixture, fit_em, gmm_from_box, mixture_from_dict
-from gpexpect.optimize import BoxBounds, OptimizerConfig
+from gpexpect.optimize import BoxBounds
 from gpexpect.validation import run_validation
 
 _EXIT_OK = 0
@@ -111,8 +111,14 @@ def _build_mixture(doc: dict, dimension: int) -> GaussianMixture:
         )
     source = sources[0]
     if source == "mixture":
+        spec = doc["mixture"]
+        comps = spec.get("components") if isinstance(spec, dict) else None
+        if not (isinstance(comps, list) and all(isinstance(c, dict) for c in comps)):
+            raise ConfigError(
+                "config: 'mixture' must be an object whose 'components' is a list of objects"
+            )
         try:
-            mix = mixture_from_dict(_as_numbers(doc["mixture"], "mixture"))
+            mix = mixture_from_dict(_as_numbers(spec, "mixture"))
         except ValueError as exc:
             raise ConfigError(f"config: mixture: {exc}") from exc
     elif source == "samples_file":
@@ -192,13 +198,11 @@ _RUN_KEYS = (
     "fixed_noise",
     "refit_every",
     "theta_samples",
-    "optimizer",
     "bounds",
     "center_y",
     "seed",
     "output",
 )
-_OPTIMIZER_KEYS = ("starts", "max_iterations")
 
 
 def _parse_common(doc: dict):
@@ -231,12 +235,6 @@ def _parse_common(doc: dict):
             raise ConfigError("config: 'fixed_noise' conflicts with a fixed 'kernel'")
         fixed_noise = _as_number(doc["fixed_noise"], "fixed_noise")
 
-    spec = doc.get("optimizer", {})
-    if not isinstance(spec, dict):
-        raise ConfigError("config: 'optimizer' must be an object")
-    _check_keys(spec, _OPTIMIZER_KEYS, "config: optimizer")
-    opt_kwargs = {k: _as_int(v, f"optimizer.{k}", minimum=1) for k, v in spec.items()}
-
     bounds = None
     if "bounds" in doc:
         spec = doc["bounds"]
@@ -263,7 +261,6 @@ def _parse_common(doc: dict):
             sigma_stop=_as_number(doc.get("sigma_stop", 0.0), "sigma_stop"),
             refit_every=_as_int(doc.get("refit_every", 5), "refit_every", minimum=1),
             theta_samples=_as_int(doc.get("theta_samples", 1), "theta_samples", minimum=1),
-            optimizer=OptimizerConfig(**opt_kwargs),
             bounds=bounds,
             pinned_theta=pinned,
             hyper_search=HyperSearchConfig(seed=seed, fixed_noise=fixed_noise),

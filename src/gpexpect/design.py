@@ -34,17 +34,13 @@ from gpexpect.gp import (
     select_hyperparameters,
 )
 from gpexpect.mixtures import GaussianMixture, sample
-from gpexpect.optimize import (
-    BoxBounds,
-    OptimizerConfig,
-    default_bounds,
-    maximize,
-    mixture_starts,
-)
+from gpexpect.optimize import BoxBounds, default_bounds, maximize, mixture_starts
 
 # log-space std of the hyperparameter perturbations used when more than
 # one theta sample is requested
 _THETA_LOG_STD = 0.2
+# start points of each step's acquisition ascent
+_ACQUISITION_STARTS = 8
 
 
 def _derive_seed(*parts: int) -> int:
@@ -75,8 +71,10 @@ class DesignConfig:
     ``center_y`` fits the GP on mean-centered observations and adds the
     offset back into the reported estimate mean.  The counts ``n0``,
     ``budget``, ``refit_every`` and ``theta_samples`` and the ``seed``
-    must be integers, the seed ``>= 0``; anything else raises
-    ``ValueError`` here, before a black-box call.
+    must be integers, not bools, the seed ``>= 0``; anything else raises
+    ``ValueError`` here, before a black-box call.  The effort of each
+    step's acquisition ascent is fixed: 8 starts (``_ACQUISITION_STARTS``)
+    of at most 100 steps each (``optimize._MAX_ITERATIONS``).
     """
 
     n0: int
@@ -85,7 +83,6 @@ class DesignConfig:
     sigma_stop: float = 0.0
     refit_every: int = 5
     theta_samples: int = 1
-    optimizer: OptimizerConfig = OptimizerConfig()
     bounds: BoxBounds | None = None
     pinned_theta: HyperparameterSample | None = None
     hyper_search: HyperSearchConfig = HyperSearchConfig()
@@ -232,9 +229,9 @@ def step(state: DesignState, black_box) -> DesignState:
 
     bounds = cfg.bounds if cfg.bounds is not None else default_bounds(state.mix)
     starts = mixture_starts(
-        state.mix, bounds, cfg.optimizer.starts, _derive_seed(cfg.seed, state.iteration, 2)
+        state.mix, bounds, _ACQUISITION_STARTS, _derive_seed(cfg.seed, state.iteration, 2)
     )
-    x_star, acq = maximize(objective, bounds, cfg.optimizer, start_points=starts)
+    x_star, acq = maximize(objective, bounds, starts)
     return _absorb(state, black_box, x_star, theta, float(acq))
 
 

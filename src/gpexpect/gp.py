@@ -54,7 +54,8 @@ from gpexpect.kernels import (
 _LENGTHSCALE_BOX = (1e-2, 1e2)
 _AMPLITUDE_BOX = (1e-3, 1e3)
 _NOISE_BOX = (1e-8, 1.0)
-# L-BFGS-B iteration cap per start
+# L-BFGS-B starts, and the iteration cap per start
+_STARTS = 8
 _MAX_ITERATIONS = 200
 # the search's forward-difference step, L-BFGS-B's default absolute step
 _FD_STEP = 1e-8
@@ -317,23 +318,19 @@ def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) ->
 class HyperSearchConfig:
     """Multi-start marginal-likelihood search settings.
 
-    ``starts`` (an integer, at least 1) L-BFGS-B ascents, seeded by the
-    integer ``seed`` (at least 0);
+    ``seed``, an integer of at least 0, seeds the random starts;
     ``fixed_noise``, finite and nonnegative, pins the noise variance
-    instead of searching it.  The search boxes, which are relative to the
-    data, and the iteration cap are module constants: ``_LENGTHSCALE_BOX``,
-    ``_AMPLITUDE_BOX``, ``_NOISE_BOX`` and ``_MAX_ITERATIONS``.
+    instead of searching it.  The start count, the iteration cap and the
+    search boxes, which are relative to the data, are module constants:
+    ``_STARTS``, ``_MAX_ITERATIONS``, ``_LENGTHSCALE_BOX``, ``_AMPLITUDE_BOX``
+    and ``_NOISE_BOX``.
     """
 
-    starts: int = 8
     seed: int = 0
     fixed_noise: float | None = None
 
     def __post_init__(self):
-        require_count(self.starts, "starts")
         require_count(self.seed, "seed")
-        if self.starts < 1:
-            raise ValueError(f"hyperparameter search needs starts >= 1, got {self.starts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.fixed_noise is not None and not (
@@ -465,7 +462,7 @@ def select_hyperparameters(
 ) -> HyperparameterSample:
     """Maximize the log marginal likelihood over log-parameterized boxes.
 
-    Runs ``search.starts`` L-BFGS-B ascents from the box center plus
+    Runs ``_STARTS`` (8) L-BFGS-B ascents from the box center plus
     log-uniform random starts, and returns the best candidate seen at any
     evaluation.  Deterministic given ``search.seed``.
 
@@ -515,8 +512,8 @@ def select_hyperparameters(
     )
     p = lo.size
 
-    best_value = np.full(search.starts, np.inf)
-    best_z = [None] * search.starts
+    best_value = np.full(_STARTS, np.inf)
+    best_z = [None] * _STARTS
     counts = {"evaluations": 0, "failed": 0}
 
     def fun_and_grad(owners, z):
@@ -539,7 +536,7 @@ def select_hyperparameters(
 
     rng = np.random.default_rng(search.seed)
     starts = [0.5 * (lo + hi)]
-    for _ in range(search.starts - 1):
+    for _ in range(_STARTS - 1):
         starts.append(rng.uniform(lo, hi))
     _lbfgsb_lockstep(
         fun_and_grad, starts, lo, hi, _MAX_ITERATIONS, _MAX_EVALUATIONS // (p + 1)

@@ -329,8 +329,21 @@ def mixture_to_dict(mix: GaussianMixture) -> dict:
     }
 
 
+def _has_bool_or_text(value) -> bool:
+    """Whether a leaf of ``value`` (nested lists, tuples or arrays) is a bool or a string."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return any(_has_bool_or_text(v) for v in value)
+    return isinstance(value, (bool, np.bool_, str))
+
+
 def mixture_from_dict(doc: dict) -> GaussianMixture:
-    """Inverse of :func:`mixture_to_dict`; validates the schema shape."""
+    """Inverse of :func:`mixture_to_dict`; validates the schema shape.
+
+    A boolean or a string where a number belongs is a ``ValueError`` naming
+    the component and the field, not a number.
+    """
     if not isinstance(doc, dict) or "components" not in doc:
         raise ValueError('mixture document must be {"components": [...]}')
     comps = doc["components"]
@@ -342,6 +355,9 @@ def mixture_from_dict(doc: dict) -> GaussianMixture:
             extra = set(comp) - {"weight", "mean", "cov"}
             if extra:
                 raise ValueError(f"component {i}: unknown keys {sorted(extra)}")
+            for name in ("weight", "mean", "cov"):
+                if _has_bool_or_text(comp[name]):
+                    raise ValueError(f"component {i}: {name} holds a boolean or a string")
             weights.append(float(comp["weight"]))
             means.append(np.asarray(comp["mean"], dtype=float))
             covs.append(np.asarray(comp["cov"], dtype=float))

@@ -22,16 +22,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpexpect._numerics import require_count, row_dots
+from gpexpect._numerics import row_dots
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.mixtures import GaussianMixture, component_box, mixture_mean, sample
 
 # the 40 trial steps of a backtracking line search as fractions of the first,
 # each half the last; maximize scores all ladders of a round in one objective
 # call, and stops a start once its projected gradient norm is below 1e-8
+# or after 100 accepted steps
 STEP_FRACTIONS = 0.5 ** np.arange(40)
 STEP_FRACTIONS.setflags(write=False)
 _GRADIENT_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,20 +68,6 @@ class BoxBounds:
 
     def clip(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings for :func:`maximize`; ``starts`` and ``max_iterations`` must be integers."""
-
-    starts: int = 8
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        require_count(self.starts, "starts")
-        require_count(self.max_iterations, "max_iterations")
-        if self.starts < 1:
-            raise ValueError("starts must be at least 1")
 
 
 def default_bounds(mix: GaussianMixture, width: float = 5.0) -> BoxBounds:
@@ -133,7 +121,7 @@ def _checked(out, shape: tuple, name: str) -> np.ndarray:
     return out
 
 
-def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
+def maximize(objective, bounds: BoxBounds, start_points):
     """Maximize ``objective`` over the box from ``start_points``; returns ``(x_best, value)``.
 
     ``objective(X)`` maps ``(m, d)`` rows to ``(values, gradients_at)``: the
@@ -148,7 +136,7 @@ def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
     scored their current iterates (one ``gradients_at`` call) and scores all
     of their ladders in one objective call.  A start stops when its
     projected gradient norm falls below 1e-8, when no trial improves, or
-    after ``max_iterations`` accepted steps, and is abandoned when its
+    after ``_MAX_ITERATIONS`` (100) accepted steps, and is abandoned when its
     gradient or a trial before the first improving one is non-finite (a
     single warning reports how many).  Every start follows the path it would
     follow alone, and the best is taken in start order, so ties go to the
@@ -173,7 +161,7 @@ def maximize(objective, bounds: BoxBounds, cfg: OptimizerConfig, start_points):
     box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
     # the first row of each start's ladder
     ladder_rows = np.arange(0, len(x) * STEP_FRACTIONS.size, STEP_FRACTIONS.size)
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if not running.size:
             break
         grads = _checked(

@@ -3,7 +3,7 @@
 Run with ``python -m pytest tests/bench_probe.py --benchmark-only``.  The
 file name keeps it out of the default test collection.  Two objectives
 are timed, each on m = 8, 40 and 320 candidate rows (the optimizer scores
-ladders of 40 trial steps per start, 320 with its 8 default starts):
+ladders of 40 trial steps per start, 320 with its 8 starts):
 
 - T = 1: ``acquisition_objective`` of the pinned Branin context;
 - T = 4: ``multi_theta_objective`` of four sin(3x) + x^2 contexts.
@@ -22,10 +22,11 @@ import pytest
 
 from gpexpect.acquisition import acquisition_objective, build_context, multi_theta_objective
 from gpexpect.benchmarks import benchmark_problem
+from gpexpect.design import _ACQUISITION_STARTS
 from gpexpect.gp import Dataset, NoiseModel, fit
 from gpexpect.kernels import RbfKernel, kernel_crosses
 from gpexpect.mixtures import sample
-from gpexpect.optimize import OptimizerConfig, default_bounds, maximize, mixture_starts
+from gpexpect.optimize import default_bounds, maximize, mixture_starts
 from gpexpect.validation import perturbed_contexts
 
 ROWS = (8, 40, 320)
@@ -84,7 +85,6 @@ def test_kernel_crosses(benchmark, m, n, d, T):
 def test_maximize(benchmark):
     objective, mix = _pinned_branin()
     bounds = default_bounds(mix)
-    cfg = OptimizerConfig()
-    starts = mixture_starts(mix, bounds, cfg.starts, seed=900)
-    x, _ = benchmark(maximize, objective, bounds, cfg, starts)
+    starts = mixture_starts(mix, bounds, _ACQUISITION_STARTS, seed=900)
+    x, _ = benchmark(maximize, objective, bounds, starts)
     assert x.shape == (2,)

@@ -235,13 +235,31 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"'{path}' must be a number" in err
 
-    @pytest.mark.parametrize("key, value", [("step_shrink", 0.5), ("gradient_tolerance", 1e-8)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("starts", 2), ("max_iterations", 100), ("step_shrink", 0.5),
+         ("gradient_tolerance", 1e-8)],
+    )
     def test_removed_optimizer_keys_are_unknown(self, tmp_path, capsys, key, value):
-        # the line search halves its step and stops below a gradient norm of 1e-8, fixed
-        cfg = write_config(tmp_path / "cfg.json", optimizer={"starts": 2, key: value})
+        # the ascent's 8 starts, 100-step cap, halving ladder and 1e-8 gradient stop are fixed
+        cfg = write_config(tmp_path / "cfg.json", optimizer={key: value})
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: config: optimizer: unknown key(s)") and key in err
+        assert err.startswith("config error: config: unknown key(s) ['optimizer']")
+
+    @pytest.mark.parametrize(
+        "mixture",
+        ["m.json", {"components": None}, {"weights": [1.0]}, {"components": [[1.0, 0.0]]}],
+        ids=["path_string", "null_components", "no_components", "array_component"],
+    )
+    def test_malformed_mixture_is_a_schema_error(self, tmp_path, capsys, mixture):
+        # before the fix, the number walk ran first: "'mixture' must be a number"
+        cfg = write_config(tmp_path / "cfg.json", mixture=mixture)
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config: 'mixture' must be an object whose 'components' "
+            "is a list of objects\n"
+        )
 
 
 class TestNumericalErrorExit:

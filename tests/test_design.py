@@ -75,7 +75,7 @@ class TestDesignConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("n0", 5.0), ("budget", 8.5), ("refit_every", 2.5), ("theta_samples", 2.5),
-         ("theta_samples", "2")],
+         ("theta_samples", "2"), ("seed", True), ("refit_every", True)],
     )
     def test_rejects_non_integer_counts(self, field, value):
         # before the fix, theta_samples=2.5 spent the initial design, then

@@ -267,6 +267,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="component 0"):
             mixture_from_dict({"components": [component]})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("weight", True), ("weight", "1.0"), ("mean", ["0.0"]), ("mean", [False]),
+         ("cov", [["1"]]), ("cov", [[1.0, True]]), ("cov", np.array([[True]]))],
+    )
+    def test_boolean_or_string_leaf_is_a_value_error(self, field, value):
+        # before the fix these converted: True to 1, "0.0" to 0
+        component = {"weight": 1.0, "mean": [0.0], "cov": [[1.0]], field: value}
+        with pytest.raises(ValueError, match=f"^component 0: {field} holds a boolean or a string$"):
+            mixture_from_dict({"components": [component]})
+
     def test_round_trip_survives_json(self):
         import json
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gpexpect import optimize
 from gpexpect.acquisition import acquisition_objective, build_context
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.gp import Dataset, NoiseModel, fit
@@ -18,7 +19,6 @@ from gpexpect.optimize import (
     STEP_FRACTIONS,
     _GRADIENT_TOLERANCE,
     BoxBounds,
-    OptimizerConfig,
     _projected_gradient,
     default_bounds,
     maximize,
@@ -63,7 +63,7 @@ class TestMaximize:
 
         bounds = box(-2, 2, d=2)
         x_star, val = maximize(
-            objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 8, 0)
+            objective_of(value, grad), bounds, uniform_starts(bounds, 8, 0)
         )
         assert np.linalg.norm(x_star - c) < 1e-6
         assert val == pytest.approx(0.0, abs=1e-10)
@@ -73,7 +73,6 @@ class TestMaximize:
         x_star, val = maximize(
             objective_of(lambda X: X[:, 0], np.ones_like),
             bounds,
-            OptimizerConfig(),
             uniform_starts(bounds, 8, 0),
         )
         assert x_star[0] == pytest.approx(1.0, abs=1e-10)
@@ -93,7 +92,6 @@ class TestMaximize:
         x_star, val = maximize(
             acquisition_objective(ctx),
             bounds,
-            OptimizerConfig(),
             uniform_starts(bounds, 8, 1),
         )
         grid = np.linspace(-4, 4, 10_000).reshape(-1, 1)
@@ -113,7 +111,7 @@ class TestMaximize:
             return -2.0 * X
 
         bounds = box(0.5, 2.0, d=2)
-        maximize(objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 4, 2))
+        maximize(objective_of(value, grad), bounds, uniform_starts(bounds, 4, 2))
         P = np.concatenate(probes)
         assert np.all(P >= bounds.lower - 1e-12)
         assert np.all(P <= bounds.upper + 1e-12)
@@ -131,7 +129,7 @@ class TestMaximize:
 
         bounds = box(-2, 2)
         starts = np.linspace(-2, 2, 6).reshape(-1, 1)
-        _, val = maximize(objective_of(value, grad), bounds, OptimizerConfig(), start_points=starts)
+        _, val = maximize(objective_of(value, grad), bounds, start_points=starts)
         assert np.all(val >= value(starts) - 1e-12)
 
     def test_coarse_grid_dominance_2d(self):
@@ -148,7 +146,7 @@ class TestMaximize:
 
         bounds = box(-3, 3, d=2)
         _, val = maximize(
-            objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 12, 5)
+            objective_of(value, grad), bounds, uniform_starts(bounds, 12, 5)
         )
         axis = np.linspace(-3, 3, 32)
         G = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
@@ -164,10 +162,10 @@ class TestMaximize:
 
         bounds = box(-3, 3)
         a = maximize(
-            objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6)
+            objective_of(value, grad), bounds, uniform_starts(bounds, 5, 6)
         )
         b = maximize(
-            objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 5, 6)
+            objective_of(value, grad), bounds, uniform_starts(bounds, 5, 6)
         )
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
@@ -183,8 +181,7 @@ class TestMaximize:
         # perfbench's tracer parses this text
         message = r"^1 of 2 optimizer starts abandoned on non-finite objective values$"
         with pytest.warns(RuntimeWarning, match=message):
-            x_star, _ = maximize(objective_of(value, grad), box(-2, 2), OptimizerConfig(),
-                                 start_points=starts)
+            x_star, _ = maximize(objective_of(value, grad), box(-2, 2), start_points=starts)
         assert x_star[0] == pytest.approx(1.5, abs=1e-6)
 
     def test_all_starts_failing_raises(self):
@@ -197,7 +194,7 @@ class TestMaximize:
         with pytest.raises(OptimizationFailedError), pytest.warns(RuntimeWarning):
             bounds = box(-1, 1)
             maximize(
-                objective_of(value, grad), bounds, OptimizerConfig(), uniform_starts(bounds, 3, 8)
+                objective_of(value, grad), bounds, uniform_starts(bounds, 3, 8)
             )
 
 
@@ -210,7 +207,7 @@ def isclose_projected_gradient(x, g, bounds):
     return pg
 
 
-def sequential_maximize(value, gradient_fn, bounds, cfg, start_points):
+def sequential_maximize(value, gradient_fn, bounds, start_points):
     """Reference: one start, then one trial at a time, with a scalar ``value`` and gradient."""
     box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
     best_x, best_val, abandoned = None, -np.inf, 0
@@ -221,7 +218,7 @@ def sequential_maximize(value, gradient_fn, bounds, cfg, start_points):
             abandoned += 1
             continue
         dead = False
-        for _ in range(cfg.max_iterations):
+        for _ in range(optimize._MAX_ITERATIONS):
             g = np.asarray(gradient_fn(x), dtype=float)
             if not np.all(np.isfinite(g)):
                 dead = True
@@ -251,7 +248,7 @@ def sequential_maximize(value, gradient_fn, bounds, cfg, start_points):
     return best_x, best_val, abandoned
 
 
-def batched_maximize(value, gradients, bounds, cfg, starts):
+def batched_maximize(value, gradients, bounds, starts):
     """``maximize`` on ``value`` applied row by row, with the abandoned-start count."""
     x, val = None, -np.inf
     with warnings.catch_warnings(record=True) as caught:
@@ -259,7 +256,7 @@ def batched_maximize(value, gradients, bounds, cfg, starts):
         with contextlib.suppress(OptimizationFailedError):
             x, val = maximize(
                 objective_of(lambda X: np.array([value(x) for x in X]), gradients),
-                bounds, cfg, starts,
+                bounds, starts,
             )
     counts = [int(str(w.message).split()[0]) for w in caught]
     return x, val, sum(counts)
@@ -270,14 +267,15 @@ class TestBatchedLadderIsTheSequentialSearch:
 
     @pytest.mark.parametrize("d, seed", [(1, 0), (1, 1), (2, 2), (2, 3)])
     def test_acquisition_contexts(self, d, seed):
-        self.check_acquisition_context(d, seed, OptimizerConfig())
+        self.check_acquisition_context(d, seed)
 
     @pytest.mark.parametrize("d, seed", [(1, 4), (2, 5)])
-    def test_acquisition_contexts_with_an_iteration_cap(self, d, seed):
-        self.check_acquisition_context(d, seed, OptimizerConfig(max_iterations=2))
+    def test_acquisition_contexts_with_an_iteration_cap(self, d, seed, monkeypatch):
+        monkeypatch.setattr(optimize, "_MAX_ITERATIONS", 2)
+        self.check_acquisition_context(d, seed)
 
     @staticmethod
-    def check_acquisition_context(d, seed, cfg):
+    def check_acquisition_context(d, seed):
         rng = np.random.default_rng(seed)
         gp, mix = random_instance(rng, d=d)
         ctx = build_context(gp, mix)
@@ -291,8 +289,8 @@ class TestBatchedLadderIsTheSequentialSearch:
         def gradient(x):
             return objective(x[None])[1](np.array([0]))[0]
 
-        want = sequential_maximize(value, gradient, bounds, cfg, starts)
-        x, val = maximize(objective, bounds, cfg, starts)
+        want = sequential_maximize(value, gradient, bounds, starts)
+        x, val = maximize(objective, bounds, starts)
         assert want[2] == 0
         assert np.array_equal(x, want[0])
         assert val == want[1]
@@ -321,27 +319,22 @@ class TestBatchedLadderIsTheSequentialSearch:
         value, grads, hits = self.banded(*band)
         bounds = box(-4, 4)
         starts = np.linspace(-3, 3.5, 6).reshape(-1, 1)
-        cfg = OptimizerConfig()
-        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, cfg, starts)
+        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, starts)
         assert hits and want[2] > 0
-        got = batched_maximize(value, grads, bounds, cfg, starts)
+        got = batched_maximize(value, grads, bounds, starts)
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
 
     def test_nan_after_an_improving_trial_keeps_the_start(self):
         # from -3 the ladder is -3 + 4 * 2^-k: 1.0 improves, -1.0 is NaN
         value, grads, hits = self.banded(-1.1, -0.9)
-        x, val, abandoned = batched_maximize(
-            value, grads, box(-4, 4), OptimizerConfig(), np.array([[-3.0]])
-        )
+        x, val, abandoned = batched_maximize(value, grads, box(-4, 4), np.array([[-3.0]]))
         assert hits == [-1.0]
         assert (x[0], val, abandoned) == (1.0, 0.0, 0)
 
     def test_nan_before_an_improving_trial_abandons_the_start(self):
         value, grads, hits = self.banded(0.9, 1.1)
-        x, _, abandoned = batched_maximize(
-            value, grads, box(-4, 4), OptimizerConfig(), np.array([[-3.0]])
-        )
+        x, _, abandoned = batched_maximize(value, grads, box(-4, 4), np.array([[-3.0]]))
         assert hits == [1.0]
         assert x is None and abandoned == 1
 
@@ -351,10 +344,9 @@ class TestBatchedLadderIsTheSequentialSearch:
 
         bounds = box(-4, 4)
         starts = np.array([[3.0], [-3.0], [2.9]])
-        cfg = OptimizerConfig()
         value = lambda x: float(-((x[0] - 1.0) ** 2))  # noqa: E731
-        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, cfg, starts)
-        got = batched_maximize(value, grads, bounds, cfg, starts)
+        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, starts)
+        got = batched_maximize(value, grads, bounds, starts)
         assert want[2] == 2
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
@@ -373,7 +365,6 @@ class TestBatchedLadderIsTheSequentialSearch:
 
         bounds = box(-4, 4, d=2)
         starts = np.array([[-3.0, 0.0], [1.0, 4.0], [-2.0, 4.0], [0.5, -1.0]])
-        cfg = OptimizerConfig()
         rows, gradient_rows = [], []
 
         def logged_value(X):
@@ -384,10 +375,10 @@ class TestBatchedLadderIsTheSequentialSearch:
             gradient_rows.append(len(X))
             return grads(X)
 
-        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, cfg, starts)
+        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, starts)
         assert want[2] == 2
         with pytest.warns(RuntimeWarning, match="^2 of 4 optimizer starts abandoned"):
-            x, val = maximize(objective_of(logged_value, logged_grads), bounds, cfg, starts)
+            x, val = maximize(objective_of(logged_value, logged_grads), bounds, starts)
         # the first round laddered three starts, and one of them goes on
         assert rows[:2] == [4, 3 * STEP_FRACTIONS.size] and gradient_rows[:2] == [4, 1]
         assert [c.hex() for c in x] == [c.hex() for c in want[0]]
@@ -414,11 +405,13 @@ class TestBatchedLadderIsTheSequentialSearch:
         return objective
 
     @pytest.mark.parametrize("max_iterations", [100, 3])
-    def test_one_gradient_call_per_round_on_the_running_starts(self, max_iterations):
+    def test_one_gradient_call_per_round_on_the_running_starts(
+        self, max_iterations, monkeypatch
+    ):
         calls, gradient_calls = [], []
         bounds = box(-3, 3)
-        cfg = OptimizerConfig(max_iterations=max_iterations)
-        maximize(self.logged_objective(calls, gradient_calls), bounds, cfg,
+        monkeypatch.setattr(optimize, "_MAX_ITERATIONS", max_iterations)
+        maximize(self.logged_objective(calls, gradient_calls), bounds,
                  uniform_starts(bounds, 5, 6))
         rounds = len(gradient_calls)
         # the starts, then one ladder call per round; the cap of 3 ends the ascent early
@@ -448,13 +441,13 @@ class TestBatchedLadderIsTheSequentialSearch:
         bounds = box(-1, 1)
         with pytest.raises(ValueError, match="rows"):
             maximize(objective_of(lambda X: float(X[0, 0]), lambda X: -2 * X), bounds,
-                     OptimizerConfig(), np.zeros((2, 1)))
+                     np.zeros((2, 1)))
 
     def test_gradients_at_must_return_one_row_per_index(self):
         bounds = box(-1, 1)
         with pytest.raises(ValueError, match="rows"):
             maximize(objective_of(lambda X: -(X[:, 0] ** 2), lambda X: -2 * X[0]), bounds,
-                     OptimizerConfig(), np.full((2, 1), 0.5))
+                     np.full((2, 1), 0.5))
 
 
 class TestProjectedGradient:
@@ -513,26 +506,6 @@ class TestStepFractions:
         for _ in range(STEP_FRACTIONS.size - 1):
             halved.append(halved[-1] * 0.5)
         assert (s0 * STEP_FRACTIONS).tobytes() == np.array(halved).tobytes()
-
-
-class TestOptimizerConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"starts": 0},
-        ],
-    )
-    def test_rejects_out_of_range_values(self, kwargs):
-        with pytest.raises(ValueError):
-            OptimizerConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "field, value", [("starts", 8.0), ("starts", 2.5), ("max_iterations", 100.0)]
-    )
-    def test_rejects_non_integer_counts(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            OptimizerConfig(**{field: value})
-        assert getattr(OptimizerConfig(**{field: np.int64(value)}), field) == int(value)
 
 
 class TestBounds:

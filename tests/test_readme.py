@@ -1,12 +1,18 @@
-"""The README's Quick start snippet runs and prints what it says; its config keys are the CLI's."""
+"""The README's Quick start snippet runs and prints what it says.
+
+Its config keys are the CLI's, and its ``DesignConfig`` knobs are the dataclass's fields.
+"""
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
 from pathlib import Path
 
-from gpexpect.cli import _OPTIMIZER_KEYS, _RUN_KEYS
+from gpexpect.cli import _RUN_KEYS
+from gpexpect.design import DesignConfig
+from gpexpect.gp import HyperSearchConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,8 +43,17 @@ def test_optional_keys_paragraph_names_the_keys_the_cli_accepts():
     sources = {"mixture", "samples_file", "n_gmm", "uniform_box"}
     assert sources <= set(_RUN_KEYS) and set(example) <= set(_RUN_KEYS)
     paragraph = re.search(r"Optional keys:(.*?):\n", section, re.S).group(1)
-    optimizer = re.search(r"`optimizer` \(([^)]*)\)", paragraph).group(1)
-    assert re.findall(r"`(\w+)`", optimizer) == list(_OPTIMIZER_KEYS)
     # the keys outside parentheses are the top-level ones
     top_level = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", paragraph))
     assert sorted(top_level) == sorted(set(_RUN_KEYS) - set(example) - sources)
+
+
+def test_design_config_knobs_are_the_fields_with_defaults():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("Useful `DesignConfig` knobs:"):text.index("## Library layout")]
+    bullets = re.findall(r"^- `(\w+)`", section, re.M)
+    defaulted = [f.name for f in dataclasses.fields(DesignConfig)
+                 if f.default is not dataclasses.MISSING]
+    assert sorted(bullets) == sorted(defaulted)
+    quoted = re.search(r"`HyperSearchConfig\(([^)]*)\)`", section).group(1)
+    assert quoted.split(", ") == [f.name for f in dataclasses.fields(HyperSearchConfig)]
