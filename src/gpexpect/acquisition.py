@@ -235,7 +235,9 @@ class AcquisitionContext:
     ``kmean_train`` holds K(x_i) at the training inputs, ``solved_kmean``
     the Gram-system solve of that vector.  The private component caches
     (Cholesky of cov_i + Lambda, determinant prefactors) let kernel-mean
-    evaluations at probes skip refactorizations.
+    evaluations at probes skip refactorizations.  They and the double
+    integral depend on the kernel and the mixture alone, so a later
+    context on the same two objects can take them over.
     """
 
     gp: GpPosterior
@@ -246,14 +248,28 @@ class AcquisitionContext:
     sigma1_sq: float
     _comp_chols: np.ndarray = field(repr=False)
     _comp_factors: np.ndarray = field(repr=False)
+    _double_mean: float = field(repr=False)
 
 
-def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
-    """Assemble the estimate (mu1, sigma1^2) and the probe caches."""
+def build_context(
+    gp: GpPosterior, mix: GaussianMixture, previous: AcquisitionContext | None = None
+) -> AcquisitionContext:
+    """Assemble the estimate (mu1, sigma1^2) and the probe caches.
+
+    The component factors and the double integral depend only on the
+    kernel and the mixture.  When ``previous`` holds the same kernel
+    object and the same mixture object, they are taken from it, which
+    gives the bits a fresh build gives; otherwise they are computed.
+    """
     if gp.dim != mix.dim:
         raise ValueError(f"gp dimension {gp.dim} != mixture dimension {mix.dim}")
     ker = gp.kernel
-    comp_chols, comp_factors = _component_factors(ker, mix.covs)
+    if previous is not None and previous.gp.kernel is ker and previous.mix is mix:
+        comp_chols, comp_factors = previous._comp_chols, previous._comp_factors
+        double_mean = previous._double_mean
+    else:
+        comp_chols, comp_factors = _component_factors(ker, mix.covs)
+        double_mean = double_kernel_mean(ker, mix)
 
     # the multi-column solve stays: mu1 and sigma1 depend on its bits
     u = np.stack(
@@ -266,7 +282,7 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
     kmean_train = (mix.weights * comp_factors) @ (ker.amplitude_sq * np.exp(-0.5 * quad))
     solved = chol_solve(gp.gram_factor, kmean_train)
     mu1 = float(kmean_train @ gp.weights)
-    sigma1_sq = max(float(double_kernel_mean(ker, mix) - kmean_train @ solved), 0.0)
+    sigma1_sq = max(float(double_mean - kmean_train @ solved), 0.0)
     return AcquisitionContext(
         gp=gp,
         mix=mix,
@@ -276,6 +292,7 @@ def build_context(gp: GpPosterior, mix: GaussianMixture) -> AcquisitionContext:
         sigma1_sq=sigma1_sq,
         _comp_chols=comp_chols,
         _comp_factors=comp_factors,
+        _double_mean=double_mean,
     )
 
 

@@ -107,7 +107,12 @@ class DesignConfig:
 
 @dataclass(eq=False)
 class DesignState:
-    """Single-owner mutable state of a run in progress."""
+    """Single-owner mutable state of a run in progress.
+
+    ``bounds`` is the box every step searches: ``cfg.bounds``, or the
+    :func:`~gpexpect.optimize.default_bounds` of ``mix``, worked out once
+    when the state is made.
+    """
 
     data: Dataset
     mix: GaussianMixture
@@ -116,6 +121,10 @@ class DesignState:
     history: list = field(default_factory=list)
     # context fitted with ``hyper`` on ``data``; None until the first fit
     context: AcquisitionContext | None = field(default=None, repr=False)
+    bounds: BoxBounds = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.bounds = self.cfg.bounds if self.cfg.bounds is not None else default_bounds(self.mix)
 
     @property
     def iteration(self) -> int:
@@ -155,14 +164,17 @@ def _select_theta(state: DesignState) -> HyperparameterSample:
 def _fit_context(state: DesignState, theta: HyperparameterSample):
     """Fit ``theta`` to the current data; returns the context and the y offset.
 
-    With ``center_y`` the GP sees ``y`` minus the offset, the mean of
-    ``y`` (0 with no data); otherwise the offset is 0.
+    The context reuses the kernel-only terms of ``state.context`` when
+    that context has the kernel object of ``theta``.  With ``center_y``
+    the GP sees ``y`` minus the offset, the mean of ``y`` (0 with no
+    data); otherwise the offset is 0.
     """
     data = state.data
     offset = float(data.y.mean()) if state.cfg.center_y and data.n > 0 else 0.0
     if offset != 0.0:
         data = Dataset(X=data.X, y=data.y - offset)
-    return build_context(fit(data, theta.kernel, theta.noise), state.mix), offset
+    gp = fit(data, theta.kernel, theta.noise)
+    return build_context(gp, state.mix, state.context), offset
 
 
 def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
@@ -227,11 +239,10 @@ def step(state: DesignState, black_box) -> DesignState:
         ctx, _ = _fit_context(state, theta)
     objective = _acquisition_functions(state, ctx, theta, state.iteration)
 
-    bounds = cfg.bounds if cfg.bounds is not None else default_bounds(state.mix)
     starts = mixture_starts(
-        state.mix, bounds, _ACQUISITION_STARTS, _derive_seed(cfg.seed, state.iteration, 2)
+        state.mix, state.bounds, _ACQUISITION_STARTS, _derive_seed(cfg.seed, state.iteration, 2)
     )
-    x_star, acq = maximize(objective, bounds, starts)
+    x_star, acq = maximize(objective, state.bounds, starts)
     return _absorb(state, black_box, x_star, theta, float(acq))
 
 

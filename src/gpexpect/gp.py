@@ -283,7 +283,11 @@ def _log_evidences(
     """
     try:
         A = kernel_matrices(data.X, amplitude_sq, lengthscales)
-        factors = np.linalg.cholesky(A + noise[:, None, None] * np.eye(data.n))
+        # the noise goes on the diagonals in place: adding noise * I would
+        # add +0.0 off them, which leaves kernel values (all >= +0.0) as they are
+        diagonal = np.arange(data.n)
+        A[:, diagonal, diagonal] += noise[:, None]
+        factors = np.linalg.cholesky(A)
     except (np.linalg.LinAlgError, FloatingPointError):
         values = np.full(len(amplitude_sq), np.nan)
         for r in range(len(values)):
@@ -512,8 +516,9 @@ def select_hyperparameters(
     )
     p = lo.size
 
+    # each start's lowest score so far and its row; inf while it has no finite score
     best_value = np.full(_STARTS, np.inf)
-    best_z = [None] * _STARTS
+    best_z = np.zeros((_STARTS, p))
     counts = {"evaluations": 0, "failed": 0}
 
     def fun_and_grad(owners, z):
@@ -527,10 +532,13 @@ def select_hyperparameters(
         counts["evaluations"] += ok.size
         counts["failed"] += int(np.sum(~ok))
         scores = np.where(ok, values, np.inf)
-        for j, (i, r) in enumerate(zip(owners, np.argmin(scores, axis=1))):
-            if scores[j, r] < best_value[i]:
-                best_value[i] = scores[j, r]
-                best_z[i] = Z[j, r].copy()
+        # each owner's first strictly lowest row, kept where it beats the owner's best
+        rows = np.arange(k)
+        lowest = np.argmin(scores, axis=1)
+        lowest_score = scores[rows, lowest]
+        better = lowest_score < best_value[owners]
+        best_value[owners[better]] = lowest_score[better]
+        best_z[owners[better]] = Z[rows[better], lowest[better]]
         f = np.where(ok, values, 1e12)
         return f[:, 0], (f[:, 1:] - f[:, :1]) / ((z + h) - z)
 
@@ -545,7 +553,7 @@ def select_hyperparameters(
     # each start's best is its first strictly lowest score; replayed in
     # start order, the first strictly lowest of those is the search's
     best = int(np.argmin(best_value))
-    if best_z[best] is None:
+    if best_value[best] == np.inf:
         raise NumericalConditioningError(
             f"no hyperparameter candidate was evaluable: {counts['failed']} of "
             f"{counts['evaluations']} objective evaluations failed"

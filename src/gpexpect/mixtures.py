@@ -46,6 +46,8 @@ class GaussianMixture:
     means: np.ndarray
     covs: np.ndarray
     _chols: np.ndarray = field(init=False, repr=False, compare=False)
+    # the weights' cumulative sums over their total, which a draw's uniform searches
+    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
@@ -68,7 +70,11 @@ class GaussianMixture:
             chols = np.linalg.cholesky(0.5 * (c + np.swapaxes(c, 1, 2)))
         except np.linalg.LinAlgError as exc:
             raise ValueError("every component covariance must be SPD") from exc
-        for name, arr in (("weights", w), ("means", m), ("covs", c), ("_chols", chols)):
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        for name, arr in (
+            ("weights", w), ("means", m), ("covs", c), ("_chols", chols), ("_cdf", cdf)
+        ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -117,18 +123,45 @@ def pdf_many(mix: GaussianMixture, X) -> np.ndarray:
     return np.exp(logsumexp(lp, axis=1, b=mix.weights[None, :]))
 
 
+def _components(mix: GaussianMixture, u: np.ndarray) -> np.ndarray:
+    """The component each uniform draw in ``u`` picks, by a search of the weights' cdf.
+
+    This is ``Generator.choice``'s rule for weighted draws with replacement.
+    """
+    return mix._cdf.searchsorted(u, side="right")
+
+
 def sample(mix: GaussianMixture, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` points from the mixture; deterministic given ``seed``.
 
-    Each draw picks a component by weight and then adds a correlated
-    Gaussian perturbation to its mean.  Returns an ``(count, d)`` array.
+    One ``random(count)`` call picks every draw's component by weight
+    (:func:`_components`), then one ``standard_normal((count, d))`` call
+    gives each draw a row, which its component's Cholesky factor
+    transforms and its mean shifts.  :func:`first_sample_inside` reads the
+    same stream one row at a time.  Returns an ``(count, d)`` array.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    comp = rng.choice(mix.n_components, size=count, p=mix.weights)
+    comp = _components(mix, rng.random(count))
     z = rng.standard_normal((count, mix.dim))
     return mix.means[comp] + np.einsum("nij,nj->ni", mix._chols[comp], z)
+
+
+def first_sample_inside(mix: GaussianMixture, lower, upper, count: int, seed: int):
+    """The first of ``sample(mix, count, seed)`` inside the box ``[lower, upper]``, or None.
+
+    The draws are made one row at a time from the same stream, so the rows
+    after the first one inside the box are never drawn.
+    """
+    rng = np.random.default_rng(seed)
+    for c in _components(mix, rng.random(count)):
+        z = rng.standard_normal(mix.dim)
+        # sample's transform on a batch of one row, which gives the row its bits
+        x = mix.means[c] + np.einsum("nij,nj->ni", mix._chols[c, None], z[None])[0]
+        if np.all((x >= lower) & (x <= upper)):
+            return x
+    return None
 
 
 def mixture_mean(mix: GaussianMixture) -> np.ndarray:
@@ -341,8 +374,9 @@ def _has_bool_or_text(value) -> bool:
 def mixture_from_dict(doc: dict) -> GaussianMixture:
     """Inverse of :func:`mixture_to_dict`; validates the schema shape.
 
-    A boolean or a string where a number belongs is a ``ValueError`` naming
-    the component and the field, not a number.
+    A component that is not an object, or a boolean or a string where a
+    number belongs, is a ``ValueError`` naming the component (and the
+    field), not a number.
     """
     if not isinstance(doc, dict) or "components" not in doc:
         raise ValueError('mixture document must be {"components": [...]}')
@@ -351,6 +385,8 @@ def mixture_from_dict(doc: dict) -> GaussianMixture:
         raise ValueError("mixture needs at least one component")
     weights, means, covs = [], [], []
     for i, comp in enumerate(comps):
+        if not isinstance(comp, dict):
+            raise ValueError(f"component {i}: must be an object with weight, mean, cov")
         try:
             extra = set(comp) - {"weight", "mean", "cov"}
             if extra:

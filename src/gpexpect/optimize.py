@@ -24,7 +24,7 @@ import numpy as np
 
 from gpexpect._numerics import row_dots
 from gpexpect.errors import OptimizationFailedError
-from gpexpect.mixtures import GaussianMixture, component_box, mixture_mean, sample
+from gpexpect.mixtures import GaussianMixture, component_box, first_sample_inside, mixture_mean
 
 # the 40 trial steps of a backtracking line search as fractions of the first,
 # each half the last; maximize scores all ladders of a round in one objective
@@ -83,22 +83,23 @@ def default_bounds(mix: GaussianMixture, width: float = 5.0) -> BoxBounds:
 def mixture_starts(mix: GaussianMixture, bounds: BoxBounds, count: int, seed: int) -> np.ndarray:
     """Start points for :func:`maximize`, concentrated where p(x) is.
 
-    The first start is the mixture mean (clipped into the box); the rest
-    are mixture draws accepted when inside the box, with a uniform draw
-    after 100 rejections.  Deterministic given ``seed``.
+    The first start is the mixture mean (clipped into the box).  Each
+    other start is the first inside the box of 100 mixture draws from a
+    seed of its own, with a uniform draw if none is.  The draws are made
+    one row at a time (:func:`~gpexpect.mixtures.first_sample_inside`) and
+    stop at the first one inside, which is the point that drawing all 100
+    at once and keeping the first inside gives.  Deterministic given
+    ``seed``.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     starts = [bounds.clip(mixture_mean(mix))]
     for _ in range(count - 1):
-        draws = sample(mix, 100, seed=int(rng.integers(2**63)))
-        inside = np.all((draws >= bounds.lower) & (draws <= bounds.upper), axis=1)
-        hits = np.flatnonzero(inside)
-        if hits.size:
-            starts.append(draws[hits[0]])
-        else:
-            starts.append(rng.uniform(bounds.lower, bounds.upper))
+        x = first_sample_inside(
+            mix, bounds.lower, bounds.upper, 100, seed=int(rng.integers(2**63))
+        )
+        starts.append(x if x is not None else rng.uniform(bounds.lower, bounds.upper))
     return np.array(starts)
 
 

@@ -15,6 +15,10 @@ shapes of a pinned Branin ladder call and a four-sample sin(3x) one, and
 ``maximize`` one whole multi-start ascent on the pinned Branin objective
 from 8 ``mixture_starts``, so the cost of an ascent round can be compared
 across commits with ``--benchmark-save`` and ``--benchmark-compare``.
+The set-up of a decision is timed too: ``mixture_starts`` draws the 8
+starts in the default box of the x^2 and the Branin mixtures, and
+``build_context`` builds the pinned Branin context fresh, or with the
+kernel-only terms taken over from the context of the step before.
 """
 
 import numpy as np
@@ -88,3 +92,24 @@ def test_maximize(benchmark):
     starts = mixture_starts(mix, bounds, _ACQUISITION_STARTS, seed=900)
     x, _ = benchmark(maximize, objective, bounds, starts)
     assert x.shape == (2,)
+
+
+@pytest.mark.parametrize("problem_name", ["x_squared", "branin_gmm"])
+def test_mixture_starts(benchmark, problem_name):
+    mix = benchmark_problem(problem_name).mix
+    bounds = default_bounds(mix)
+    starts = benchmark(mixture_starts, mix, bounds, _ACQUISITION_STARTS, 900)
+    assert starts.shape == (_ACQUISITION_STARTS, mix.dim)
+
+
+@pytest.mark.parametrize("theta_terms", ["fresh", "reused"])
+def test_build_context(benchmark, theta_terms):
+    problem = benchmark_problem("branin_gmm")
+    X = sample(problem.mix, 9, seed=900)
+    ker, noise = RbfKernel(2500.0, [4.0, 4.0]), NoiseModel(variance=1e-4)
+    # the step before, one point fewer, on the same kernel and mixture objects
+    before = build_context(fit(Dataset(X=X[:8], y=problem.fn(X[:8])), ker, noise), problem.mix)
+    gp = fit(Dataset(X=X, y=problem.fn(X)), ker, noise)
+    previous = before if theta_terms == "reused" else None
+    ctx = benchmark(build_context, gp, problem.mix, previous)
+    assert ctx.sigma1_sq <= before.sigma1_sq

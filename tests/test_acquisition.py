@@ -477,6 +477,41 @@ class TestBuildContext:
         assert abs(moved.sigma1_sq - ctx.sigma1_sq) <= 1e-10 * double_kernel_mean(gp.kernel, mix)
 
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reused_theta_terms_give_a_fresh_build(self, seed):
+        # the next step's context: the previous one's kernel and mixture, one more point
+        rng = np.random.default_rng(seed)
+        gp, mix = random_instance(rng, n=int(rng.integers(0, 9)), n_gmm=int(rng.integers(1, 5)))
+        previous = build_context(gp, mix)
+        x = sample(mix, 1, seed=seed)[0]
+        grown = fit(gp.data.append(x, float(rng.normal())), gp.kernel, gp.noise)
+        reused, fresh = build_context(grown, mix, previous), build_context(grown, mix)
+        for name in ("kmean_train", "solved_kmean", "mu1", "sigma1_sq",
+                     "_comp_chols", "_comp_factors", "_double_mean"):
+            assert _hex(getattr(reused, name)) == _hex(getattr(fresh, name)), name
+
+    def test_other_kernel_or_mixture_recomputes_theta_terms(self, monkeypatch):
+        import gpexpect.acquisition
+
+        calls = []
+
+        def counting(ker, mix):
+            calls.append(ker)
+            return double_kernel_mean(ker, mix)
+
+        monkeypatch.setattr(gpexpect.acquisition, "double_kernel_mean", counting)
+        gp, mix = fitted_gp(np.random.default_rng(12)), two_comp_1d()
+        ctx = build_context(gp, mix)
+        assert build_context(gp, mix, ctx)._comp_chols is ctx._comp_chols
+        assert len(calls) == 1
+        # an equal kernel or an equal mixture that is another object builds its own terms
+        twin = RbfKernel(amplitude_sq=gp.kernel.amplitude_sq, lengthscales=gp.kernel.lengthscales)
+        build_context(fit(gp.data, twin, gp.noise), mix, ctx)
+        build_context(gp, two_comp_1d(), ctx)
+        assert len(calls) == 3
+
+
 class TestVarianceReductionS:
     def test_prior_point_mass_case(self):
         gp = fit(Dataset.empty(1), UNIT_KERNEL, NoiseModel(variance=0.0))

@@ -20,7 +20,7 @@ from gpexpect.errors import EvaluationError, InsufficientDataError
 from gpexpect.gp import Dataset, HyperparameterSample, NoiseModel
 from gpexpect.kernels import RbfKernel
 from gpexpect.mixtures import GaussianMixture
-from gpexpect.optimize import BoxBounds
+from gpexpect.optimize import BoxBounds, default_bounds
 from gpexpect.validation import random_instance
 
 
@@ -154,6 +154,25 @@ class TestStep:
         for _ in range(3):
             step(state, lambda x: 0.0)
             assert abs(state.history[-1].mu1) < 1e-10
+
+    def test_hand_built_state_steps_in_its_one_box(self, monkeypatch):
+        state = self.make_state()
+        want = default_bounds(state.mix)
+        assert state.bounds.lower.tobytes() == want.lower.tobytes()
+        assert state.bounds.upper.tobytes() == want.upper.tobytes()
+        boxed = self.make_state(bounds=BoxBounds(lower=np.array([0.5]), upper=np.array([0.7])))
+        assert boxed.bounds is boxed.cfg.bounds
+
+        # the box is worked out when the state is made, never again by a step
+        def no_box(*args, **kwargs):
+            raise AssertionError("default_bounds called by a step")
+
+        monkeypatch.setattr(gpexpect.design, "default_bounds", no_box)
+        for current in (state, boxed):
+            for _ in range(2):
+                step(current, lambda x: float(np.sin(x[0])))
+        assert len(state.history) == len(boxed.history) == 2
+        assert all(0.5 <= rec.chosen_x[0] <= 0.7 for rec in boxed.history)
 
     def test_non_finite_observation_raises(self):
         state = self.make_state()
@@ -320,6 +339,27 @@ class TestWorkPerStep:
         assert counts["select"] == 5
         # fits: the initial one, one per absorbed point, one after each re-selection
         assert counts["fit"] == 1 + 25 + 4
+
+    def test_theta_terms_built_once_per_theta(self, monkeypatch):
+        import gpexpect.acquisition
+
+        kernels = []
+        double = gpexpect.acquisition.double_kernel_mean
+
+        def counting(ker, mix):
+            kernels.append(ker)
+            return double(ker, mix)
+
+        monkeypatch.setattr(gpexpect.acquisition, "double_kernel_mean", counting)
+        problem = benchmark_problem("x_squared")
+        run(problem.mix, problem.black_box, DesignConfig(n0=5, budget=30, seed=900))
+        # the initial fit, then two per re-selection: the step's context with
+        # the new theta, and the refit after it, whose previous context has the old one
+        assert len(kernels) == 1 + 2 * 4
+        kernels.clear()
+        run(problem.mix, problem.black_box,
+            DesignConfig(n0=5, budget=12, seed=900, pinned_theta=pinned()))
+        assert len(kernels) == 1
 
 
 # (chosen_x, mu1, sigma1, acquisition_at_chosen) as float.hex, one row per record

@@ -304,6 +304,27 @@ class TestSelectHyperparameters:
         assert_allclose(one.kernel.amplitude_sq, np.var(data.y))
         assert_allclose(one.noise.variance, 1e-4 * np.var(data.y))
 
+    def test_a_tie_in_a_later_round_keeps_the_earlier_row(self, monkeypatch):
+        """A start keeps its first strictly lowest row across rounds, as within one."""
+        monkeypatch.setattr(
+            gpexpect.gp, "_log_evidences", lambda data, amp, ls, noise: np.zeros(len(amp))
+        )
+
+        def two_rounds(fun_and_grad, x0, lo, hi, max_iterations, max_evaluations):
+            starts = np.clip(np.asarray(x0, dtype=float), lo, hi)
+            owners = np.arange(len(starts))
+            fun_and_grad(owners, starts)
+            # every row of this round ties every row of the first
+            fun_and_grad(owners, 0.5 * (starts + lo))
+
+        monkeypatch.setattr(gpexpect.gp, "_lbfgsb_lockstep", two_rounds)
+        rng = np.random.default_rng(22)
+        data = Dataset(X=rng.normal(size=(6, 2)), y=rng.normal(size=6))
+        theta = select_hyperparameters(data, HyperSearchConfig(seed=0))
+        # start 0's first row, the box center
+        assert_allclose(theta.kernel.lengthscales, np.ptp(data.X, axis=0) ** 2)
+        assert_allclose(theta.kernel.amplitude_sq, np.var(data.y))
+
     def test_needs_two_points(self):
         with pytest.raises(InsufficientDataError):
             select_hyperparameters(

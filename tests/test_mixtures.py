@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -22,6 +24,7 @@ from gpexpect.mixtures import (
     sample,
 )
 from gpexpect.oracles import quad_integral_1d
+from gpexpect.validation import random_instance
 
 
 def std_normal_1d():
@@ -119,7 +122,27 @@ class TestMoments:
         assert upper[0] == pytest.approx(7.0)
 
 
+def choice_sample(mix, count, seed):
+    """``sample`` with the components drawn by ``Generator.choice``, as a reference."""
+    rng = np.random.default_rng(seed)
+    comp = rng.choice(mix.n_components, size=count, p=mix.weights)
+    z = rng.standard_normal((count, mix.dim))
+    return mix.means[comp] + np.einsum("nij,nj->ni", mix._chols[comp], z)
+
+
 class TestSampling:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        d=st.integers(1, 5),
+        k=st.integers(1, 4),
+        count=st.integers(0, 120),
+    )
+    def test_draws_are_the_choice_draws(self, seed, d, k, count):
+        mix = random_instance(np.random.default_rng(seed), d=d, n=0, n_gmm=k)[1]
+        got, want = sample(mix, count, seed), choice_sample(mix, count, seed)
+        assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
+
     def test_sample_mean_clt(self):
         mix = two_bumps(offset=2.0)
         draws = sample(mix, 40000, seed=0)
@@ -262,10 +285,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             mixture_from_dict(doc)
 
-    @pytest.mark.parametrize("component", [5, [1.0, 2.0], "weight", None])
+    @pytest.mark.parametrize("component", [5, [1.0, 2.0], ["weight"], "weight", None])
     def test_component_that_is_not_an_object_is_a_value_error(self, component):
-        with pytest.raises(ValueError, match="component 0"):
-            mixture_from_dict({"components": [component]})
+        # a list or a string was read as its keys: "unknown keys [1.0, 2.0]"
+        doc = {"components": [mixture_to_dict(std_normal_1d())["components"][0], component]}
+        with pytest.raises(
+            ValueError, match="^component 1: must be an object with weight, mean, cov$"
+        ):
+            mixture_from_dict(doc)
 
     @pytest.mark.parametrize(
         "field, value",

@@ -14,7 +14,7 @@ from gpexpect.acquisition import acquisition_objective, build_context
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.gp import Dataset, NoiseModel, fit
 from gpexpect.kernels import RbfKernel
-from gpexpect.mixtures import GaussianMixture
+from gpexpect.mixtures import GaussianMixture, mixture_mean, sample
 from gpexpect.optimize import (
     STEP_FRACTIONS,
     _GRADIENT_TOLERANCE,
@@ -530,7 +530,69 @@ class TestBounds:
         assert_allclose(clipped, [-1.0, 0.3])
 
 
+def reference_mixture_starts(mix, bounds, count, seed):
+    """``mixture_starts`` drawing all 100 candidates of a start at once, as a reference.
+
+    The draws are ``sample`` with components from ``Generator.choice``.
+    """
+    rng = np.random.default_rng(seed)
+    starts = [bounds.clip(mixture_mean(mix))]
+    for _ in range(count - 1):
+        draw_rng = np.random.default_rng(int(rng.integers(2**63)))
+        comp = draw_rng.choice(mix.n_components, size=100, p=mix.weights)
+        z = draw_rng.standard_normal((100, mix.dim))
+        draws = mix.means[comp] + np.einsum("nij,nj->ni", mix._chols[comp], z)
+        inside = np.all((draws >= bounds.lower) & (draws <= bounds.upper), axis=1)
+        hits = np.flatnonzero(inside)
+        if hits.size:
+            starts.append(draws[hits[0]])
+        else:
+            starts.append(rng.uniform(bounds.lower, bounds.upper))
+    return np.array(starts)
+
+
+def starts_box(mix, kind, rng):
+    """The default box, or a box around a component mean narrow enough to miss or fall back."""
+    if kind == "default":
+        return default_bounds(mix)
+    std = np.sqrt(np.diagonal(mix.covs[0]))
+    half = rng.uniform(0.02, 0.5, mix.dim) * std
+    # "narrow" sits on the first component's mean; "far" lies more than 30 from every
+    # mean, beyond the mass of random_instance's components, so every start falls back
+    center = mix.means[0] + (30.0 * np.max(np.abs(mix.means)) + 30.0) * (kind == "far")
+    return BoxBounds(lower=center - half, upper=center + half)
+
+
 class TestMixtureStarts:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        d=st.integers(1, 5),
+        k=st.integers(1, 4),
+        kind=st.sampled_from(["default", "narrow", "far"]),
+    )
+    def test_starts_are_the_reference_starts(self, seed, d, k, kind):
+        rng = np.random.default_rng(seed)
+        mix = random_instance(rng, d=d, n=0, n_gmm=k)[1]
+        bounds = starts_box(mix, kind, rng)
+        got = mixture_starts(mix, bounds, 8, seed)
+        want = reference_mixture_starts(mix, bounds, 8, seed)
+        assert [v.hex() for v in got.ravel()] == [v.hex() for v in want.ravel()]
+
+    def test_narrow_box_misses_before_it_hits(self):
+        # a start whose first candidate falls outside and a later one inside
+        mix = GaussianMixture(
+            weights=np.array([0.4, 0.6]), means=np.array([[0.0], [3.0]]),
+            covs=np.full((2, 1, 1), 0.5),
+        )
+        bounds = box(2.9, 3.1)
+        rng = np.random.default_rng(7)
+        draws = [sample(mix, 100, seed=int(rng.integers(2**63))) for _ in range(3)]
+        first_hits = [np.flatnonzero((d[:, 0] >= 2.9) & (d[:, 0] <= 3.1))[0] for d in draws]
+        assert max(first_hits) > 0
+        got = mixture_starts(mix, bounds, 4, seed=7)
+        assert got.tobytes() == reference_mixture_starts(mix, bounds, 4, seed=7).tobytes()
+
     def make_mix(self):
         return GaussianMixture(
             weights=np.array([1.0]), means=np.array([[0.5]]), covs=np.ones((1, 1, 1))
