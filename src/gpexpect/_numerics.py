@@ -1,4 +1,4 @@
-"""Package-private helpers: point-shape and count checks, row dots and the linear solves.
+"""Package-private helpers: point-shape, count and noise checks, row dots and the linear solves.
 
 Two solves make scipy.linalg's exact LAPACK calls for a lower factor, so they
 equal ``solve_triangular`` and ``cho_solve`` bit for bit, without the per-call
@@ -27,6 +27,12 @@ def require_count(value, name: str) -> None:
     """Raise ``ValueError`` unless ``value`` is an integer: a ``numbers.Integral``, not a bool."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_fixed_noise(value) -> None:
+    """Raise ``ValueError`` unless ``value`` is None or a finite noise variance ``>= 0``."""
+    if value is not None and not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"fixed_noise must be finite and >= 0, got {value}")
 
 
 def as_point(x, dim: int, name: str) -> np.ndarray:

@@ -85,21 +85,20 @@ _PRED_VAR_FLOOR = 1e-14
 def _component_factors(ker: RbfKernel, covs):
     """Cholesky of cov_i + Lambda and |I + inv(Lambda) cov_i|^(-1/2) per component.
 
-    The log-determinant is log|Lambda + C| - log|Lambda| through the
-    Cholesky factor, which stays finite and accurate for strongly
-    anisotropic scales.
+    One stacked Cholesky call factors every component; it factors each
+    matrix as a call on that matrix alone would.  The log-determinant is
+    log|Lambda + C| - log|Lambda| through the Cholesky factor, which stays
+    finite and accurate for strongly anisotropic scales.
     """
-    chols = np.empty((len(covs), ker.dim, ker.dim))
-    factors = np.empty(len(covs))
-    for i, cov in enumerate(covs):
-        total = cov + np.diag(ker.lengthscales)
-        try:
-            chols[i] = np.linalg.cholesky(0.5 * (total + total.T))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("component covariance must be SPD") from exc
-        log_det = 2.0 * np.sum(np.log(np.diag(chols[i]))) - np.sum(np.log(ker.lengthscales))
-        factors[i] = np.exp(-0.5 * float(log_det))
-    return chols, factors
+    total = covs + np.diag(ker.lengthscales)
+    try:
+        chols = np.linalg.cholesky(0.5 * (total + total.transpose(0, 2, 1)))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("component covariance must be SPD") from exc
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1) - np.sum(
+        np.log(ker.lengthscales)
+    )
+    return chols, np.exp(-0.5 * log_dets)
 
 
 class _KernelMeans(NamedTuple):

@@ -23,7 +23,7 @@ import numpy as np
 from gpexpect.benchmarks import available_benchmarks, benchmark_problem
 from gpexpect.design import DesignConfig, run, run_random_baseline
 from gpexpect.errors import GpExpectError, InsufficientDataError
-from gpexpect.gp import HyperparameterSample, HyperSearchConfig, NoiseModel, RbfKernel
+from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
 from gpexpect.mixtures import GaussianMixture, fit_em, gmm_from_box, mixture_from_dict
 from gpexpect.optimize import BoxBounds
 from gpexpect.validation import run_validation
@@ -229,11 +229,7 @@ def _parse_common(doc: dict):
         )
 
     pinned = _build_pinned_theta(doc, dimension)
-    fixed_noise = None
-    if "fixed_noise" in doc:
-        if pinned is not None:
-            raise ConfigError("config: 'fixed_noise' conflicts with a fixed 'kernel'")
-        fixed_noise = _as_number(doc["fixed_noise"], "fixed_noise")
+    fixed_noise = _as_number(doc["fixed_noise"], "fixed_noise") if "fixed_noise" in doc else None
 
     bounds = None
     if "bounds" in doc:
@@ -263,7 +259,7 @@ def _parse_common(doc: dict):
             theta_samples=_as_int(doc.get("theta_samples", 1), "theta_samples", minimum=1),
             bounds=bounds,
             pinned_theta=pinned,
-            hyper_search=HyperSearchConfig(seed=seed, fixed_noise=fixed_noise),
+            fixed_noise=fixed_noise,
             center_y=center_y,
         )
     except ValueError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpexpect._numerics import require_count
+from gpexpect._numerics import require_count, require_fixed_noise
 from gpexpect.acquisition import (
     AcquisitionContext,
     acquisition_objective,
@@ -27,7 +27,6 @@ from gpexpect.errors import EvaluationError, InsufficientDataError
 from gpexpect.gp import (
     Dataset,
     HyperparameterSample,
-    HyperSearchConfig,
     NoiseModel,
     RbfKernel,
     fit,
@@ -65,14 +64,18 @@ class DesignConfig:
 
     ``pinned_theta`` freezes the hyperparameters for the whole run
     (otherwise they are selected on the initial design and re-selected
-    before every ``refit_every``-th step);
+    before every ``refit_every``-th step, by a search whose random starts
+    come from a fixed seed, not from ``seed``); ``fixed_noise``, finite
+    and nonnegative, pins the noise variance of that search and so
+    conflicts with ``pinned_theta``;
     ``theta_samples > 1`` averages the acquisition over that many
     log-space perturbations of the selected hyperparameters.
     ``center_y`` fits the GP on mean-centered observations and adds the
     offset back into the reported estimate mean.  The counts ``n0``,
     ``budget``, ``refit_every`` and ``theta_samples`` and the ``seed``
-    must be integers, not bools, the seed ``>= 0``; anything else raises
-    ``ValueError`` here, before a black-box call.  The effort of each
+    must be integers, not bools, the seed ``>= 0``; anything else, and a
+    bad or conflicting ``fixed_noise``, raises ``ValueError`` here, before
+    a black-box call.  The effort of each
     step's acquisition ascent is fixed: 8 starts (``_ACQUISITION_STARTS``)
     of at most 100 steps each (``optimize._MAX_ITERATIONS``).
     """
@@ -85,7 +88,7 @@ class DesignConfig:
     theta_samples: int = 1
     bounds: BoxBounds | None = None
     pinned_theta: HyperparameterSample | None = None
-    hyper_search: HyperSearchConfig = HyperSearchConfig()
+    fixed_noise: float | None = None
     center_y: bool = False
 
     def __post_init__(self):
@@ -103,6 +106,9 @@ class DesignConfig:
             raise ValueError("refit_every must be at least 1")
         if self.theta_samples < 1:
             raise ValueError("theta_samples must be at least 1")
+        require_fixed_noise(self.fixed_noise)
+        if self.fixed_noise is not None and self.pinned_theta is not None:
+            raise ValueError("fixed_noise conflicts with pinned_theta, which fixes the noise")
 
 
 @dataclass(eq=False)
@@ -157,7 +163,7 @@ def _select_theta(state: DesignState) -> HyperparameterSample:
     if cfg.pinned_theta is not None:
         return cfg.pinned_theta
     if state.hyper is None or (state.iteration > 0 and state.iteration % cfg.refit_every == 0):
-        return select_hyperparameters(state.data, cfg.hyper_search)
+        return select_hyperparameters(state.data, cfg.fixed_noise)
     return state.hyper
 
 
@@ -233,11 +239,11 @@ def step(state: DesignState, black_box) -> DesignState:
     """Run one acquisition iteration, appending a data point and a record."""
     cfg = state.cfg
     theta = _select_theta(state)
-    if theta is state.hyper and state.context is not None:
-        ctx = state.context
-    else:
-        ctx, _ = _fit_context(state, theta)
-    objective = _acquisition_functions(state, ctx, theta, state.iteration)
+    if theta is not state.hyper or state.context is None:
+        # kept, so the refit after this step reuses its kernel-only terms
+        state.hyper = theta
+        state.context, _ = _fit_context(state, theta)
+    objective = _acquisition_functions(state, state.context, theta, state.iteration)
 
     starts = mixture_starts(
         state.mix, state.bounds, _ACQUISITION_STARTS, _derive_seed(cfg.seed, state.iteration, 2)

@@ -23,7 +23,8 @@ probe has two paths: one Cholesky call on the stack of Gram matrices, or,
 if the stack does not factor, :func:`log_marginal_likelihood` on each row
 alone.  Both give a row the bits it has alone.  Because the rule lives
 here, a change to scipy's finite differences cannot move the selected
-hyperparameters.
+hyperparameters.  The search's effort and its starts' seed are fixed, so
+its result is a function of the data and an optional fixed noise alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 # the routine scipy.optimize._lbfgsb_py._minimize_lbfgsb loops over (scipy >= 1.15)
 from scipy.optimize._lbfgsb import setulb
 
-from gpexpect._numerics import as_point, as_points, chol_solve, require_count, row_dots
+from gpexpect._numerics import as_point, as_points, chol_solve, require_fixed_noise, row_dots
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.kernels import (
     RbfKernel,
@@ -54,9 +55,10 @@ from gpexpect.kernels import (
 _LENGTHSCALE_BOX = (1e-2, 1e2)
 _AMPLITUDE_BOX = (1e-3, 1e3)
 _NOISE_BOX = (1e-8, 1.0)
-# L-BFGS-B starts, and the iteration cap per start
+# L-BFGS-B starts, the iteration cap per start, and the seed of the random starts
 _STARTS = 8
 _MAX_ITERATIONS = 200
+_SEED = 0
 # the search's forward-difference step, L-BFGS-B's default absolute step
 _FD_STEP = 1e-8
 # scipy's default L-BFGS-B cap on objective evaluations, which counted
@@ -318,31 +320,6 @@ def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) ->
     return float(_evidence_from_factors(data.y, gp.gram_factor[None], gp.weights[None])[0])
 
 
-@dataclass(frozen=True)
-class HyperSearchConfig:
-    """Multi-start marginal-likelihood search settings.
-
-    ``seed``, an integer of at least 0, seeds the random starts;
-    ``fixed_noise``, finite and nonnegative, pins the noise variance
-    instead of searching it.  The start count, the iteration cap and the
-    search boxes, which are relative to the data, are module constants:
-    ``_STARTS``, ``_MAX_ITERATIONS``, ``_LENGTHSCALE_BOX``, ``_AMPLITUDE_BOX``
-    and ``_NOISE_BOX``.
-    """
-
-    seed: int = 0
-    fixed_noise: float | None = None
-
-    def __post_init__(self):
-        require_count(self.seed, "seed")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.fixed_noise is not None and not (
-            np.isfinite(self.fixed_noise) and self.fixed_noise >= 0
-        ):
-            raise ValueError(f"fixed_noise must be finite and >= 0, got {self.fixed_noise}")
-
-
 def _unpack_rows(Z: np.ndarray, d: int, fixed_noise: float | None):
     """Amplitudes, lengthscale rows and noises of log-parameter rows ``Z``.
 
@@ -462,13 +439,15 @@ def _lbfgsb_lockstep(fun_and_grad, x0, lo, hi, max_iterations: int, max_evaluati
 
 
 def select_hyperparameters(
-    data: Dataset, search: HyperSearchConfig = HyperSearchConfig()
+    data: Dataset, fixed_noise: float | None = None
 ) -> HyperparameterSample:
     """Maximize the log marginal likelihood over log-parameterized boxes.
 
-    Runs ``_STARTS`` (8) L-BFGS-B ascents from the box center plus
-    log-uniform random starts, and returns the best candidate seen at any
-    evaluation.  Deterministic given ``search.seed``.
+    Runs ``_STARTS`` (8) L-BFGS-B ascents, from the box center and seven
+    log-uniform starts drawn with the fixed seed ``_SEED`` (0), and returns
+    the best candidate seen at any evaluation.  ``fixed_noise``, finite and
+    nonnegative, pins the noise variance instead of searching it.  The
+    iteration cap and the boxes, relative to the data, are fixed too.
 
     The gradient is a forward difference, computed here rather than by
     scipy, so that each iterate ``z`` and its ``p`` stencil points
@@ -491,12 +470,15 @@ def select_hyperparameters(
 
     Raises
     ------
+    ValueError
+        If ``fixed_noise`` is negative or not finite.
     InsufficientDataError
         If fewer than two data points are available.
     NumericalConditioningError
         If no objective evaluation was finite; the message gives how many
         evaluations failed out of how many.
     """
+    require_fixed_noise(fixed_noise)
     if data.n < 2:
         raise InsufficientDataError("hyperparameter selection needs at least 2 points")
     d = data.dim
@@ -508,7 +490,7 @@ def select_hyperparameters(
 
     # each block of log-parameters: its (low, high) box factors and its data scale
     table = [(_LENGTHSCALE_BOX, span**2), (_AMPLITUDE_BOX, scale_y)]
-    if search.fixed_noise is None:
+    if fixed_noise is None:
         table.append((_NOISE_BOX, scale_y))
     lo, hi = (
         np.concatenate([np.atleast_1d(np.log(box[side] * scale)) for box, scale in table])
@@ -526,7 +508,7 @@ def select_hyperparameters(
         h = _forward_steps(z, lo, hi)
         Z = np.repeat(z[:, None, :], p + 1, axis=1)
         Z[:, np.arange(1, p + 1), np.arange(p)] = z + h
-        rows = _unpack_rows(Z.reshape(-1, p), d, search.fixed_noise)
+        rows = _unpack_rows(Z.reshape(-1, p), d, fixed_noise)
         values = -_log_evidences(data, *rows).reshape(k, p + 1)
         ok = np.isfinite(values)
         counts["evaluations"] += ok.size
@@ -542,7 +524,7 @@ def select_hyperparameters(
         f = np.where(ok, values, 1e12)
         return f[:, 0], (f[:, 1:] - f[:, :1]) / ((z + h) - z)
 
-    rng = np.random.default_rng(search.seed)
+    rng = np.random.default_rng(_SEED)
     starts = [0.5 * (lo + hi)]
     for _ in range(_STARTS - 1):
         starts.append(rng.uniform(lo, hi))
@@ -558,7 +540,7 @@ def select_hyperparameters(
             f"no hyperparameter candidate was evaluable: {counts['failed']} of "
             f"{counts['evaluations']} objective evaluations failed"
         )
-    amplitude_sq, lengthscales, noise = _unpack_rows(best_z[best][None, :], d, search.fixed_noise)
+    amplitude_sq, lengthscales, noise = _unpack_rows(best_z[best][None, :], d, fixed_noise)
     return HyperparameterSample(
         kernel=RbfKernel(amplitude_sq=amplitude_sq[0], lengthscales=lengthscales[0]),
         noise=NoiseModel(variance=noise[0]),

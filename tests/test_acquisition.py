@@ -12,6 +12,7 @@ from scipy.linalg import cho_solve
 from gpexpect._numerics import chol_solve, forward_substitute, row_dots
 from gpexpect.acquisition import (
     GAIN_SENTINEL,
+    _component_factors,
     _component_means,
     _gain,
     _kernel_means,
@@ -159,8 +160,36 @@ class TestKernelMeanComponent:
         assert at_center < eval_kernel(w, w, ker)
 
     def test_rejects_non_spd_cov(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="component covariance must be SPD"):
             kernel_mean(np.array([0.0]), UNIT_KERNEL, component([0.0], [[-1.0]]))
+
+
+def looped_component_factors(ker, covs):
+    """The component factors one component at a time, as computed before the stacked call."""
+    chols = np.empty((len(covs), ker.dim, ker.dim))
+    factors = np.empty(len(covs))
+    for i, cov in enumerate(covs):
+        total = cov + np.diag(ker.lengthscales)
+        chols[i] = np.linalg.cholesky(0.5 * (total + total.T))
+        log_det = 2.0 * np.sum(np.log(np.diag(chols[i]))) - np.sum(np.log(ker.lengthscales))
+        factors[i] = np.exp(-0.5 * float(log_det))
+    return chols, factors
+
+
+class TestComponentFactors:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5), k=st.integers(1, 5))
+    def test_stacked_call_is_the_per_component_loop(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(k, d, d)) * np.exp(rng.uniform(-4, 4, size=(k, 1, 1)))
+        covs = A @ A.transpose(0, 2, 1) + 1e-3 * np.eye(d)
+        ker = RbfKernel(amplitude_sq=1.0, lengthscales=np.exp(rng.uniform(-5, 5, size=d)))
+        chols, factors = _component_factors(ker, covs)
+        want_chols, want_factors = looped_component_factors(ker, covs)
+        assert chols.tobytes() == want_chols.tobytes()
+        assert factors.tobytes() == want_factors.tobytes()
+        # forward_solve takes the branch it took on the loop's rows
+        assert chols.flags.c_contiguous
 
 
 class TestKernelMean:

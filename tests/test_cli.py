@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import gpexpect.acquisition
-from gpexpect.cli import main
+from gpexpect.benchmarks import benchmark_problem
+from gpexpect.cli import _write_run_csv, main
+from gpexpect.design import DesignConfig, run
 from gpexpect.errors import EvaluationError
+from gpexpect.mixtures import mixture_from_dict
 
 
 def write_config(path, **overrides):
@@ -25,6 +28,15 @@ def write_config(path, **overrides):
     doc.update(overrides)
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def write_learned_config(path, **overrides):
+    """A config with no fixed kernel, so the hyperparameters are searched."""
+    cfg = write_config(path, **overrides)
+    doc = json.loads(cfg.read_text())
+    del doc["kernel"], doc["noise_variance"]
+    cfg.write_text(json.dumps(doc))
+    return cfg
 
 
 class TestRunCommand:
@@ -177,14 +189,18 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("fixed_noise", [-1.0, float("nan")])
     def test_bad_fixed_noise_is_a_config_error(self, tmp_path, capsys, fixed_noise):
-        cfg = write_config(tmp_path / "cfg.json", fixed_noise=fixed_noise)
-        doc = json.loads(cfg.read_text())
-        del doc["kernel"], doc["noise_variance"]
-        cfg.write_text(json.dumps(doc))
+        cfg = write_learned_config(tmp_path / "cfg.json", fixed_noise=fixed_noise)
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "fixed_noise must be finite and >= 0" in err
+
+    def test_fixed_noise_beside_a_fixed_kernel_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", fixed_noise=0.01)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "fixed_noise conflicts with pinned_theta" in err
 
     @pytest.mark.parametrize(
         "key, literal",
@@ -320,3 +336,40 @@ class TestValidateCommand:
         assert main(["validate"]) == 1
         out = capsys.readouterr().out
         assert "FAIL kernel_integral_oracles" in out
+
+
+class TestFrontEndsAgree:
+    """``gpexpect run``, each loop of ``gpexpect benchmark`` and ``design.run`` are one run.
+
+    The seed is not 0 and the kernel is learned: before the fix the CLI
+    seeded the hyperparameter search with the run seed, the benchmark kept
+    the base seed for every loop, and the library searched with seed 0.
+    """
+
+    def test_run_csv_is_the_library_run(self, tmp_path, capsys):
+        cfg = write_learned_config(tmp_path / "cfg.json", n0=3, budget=9, seed=8)
+        assert main(["run", str(cfg)]) == 0
+        doc = json.loads(cfg.read_text())
+        mix = mixture_from_dict(doc["mixture"])
+        problem = benchmark_problem("x_squared")
+        records = run(mix, problem.black_box, DesignConfig(n0=3, budget=9, seed=8))
+        _write_run_csv(tmp_path / "library.csv", records, 1, problem.expectation(mix))
+        got = (tmp_path / "out" / "run.csv").read_text().splitlines()
+        assert got == (tmp_path / "library.csv").read_text().splitlines()
+
+    def test_each_benchmark_loop_is_a_run_with_the_next_seed(self, tmp_path, capsys):
+        cfg = write_learned_config(tmp_path / "cfg.json", n0=3, budget=9, seed=7, seeds=2)
+        assert main(["benchmark", str(cfg)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "benchmark.csv").read_text().splitlines()[1:]]
+        for i in range(2):
+            single = write_learned_config(
+                tmp_path / f"run{i}.json", n0=3, budget=9, seed=7 + i,
+                output=str(tmp_path / f"run{i}"),
+            )
+            assert main(["run", str(single)]) == 0
+            run_rows = [line.split(",") for line in
+                        (tmp_path / f"run{i}" / "run.csv").read_text().splitlines()[1:]]
+            loop = [(r[1], r[3]) for r in rows if r[0] == "acquisition" and r[2] == str(7 + i)]
+            # (iter, abs_err) of every record
+            assert loop == [(r[0], r[-1]) for r in run_rows]

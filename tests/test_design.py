@@ -98,6 +98,12 @@ class TestDesignConfig:
             DesignConfig(n0=2, budget=4, seed=seed)
         assert DesignConfig(n0=2, budget=4, seed=np.int64(0)).seed == 0
 
+    def test_fixed_noise_conflicts_with_pinned_theta(self):
+        # before the fix, fixed_noise was silently ignored beside a pinned theta
+        with pytest.raises(ValueError, match="fixed_noise conflicts with pinned_theta"):
+            DesignConfig(n0=2, budget=4, seed=0, pinned_theta=pinned(), fixed_noise=0.01)
+        assert DesignConfig(n0=2, budget=4, seed=0, fixed_noise=0.01).fixed_noise == 0.01
+
 
 class TestStep:
     def make_state(self, seed=0, noise=0.01, **cfg_kwargs):
@@ -353,9 +359,9 @@ class TestWorkPerStep:
         monkeypatch.setattr(gpexpect.acquisition, "double_kernel_mean", counting)
         problem = benchmark_problem("x_squared")
         run(problem.mix, problem.black_box, DesignConfig(n0=5, budget=30, seed=900))
-        # the initial fit, then two per re-selection: the step's context with
-        # the new theta, and the refit after it, whose previous context has the old one
-        assert len(kernels) == 1 + 2 * 4
+        # the initial fit, then one per re-selection: the step's context with the
+        # new theta, which the refit after it reuses
+        assert len(kernels) == 1 + 4
         kernels.clear()
         run(problem.mix, problem.black_box,
             DesignConfig(n0=5, budget=12, seed=900, pinned_theta=pinned()))

@@ -9,10 +9,10 @@ from scipy.optimize import minimize, rosen, rosen_der
 from scipy.optimize._numdiff import approx_derivative
 
 import gpexpect.gp
+from gpexpect.design import DesignConfig
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.gp import (
     Dataset,
-    HyperSearchConfig,
     NoiseModel,
     fit,
     log_marginal_likelihood,
@@ -232,7 +232,8 @@ class TestSelectHyperparameters:
             X = rng.uniform(-3, 3, size=(40, 1))
             K = kernel_matrix(X, ker) + 1e-6 * np.eye(40)
             y = np.linalg.cholesky(K) @ rng.standard_normal(40)
-            theta = select_hyperparameters(Dataset(X=X, y=y), HyperSearchConfig(seed=seed))
+            monkeypatch.setattr(gpexpect.gp, "_SEED", seed)
+            theta = select_hyperparameters(Dataset(X=X, y=y))
             recovered.append(theta.kernel.lengthscales[0])
         median = float(np.median(recovered))
         assert true_ls / 2 <= median <= true_ls * 2
@@ -240,15 +241,16 @@ class TestSelectHyperparameters:
     def test_constant_data_drives_noise_to_floor(self):
         X = np.linspace(-1, 1, 12).reshape(-1, 1)
         y = np.full(12, 2.5)
-        theta = select_hyperparameters(Dataset(X=X, y=y), HyperSearchConfig(seed=0))
+        theta = select_hyperparameters(Dataset(X=X, y=y))
         # var(y) = 0 falls back to scale 1.0, so the floor is 1e-8
         assert theta.noise.variance == pytest.approx(1e-8, rel=1e-6)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, monkeypatch):
+        monkeypatch.setattr(gpexpect.gp, "_SEED", 5)
         rng = np.random.default_rng(13)
         data = Dataset(X=rng.normal(size=(10, 1)), y=rng.normal(size=10))
-        a = select_hyperparameters(data, HyperSearchConfig(seed=5))
-        b = select_hyperparameters(data, HyperSearchConfig(seed=5))
+        a = select_hyperparameters(data)
+        b = select_hyperparameters(data)
         assert np.array_equal(a.kernel.lengthscales, b.kernel.lengthscales)
         assert a.kernel.amplitude_sq == b.kernel.amplitude_sq
         assert a.noise.variance == b.noise.variance
@@ -256,7 +258,7 @@ class TestSelectHyperparameters:
     def test_fixed_noise_is_pinned(self):
         rng = np.random.default_rng(14)
         data = Dataset(X=rng.normal(size=(10, 1)), y=rng.normal(size=10))
-        theta = select_hyperparameters(data, HyperSearchConfig(seed=0, fixed_noise=0.123))
+        theta = select_hyperparameters(data, fixed_noise=0.123)
         assert theta.noise.variance == 0.123
 
     @pytest.mark.parametrize("failure", ["raise", "nan"])
@@ -279,7 +281,7 @@ class TestSelectHyperparameters:
         rng = np.random.default_rng(15)
         data = Dataset(X=rng.normal(size=(6, 1)), y=rng.normal(size=6))
         with pytest.raises(NumericalConditioningError) as caught:
-            select_hyperparameters(data, HyperSearchConfig(seed=0))
+            select_hyperparameters(data)
         assert len(calls) > 3
         assert str(caught.value) == (
             f"no hyperparameter candidate was evaluable: {len(calls)} of {len(calls)} "
@@ -294,9 +296,9 @@ class TestSelectHyperparameters:
         rng = np.random.default_rng(21)
         data = Dataset(X=rng.normal(size=(6, 2)), y=rng.normal(size=6))
         monkeypatch.setattr(gpexpect.gp, "_STARTS", 1)
-        one = select_hyperparameters(data, HyperSearchConfig(seed=0))
+        one = select_hyperparameters(data)
         monkeypatch.setattr(gpexpect.gp, "_STARTS", 4)
-        several = select_hyperparameters(data, HyperSearchConfig(seed=0))
+        several = select_hyperparameters(data)
         assert several.kernel.lengthscales.tolist() == one.kernel.lengthscales.tolist()
         assert several.kernel.amplitude_sq == one.kernel.amplitude_sq
         assert several.noise.variance == one.noise.variance
@@ -320,35 +322,34 @@ class TestSelectHyperparameters:
         monkeypatch.setattr(gpexpect.gp, "_lbfgsb_lockstep", two_rounds)
         rng = np.random.default_rng(22)
         data = Dataset(X=rng.normal(size=(6, 2)), y=rng.normal(size=6))
-        theta = select_hyperparameters(data, HyperSearchConfig(seed=0))
+        theta = select_hyperparameters(data)
         # start 0's first row, the box center
         assert_allclose(theta.kernel.lengthscales, np.ptp(data.X, axis=0) ** 2)
         assert_allclose(theta.kernel.amplitude_sq, np.var(data.y))
 
     def test_needs_two_points(self):
         with pytest.raises(InsufficientDataError):
-            select_hyperparameters(
-                Dataset(X=np.array([[0.0]]), y=np.array([1.0])), HyperSearchConfig(seed=0)
-            )
+            select_hyperparameters(Dataset(X=np.array([[0.0]]), y=np.array([1.0])))
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"seed": -1}, {"seed": "0"}, {"fixed_noise": -1.0}, {"fixed_noise": np.nan},
-         {"fixed_noise": np.inf}, {"fixed_noise": -np.inf}],
+        [{"fixed_noise": -1.0}, {"fixed_noise": np.nan}, {"fixed_noise": np.inf},
+         {"fixed_noise": -np.inf}],
     )
     def test_config_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            HyperSearchConfig(**kwargs)
-
-    @pytest.mark.parametrize("field, value", [("seed", 0.5), ("seed", True), ("seed", False)])
-    def test_config_rejects_non_integer_counts(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            HyperSearchConfig(**{field: value})
-        assert getattr(HyperSearchConfig(**{field: np.int64(value)}), field) == int(value)
+        message = "fixed_noise must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            DesignConfig(n0=2, budget=4, seed=0, **kwargs)
+        rng = np.random.default_rng(16)
+        data = Dataset(X=rng.normal(size=(6, 1)), y=rng.normal(size=6))
+        with pytest.raises(ValueError, match=message):
+            select_hyperparameters(data, **kwargs)
 
     def test_config_accepts_edge_values(self):
-        cfg = HyperSearchConfig(seed=0, fixed_noise=0.0)
-        assert (cfg.seed, cfg.fixed_noise) == (0, 0.0)
+        assert DesignConfig(n0=2, budget=4, seed=0, fixed_noise=0.0).fixed_noise == 0.0
+        rng = np.random.default_rng(16)
+        data = Dataset(X=rng.normal(size=(6, 1)), y=rng.normal(size=6))
+        assert select_hyperparameters(data, fixed_noise=0.0).noise.variance == 0.0
 
 
 def reference_log_marginal_likelihood(data, ker, noise):
@@ -360,9 +361,10 @@ def reference_log_marginal_likelihood(data, ker, noise):
     )
 
 
-def reference_search(data, search):
+def reference_search(data, seed, fixed_noise):
     """The search as it was before the stacked probe: one objective call per point,
-    with the gradient estimated by L-BFGS-B through scipy's finite differences.
+    with the gradient estimated by L-BFGS-B through scipy's finite differences,
+    its random starts drawn with ``seed``.
 
     Returns ``(theta, evaluations, failed)`` with ``theta`` the best
     ``(amplitude_sq, lengthscales, noise)``, or None if nothing was finite.
@@ -376,14 +378,14 @@ def reference_search(data, search):
           [np.log(gpexpect.gp._AMPLITUDE_BOX[0] * scale_y)]]
     hi = [np.log(gpexpect.gp._LENGTHSCALE_BOX[1] * span**2),
           [np.log(gpexpect.gp._AMPLITUDE_BOX[1] * scale_y)]]
-    if search.fixed_noise is None:
+    if fixed_noise is None:
         lo.append([np.log(gpexpect.gp._NOISE_BOX[0] * scale_y)])
         hi.append([np.log(gpexpect.gp._NOISE_BOX[1] * scale_y)])
     lo, hi = np.concatenate(lo), np.concatenate(hi)
 
     def unpack(z):
         ker = RbfKernel(amplitude_sq=float(np.exp(z[d])), lengthscales=np.exp(z[:d]))
-        nv = search.fixed_noise if search.fixed_noise is not None else float(np.exp(z[d + 1]))
+        nv = fixed_noise if fixed_noise is not None else float(np.exp(z[d + 1]))
         return ker, NoiseModel(variance=nv)
 
     best = {"value": np.inf, "z": None}
@@ -403,7 +405,7 @@ def reference_search(data, search):
             best["z"] = z.copy()
         return val
 
-    rng = np.random.default_rng(search.seed)
+    rng = np.random.default_rng(seed)
     starts = [0.5 * (lo + hi)] + [rng.uniform(lo, hi) for _ in range(gpexpect.gp._STARTS - 1)]
     for z0 in starts:
         res = minimize(objective, z0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
@@ -440,14 +442,15 @@ class TestSearchMatchesReference:
                 assert x[i].hex() == (z[i] + h[i]).hex()
 
     @staticmethod
-    def check(data, search):
-        """Run both searches; returns the stacked search's probe values and steps.
+    def check(data, seed, fixed_noise=None):
+        """Run both searches from the random starts of ``seed``; returns the stacked
+        search's probe values and steps.
 
         The lockstep search makes one probe per round, so as many probes as
         the start with the most evaluated iterates, each iterate being
         ``p + 1`` of the reference's evaluations.
         """
-        theta, evaluations, failed, per_start = reference_search(data, search)
+        theta, evaluations, failed, per_start = reference_search(data, seed, fixed_noise)
         log = {"values": [], "steps": []}
         probe, steps = gpexpect.gp._log_evidences, gpexpect.gp._forward_steps
 
@@ -464,11 +467,12 @@ class TestSearchMatchesReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gpexpect.gp, "_log_evidences", logged_probe)
             mp.setattr(gpexpect.gp, "_forward_steps", logged_steps)
+            mp.setattr(gpexpect.gp, "_SEED", seed)
             if theta is None:
                 with pytest.raises(NumericalConditioningError):
-                    select_hyperparameters(data, search)
+                    select_hyperparameters(data, fixed_noise)
             else:
-                got = select_hyperparameters(data, search)
+                got = select_hyperparameters(data, fixed_noise)
                 assert (
                     got.kernel.amplitude_sq, got.kernel.lengthscales.tolist(),
                     got.noise.variance,
@@ -476,7 +480,7 @@ class TestSearchMatchesReference:
         values = np.concatenate(log["values"])
         assert values.size == evaluations
         assert int(np.sum(~np.isfinite(values))) == failed
-        p = data.dim + (2 if search.fixed_noise is None else 1)
+        p = data.dim + (2 if fixed_noise is None else 1)
         assert len(log["values"]) == max(per_start) // (p + 1)
         return log
 
@@ -492,15 +496,14 @@ class TestSearchMatchesReference:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d))
         y = np.sin(2.0 * X.sum(axis=1)) + 0.1 * rng.normal(size=n)
-        search = HyperSearchConfig(seed=seed % 1000, fixed_noise=fixed_noise)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gpexpect.gp, "_STARTS", starts)
-            self.check(Dataset(X=X, y=y), search)
+            self.check(Dataset(X=X, y=y), seed % 1000, fixed_noise)
 
     def test_iterate_on_an_upper_bound_flips_the_step(self, monkeypatch):
         monkeypatch.setattr(gpexpect.gp, "_STARTS", 2)
         X = np.linspace(-1, 1, 6).reshape(-1, 1)
-        log = self.check(Dataset(X=X, y=X[:, 0] ** 2), HyperSearchConfig(seed=0))
+        log = self.check(Dataset(X=X, y=X[:, 0] ** 2), 0)
         assert any(np.any((z == hi) & (h < 0)) for z, h, hi in log["steps"])
 
     def test_duplicate_noiseless_inputs_use_the_jitter_fallback(self, monkeypatch):
@@ -517,7 +520,7 @@ class TestSearchMatchesReference:
         X[3] = X[0]
         X[5] = X[1]
         data = Dataset(X=X, y=np.cos(X.sum(axis=1)))
-        self.check(data, HyperSearchConfig(seed=1, fixed_noise=0.0))
+        self.check(data, 1, fixed_noise=0.0)
         assert any(j > 0 for j in fits)
 
     def test_stencil_with_some_failed_rows(self, monkeypatch):
@@ -535,7 +538,7 @@ class TestSearchMatchesReference:
         rng = np.random.default_rng(18)
         X = rng.normal(size=(7, 1))
         data = Dataset(X=X, y=np.sin(3.0 * X[:, 0]))
-        log = self.check(data, HyperSearchConfig(seed=2))
+        log = self.check(data, 2)
         assert any(0 < np.sum(~np.isfinite(v)) < v.size for v in log["values"])
 
 

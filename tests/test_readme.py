@@ -12,7 +12,6 @@ from pathlib import Path
 
 from gpexpect.cli import _RUN_KEYS
 from gpexpect.design import DesignConfig
-from gpexpect.gp import HyperSearchConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,5 +54,3 @@ def test_design_config_knobs_are_the_fields_with_defaults():
     defaulted = [f.name for f in dataclasses.fields(DesignConfig)
                  if f.default is not dataclasses.MISSING]
     assert sorted(bullets) == sorted(defaulted)
-    quoted = re.search(r"`HyperSearchConfig\(([^)]*)\)`", section).group(1)
-    assert quoted.split(", ") == [f.name for f in dataclasses.fields(HyperSearchConfig)]
