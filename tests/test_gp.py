@@ -333,8 +333,8 @@ class TestSelectHyperparameters:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"fixed_noise": -1.0}, {"fixed_noise": np.nan}, {"fixed_noise": np.inf},
-         {"fixed_noise": -np.inf}],
+        [{"fixed_noise": -5e-324}, {"fixed_noise": np.float32("nan")}, {"fixed_noise": -1.0},
+         {"fixed_noise": np.nan}, {"fixed_noise": np.inf}, {"fixed_noise": -np.inf}],
     )
     def test_config_rejects_bad_values(self, kwargs):
         message = "fixed_noise must be finite and >= 0"
