@@ -209,21 +209,24 @@ def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
     Sum over component pairs of
     |Lambda|^(1/2) |Lambda + C_i + C_j|^(-1/2) k(m_i, m_j; Lambda + C_i + C_j),
     the prior variance of the integral estimate.  One Cholesky factor of
-    each pair's scale gives both the determinant and the kernel.
+    each pair's scale gives both the determinant and the kernel.  One
+    stacked Cholesky call factors every pair's scale as a call on that
+    matrix alone would; each pair's solve and term then follow in order.
     """
     lam = np.diag(ker.lengthscales)
     log_lam = np.sum(np.log(ker.lengthscales))
-    total = 0.0
     k = mix.n_components
-    for i in range(k):
-        for j in range(i, k):
-            scale = lam + mix.covs[i] + mix.covs[j]
-            chol = np.linalg.cholesky(0.5 * (scale + scale.T))
-            log_factor = 0.5 * log_lam - np.sum(np.log(np.diag(chol)))
-            u = forward_solve(chol, mix.means[i] - mix.means[j])
-            pair_kernel = float(ker.amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
-            term = mix.weights[i] * mix.weights[j] * np.exp(log_factor) * pair_kernel
-            total += term if i == j else 2.0 * term
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    first, second = np.array(pairs).T
+    scales = lam + mix.covs[first] + mix.covs[second]
+    chols = np.linalg.cholesky(0.5 * (scales + scales.transpose(0, 2, 1)))
+    log_factors = 0.5 * log_lam - np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    total = 0.0
+    for (i, j), chol, log_factor in zip(pairs, chols, log_factors):
+        u = forward_solve(chol, mix.means[i] - mix.means[j])
+        pair_kernel = float(ker.amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
+        term = mix.weights[i] * mix.weights[j] * np.exp(log_factor) * pair_kernel
+        total += term if i == j else 2.0 * term
     return float(total)
 
 

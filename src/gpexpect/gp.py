@@ -25,6 +25,8 @@ alone.  Both give a row the bits it has alone.  Because the rule lives
 here, a change to scipy's finite differences cannot move the selected
 hyperparameters.  The search's effort and its starts' seed are fixed, so
 its result is a function of the data and an optional fixed noise alone.
+``scipy.optimize``, for ``setulb``, loads at the first hyperparameter
+search, not at import, so a run with a pinned kernel never loads it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-# the routine scipy.optimize._lbfgsb_py._minimize_lbfgsb loops over (scipy >= 1.15)
-from scipy.optimize._lbfgsb import setulb
 
 from gpexpect._numerics import as_point, as_points, chol_solve, require_fixed_noise, row_dots
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
@@ -352,10 +351,14 @@ def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _LbfgsbStart:
-    """One start's ``setulb`` state: iterate, work arrays, counters and last evaluation."""
+    """One start's ``setulb`` state: iterate, work arrays, counters and last evaluation.
 
-    def __init__(self, x: np.ndarray):
+    ``setulb`` is the routine itself, handed over by :func:`_lbfgsb_lockstep`.
+    """
+
+    def __init__(self, setulb, x: np.ndarray):
         m, p = _LBFGSB_MEMORY, x.size
+        self.setulb = setulb
         self.x = x
         self.nbd = np.full(p, 2, dtype=np.int32)  # both bounds finite
         self.f = np.array(0.0)
@@ -391,7 +394,7 @@ class _LbfgsbStart:
             # a fresh copy per call, as scipy passes it, so the stored
             # evaluation stays as it was returned
             self.g = self.g.astype(np.float64)
-            setulb(
+            self.setulb(
                 _LBFGSB_MEMORY, self.x, lo, hi, self.nbd, self.f, self.g, _LBFGSB_FACTR,
                 _LBFGSB_PGTOL, self.wa, self.iwa, self.task, self.lsave, self.isave,
                 self.dsave, _LBFGSB_MAXLS, self.ln_task,
@@ -426,7 +429,12 @@ def _lbfgsb_lockstep(fun_and_grad, x0, lo, hi, max_iterations: int, max_evaluati
 
     Returns each start's final ``(x, evaluations, iterations)``.
     """
-    starts = [_LbfgsbStart(x) for x in np.clip(np.asarray(x0, dtype=float), lo, hi)]
+    # the routine scipy.optimize._lbfgsb_py._minimize_lbfgsb loops over
+    # (scipy >= 1.15), imported here so that a run with a fixed kernel
+    # never loads scipy.optimize
+    from scipy.optimize._lbfgsb import setulb
+
+    starts = [_LbfgsbStart(setulb, x) for x in np.clip(np.asarray(x0, dtype=float), lo, hi)]
     pending = list(range(len(starts)))
     while pending:
         values, grads = fun_and_grad(np.array(pending), np.array([starts[i].x for i in pending]))

@@ -5,6 +5,10 @@ components.  This is the one distribution family for which the kernel
 integrals in :mod:`gpexpect.acquisition` have closed forms, so arbitrary
 input models are first approximated by a mixture (via :func:`fit_em` on
 empirical samples, or :func:`gmm_from_box` for a uniform box).
+
+``scipy.special`` loads at the first density or EM call (:func:`log_pdf`,
+:func:`pdf`, :func:`pdf_many`, :func:`fit_em`), not at import, because
+no step of a design run needs it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from gpexpect._numerics import as_point, as_points, forward_solve
 from gpexpect.errors import InsufficientDataError
@@ -107,6 +110,8 @@ def same_mixture(a: GaussianMixture, b: GaussianMixture) -> bool:
 
 
 def log_pdf(mix: GaussianMixture, x) -> float:
+    from scipy.special import logsumexp
+
     x = as_point(x, mix.dim, "x")
     lp = _component_log_pdfs(mix, x[None, :])[0]
     return float(logsumexp(lp, b=mix.weights))
@@ -119,6 +124,8 @@ def pdf(mix: GaussianMixture, x) -> float:
 
 def pdf_many(mix: GaussianMixture, X) -> np.ndarray:
     """Mixture density at each row of the ``(n, d)`` array ``X``."""
+    from scipy.special import logsumexp
+
     lp = _component_log_pdfs(mix, as_points(X, mix.dim))
     return np.exp(logsumexp(lp, axis=1, b=mix.weights[None, :]))
 
@@ -237,6 +244,8 @@ def fit_em_trace(samples, k: int, seed: int = 0):
     InsufficientDataError
         If fewer than ``10 * k`` samples are supplied.
     """
+    from scipy.special import logsumexp
+
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)

@@ -19,17 +19,26 @@ The set-up of a decision is timed too: ``mixture_starts`` draws the 8
 starts in the default box of the x^2 and the Branin mixtures, and
 ``build_context`` builds the pinned Branin context fresh, or with the
 kernel-only terms taken over from the context of the step before.
+``double_kernel_mean`` times the prior variance of the integral, the
+θ-only term a re-selection or a perturbed θ rebuilds, on a random
+16-component mixture in 4-d and on the Branin mixture, and
+``select_hyperparameters`` one whole search on 25 points of x^2.
 """
 
 import numpy as np
 import pytest
 
-from gpexpect.acquisition import acquisition_objective, build_context, multi_theta_objective
+from gpexpect.acquisition import (
+    acquisition_objective,
+    build_context,
+    double_kernel_mean,
+    multi_theta_objective,
+)
 from gpexpect.benchmarks import benchmark_problem
 from gpexpect.design import _ACQUISITION_STARTS
-from gpexpect.gp import Dataset, NoiseModel, fit
+from gpexpect.gp import Dataset, NoiseModel, fit, select_hyperparameters
 from gpexpect.kernels import RbfKernel, kernel_crosses
-from gpexpect.mixtures import sample
+from gpexpect.mixtures import GaussianMixture, sample
 from gpexpect.optimize import default_bounds, maximize, mixture_starts
 from gpexpect.validation import perturbed_contexts
 
@@ -113,3 +122,37 @@ def test_build_context(benchmark, theta_terms):
     previous = before if theta_terms == "reused" else None
     ctx = benchmark(build_context, gp, problem.mix, previous)
     assert ctx.sigma1_sq <= before.sigma1_sq
+
+
+def _random_mixture(d, k, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(k, d, d))
+    return GaussianMixture(
+        weights=np.full(k, 1.0 / k),
+        means=rng.normal(size=(k, d)),
+        covs=A @ A.transpose(0, 2, 1) + 0.1 * np.eye(d),
+    )
+
+
+DOUBLE_KERNEL_MEANS = {
+    "d4_k16": lambda: (RbfKernel(1.0, np.ones(4)), _random_mixture(4, 16, seed=4)),
+    "branin_gmm": lambda: (
+        RbfKernel(2500.0, [4.0, 4.0]), benchmark_problem("branin_gmm").mix),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOUBLE_KERNEL_MEANS))
+def test_double_kernel_mean(benchmark, case):
+    ker, mix = DOUBLE_KERNEL_MEANS[case]()
+    value = benchmark(double_kernel_mean, ker, mix)
+    assert value > 0
+
+
+def test_select_hyperparameters(benchmark):
+    problem = benchmark_problem("x_squared")
+    X = sample(problem.mix, 25, seed=900)
+    data = Dataset(X=X, y=problem.fn(X))
+    # the first search of a process loads scipy.optimize; time the later ones
+    select_hyperparameters(data)
+    chosen = benchmark(select_hyperparameters, data)
+    assert chosen.noise.variance > 0

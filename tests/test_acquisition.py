@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
-from gpexpect._numerics import chol_solve, forward_substitute, row_dots
+from gpexpect._numerics import chol_solve, forward_solve, forward_substitute, row_dots
 from gpexpect.acquisition import (
     GAIN_SENTINEL,
     _component_factors,
@@ -190,6 +190,43 @@ class TestComponentFactors:
         assert factors.tobytes() == want_factors.tobytes()
         # forward_solve takes the branch it took on the loop's rows
         assert chols.flags.c_contiguous
+
+
+def looped_double_kernel_mean(ker, mix):
+    """The double integral with one Cholesky call per pair, as computed before the stacked call."""
+    lam = np.diag(ker.lengthscales)
+    log_lam = np.sum(np.log(ker.lengthscales))
+    total = 0.0
+    k = mix.n_components
+    for i in range(k):
+        for j in range(i, k):
+            scale = lam + mix.covs[i] + mix.covs[j]
+            chol = np.linalg.cholesky(0.5 * (scale + scale.T))
+            log_factor = 0.5 * log_lam - np.sum(np.log(np.diag(chol)))
+            u = forward_solve(chol, mix.means[i] - mix.means[j])
+            pair_kernel = float(ker.amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
+            term = mix.weights[i] * mix.weights[j] * np.exp(log_factor) * pair_kernel
+            total += term if i == j else 2.0 * term
+    return float(total)
+
+
+class TestDoubleKernelMeanPairs:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), k=st.integers(1, 16))
+    def test_stacked_call_is_the_per_pair_loop(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(k, d, d)) * np.exp(rng.uniform(-4, 4, size=(k, 1, 1)))
+        mix = GaussianMixture(
+            weights=rng.dirichlet(np.ones(k)),
+            means=rng.normal(scale=3.0, size=(k, d)),
+            covs=A @ A.transpose(0, 2, 1) + 1e-3 * np.eye(d),
+        )
+        ker = RbfKernel(
+            amplitude_sq=float(np.exp(rng.uniform(-3, 3))),
+            lengthscales=np.exp(rng.uniform(-5, 5, size=d)),
+        )
+        got = double_kernel_mean(ker, mix)
+        assert got.hex() == looped_double_kernel_mean(ker, mix).hex()
 
 
 class TestKernelMean:

@@ -1,5 +1,8 @@
 """GP fitting, posterior queries, marginal likelihood, hyperparameter search."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -682,3 +685,73 @@ class TestLbfgsbLockstep:
                        method="L-BFGS-B", bounds=list(zip(self.LO, self.HI)))
         assert [v.hex() for v in x] == [v.hex() for v in res.x]
         assert (evaluations, iterations) == (res.nfev, res.nit)
+
+
+# the scipy requirement pyproject.toml declares, quoted in the contract message
+SCIPY_PIN = re.search(
+    r'"(scipy[^"]*)"', (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+).group(1)
+
+
+def _setulb_on_a_quadratic(setulb):
+    """Minimize ``(x - 1.5)^2`` over [-4, 4] from -3 through ``setulb``; None, or what broke.
+
+    ``setulb`` gets the 17 arguments ``_LbfgsbStart.advance`` passes, and
+    each ``f, g`` request is answered at the requested point.  The run must
+    end on a CONVERGENCE task code near 1.5.
+    """
+    gp = gpexpect.gp
+    lo, hi = np.array([-4.0]), np.array([4.0])
+    start = gp._LbfgsbStart(setulb, np.array([-3.0]))
+    codes = []
+    try:
+        for _ in range(100):
+            setulb(
+                gp._LBFGSB_MEMORY, start.x, lo, hi, start.nbd, start.f, start.g,
+                gp._LBFGSB_FACTR, gp._LBFGSB_PGTOL, start.wa, start.iwa, start.task,
+                start.lsave, start.isave, start.dsave, gp._LBFGSB_MAXLS, start.ln_task,
+            )
+            codes.append(int(start.task[0]))
+            if codes[-1] == gp._TASK_FG:
+                start.f, start.g = float((start.x[0] - 1.5) ** 2), 2.0 * (start.x - 1.5)
+            elif codes[-1] != gp._TASK_NEW_X:
+                break
+    except Exception as exc:  # any failure breaks the contract
+        problem = f"raised {type(exc).__name__}: {exc}"
+    else:
+        converged = codes[-1] == 4 and abs(start.x[0] - 1.5) < 1e-6  # 4: CONVERGENCE
+        if converged:
+            return None
+        problem = f"gave task codes {codes} and x = {start.x.tolist()}, not CONVERGENCE at 1.5"
+    return (
+        f"scipy.optimize._lbfgsb.setulb {problem}; gpexpect.gp drives this private "
+        f"routine directly, and pyproject.toml pins {SCIPY_PIN}"
+    )
+
+
+class TestSetulbContract:
+    """The private L-BFGS-B routine the search drives keeps the interface it was written for.
+
+    The search imports ``setulb`` at its first call, so a scipy that drops
+    or changes it would otherwise fail only inside a learned-theta run.
+    """
+
+    def test_setulb_converges_on_a_quadratic(self):
+        try:
+            from scipy.optimize._lbfgsb import setulb
+        except ImportError as exc:
+            pytest.fail(f"scipy.optimize._lbfgsb.setulb is gone ({exc}); pyproject.toml "
+                        f"pins {SCIPY_PIN}")
+        problem = _setulb_on_a_quadratic(setulb)
+        assert problem is None, problem
+
+    @pytest.mark.parametrize(
+        "broken",
+        [lambda *args: None, lambda m, x, lo, hi, nbd, f, g, factr, pgtol, wa, iwa, task: None],
+        ids=["never-converges", "fewer-arguments"],
+    )
+    def test_a_broken_setulb_is_named_with_the_pin(self, broken):
+        assert SCIPY_PIN.startswith("scipy>=")
+        problem = _setulb_on_a_quadratic(broken)
+        assert "scipy.optimize._lbfgsb.setulb" in problem
+        assert f"pyproject.toml pins {SCIPY_PIN}" in problem

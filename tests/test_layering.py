@@ -1,11 +1,19 @@
-"""Module boundaries: no package module imports another module's private name."""
+"""Module boundaries: no package module imports another module's private name,
+and importing the package loads neither ``scipy.optimize`` nor ``scipy.special``."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gpexpect
 
 PACKAGE = Path(gpexpect.__file__).resolve().parent
+# scipy modules the package loads on first use only: the hyperparameter
+# search's setulb, and logsumexp for densities and EM
+LAZY_MODULES = ("scipy.optimize", "scipy.special")
 
 
 def private_imports(path: Path) -> list:
@@ -49,3 +57,119 @@ def test_the_check_sees_private_names(tmp_path):
         (1, "gpexpect.benchmarks", "_mc_reference"),
         (2, "gpexpect.optimize", "_MAX_SHRINKS"),
     ]
+
+
+def eager_imports(path: Path) -> list:
+    """``(line, module)`` of each import statement outside every function body
+    (so run at import) that loads a :data:`LAZY_MODULES` module or submodule;
+    ``module`` is the first such module the statement names."""
+    found = []
+
+    def lazy(module):
+        return any(module == m or module.startswith(m + ".") for m in LAZY_MODULES)
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                modules = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level and child.module:
+                # "from scipy import special" imports scipy.special
+                modules = [child.module] + [f"{child.module}.{a.name}" for a in child.names]
+            else:
+                modules = []
+            modules = [m for m in modules if lazy(m)]
+            if modules:
+                found.append((child.lineno, modules[0]))
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+def test_no_module_imports_scipy_optimize_or_special_at_import():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    offenders = {p.name: eager_imports(p) for p in paths}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_check_sees_module_level_scipy_imports(tmp_path):
+    path = tmp_path / "gp.py"
+    path.write_text(
+        "import scipy.linalg\n"
+        "from scipy.optimize._lbfgsb import setulb\n"
+        "from scipy import linalg, special\n"
+        "import numpy, scipy.special as sp\n"
+        "class Holder:\n"
+        "    from scipy.optimize import minimize\n"
+        "def lazy():\n"
+        "    from scipy.special import logsumexp\n"
+        "    import scipy.optimize\n"
+        "try:\n"
+        "    import scipy.optimize\n"
+        "except ImportError:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert eager_imports(path) == [
+        (2, "scipy.optimize._lbfgsb"),
+        (3, "scipy.special"),
+        (4, "scipy.special"),
+        (6, "scipy.optimize"),
+        (11, "scipy.optimize"),
+    ]
+
+
+# one pinned run and then one learned run, reporting which lazy modules are
+# loaded at each point and the learned run's history in hex
+IMPORT_SET_SCRIPT = """
+import json, sys
+import gpexpect, gpexpect.benchmarks, gpexpect.cli, gpexpect.design
+from gpexpect.benchmarks import benchmark_problem
+from gpexpect.design import DesignConfig, run
+from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+
+report = {"imported": loaded()}
+branin = benchmark_problem("branin_gmm")
+pinned = HyperparameterSample(RbfKernel(2500.0, [4.0, 4.0]), NoiseModel(variance=1e-4))
+run(branin.mix, branin.black_box, DesignConfig(n0=5, budget=7, seed=900, pinned_theta=pinned))
+report["pinned"] = loaded()
+xsq = benchmark_problem("x_squared")
+history = run(xsq.mix, xsq.black_box, DesignConfig(n0=5, budget=12, seed=900))
+report["learned"] = loaded()
+report["history"] = [
+    [r.iteration] + [float(v).hex() for v in (*r.chosen_x, r.observed_y, r.mu1, r.sigma1,
+                                              r.acquisition_at_chosen)]
+    for r in history
+]
+print(json.dumps(report))
+"""
+
+
+def _fresh_run(preamble: str = "") -> dict:
+    """The report of :data:`IMPORT_SET_SCRIPT` from a fresh interpreter on this package."""
+    src = str(PACKAGE.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    result = subprocess.run(
+        [sys.executable, "-c", preamble + IMPORT_SET_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_a_run_loads_scipy_optimize_only_at_its_first_search():
+    lazy = _fresh_run()
+    assert lazy["imported"] == []
+    assert lazy["pinned"] == []
+    assert "scipy.optimize" in lazy["learned"]
+    eager = _fresh_run("import scipy.optimize, scipy.special\n")
+    assert eager["imported"] == ["scipy.optimize", "scipy.special"]
+    assert len(lazy["history"]) == 12
+    assert lazy["history"] == eager["history"]
