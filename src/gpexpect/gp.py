@@ -17,11 +17,13 @@ forward-difference gradient that this module computes itself, with the
 rule of scipy 1.17's ``approx_derivative`` (``2-point``, absolute step
 1e-8, one-sided at the box bounds).  All starts run in lockstep: each
 drives its own state of scipy's reverse-communication routine ``setulb``
-as ``minimize(method="L-BFGS-B")`` would, and each round scores every
-start's requested iterate and its stencil in one stacked probe.  The
-probe has two paths: one Cholesky call on the stack of Gram matrices, or,
-if the stack does not factor, :func:`log_marginal_likelihood` on each row
-alone.  Both give a row the bits it has alone.  Because the rule lives
+and gets the answers ``minimize(method="L-BFGS-B")`` would give it, and
+each round scores every start's requested iterate and its stencil in one
+stacked probe.  A start asked again for one of its own earlier iterates
+answers from its record of them and scores nothing.  The probe has two
+paths: one Cholesky call on the stack of Gram matrices, or, if the stack
+does not factor, :func:`log_marginal_likelihood` on each row alone.
+Both give a row the bits it has alone.  Because the rule lives
 here, a change to scipy's finite differences cannot move the selected
 hyperparameters.  The search's effort and its starts' seed are fixed, so
 its result is a function of the data and an optional fixed noise alone.
@@ -298,7 +300,10 @@ def _log_evidences(
             except (NumericalConditioningError, FloatingPointError, ValueError):
                 pass
         return values
-    weights = np.array([chol_solve(chol, data.y) for chol in factors])
+    # potrs reads Fortran order: one transposed copy of the stack makes each
+    # factor an F-contiguous view, which LAPACK takes without a copy per row
+    upper = factors.transpose(0, 2, 1).copy()
+    weights = np.array([chol_solve(u.T, data.y) for u in upper])
     return _evidence_from_factors(data.y, factors, weights)
 
 
@@ -337,6 +342,10 @@ def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     that leaves the box is flipped if it fits on the other side, else it
     becomes the distance to the farther bound, signed toward it.
     """
+    step = z + _FD_STEP
+    if ((step - z > 0) & (step >= lo) & (step <= hi) & (hi - z >= _FD_STEP)).all():
+        # every step is the plain one: it moves z, stays in the box and fits
+        return np.full(z.shape, _FD_STEP)
     sign = (z >= 0).astype(float) * 2 - 1
     h = np.where(
         (z + _FD_STEP) - z == 0,
@@ -351,9 +360,12 @@ def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class _LbfgsbStart:
-    """One start's ``setulb`` state: iterate, work arrays, counters and last evaluation.
+    """One start's ``setulb`` state: iterate, work arrays, counters and evaluations.
 
     ``setulb`` is the routine itself, handed over by :func:`_lbfgsb_lockstep`.
+    ``record`` maps the bytes of each point the start has had evaluated to
+    its ``(f, g)``; ``evaluated`` is the last of them, with its point as a
+    list, which compares as ``np.array_equal`` does.
     """
 
     def __init__(self, setulb, x: np.ndarray):
@@ -373,10 +385,12 @@ class _LbfgsbStart:
         self.iterations = 0
         self.evaluations = 0
         self.evaluated = None
+        self.record = {}
 
     def answer(self, f: float, g: np.ndarray):
         """Take ``f, g`` evaluated at ``x``, the start point or the point ``setulb`` asked for."""
-        self.evaluated = (self.x.copy(), f, g)
+        self.evaluated = (self.x.tolist(), f, g)
+        self.record[self.x.tobytes()] = (f, g)
         self.evaluations += 1
         if self.task[0] == _TASK_FG:
             self.f, self.g = f, g
@@ -386,7 +400,10 @@ class _LbfgsbStart:
 
         A request for the last evaluated point is answered from that
         evaluation without counting it, as scipy's ``ScalarFunction``
-        does.  At each new iterate the start stops once it has made
+        does.  A request for an earlier point of the start, the same
+        bytes, is answered from ``record`` and counted, as scipy would
+        evaluate it again; the objective gives a point the same bits
+        every time.  At each new iterate the start stops once it has made
         ``max_iterations`` iterations or more than ``max_evaluations``
         evaluations.
         """
@@ -400,10 +417,13 @@ class _LbfgsbStart:
                 self.dsave, _LBFGSB_MAXLS, self.ln_task,
             )
             if self.task[0] == _TASK_FG:
-                # same shape, finite: equal exactly when array_equal says so
-                if not (self.x == self.evaluated[0]).all():
+                if self.x.tolist() == self.evaluated[0]:
+                    self.f, self.g = self.evaluated[1:]
+                    continue
+                known = self.record.get(self.x.tobytes())
+                if known is None:
                     return True
-                self.f, self.g = self.evaluated[1:]
+                self.answer(*known)
             elif self.task[0] == _TASK_NEW_X:
                 self.iterations += 1
                 if self.iterations >= max_iterations:
@@ -417,15 +437,19 @@ class _LbfgsbStart:
 def _lbfgsb_lockstep(fun_and_grad, x0, lo, hi, max_iterations: int, max_evaluations: int):
     """Minimize from each row of ``x0`` over the box ``[lo, hi]``, all starts in lockstep.
 
-    Each start makes the evaluations of scipy 1.17's
+    Each start gets the answers of scipy 1.17's
     ``minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...)`` with
     ``maxiter=max_iterations`` and ``maxfun=max_evaluations``: its start
     is clipped into the box and evaluated once, and then it follows
     ``_minimize_lbfgsb``'s loop over ``setulb`` with minimize's defaults.
-    Each round advances every running start to its next request and
-    answers all of them with one call ``fun_and_grad(owners, X)``, which
-    returns the values ``(k,)`` and gradients ``(k, p)`` at the rows of
-    ``X``; row ``j`` was requested by start ``owners[j]``.
+    Each round advances every running start to its next request for a
+    point it has not had evaluated, and answers all of them with one call
+    ``fun_and_grad(owners, X)``, which returns the values ``(k,)`` and
+    gradients ``(k, p)`` at the rows of ``X``; row ``j`` was requested by
+    start ``owners[j]``.  ``fun_and_grad`` must give a point the same bits
+    in any round: a start asked again for one of its earlier points answers
+    from its own record (:meth:`_LbfgsbStart.advance`), so its
+    ``setulb`` states, evaluations and iterations are scipy's.
 
     Returns each start's final ``(x, evaluations, iterations)``.
     """
@@ -438,8 +462,8 @@ def _lbfgsb_lockstep(fun_and_grad, x0, lo, hi, max_iterations: int, max_evaluati
     pending = list(range(len(starts)))
     while pending:
         values, grads = fun_and_grad(np.array(pending), np.array([starts[i].x for i in pending]))
-        for j, i in enumerate(pending):
-            starts[i].answer(float(values[j]), grads[j])
+        for i, value, grad in zip(pending, values.tolist(), grads):
+            starts[i].answer(value, grad)
         pending = [
             i for i in pending if starts[i].advance(lo, hi, max_iterations, max_evaluations)
         ]
@@ -464,17 +488,18 @@ def select_hyperparameters(
     are the evaluations and the arithmetic of scipy 1.17's ``2-point``
     rule with L-BFGS-B's absolute step 1e-8, so results match a search
     that lets L-BFGS-B estimate the gradient, and a change to scipy's
-    finite differences cannot move them.  Every row counts as one
-    objective evaluation for the failure count; a failed row scores
-    ``1e12``.
+    finite differences cannot move them.  A failed row scores ``1e12``.
 
     The starts run in lockstep (:func:`_lbfgsb_lockstep`): each round
     scores every running start's iterate and stencil in one probe, and
-    each start makes the evaluations ``minimize(method="L-BFGS-B")``
-    would make from it.  The best candidate is the one a run of the
-    starts one after another would keep: each start's rows are replayed in
-    its own evaluation and stencil order, the starts in start order, and
-    the first strictly lowest ``-LML`` wins.
+    each start gets the answers ``minimize(method="L-BFGS-B")`` would
+    give it.  Where scipy would evaluate one of a start's earlier
+    iterates again, the start answers from its own record of them, so
+    each distinct iterate of a start is scored once.  The best candidate
+    is the one a run of the starts one after another would keep: each
+    start's rows are replayed in its own evaluation and stencil order,
+    the starts in start order, and the first strictly lowest ``-LML``
+    wins; a repeated iterate cannot beat its first scoring.
 
     Raises
     ------
@@ -483,8 +508,9 @@ def select_hyperparameters(
     InsufficientDataError
         If fewer than two data points are available.
     NumericalConditioningError
-        If no objective evaluation was finite; the message gives how many
-        evaluations failed out of how many.
+        If no scored row was finite; the message gives how many of the
+        rows the probe scored failed, out of how many it scored (a
+        repeated iterate and its stencil are scored once).
     """
     require_fixed_noise(fixed_noise)
     if data.n < 2:
@@ -509,28 +535,34 @@ def select_hyperparameters(
     # each start's lowest score so far and its row; inf while it has no finite score
     best_value = np.full(_STARTS, np.inf)
     best_z = np.zeros((_STARTS, p))
-    counts = {"evaluations": 0, "failed": 0}
+    counts = {"scored": 0, "failed": 0}
+    # stencil row i + 1 of an iterate moves its coordinate i
+    stencil = (slice(None), np.arange(1, p + 1), np.arange(p))
 
     def fun_and_grad(owners, z):
         k = len(owners)
-        h = _forward_steps(z, lo, hi)
+        moved = z + _forward_steps(z, lo, hi)
         Z = np.repeat(z[:, None, :], p + 1, axis=1)
-        Z[:, np.arange(1, p + 1), np.arange(p)] = z + h
-        rows = _unpack_rows(Z.reshape(-1, p), d, fixed_noise)
-        values = -_log_evidences(data, *rows).reshape(k, p + 1)
+        Z[stencil] = moved
+        values = -_log_evidences(data, *_unpack_rows(Z.reshape(-1, p), d, fixed_noise))
+        values = values.reshape(k, p + 1)
+        counts["scored"] += values.size
         ok = np.isfinite(values)
-        counts["evaluations"] += ok.size
-        counts["failed"] += int(np.sum(~ok))
-        scores = np.where(ok, values, np.inf)
+        if ok.all():
+            scores = f = values
+        else:
+            counts["failed"] += int(np.sum(~ok))
+            scores = np.where(ok, values, np.inf)
+            f = np.where(ok, values, 1e12)
         # each owner's first strictly lowest row, kept where it beats the owner's best
         rows = np.arange(k)
         lowest = np.argmin(scores, axis=1)
         lowest_score = scores[rows, lowest]
         better = lowest_score < best_value[owners]
-        best_value[owners[better]] = lowest_score[better]
-        best_z[owners[better]] = Z[rows[better], lowest[better]]
-        f = np.where(ok, values, 1e12)
-        return f[:, 0], (f[:, 1:] - f[:, :1]) / ((z + h) - z)
+        if better.any():
+            best_value[owners[better]] = lowest_score[better]
+            best_z[owners[better]] = Z[rows[better], lowest[better]]
+        return f[:, 0], (f[:, 1:] - f[:, :1]) / (moved - z)
 
     rng = np.random.default_rng(_SEED)
     starts = [0.5 * (lo + hi)]
@@ -546,7 +578,7 @@ def select_hyperparameters(
     if best_value[best] == np.inf:
         raise NumericalConditioningError(
             f"no hyperparameter candidate was evaluable: {counts['failed']} of "
-            f"{counts['evaluations']} objective evaluations failed"
+            f"{counts['scored']} scored rows failed"
         )
     amplitude_sq, lengthscales, noise = _unpack_rows(best_z[best][None, :], d, fixed_noise)
     return HyperparameterSample(

@@ -22,7 +22,12 @@ kernel-only terms taken over from the context of the step before.
 ``double_kernel_mean`` times the prior variance of the integral, the
 θ-only term a re-selection or a perturbed θ rebuilds, on a random
 16-component mixture in 4-d and on the Branin mixture, and
-``select_hyperparameters`` one whole search on 25 points of x^2.
+``select_hyperparameters`` one whole search on 25 points of x^2.  The
+pieces of one search round are timed alone: ``log_evidences`` scores a
+stack of log-parameter rows, as a round of 1 start (n = 5, 4 rows with
+a 3-entry stencil) or of 6 starts (n = 25, 18 rows) does, in 1-d and
+2-d, and ``forward_steps`` gives the stencil steps of 4 interior
+iterates with 3 log-parameters each.
 """
 
 import numpy as np
@@ -36,7 +41,14 @@ from gpexpect.acquisition import (
 )
 from gpexpect.benchmarks import benchmark_problem
 from gpexpect.design import _ACQUISITION_STARTS
-from gpexpect.gp import Dataset, NoiseModel, fit, select_hyperparameters
+from gpexpect.gp import (
+    Dataset,
+    NoiseModel,
+    _forward_steps,
+    _log_evidences,
+    fit,
+    select_hyperparameters,
+)
 from gpexpect.kernels import RbfKernel, kernel_crosses
 from gpexpect.mixtures import GaussianMixture, sample
 from gpexpect.optimize import default_bounds, maximize, mixture_starts
@@ -156,3 +168,23 @@ def test_select_hyperparameters(benchmark):
     select_hyperparameters(data)
     chosen = benchmark(select_hyperparameters, data)
     assert chosen.noise.variance > 0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n, rows", [(5, 4), (25, 18)])
+def test_log_evidences(benchmark, n, rows, d):
+    rng = np.random.default_rng(n + rows + d)
+    X = rng.uniform(-2, 2, size=(n, d))
+    data = Dataset(X=X, y=np.sin(X.sum(axis=1)) + X[:, 0] ** 2)
+    amplitude_sq = np.exp(rng.uniform(-1, 1, size=rows))
+    lengthscales = np.exp(rng.uniform(-1, 1, size=(rows, d)))
+    noise = np.exp(rng.uniform(-8, -2, size=rows))
+    values = benchmark(_log_evidences, data, amplitude_sq, lengthscales, noise)
+    assert np.all(np.isfinite(values))
+
+
+def test_forward_steps(benchmark):
+    lo, hi = np.array([-5.0, -7.0, -18.0]), np.array([4.0, 7.0, -2.0])
+    z = np.random.default_rng(4).uniform(lo, hi, size=(4, 3))
+    h = benchmark(_forward_steps, z, lo, hi)
+    assert h.shape == z.shape

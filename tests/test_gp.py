@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize._lbfgsb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -288,7 +289,7 @@ class TestSelectHyperparameters:
         assert len(calls) > 3
         assert str(caught.value) == (
             f"no hyperparameter candidate was evaluable: {len(calls)} of {len(calls)} "
-            "objective evaluations failed"
+            "scored rows failed"
         )
 
     def test_ties_keep_the_earliest_evaluation(self, monkeypatch):
@@ -369,8 +370,11 @@ def reference_search(data, seed, fixed_noise):
     with the gradient estimated by L-BFGS-B through scipy's finite differences,
     its random starts drawn with ``seed``.
 
-    Returns ``(theta, evaluations, failed)`` with ``theta`` the best
-    ``(amplitude_sq, lengthscales, noise)``, or None if nothing was finite.
+    Returns ``(theta, evaluations)`` with ``theta`` the best
+    ``(amplitude_sq, lengthscales, noise)``, or None if nothing was finite,
+    and ``evaluations[i]`` start ``i``'s evaluations in order, each its
+    iterate point's bytes and how many of its ``p + 1`` rows (the point and
+    its stencil) failed.
     """
     d = data.dim
     span = np.ptp(data.X, axis=0)
@@ -392,16 +396,15 @@ def reference_search(data, seed, fixed_noise):
         return ker, NoiseModel(variance=nv)
 
     best = {"value": np.inf, "z": None}
-    counts = {"evaluations": 0, "failed": 0, "per_start": []}
+    calls = []  # (bytes of z, failed) per objective call of the running start
 
     def objective(z):
-        counts["evaluations"] += 1
         try:
             val = -reference_log_marginal_likelihood(data, *unpack(z))
         except (NumericalConditioningError, FloatingPointError, ValueError):
             val = np.nan
+        calls.append((z.tobytes(), not np.isfinite(val)))
         if not np.isfinite(val):
-            counts["failed"] += 1
             return 1e12
         if val < best["value"]:
             best["value"] = val
@@ -410,15 +413,23 @@ def reference_search(data, seed, fixed_noise):
 
     rng = np.random.default_rng(seed)
     starts = [0.5 * (lo + hi)] + [rng.uniform(lo, hi) for _ in range(gpexpect.gp._STARTS - 1)]
+    p = lo.size
+    evaluations = []
     for z0 in starts:
+        calls.clear()
         res = minimize(objective, z0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
                        options={"maxiter": gpexpect.gp._MAX_ITERATIONS})
-        counts["per_start"].append(res.nfev)
+        # each evaluation is the iterate and then its p stencil points
+        assert len(calls) == res.nfev and res.nfev % (p + 1) == 0
+        evaluations.append([
+            (calls[i][0], sum(failed for _, failed in calls[i:i + p + 1]))
+            for i in range(0, len(calls), p + 1)
+        ])
     theta = None
     if best["z"] is not None:
         ker, noise = unpack(best["z"])
         theta = (ker.amplitude_sq, ker.lengthscales.tolist(), noise.variance)
-    return theta, counts["evaluations"], counts["failed"], counts["per_start"]
+    return theta, evaluations
 
 
 class TestSearchMatchesReference:
@@ -449,11 +460,18 @@ class TestSearchMatchesReference:
         """Run both searches from the random starts of ``seed``; returns the stacked
         search's probe values and steps.
 
-        The lockstep search makes one probe per round, so as many probes as
-        the start with the most evaluated iterates, each iterate being
-        ``p + 1`` of the reference's evaluations.
+        Each start of the lockstep search scores each distinct iterate of
+        the reference's start once, as ``p + 1`` rows, and answers a repeat
+        of an earlier iterate from its record.  It makes one probe per
+        round, so as many probes as the start with the most distinct
+        iterates.
         """
-        theta, evaluations, failed, per_start = reference_search(data, seed, fixed_noise)
+        theta, evaluations = reference_search(data, seed, fixed_noise)
+        # per start, the failed rows of each distinct iterate, at its first evaluation
+        distinct = [{} for _ in evaluations]
+        for first, start in zip(distinct, evaluations):
+            for point, failed in start:
+                first.setdefault(point, failed)
         log = {"values": [], "steps": []}
         probe, steps = gpexpect.gp._log_evidences, gpexpect.gp._forward_steps
 
@@ -481,10 +499,12 @@ class TestSearchMatchesReference:
                     got.noise.variance,
                 ) == theta
         values = np.concatenate(log["values"])
-        assert values.size == evaluations
-        assert int(np.sum(~np.isfinite(values))) == failed
         p = data.dim + (2 if fixed_noise is None else 1)
-        assert len(log["values"]) == max(per_start) // (p + 1)
+        assert values.size == sum(len(first) for first in distinct) * (p + 1)
+        assert int(np.sum(~np.isfinite(values))) == sum(
+            sum(first.values()) for first in distinct
+        )
+        assert len(log["values"]) == max(len(first) for first in distinct)
         return log
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -622,13 +642,20 @@ class TestLogEvidencesFallback:
         assert [v.hex() for v in values] == [v.hex() for v in stacked]
 
 
-def _rosen_rows(owners, X):
+def _rosen_rows(owners, X, grad=rosen_der):
     """Rosenbrock values and gradients per row, each row computed on its own."""
-    return np.array([rosen(x) for x in X]), np.array([rosen_der(x) for x in X])
+    return np.array([rosen(x) for x in X]), np.array([grad(x) for x in X])
+
+
+def _shifted_rosen_der(x):
+    """A gradient that disagrees with ``rosen``'s values, so that line searches
+    fail and ask again for points they have already had evaluated."""
+    return rosen_der(x) + 1.0
 
 
 class TestLbfgsbLockstep:
-    """The lockstep driver makes scipy's ``minimize(jac=True, method="L-BFGS-B")`` evaluations."""
+    """The lockstep driver gives ``setulb`` the answers of scipy's
+    ``minimize(jac=True, method="L-BFGS-B")``, scoring each point of a start once."""
 
     LO = np.array([-2.0, -1.5, -1.0])
     HI = np.array([2.0, 1.5, 3.0])
@@ -639,42 +666,82 @@ class TestLbfgsbLockstep:
         [-2.0, 1.5, 3.0],   # on the opposite bounds
     ])
 
+    def check(self, grad, max_iterations, max_evaluations):
+        """Run the driver and then ``minimize`` from each start, on ``rosen`` and
+        ``grad``; returns the messages, scipy's evaluated points and the driver's.
+
+        Every ``f, g`` handed to ``setulb``, the final ``x`` and the counts
+        must be scipy's, and the driver must score scipy's points in order,
+        less each later repeat of an earlier point of the same start.
+        """
+        handed = {}  # per setulb state (its wa array), the f and g of each call
+        setulb = scipy.optimize._lbfgsb.setulb
+
+        def logged_setulb(*args):
+            f, g, wa = args[5], args[6], args[9]
+            handed.setdefault(id(wa), []).append(
+                (float(f).hex(), [v.hex() for v in g.tolist()])
+            )
+            return setulb(*args)
+
+        lockstep = [[] for _ in self.STARTS]
+
+        def logged(owners, X):
+            for i, x in zip(owners, X):
+                lockstep[i].append([v.hex() for v in x])
+            return _rosen_rows(owners, X, grad)
+
+        messages, scipy_points = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.optimize._lbfgsb, "setulb", logged_setulb)
+            got = gpexpect.gp._lbfgsb_lockstep(
+                logged, self.STARTS, self.LO, self.HI, max_iterations, max_evaluations
+            )
+            # each start's first setulb call comes in start order
+            driver_handed = list(handed.values())
+            assert len(driver_handed) == len(self.STARTS)
+            for i, x0 in enumerate(self.STARTS):
+                points = []
+
+                def fun(x):
+                    points.append([v.hex() for v in x])
+                    return rosen(x), grad(x)
+
+                handed.clear()
+                res = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                               bounds=list(zip(self.LO, self.HI)),
+                               options={"maxiter": max_iterations, "maxfun": max_evaluations})
+                assert list(handed.values()) == [driver_handed[i]]
+                first_visits = []
+                for point in points:
+                    if point not in first_visits:
+                        first_visits.append(point)
+                x, evaluations, iterations = got[i]
+                assert lockstep[i] == first_visits
+                assert [v.hex() for v in x] == [v.hex() for v in res.x]
+                assert (evaluations, iterations) == (res.nfev, res.nit)
+                messages.append(res.message)
+                scipy_points.append(points)
+        return messages, scipy_points, lockstep
+
     @pytest.mark.parametrize(
         "max_iterations, max_evaluations, stop",
         [(200, 1000, "CONVERGENCE"), (5, 1000, "ITERATIONS REACHED LIMIT"),
          (200, 7, "EVALUATIONS EXCEEDS LIMIT")],
     )
     def test_matches_minimize(self, max_iterations, max_evaluations, stop):
-        lockstep = [[] for _ in self.STARTS]
-
-        def logged(owners, X):
-            for i, x in zip(owners, X):
-                lockstep[i].append([v.hex() for v in x])
-            return _rosen_rows(owners, X)
-
-        got = gpexpect.gp._lbfgsb_lockstep(
-            logged, self.STARTS, self.LO, self.HI, max_iterations, max_evaluations
-        )
-        messages = []
-        for i, x0 in enumerate(self.STARTS):
-            points = []
-
-            def fun(x):
-                points.append([v.hex() for v in x])
-                return rosen(x), rosen_der(x)
-
-            res = minimize(fun, x0, jac=True, method="L-BFGS-B",
-                           bounds=list(zip(self.LO, self.HI)),
-                           options={"maxiter": max_iterations, "maxfun": max_evaluations})
-            x, evaluations, iterations = got[i]
-            assert lockstep[i] == points
-            assert [v.hex() for v in x] == [v.hex() for v in res.x]
-            assert (evaluations, iterations) == (res.nfev, res.nit)
-            messages.append(res.message)
+        messages, _, lockstep = self.check(rosen_der, max_iterations, max_evaluations)
         assert any(stop in m for m in messages)
         if stop == "CONVERGENCE":
             # starts finish in different rounds
             assert len({len(points) for points in lockstep}) > 1
+
+    def test_revisited_points_are_answered_from_the_record(self):
+        """Where scipy evaluates an earlier point of a start again, the driver
+        answers it from that start's record, counts it, and scores it once."""
+        _, scipy_points, lockstep = self.check(_shifted_rosen_der, 200, 1000)
+        repeats = [len(points) - len(rows) for points, rows in zip(scipy_points, lockstep)]
+        assert all(r > 0 for r in repeats)
 
     def test_start_outside_the_box_is_clipped(self):
         x0 = np.array([[3.0, -4.0, 0.0]])

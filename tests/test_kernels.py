@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gpexpect._numerics import sum_in_order
 from gpexpect.kernels import (
     RbfKernel,
     eval_kernel,
@@ -112,6 +113,15 @@ class TestEvalKernel:
             RbfKernel(amplitude_sq=1.0, lengthscales=np.array([0.0]))
 
 
+def whole_array_gram_stack(X, amplitude_sq, lengthscales):
+    """``kernel_matrices`` as one whole-array expression on a (d, k, n, n)
+    difference array: the reference for its in-place build."""
+    scaled = (X / np.sqrt(lengthscales)[:, None, :]).transpose(2, 0, 1)
+    return amplitude_sq[:, None, None] * np.exp(
+        -0.5 * sum_in_order((scaled[:, :, :, None] - scaled[:, :, None, :]) ** 2)
+    )
+
+
 class TestKernelMatrix:
     def test_stacked_matrices_do_not_depend_on_the_stack(self):
         """Each slice of a stack is the Gram matrix of its kernel alone, bit for bit."""
@@ -125,6 +135,27 @@ class TestKernelMatrix:
             for r in range(amplitude_sq.size):
                 alone = kernel_matrices(X, amplitude_sq[r:r + 1], lengthscales[r:r + 1])
                 assert_array_equal(stack[r], alone[0])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        n=st.integers(0, 30),
+        k=st.integers(1, 20),
+    )
+    def test_one_buffer_stack_is_the_whole_array_expression(self, seed, d, n, k):
+        """The Gram stack that ``fit`` and the hyperparameter search read is the
+        whole-array expression bit for bit, duplicate points included."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        if n > 2:
+            X[-1] = X[0]
+        amplitude_sq = np.exp(rng.uniform(-6, 6, size=k))
+        lengthscales = np.exp(rng.uniform(-8, 8, size=(k, d)))
+        stack = kernel_matrices(X, amplitude_sq, lengthscales)
+        expected = whole_array_gram_stack(X, amplitude_sq, lengthscales)
+        assert stack.shape == expected.shape == (k, n, n)
+        assert stack.tobytes() == expected.tobytes()
 
     def test_single_point(self):
         ker = RbfKernel(amplitude_sq=1.7, lengthscales=np.array([1.0]))
