@@ -62,6 +62,8 @@ _MAX_ITERATIONS = 200
 _SEED = 0
 # the search's forward-difference step, L-BFGS-B's default absolute step
 _FD_STEP = 1e-8
+# scipy's relative step where the absolute one rounds away
+_SQRT_EPS = np.finfo(float).eps ** 0.5
 # scipy's default L-BFGS-B cap on objective evaluations, which counted
 # every finite-difference stencil row as one
 _MAX_EVALUATIONS = 15000
@@ -267,7 +269,7 @@ def _evidence_from_factors(y: np.ndarray, factors: np.ndarray, weights: np.ndarr
 
     ``weights[r]`` solves the Gram system of ``factors[r]`` against ``y``.
     """
-    log_det_half = np.sum(np.log(np.diagonal(factors, axis1=1, axis2=2)), axis=1)
+    log_det_half = np.log(np.diagonal(factors, axis1=1, axis2=2)).sum(axis=1)
     return row_dots(weights, -0.5 * y) - log_det_half - 0.5 * y.size * np.log(2 * np.pi)
 
 
@@ -342,21 +344,16 @@ def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     that leaves the box is flipped if it fits on the other side, else it
     becomes the distance to the farther bound, signed toward it.
     """
-    step = z + _FD_STEP
-    if ((step - z > 0) & (step >= lo) & (step <= hi) & (hi - z >= _FD_STEP)).all():
-        # every step is the plain one: it moves z, stays in the box and fits
-        return np.full(z.shape, _FD_STEP)
-    sign = (z >= 0).astype(float) * 2 - 1
     h = np.where(
         (z + _FD_STEP) - z == 0,
-        np.finfo(float).eps ** 0.5 * sign * np.maximum(1.0, np.abs(z)),
+        np.where(z >= 0, _SQRT_EPS, -_SQRT_EPS) * np.maximum(1.0, np.abs(z)),
         _FD_STEP,
     )
     below, above = z - lo, hi - z
     fits = np.abs(h) <= np.maximum(below, above)
-    leaves = ((z + h) < lo) | ((z + h) > hi)
-    h = np.where(leaves & fits, -h, h)
-    return np.where(fits, h, np.where(above >= below, above, -below))
+    moved = z + h
+    flip = fits & ((moved < lo) | (moved > hi))
+    return np.where(fits, np.where(flip, -h, h), np.where(above >= below, above, -below))
 
 
 class _LbfgsbStart:
@@ -537,31 +534,26 @@ def select_hyperparameters(
     best_z = np.zeros((_STARTS, p))
     counts = {"scored": 0, "failed": 0}
     # stencil row i + 1 of an iterate moves its coordinate i
-    stencil = (slice(None), np.arange(1, p + 1), np.arange(p))
+    stencil = np.eye(p + 1, p, -1, dtype=bool)
 
     def fun_and_grad(owners, z):
         k = len(owners)
         moved = z + _forward_steps(z, lo, hi)
-        Z = np.repeat(z[:, None, :], p + 1, axis=1)
-        Z[stencil] = moved
+        Z = np.where(stencil, moved[:, None, :], z[:, None, :])
         values = -_log_evidences(data, *_unpack_rows(Z.reshape(-1, p), d, fixed_noise))
         values = values.reshape(k, p + 1)
         counts["scored"] += values.size
         ok = np.isfinite(values)
-        if ok.all():
-            scores = f = values
-        else:
-            counts["failed"] += int(np.sum(~ok))
-            scores = np.where(ok, values, np.inf)
-            f = np.where(ok, values, 1e12)
+        counts["failed"] += ok.size - np.count_nonzero(ok)
+        scores = np.where(ok, values, np.inf)
         # each owner's first strictly lowest row, kept where it beats the owner's best
         rows = np.arange(k)
         lowest = np.argmin(scores, axis=1)
         lowest_score = scores[rows, lowest]
         better = lowest_score < best_value[owners]
-        if better.any():
-            best_value[owners[better]] = lowest_score[better]
-            best_z[owners[better]] = Z[rows[better], lowest[better]]
+        best_value[owners[better]] = lowest_score[better]
+        best_z[owners[better]] = Z[rows[better], lowest[better]]
+        f = np.where(ok, values, 1e12)
         return f[:, 0], (f[:, 1:] - f[:, :1]) / (moved - z)
 
     rng = np.random.default_rng(_SEED)

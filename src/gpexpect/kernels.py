@@ -83,21 +83,11 @@ def kernel_matrices(
     Kernel ``r`` has amplitude ``amplitude_sq[r]`` and scale variances
     ``lengthscales[r]``.  Each matrix is computed elementwise, so it does
     not depend on the other kernels, and is exactly symmetric:
-    ``(a - b)^2`` and ``(b - a)^2`` are the same bits.  The stack is built
-    in place in the buffer of the first dimension's differences: their
-    squares, each later dimension's squares added left to right, then
-    ``-0.5 *``, ``exp`` and the amplitude.
+    ``(a - b)^2`` and ``(b - a)^2`` are the same bits.
     """
-    first, *rest = (X / np.sqrt(lengthscales)[:, None, :]).transpose(2, 0, 1)
-    total = first[:, :, None] - first[:, None, :]
-    np.square(total, out=total)
-    for s in rest:
-        term = s[:, :, None] - s[:, None, :]
-        total += np.square(term, out=term)
-    total *= -0.5
-    np.exp(total, out=total)
-    total *= amplitude_sq[:, None, None]
-    return total
+    scaled = (X / np.sqrt(lengthscales)[:, None, :]).transpose(2, 0, 1)
+    terms = ((s[:, :, None] - s[:, None, :]) ** 2 for s in scaled)
+    return amplitude_sq[:, None, None] * np.exp(-0.5 * sum_in_order(terms))
 
 
 def kernel_crosses(

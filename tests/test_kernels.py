@@ -115,7 +115,7 @@ class TestEvalKernel:
 
 def whole_array_gram_stack(X, amplitude_sq, lengthscales):
     """``kernel_matrices`` as one whole-array expression on a (d, k, n, n)
-    difference array: the reference for its in-place build."""
+    difference array: the reference for its build one dimension at a time."""
     scaled = (X / np.sqrt(lengthscales)[:, None, :]).transpose(2, 0, 1)
     return amplitude_sq[:, None, None] * np.exp(
         -0.5 * sum_in_order((scaled[:, :, :, None] - scaled[:, :, None, :]) ** 2)
@@ -143,7 +143,7 @@ class TestKernelMatrix:
         n=st.integers(0, 30),
         k=st.integers(1, 20),
     )
-    def test_one_buffer_stack_is_the_whole_array_expression(self, seed, d, n, k):
+    def test_stack_by_dimension_is_the_whole_array_expression(self, seed, d, n, k):
         """The Gram stack that ``fit`` and the hyperparameter search read is the
         whole-array expression bit for bit, duplicate points included."""
         rng = np.random.default_rng(seed)
