@@ -3,6 +3,12 @@
 Two solves make scipy.linalg's exact LAPACK calls for a lower factor, so they
 equal ``solve_triangular`` and ``cho_solve`` bit for bit, without the per-call
 validation and batching that dominate the cost of a probe's small systems.
+They call ``dtrtrs`` and ``dpotrs`` of the compiled ``scipy.linalg._flapack``,
+the very objects ``get_lapack_funcs`` returns.  :func:`load_scipy_extension`
+loads that module, and ``scipy.optimize._lbfgsb`` for the hyperparameter
+search, without running the ``scipy.linalg`` or ``scipy.optimize`` package
+``__init__``, which costs most of a cold start; the package imports no
+other part of those two packages.
 :func:`forward_substitute` is the triangular solve whose right-hand sides
 do not depend on each other, for results that must not depend on the
 batch: it solves a stack of factors against a stack of rows in one pass,
@@ -14,13 +20,51 @@ axis of 8 or more terms pairwise.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import numbers
+import sys
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import get_lapack_funcs
 
-_TRTRS, _POTRS = get_lapack_funcs(("trtrs", "potrs"), dtype=np.float64)
+# the scipy requirement of pyproject.toml, named when a compiled module is missing
+_SCIPY_PIN = "scipy>=1.17"
+
+
+def load_scipy_extension(name: str):
+    """The compiled scipy module ``name``, such as ``"scipy.linalg._flapack"``.
+
+    A module already in ``sys.modules`` is returned as it is.  Otherwise
+    the file is found in the package's directory, which imports only the
+    top-level ``scipy``, then executed and registered in ``sys.modules``
+    without running the package's ``__init__``.  So a ``scipy.linalg`` or
+    ``scipy.optimize`` imported later takes this very module; but the
+    package then has no attribute for it, so reach it through
+    ``importlib.import_module(name)``, not ``scipy.optimize._lbfgsb``.
+    Raises ``ImportError`` naming ``name`` and the scipy pin if the
+    module is not there.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    package = importlib.util.find_spec(name.rpartition(".")[0])
+    locations = package.submodule_search_locations if package else None
+    spec = importlib.machinery.PathFinder.find_spec(name, locations) if locations else None
+    if spec is None:
+        raise ImportError(
+            f"no compiled module {name}; gpexpect loads it directly and pyproject.toml "
+            f"pins {_SCIPY_PIN}",
+            name=name,
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = load_scipy_extension("scipy.linalg._flapack")
+_TRTRS, _POTRS = _flapack.dtrtrs, _flapack.dpotrs
 
 
 def require_count(value, name: str) -> None:

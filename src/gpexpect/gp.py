@@ -27,8 +27,9 @@ Both give a row the bits it has alone.  Because the rule lives
 here, a change to scipy's finite differences cannot move the selected
 hyperparameters.  The search's effort and its starts' seed are fixed, so
 its result is a function of the data and an optional fixed noise alone.
-``scipy.optimize``, for ``setulb``, loads at the first hyperparameter
-search, not at import, so a run with a pinned kernel never loads it.
+``setulb`` is read at each search from the compiled
+``scipy.optimize._lbfgsb`` alone, which loads at the first search; no
+run loads the ``scipy.optimize`` package.
 """
 
 from __future__ import annotations
@@ -38,7 +39,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gpexpect._numerics import as_point, as_points, chol_solve, require_fixed_noise, row_dots
+from gpexpect._numerics import (
+    as_point,
+    as_points,
+    chol_solve,
+    load_scipy_extension,
+    require_fixed_noise,
+    row_dots,
+)
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.kernels import (
     RbfKernel,
@@ -451,9 +459,9 @@ def _lbfgsb_lockstep(fun_and_grad, x0, lo, hi, max_iterations: int, max_evaluati
     Returns each start's final ``(x, evaluations, iterations)``.
     """
     # the routine scipy.optimize._lbfgsb_py._minimize_lbfgsb loops over
-    # (scipy >= 1.15), imported here so that a run with a fixed kernel
-    # never loads scipy.optimize
-    from scipy.optimize._lbfgsb import setulb
+    # (scipy >= 1.15), read at each search so that a patched setulb is
+    # the one driven; a run with a fixed kernel never loads its module
+    setulb = load_scipy_extension("scipy.optimize._lbfgsb").setulb
 
     starts = [_LbfgsbStart(setulb, x) for x in np.clip(np.asarray(x0, dtype=float), lo, hi)]
     pending = list(range(len(starts)))

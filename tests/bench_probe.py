@@ -27,12 +27,20 @@ pieces of one search round are timed alone: ``log_evidences`` scores a
 stack of log-parameter rows, as a round of 1 start (n = 5, 4 rows with
 a 3-entry stencil) or of 6 starts (n = 25, 18 rows) does, in 1-d and
 2-d, and ``forward_steps`` gives the stencil steps of 4 interior
-iterates with 3 log-parameters each.
+iterates with 3 log-parameters each.  ``cold_import`` times a fresh
+interpreter's ``import gpexpect.design, gpexpect.benchmarks, gpexpect.cli``,
+the start-up every CLI call pays.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpexpect
 from gpexpect.acquisition import (
     acquisition_objective,
     build_context,
@@ -164,7 +172,7 @@ def test_select_hyperparameters(benchmark):
     problem = benchmark_problem("x_squared")
     X = sample(problem.mix, 25, seed=900)
     data = Dataset(X=X, y=problem.fn(X))
-    # the first search of a process loads scipy.optimize; time the later ones
+    # the first search of a process loads scipy.optimize._lbfgsb; time the later ones
     select_hyperparameters(data)
     chosen = benchmark(select_hyperparameters, data)
     assert chosen.noise.variance > 0
@@ -188,3 +196,15 @@ def test_forward_steps(benchmark):
     z = np.random.default_rng(4).uniform(lo, hi, size=(4, 3))
     h = benchmark(_forward_steps, z, lo, hi)
     assert h.shape == z.shape
+
+
+def test_cold_import(benchmark):
+    src = str(Path(gpexpect.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    command = [sys.executable, "-c", "import gpexpect.design, gpexpect.benchmarks, gpexpect.cli"]
+    # check=True: a failing import raises instead of being timed
+    benchmark.pedantic(
+        subprocess.run, args=(command,), kwargs={"env": env, "check": True},
+        rounds=10, iterations=1,
+    )

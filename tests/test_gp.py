@@ -1,11 +1,11 @@
 """GP fitting, posterior queries, marginal likelihood, hyperparameter search."""
 
+import importlib
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize._lbfgsb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -675,7 +675,10 @@ class TestLbfgsbLockstep:
         less each later repeat of an earlier point of the same start.
         """
         handed = {}  # per setulb state (its wa array), the f and g of each call
-        setulb = scipy.optimize._lbfgsb.setulb
+        # through sys.modules: if gpexpect loaded the module first, the
+        # scipy.optimize package has no _lbfgsb attribute
+        lbfgsb = importlib.import_module("scipy.optimize._lbfgsb")
+        setulb = lbfgsb.setulb
 
         def logged_setulb(*args):
             f, g, wa = args[5], args[6], args[9]
@@ -693,7 +696,7 @@ class TestLbfgsbLockstep:
 
         messages, scipy_points = [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scipy.optimize._lbfgsb, "setulb", logged_setulb)
+            mp.setattr(lbfgsb, "setulb", logged_setulb)
             got = gpexpect.gp._lbfgsb_lockstep(
                 logged, self.STARTS, self.LO, self.HI, max_iterations, max_evaluations
             )
@@ -799,7 +802,7 @@ def _setulb_on_a_quadratic(setulb):
 class TestSetulbContract:
     """The private L-BFGS-B routine the search drives keeps the interface it was written for.
 
-    The search imports ``setulb`` at its first call, so a scipy that drops
+    The search loads ``setulb``'s module at its first call, so a scipy that drops
     or changes it would otherwise fail only inside a learned-theta run.
     """
 

@@ -1,5 +1,6 @@
 """Module boundaries: no package module imports another module's private name,
-and importing the package loads neither ``scipy.optimize`` nor ``scipy.special``."""
+no module imports ``scipy.linalg`` or ``scipy.optimize``, and importing the
+package or running it loads neither package nor ``scipy.special``."""
 
 import ast
 import json
@@ -11,9 +12,11 @@ from pathlib import Path
 import gpexpect
 
 PACKAGE = Path(gpexpect.__file__).resolve().parent
-# scipy modules the package loads on first use only: the hyperparameter
-# search's setulb, and logsumexp for densities and EM
-LAZY_MODULES = ("scipy.optimize", "scipy.special")
+# scipy packages no module imports: _numerics.load_scipy_extension loads
+# their compiled modules alone, without the package __init__
+DIRECT_ONLY = ("scipy.linalg", "scipy.optimize")
+# scipy modules the package loads on first use only: logsumexp for densities and EM
+LAZY_MODULES = ("scipy.special",)
 
 
 def private_imports(path: Path) -> list:
@@ -59,39 +62,47 @@ def test_the_check_sees_private_names(tmp_path):
     ]
 
 
-def eager_imports(path: Path) -> list:
-    """``(line, module)`` of each import statement outside every function body
-    (so run at import) that loads a :data:`LAZY_MODULES` module or submodule;
-    ``module`` is the first such module the statement names."""
+def imports_of(path: Path, modules, in_functions: bool) -> list:
+    """``(line, module)`` of each import statement that loads one of ``modules``
+    or a submodule of one; ``module`` is the first such module the statement
+    names.  Statements in function bodies count only if ``in_functions``;
+    the others run at import."""
     found = []
 
-    def lazy(module):
-        return any(module == m or module.startswith(m + ".") for m in LAZY_MODULES)
+    def watched(module):
+        return any(module == m or module.startswith(m + ".") for m in modules)
 
     def visit(node):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not in_functions and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if isinstance(child, ast.Import):
-                modules = [a.name for a in child.names]
+                named = [a.name for a in child.names]
             elif isinstance(child, ast.ImportFrom) and not child.level and child.module:
                 # "from scipy import special" imports scipy.special
-                modules = [child.module] + [f"{child.module}.{a.name}" for a in child.names]
+                named = [child.module] + [f"{child.module}.{a.name}" for a in child.names]
             else:
-                modules = []
-            modules = [m for m in modules if lazy(m)]
-            if modules:
-                found.append((child.lineno, modules[0]))
+                named = []
+            named = [m for m in named if watched(m)]
+            if named:
+                found.append((child.lineno, named[0]))
             visit(child)
 
     visit(ast.parse(path.read_text(encoding="utf-8")))
     return found
 
 
-def test_no_module_imports_scipy_optimize_or_special_at_import():
+def test_no_module_imports_scipy_linalg_or_optimize():
     paths = sorted(PACKAGE.glob("*.py"))
     assert len(paths) > 5
-    offenders = {p.name: eager_imports(p) for p in paths}
+    offenders = {p.name: imports_of(p, DIRECT_ONLY, in_functions=True) for p in paths}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_no_module_imports_scipy_special_at_import():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    offenders = {p.name: imports_of(p, LAZY_MODULES, in_functions=False) for p in paths}
     assert {name: found for name, found in offenders.items() if found} == {}
 
 
@@ -113,17 +124,26 @@ def test_the_check_sees_module_level_scipy_imports(tmp_path):
         "    pass\n",
         encoding="utf-8",
     )
-    assert eager_imports(path) == [
+    assert imports_of(path, ("scipy.optimize", "scipy.special"), in_functions=False) == [
         (2, "scipy.optimize._lbfgsb"),
         (3, "scipy.special"),
         (4, "scipy.special"),
         (6, "scipy.optimize"),
         (11, "scipy.optimize"),
     ]
+    assert imports_of(path, DIRECT_ONLY, in_functions=True) == [
+        (1, "scipy.linalg"),
+        (2, "scipy.optimize._lbfgsb"),
+        (3, "scipy.linalg"),
+        (6, "scipy.optimize"),
+        (9, "scipy.optimize"),
+        (11, "scipy.optimize"),
+    ]
 
 
-# one pinned run and then one learned run, reporting which lazy modules are
-# loaded at each point and the learned run's history in hex
+# one pinned run and then one learned run, reporting which scipy packages
+# and compiled modules are loaded at each point and the learned run's
+# history in hex
 IMPORT_SET_SCRIPT = """
 import json, sys
 import gpexpect, gpexpect.benchmarks, gpexpect.cli, gpexpect.design
@@ -132,7 +152,8 @@ from gpexpect.design import DesignConfig, run
 from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
 
 def loaded():
-    return [m for m in ("scipy.optimize", "scipy.special") if m in sys.modules]
+    return [m for m in ("scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
+                        "scipy.optimize._lbfgsb", "scipy.special") if m in sys.modules]
 
 report = {"imported": loaded()}
 branin = benchmark_problem("branin_gmm")
@@ -164,12 +185,17 @@ def _fresh_run(preamble: str = "") -> dict:
     return json.loads(result.stdout)
 
 
-def test_a_run_loads_scipy_optimize_only_at_its_first_search():
+def test_a_run_loads_only_the_compiled_scipy_modules():
+    """Import loads ``_flapack``, the first search ``_lbfgsb``, and no run
+    loads the ``scipy.linalg``, ``scipy.optimize`` or ``scipy.special`` package."""
     lazy = _fresh_run()
-    assert lazy["imported"] == []
-    assert lazy["pinned"] == []
-    assert "scipy.optimize" in lazy["learned"]
-    eager = _fresh_run("import scipy.optimize, scipy.special\n")
-    assert eager["imported"] == ["scipy.optimize", "scipy.special"]
+    assert lazy["imported"] == ["scipy.linalg._flapack"]
+    assert lazy["pinned"] == ["scipy.linalg._flapack"]
+    assert lazy["learned"] == ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"]
+    eager = _fresh_run("import scipy.linalg, scipy.optimize, scipy.special\n")
+    assert eager["imported"] == [
+        "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize", "scipy.optimize._lbfgsb",
+        "scipy.special",
+    ]
     assert len(lazy["history"]) == 12
     assert lazy["history"] == eager["history"]

@@ -1,4 +1,12 @@
-"""Package-private helpers: the direct LAPACK solves and the stacked forward substitution."""
+"""Package-private helpers: the compiled scipy modules, the direct LAPACK solves
+and the stacked forward substitution."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +15,72 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve, solve_triangular
 
-from gpexpect._numerics import chol_solve, forward_solve, forward_substitute
+import gpexpect
+from gpexpect._numerics import (
+    chol_solve,
+    forward_solve,
+    forward_substitute,
+    load_scipy_extension,
+)
+
+# the scipy requirement pyproject.toml declares, quoted in the loader's message
+SCIPY_PIN = re.search(
+    r'"(scipy[^"]*)"', (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+).group(1)
+
+# after the imports of FIRST (gpexpect, with one search, or scipy's packages)
+# and then the other side's, the routines the package calls against scipy's
+CONTRACT_SCRIPT = """
+import importlib, json, sys
+import numpy as np
+{first}
+import scipy.linalg, scipy.optimize
+from gpexpect import _numerics
+
+lapack = scipy.linalg.get_lapack_funcs(("trtrs", "potrs"), dtype=np.float64)
+res = scipy.optimize.minimize(lambda x: float((x[0] - 1.5) ** 2), np.array([-3.0]),
+                              method="L-BFGS-B", bounds=[(-4.0, 4.0)])
+print(json.dumps({{
+    "lapack": [_numerics._TRTRS is lapack[0], _numerics._POTRS is lapack[1]],
+    "setulb": _numerics.load_scipy_extension("scipy.optimize._lbfgsb").setulb
+    is importlib.import_module("scipy.optimize._lbfgsb").setulb,
+    "minimize": [bool(res.success), abs(float(res.x[0]) - 1.5) < 1e-6],
+}}))
+"""
+GPEXPECT_FIRST = """
+from gpexpect.gp import Dataset, select_hyperparameters
+select_hyperparameters(Dataset(X=np.linspace(-1, 1, 5)[:, None], y=np.linspace(-1, 1, 5)))
+assert "scipy.linalg" not in sys.modules and "scipy.optimize" not in sys.modules
+"""
+
+
+class TestScipyExtensions:
+    """The compiled scipy modules the package loads alone are the ones scipy's
+    packages use, whichever side is imported first."""
+
+    @pytest.mark.parametrize("first", [GPEXPECT_FIRST, "import scipy.linalg, scipy.optimize"],
+                             ids=["gpexpect-first", "scipy-first"])
+    def test_the_package_calls_scipys_own_routines(self, first):
+        src = str(Path(gpexpect.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        result = subprocess.run(
+            [sys.executable, "-c", CONTRACT_SCRIPT.format(first=first)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {
+            "lapack": [True, True], "setulb": True, "minimize": [True, True],
+        }
+
+    @pytest.mark.parametrize("name", ["scipy.linalg._no_such_module", "scipy.no_such_package._x",
+                                      "scipy.version._x"])
+    def test_a_missing_module_is_named_with_the_pin(self, name):
+        assert SCIPY_PIN.startswith("scipy>=")
+        with pytest.raises(ImportError, match=re.escape(f"pyproject.toml pins {SCIPY_PIN}")) as exc:
+            load_scipy_extension(name)
+        assert name in str(exc.value)
+        assert name not in sys.modules
 
 
 class TestLapackSolves:
