@@ -8,7 +8,9 @@ the very objects ``get_lapack_funcs`` returns.  :func:`load_scipy_extension`
 loads that module, and ``scipy.optimize._lbfgsb`` for the hyperparameter
 search, without running the ``scipy.linalg`` or ``scipy.optimize`` package
 ``__init__``, which costs most of a cold start; the package imports no
-other part of those two packages.
+other part of those two packages.  :func:`chol_solves` makes
+:func:`chol_solve`'s call once per factor of a stack, against one
+right-hand side, in one loop with one transposed copy of the stack.
 :func:`forward_substitute` is the triangular solve whose right-hand sides
 do not depend on each other, for results that must not depend on the
 batch: it solves a stack of factors against a stack of rows in one pass,
@@ -167,3 +169,20 @@ def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info:
         raise LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
     return x
+
+
+def chol_solves(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(chols[i] chols[i]^T)^-1 rhs per lower factor of the stack ``chols`` (k, n, n).
+
+    Row ``i`` of the (k, n) result is ``chol_solve(chols[i], rhs)`` for a
+    vector ``rhs`` (n,), bit for bit, from one ``potrs`` call per factor.
+    ``potrs`` reads Fortran order, so one transposed copy of the stack
+    makes each factor an F-contiguous view that LAPACK takes without a
+    copy per factor.
+    """
+    out = np.empty(chols.shape[:2])
+    for i, upper in enumerate(chols.transpose(0, 2, 1).copy()):
+        out[i], info = _POTRS(upper.T, rhs, 1)  # lower=1
+        if info:
+            raise LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
+    return out

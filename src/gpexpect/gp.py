@@ -13,21 +13,26 @@ the empty Gram system solves to nothing, so the variance is the
 amplitude and the mean 0, bit for bit.
 
 The hyperparameter search maximizes the log evidence with L-BFGS-B and a
-forward-difference gradient that this module computes itself, with the
-rule of scipy 1.17's ``approx_derivative`` (``2-point``, absolute step
-1e-8, one-sided at the box bounds).  All starts run in lockstep: each
+forward-difference gradient that this module computes itself.  Its step
+is 1e-8, flipped where it would leave the box: on the search's own box,
+which is finite with bounds under 800 in magnitude, that is the rule of
+scipy 1.17's ``approx_derivative`` (``2-point``, absolute step 1e-8,
+one-sided at the box bounds).  Data whose scale that box cannot hold in
+floating point raise a typed error.  All starts run in lockstep: each
 drives its own state of scipy's reverse-communication routine ``setulb``
 and gets the answers ``minimize(method="L-BFGS-B")`` would give it, and
 each round scores every start's requested iterate and its stencil in one
 stacked probe.  A start asked again for one of its own earlier iterates
 answers from its record of them and scores nothing.  The probe has two
-paths: one Cholesky call on the stack of Gram matrices, or, if the stack
-does not factor, :func:`log_marginal_likelihood` on each row alone.
-Both give a row the bits it has alone.  Because the rule lives
-here, a change to scipy's finite differences cannot move the selected
-hyperparameters.  The search's effort and its starts' seed are fixed, so
-its result is a function of the data and an optional fixed noise alone.
-``setulb`` is read at each search from the compiled
+paths: one Cholesky call on the stack of Gram matrices, whose weight
+solves are one :func:`chol_solves` call, or, if the stack does not
+factor, :func:`log_marginal_likelihood` on each row alone.  Both give a
+row the bits it has alone.  Each round's rows go to a log, and the
+winner is picked once from it after the last round.  Because the rule
+lives here, a change to scipy's finite differences cannot move the
+selected hyperparameters.  The search's effort and its starts' seed are
+fixed, so its result is a function of the data and an optional fixed
+noise alone.  ``setulb`` is read at each search from the compiled
 ``scipy.optimize._lbfgsb`` alone, which loads at the first search; no
 run loads the ``scipy.optimize`` package.
 """
@@ -43,6 +48,7 @@ from gpexpect._numerics import (
     as_point,
     as_points,
     chol_solve,
+    chol_solves,
     load_scipy_extension,
     require_fixed_noise,
     row_dots,
@@ -70,8 +76,6 @@ _MAX_ITERATIONS = 200
 _SEED = 0
 # the search's forward-difference step, L-BFGS-B's default absolute step
 _FD_STEP = 1e-8
-# scipy's relative step where the absolute one rounds away
-_SQRT_EPS = np.finfo(float).eps ** 0.5
 # scipy's default L-BFGS-B cap on objective evaluations, which counted
 # every finite-difference stencil row as one
 _MAX_EVALUATIONS = 15000
@@ -310,11 +314,7 @@ def _log_evidences(
             except (NumericalConditioningError, FloatingPointError, ValueError):
                 pass
         return values
-    # potrs reads Fortran order: one transposed copy of the stack makes each
-    # factor an F-contiguous view, which LAPACK takes without a copy per row
-    upper = factors.transpose(0, 2, 1).copy()
-    weights = np.array([chol_solve(u.T, data.y) for u in upper])
-    return _evidence_from_factors(data.y, factors, weights)
+    return _evidence_from_factors(data.y, factors, chol_solves(factors, data.y))
 
 
 def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> float:
@@ -347,21 +347,16 @@ def _unpack_rows(Z: np.ndarray, d: int, fixed_noise: float | None):
 def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Forward-difference step per coordinate of ``z`` in the box ``[lo, hi]``.
 
-    The step is ``_FD_STEP``; where ``z + _FD_STEP`` rounds back to ``z``
-    it is ``sqrt(eps) * sign(z) * max(1, |z|)`` (sign +1 at 0).  A step
-    that leaves the box is flipped if it fits on the other side, else it
-    becomes the distance to the farther bound, signed toward it.
+    The step is ``_FD_STEP``, flipped to ``-_FD_STEP`` where ``z + _FD_STEP``
+    leaves the box.  On a box that :func:`_search_box` builds, and for
+    ``lo <= z <= hi``, this is scipy 1.17's ``2-point`` rule with absolute
+    step ``_FD_STEP``: the bounds are finite and under 800 in magnitude,
+    so ``z + _FD_STEP`` never rounds back to ``z`` (that needs ``|z| >=
+    2**27``), and each interval is several units wide, so the step or its
+    flip always fits and no step reaches ``lo``, which is not read.  On
+    other boxes scipy's rule differs.
     """
-    h = np.where(
-        (z + _FD_STEP) - z == 0,
-        np.where(z >= 0, _SQRT_EPS, -_SQRT_EPS) * np.maximum(1.0, np.abs(z)),
-        _FD_STEP,
-    )
-    below, above = z - lo, hi - z
-    fits = np.abs(h) <= np.maximum(below, above)
-    moved = z + h
-    flip = fits & ((moved < lo) | (moved > hi))
-    return np.where(fits, np.where(flip, -h, h), np.where(above >= below, above, -below))
+    return np.where(z + _FD_STEP > hi, -_FD_STEP, _FD_STEP)
 
 
 class _LbfgsbStart:
@@ -475,6 +470,48 @@ def _lbfgsb_lockstep(fun_and_grad, x0, lo, hi, max_iterations: int, max_evaluati
     return [(s.x, s.evaluations, s.iterations) for s in starts]
 
 
+def _search_box(data: Dataset, fixed_noise: float | None):
+    """The search's box ``(lo, hi)`` of log-parameters, relative to the data's scale.
+
+    The lengthscale variances span ``_LENGTHSCALE_BOX`` times the squared
+    input span per dimension, the amplitude ``_AMPLITUDE_BOX`` and the
+    noise, unless ``fixed_noise`` pins it, ``_NOISE_BOX`` times var(y); a
+    zero span or variance counts as 1.  Every bound is the log of a
+    positive finite float, so under 800 in magnitude.
+
+    Raises
+    ------
+    NumericalConditioningError
+        If a bound is not finite: the squared span or var(y), or its
+        multiple by a box factor, overflows or underflows to 0.  The
+        message names the first such scale.
+    """
+    with np.errstate(all="ignore"):
+        span = np.ptp(data.X, axis=0)
+        span = np.where(span > 0, span, 1.0)
+        var_y = float(np.var(data.y))
+        scale_y = var_y if var_y != 0 else 1.0
+        # each block of log-parameters: its (low, high) box factors and its data scale
+        table = [(_LENGTHSCALE_BOX, span**2), (_AMPLITUDE_BOX, scale_y)]
+        if fixed_noise is None:
+            table.append((_NOISE_BOX, scale_y))
+        lo, hi = (
+            np.concatenate([np.atleast_1d(np.log(box[side] * scale)) for box, scale in table])
+            for side in (0, 1)
+        )
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        if j < data.dim:
+            scale = f"the input span of dimension {j} is {span[j]:.3g}"
+        else:
+            scale = f"var(y) is {var_y:.3g}"
+        raise NumericalConditioningError(
+            f"the hyperparameter search box does not fit in floating point: {scale}"
+        )
+    return lo, hi
+
+
 def select_hyperparameters(
     data: Dataset, fixed_noise: float | None = None
 ) -> HyperparameterSample:
@@ -489,22 +526,25 @@ def select_hyperparameters(
     The gradient is a forward difference, computed here rather than by
     scipy, so that each iterate ``z`` and its ``p`` stencil points
     ``z + h_i e_i`` are scored in one stacked probe: ``g_i = (f_i - f_0) /
-    ((z_i + h_i) - z_i)`` with the steps of :func:`_forward_steps`.  These
-    are the evaluations and the arithmetic of scipy 1.17's ``2-point``
-    rule with L-BFGS-B's absolute step 1e-8, so results match a search
-    that lets L-BFGS-B estimate the gradient, and a change to scipy's
-    finite differences cannot move them.  A failed row scores ``1e12``.
+    ((z_i + h_i) - z_i)`` with the steps of :func:`_forward_steps`.  On
+    the box of :func:`_search_box` these are the evaluations and the
+    arithmetic of scipy 1.17's ``2-point`` rule with L-BFGS-B's absolute
+    step 1e-8, so results match a search that lets L-BFGS-B estimate the
+    gradient, and a change to scipy's finite differences cannot move
+    them.  A failed row scores ``1e12``.
 
     The starts run in lockstep (:func:`_lbfgsb_lockstep`): each round
     scores every running start's iterate and stencil in one probe, and
     each start gets the answers ``minimize(method="L-BFGS-B")`` would
     give it.  Where scipy would evaluate one of a start's earlier
     iterates again, the start answers from its own record of them, so
-    each distinct iterate of a start is scored once.  The best candidate
-    is the one a run of the starts one after another would keep: each
-    start's rows are replayed in its own evaluation and stencil order,
-    the starts in start order, and the first strictly lowest ``-LML``
-    wins; a repeated iterate cannot beat its first scoring.
+    each distinct iterate of a start is scored once.  Each round logs
+    its owners, values and rows.  The best candidate is the one a run of
+    the starts one after another would keep: after the last round, a
+    stable sort of the log by start puts each start's rows in its own
+    evaluation and stencil order, the starts in start order, and the
+    first lowest finite ``-LML`` wins; a repeated iterate cannot beat its
+    first scoring.
 
     Raises
     ------
@@ -513,8 +553,9 @@ def select_hyperparameters(
     InsufficientDataError
         If fewer than two data points are available.
     NumericalConditioningError
-        If no scored row was finite; the message gives how many of the
-        rows the probe scored failed, out of how many it scored (a
+        If the data's scale does not fit the box (:func:`_search_box`),
+        or if no scored row was finite; the message then gives how many
+        of the rows the probe scored failed, out of how many it scored (a
         repeated iterate and its stencil are scored once).
     """
     require_fixed_noise(fixed_noise)
@@ -522,46 +563,21 @@ def select_hyperparameters(
         raise InsufficientDataError("hyperparameter selection needs at least 2 points")
     d = data.dim
 
-    span = np.ptp(data.X, axis=0)
-    span = np.where(span > 0, span, 1.0)
-    var_y = float(np.var(data.y))
-    scale_y = var_y if var_y > 0 else 1.0
-
-    # each block of log-parameters: its (low, high) box factors and its data scale
-    table = [(_LENGTHSCALE_BOX, span**2), (_AMPLITUDE_BOX, scale_y)]
-    if fixed_noise is None:
-        table.append((_NOISE_BOX, scale_y))
-    lo, hi = (
-        np.concatenate([np.atleast_1d(np.log(box[side] * scale)) for box, scale in table])
-        for side in (0, 1)
-    )
+    lo, hi = _search_box(data, fixed_noise)
     p = lo.size
 
-    # each start's lowest score so far and its row; inf while it has no finite score
-    best_value = np.full(_STARTS, np.inf)
-    best_z = np.zeros((_STARTS, p))
-    counts = {"scored": 0, "failed": 0}
+    # each round's owners (k,), values (k, p + 1) and rows (k, p + 1, p)
+    rounds = []
     # stencil row i + 1 of an iterate moves its coordinate i
     stencil = np.eye(p + 1, p, -1, dtype=bool)
 
     def fun_and_grad(owners, z):
-        k = len(owners)
         moved = z + _forward_steps(z, lo, hi)
         Z = np.where(stencil, moved[:, None, :], z[:, None, :])
         values = -_log_evidences(data, *_unpack_rows(Z.reshape(-1, p), d, fixed_noise))
-        values = values.reshape(k, p + 1)
-        counts["scored"] += values.size
-        ok = np.isfinite(values)
-        counts["failed"] += ok.size - np.count_nonzero(ok)
-        scores = np.where(ok, values, np.inf)
-        # each owner's first strictly lowest row, kept where it beats the owner's best
-        rows = np.arange(k)
-        lowest = np.argmin(scores, axis=1)
-        lowest_score = scores[rows, lowest]
-        better = lowest_score < best_value[owners]
-        best_value[owners[better]] = lowest_score[better]
-        best_z[owners[better]] = Z[rows[better], lowest[better]]
-        f = np.where(ok, values, 1e12)
+        values = values.reshape(len(owners), p + 1)
+        rounds.append((owners, values, Z))
+        f = np.where(np.isfinite(values), values, 1e12)
         return f[:, 0], (f[:, 1:] - f[:, :1]) / (moved - z)
 
     rng = np.random.default_rng(_SEED)
@@ -572,15 +588,21 @@ def select_hyperparameters(
         fun_and_grad, starts, lo, hi, _MAX_ITERATIONS, _MAX_EVALUATIONS // (p + 1)
     )
 
-    # each start's best is its first strictly lowest score; replayed in
-    # start order, the first strictly lowest of those is the search's
-    best = int(np.argmin(best_value))
-    if best_value[best] == np.inf:
+    # the rows in start order, each start's in its own scoring order, as a
+    # run of the starts one after another scores them; the first lowest
+    # finite row wins
+    owners, values, Z = (np.concatenate(part) for part in zip(*rounds))
+    order = np.argsort(np.repeat(owners, p + 1), kind="stable")
+    scores = values.ravel()[order]
+    ok = np.isfinite(scores)
+    best = int(np.argmin(np.where(ok, scores, np.inf)))
+    if not ok[best]:
         raise NumericalConditioningError(
-            f"no hyperparameter candidate was evaluable: {counts['failed']} of "
-            f"{counts['scored']} scored rows failed"
+            f"no hyperparameter candidate was evaluable: {ok.size - np.count_nonzero(ok)} of "
+            f"{ok.size} scored rows failed"
         )
-    amplitude_sq, lengthscales, noise = _unpack_rows(best_z[best][None, :], d, fixed_noise)
+    best_z = Z.reshape(-1, p)[order[best]]
+    amplitude_sq, lengthscales, noise = _unpack_rows(best_z[None, :], d, fixed_noise)
     return HyperparameterSample(
         kernel=RbfKernel(amplitude_sq=amplitude_sq[0], lengthscales=lengthscales[0]),
         noise=NoiseModel(variance=noise[0]),

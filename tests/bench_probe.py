@@ -26,8 +26,10 @@ kernel-only terms taken over from the context of the step before.
 pieces of one search round are timed alone: ``log_evidences`` scores a
 stack of log-parameter rows, as a round of 1 start (n = 5, 4 rows with
 a 3-entry stencil) or of 6 starts (n = 25, 18 rows) does, in 1-d and
-2-d, and ``forward_steps`` gives the stencil steps of 4 interior
-iterates with 3 log-parameters each.  ``cold_import`` times a fresh
+2-d, ``chol_solves`` makes the 18 weight solves of the second at n = 25,
+and ``forward_steps`` gives the stencil steps of 4 interior iterates
+with 3 log-parameters each, in the box the search builds for 25 points
+of x^2.  ``cold_import`` times a fresh
 interpreter's ``import gpexpect.design, gpexpect.benchmarks, gpexpect.cli``,
 the start-up every CLI call pays.
 """
@@ -41,6 +43,7 @@ import numpy as np
 import pytest
 
 import gpexpect
+from gpexpect._numerics import chol_solves
 from gpexpect.acquisition import (
     acquisition_objective,
     build_context,
@@ -54,6 +57,7 @@ from gpexpect.gp import (
     NoiseModel,
     _forward_steps,
     _log_evidences,
+    _search_box,
     fit,
     select_hyperparameters,
 )
@@ -191,8 +195,19 @@ def test_log_evidences(benchmark, n, rows, d):
     assert np.all(np.isfinite(values))
 
 
+def test_chol_solves(benchmark):
+    # the weight solves of a 6-start round at n = 25: 18 Gram factors against y
+    rng = np.random.default_rng(25)
+    A = rng.normal(size=(18, 25, 25))
+    chols = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + 25 * np.eye(25))
+    solved = benchmark(chol_solves, chols, rng.normal(size=25))
+    assert solved.shape == (18, 25)
+
+
 def test_forward_steps(benchmark):
-    lo, hi = np.array([-5.0, -7.0, -18.0]), np.array([4.0, 7.0, -2.0])
+    problem = benchmark_problem("x_squared")
+    X = sample(problem.mix, 25, seed=900)
+    lo, hi = _search_box(Dataset(X=X, y=problem.fn(X)), None)
     z = np.random.default_rng(4).uniform(lo, hi, size=(4, 3))
     h = benchmark(_forward_steps, z, lo, hi)
     assert h.shape == z.shape

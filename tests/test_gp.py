@@ -2,6 +2,7 @@
 
 import importlib
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,53 @@ class TestSelectHyperparameters:
         assert_allclose(theta.kernel.lengthscales, np.ptp(data.X, axis=0) ** 2)
         assert_allclose(theta.kernel.amplitude_sq, np.var(data.y))
 
+    def test_a_cross_start_tie_keeps_the_earlier_start(self, monkeypatch):
+        """Start 0's second-round row beats start 1's tied first-round row: rows
+        are ranked by start first and by scoring order within a start."""
+        rng = np.random.default_rng(23)
+        data = Dataset(X=rng.normal(size=(6, 1)), y=rng.normal(size=6))
+        lo, hi = gpexpect.gp._search_box(data, None)
+        first, other, tied, winner = (lo + f * (hi - lo) for f in (0.2, 0.4, 0.6, 0.8))
+
+        def two_rounds(fun_and_grad, x0, lo, hi, max_iterations, max_evaluations):
+            owners = np.arange(2)
+            fun_and_grad(owners, np.array([first, tied]))
+            fun_and_grad(owners, np.array([winner, other]))
+
+        def keyed(data, amplitude_sq, lengthscales, noise):
+            # the log evidence is 1 at the rows of `tied` and `winner`, 0 elsewhere
+            rows = np.column_stack([lengthscales, amplitude_sq, noise])
+            return np.array([
+                float(any(row.tolist() == np.exp(z).tolist() for z in (tied, winner)))
+                for row in rows
+            ])
+
+        monkeypatch.setattr(gpexpect.gp, "_lbfgsb_lockstep", two_rounds)
+        monkeypatch.setattr(gpexpect.gp, "_log_evidences", keyed)
+        theta = select_hyperparameters(data)
+        assert theta.kernel.lengthscales.tolist() == [np.exp(winner[0])]
+        assert theta.kernel.amplitude_sq == np.exp(winner[1])
+        assert theta.noise.variance == np.exp(winner[2])
+
+    @pytest.mark.parametrize(
+        "X, y, scale",
+        [([[0.0], [1e200], [5e199]], [0.0, 1.0, 2.0], "the input span of dimension 0 is 1e+200"),
+         ([[0.0, 0.0], [1.0, 1e-170], [2.0, 5e-171]], [0.0, 1.0, 2.0],
+          "the input span of dimension 1 is 1e-170"),
+         ([[0.0], [1.0], [2.0]], [0.0, 1e200, -1e200], "var(y) is inf")],
+        ids=["span-squared-overflows", "span-squared-underflows", "variance-overflows"],
+    )
+    @pytest.mark.parametrize("fixed_noise", [None, 0.1])
+    def test_a_scale_the_box_cannot_hold_is_named(self, X, y, scale, fixed_noise):
+        data = Dataset(X=np.array(X), y=np.array(y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalConditioningError) as caught:
+                select_hyperparameters(data, fixed_noise)
+        assert str(caught.value) == (
+            f"the hyperparameter search box does not fit in floating point: {scale}"
+        )
+
     def test_needs_two_points(self):
         with pytest.raises(InsufficientDataError):
             select_hyperparameters(Dataset(X=np.array([[0.0]]), y=np.array([1.0])))
@@ -437,19 +485,25 @@ class TestSearchMatchesReference:
 
     def test_forward_steps_are_scipys_two_point_stencil(self):
         """``z + h_i e_i`` are the points scipy 1.17's 2-point rule evaluates, as
-        L-BFGS-B calls it, on the large-|z| fallback step, on a bound and in a
-        box narrower than the step."""
+        L-BFGS-B calls it, on boxes the search builds for data scales from 1e-150
+        to 1e150: with z on a bound, within one step of it, or inside the box."""
         rng = np.random.default_rng(19)
-        for case in range(300):
-            lo = rng.uniform(-10, 0, size=3)
-            hi = lo + np.where(rng.random(3) < 0.1, 5e-9, rng.uniform(1e-3, 10, size=3))
-            z = rng.uniform(lo, hi)
-            z = np.where(rng.random(3) < 0.2, hi, np.where(rng.random(3) < 0.2, lo, z))
-            if case % 10 == 0:
-                z[0], lo[0], hi[0] = 1e9, -2e9, 2e9
+        step = gpexpect.gp._FD_STEP
+        for case in range(200):
+            d = int(rng.integers(1, 4))
+            span = 10.0 ** rng.uniform(-150, 150, size=d)
+            X = np.vstack([np.zeros(d), span, rng.uniform(0, span, size=(3, d))])
+            y = 10.0 ** rng.uniform(-75, 75) * rng.normal(size=5)
+            fixed_noise = None if case % 2 else 1e-3
+            lo, hi = gpexpect.gp._search_box(Dataset(X=X, y=y), fixed_noise)
+            candidates = np.stack([
+                lo, hi, lo + rng.uniform(0, step, lo.size), hi - rng.uniform(0, step, lo.size),
+                rng.uniform(lo, hi),
+            ])
+            z = candidates[rng.integers(0, len(candidates), lo.size), np.arange(lo.size)]
             points = []
             approx_derivative(lambda x: points.append(x.copy()) or 0.0, z,
-                              method="2-point", abs_step=gpexpect.gp._FD_STEP,
+                              method="2-point", abs_step=step,
                               f0=0.0, bounds=(lo, hi))
             h = gpexpect.gp._forward_steps(z, lo, hi)
             for i, x in enumerate(points):

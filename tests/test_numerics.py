@@ -1,5 +1,5 @@
-"""Package-private helpers: the compiled scipy modules, the direct LAPACK solves
-and the stacked forward substitution."""
+"""Package-private helpers: the compiled scipy modules, the direct LAPACK solves,
+the stacked Cholesky solves and the stacked forward substitution."""
 
 import json
 import os
@@ -18,6 +18,7 @@ from scipy.linalg import cho_solve, solve_triangular
 import gpexpect
 from gpexpect._numerics import (
     chol_solve,
+    chol_solves,
     forward_solve,
     forward_substitute,
     load_scipy_extension,
@@ -130,6 +131,16 @@ class TestLapackSolves:
         L = np.array([[1.0, 0.0], [0.5, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
             forward_solve(L, np.ones(2))
+
+    def test_stacked_solves_are_chol_solve_per_factor(self):
+        rng = np.random.default_rng(53)
+        for n in (1, 2, 5, 25):
+            A = rng.normal(size=(18, n, n))
+            chols = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + n * np.eye(n))
+            y = rng.normal(size=n)
+            got = chol_solves(chols, y)
+            assert got.shape == (18, n)
+            assert_array_equal(got, np.array([chol_solve(chol, y) for chol in chols]))
 
 
 def reference_substitute(chols, rhs):
