@@ -6,9 +6,10 @@ validation and batching that dominate the cost of a probe's small systems.
 They call ``dtrtrs`` and ``dpotrs`` of the compiled ``scipy.linalg._flapack``,
 the very objects ``get_lapack_funcs`` returns.  :func:`load_scipy_extension`
 loads that module, and ``scipy.optimize._lbfgsb`` for the hyperparameter
-search, without running the ``scipy.linalg`` or ``scipy.optimize`` package
-``__init__``, which costs most of a cold start; the package imports no
-other part of those two packages.  :func:`chol_solves` makes
+search, by file, without running any scipy package ``__init__``, the
+top-level ``scipy`` included, which cost most of a cold start.  Apart
+from ``scipy.special`` at the first density or EM call, a run executes no
+scipy Python code.  :func:`chol_solves` makes
 :func:`chol_solve`'s call once per factor of a stack, against one
 right-hand side, in one loop with one transposed copy of the stack.
 :func:`forward_substitute` is the triangular solve whose right-hand sides
@@ -25,6 +26,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import numbers
+import os
 import sys
 
 import numpy as np
@@ -38,21 +40,25 @@ def load_scipy_extension(name: str):
     """The compiled scipy module ``name``, such as ``"scipy.linalg._flapack"``.
 
     A module already in ``sys.modules`` is returned as it is.  Otherwise
-    the file is found in the package's directory, which imports only the
-    top-level ``scipy``, then executed and registered in ``sys.modules``
-    without running the package's ``__init__``.  So a ``scipy.linalg`` or
+    the file is found by path and no package is imported, not even the
+    top-level ``scipy``: the top-level lookup gives scipy's directory and
+    the dotted middle of ``name`` the subdirectory.  The module is then
+    executed and registered in ``sys.modules``.  So a ``scipy.linalg`` or
     ``scipy.optimize`` imported later takes this very module; but the
     package then has no attribute for it, so reach it through
     ``importlib.import_module(name)``, not ``scipy.optimize._lbfgsb``.
     Raises ``ImportError`` naming ``name`` and the scipy pin if the
-    module is not there.
+    top-level package, the subdirectory or the module is not there.
     """
     module = sys.modules.get(name)
     if module is not None:
         return module
-    package = importlib.util.find_spec(name.rpartition(".")[0])
-    locations = package.submodule_search_locations if package else None
-    spec = importlib.machinery.PathFinder.find_spec(name, locations) if locations else None
+    top, *middle, _ = name.split(".")
+    root = importlib.util.find_spec(top)
+    spec = None
+    if root is not None and root.submodule_search_locations:
+        directory = os.path.join(root.submodule_search_locations[0], *middle)
+        spec = importlib.machinery.PathFinder.find_spec(name, [directory])
     if spec is None:
         raise ImportError(
             f"no compiled module {name}; gpexpect loads it directly and pyproject.toml "
@@ -161,13 +167,16 @@ def forward_substitute(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(chol chol^T)^-1 rhs for a lower Cholesky factor ``chol``, as cho_solve((chol, True)).
 
-    A 0x0 factor (no data) gives the empty solution of the empty system.
+    ``chol`` must come from a successful Cholesky: ``potrs`` reports only
+    an illegal argument, so a zero on the diagonal gives infinities
+    without an error.  A 0x0 factor (no data) gives the empty solution of
+    the empty system.
     """
     if chol.shape[0] == 0:
         return np.zeros(rhs.shape)
     x, info = _POTRS(chol, rhs, lower=1)
     if info:
-        raise LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
+        raise LinAlgError(f"LAPACK rejected an argument of the Cholesky solve (info {info})")
     return x
 
 
@@ -178,11 +187,13 @@ def chol_solves(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     vector ``rhs`` (n,), bit for bit, from one ``potrs`` call per factor.
     ``potrs`` reads Fortran order, so one transposed copy of the stack
     makes each factor an F-contiguous view that LAPACK takes without a
-    copy per factor.
+    copy per factor.  Each factor must come from a successful Cholesky,
+    as for :func:`chol_solve`: a zero on a diagonal gives infinities
+    without an error.
     """
     out = np.empty(chols.shape[:2])
     for i, upper in enumerate(chols.transpose(0, 2, 1).copy()):
         out[i], info = _POTRS(upper.T, rhs, 1)  # lower=1
         if info:
-            raise LinAlgError(f"Cholesky solve failed (LAPACK info {info})")
+            raise LinAlgError(f"LAPACK rejected an argument of the Cholesky solve (info {info})")
     return out

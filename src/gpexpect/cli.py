@@ -26,7 +26,6 @@ from gpexpect.errors import GpExpectError, InsufficientDataError
 from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
 from gpexpect.mixtures import GaussianMixture, fit_em, gmm_from_box, mixture_from_dict
 from gpexpect.optimize import BoxBounds
-from gpexpect.validation import run_validation
 
 _EXIT_OK = 0
 _EXIT_VALIDATION = 1
@@ -379,6 +378,8 @@ def _cmd_benchmark(config_path: str) -> int:
 
 
 def _cmd_validate() -> int:
+    from gpexpect.validation import run_validation
+
     results = run_validation()
     failed = 0
     for res in results:

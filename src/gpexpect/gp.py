@@ -33,8 +33,8 @@ lives here, a change to scipy's finite differences cannot move the
 selected hyperparameters.  The search's effort and its starts' seed are
 fixed, so its result is a function of the data and an optional fixed
 noise alone.  ``setulb`` is read at each search from the compiled
-``scipy.optimize._lbfgsb`` alone, which loads at the first search; no
-run loads the ``scipy.optimize`` package.
+``scipy.optimize._lbfgsb`` alone, loaded by file at the first search; no
+run loads the ``scipy.optimize`` package or even the top-level ``scipy``.
 """
 
 from __future__ import annotations

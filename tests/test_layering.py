@@ -1,6 +1,8 @@
 """Module boundaries: no package module imports another module's private name,
-no module imports ``scipy.linalg`` or ``scipy.optimize``, and importing the
-package or running it loads neither package nor ``scipy.special``."""
+no module imports ``scipy.linalg`` or ``scipy.optimize``, importing the
+package or running it loads no scipy package, the top-level ``scipy``
+included, nor ``scipy.special``, and importing the CLI loads neither
+``gpexpect.validation`` nor ``gpexpect.oracles``."""
 
 import ast
 import json
@@ -143,16 +145,17 @@ def test_the_check_sees_module_level_scipy_imports(tmp_path):
 
 # one pinned run and then one learned run, reporting which scipy packages
 # and compiled modules are loaded at each point and the learned run's
-# history in hex
+# history in hex; the CLI's import leaves the validation matrix unloaded
 IMPORT_SET_SCRIPT = """
 import json, sys
 import gpexpect, gpexpect.benchmarks, gpexpect.cli, gpexpect.design
+assert "gpexpect.validation" not in sys.modules and "gpexpect.oracles" not in sys.modules
 from gpexpect.benchmarks import benchmark_problem
 from gpexpect.design import DesignConfig, run
 from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
 
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
+    return [m for m in ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
                         "scipy.optimize._lbfgsb", "scipy.special") if m in sys.modules]
 
 report = {"imported": loaded()}
@@ -187,15 +190,16 @@ def _fresh_run(preamble: str = "") -> dict:
 
 def test_a_run_loads_only_the_compiled_scipy_modules():
     """Import loads ``_flapack``, the first search ``_lbfgsb``, and no run
-    loads the ``scipy.linalg``, ``scipy.optimize`` or ``scipy.special`` package."""
+    loads a scipy package: not ``scipy`` itself, nor ``scipy.linalg``,
+    ``scipy.optimize`` or ``scipy.special``."""
     lazy = _fresh_run()
     assert lazy["imported"] == ["scipy.linalg._flapack"]
     assert lazy["pinned"] == ["scipy.linalg._flapack"]
     assert lazy["learned"] == ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"]
     eager = _fresh_run("import scipy.linalg, scipy.optimize, scipy.special\n")
     assert eager["imported"] == [
-        "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize", "scipy.optimize._lbfgsb",
-        "scipy.special",
+        "scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
+        "scipy.optimize._lbfgsb", "scipy.special",
     ]
     assert len(lazy["history"]) == 12
     assert lazy["history"] == eager["history"]

@@ -75,13 +75,14 @@ class TestScipyExtensions:
         }
 
     @pytest.mark.parametrize("name", ["scipy.linalg._no_such_module", "scipy.no_such_package._x",
-                                      "scipy.version._x"])
+                                      "scipy.version._x", "no_such_top_package.linalg._x"])
     def test_a_missing_module_is_named_with_the_pin(self, name):
         assert SCIPY_PIN.startswith("scipy>=")
+        before = set(sys.modules)
         with pytest.raises(ImportError, match=re.escape(f"pyproject.toml pins {SCIPY_PIN}")) as exc:
             load_scipy_extension(name)
         assert name in str(exc.value)
-        assert name not in sys.modules
+        assert set(sys.modules) == before
 
 
 class TestLapackSolves:
@@ -131,6 +132,13 @@ class TestLapackSolves:
         L = np.array([[1.0, 0.0], [0.5, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
             forward_solve(L, np.ones(2))
+
+    def test_a_zero_on_the_diagonal_gives_infinities_not_an_error(self):
+        # potrs reports only an illegal argument: the factor must come from a
+        # successful Cholesky, and nothing on the hot path checks it
+        L = np.array([[1.0, 0.0], [0.5, 0.0]])
+        assert_array_equal(chol_solve(L, np.ones(2)), [-np.inf, np.inf])
+        assert_array_equal(chol_solves(L[None], np.ones(2)), [[-np.inf, np.inf]])
 
     def test_stacked_solves_are_chol_solve_per_factor(self):
         rng = np.random.default_rng(53)
