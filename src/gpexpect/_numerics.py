@@ -7,9 +7,8 @@ They call ``dtrtrs`` and ``dpotrs`` of the compiled ``scipy.linalg._flapack``,
 the very objects ``get_lapack_funcs`` returns.  :func:`load_scipy_extension`
 loads that module, and ``scipy.optimize._lbfgsb`` for the hyperparameter
 search, by file, without running any scipy package ``__init__``, the
-top-level ``scipy`` included, which cost most of a cold start.  Apart
-from ``scipy.special`` at the first density or EM call, a run executes no
-scipy Python code.  :func:`chol_solves` makes
+top-level ``scipy`` included, which cost most of a cold start.  No call
+of the package executes scipy Python code.  :func:`chol_solves` makes
 :func:`chol_solve`'s call once per factor of a stack, against one
 right-hand side, in one loop with one transposed copy of the stack.
 :func:`forward_substitute` is the triangular solve whose right-hand sides
@@ -48,7 +47,9 @@ def load_scipy_extension(name: str):
     package then has no attribute for it, so reach it through
     ``importlib.import_module(name)``, not ``scipy.optimize._lbfgsb``.
     Raises ``ImportError`` naming ``name`` and the scipy pin if the
-    top-level package, the subdirectory or the module is not there.
+    top-level package, the subdirectory or the module is not there.  If
+    executing the module raises, ``name`` leaves ``sys.modules`` again,
+    as in Python's own import, and the error propagates.
     """
     module = sys.modules.get(name)
     if module is not None:
@@ -67,7 +68,11 @@ def load_scipy_extension(name: str):
         )
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
-    spec.loader.exec_module(module)
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(name, None)
+        raise
     return module
 
 

@@ -70,7 +70,7 @@ from gpexpect._numerics import (
 from gpexpect.errors import DegenerateEstimateError
 from gpexpect.gp import GpPosterior, PosteriorStack, posterior_rows, stack_posteriors
 from gpexpect.kernels import RbfKernel, kernel_jacobians
-from gpexpect.mixtures import GaussianMixture, same_mixture
+from gpexpect.mixtures import GaussianMixture, component_quads, same_mixture
 
 # log-gain sentinel standing in for +inf when sigma2^2 underflows to 0;
 # comfortably above any finite log-variance ratio that matters while
@@ -274,13 +274,7 @@ def build_context(
         double_mean = double_kernel_mean(ker, mix)
 
     # the multi-column solve stays: mu1 and sigma1 depend on its bits
-    u = np.stack(
-        [
-            forward_solve(comp_chols[i], (gp.data.X - mix.means[i]).T)
-            for i in range(mix.n_components)
-        ]
-    )
-    quad = np.sum(u * u, axis=1)
+    quad = component_quads(comp_chols, mix.means, gp.data.X)
     kmean_train = (mix.weights * comp_factors) @ (ker.amplitude_sq * np.exp(-0.5 * quad))
     solved = chol_solve(gp.gram_factor, kmean_train)
     mu1 = float(kmean_train @ gp.weights)

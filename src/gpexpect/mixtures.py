@@ -5,10 +5,6 @@ components.  This is the one distribution family for which the kernel
 integrals in :mod:`gpexpect.acquisition` have closed forms, so arbitrary
 input models are first approximated by a mixture (via :func:`fit_em` on
 empirical samples, or :func:`gmm_from_box` for a uniform box).
-
-``scipy.special`` loads at the first density or EM call (:func:`log_pdf`,
-:func:`pdf`, :func:`pdf_many`, :func:`fit_em`), not at import, because
-no step of a design run needs it.
 """
 
 from __future__ import annotations
@@ -90,17 +86,29 @@ class GaussianMixture:
         return self.means.shape[1]
 
 
+def component_quads(chols: np.ndarray, means: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(x - m_i)^T (L_i L_i^T)^-1 (x - m_i) per factor L_i of ``chols``, mean m_i and row x of ``X``.
+
+    One multi-column :func:`forward_solve` per component takes all n rows;
+    summing each (d, n) block alone gives the bits of a sum over their stack.
+    """
+    solves = (forward_solve(chol, (X - mean).T) for chol, mean in zip(chols, means))
+    return np.array([np.sum(u * u, axis=0) for u in solves])  # (k, n)
+
+
 def _component_log_pdfs(mix: GaussianMixture, X: np.ndarray) -> np.ndarray:
     """Per-component Gaussian log densities, shape (n, k)."""
-    n = X.shape[0]
-    k, d = mix.means.shape
-    out = np.empty((n, k))
-    for i in range(k):
-        L = mix._chols[i]
-        u = forward_solve(L, (X - mix.means[i]).T)
-        log_det = np.sum(np.log(np.diag(L)))
-        out[:, i] = -0.5 * np.sum(u * u, axis=0) - log_det - 0.5 * d * np.log(2 * np.pi)
-    return out
+    log_dets = np.sum(np.log(np.diagonal(mix._chols, axis1=1, axis2=2)), axis=1)
+    quads = component_quads(mix._chols, mix.means, X).T
+    return -0.5 * quads - log_dets - 0.5 * mix.dim * np.log(2 * np.pi)
+
+
+def _log_sum_exp(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """log(sum_j weights_j exp(a[..., j])), shifted by each row's max; all ``-inf`` gives ``-inf``."""
+    top = np.max(a, axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top) @ weights) + top[..., 0]
 
 
 def same_mixture(a: GaussianMixture, b: GaussianMixture) -> bool:
@@ -110,11 +118,9 @@ def same_mixture(a: GaussianMixture, b: GaussianMixture) -> bool:
 
 
 def log_pdf(mix: GaussianMixture, x) -> float:
-    from scipy.special import logsumexp
-
+    """Log of the mixture density at ``x``."""
     x = as_point(x, mix.dim, "x")
-    lp = _component_log_pdfs(mix, x[None, :])[0]
-    return float(logsumexp(lp, b=mix.weights))
+    return float(_log_sum_exp(_component_log_pdfs(mix, x[None, :]), mix.weights)[0])
 
 
 def pdf(mix: GaussianMixture, x) -> float:
@@ -124,10 +130,8 @@ def pdf(mix: GaussianMixture, x) -> float:
 
 def pdf_many(mix: GaussianMixture, X) -> np.ndarray:
     """Mixture density at each row of the ``(n, d)`` array ``X``."""
-    from scipy.special import logsumexp
-
     lp = _component_log_pdfs(mix, as_points(X, mix.dim))
-    return np.exp(logsumexp(lp, axis=1, b=mix.weights[None, :]))
+    return np.exp(_log_sum_exp(lp, mix.weights))
 
 
 def _components(mix: GaussianMixture, u: np.ndarray) -> np.ndarray:
@@ -194,31 +198,25 @@ def component_box(mix: GaussianMixture, width: float):
     return lower, upper
 
 
-def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
-    """Clamp eigenvalues from below so the covariance stays SPD."""
-    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+def _nearest(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest of ``centers`` to each row of ``X``; ties go to the first."""
+    return np.argmin(np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
 
 
 def _kmeans_init(X: np.ndarray, k: int, rng) -> np.ndarray:
-    """Greedy farthest-point seeding followed by Lloyd iterations."""
+    """k-means++ seeding followed by Lloyd iterations."""
     n = X.shape[0]
     centers = [X[rng.integers(n)]]
+    # squared distance of each row to its nearest center so far
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
     for _ in range(k - 1):
-        d2 = np.min(
-            [np.sum((X - c) ** 2, axis=1) for c in centers], axis=0
-        )
         total = d2.sum()
-        if total <= 0:
-            centers.append(X[rng.integers(n)])
-            continue
-        centers.append(X[rng.choice(n, p=d2 / total)])
+        pick = rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)
+        centers.append(X[pick])
+        d2 = np.minimum(d2, np.sum((X - X[pick]) ** 2, axis=1))
     centers = np.array(centers)
     for _ in range(50):
-        assign = np.argmin(
-            np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1
-        )
+        assign = _nearest(X, centers)
         new_centers = centers.copy()
         for j in range(k):
             members = X[assign == j]
@@ -230,12 +228,39 @@ def _kmeans_init(X: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
+def _m_step(X: np.ndarray, resp: np.ndarray, floor: float, fallback) -> GaussianMixture:
+    """The mixture that maximizes the expected log-likelihood under ``resp`` (n, k).
+
+    A component whose responsibilities sum below 1e-300 (none, for an
+    empty k-means cluster) takes the weight of one row and the mean and
+    covariance of ``fallback``, a ``(means, cov)`` pair.  Every covariance
+    has its eigenvalues clamped to ``floor`` from below, so it stays SPD.
+    """
+    d = X.shape[1]
+    nk = resp.sum(axis=0)
+    empty = nk < 1e-300
+    nk[empty] = 1.0
+    means = (resp.T @ X) / nk[:, None]
+    covs = np.empty((nk.size, d, d))
+    for j in range(nk.size):
+        diff = X - means[j]
+        covs[j] = (resp[:, j] * diff.T) @ diff / nk[j]
+    means[empty] = fallback[0][empty]
+    covs[empty] = fallback[1]
+    vals, vecs = np.linalg.eigh(0.5 * (covs + covs.transpose(0, 2, 1)))
+    covs = (vecs * np.maximum(vals, floor)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return GaussianMixture(weights=nk / nk.sum(), means=means, covs=covs)
+
+
 def fit_em_trace(samples, k: int, seed: int = 0):
     """EM fit returning the mixture and the per-iteration log-likelihood.
 
-    The trace is the total data log-likelihood after each EM iteration;
-    it is non-decreasing up to arithmetic noise.  Deterministic given
-    ``seed``, which seeds the k-means initialization.
+    The trace is the total data log-likelihood after each EM iteration.
+    Deterministic given ``seed``, which seeds the k-means initialization.
+    The first mixture is the M step of the k-means assignment.  A
+    component that holds no row (responsibilities summing below 1e-300)
+    restarts at its k-means center with the data's spread; otherwise the
+    trace is non-decreasing up to arithmetic noise.
 
     Raises
     ------
@@ -244,8 +269,6 @@ def fit_em_trace(samples, k: int, seed: int = 0):
     InsufficientDataError
         If fewer than ``10 * k`` samples are supplied.
     """
-    from scipy.special import logsumexp
-
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
@@ -258,55 +281,25 @@ def fit_em_trace(samples, k: int, seed: int = 0):
     if n < 10 * k:
         raise InsufficientDataError(f"EM with k={k} needs at least {10 * k} samples, got {n}")
 
-    rng = np.random.default_rng(seed)
     # variance floor is relative to the overall data spread
     data_var = float(np.mean(np.var(X, axis=0)))
     floor = _EM_VARIANCE_FLOOR_SCALE * max(data_var, 1e-30)
-
-    centers = _kmeans_init(X, k, rng)
-    assign = np.argmin(np.sum((X[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
-    weights = np.zeros(k)
-    means = centers.copy()
-    covs = np.empty((k, d, d))
-    for j in range(k):
-        members = X[assign == j]
-        weights[j] = max(members.shape[0], 1) / n
-        if members.shape[0] > 0:
-            means[j] = members.mean(axis=0)
-            diff = members - means[j]
-            covs[j] = diff.T @ diff / members.shape[0]
-        else:
-            covs[j] = np.eye(d) * max(data_var, floor)
-        covs[j] = _floor_covariance(covs[j], floor)
-    weights = weights / weights.sum()
+    centers = _kmeans_init(X, k, np.random.default_rng(seed))
+    fallback = (centers, np.eye(d) * max(data_var, floor))
+    mix = _m_step(X, np.eye(k)[_nearest(X, centers)], floor, fallback)
 
     trace = []
-    mix = GaussianMixture(weights=weights, means=means, covs=covs)
     for _ in range(_EM_MAX_ITERATIONS):
         # E step: responsibilities in log space
-        lp = _component_log_pdfs(mix, X) + np.log(mix.weights)[None, :]
-        norm = logsumexp(lp, axis=1)
+        lp = _component_log_pdfs(mix, X)
+        norm = _log_sum_exp(lp, mix.weights)
         trace.append(float(norm.sum()))
-        resp = np.exp(lp - norm[:, None])
-
-        # M step
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-300)
-        weights = nk / n
-        means = (resp.T @ X) / nk[:, None]
-        covs = np.empty((k, d, d))
-        for j in range(k):
-            diff = X - means[j]
-            covs[j] = _floor_covariance((resp[:, j] * diff.T) @ diff / nk[j], floor)
-        weights = weights / weights.sum()
-        mix = GaussianMixture(weights=weights, means=means, covs=covs)
-
+        mix = _m_step(X, mix.weights * np.exp(lp - norm[:, None]), floor, fallback)
         if len(trace) >= 2:
             prev, cur = trace[-2], trace[-1]
             if cur - prev <= _EM_REL_TOLERANCE * max(1.0, abs(prev)):
                 break
-    lp = _component_log_pdfs(mix, X) + np.log(mix.weights)[None, :]
-    trace.append(float(logsumexp(lp, axis=1).sum()))
+    trace.append(float(_log_sum_exp(_component_log_pdfs(mix, X), mix.weights).sum()))
     return mix, np.array(trace)
 
 

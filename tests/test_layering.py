@@ -1,8 +1,8 @@
 """Module boundaries: no package module imports another module's private name,
-no module imports ``scipy.linalg`` or ``scipy.optimize``, importing the
-package or running it loads no scipy package, the top-level ``scipy``
-included, nor ``scipy.special``, and importing the CLI loads neither
-``gpexpect.validation`` nor ``gpexpect.oracles``."""
+no module imports ``scipy.linalg``, ``scipy.optimize`` or ``scipy.special``,
+importing the package, running it or calling its densities and EM loads no
+scipy package, the top-level ``scipy`` included, and importing the CLI loads
+neither ``gpexpect.validation`` nor ``gpexpect.oracles``."""
 
 import ast
 import json
@@ -14,11 +14,9 @@ from pathlib import Path
 import gpexpect
 
 PACKAGE = Path(gpexpect.__file__).resolve().parent
-# scipy packages no module imports: _numerics.load_scipy_extension loads
-# their compiled modules alone, without the package __init__
-DIRECT_ONLY = ("scipy.linalg", "scipy.optimize")
-# scipy modules the package loads on first use only: logsumexp for densities and EM
-LAZY_MODULES = ("scipy.special",)
+# scipy packages no module imports at any depth: _numerics.load_scipy_extension
+# loads the compiled modules of the first two alone, without the package __init__
+NOT_IMPORTED = ("scipy.linalg", "scipy.optimize", "scipy.special")
 
 
 def private_imports(path: Path) -> list:
@@ -64,11 +62,10 @@ def test_the_check_sees_private_names(tmp_path):
     ]
 
 
-def imports_of(path: Path, modules, in_functions: bool) -> list:
-    """``(line, module)`` of each import statement that loads one of ``modules``
-    or a submodule of one; ``module`` is the first such module the statement
-    names.  Statements in function bodies count only if ``in_functions``;
-    the others run at import."""
+def imports_of(path: Path, modules) -> list:
+    """``(line, module)`` of each import statement, at any depth, that loads one
+    of ``modules`` or a submodule of one; ``module`` is the first such module
+    the statement names."""
     found = []
 
     def watched(module):
@@ -76,8 +73,6 @@ def imports_of(path: Path, modules, in_functions: bool) -> list:
 
     def visit(node):
         for child in ast.iter_child_nodes(node):
-            if not in_functions and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
             if isinstance(child, ast.Import):
                 named = [a.name for a in child.names]
             elif isinstance(child, ast.ImportFrom) and not child.level and child.module:
@@ -94,21 +89,14 @@ def imports_of(path: Path, modules, in_functions: bool) -> list:
     return found
 
 
-def test_no_module_imports_scipy_linalg_or_optimize():
+def test_no_module_imports_a_scipy_package():
     paths = sorted(PACKAGE.glob("*.py"))
     assert len(paths) > 5
-    offenders = {p.name: imports_of(p, DIRECT_ONLY, in_functions=True) for p in paths}
+    offenders = {p.name: imports_of(p, NOT_IMPORTED) for p in paths}
     assert {name: found for name, found in offenders.items() if found} == {}
 
 
-def test_no_module_imports_scipy_special_at_import():
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert len(paths) > 5
-    offenders = {p.name: imports_of(p, LAZY_MODULES, in_functions=False) for p in paths}
-    assert {name: found for name, found in offenders.items() if found} == {}
-
-
-def test_the_check_sees_module_level_scipy_imports(tmp_path):
+def test_the_check_sees_scipy_imports_at_any_depth(tmp_path):
     path = tmp_path / "gp.py"
     path.write_text(
         "import scipy.linalg\n"
@@ -126,26 +114,22 @@ def test_the_check_sees_module_level_scipy_imports(tmp_path):
         "    pass\n",
         encoding="utf-8",
     )
-    assert imports_of(path, ("scipy.optimize", "scipy.special"), in_functions=False) == [
-        (2, "scipy.optimize._lbfgsb"),
-        (3, "scipy.special"),
-        (4, "scipy.special"),
-        (6, "scipy.optimize"),
-        (11, "scipy.optimize"),
-    ]
-    assert imports_of(path, DIRECT_ONLY, in_functions=True) == [
+    assert imports_of(path, NOT_IMPORTED) == [
         (1, "scipy.linalg"),
         (2, "scipy.optimize._lbfgsb"),
         (3, "scipy.linalg"),
+        (4, "scipy.special"),
         (6, "scipy.optimize"),
+        (8, "scipy.special"),
         (9, "scipy.optimize"),
         (11, "scipy.optimize"),
     ]
 
 
-# one pinned run and then one learned run, reporting which scipy packages
-# and compiled modules are loaded at each point and the learned run's
-# history in hex; the CLI's import leaves the validation matrix unloaded
+# one pinned run, one learned run and then density and EM calls, reporting
+# which scipy packages and compiled modules are loaded at each point and the
+# learned run's history in hex; the CLI's import leaves the validation matrix
+# unloaded
 IMPORT_SET_SCRIPT = """
 import json, sys
 import gpexpect, gpexpect.benchmarks, gpexpect.cli, gpexpect.design
@@ -153,6 +137,7 @@ assert "gpexpect.validation" not in sys.modules and "gpexpect.oracles" not in sy
 from gpexpect.benchmarks import benchmark_problem
 from gpexpect.design import DesignConfig, run
 from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
+from gpexpect.mixtures import fit_em, log_pdf, pdf_many, sample
 
 def loaded():
     return [m for m in ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
@@ -166,6 +151,10 @@ report["pinned"] = loaded()
 xsq = benchmark_problem("x_squared")
 history = run(xsq.mix, xsq.black_box, DesignConfig(n0=5, budget=12, seed=900))
 report["learned"] = loaded()
+pdf_many(branin.mix, sample(branin.mix, 5, seed=1))
+log_pdf(branin.mix, [0.5, 0.5])
+fit_em(sample(branin.mix, 60, seed=2), 2)
+report["densities"] = loaded()
 report["history"] = [
     [r.iteration] + [float(v).hex() for v in (*r.chosen_x, r.observed_y, r.mu1, r.sigma1,
                                               r.acquisition_at_chosen)]
@@ -189,13 +178,14 @@ def _fresh_run(preamble: str = "") -> dict:
 
 
 def test_a_run_loads_only_the_compiled_scipy_modules():
-    """Import loads ``_flapack``, the first search ``_lbfgsb``, and no run
-    loads a scipy package: not ``scipy`` itself, nor ``scipy.linalg``,
-    ``scipy.optimize`` or ``scipy.special``."""
+    """Import loads ``_flapack``, the first search ``_lbfgsb``, and no run,
+    density or EM call loads a scipy package: not ``scipy`` itself, nor
+    ``scipy.linalg``, ``scipy.optimize`` or ``scipy.special``."""
     lazy = _fresh_run()
     assert lazy["imported"] == ["scipy.linalg._flapack"]
     assert lazy["pinned"] == ["scipy.linalg._flapack"]
     assert lazy["learned"] == ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"]
+    assert lazy["densities"] == ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"]
     eager = _fresh_run("import scipy.linalg, scipy.optimize, scipy.special\n")
     assert eager["imported"] == [
         "scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",

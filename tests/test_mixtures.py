@@ -1,16 +1,22 @@
 """Gaussian mixture densities, sampling, EM fitting, and serialization."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
+from scipy.special import logsumexp
 
+from gpexpect._numerics import forward_solve
 from gpexpect.errors import InsufficientDataError
 from gpexpect.mixtures import (
     GaussianMixture,
     component_box,
+    component_quads,
     fit_em,
     fit_em_trace,
     gmm_from_box,
@@ -23,6 +29,7 @@ from gpexpect.mixtures import (
     same_mixture,
     sample,
 )
+from gpexpect.mixtures import _log_sum_exp
 from gpexpect.oracles import quad_integral_1d
 from gpexpect.validation import random_instance
 
@@ -76,7 +83,43 @@ class TestDensity:
         X = np.linspace(-3, 3, 11).reshape(-1, 1)
         vals = pdf_many(mix, X)
         for i in range(11):
-            assert_allclose(vals[i], pdf(mix, X[i]), rtol=1e-12)
+            assert_array_equal(vals[i], pdf(mix, X[i]))
+
+    def test_component_quads_are_the_sum_over_the_stack(self):
+        """Each component's (d, n) block gives the bits of the sum over the
+        stacked (k, d, n) solutions, for any d and row count, one row included."""
+        rng = np.random.default_rng(12)
+        for d, n in itertools.product(range(1, 13), (1, 2, 9, 300)):
+            A = rng.normal(size=(5, d, d))
+            chols = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + np.eye(d))
+            means = rng.normal(size=(5, d))
+            X = 3 * rng.normal(size=(n, d))
+            u = np.stack([forward_solve(chol, (X - m).T) for chol, m in zip(chols, means)])
+            assert_array_equal(component_quads(chols, means, X), np.sum(u * u, axis=1))
+
+
+class TestLogSumExp:
+    """The weighted log-sum-exp of the densities and EM, against scipy's."""
+
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(11)
+        for k in (1, 2, 5, 16):
+            # magnitudes log-uniform from 1e-3 to 1e300, either sign
+            a = rng.choice([-1.0, 1.0], size=(200, k)) * 10.0 ** rng.uniform(-3, 300, (200, k))
+            a[rng.random((200, k)) < 0.1] = -np.inf
+            a[0] = -np.inf
+            weights = 10.0 ** rng.uniform(-5, 5, k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _log_sum_exp(a, weights)
+            assert_allclose(got, logsumexp(a, axis=1, b=weights), rtol=1e-14, atol=1e-14)
+
+    def test_a_row_of_only_minus_infinity_gives_minus_infinity(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, -np.inf], [-np.inf, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _log_sum_exp(a, np.array([0.25, 0.75]))
+        assert_array_equal(got, [-np.inf, np.log(0.25), np.log(0.75)])
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -225,6 +268,27 @@ class TestEm:
         with pytest.raises(ValueError, match="sample row 17 ") as info:
             fit_em(samples, 1, seed=0)
         assert not isinstance(info.value, InsufficientDataError)
+
+    def test_an_empty_kmeans_cluster_gives_a_valid_fit(self):
+        """Three distinct points for four components: k-means leaves one cluster
+        empty, which starts at weight 1/n, its k-means center and the data's
+        variance, and ends with almost no weight.  The weights and means are
+        the ones the per-component M steps gave before they became one."""
+        samples = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]), 14, axis=0)
+        mix, trace = fit_em_trace(samples, 4, seed=0)
+        assert np.all(mix.weights > 0)
+        assert abs(mix.weights.sum() - 1.0) <= 1e-12
+        assert np.all(np.linalg.eigvalsh(mix.covs) > 0)
+        assert np.diff(trace).min() >= 0
+        assert_allclose(
+            mix.weights,
+            [0.33333333333333337, 0.33333333333333337, 0.3333333333333328, 4.749946265515493e-16],
+            rtol=0, atol=1e-12,
+        )
+        assert_allclose(
+            mix.means, [[0.0, 2.0], [0.0, 0.0], [1.0, 0.0], [0.773703756363168, 0.0]],
+            rtol=0, atol=1e-12,
+        )
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(8)

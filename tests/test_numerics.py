@@ -84,6 +84,21 @@ class TestScipyExtensions:
         assert name in str(exc.value)
         assert set(sys.modules) == before
 
+    def test_a_module_that_raises_leaves_no_entry(self, tmp_path, monkeypatch):
+        """As in Python's own import, a module whose execution raises is taken
+        out of ``sys.modules`` again, so a second call executes it again."""
+        package = tmp_path / "raising_top_package"
+        (package / "sub").mkdir(parents=True)
+        (package / "__init__.py").write_text("raise AssertionError('package imported')\n")
+        (package / "sub" / "_boom.py").write_text("raise RuntimeError('boom')\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        name = "raising_top_package.sub._boom"
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="boom"):
+                load_scipy_extension(name)
+            assert name not in sys.modules
+        assert "raising_top_package" not in sys.modules
+
 
 class TestLapackSolves:
     """The direct LAPACK solves equal scipy.linalg's wrappers bit for bit."""
