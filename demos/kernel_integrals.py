@@ -11,9 +11,9 @@ import numpy as np
 
 from gpexpect import GaussianMixture, RbfKernel
 from gpexpect.acquisition import double_kernel_mean, kernel_mean, kernel_mean_gradient
+from gpexpect.inputs import pdf
 from gpexpect.kernels import eval_kernel
 from gpexpect.oracles import mc_expectation, quad_integral_1d
-from gpexpect.mixtures import pdf
 
 ker = RbfKernel(amplitude_sq=1.0, lengthscales=np.array([1.0]))
 mix = GaussianMixture(

@@ -12,16 +12,8 @@ import json
 import numpy as np
 
 from gpexpect import GaussianMixture
-from gpexpect.mixtures import (
-    fit_em,
-    gmm_from_box,
-    mixture_from_dict,
-    mixture_marginal_std,
-    mixture_mean,
-    mixture_to_dict,
-    pdf,
-    sample,
-)
+from gpexpect.inputs import fit_em, gmm_from_box, mixture_from_dict, mixture_to_dict, pdf
+from gpexpect.mixtures import mixture_marginal_std, mixture_mean, sample
 
 # 1. an explicit two-component mixture in 2-d
 mix = GaussianMixture(

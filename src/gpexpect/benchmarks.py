@@ -17,6 +17,11 @@ from gpexpect.mixtures import GaussianMixture
 
 # s (1 - t) of the Branin cosine term, with s = 10 and t = 1 / (8 pi)
 _BRANIN_COS = 10.0 * (1.0 - 1.0 / (8.0 * np.pi))
+# the 3-node probabilists' Gauss-Hermite rule, with the bits that
+# np.polynomial.hermite_e.hermegauss(3) returns; the exact forms, +-sqrt(3)
+# and sqrt(2 pi) / 6, 2 sqrt(2 pi) / 3, differ in the last bits and move q
+_HERMITE_NODES = np.array([-1.7320508075688774, 0.0, 1.7320508075688774])
+_HERMITE_WEIGHTS = np.array([0.41777137910516654, 1.6710855164206673, 0.41777137910516654])
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +102,9 @@ def branin_expectation(mix: GaussianMixture) -> float:
     """
     if mix.dim != 2:
         raise ValueError("Branin reference is 2-d only")
-    nodes, node_weights = np.polynomial.hermite_e.hermegauss(3)
-    z = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
-    z_weights = np.outer(node_weights, node_weights).ravel() / (2.0 * np.pi)
+    grid = np.meshgrid(_HERMITE_NODES, _HERMITE_NODES, indexing="ij")
+    z = np.stack(grid, axis=-1).reshape(-1, 2)
+    z_weights = np.outer(_HERMITE_WEIGHTS, _HERMITE_WEIGHTS).ravel() / (2.0 * np.pi)
     X = mix.means[:, None, :] + z @ np.swapaxes(np.linalg.cholesky(mix.covs), 1, 2)
     squares = _branin_bracket(X.reshape(-1, 2)).reshape(mix.n_components, -1) ** 2
     cos_part = np.exp(-0.5 * mix.covs[:, 0, 0]) * np.cos(mix.means[:, 0])

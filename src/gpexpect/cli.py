@@ -24,7 +24,8 @@ from gpexpect.benchmarks import available_benchmarks, benchmark_problem
 from gpexpect.design import DesignConfig, run, run_random_baseline
 from gpexpect.errors import GpExpectError, InsufficientDataError
 from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
-from gpexpect.mixtures import GaussianMixture, fit_em, gmm_from_box, mixture_from_dict
+from gpexpect.inputs import fit_em, gmm_from_box, mixture_from_dict
+from gpexpect.mixtures import GaussianMixture
 from gpexpect.optimize import BoxBounds
 
 _EXIT_OK = 0

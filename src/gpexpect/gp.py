@@ -18,12 +18,12 @@ is 1e-8, flipped where it would leave the box: on the search's own box,
 which is finite with bounds under 800 in magnitude, that is the rule of
 scipy 1.17's ``approx_derivative`` (``2-point``, absolute step 1e-8,
 one-sided at the box bounds).  Data whose scale that box cannot hold in
-floating point raise a typed error.  All starts run in lockstep: each
-drives its own state of scipy's reverse-communication routine ``setulb``
-and gets the answers ``minimize(method="L-BFGS-B")`` would give it, and
-each round scores every start's requested iterate and its stencil in one
-stacked probe.  A start asked again for one of its own earlier iterates
-answers from its record of them and scores nothing.  The probe has two
+floating point raise a typed error.  All starts run in lockstep under
+the driver of :mod:`gpexpect.lbfgsb`, which gives each the answers
+``minimize(method="L-BFGS-B")`` would give it, and each round scores
+every start's requested iterate and its stencil in one stacked probe.
+A start asked again for one of its own earlier iterates answers from its
+record of them and scores nothing.  The probe has two
 paths: one Cholesky call on the stack of Gram matrices, whose weight
 solves are one :func:`chol_solves` call, or, if the stack does not
 factor, :func:`log_marginal_likelihood` on each row alone.  Both give a
@@ -32,9 +32,9 @@ winner is picked once from it after the last round.  Because the rule
 lives here, a change to scipy's finite differences cannot move the
 selected hyperparameters.  The search's effort and its starts' seed are
 fixed, so its result is a function of the data and an optional fixed
-noise alone.  ``setulb`` is read at each search from the compiled
-``scipy.optimize._lbfgsb`` alone, loaded by file at the first search; no
-run loads the ``scipy.optimize`` package or even the top-level ``scipy``.
+noise alone.  The driver's module, and with it the compiled
+``scipy.optimize._lbfgsb``, is loaded at the first search, so a run with
+a fixed kernel loads neither.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from gpexpect._numerics import (
     as_points,
     chol_solve,
     chol_solves,
-    load_scipy_extension,
     require_fixed_noise,
     row_dots,
 )
@@ -79,15 +78,6 @@ _FD_STEP = 1e-8
 # scipy's default L-BFGS-B cap on objective evaluations, which counted
 # every finite-difference stencil row as one
 _MAX_EVALUATIONS = 15000
-# the rest of minimize(method="L-BFGS-B")'s defaults: memory, factr
-# (ftol / eps), projected-gradient tolerance and line-search steps
-_LBFGSB_MEMORY = 10
-_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
-_LBFGSB_PGTOL = 1e-5
-_LBFGSB_MAXLS = 20
-# setulb's task codes: a request for f and g at x, and a new iterate
-_TASK_FG = 3
-_TASK_NEW_X = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,117 +349,6 @@ def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(z + _FD_STEP > hi, -_FD_STEP, _FD_STEP)
 
 
-class _LbfgsbStart:
-    """One start's ``setulb`` state: iterate, work arrays, counters and evaluations.
-
-    ``setulb`` is the routine itself, handed over by :func:`_lbfgsb_lockstep`.
-    ``record`` maps the bytes of each point the start has had evaluated to
-    its ``(f, g)``; ``evaluated`` is the last of them, with its point as a
-    list, which compares as ``np.array_equal`` does.
-    """
-
-    def __init__(self, setulb, x: np.ndarray):
-        m, p = _LBFGSB_MEMORY, x.size
-        self.setulb = setulb
-        self.x = x
-        self.nbd = np.full(p, 2, dtype=np.int32)  # both bounds finite
-        self.f = np.array(0.0)
-        self.g = np.zeros(p)
-        self.wa = np.zeros(2 * m * p + 5 * p + 11 * m * m + 8 * m)
-        self.iwa = np.zeros(3 * p, dtype=np.int32)
-        self.task = np.zeros(2, dtype=np.int32)
-        self.ln_task = np.zeros(2, dtype=np.int32)
-        self.lsave = np.zeros(4, dtype=np.int32)
-        self.isave = np.zeros(44, dtype=np.int32)
-        self.dsave = np.zeros(29)
-        self.iterations = 0
-        self.evaluations = 0
-        self.evaluated = None
-        self.record = {}
-
-    def answer(self, f: float, g: np.ndarray):
-        """Take ``f, g`` evaluated at ``x``, the start point or the point ``setulb`` asked for."""
-        self.evaluated = (self.x.tolist(), f, g)
-        self.record[self.x.tobytes()] = (f, g)
-        self.evaluations += 1
-        if self.task[0] == _TASK_FG:
-            self.f, self.g = f, g
-
-    def advance(self, lo, hi, max_iterations: int, max_evaluations: int) -> bool:
-        """Step ``setulb`` until it asks for ``f, g`` at a new point (True) or stops (False).
-
-        A request for the last evaluated point is answered from that
-        evaluation without counting it, as scipy's ``ScalarFunction``
-        does.  A request for an earlier point of the start, the same
-        bytes, is answered from ``record`` and counted, as scipy would
-        evaluate it again; the objective gives a point the same bits
-        every time.  At each new iterate the start stops once it has made
-        ``max_iterations`` iterations or more than ``max_evaluations``
-        evaluations.
-        """
-        while True:
-            # a fresh copy per call, as scipy passes it, so the stored
-            # evaluation stays as it was returned
-            self.g = self.g.astype(np.float64)
-            self.setulb(
-                _LBFGSB_MEMORY, self.x, lo, hi, self.nbd, self.f, self.g, _LBFGSB_FACTR,
-                _LBFGSB_PGTOL, self.wa, self.iwa, self.task, self.lsave, self.isave,
-                self.dsave, _LBFGSB_MAXLS, self.ln_task,
-            )
-            if self.task[0] == _TASK_FG:
-                if self.x.tolist() == self.evaluated[0]:
-                    self.f, self.g = self.evaluated[1:]
-                    continue
-                known = self.record.get(self.x.tobytes())
-                if known is None:
-                    return True
-                self.answer(*known)
-            elif self.task[0] == _TASK_NEW_X:
-                self.iterations += 1
-                if self.iterations >= max_iterations:
-                    self.task[:] = 5, 504  # STOP: iteration limit
-                elif self.evaluations > max_evaluations:
-                    self.task[:] = 5, 502  # STOP: evaluation limit
-            else:
-                return False
-
-
-def _lbfgsb_lockstep(fun_and_grad, x0, lo, hi, max_iterations: int, max_evaluations: int):
-    """Minimize from each row of ``x0`` over the box ``[lo, hi]``, all starts in lockstep.
-
-    Each start gets the answers of scipy 1.17's
-    ``minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=...)`` with
-    ``maxiter=max_iterations`` and ``maxfun=max_evaluations``: its start
-    is clipped into the box and evaluated once, and then it follows
-    ``_minimize_lbfgsb``'s loop over ``setulb`` with minimize's defaults.
-    Each round advances every running start to its next request for a
-    point it has not had evaluated, and answers all of them with one call
-    ``fun_and_grad(owners, X)``, which returns the values ``(k,)`` and
-    gradients ``(k, p)`` at the rows of ``X``; row ``j`` was requested by
-    start ``owners[j]``.  ``fun_and_grad`` must give a point the same bits
-    in any round: a start asked again for one of its earlier points answers
-    from its own record (:meth:`_LbfgsbStart.advance`), so its
-    ``setulb`` states, evaluations and iterations are scipy's.
-
-    Returns each start's final ``(x, evaluations, iterations)``.
-    """
-    # the routine scipy.optimize._lbfgsb_py._minimize_lbfgsb loops over
-    # (scipy >= 1.15), read at each search so that a patched setulb is
-    # the one driven; a run with a fixed kernel never loads its module
-    setulb = load_scipy_extension("scipy.optimize._lbfgsb").setulb
-
-    starts = [_LbfgsbStart(setulb, x) for x in np.clip(np.asarray(x0, dtype=float), lo, hi)]
-    pending = list(range(len(starts)))
-    while pending:
-        values, grads = fun_and_grad(np.array(pending), np.array([starts[i].x for i in pending]))
-        for i, value, grad in zip(pending, values.tolist(), grads):
-            starts[i].answer(value, grad)
-        pending = [
-            i for i in pending if starts[i].advance(lo, hi, max_iterations, max_evaluations)
-        ]
-    return [(s.x, s.evaluations, s.iterations) for s in starts]
-
-
 def _search_box(data: Dataset, fixed_noise: float | None):
     """The search's box ``(lo, hi)`` of log-parameters, relative to the data's scale.
 
@@ -533,10 +412,10 @@ def select_hyperparameters(
     gradient, and a change to scipy's finite differences cannot move
     them.  A failed row scores ``1e12``.
 
-    The starts run in lockstep (:func:`_lbfgsb_lockstep`): each round
-    scores every running start's iterate and stencil in one probe, and
-    each start gets the answers ``minimize(method="L-BFGS-B")`` would
-    give it.  Where scipy would evaluate one of a start's earlier
+    The starts run in lockstep (:func:`gpexpect.lbfgsb.lbfgsb_lockstep`):
+    each round scores every running start's iterate and stencil in one
+    probe, and each start gets the answers ``minimize(method="L-BFGS-B")``
+    would give it.  Where scipy would evaluate one of a start's earlier
     iterates again, the start answers from its own record of them, so
     each distinct iterate of a start is scored once.  Each round logs
     its owners, values and rows.  The best candidate is the one a run of
@@ -584,7 +463,11 @@ def select_hyperparameters(
     starts = [0.5 * (lo + hi)]
     for _ in range(_STARTS - 1):
         starts.append(rng.uniform(lo, hi))
-    _lbfgsb_lockstep(
+    # the driver's module is compiled at the first search, which a run with
+    # a fixed kernel never makes
+    from gpexpect.lbfgsb import lbfgsb_lockstep
+
+    lbfgsb_lockstep(
         fun_and_grad, starts, lo, hi, _MAX_ITERATIONS, _MAX_EVALUATIONS // (p + 1)
     )
 

@@ -30,8 +30,9 @@ from gpexpect.gp import (
     fit,
     posterior_mean_many,
 )
+from gpexpect.inputs import pdf, pdf_many
 from gpexpect.kernels import eval_kernel, kernel_cross, kernel_gradient
-from gpexpect.mixtures import GaussianMixture, pdf, pdf_many, sample
+from gpexpect.mixtures import GaussianMixture, sample
 from gpexpect.optimize import STEP_FRACTIONS
 from gpexpect.oracles import (
     mc_expectation,

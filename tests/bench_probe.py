@@ -29,12 +29,16 @@ a 3-entry stencil) or of 6 starts (n = 25, 18 rows) does, in 1-d and
 2-d, ``chol_solves`` makes the 18 weight solves of the second at n = 25,
 and ``forward_steps`` gives the stencil steps of 4 interior iterates
 with 3 log-parameters each, in the box the search builds for 25 points
-of x^2.  ``cold_import`` times a fresh
-interpreter's ``import gpexpect.design, gpexpect.benchmarks, gpexpect.cli``,
-the start-up every CLI call pays.
+of x^2.  ``cold_import`` times a fresh interpreter that compiles the
+package from source, as one that writes no bytecode does, on a copy of
+the package without its ``__pycache__``: ``run`` makes the imports of
+``perfbench``'s set-up and builds the Branin problem, what its
+``setup_s`` times, and ``cli`` imports ``gpexpect.cli``, the start-up
+every CLI call pays.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -213,13 +217,30 @@ def test_forward_steps(benchmark):
     assert h.shape == z.shape
 
 
-def test_cold_import(benchmark):
-    src = str(Path(gpexpect.__file__).resolve().parent.parent)
+COLD_IMPORTS = {
+    "run": "from gpexpect import benchmarks, design, gp\n"
+    "benchmarks.benchmark_problem('branin_gmm')",
+    "cli": "import gpexpect.cli",
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLD_IMPORTS))
+def test_cold_import(benchmark, case, tmp_path):
+    # a copy of the package without its bytecode, in a child that writes none,
+    # so every round compiles the package; numpy and the standard library
+    # keep their installed bytecode, as in a run
+    package = Path(gpexpect.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / package.name, ignore=shutil.ignore_patterns("__pycache__"))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    command = [sys.executable, "-c", "import gpexpect.design, gpexpect.benchmarks, gpexpect.cli"]
+    src = str(tmp_path)
+    env = dict(
+        os.environ, PYTHONPATH=src if not path else src + os.pathsep + path,
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    command = [sys.executable, "-c", COLD_IMPORTS[case]]
     # check=True: a failing import raises instead of being timed
     benchmark.pedantic(
         subprocess.run, args=(command,), kwargs={"env": env, "check": True},
         rounds=10, iterations=1,
     )
+    assert not list(tmp_path.rglob("__pycache__"))

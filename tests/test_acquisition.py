@@ -39,6 +39,7 @@ from gpexpect.gp import (
     posterior_mean_many,
     posterior_var_many,
 )
+from gpexpect.inputs import pdf, pdf_many
 from gpexpect.kernels import (
     RbfKernel,
     eval_kernel,
@@ -47,7 +48,7 @@ from gpexpect.kernels import (
     kernel_matrix,
     kernel_vector,
 )
-from gpexpect.mixtures import GaussianMixture, pdf, pdf_many, sample
+from gpexpect.mixtures import GaussianMixture, sample
 from gpexpect.oracles import quad_integral_1d, quad_integral_2d
 from gpexpect.validation import perturbed_contexts, random_instance
 

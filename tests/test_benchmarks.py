@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from gpexpect import benchmarks
 from gpexpect.benchmarks import available_benchmarks, benchmark_problem
 from gpexpect.cli import main
-from gpexpect.mixtures import GaussianMixture, gmm_from_box, pdf_many
+from gpexpect.inputs import gmm_from_box, pdf_many
+from gpexpect.mixtures import GaussianMixture
 from gpexpect.oracles import mixture_box, quad_integral_1d, quad_integral_2d
 
 MIXTURES_PER_PROBLEM = 20
@@ -66,6 +68,16 @@ def test_branin_expectation_matches_quadrature():
         lo, hi = mixture_box(mix)
         want = quad_integral_2d(lambda P: problem.fn(P) * pdf_many(mix, P), lo, hi)
         assert problem.expectation(mix) == pytest.approx(want, rel=1e-9)
+
+
+def test_branin_rule_is_hermegauss_and_keeps_the_reference_bits():
+    """The 3-node rule of Branin's reference is numpy's ``hermegauss(3)`` within
+    1 ulp, and the reference keeps the bits it had when numpy computed the rule."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(3)
+    rule = ((benchmarks._HERMITE_NODES, nodes), (benchmarks._HERMITE_WEIGHTS, weights))
+    for ours, theirs in rule:
+        assert np.all(np.abs(ours - theirs) <= np.spacing(np.abs(theirs)))
+    assert benchmark_problem("branin_gmm").reference_q.hex() == "0x1.0e0942fb7999bp+3"
 
 
 def test_reference_is_the_expectation_of_the_own_mixture():

@@ -10,7 +10,7 @@ from gpexpect.benchmarks import benchmark_problem
 from gpexpect.cli import _write_run_csv, main
 from gpexpect.design import DesignConfig, run
 from gpexpect.errors import EvaluationError
-from gpexpect.mixtures import mixture_from_dict
+from gpexpect.inputs import mixture_from_dict
 
 
 def write_config(path, **overrides):

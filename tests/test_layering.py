@@ -2,7 +2,9 @@
 no module imports ``scipy.linalg``, ``scipy.optimize`` or ``scipy.special``,
 importing the package, running it or calling its densities and EM loads no
 scipy package, the top-level ``scipy`` included, and importing the CLI loads
-neither ``gpexpect.validation`` nor ``gpexpect.oracles``."""
+neither ``gpexpect.validation`` nor ``gpexpect.oracles``.  A pinned run loads
+neither ``numpy.polynomial``, the input module ``gpexpect.inputs`` nor the
+L-BFGS-B driver ``gpexpect.lbfgsb``, and a learned run loads the driver alone."""
 
 import ast
 import json
@@ -10,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gpexpect
 
@@ -126,22 +130,22 @@ def test_the_check_sees_scipy_imports_at_any_depth(tmp_path):
     ]
 
 
-# one pinned run, one learned run and then density and EM calls, reporting
-# which scipy packages and compiled modules are loaded at each point and the
-# learned run's history in hex; the CLI's import leaves the validation matrix
-# unloaded
+# one pinned run, one learned run, the CLI's import and then density and EM
+# calls, reporting which of WATCHED are loaded at each point and the learned
+# run's history in hex; the CLI's import leaves the validation matrix unloaded
 IMPORT_SET_SCRIPT = """
 import json, sys
-import gpexpect, gpexpect.benchmarks, gpexpect.cli, gpexpect.design
-assert "gpexpect.validation" not in sys.modules and "gpexpect.oracles" not in sys.modules
+import gpexpect, gpexpect.benchmarks, gpexpect.design
 from gpexpect.benchmarks import benchmark_problem
 from gpexpect.design import DesignConfig, run
 from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
-from gpexpect.mixtures import fit_em, log_pdf, pdf_many, sample
+
+WATCHED = ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
+           "scipy.optimize._lbfgsb", "scipy.special", "numpy.polynomial", "gpexpect.inputs",
+           "gpexpect.lbfgsb")
 
 def loaded():
-    return [m for m in ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
-                        "scipy.optimize._lbfgsb", "scipy.special") if m in sys.modules]
+    return [m for m in WATCHED if m in sys.modules]
 
 report = {"imported": loaded()}
 branin = benchmark_problem("branin_gmm")
@@ -151,6 +155,11 @@ report["pinned"] = loaded()
 xsq = benchmark_problem("x_squared")
 history = run(xsq.mix, xsq.black_box, DesignConfig(n0=5, budget=12, seed=900))
 report["learned"] = loaded()
+import gpexpect.cli
+assert "gpexpect.validation" not in sys.modules and "gpexpect.oracles" not in sys.modules
+report["cli"] = loaded()
+from gpexpect.inputs import fit_em, log_pdf, pdf_many
+from gpexpect.mixtures import sample
 pdf_many(branin.mix, sample(branin.mix, 5, seed=1))
 log_pdf(branin.mix, [0.5, 0.5])
 fit_em(sample(branin.mix, 60, seed=2), 2)
@@ -177,19 +186,47 @@ def _fresh_run(preamble: str = "") -> dict:
     return json.loads(result.stdout)
 
 
-def test_a_run_loads_only_the_compiled_scipy_modules():
+@pytest.fixture(scope="module")
+def lazy():
+    return _fresh_run()
+
+
+def test_a_run_loads_only_the_compiled_scipy_modules(lazy):
     """Import loads ``_flapack``, the first search ``_lbfgsb``, and no run,
     density or EM call loads a scipy package: not ``scipy`` itself, nor
     ``scipy.linalg``, ``scipy.optimize`` or ``scipy.special``."""
-    lazy = _fresh_run()
-    assert lazy["imported"] == ["scipy.linalg._flapack"]
-    assert lazy["pinned"] == ["scipy.linalg._flapack"]
-    assert lazy["learned"] == ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"]
-    assert lazy["densities"] == ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"]
+    scipy_only = {
+        point: [m for m in modules if m.startswith("scipy")]
+        for point, modules in lazy.items() if point != "history"
+    }
+    assert scipy_only == {
+        "imported": ["scipy.linalg._flapack"],
+        "pinned": ["scipy.linalg._flapack"],
+        "learned": ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"],
+        "cli": ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"],
+        "densities": ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"],
+    }
     eager = _fresh_run("import scipy.linalg, scipy.optimize, scipy.special\n")
-    assert eager["imported"] == [
+    assert [m for m in eager["imported"] if m.startswith("scipy")] == [
         "scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
         "scipy.optimize._lbfgsb", "scipy.special",
     ]
     assert len(lazy["history"]) == 12
     assert lazy["history"] == eager["history"]
+
+
+def test_a_run_loads_only_the_code_it_runs(lazy):
+    """A pinned Branin run loads neither ``numpy.polynomial``, the input
+    module nor the L-BFGS-B driver; the first search loads the driver alone,
+    and importing the CLI loads the input module."""
+    own = {
+        point: [m for m in modules if not m.startswith("scipy")]
+        for point, modules in lazy.items() if point != "history"
+    }
+    assert own == {
+        "imported": [],
+        "pinned": [],
+        "learned": ["gpexpect.lbfgsb"],
+        "cli": ["gpexpect.inputs", "gpexpect.lbfgsb"],
+        "densities": ["gpexpect.inputs", "gpexpect.lbfgsb"],
+    }
