@@ -27,8 +27,8 @@ _EM_VARIANCE_FLOOR_SCALE = 1e-6
 
 def _component_log_pdfs(mix: GaussianMixture, X: np.ndarray) -> np.ndarray:
     """Per-component Gaussian log densities, shape (n, k)."""
-    log_dets = np.sum(np.log(np.diagonal(mix._chols, axis1=1, axis2=2)), axis=1)
-    quads = component_quads(mix._chols, mix.means, X).T
+    log_dets = np.sum(np.log(np.diagonal(mix.chols, axis1=1, axis2=2)), axis=1)
+    quads = component_quads(mix.chols, mix.means, X).T
     return -0.5 * quads - log_dets - 0.5 * mix.dim * np.log(2 * np.pi)
 
 

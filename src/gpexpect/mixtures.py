@@ -33,12 +33,18 @@ class GaussianMixture:
         Component means.
     covs : ndarray, shape (k, d, d)
         Component covariances, each symmetric positive definite.
+
+    Attributes
+    ----------
+    chols : ndarray, shape (k, d, d)
+        Lower Cholesky factor of each covariance, computed once at
+        construction; sampling and the densities read it.
     """
 
     weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    _chols: np.ndarray = field(init=False, repr=False, compare=False)
+    chols: np.ndarray = field(init=False, repr=False, compare=False)
     # the weights' cumulative sums over their total, which a draw's uniform searches
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -66,7 +72,7 @@ class GaussianMixture:
         cdf = w.cumsum()
         cdf /= cdf[-1]
         for name, arr in (
-            ("weights", w), ("means", m), ("covs", c), ("_chols", chols), ("_cdf", cdf)
+            ("weights", w), ("means", m), ("covs", c), ("chols", chols), ("_cdf", cdf)
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -118,7 +124,7 @@ def sample(mix: GaussianMixture, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     comp = _components(mix, rng.random(count))
     z = rng.standard_normal((count, mix.dim))
-    return mix.means[comp] + np.einsum("nij,nj->ni", mix._chols[comp], z)
+    return mix.means[comp] + np.einsum("nij,nj->ni", mix.chols[comp], z)
 
 
 def first_sample_inside(mix: GaussianMixture, lower, upper, count: int, seed: int):
@@ -131,7 +137,7 @@ def first_sample_inside(mix: GaussianMixture, lower, upper, count: int, seed: in
     for c in _components(mix, rng.random(count)):
         z = rng.standard_normal(mix.dim)
         # sample's transform on a batch of one row, which gives the row its bits
-        x = mix.means[c] + np.einsum("nij,nj->ni", mix._chols[c, None], z[None])[0]
+        x = mix.means[c] + np.einsum("nij,nj->ni", mix.chols[c, None], z[None])[0]
         if np.all((x >= lower) & (x <= upper)):
             return x
     return None

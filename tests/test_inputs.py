@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.special import logsumexp
-from test_mixtures import std_normal_1d, two_bumps
 
 from gpexpect.errors import InsufficientDataError
 from gpexpect.inputs import (
@@ -22,6 +21,22 @@ from gpexpect.inputs import (
 )
 from gpexpect.mixtures import GaussianMixture, mixture_mean
 from gpexpect.oracles import quad_integral_1d
+
+
+def std_normal_1d():
+    return GaussianMixture(
+        weights=np.array([1.0]),
+        means=np.array([[0.0]]),
+        covs=np.array([[[1.0]]]),
+    )
+
+
+def two_bumps(offset=1.0):
+    return GaussianMixture(
+        weights=np.array([0.5, 0.5]),
+        means=np.array([[-offset], [offset]]),
+        covs=np.array([[[1.0]], [[1.0]]]),
+    )
 
 
 class TestDensity:

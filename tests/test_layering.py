@@ -130,15 +130,9 @@ def test_the_check_sees_scipy_imports_at_any_depth(tmp_path):
     ]
 
 
-# one pinned run, one learned run, the CLI's import and then density and EM
-# calls, reporting which of WATCHED are loaded at each point and the learned
-# run's history in hex; the CLI's import leaves the validation matrix unloaded
-IMPORT_SET_SCRIPT = """
+# the modules the import-set checks watch, and which of them are loaded
+WATCH_PREAMBLE = """
 import json, sys
-import gpexpect, gpexpect.benchmarks, gpexpect.design
-from gpexpect.benchmarks import benchmark_problem
-from gpexpect.design import DesignConfig, run
-from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
 
 WATCHED = ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
            "scipy.optimize._lbfgsb", "scipy.special", "numpy.polynomial", "gpexpect.inputs",
@@ -146,6 +140,15 @@ WATCHED = ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.optimize",
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules]
+"""
+
+# one pinned run, one learned run and then density and EM calls, reporting
+# which of WATCHED are loaded at each point and the learned run's history in hex
+IMPORT_SET_SCRIPT = WATCH_PREAMBLE + """
+import gpexpect, gpexpect.benchmarks, gpexpect.design
+from gpexpect.benchmarks import benchmark_problem
+from gpexpect.design import DesignConfig, run
+from gpexpect.gp import HyperparameterSample, NoiseModel, RbfKernel
 
 report = {"imported": loaded()}
 branin = benchmark_problem("branin_gmm")
@@ -155,9 +158,6 @@ report["pinned"] = loaded()
 xsq = benchmark_problem("x_squared")
 history = run(xsq.mix, xsq.black_box, DesignConfig(n0=5, budget=12, seed=900))
 report["learned"] = loaded()
-import gpexpect.cli
-assert "gpexpect.validation" not in sys.modules and "gpexpect.oracles" not in sys.modules
-report["cli"] = loaded()
 from gpexpect.inputs import fit_em, log_pdf, pdf_many
 from gpexpect.mixtures import sample
 pdf_many(branin.mix, sample(branin.mix, 5, seed=1))
@@ -172,14 +172,22 @@ report["history"] = [
 print(json.dumps(report))
 """
 
+# the CLI's import alone, reporting which of WATCHED it loads; it leaves the
+# validation matrix unloaded
+CLI_IMPORT_SCRIPT = WATCH_PREAMBLE + """
+import gpexpect.cli
+assert "gpexpect.validation" not in sys.modules and "gpexpect.oracles" not in sys.modules
+print(json.dumps(loaded()))
+"""
 
-def _fresh_run(preamble: str = "") -> dict:
-    """The report of :data:`IMPORT_SET_SCRIPT` from a fresh interpreter on this package."""
+
+def _fresh_run(preamble: str = "", script: str = IMPORT_SET_SCRIPT):
+    """The report of ``script`` from a fresh interpreter on this package."""
     src = str(PACKAGE.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
     result = subprocess.run(
-        [sys.executable, "-c", preamble + IMPORT_SET_SCRIPT],
+        [sys.executable, "-c", preamble + script],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
@@ -203,7 +211,6 @@ def test_a_run_loads_only_the_compiled_scipy_modules(lazy):
         "imported": ["scipy.linalg._flapack"],
         "pinned": ["scipy.linalg._flapack"],
         "learned": ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"],
-        "cli": ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"],
         "densities": ["scipy.linalg._flapack", "scipy.optimize._lbfgsb"],
     }
     eager = _fresh_run("import scipy.linalg, scipy.optimize, scipy.special\n")
@@ -217,8 +224,8 @@ def test_a_run_loads_only_the_compiled_scipy_modules(lazy):
 
 def test_a_run_loads_only_the_code_it_runs(lazy):
     """A pinned Branin run loads neither ``numpy.polynomial``, the input
-    module nor the L-BFGS-B driver; the first search loads the driver alone,
-    and importing the CLI loads the input module."""
+    module nor the L-BFGS-B driver, and the first search loads the driver
+    alone."""
     own = {
         point: [m for m in modules if not m.startswith("scipy")]
         for point, modules in lazy.items() if point != "history"
@@ -227,6 +234,12 @@ def test_a_run_loads_only_the_code_it_runs(lazy):
         "imported": [],
         "pinned": [],
         "learned": ["gpexpect.lbfgsb"],
-        "cli": ["gpexpect.inputs", "gpexpect.lbfgsb"],
         "densities": ["gpexpect.inputs", "gpexpect.lbfgsb"],
     }
+
+
+def test_importing_the_cli_loads_the_input_module_and_flapack_alone():
+    """``import gpexpect.cli`` loads ``_flapack`` and the input module: no
+    scipy package, neither ``_lbfgsb`` nor the L-BFGS-B driver, not
+    ``numpy.polynomial`` and not the validation matrix."""
+    assert _fresh_run(script=CLI_IMPORT_SCRIPT) == ["scipy.linalg._flapack", "gpexpect.inputs"]

@@ -102,7 +102,7 @@ def choice_sample(mix, count, seed):
     rng = np.random.default_rng(seed)
     comp = rng.choice(mix.n_components, size=count, p=mix.weights)
     z = rng.standard_normal((count, mix.dim))
-    return mix.means[comp] + np.einsum("nij,nj->ni", mix._chols[comp], z)
+    return mix.means[comp] + np.einsum("nij,nj->ni", mix.chols[comp], z)
 
 
 class TestSampling:

@@ -569,7 +569,7 @@ def reference_mixture_starts(mix, bounds, count, seed):
         draw_rng = np.random.default_rng(int(rng.integers(2**63)))
         comp = draw_rng.choice(mix.n_components, size=100, p=mix.weights)
         z = draw_rng.standard_normal((100, mix.dim))
-        draws = mix.means[comp] + np.einsum("nij,nj->ni", mix._chols[comp], z)
+        draws = mix.means[comp] + np.einsum("nij,nj->ni", mix.chols[comp], z)
         inside = np.all((draws >= bounds.lower) & (draws <= bounds.upper), axis=1)
         hits = np.flatnonzero(inside)
         if hits.size:
