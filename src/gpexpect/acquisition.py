@@ -169,17 +169,15 @@ def _kernel_mean_gradients(km: _KernelMeans, X, u) -> np.ndarray:
     """Sum over components of -w_i K_ti(x) (cov_i + Lambda_t)^-1 (x - mean_i), shape (T, m, d).
 
     ``u`` holds the substitutions of the rows of ``X``.  One ``potrs``
-    solves all rows per (kernel, component); each kernel subtracts its
-    components one at a time.
+    solves all rows per (kernel, component); the weighted solves are then
+    subtracted from zeros one component at a time, on whole (T, m, d) arrays.
     """
     n_kernels, k = km.factors.shape
+    rhs = X - km.means[:, None, :]
+    solves = np.array([chol_solve(chol, r.T).T for chol, r in zip(km.chols, rhs)])
     w_k = km.weights * _component_means(km, u)
-    grad = np.zeros((n_kernels,) + X.shape)
-    for i, mean in enumerate(km.means[:k]):
-        rhs = (X - mean).T
-        for t in range(n_kernels):
-            grad[t] -= w_k[:, t, i, None] * chol_solve(km.chols[t * k + i], rhs).T
-    return grad
+    terms = w_k.T[..., None] * solves.reshape(n_kernels, k, *X.shape).transpose(1, 0, 2, 3)
+    return sum_in_order([np.zeros((n_kernels,) + X.shape), *-terms])
 
 
 def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture) -> float:
@@ -211,23 +209,22 @@ def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
     the prior variance of the integral estimate.  One Cholesky factor of
     each pair's scale gives both the determinant and the kernel.  One
     stacked Cholesky call factors every pair's scale as a call on that
-    matrix alone would; each pair's solve and term then follow in order.
+    matrix alone would, and one ``trtrs`` per pair solves its mean
+    difference.  The rest are whole-array passes over the pairs, each with
+    a lone pair's operations, and the terms are added in pair order.
     """
     lam = np.diag(ker.lengthscales)
-    log_lam = np.sum(np.log(ker.lengthscales))
+    log_lam = np.log(ker.lengthscales).sum()
     k = mix.n_components
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    first, second = np.array(pairs).T
-    scales = lam + mix.covs[first] + mix.covs[second]
+    first, second = pairs = np.array([(i, j) for i in range(k) for j in range(i, k)]).T
+    covs, means, weights = (a.take(pairs, axis=0) for a in (mix.covs, mix.means, mix.weights))
+    scales = lam + covs[0] + covs[1]
     chols = np.linalg.cholesky(0.5 * (scales + scales.transpose(0, 2, 1)))
-    log_factors = 0.5 * log_lam - np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    total = 0.0
-    for (i, j), chol, log_factor in zip(pairs, chols, log_factors):
-        u = forward_solve(chol, mix.means[i] - mix.means[j])
-        pair_kernel = float(ker.amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
-        term = mix.weights[i] * mix.weights[j] * np.exp(log_factor) * pair_kernel
-        total += term if i == j else 2.0 * term
-    return float(total)
+    log_factors = 0.5 * log_lam - np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    u = np.array([forward_solve(chol, diff) for chol, diff in zip(chols, means[0] - means[1])])
+    pair_kernels = ker.amplitude_sq * np.exp(-0.5 * row_dots(u, u))
+    terms = weights[0] * weights[1] * np.exp(log_factors) * pair_kernels
+    return float(sum_in_order(np.where(first == second, terms, 2.0 * terms)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ from gpexpect.acquisition import (
     _component_factors,
     _component_means,
     _gain,
+    _kernel_mean_gradients,
     _kernel_means,
     _probe,
     _s_sq,
@@ -405,6 +406,41 @@ class TestKernelMeanGradient:
                     - kernel_mean(x - e, gp.kernel, mix)
                 ) / (2 * h)
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
+
+
+def looped_kernel_mean_gradients(km, X, u):
+    """The kernel-mean gradients one (component, kernel) at a time, as computed before."""
+    n_kernels, k = km.factors.shape
+    w_k = km.weights * _component_means(km, u)
+    grad = np.zeros((n_kernels,) + X.shape)
+    for i, mean in enumerate(km.means[:k]):
+        rhs = (X - mean).T
+        for t in range(n_kernels):
+            grad[t] -= w_k[:, t, i, None] * chol_solve(km.chols[t * k + i], rhs).T
+    return grad
+
+
+class TestKernelMeanGradientPass:
+    """One pass over every (kernel, component) solve is the nested loop, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), k=st.integers(1, 12),
+           T=st.integers(1, 4), m=st.integers(1, 40))
+    @example(seed=0, d=1, k=1, T=1, m=4)
+    def test_one_pass_is_the_nested_loop(self, seed, d, k, T, m):
+        rng = np.random.default_rng(seed)
+        gp, mix = random_instance(rng, d=d, n=int(rng.integers(0, 5)), n_gmm=k)
+        km = _stack(perturbed_contexts(rng, gp, mix, T)).kernel_means
+        # rows near the mixture, on a component mean (that component's solve
+        # is exactly zero) and far out (every weight underflows): the zero
+        # terms pin the signs of zero that the subtraction from zeros gives
+        X = np.concatenate([rng.uniform(-3.0, 3.0, size=(m, d)), mix.means,
+                            rng.uniform(40.0, 80.0, size=(m, d))])
+        X = X[rng.choice(len(X), size=m, replace=False)]
+        u = _kernel_means(km, X)[1]
+        got = _kernel_mean_gradients(km, X, u)
+        want = looped_kernel_mean_gradients(km, X, u)
+        assert got.shape == (T, m, d) and got.tobytes() == want.tobytes()
 
 
 class TestDoubleKernelMean:
