@@ -126,7 +126,12 @@ def sum_in_order(terms) -> np.ndarray:
 
     Each entry takes the adds of a loop over its own terms, whatever the
     other entries are; an axis reduction would add 8 or more terms pairwise.
+    A vector of scalars is added by ``np.add.accumulate``, which also adds
+    left to right, in one pass (of two NaN terms it may keep the other's
+    payload); on more dimensions it is slower than the loop.
     """
+    if isinstance(terms, np.ndarray) and terms.ndim == 1:
+        return np.add.accumulate(terms)[-1]
     terms = iter(terms)
     total = next(terms)
     for term in terms:

@@ -184,25 +184,37 @@ def fit(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> GpPosterior:
     """
     if data.dim != ker.dim:
         raise ValueError(f"data dimension {data.dim} != kernel dimension {ker.dim}")
-    n = data.n
-    A = kernel_matrix(data.X, ker) + noise.variance * np.eye(n)
-    jitters = [0.0] + [10.0**e * ker.amplitude_sq for e in range(-10, -3)]
-    chol = None
-    used = 0.0
-    for jit in jitters:
-        try:
-            chol = np.linalg.cholesky(A + jit * np.eye(n) if jit else A)
-            used = jit
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if chol is None:
-        raise NumericalConditioningError(
-            f"Gram matrix not positive definite even with jitter {jitters[-1]:.3e}"
-        )
+    A = kernel_matrix(data.X, ker)
+    # the noise goes on the diagonal in place, as in _log_evidences
+    diagonal = np.arange(data.n)
+    A[diagonal, diagonal] += noise.variance
+    try:
+        chol, used = np.linalg.cholesky(A), 0.0
+    except np.linalg.LinAlgError:
+        chol, used = _jittered_factor(A, ker.amplitude_sq)
     weights = chol_solve(chol, data.y)
     return GpPosterior(
         kernel=ker, data=data, noise=noise, gram_factor=chol, weights=weights, jitter=used
+    )
+
+
+def _jittered_factor(A: np.ndarray, amplitude_sq: float):
+    """The Cholesky factor of ``A`` plus the first jitter of :func:`fit`'s ladder that factors.
+
+    Returns ``(factor, jitter)``; each jitter goes on a copy's diagonal in
+    place.  Raises ``NumericalConditioningError`` if none factors.
+    """
+    jitters = [10.0**e * amplitude_sq for e in range(-10, -3)]
+    diagonal = np.arange(len(A))
+    for jitter in jitters:
+        jittered = A.copy()
+        jittered[diagonal, diagonal] += jitter
+        try:
+            return np.linalg.cholesky(jittered), jitter
+        except np.linalg.LinAlgError:
+            continue
+    raise NumericalConditioningError(
+        f"Gram matrix not positive definite even with jitter {jitters[-1]:.3e}"
     )
 
 

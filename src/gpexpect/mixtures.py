@@ -110,37 +110,56 @@ def _components(mix: GaussianMixture, u: np.ndarray) -> np.ndarray:
     return mix._cdf.searchsorted(u, side="right")
 
 
+def _draws(mix: GaussianMixture, comp: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The draws of components ``comp`` (n,) from standard-normal rows ``z`` (n, d).
+
+    Each row is transformed by its component's Cholesky factor and shifted
+    by its mean, in one einsum that gives a row the same bits in a batch of
+    any size.  Every draw of this module is made here.
+    """
+    return mix.means[comp] + np.einsum("nij,nj->ni", mix.chols[comp], z)
+
+
 def sample(mix: GaussianMixture, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` points from the mixture; deterministic given ``seed``.
 
     One ``random(count)`` call picks every draw's component by weight
     (:func:`_components`), then one ``standard_normal((count, d))`` call
-    gives each draw a row, which its component's Cholesky factor
-    transforms and its mean shifts.  :func:`first_sample_inside` reads the
-    same stream one row at a time.  Returns an ``(count, d)`` array.
+    gives each draw a row, which :func:`_draws` transforms.
+    :func:`first_samples_inside` reads the same stream one row at a time.
+    Returns an ``(count, d)`` array.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
     comp = _components(mix, rng.random(count))
-    z = rng.standard_normal((count, mix.dim))
-    return mix.means[comp] + np.einsum("nij,nj->ni", mix.chols[comp], z)
+    return _draws(mix, comp, rng.standard_normal((count, mix.dim)))
 
 
-def first_sample_inside(mix: GaussianMixture, lower, upper, count: int, seed: int):
-    """The first of ``sample(mix, count, seed)`` inside the box ``[lower, upper]``, or None.
+def first_samples_inside(mix: GaussianMixture, lower, upper, count: int, seeds) -> np.ndarray:
+    """Per seed, the first of ``sample(mix, count, seed)`` inside the box ``[lower, upper]``.
 
-    The draws are made one row at a time from the same stream, so the rows
-    after the first one inside the box are never drawn.
+    Returns an ``(len(seeds), d)`` array whose row is NaN where none of a
+    seed's draws is inside.  Each seed's stream gives its ``count``
+    uniforms, which pick the draws' components, then one normal row per
+    draw, as in :func:`sample`, and the rows after the first one inside
+    are never drawn.  The streams go in lockstep: each round draws the
+    next row of every stream still missing, and transforms and box-checks
+    them together.
     """
-    rng = np.random.default_rng(seed)
-    for c in _components(mix, rng.random(count)):
-        z = rng.standard_normal(mix.dim)
-        # sample's transform on a batch of one row, which gives the row its bits
-        x = mix.means[c] + np.einsum("nij,nj->ni", mix.chols[c, None], z[None])[0]
-        if np.all((x >= lower) & (x <= upper)):
-            return x
-    return None
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    u = np.array([rng.random(count) for rng in rngs])
+    points = np.full((len(rngs), mix.dim), np.nan)
+    missing = np.arange(len(rngs))
+    for r in range(count):
+        if not missing.size:
+            break
+        z = np.array([rngs[s].standard_normal(mix.dim) for s in missing])
+        x = _draws(mix, _components(mix, u[missing, r]), z)
+        inside = ((x >= lower) & (x <= upper)).all(axis=1)
+        points[missing[inside]] = x[inside]
+        missing = missing[~inside]
+    return points
 
 
 def mixture_mean(mix: GaussianMixture) -> np.ndarray:

@@ -16,7 +16,10 @@ shapes of a pinned Branin ladder call and a four-sample sin(3x) one, and
 from 8 ``mixture_starts``, so the cost of an ascent round can be compared
 across commits with ``--benchmark-save`` and ``--benchmark-compare``.
 The set-up of a decision is timed too: ``mixture_starts`` draws the 8
-starts in the default box of the x^2 and the Branin mixtures, and
+starts in the default box of the x^2 and the Branin mixtures, next to
+``decision``, one whole ``design.step`` of the refit workload's loop (x^2,
+learned kernel, n0 5, re-selection every 5 steps) from 14 points to 15,
+which keeps the kernel learned at 10 points, and
 ``build_context`` builds the pinned Branin context fresh, or with the
 kernel-only terms taken over from the context of the step before.
 ``double_kernel_mean`` times the prior variance of the integral, the
@@ -46,6 +49,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +64,7 @@ from gpexpect.acquisition import (
     multi_theta_objective,
 )
 from gpexpect.benchmarks import benchmark_problem
-from gpexpect.design import _ACQUISITION_STARTS
+from gpexpect.design import _ACQUISITION_STARTS, DesignConfig, _start_state, step
 from gpexpect.gp import (
     Dataset,
     NoiseModel,
@@ -143,6 +147,20 @@ def test_mixture_starts(benchmark, problem_name):
     bounds = default_bounds(mix)
     starts = benchmark(mixture_starts, mix, bounds, _ACQUISITION_STARTS, 900)
     assert starts.shape == (_ACQUISITION_STARTS, mix.dim)
+
+
+def test_decision(benchmark):
+    problem = benchmark_problem("x_squared")
+    state = _start_state(problem.mix, problem.black_box, DesignConfig(n0=5, budget=30, seed=900))
+    while state.data.n < 14:
+        step(state, problem.black_box)
+
+    def fresh_copy():
+        # step appends to the history and replaces the data, kernel and context
+        return (replace(state, history=list(state.history)), problem.black_box), {}
+
+    after = benchmark.pedantic(step, setup=fresh_copy, rounds=200)
+    assert after.data.n == 15 and after.hyper is state.hyper
 
 
 @pytest.mark.parametrize("theta_terms", ["fresh", "reused"])

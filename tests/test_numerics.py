@@ -22,6 +22,7 @@ from gpexpect._numerics import (
     forward_solve,
     forward_substitute,
     load_scipy_extension,
+    sum_in_order,
 )
 
 # the scipy requirement pyproject.toml declares, quoted in the loader's message
@@ -224,3 +225,32 @@ class TestForwardSubstitute:
         L = np.stack([self.factor(rng, d) for _ in range(k)])
         rhs = rng.normal(size=(d, k, m)) * rng.uniform(0.1, 10.0)
         assert_array_equal(forward_substitute(L, rhs), reference_substitute(L, rhs))
+
+
+def looped_sum(terms):
+    """``terms[0] + terms[1] + ...``, one add per term, left to right."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+
+
+class TestSumInOrder:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(terms=st.lists(
+        st.floats(-1e3, 1e3) | st.floats() | SPECIAL_FLOATS, min_size=1, max_size=300
+    ))
+    def test_a_vector_is_the_loop_bit_for_bit(self, terms):
+        terms = np.array(terms)
+        # overflow and inf - inf warn on either path; only the bits are compared
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = sum_in_order(terms), looped_sum(terms)
+        assert type(got) is type(want)
+        if np.isnan(want):
+            # of two NaN terms, the adds may keep the payload of either
+            assert np.isnan(got)
+        else:
+            assert np.array(got).tobytes() == np.array(want).tobytes()

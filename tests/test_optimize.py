@@ -591,6 +591,49 @@ def starts_box(mix, kind, rng):
     return BoxBounds(lower=center - half, upper=center + half)
 
 
+class TestNumpyStreamContract:
+    """The numpy stream facts that drawing all starts together relies on.
+
+    ``mixture_starts`` draws its seeds in one sized call, where drawing one
+    start at a time made a scalar call per seed; ``first_samples_inside``
+    draws a stream's normal rows one at a time, where ``sample`` draws them in
+    one sized call.  A numpy whose streams break either moves the starts, and
+    with them every history; these tests name the cause.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**63 - 1), k=st.integers(0, 12))
+    def test_a_sized_seed_draw_is_that_many_scalar_draws(self, seed, k):
+        sized, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        seeds = sized.integers(2**63, size=k)
+        want = [int(scalar.integers(2**63)) for _ in range(k)]
+        assert seeds.tolist() == want, (
+            f"numpy {np.__version__}: integers(2**63, size={k}) is not {k} scalar draws"
+        )
+        assert sized.bit_generator.state == scalar.bit_generator.state, (
+            f"numpy {np.__version__}: integers(2**63, size={k}) leaves another stream state"
+        )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        uniforms=st.integers(0, 100),
+        m=st.integers(1, 100),
+        d=st.integers(1, 6),
+    )
+    def test_normal_rows_one_at_a_time_are_one_sized_draw(self, seed, uniforms, m, d):
+        # after the uniforms that pick the components, as in sample
+        sized, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        sized.random(uniforms)
+        rows.random(uniforms)
+        want = sized.standard_normal((m, d))
+        got = np.array([rows.standard_normal(d) for _ in range(m)])
+        assert got.tobytes() == want.tobytes(), (
+            f"numpy {np.__version__}: {m} normal rows of {d} drawn one at a time are not "
+            f"one standard_normal(({m}, {d})) draw"
+        )
+
+
 class TestMixtureStarts:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
