@@ -170,7 +170,7 @@ def forward_substitute(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         acc = rhs[r]
         for c in range(r):
             acc = acc - factor_entries[r, c] * u[c]
-        u[r] = acc / factor_entries[r, r]
+        np.divide(acc, factor_entries[r, r], out=u[r])
     return u
 
 
@@ -184,7 +184,7 @@ def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     if chol.shape[0] == 0:
         return np.zeros(rhs.shape)
-    x, info = _POTRS(chol, rhs, lower=1)
+    x, info = _POTRS(chol, rhs, 1)  # lower=1, positional: a keyword costs the wrapper more
     if info:
         raise LinAlgError(f"LAPACK rejected an argument of the Cholesky solve (info {info})")
     return x

@@ -145,9 +145,12 @@ def _kernel_means(km: _KernelMeans, X):
     forward substitution in the dimension-major layout, rows innermost.
     Squares are added over dimensions, then terms over components, one at
     a time on whole arrays, so an entry reads the same in any batch and
-    beside any other kernels.
+    beside any other kernels.  The coordinates are copied to contiguous
+    rows first (none is copied when ``X`` is column-major), so the means are
+    subtracted along contiguous rows.
     """
-    u = forward_substitute(km.chols, X.T[:, None, :] - km.means.T[:, :, None])
+    coords = np.ascontiguousarray(X.T)
+    u = forward_substitute(km.chols, coords[:, None, :] - km.means.T[:, :, None])
     quad = sum_in_order(u * u).reshape(*km.coefs.shape, len(X))
     terms = km.coefs[..., None] * np.exp(-0.5 * quad)
     return sum_in_order(terms.transpose(1, 0, 2)), u
@@ -157,8 +160,9 @@ def _component_means(km: _KernelMeans, u) -> np.ndarray:
     """K_ti(x) = factor_ti * k_t(x, mean_i; cov_i + Lambda_t), shape (m, T, k).
 
     ``u`` holds the rows' substitutions from :func:`_kernel_means`, copied
-    to contiguous (m, T k, d) rows: each square is summed with one ``dot``
-    of a contiguous ``d``-vector, so it reads the same in any batch.
+    to contiguous (m, T k, d) rows unless :meth:`_Probe.rows` already laid
+    them out so: each square is summed with one ``dot`` of a contiguous
+    ``d``-vector, so it reads the same in any batch.
     """
     rows = np.ascontiguousarray(u.transpose(2, 1, 0))
     e = np.exp(-0.5 * row_dots(rows, rows)).reshape(len(rows), *km.factors.shape)
@@ -169,15 +173,20 @@ def _kernel_mean_gradients(km: _KernelMeans, X, u) -> np.ndarray:
     """Sum over components of -w_i K_ti(x) (cov_i + Lambda_t)^-1 (x - mean_i), shape (T, m, d).
 
     ``u`` holds the substitutions of the rows of ``X``.  One ``potrs``
-    solves all rows per (kernel, component); the weighted solves are then
-    subtracted from zeros one component at a time, on whole (T, m, d) arrays.
+    solves all rows per (kernel, component), into one array laid out
+    component-major; the weighted solves are then subtracted from zero one
+    component at a time, on whole (T, m, d) arrays.
     """
     n_kernels, k = km.factors.shape
     rhs = X - km.means[:, None, :]
-    solves = np.array([chol_solve(chol, r.T).T for chol, r in zip(km.chols, rhs)])
-    w_k = km.weights * _component_means(km, u)
-    terms = w_k.T[..., None] * solves.reshape(n_kernels, k, *X.shape).transpose(1, 0, 2, 3)
-    return sum_in_order([np.zeros((n_kernels,) + X.shape), *-terms])
+    solves = np.empty((k, n_kernels) + X.shape)
+    for i, (chol, r) in enumerate(zip(km.chols, rhs)):
+        solves[i % k, i // k] = chol_solve(chol, r.T).T
+    terms = (km.weights * _component_means(km, u)).T[..., None] * solves
+    grad = 0.0 - terms[0]
+    for term in terms[1:]:
+        grad -= term
+    return grad
 
 
 def kernel_mean(x, ker: RbfKernel, mix: GaussianMixture) -> float:
@@ -341,8 +350,15 @@ class _Probe(NamedTuple):
     u: np.ndarray  # (d, T k, m) the rows' substitutions against each component, per context
 
     def rows(self, idx) -> _Probe:
-        """The probe of the rows at integer indices ``idx`` alone."""
-        return _Probe(*(field.take(idx, axis=1) for field in self[:5]), self.u.take(idx, axis=2))
+        """The probe of the rows at integer indices ``idx`` alone.
+
+        Its ``u`` is a view of contiguous (len(idx), T k, d) rows, the layout
+        the kernel-mean gradient dots read, taken in one copy.
+        """
+        kv, solved_kv, v, pred_var, live, u = self
+        return _Probe(kv.take(idx, axis=1), solved_kv.take(idx, axis=1), v.take(idx, axis=1),
+                      pred_var.take(idx, axis=1), live.take(idx, axis=1),
+                      u.T.take(idx, axis=0).T)
 
 
 def _probe(stack: _Stack, X: np.ndarray) -> _Probe:
@@ -354,9 +370,14 @@ def _probe(stack: _Stack, X: np.ndarray) -> _Probe:
     return _Probe(kv, solved_kv, v, pred_var, pred_var >= stack.floor[:, None], u)
 
 
+def _all_live(p: _Probe) -> bool:
+    """Whether every (context, row) of ``p`` is live, as in most probes."""
+    return np.count_nonzero(p.live) == p.live.size
+
+
 def _informative_var(p: _Probe) -> np.ndarray:
     """The predictive variance where live, else +inf: S, v^2 / D and v / D read zero there."""
-    return np.where(p.live, p.pred_var, np.inf)
+    return p.pred_var if _all_live(p) else np.where(p.live, p.pred_var, np.inf)
 
 
 def _s(p: _Probe) -> np.ndarray:
@@ -401,12 +422,14 @@ def _s_sq_gradients(stack: _Stack, X: np.ndarray, p: _Probe) -> np.ndarray:
     # J[t, j] is the (n, d) Jacobian at row j; its transposed view keeps
     # the column-major (d, n) layout, and so the BLAS kernel, of one row
     JT = kernel_jacobians(X, post.X, post.lengthscales, p.kv).transpose(0, 1, 3, 2)
-    grad_v = grad_v - (JT @ stack.solved_kmean[:, None, :, None])[..., 0]
+    grad_v -= (JT @ stack.solved_kmean[:, None, :, None])[..., 0]
     grad_D = -2.0 * (JT @ p.solved_kv[..., None])[..., 0]
-    D = np.where(p.live, p.pred_var, 1.0)
+    all_live = _all_live(p)
+    D = p.pred_var if all_live else np.where(p.live, p.pred_var, 1.0)
     D_sq = np.array([d**2 for d in D.ravel().tolist()]).reshape(D.shape)
     grad = (2.0 * p.v / D)[..., None] * grad_v - (p.v * p.v / D_sq)[..., None] * grad_D
-    grad[~p.live] = 0.0
+    if not all_live:
+        grad[~p.live] = 0.0
     return grad
 
 

@@ -186,8 +186,7 @@ def fit(data: Dataset, ker: RbfKernel, noise: NoiseModel) -> GpPosterior:
         raise ValueError(f"data dimension {data.dim} != kernel dimension {ker.dim}")
     A = kernel_matrix(data.X, ker)
     # the noise goes on the diagonal in place, as in _log_evidences
-    diagonal = np.arange(data.n)
-    A[diagonal, diagonal] += noise.variance
+    A.reshape(-1)[:: data.n + 1] += noise.variance
     try:
         chol, used = np.linalg.cholesky(A), 0.0
     except np.linalg.LinAlgError:
@@ -205,10 +204,9 @@ def _jittered_factor(A: np.ndarray, amplitude_sq: float):
     place.  Raises ``NumericalConditioningError`` if none factors.
     """
     jitters = [10.0**e * amplitude_sq for e in range(-10, -3)]
-    diagonal = np.arange(len(A))
     for jitter in jitters:
         jittered = A.copy()
-        jittered[diagonal, diagonal] += jitter
+        jittered.reshape(-1)[:: len(A) + 1] += jitter
         try:
             return np.linalg.cholesky(jittered), jitter
         except np.linalg.LinAlgError:
@@ -303,9 +301,10 @@ def _log_evidences(
     try:
         A = kernel_matrices(data.X, amplitude_sq, lengthscales)
         # the noise goes on the diagonals in place: adding noise * I would
-        # add +0.0 off them, which leaves kernel values (all >= +0.0) as they are
-        diagonal = np.arange(data.n)
-        A[:, diagonal, diagonal] += noise[:, None]
+        # add +0.0 off them, which leaves kernel values (all >= +0.0) as they are.
+        # A is a fresh C-contiguous stack, so the reshape is a view, and every
+        # (n + 1)-th entry of a flattened matrix is its diagonal
+        A.reshape(len(A), data.n**2)[:, :: data.n + 1] += noise[:, None]
         factors = np.linalg.cholesky(A)
     except (np.linalg.LinAlgError, FloatingPointError):
         values = np.full(len(amplitude_sq), np.nan)

@@ -10,9 +10,16 @@ evaluated twice.  The objective works on rows, each row computed as it
 would be alone, so every start follows its own sequential path.  The best
 accepted iterate across all starts wins, with ties broken by start order
 so runs are reproducible.  Past the objective calls, a round costs a
-fixed few array passes: the bound tolerances are computed once per box,
-starts are dropped only in rounds where one is abandoned or stalls, and
-accepted trials are taken by their flat row in the ladder call.
+fixed few array passes, and a common round skips the masks that only rare
+rounds need.  One count finds a non-finite gradient or ladder value, and
+per-row finiteness masks are built only when there is one; starts are
+dropped only in rounds where one is abandoned, stalls or accepts no trial;
+the projected gradient is the gradient itself when every coordinate lies
+well inside the box, by a test against a box shrunk once per box.  Each
+skip leaves out only a mask that is all true or a selection that keeps
+every entry, so each start's iterates keep their bits.  The ladders are
+built dimension-major, so the box clips them along contiguous rows, and
+each start's accepted trial is taken by its flat row in the ladder call.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ class BoxBounds:
     # np.isclose's default tolerance at each bound, 1e-8 + 1e-5 |b|
     _lower_tol: np.ndarray = field(init=False, repr=False)
     _upper_tol: np.ndarray = field(init=False, repr=False)
+    # the box shrunk by twice those tolerances: no coordinate strictly inside it
+    # is within tolerance of a bound
+    _inner_lower: np.ndarray = field(init=False, repr=False)
+    _inner_upper: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -59,8 +70,11 @@ class BoxBounds:
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "_lower_tol", 1e-8 + 1e-5 * np.abs(lo))
-        object.__setattr__(self, "_upper_tol", 1e-8 + 1e-5 * np.abs(hi))
+        lower_tol, upper_tol = 1e-8 + 1e-5 * np.abs(lo), 1e-8 + 1e-5 * np.abs(hi)
+        object.__setattr__(self, "_lower_tol", lower_tol)
+        object.__setattr__(self, "_upper_tol", upper_tol)
+        object.__setattr__(self, "_inner_lower", lo + 2.0 * lower_tol)
+        object.__setattr__(self, "_inner_upper", hi - 2.0 * upper_tol)
 
     @property
     def dim(self) -> int:
@@ -118,8 +132,14 @@ def _projected_gradient(X, G, bounds: BoxBounds) -> np.ndarray:
     """``G`` with each component zeroed where its row of ``X`` sits at a bound it points past.
 
     "At a bound" is ``np.isclose``'s default test, ``|x - b| <= 1e-8 + 1e-5 |b|``
-    (the bounds are finite), so a NaN coordinate is never at a bound.
+    (the bounds are finite), so a NaN coordinate is never at a bound.  When
+    every coordinate lies strictly inside the box shrunk by twice those
+    tolerances, none is at a bound and ``G`` itself is returned; a NaN
+    coordinate fails that test and takes the full one.
     """
+    inside = (X > bounds._inner_lower) & (X < bounds._inner_upper)
+    if np.count_nonzero(inside) == inside.size:
+        return G
     near_lower = np.abs(X - bounds.lower) <= bounds._lower_tol
     near_upper = np.abs(X - bounds.upper) <= bounds._upper_tol
     return np.where((near_lower & (G < 0)) | (near_upper & (G > 0)), 0.0, G)
@@ -162,6 +182,7 @@ def maximize(objective, bounds: BoxBounds, start_points):
         If ``objective`` returns other than one value per row, or
         ``gradients_at`` other than one ``d``-vector per index.
     """
+    lower, upper, dim = bounds.lower, bounds.upper, bounds.dim
     x = bounds.clip(np.atleast_2d(np.asarray(start_points, dtype=float)))
     val, gradients_at = objective(x)
     val = _checked(val, x.shape[:1], "objective").copy()
@@ -170,25 +191,28 @@ def maximize(objective, bounds: BoxBounds, start_points):
     # the row of each running start's current iterate in the last objective call
     scored_rows = running
 
-    box_diag = float(np.linalg.norm(bounds.upper - bounds.lower))
+    half_diag = 0.5 * float(np.linalg.norm(upper - lower))
+    # the ladders are built dimension-major, so the bounds clip them as columns
+    lower_col, upper_col = lower[:, None], upper[:, None]
     # the first row of each start's ladder
     ladder_rows = np.arange(0, len(x) * STEP_FRACTIONS.size, STEP_FRACTIONS.size)
     for _ in range(_MAX_ITERATIONS):
         if not running.size:
             break
-        grads = _checked(
-            gradients_at(scored_rows), (scored_rows.size, bounds.dim), "gradients_at"
-        )
-        finite = np.isfinite(grads).all(axis=1)
-        if not finite.all():
+        grads = _checked(gradients_at(scored_rows), (scored_rows.size, dim), "gradients_at")
+        finite = np.isfinite(grads)
+        if np.count_nonzero(finite) < finite.size:
+            finite = finite.all(axis=1)
             abandoned[running[~finite]] = True
             running, grads = running[finite], grads[finite]
-        current = x[running]
+            if not running.size:
+                break
+        current = x.take(running, axis=0)
         pg = _projected_gradient(current, grads, bounds)
         # np.linalg.norm of each row: the square root of its dot with itself
         gnorm = np.sqrt(row_dots(pg, pg))
-        moving = ~(gnorm < _GRADIENT_TOLERANCE)
-        if not moving.all():
+        if np.minimum.reduce(gnorm) < _GRADIENT_TOLERANCE:
+            moving = ~(gnorm < _GRADIENT_TOLERANCE)
             running, current = running[moving], current[moving]
             pg, gnorm = pg[moving], gnorm[moving]
             if not running.size:
@@ -196,24 +220,32 @@ def maximize(objective, bounds: BoxBounds, start_points):
         # the first step s0 spans a box fraction whatever the gradient scale. Halving a
         # normal double is exact, so s0 * 2^-j is s0 halved j times unless a step turns
         # subnormal: s0 < 2^-983, a gradient norm past 2^982 box diagonals
-        steps = (0.5 * box_diag / gnorm)[:, None] * STEP_FRACTIONS
-        ladders = current[:, None, :] + steps[:, :, None] * pg[:, None, :]
-        ladders = ladders.reshape(-1, bounds.dim)
-        np.clip(ladders, bounds.lower, bounds.upper, out=ladders)
+        steps = (half_diag / gnorm)[:, None] * STEP_FRACTIONS
+        ladders = (current.T[:, :, None] + steps * pg.T[:, :, None]).reshape(dim, -1)
+        ladders.clip(lower_col, upper_col, out=ladders)
+        ladders = ladders.T
         values, gradients_at = objective(ladders)
         values = _checked(values, ladders.shape[:1], "objective").reshape(steps.shape)
-        # each start stops at its first non-finite or improving trial
-        stops = ~np.isfinite(values) | (values > val[running, None])
+        # each start stops at its first improving trial, or at a non-finite one before it
+        stops = values > val[running][:, None]
+        finite = np.isfinite(values)
+        all_finite = np.count_nonzero(finite) == finite.size
+        if not all_finite:
+            stops |= ~finite
         # the ladder row of that trial, or of its first trial where none stops
-        rows = ladder_rows[: running.size] + np.argmax(stops, axis=1)
-        chosen = values.ravel()[rows]
-        finite = np.isfinite(chosen)
-        accept = stops.ravel()[rows] & finite
-        if not finite.all():
+        rows = stops.argmax(axis=1)
+        rows += ladder_rows[: running.size]
+        chosen = values.take(rows)
+        accept = stops.take(rows)
+        if not all_finite:
+            finite = np.isfinite(chosen)
             abandoned[running[~finite]] = True
-        running, scored_rows = running[accept], rows[accept]
-        x[running] = ladders[scored_rows]
-        val[running] = chosen[accept]
+            accept &= finite
+        if np.count_nonzero(accept) < accept.size:
+            running, rows, chosen = running[accept], rows[accept], chosen[accept]
+        scored_rows = rows
+        x[running] = ladders[rows]
+        val[running] = chosen
 
     if abandoned.any():
         warnings.warn(

@@ -17,9 +17,11 @@ from 8 ``mixture_starts``, so the cost of an ascent round can be compared
 across commits with ``--benchmark-save`` and ``--benchmark-compare``.
 The set-up of a decision is timed too: ``mixture_starts`` draws the 8
 starts in the default box of the x^2 and the Branin mixtures, next to
-``decision``, one whole ``design.step`` of the refit workload's loop (x^2,
-learned kernel, n0 5, re-selection every 5 steps) from 14 points to 15,
-which keeps the kernel learned at 10 points, and
+``decision``, one whole ``design.step`` of a benchmark loop (seed 900):
+the refit workload's (x^2, learned kernel, n0 5, re-selection every 5
+steps) from 14 points to 15, which keeps the kernel learned at 10 points,
+and the pinned Branin workload's from 7 points to 8, nearly all of it
+lockstep ascent rounds; and
 ``build_context`` builds the pinned Branin context fresh, or with the
 kernel-only terms taken over from the context of the step before.
 ``double_kernel_mean`` times the prior variance of the integral, the
@@ -67,6 +69,7 @@ from gpexpect.benchmarks import benchmark_problem
 from gpexpect.design import _ACQUISITION_STARTS, DesignConfig, _start_state, step
 from gpexpect.gp import (
     Dataset,
+    HyperparameterSample,
     NoiseModel,
     _forward_steps,
     _log_evidences,
@@ -149,18 +152,31 @@ def test_mixture_starts(benchmark, problem_name):
     assert starts.shape == (_ACQUISITION_STARTS, mix.dim)
 
 
-def test_decision(benchmark):
-    problem = benchmark_problem("x_squared")
-    state = _start_state(problem.mix, problem.black_box, DesignConfig(n0=5, budget=30, seed=900))
-    while state.data.n < 14:
+PINNED_BRANIN = HyperparameterSample(
+    kernel=RbfKernel(2500.0, [4.0, 4.0]), noise=NoiseModel(variance=1e-4)
+)
+# loop: (problem, config, points before the timed step)
+DECISIONS = {
+    "refit_xsq": ("x_squared", DesignConfig(n0=5, budget=30, seed=900), 14),
+    "pinned_branin": (
+        "branin_gmm", DesignConfig(n0=5, budget=10, seed=900, pinned_theta=PINNED_BRANIN), 7),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(DECISIONS))
+def test_decision(benchmark, loop):
+    problem_name, cfg, n = DECISIONS[loop]
+    problem = benchmark_problem(problem_name)
+    state = _start_state(problem.mix, problem.black_box, cfg)
+    while state.data.n < n:
         step(state, problem.black_box)
 
     def fresh_copy():
         # step appends to the history and replaces the data, kernel and context
         return (replace(state, history=list(state.history)), problem.black_box), {}
 
-    after = benchmark.pedantic(step, setup=fresh_copy, rounds=200)
-    assert after.data.n == 15 and after.hyper is state.hyper
+    after = benchmark.pedantic(step, setup=fresh_copy, rounds=100)
+    assert after.data.n == n + 1 and after.hyper is state.hyper
 
 
 @pytest.mark.parametrize("theta_terms", ["fresh", "reused"])

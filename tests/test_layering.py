@@ -1,5 +1,6 @@
 """Module boundaries: no package module imports another module's private name,
 no module imports ``scipy.linalg``, ``scipy.optimize`` or ``scipy.special``,
+no module reaches a private numpy module,
 importing the package, running it or calling its densities and EM loads no
 scipy package, the top-level ``scipy`` included, and importing the CLI loads
 neither ``gpexpect.validation`` nor ``gpexpect.oracles``.  A pinned run loads
@@ -21,6 +22,9 @@ PACKAGE = Path(gpexpect.__file__).resolve().parent
 # scipy packages no module imports at any depth: _numerics.load_scipy_extension
 # loads the compiled modules of the first two alone, without the package __init__
 NOT_IMPORTED = ("scipy.linalg", "scipy.optimize", "scipy.special")
+# private numpy modules, whose paths differ across the numpy>=1.24 pin
+# (numpy 2 renamed numpy.core to numpy._core)
+PRIVATE_NUMPY = ("numpy._core", "numpy.core", "numpy.linalg._umath_linalg")
 
 
 def private_imports(path: Path) -> list:
@@ -127,6 +131,53 @@ def test_the_check_sees_scipy_imports_at_any_depth(tmp_path):
         (8, "scipy.special"),
         (9, "scipy.optimize"),
         (11, "scipy.optimize"),
+    ]
+
+
+def private_numpy_uses(path: Path) -> list:
+    """``(line, module)`` of each import of a private numpy module, or of a
+    submodule of one, and of each attribute chain such as ``np._core`` that
+    names one, ``np`` standing for ``numpy``."""
+    found = imports_of(path, PRIVATE_NUMPY)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+            dotted = ".".join(["numpy", *reversed(parts)])
+            if dotted in PRIVATE_NUMPY:
+                found.append((node.lineno, dotted))
+    return sorted(found)
+
+
+def test_no_module_uses_a_private_numpy_module():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert len(paths) > 5
+    offenders = {p.name: private_numpy_uses(p) for p in paths}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_check_sees_private_numpy_modules(tmp_path):
+    path = tmp_path / "optimize.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from numpy._core.umath import clip\n"
+        "import numpy.core.multiarray\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "from numpy import linalg, _core\n"
+        "def lazy(x):\n"
+        "    return np._core.umath.clip(x, 0.0, 1.0) + np.linalg._umath_linalg.det(x)\n"
+        "y = np.clip(np.linalg.norm(np.core_like), 0.0, 1.0)\n",
+        encoding="utf-8",
+    )
+    assert private_numpy_uses(path) == [
+        (2, "numpy._core.umath"),
+        (3, "numpy.core.multiarray"),
+        (4, "numpy.linalg._umath_linalg"),
+        (5, "numpy._core"),
+        (7, "numpy._core"),
+        (7, "numpy.linalg._umath_linalg"),
     ]
 
 

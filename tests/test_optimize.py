@@ -2,6 +2,7 @@
 
 import contextlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,18 +277,26 @@ def sequential_maximize(value, gradient_fn, bounds, start_points):
     return best_x, best_val, abandoned
 
 
-def batched_maximize(value, gradients, bounds, starts):
-    """``maximize`` on ``value`` applied row by row, with the abandoned-start count."""
+def counted_maximize(objective, bounds, starts):
+    """``maximize`` with the abandoned-start count: ``(x, value, abandoned)``.
+
+    Where every start is abandoned, ``x`` is None and the value -inf, as
+    :func:`sequential_maximize` returns them.
+    """
     x, val = None, -np.inf
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.suppress(OptimizationFailedError):
-            x, val = maximize(
-                objective_of(lambda X: np.array([value(x) for x in X]), gradients),
-                bounds, starts,
-            )
-    counts = [int(str(w.message).split()[0]) for w in caught]
+            x, val = maximize(objective, bounds, starts)
+    counts = [int(str(w.message).split()[0]) for w in caught
+              if "optimizer starts abandoned" in str(w.message)]
     return x, val, sum(counts)
+
+
+def batched_maximize(value, gradients, bounds, starts):
+    """``maximize`` on ``value`` applied row by row, with the abandoned-start count."""
+    objective = objective_of(lambda X: np.array([value(x) for x in X]), gradients)
+    return counted_maximize(objective, bounds, starts)
 
 
 class TestBatchedLadderIsTheSequentialSearch:
@@ -476,6 +485,144 @@ class TestBatchedLadderIsTheSequentialSearch:
         with pytest.raises(ValueError, match="rows"):
             maximize(objective_of(lambda X: -(X[:, 0] ** 2), lambda X: -2 * X[0]), bounds,
                      np.full((2, 1), 0.5))
+
+
+def hexed(result):
+    """``(x, value, abandoned)`` with every float as its hex string."""
+    x, val, abandoned = result
+    return None if x is None else [c.hex() for c in x], float(val).hex(), abandoned
+
+
+def edge_starts(rng, bounds, count, on_bounds):
+    """``count`` starts whose coordinates are each interior or within np.isclose's
+    tolerance of a bound but not on it; ``on_bounds`` adds coordinates on a
+    bound and makes the first start a box corner.
+
+    A round whose rows all lie off the bounds may take the projected
+    gradient as it is, so only starts without ``on_bounds`` test that a
+    coordinate near a bound is still projected.
+    """
+    lo, hi = bounds.lower, bounds.upper
+    shape = (count, lo.size)
+    upper_side = rng.random(shape) < 0.5
+    bound = np.where(upper_side, hi, lo)
+    # 0.05 to 0.95 of the tolerance 1e-8 + 1e-5 |b| inward: near, never on the bound
+    offset = rng.uniform(0.05, 0.95, shape) * (1e-8 + 1e-5 * np.abs(bound))
+    near = np.where(upper_side, bound - offset, bound + offset)
+    kind = rng.integers(0, 3 if on_bounds else 2, shape)
+    starts = np.select([kind == 1, kind == 2], [near, bound], rng.uniform(lo, hi, shape))
+    if on_bounds:
+        starts[0] = bound[0]
+    return starts
+
+
+def edge_case(seed, d, kind, bad, on_bounds):
+    """A box, starts from :func:`edge_starts` and a rows objective with its one-row forms.
+
+    ``kind`` "acquisition" is the S^2 objective of a ``random_instance``
+    context in its default box.  ``kind`` "banded" is -|x - c|^2 with ``c``
+    often beyond a bound, ``bad`` on a band of x_0 and NaN or inf
+    gradients on another.  Returns ``(bounds, starts, objective, value, gradient)``.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "acquisition":
+        gp, mix = random_instance(rng, d=d)
+        bounds = default_bounds(mix)
+        objective = acquisition_objective(build_context(gp, mix))
+    else:
+        lo = rng.uniform(-3.0, 0.0, d)
+        bounds = BoxBounds(lower=lo, upper=lo + rng.uniform(1.0, 4.0, d))
+        width = bounds.upper - bounds.lower
+        c = rng.uniform(bounds.lower - 0.5 * width, bounds.upper + 0.5 * width)
+        bands = np.sort(rng.uniform(bounds.lower[0], bounds.upper[0], size=(2, 2)), axis=1)
+        bands[:, 1] = bands[:, 0] + 0.1 * width[0] * rng.random(2)
+        grad_bad = rng.choice([np.nan, np.inf, -np.inf])
+
+        def values(X):
+            on_band = (bands[0, 0] < X[:, 0]) & (X[:, 0] < bands[0, 1])
+            return np.where(on_band, bad, -np.sum((X - c) ** 2, axis=1))
+
+        def grads(X):
+            on_band = (bands[1, 0] < X[:, 0]) & (X[:, 0] < bands[1, 1])
+            return np.where(on_band[:, None], grad_bad, -2.0 * (X - c))
+
+        objective = objective_of(values, grads)
+
+    def value(x):
+        return objective(x[None])[0][0]
+
+    def gradient(x):
+        return objective(x[None])[1](np.array([0]))[0]
+
+    return bounds, edge_starts(rng, bounds, 8, on_bounds), objective, value, gradient
+
+
+EDGE_EXAMPLES = [(seed, d, kind, bad, on_bounds) for seed in range(4) for d in (1, 2, 3)
+                 for kind, bad in (("acquisition", np.nan), ("banded", np.nan),
+                                   ("banded", np.inf), ("banded", -np.inf))
+                 for on_bounds in (False, True)]
+
+
+class TestLockstepRoundsAreTheSequentialSearch:
+    """Each lockstep round skips the masks only rare rounds need, and keeps every bit.
+
+    The rounds build per-row masks only when a gradient or ladder value is
+    non-finite, a start stalls or a start accepts no trial, and take the
+    projected gradient as it is when no coordinate is near a bound.  Cases
+    start at box corners and within np.isclose's tolerance of a bound, so
+    every skip is taken and passed over.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+           kind=st.sampled_from(["acquisition", "banded"]),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]), on_bounds=st.booleans())
+    def test_bits_and_abandoned_count_match(self, seed, d, kind, bad, on_bounds):
+        bounds, starts, objective, value, gradient = edge_case(seed, d, kind, bad, on_bounds)
+        want = sequential_maximize(value, gradient, bounds, starts)
+        assert hexed(counted_maximize(objective, bounds, starts)) == hexed(want)
+
+    def test_the_cases_reach_both_sides_of_every_skip(self):
+        sides = set()
+        real = optimize._projected_gradient
+
+        def logged_projection(X, G, bounds):
+            pg = real(X, G, bounds)
+            sides.add(("projection taken as it is", pg is G))
+            norms = np.sqrt(np.sum(pg * pg, axis=1))
+            sides.add(("a start stalls", bool((norms < _GRADIENT_TOLERANCE).any())))
+            return pg
+
+        for case in EDGE_EXAMPLES:
+            bounds, starts, objective, value, gradient = edge_case(*case)
+            calls, gradient_rows = [], {}
+
+            def logged(X):
+                k = len(calls)
+                values, gradients_at = objective(X)
+                calls.append(values)
+
+                def logged_gradients(idx):
+                    grads = gradients_at(idx)
+                    gradient_rows[k] = len(idx)
+                    sides.add(("a gradient is non-finite", not np.isfinite(grads).all()))
+                    return grads
+
+                return values, logged_gradients
+
+            with mock.patch.object(optimize, "_projected_gradient", logged_projection):
+                got = counted_maximize(logged, bounds, starts)
+            assert hexed(got) == hexed(sequential_maximize(value, gradient, bounds, starts))
+            for k, ladder in enumerate(calls[1:], start=1):
+                sides.add(("a ladder value is non-finite", not np.isfinite(ladder).all()))
+                if k == optimize._MAX_ITERATIONS:
+                    break
+                # the next round asks for gradients at the trial each start accepted
+                ladders = len(ladder) // STEP_FRACTIONS.size
+                sides.add(("every start accepts a trial", gradient_rows.get(k, 0) == ladders))
+        names = {name for name, _ in sides}
+        assert len(names) == 5
+        assert all((name, flag) in sides for name in names for flag in (True, False)), sides
 
 
 class TestProjectedGradient:
