@@ -397,11 +397,17 @@ def _sigma2_sq(stack: _Stack, p: _Probe) -> np.ndarray:
 
 
 def _gain(stack: _Stack, sigma2_sq: np.ndarray) -> np.ndarray:
-    """log(sigma1 / sigma2) per context and row, or the sentinel where sigma2^2 is zero."""
-    if np.any(stack.sigma1_sq <= 0.0):
+    """log(sigma1 / sigma2) per context and row, or the sentinel where sigma2^2 is zero.
+
+    Where no sigma2^2 is zero, as in most probes, the gains are one
+    elementwise pass; otherwise only the nonzero entries are computed.
+    """
+    if np.count_nonzero(stack.sigma1_sq <= 0.0):
         raise DegenerateEstimateError("estimate variance is zero; nothing to gain")
-    gain = np.full(sigma2_sq.shape, GAIN_SENTINEL)
     nonzero = sigma2_sq != 0.0  # a NaN stays NaN, so maximize drops its start
+    if np.count_nonzero(nonzero) == nonzero.size:
+        return 0.5 * np.log(stack.sigma1_sq[:, None] / sigma2_sq)
+    gain = np.full(sigma2_sq.shape, GAIN_SENTINEL)
     sigma1_sq = np.broadcast_to(stack.sigma1_sq[:, None], sigma2_sq.shape)
     gain[nonzero] = 0.5 * np.log(sigma1_sq[nonzero] / sigma2_sq[nonzero])
     return gain
@@ -488,16 +494,20 @@ def multi_theta_objective(contexts):
             sigma2_sq_idx = sigma2_sq[:, idx]
             rows = sigma2_sq_idx > 0.0
             terms = _s_sq_gradients(stack, X[idx], p.rows(idx))
-            terms /= 2.0 * np.where(rows, sigma2_sq_idx, 1.0)[..., None]
-            terms[~rows] = 0.0
+            if np.count_nonzero(rows) == rows.size:
+                terms /= (2.0 * sigma2_sq_idx)[..., None]
+            else:
+                terms /= 2.0 * np.where(rows, sigma2_sq_idx, 1.0)[..., None]
+                terms[~rows] = 0.0
             # added context by context onto zeros, as a loop over contexts adds them
             grad = np.zeros(terms.shape[1:])
             for term in terms:
                 grad += term
             return grad / len(terms)
 
-        # a mean along the contiguous axis sums each row as np.mean sums one vector
-        return np.mean(np.ascontiguousarray(gains.T), axis=1), gradients_at
+        # np.mean's sum and division: a sum along the contiguous axis adds each
+        # row as np.mean adds one vector
+        return np.add.reduce(np.ascontiguousarray(gains.T), axis=1) / len(gains), gradients_at
 
     return objective
 

@@ -636,11 +636,13 @@ class TestProjectedGradient:
         tol_hi = 1e-8 + 1e-5 * np.abs(bounds.upper)
         rows = [rng.uniform(bounds.lower, bounds.upper, size=(200, 4))]
         for bound, tol in ((bounds.lower, tol_lo), (bounds.upper, tol_hi)):
-            # exactly at, just inside and just outside the tolerance, on both sides
-            for offset in (0.0, 0.5, 0.999, 1.001, 2.0, -0.5, -0.999, -1.001, -2.0):
+            # exactly at, just inside and just outside the tolerance, on both sides,
+            # and at the edge of the box shrunk by twice it
+            for offset in (0.0, 0.5, 0.999, 1.001, 2.0, 3.0, -0.5, -0.999, -1.001, -2.0, -3.0):
                 rows.append(np.tile(bound + offset * tol, (4, 1)))
-            rows.append(np.tile(np.nextafter(bound + tol, np.inf), (4, 1)))
-            rows.append(np.tile(np.nextafter(bound - tol, -np.inf), (4, 1)))
+            for edge in (tol, 2.0 * tol):
+                rows.append(np.tile(np.nextafter(bound + edge, np.inf), (4, 1)))
+                rows.append(np.tile(np.nextafter(bound - edge, -np.inf), (4, 1)))
             rows.append(np.tile(bound + tol, (4, 1)))
         X = np.concatenate(rows)
         X[rng.random(X.shape) < 0.05] = np.nan
@@ -652,6 +654,14 @@ class TestProjectedGradient:
         assert got.tobytes() == want.tobytes()
         # the NaN rows and the edge cases really occur
         assert np.isnan(X).any() and (got == 0.0).sum() > (G == 0.0).sum()
+        # alone, a row well inside the box takes its gradient as it is
+        taken_as_is = []
+        for x, g, w in zip(X, G, want):
+            g = g[None]
+            alone = _projected_gradient(x[None], g, bounds)
+            assert alone.tobytes() == w.tobytes()
+            taken_as_is.append(alone is g)
+        assert any(taken_as_is) and not all(taken_as_is)
 
     def test_nan_is_never_at_a_bound(self):
         bounds = box(-1, 1, d=2)
