@@ -33,7 +33,9 @@ layout.  Only the operands of BLAS dots keep their row-major layout: the
 gradients copy the substitutions they dot into contiguous rows.  S,
 sigma2^2 and the gain terms are each derived once, on (T, m) arrays, and the gradients
 at chosen rows in one pass over (T, rows, ...), one ``potrs`` per
-(context, component).  Each (context, row) entry is computed with the
+(context, component).  The masks for rows that are not live, or whose
+sigma2^2 is zero, are built only in probes that have such rows; elsewhere
+they would keep every entry.  Each (context, row) entry is computed with the
 same operations whatever the other rows and contexts are, so it reads
 the same in any batch and any stack, a one-row, one-context probe
 included.  Where bits must not depend on the batch, a sum is explicit
