@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -662,6 +662,28 @@ class TestProjectedGradient:
             assert alone.tobytes() == w.tobytes()
             taken_as_is.append(alone is g)
         assert any(taken_as_is) and not all(taken_as_is)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        lower=st.floats(-1e300, 1e300),
+        width=st.floats(1e-300, 1e300),
+        factor=st.floats(-4.0, 4.0),
+        upper_side=st.booleans(),
+        g=st.floats(-1.0, 1.0),
+    )
+    @example(lower=0.0, width=1.0, factor=2.0, upper_side=False, g=-1.0)
+    @example(lower=-1e300, width=1e300, factor=-2.0, upper_side=True, g=1.0)
+    def test_a_row_near_any_bound_is_the_isclose_form(self, lower, width, factor, upper_side, g):
+        # one row at a multiple of the tolerance from either bound of a box of any scale,
+        # so the shrunk box's edge is met at every magnitude
+        upper = lower + width
+        assume(np.isfinite(upper) and lower < upper)
+        bounds = BoxBounds(lower=np.array([lower]), upper=np.array([upper]))
+        bound = upper if upper_side else lower
+        x = np.array([[bound + factor * (1e-8 + 1e-5 * abs(bound))]])
+        G = np.array([[g]])
+        got = _projected_gradient(x, G, bounds)
+        assert got.tobytes() == isclose_projected_gradient(x[0], G[0], bounds).tobytes()
 
     def test_nan_is_never_at_a_bound(self):
         bounds = box(-1, 1, d=2)
