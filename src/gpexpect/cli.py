@@ -90,6 +90,8 @@ def _load_config(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -199,7 +201,6 @@ _RUN_KEYS = (
     "refit_every",
     "theta_samples",
     "bounds",
-    "center_y",
     "seed",
     "output",
 )
@@ -245,10 +246,6 @@ def _parse_common(doc: dict):
         if bounds.dim != dimension:
             raise ConfigError(f"config: bounds are {bounds.dim}-d, expected {dimension}")
 
-    center_y = doc.get("center_y", False)
-    if not isinstance(center_y, bool):
-        raise ConfigError("config: 'center_y' must be a boolean")
-
     try:
         design = DesignConfig(
             n0=n0,
@@ -260,11 +257,18 @@ def _parse_common(doc: dict):
             bounds=bounds,
             pinned_theta=pinned,
             fixed_noise=fixed_noise,
-            center_y=center_y,
         )
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     return problem, mix, design, Path(output)
+
+
+def _make_output_dir(out_dir: Path) -> None:
+    """Make ``out_dir`` before the first black-box call, which a bad path would waste."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot make output directory {out_dir}: {exc}") from exc
 
 
 def _write_run_csv(path: Path, records, dimension: int, q_ref: float) -> None:
@@ -291,9 +295,9 @@ def _cmd_run(config_path: str) -> int:
     _check_keys(doc, _RUN_KEYS)
     problem, mix, design, out_dir = _parse_common(doc)
     q_ref = problem.expectation(mix)
+    _make_output_dir(out_dir)
     records = run(mix, problem.black_box, design)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_csv(out_dir / "run.csv", records, mix.dim, q_ref)
 
     final = records[-1]
@@ -331,6 +335,7 @@ def _cmd_benchmark(config_path: str) -> int:
     problem, mix, design, out_dir = _parse_common(doc)
     n_seeds = _as_int(_require(doc, "seeds"), "seeds", minimum=1)
     q_ref = problem.expectation(mix)
+    _make_output_dir(out_dir)
 
     rows = []
     finals = {"acquisition": [], "random": []}
@@ -343,7 +348,6 @@ def _cmd_benchmark(config_path: str) -> int:
             finals[strategy].append(abs(records[-1].mu1 - q_ref))
 
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["strategy,iter,seed,abs_err"]
     lines += [f"{s},{it},{sd},{_fmt(err)}" for s, it, sd, err in rows]
     (out_dir / "benchmark.csv").write_text(

@@ -70,8 +70,10 @@ class DesignConfig:
     conflicts with ``pinned_theta``;
     ``theta_samples > 1`` averages the acquisition over that many
     log-space perturbations of the selected hyperparameters.
-    ``center_y`` fits the GP on mean-centered observations and adds the
-    offset back into the reported estimate mean.  The counts ``n0``,
+    The initial design is ``n0`` draws from the input mixture, and
+    ``bounds`` defaults to :func:`~gpexpect.optimize.default_bounds`, the
+    component means +- ``optimize._DEFAULT_BOX_WIDTH`` (5) component
+    stds.  The counts ``n0``,
     ``budget``, ``refit_every`` and ``theta_samples`` and the ``seed``
     must be integers, not bools, the seed ``>= 0``; anything else, and a
     bad or conflicting ``fixed_noise``, raises ``ValueError`` here, before
@@ -89,7 +91,6 @@ class DesignConfig:
     bounds: BoxBounds | None = None
     pinned_theta: HyperparameterSample | None = None
     fixed_noise: float | None = None
-    center_y: bool = False
 
     def __post_init__(self):
         for name in ("n0", "budget", "seed", "refit_every", "theta_samples"):
@@ -138,13 +139,6 @@ class DesignState:
         return self.data.n - self.cfg.n0
 
 
-def initial_design(mix: GaussianMixture, n0: int, seed: int) -> np.ndarray:
-    """n0 starting points drawn from the input mixture."""
-    if n0 < 2:
-        raise InsufficientDataError("initial design needs at least 2 points")
-    return sample(mix, n0, seed)
-
-
 def _perturbed_theta(theta: HyperparameterSample, rng) -> HyperparameterSample:
     ls = np.exp(np.log(theta.kernel.lengthscales) + _THETA_LOG_STD * rng.standard_normal(
         theta.kernel.dim
@@ -167,20 +161,14 @@ def _select_theta(state: DesignState) -> HyperparameterSample:
     return state.hyper
 
 
-def _fit_context(state: DesignState, theta: HyperparameterSample):
-    """Fit ``theta`` to the current data; returns the context and the y offset.
+def _fit_context(state: DesignState, theta: HyperparameterSample) -> AcquisitionContext:
+    """Fit ``theta`` to the current data and build its acquisition context.
 
     The context reuses the kernel-only terms of ``state.context`` when
-    that context has the kernel object of ``theta``.  With ``center_y``
-    the GP sees ``y`` minus the offset, the mean of ``y`` (0 with no
-    data); otherwise the offset is 0.
+    that context has the kernel object of ``theta``.
     """
-    data = state.data
-    offset = float(data.y.mean()) if state.cfg.center_y and data.n > 0 else 0.0
-    if offset != 0.0:
-        data = Dataset(X=data.X, y=data.y - offset)
-    gp = fit(data, theta.kernel, theta.noise)
-    return build_context(gp, state.mix, state.context), offset
+    gp = fit(state.data, theta.kernel, theta.noise)
+    return build_context(gp, state.mix, state.context)
 
 
 def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
@@ -190,7 +178,7 @@ def _acquisition_functions(state: DesignState, ctx, theta, iteration: int):
     rng = np.random.default_rng(_derive_seed(state.cfg.seed, iteration, 1))
     contexts = [ctx]
     for _ in range(state.cfg.theta_samples - 1):
-        contexts.append(_fit_context(state, _perturbed_theta(theta, rng))[0])
+        contexts.append(_fit_context(state, _perturbed_theta(theta, rng)))
     return multi_theta_objective(contexts)
 
 
@@ -207,14 +195,14 @@ def _evaluate(black_box, x: np.ndarray) -> float:
     return y
 
 
-def _record(state: DesignState, iteration: int, x, y: float, offset: float, acquisition: float):
-    """Append the record of point ``x`` with the estimate of ``state.context`` plus ``offset``."""
+def _record(state: DesignState, iteration: int, x, y: float, acquisition: float):
+    """Append the record of point ``x`` with the estimate of ``state.context``."""
     state.history.append(
         RunRecord(
             iteration=iteration,
             chosen_x=x,
             observed_y=y,
-            mu1=state.context.mu1 + offset,
+            mu1=state.context.mu1,
             sigma1=float(np.sqrt(state.context.sigma1_sq)),
             acquisition_at_chosen=acquisition,
         )
@@ -230,8 +218,8 @@ def _absorb(state: DesignState, black_box, x, theta, acquisition: float):
     y = _evaluate(black_box, x)
     state.data = state.data.append(x, y)
     state.hyper = theta
-    state.context, offset = _fit_context(state, theta)
-    _record(state, state.data.n - 1, x, y, offset, acquisition)
+    state.context = _fit_context(state, theta)
+    _record(state, state.data.n - 1, x, y, acquisition)
     return state
 
 
@@ -242,7 +230,7 @@ def step(state: DesignState, black_box) -> DesignState:
     if theta is not state.hyper or state.context is None:
         # kept, so the refit after this step reuses its kernel-only terms
         state.hyper = theta
-        state.context, _ = _fit_context(state, theta)
+        state.context = _fit_context(state, theta)
     objective = _acquisition_functions(state, state.context, theta, state.iteration)
 
     starts = mixture_starts(
@@ -260,14 +248,14 @@ def _random_step(state: DesignState, black_box) -> DesignState:
 
 
 def _start_state(mix: GaussianMixture, black_box, cfg: DesignConfig) -> DesignState:
-    X0 = initial_design(mix, cfg.n0, _derive_seed(cfg.seed, 0, 0))
+    X0 = sample(mix, cfg.n0, _derive_seed(cfg.seed, 0, 0))
     y0 = np.array([_evaluate(black_box, x) for x in X0])
     state = DesignState(data=Dataset(X=X0, y=y0), mix=mix, cfg=cfg)
     state.hyper = _select_theta(state)
-    state.context, offset = _fit_context(state, state.hyper)
+    state.context = _fit_context(state, state.hyper)
     # initial points share the post-initial-fit estimate; acquisition 0
     for i in range(cfg.n0):
-        _record(state, i, X0[i], float(y0[i]), offset, 0.0)
+        _record(state, i, X0[i], float(y0[i]), 0.0)
     return state
 
 

@@ -23,6 +23,8 @@ _EM_REL_TOLERANCE = 1e-8
 # covariance eigenvalue floor, as a fraction of the mean per-dimension
 # sample variance
 _EM_VARIANCE_FLOOR_SCALE = 1e-6
+# seed of the k-means initialization, so a fit depends on the samples alone
+_EM_SEED = 0
 
 
 def _component_log_pdfs(mix: GaussianMixture, X: np.ndarray) -> np.ndarray:
@@ -111,11 +113,12 @@ def _m_step(X: np.ndarray, resp: np.ndarray, floor: float, fallback) -> Gaussian
     return GaussianMixture(weights=nk / nk.sum(), means=means, covs=covs)
 
 
-def fit_em_trace(samples, k: int, seed: int = 0):
+def fit_em_trace(samples, k: int):
     """EM fit returning the mixture and the per-iteration log-likelihood.
 
     The trace is the total data log-likelihood after each EM iteration.
-    Deterministic given ``seed``, which seeds the k-means initialization.
+    Deterministic given the samples: the k-means initialization draws
+    from the fixed seed ``_EM_SEED`` (0).
     The first mixture is the M step of the k-means assignment.  A
     component that holds no row (responsibilities summing below 1e-300)
     restarts at its k-means center with the data's spread; otherwise the
@@ -143,7 +146,7 @@ def fit_em_trace(samples, k: int, seed: int = 0):
     # variance floor is relative to the overall data spread
     data_var = float(np.mean(np.var(X, axis=0)))
     floor = _EM_VARIANCE_FLOOR_SCALE * max(data_var, 1e-30)
-    centers = _kmeans_init(X, k, np.random.default_rng(seed))
+    centers = _kmeans_init(X, k, np.random.default_rng(_EM_SEED))
     fallback = (centers, np.eye(d) * max(data_var, floor))
     mix = _m_step(X, np.eye(k)[_nearest(X, centers)], floor, fallback)
 
@@ -162,9 +165,9 @@ def fit_em_trace(samples, k: int, seed: int = 0):
     return mix, np.array(trace)
 
 
-def fit_em(samples, k: int, seed: int = 0) -> GaussianMixture:
-    """Fit a k-component mixture to empirical samples by EM."""
-    mix, _ = fit_em_trace(samples, k, seed)
+def fit_em(samples, k: int) -> GaussianMixture:
+    """Fit a k-component mixture to empirical samples by EM, k-means started at ``_EM_SEED``."""
+    mix, _ = fit_em_trace(samples, k)
     return mix
 
 

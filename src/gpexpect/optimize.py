@@ -41,6 +41,8 @@ STEP_FRACTIONS = 0.5 ** np.arange(40)
 STEP_FRACTIONS.setflags(write=False)
 _GRADIENT_TOLERANCE = 1e-8
 _MAX_ITERATIONS = 100
+# half-width of the default search box, in component standard deviations
+_DEFAULT_BOX_WIDTH = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +86,13 @@ class BoxBounds:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
-def default_bounds(mix: GaussianMixture, width: float = 5.0) -> BoxBounds:
-    """Box spanning all component means +- width component stds.
+def default_bounds(mix: GaussianMixture) -> BoxBounds:
+    """Box spanning all component means +- 5 component stds (``_DEFAULT_BOX_WIDTH``).
 
     The acquisition decays with the kernel tail outside the input mass,
     so nothing worth sampling lies beyond a few standard deviations.
     """
-    lower, upper = component_box(mix, width)
+    lower, upper = component_box(mix, _DEFAULT_BOX_WIDTH)
     return BoxBounds(lower=lower, upper=upper)
 
 

@@ -18,6 +18,8 @@ from gpexpect.gp import GpPosterior, posterior_cov
 from gpexpect.mixtures import GaussianMixture, component_box, sample
 
 _MAX_DEPTH = 50
+# half-width of the integration box, in component standard deviations
+_BOX_WIDTH = 8.0
 
 
 def quad_integral_1d(fn, lo: float, hi: float, tol: float = 1e-10):
@@ -90,13 +92,13 @@ def quad_integral_2d(fn, lower, upper, per_axis: int = 200) -> float:
     return float(scale * np.sum(w2 * vals))
 
 
-def mixture_box(mix: GaussianMixture, width: float = 8.0):
-    """Box covering all component means plus ``width`` standard deviations.
+def mixture_box(mix: GaussianMixture):
+    """Box covering all component means +- 8 standard deviations (``_BOX_WIDTH``).
 
     Gaussian tails beyond 8 sigma are below 1e-14, so integrating the
     mixture over this box loses nothing at oracle tolerances.
     """
-    return component_box(mix, width)
+    return component_box(mix, _BOX_WIDTH)
 
 
 def mc_expectation(fn, mix: GaussianMixture, n_samples: int, seed: int):

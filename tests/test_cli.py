@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gpexpect.acquisition
-from gpexpect.benchmarks import benchmark_problem
+from gpexpect.benchmarks import BenchmarkProblem, benchmark_problem
 from gpexpect.cli import _write_run_csv, main
 from gpexpect.design import DesignConfig, run
 from gpexpect.errors import EvaluationError
@@ -132,10 +132,11 @@ class TestRunCommand:
 
 
 class TestConfigErrors:
-    def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", bogus_knob=1)
+    @pytest.mark.parametrize("key, value", [("bogus_knob", 1), ("center_y", True)])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
         assert main(["run", str(cfg)]) == 2
-        assert "bogus_knob" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: config: unknown key(s) ['{key}']")
 
     def test_missing_seed_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
@@ -178,6 +179,37 @@ class TestConfigErrors:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "benchmark"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, command):
+        # before the fix, UnicodeDecodeError escaped main with a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: not UTF-8 text")
+
+    @pytest.mark.parametrize("command, extra", [("run", {}), ("benchmark", {"seeds": 2})])
+    def test_output_that_cannot_be_a_directory_fails_before_the_black_box(
+        self, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        # before the fix, mkdir raised FileExistsError after the whole run
+        calls = []
+        black_box = BenchmarkProblem.black_box
+
+        def counting(self, x):
+            calls.append(x)
+            return black_box(self, x)
+
+        monkeypatch.setattr(BenchmarkProblem, "black_box", counting)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        cfg = write_config(tmp_path / "cfg.json", output=str(taken), **extra)
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config: cannot make output directory {taken}:")
+        assert calls == []
+        assert taken.read_text() == "a file, not a directory"
 
     @pytest.mark.parametrize("command, extra", [("run", {}), ("benchmark", {"seeds": 2})])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, extra):

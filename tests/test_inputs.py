@@ -105,14 +105,14 @@ class TestEm:
         samples = np.concatenate(
             [rng.normal(-2, 0.8, size=(150, 1)), rng.normal(2, 1.2, size=(150, 1))]
         )
-        _, trace = fit_em_trace(samples, 2, seed=0)
+        _, trace = fit_em_trace(samples, 2)
         diffs = np.diff(trace)
         assert diffs.min() >= -1e-9
 
     def test_single_component_exact_moments(self):
         rng = np.random.default_rng(6)
         samples = rng.normal(size=(200, 2)) @ np.array([[1.0, 0.4], [0.0, 0.9]])
-        mix = fit_em(samples, 1, seed=0)
+        mix = fit_em(samples, 1)
         assert_allclose(mix.means[0], samples.mean(axis=0), atol=1e-9)
         centered = samples - samples.mean(axis=0)
         assert_allclose(mix.covs[0], centered.T @ centered / len(samples), atol=1e-8)
@@ -122,20 +122,20 @@ class TestEm:
         samples = np.concatenate(
             [rng.normal(-5, 1.0, size=(500, 1)), rng.normal(5, 1.0, size=(500, 1))]
         )
-        mix = fit_em(samples, 2, seed=0)
+        mix = fit_em(samples, 2)
         assert_allclose(np.sort(mix.weights), [0.5, 0.5], atol=0.02)
         assert_allclose(np.sort(mix.means[:, 0]), [-5.0, 5.0], atol=0.2)
 
     def test_requires_enough_samples(self):
         with pytest.raises(InsufficientDataError):
-            fit_em(np.zeros((15, 1)), 2, seed=0)
+            fit_em(np.zeros((15, 1)), 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_names_its_row(self, bad):
         samples = np.random.default_rng(9).normal(size=(30, 2))
         samples[17, 1] = bad
         with pytest.raises(ValueError, match="sample row 17 ") as info:
-            fit_em(samples, 1, seed=0)
+            fit_em(samples, 1)
         assert not isinstance(info.value, InsufficientDataError)
 
     def test_an_empty_kmeans_cluster_gives_a_valid_fit(self):
@@ -144,7 +144,7 @@ class TestEm:
         variance, and ends with almost no weight.  The weights and means are
         the ones the per-component M steps gave before they became one."""
         samples = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]), 14, axis=0)
-        mix, trace = fit_em_trace(samples, 4, seed=0)
+        mix, trace = fit_em_trace(samples, 4)
         assert np.all(mix.weights > 0)
         assert abs(mix.weights.sum() - 1.0) <= 1e-12
         assert np.all(np.linalg.eigvalsh(mix.covs) > 0)
@@ -159,11 +159,11 @@ class TestEm:
             rtol=0, atol=1e-12,
         )
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_the_samples(self):
         rng = np.random.default_rng(8)
         samples = rng.normal(size=(80, 1))
-        a = fit_em(samples, 2, seed=4)
-        b = fit_em(samples, 2, seed=4)
+        a = fit_em(samples, 2)
+        b = fit_em(samples, 2)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.weights, b.weights)
 

@@ -722,8 +722,8 @@ class TestBounds:
             means=np.array([[-2.0], [3.0]]),
             covs=np.array([[[1.0]], [[4.0]]]),
         )
-        # union of per-component boxes: mean_i +/- width * per-component std
-        bounds = default_bounds(mix, width=5.0)
+        # union of per-component boxes: mean_i +/- 5 per-component stds
+        bounds = default_bounds(mix)
         assert bounds.lower[0] == pytest.approx(-2.0 - 5.0 * 1.0)
         assert bounds.upper[0] == pytest.approx(3.0 + 5.0 * 2.0)
 

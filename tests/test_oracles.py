@@ -101,7 +101,7 @@ class TestMixtureBox:
             means=np.array([[-4.0], [4.0]]),
             covs=np.ones((2, 1, 1)),
         )
-        lower, upper = mixture_box(mix, width=8.0)
+        lower, upper = mixture_box(mix)
         assert lower[0] <= -12.0 + 1e-12
         assert upper[0] >= 12.0 - 1e-12
 
