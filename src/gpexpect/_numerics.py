@@ -1,4 +1,4 @@
-"""Package-private helpers: point-shape, count and noise checks, row dots and the linear solves.
+"""Package-private helpers: point-shape and count checks, row dots and the linear solves.
 
 Two solves make scipy.linalg's exact LAPACK calls for a lower factor, so they
 equal ``solve_triangular`` and ``cho_solve`` bit for bit, without the per-call
@@ -86,12 +86,6 @@ def require_count(value, name: str) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def require_fixed_noise(value) -> None:
-    """Raise ``ValueError`` unless ``value`` is None or a finite noise variance ``>= 0``."""
-    if value is not None and not (np.isfinite(value) and value >= 0):
-        raise ValueError(f"fixed_noise must be finite and >= 0, got {value}")
-
-
 def as_point(x, dim: int, name: str) -> np.ndarray:
     """``x`` as a float vector of length ``dim``."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -101,9 +95,13 @@ def as_point(x, dim: int, name: str) -> np.ndarray:
 
 
 def as_points(X, dim: int, name: str = "X") -> np.ndarray:
-    """``X`` as an ``(n, dim)`` float array; a vector is n points in 1-d, else one point."""
+    """``X`` as an ``(n, dim)`` float array; a vector is n points in 1-d, else one point.
+
+    An empty vector is no points; an empty array of another shape must
+    already be ``(0, dim)``.
+    """
     X = np.asarray(X, dtype=float)
-    if X.size == 0:
+    if X.size == 0 and X.ndim == 1:
         return X.reshape(0, dim)
     if X.ndim == 1:
         X = X.reshape(-1, 1) if dim == 1 else X.reshape(1, -1)

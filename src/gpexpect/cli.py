@@ -197,8 +197,6 @@ _RUN_KEYS = (
     "sigma_stop",
     "kernel",
     "noise_variance",
-    "fixed_noise",
-    "refit_every",
     "theta_samples",
     "bounds",
     "seed",
@@ -230,7 +228,6 @@ def _parse_common(doc: dict):
         )
 
     pinned = _build_pinned_theta(doc, dimension)
-    fixed_noise = _as_number(doc["fixed_noise"], "fixed_noise") if "fixed_noise" in doc else None
 
     bounds = None
     if "bounds" in doc:
@@ -252,23 +249,38 @@ def _parse_common(doc: dict):
             budget=budget,
             seed=seed,
             sigma_stop=_as_number(doc.get("sigma_stop", 0.0), "sigma_stop"),
-            refit_every=_as_int(doc.get("refit_every", 5), "refit_every", minimum=1),
             theta_samples=_as_int(doc.get("theta_samples", 1), "theta_samples", minimum=1),
             bounds=bounds,
             pinned_theta=pinned,
-            fixed_noise=fixed_noise,
         )
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     return problem, mix, design, Path(output)
 
 
-def _make_output_dir(out_dir: Path) -> None:
-    """Make ``out_dir`` before the first black-box call, which a bad path would waste."""
+def _prepare_output(out_dir: Path, names) -> None:
+    """Make ``out_dir`` and check its files ``names`` before the first black-box call.
+
+    A bad path would waste every evaluation: the directory must be
+    makeable, and each file that exists already must be a regular file,
+    which the write replaces.
+    """
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"config: cannot make output directory {out_dir}: {exc}") from exc
+    for name in names:
+        path = out_dir / name
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"config: output {path} exists and is not a regular file")
+
+
+def _write_lines(path: Path, lines) -> None:
+    """Write ``lines`` to ``path``, one per line; an ``OSError`` becomes a ``ConfigError``."""
+    try:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"config: cannot write output file {path}: {exc}") from exc
 
 
 def _write_run_csv(path: Path, records, dimension: int, q_ref: float) -> None:
@@ -287,7 +299,7 @@ def _write_run_csv(path: Path, records, dimension: int, q_ref: float) -> None:
             _fmt(abs(rec.mu1 - q_ref)),
         ]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, lines)
 
 
 def _cmd_run(config_path: str) -> int:
@@ -295,7 +307,7 @@ def _cmd_run(config_path: str) -> int:
     _check_keys(doc, _RUN_KEYS)
     problem, mix, design, out_dir = _parse_common(doc)
     q_ref = problem.expectation(mix)
-    _make_output_dir(out_dir)
+    _prepare_output(out_dir, ("run.csv", "summary.json"))
     records = run(mix, problem.black_box, design)
 
     _write_run_csv(out_dir / "run.csv", records, mix.dim, q_ref)
@@ -315,9 +327,7 @@ def _cmd_run(config_path: str) -> int:
         "final_sigma1": final.sigma1,
         "final_abs_err": abs(final.mu1 - q_ref),
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_lines(out_dir / "summary.json", [json.dumps(summary, indent=2, sort_keys=True)])
     print(f"wrote {out_dir / 'run.csv'} and {out_dir / 'summary.json'}")
     print(
         f"final mu1 {_fmt(final.mu1)}, sigma1 {_fmt(final.sigma1)}, "
@@ -335,7 +345,7 @@ def _cmd_benchmark(config_path: str) -> int:
     problem, mix, design, out_dir = _parse_common(doc)
     n_seeds = _as_int(_require(doc, "seeds"), "seeds", minimum=1)
     q_ref = problem.expectation(mix)
-    _make_output_dir(out_dir)
+    _prepare_output(out_dir, ("benchmark.csv", "benchmark_summary.csv"))
 
     rows = []
     finals = {"acquisition": [], "random": []}
@@ -350,9 +360,7 @@ def _cmd_benchmark(config_path: str) -> int:
     rows.sort(key=lambda r: (r[0], r[2], r[1]))
     lines = ["strategy,iter,seed,abs_err"]
     lines += [f"{s},{it},{sd},{_fmt(err)}" for s, it, sd, err in rows]
-    (out_dir / "benchmark.csv").write_text(
-        "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_lines(out_dir / "benchmark.csv", lines)
 
     # per-iteration medians and interquartile range, one row per strategy/iter
     summary_lines = ["strategy,iter,median_abs_err,iqr_low,iqr_high"]
@@ -367,9 +375,7 @@ def _cmd_benchmark(config_path: str) -> int:
                 f"{strategy},{it},{_fmt(np.median(errs))},"
                 f"{_fmt(np.percentile(errs, 25))},{_fmt(np.percentile(errs, 75))}"
             )
-    (out_dir / "benchmark_summary.csv").write_text(
-        "\n".join(summary_lines) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_lines(out_dir / "benchmark_summary.csv", summary_lines)
 
     med_acq = float(np.median(finals["acquisition"]))
     med_rand = float(np.median(finals["random"]))

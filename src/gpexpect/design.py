@@ -1,13 +1,13 @@
 """The sequential loop: acquire, evaluate, update, record.
 
-Hyperparameters are selected once on the initial design and again
-before every ``refit_every``-th step.  Each step maximizes the
-variance-reduction acquisition over the design box, evaluates the black
-box at the winner, fits the GP once with the new point, and records the
-updated integral estimate; the next step acquires on that same fit
-unless it re-selects the hyperparameters.  A parallel entry point draws
-points from the input distribution instead, which is the baseline the
-acquisition is meant to beat.
+Hyperparameters, the noise variance among them, are selected once on
+the initial design and again before every ``_REFIT_EVERY``-th (5th)
+step.  Each step maximizes the variance-reduction acquisition over the
+design box, evaluates the black box at the winner, fits the GP once with
+the new point, and records the updated integral estimate; the next step
+acquires on that same fit unless it re-selects the hyperparameters.  A
+parallel entry point draws points from the input distribution instead,
+which is the baseline the acquisition is meant to beat.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpexpect._numerics import require_count, require_fixed_noise
+from gpexpect._numerics import require_count
 from gpexpect.acquisition import (
     AcquisitionContext,
     acquisition_objective,
@@ -40,6 +40,8 @@ from gpexpect.optimize import BoxBounds, default_bounds, maximize, mixture_start
 _THETA_LOG_STD = 0.2
 # start points of each step's acquisition ascent
 _ACQUISITION_STARTS = 8
+# acquisition steps between hyperparameter re-selections
+_REFIT_EVERY = 5
 
 
 def _derive_seed(*parts: int) -> int:
@@ -64,36 +66,32 @@ class DesignConfig:
 
     ``pinned_theta`` freezes the hyperparameters for the whole run
     (otherwise they are selected on the initial design and re-selected
-    before every ``refit_every``-th step, by a search whose random starts
-    come from a fixed seed, not from ``seed``); ``fixed_noise``, finite
-    and nonnegative, pins the noise variance of that search and so
-    conflicts with ``pinned_theta``;
+    before every ``_REFIT_EVERY``-th (5th) step, by a search over the
+    amplitude, the lengthscales and the noise whose random starts come
+    from a fixed seed, not from ``seed``);
     ``theta_samples > 1`` averages the acquisition over that many
     log-space perturbations of the selected hyperparameters.
     The initial design is ``n0`` draws from the input mixture, and
     ``bounds`` defaults to :func:`~gpexpect.optimize.default_bounds`, the
     component means +- ``optimize._DEFAULT_BOX_WIDTH`` (5) component
-    stds.  The counts ``n0``,
-    ``budget``, ``refit_every`` and ``theta_samples`` and the ``seed``
-    must be integers, not bools, the seed ``>= 0``; anything else, and a
-    bad or conflicting ``fixed_noise``, raises ``ValueError`` here, before
-    a black-box call.  The effort of each
-    step's acquisition ascent is fixed: 8 starts (``_ACQUISITION_STARTS``)
-    of at most 100 steps each (``optimize._MAX_ITERATIONS``).
+    stds.  The counts ``n0``, ``budget`` and ``theta_samples`` and the
+    ``seed`` must be integers, not bools, the seed ``>= 0``; anything
+    else raises ``ValueError`` here, before a black-box call.  The effort
+    of each step's acquisition ascent is fixed: 8 starts
+    (``_ACQUISITION_STARTS``) of at most 100 steps each
+    (``optimize._MAX_ITERATIONS``).
     """
 
     n0: int
     budget: int
     seed: int
     sigma_stop: float = 0.0
-    refit_every: int = 5
     theta_samples: int = 1
     bounds: BoxBounds | None = None
     pinned_theta: HyperparameterSample | None = None
-    fixed_noise: float | None = None
 
     def __post_init__(self):
-        for name in ("n0", "budget", "seed", "refit_every", "theta_samples"):
+        for name in ("n0", "budget", "seed", "theta_samples"):
             require_count(getattr(self, name), name)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -103,13 +101,8 @@ class DesignConfig:
             raise ValueError("budget must be at least n0")
         if not self.sigma_stop >= 0:
             raise ValueError("sigma_stop must be nonnegative")
-        if self.refit_every < 1:
-            raise ValueError("refit_every must be at least 1")
         if self.theta_samples < 1:
             raise ValueError("theta_samples must be at least 1")
-        require_fixed_noise(self.fixed_noise)
-        if self.fixed_noise is not None and self.pinned_theta is not None:
-            raise ValueError("fixed_noise conflicts with pinned_theta, which fixes the noise")
 
 
 @dataclass(eq=False)
@@ -156,8 +149,8 @@ def _select_theta(state: DesignState) -> HyperparameterSample:
     cfg = state.cfg
     if cfg.pinned_theta is not None:
         return cfg.pinned_theta
-    if state.hyper is None or (state.iteration > 0 and state.iteration % cfg.refit_every == 0):
-        return select_hyperparameters(state.data, cfg.fixed_noise)
+    if state.hyper is None or (state.iteration > 0 and state.iteration % _REFIT_EVERY == 0):
+        return select_hyperparameters(state.data)
     return state.hyper
 
 

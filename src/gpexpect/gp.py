@@ -30,9 +30,10 @@ factor, :func:`log_marginal_likelihood` on each row alone.  Both give a
 row the bits it has alone.  Each round's rows go to a log, and the
 winner is picked once from it after the last round.  Because the rule
 lives here, a change to scipy's finite differences cannot move the
-selected hyperparameters.  The search's effort and its starts' seed are
-fixed, so its result is a function of the data and an optional fixed
-noise alone.  The driver's module, and with it the compiled
+selected hyperparameters.  The search always covers the amplitude, the
+lengthscales and the noise, d + 2 log-parameters.  Its effort and its
+starts' seed are fixed, so its result is a function of the data alone.
+The driver's module, and with it the compiled
 ``scipy.optimize._lbfgsb``, is loaded at the first search, so a run with
 a fixed kernel loads neither.
 """
@@ -49,7 +50,6 @@ from gpexpect._numerics import (
     as_points,
     chol_solve,
     chol_solves,
-    require_fixed_noise,
     row_dots,
 )
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
@@ -335,14 +335,13 @@ def log_marginal_likelihood(data: Dataset, ker: RbfKernel, noise: NoiseModel) ->
     return float(_evidence_from_factors(data.y, gp.gram_factor[None], gp.weights[None])[0])
 
 
-def _unpack_rows(Z: np.ndarray, d: int, fixed_noise: float | None):
+def _unpack_rows(Z: np.ndarray, d: int):
     """Amplitudes, lengthscale rows and noises of log-parameter rows ``Z``.
 
     ``np.exp`` is elementwise, so each row reads as one theta alone would.
     """
     E = np.exp(Z)
-    noise = E[:, d + 1] if fixed_noise is None else np.full(len(Z), float(fixed_noise))
-    return E[:, d], E[:, :d], noise
+    return E[:, d], E[:, :d], E[:, d + 1]
 
 
 def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -360,14 +359,14 @@ def _forward_steps(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(z + _FD_STEP > hi, -_FD_STEP, _FD_STEP)
 
 
-def _search_box(data: Dataset, fixed_noise: float | None):
-    """The search's box ``(lo, hi)`` of log-parameters, relative to the data's scale.
+def _search_box(data: Dataset):
+    """The search's box ``(lo, hi)`` of the d + 2 log-parameters, relative to the data.
 
     The lengthscale variances span ``_LENGTHSCALE_BOX`` times the squared
     input span per dimension, the amplitude ``_AMPLITUDE_BOX`` and the
-    noise, unless ``fixed_noise`` pins it, ``_NOISE_BOX`` times var(y); a
-    zero span or variance counts as 1.  Every bound is the log of a
-    positive finite float, so under 800 in magnitude.
+    noise ``_NOISE_BOX`` times var(y); a zero span or variance counts as 1.
+    Every bound is the log of a positive finite float, so under 800 in
+    magnitude.
 
     Raises
     ------
@@ -382,9 +381,7 @@ def _search_box(data: Dataset, fixed_noise: float | None):
         var_y = float(np.var(data.y))
         scale_y = var_y if var_y != 0 else 1.0
         # each block of log-parameters: its (low, high) box factors and its data scale
-        table = [(_LENGTHSCALE_BOX, span**2), (_AMPLITUDE_BOX, scale_y)]
-        if fixed_noise is None:
-            table.append((_NOISE_BOX, scale_y))
+        table = [(_LENGTHSCALE_BOX, span**2), (_AMPLITUDE_BOX, scale_y), (_NOISE_BOX, scale_y)]
         lo, hi = (
             np.concatenate([np.atleast_1d(np.log(box[side] * scale)) for box, scale in table])
             for side in (0, 1)
@@ -402,16 +399,15 @@ def _search_box(data: Dataset, fixed_noise: float | None):
     return lo, hi
 
 
-def select_hyperparameters(
-    data: Dataset, fixed_noise: float | None = None
-) -> HyperparameterSample:
+def select_hyperparameters(data: Dataset) -> HyperparameterSample:
     """Maximize the log marginal likelihood over log-parameterized boxes.
 
-    Runs ``_STARTS`` (8) L-BFGS-B ascents, from the box center and seven
+    Searches the amplitude, the ``d`` lengthscales and the noise variance,
+    ``p = d + 2`` log-parameters; the noise is always searched.  Runs
+    ``_STARTS`` (8) L-BFGS-B ascents, from the box center and seven
     log-uniform starts drawn with the fixed seed ``_SEED`` (0), and returns
-    the best candidate seen at any evaluation.  ``fixed_noise``, finite and
-    nonnegative, pins the noise variance instead of searching it.  The
-    iteration cap and the boxes, relative to the data, are fixed too.
+    the best candidate seen at any evaluation.  The iteration cap and the
+    boxes, relative to the data, are fixed too.
 
     The gradient is a forward difference, computed here rather than by
     scipy, so that each iterate ``z`` and its ``p`` stencil points
@@ -438,8 +434,6 @@ def select_hyperparameters(
 
     Raises
     ------
-    ValueError
-        If ``fixed_noise`` is negative or not finite.
     InsufficientDataError
         If fewer than two data points are available.
     NumericalConditioningError
@@ -448,12 +442,11 @@ def select_hyperparameters(
         of the rows the probe scored failed, out of how many it scored (a
         repeated iterate and its stencil are scored once).
     """
-    require_fixed_noise(fixed_noise)
     if data.n < 2:
         raise InsufficientDataError("hyperparameter selection needs at least 2 points")
     d = data.dim
 
-    lo, hi = _search_box(data, fixed_noise)
+    lo, hi = _search_box(data)
     p = lo.size
 
     # each round's owners (k,), values (k, p + 1) and rows (k, p + 1, p)
@@ -464,7 +457,7 @@ def select_hyperparameters(
     def fun_and_grad(owners, z):
         moved = z + _forward_steps(z, lo, hi)
         Z = np.where(stencil, moved[:, None, :], z[:, None, :])
-        values = -_log_evidences(data, *_unpack_rows(Z.reshape(-1, p), d, fixed_noise))
+        values = -_log_evidences(data, *_unpack_rows(Z.reshape(-1, p), d))
         values = values.reshape(len(owners), p + 1)
         rounds.append((owners, values, Z))
         f = np.where(np.isfinite(values), values, 1e12)
@@ -496,7 +489,7 @@ def select_hyperparameters(
             f"{ok.size} scored rows failed"
         )
     best_z = Z.reshape(-1, p)[order[best]]
-    amplitude_sq, lengthscales, noise = _unpack_rows(best_z[None, :], d, fixed_noise)
+    amplitude_sq, lengthscales, noise = _unpack_rows(best_z[None, :], d)
     return HyperparameterSample(
         kernel=RbfKernel(amplitude_sq=amplitude_sq[0], lengthscales=lengthscales[0]),
         noise=NoiseModel(variance=noise[0]),

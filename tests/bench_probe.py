@@ -273,7 +273,7 @@ def test_chol_solves(benchmark):
 def test_forward_steps(benchmark):
     problem = benchmark_problem("x_squared")
     X = sample(problem.mix, 25, seed=900)
-    lo, hi = _search_box(Dataset(X=X, y=problem.fn(X)), None)
+    lo, hi = _search_box(Dataset(X=X, y=problem.fn(X)))
     z = np.random.default_rng(4).uniform(lo, hi, size=(4, 3))
     h = benchmark(_forward_steps, z, lo, hi)
     assert h.shape == z.shape

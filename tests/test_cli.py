@@ -1,6 +1,8 @@
 """CLI config parsing, output files, exit codes."""
 
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,20 @@ def write_learned_config(path, **overrides):
     del doc["kernel"], doc["noise_variance"]
     cfg.write_text(json.dumps(doc))
     return cfg
+
+
+@pytest.fixture
+def black_box_calls(monkeypatch):
+    """The points every built-in problem's black box is called at, in order."""
+    calls = []
+    black_box = BenchmarkProblem.black_box
+
+    def counting(self, x):
+        calls.append(x)
+        return black_box(self, x)
+
+    monkeypatch.setattr(BenchmarkProblem, "black_box", counting)
+    return calls
 
 
 class TestRunCommand:
@@ -191,25 +207,55 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command, extra", [("run", {}), ("benchmark", {"seeds": 2})])
     def test_output_that_cannot_be_a_directory_fails_before_the_black_box(
-        self, tmp_path, capsys, monkeypatch, command, extra
+        self, tmp_path, capsys, black_box_calls, command, extra
     ):
         # before the fix, mkdir raised FileExistsError after the whole run
-        calls = []
-        black_box = BenchmarkProblem.black_box
-
-        def counting(self, x):
-            calls.append(x)
-            return black_box(self, x)
-
-        monkeypatch.setattr(BenchmarkProblem, "black_box", counting)
         taken = tmp_path / "taken"
         taken.write_text("a file, not a directory")
         cfg = write_config(tmp_path / "cfg.json", output=str(taken), **extra)
         assert main([command, str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config: cannot make output directory {taken}:")
-        assert calls == []
+        assert black_box_calls == []
         assert taken.read_text() == "a file, not a directory"
+
+    @pytest.mark.parametrize(
+        "command, extra, blocked",
+        [("run", {}, "run.csv"), ("run", {}, "summary.json"),
+         ("benchmark", {"seeds": 2}, "benchmark.csv"),
+         ("benchmark", {"seeds": 2}, "benchmark_summary.csv")],
+        ids=["run.csv", "summary.json", "benchmark.csv", "benchmark_summary.csv"],
+    )
+    def test_output_file_that_is_a_directory_fails_before_the_black_box(
+        self, tmp_path, capsys, black_box_calls, command, extra, blocked
+    ):
+        # before the fix, run spent every evaluation and then raised
+        # IsADirectoryError; benchmark first wrote benchmark.csv
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        cfg = write_config(tmp_path / "cfg.json", output=str(out), **extra)
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config: output {out / blocked} exists and is not a regular file\n"
+        )
+        assert black_box_calls == []
+        assert [path.name for path in out.iterdir()] == [blocked]
+
+    def test_failed_write_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "cfg.json")
+        write_text = Path.write_text
+
+        def disk_full(self, *args, **kwargs):
+            if self.name == "summary.json":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        assert main(["run", str(cfg)]) == 2
+        summary = tmp_path / "out" / "summary.json"
+        assert capsys.readouterr().err.startswith(
+            f"config error: config: cannot write output file {summary}:"
+        )
 
     @pytest.mark.parametrize("command, extra", [("run", {}), ("benchmark", {"seeds": 2})])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, extra):
@@ -218,21 +264,6 @@ class TestConfigErrors:
         assert main([command, str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "'seed' must be >= 0" in err
-
-    @pytest.mark.parametrize("fixed_noise", [-1.0, float("nan")])
-    def test_bad_fixed_noise_is_a_config_error(self, tmp_path, capsys, fixed_noise):
-        cfg = write_learned_config(tmp_path / "cfg.json", fixed_noise=fixed_noise)
-        assert main(["run", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert "fixed_noise must be finite and >= 0" in err
-
-    def test_fixed_noise_beside_a_fixed_kernel_is_a_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", fixed_noise=0.01)
-        assert main(["run", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert "fixed_noise conflicts with pinned_theta" in err
 
     @pytest.mark.parametrize(
         "key, literal",
@@ -284,16 +315,22 @@ class TestConfigErrors:
         assert err.startswith("config error:") and f"'{path}' must be a number" in err
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("starts", 2), ("max_iterations", 100), ("step_shrink", 0.5),
-         ("gradient_tolerance", 1e-8)],
+        "overrides",
+        [{"optimizer": {"starts": 2}}, {"optimizer": {"max_iterations": 100}},
+         {"optimizer": {"step_shrink": 0.5}}, {"optimizer": {"gradient_tolerance": 1e-8}},
+         {"fixed_noise": 0.01}, {"refit_every": 2}],
+        ids=["starts-2", "max_iterations-100", "step_shrink-0.5", "gradient_tolerance-1e-08",
+             "fixed_noise-0.01", "refit_every-2"],
     )
-    def test_removed_optimizer_keys_are_unknown(self, tmp_path, capsys, key, value):
-        # the ascent's 8 starts, 100-step cap, halving ladder and 1e-8 gradient stop are fixed
-        cfg = write_config(tmp_path / "cfg.json", optimizer={key: value})
+    def test_removed_optimizer_keys_are_unknown(self, tmp_path, capsys, overrides):
+        # the ascent's 8 starts, 100-step cap, halving ladder and 1e-8 gradient
+        # stop are fixed, the noise is always searched and re-selection comes
+        # every 5 steps
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["run", str(cfg)]) == 2
+        (key,) = overrides
         err = capsys.readouterr().err
-        assert err.startswith("config error: config: unknown key(s) ['optimizer']")
+        assert err.startswith(f"config error: config: unknown key(s) ['{key}']")
 
     @pytest.mark.parametrize(
         "mixture",

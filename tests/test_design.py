@@ -52,7 +52,6 @@ class TestDesignConfig:
         "field, value, error, message",
         [("n0", 1, InsufficientDataError, "n0 must be at least 2"),
          ("budget", 4, ValueError, "budget must be at least n0"),
-         ("refit_every", 0, ValueError, "refit_every must be at least 1"),
          ("theta_samples", 0, ValueError, "theta_samples must be at least 1")],
     )
     def test_rejects_counts_out_of_range(self, field, value, error, message):
@@ -69,12 +68,12 @@ class TestDesignConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n0", 5.0), ("budget", 8.5), ("refit_every", 2.5), ("theta_samples", 2.5),
-         ("theta_samples", "2"), ("seed", True), ("refit_every", True)],
+        [("n0", 5.0), ("budget", 8.5), ("theta_samples", 2.5), ("theta_samples", "2"),
+         ("seed", True)],
     )
     def test_rejects_non_integer_counts(self, field, value):
         # before the fix, theta_samples=2.5 spent the initial design, then
-        # failed in range(); refit_every=2.5 ran on float modulo
+        # failed in range()
         kwargs = dict(n0=5, budget=8, seed=1)
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -92,12 +91,6 @@ class TestDesignConfig:
         with pytest.raises(ValueError, match=message):
             DesignConfig(n0=2, budget=4, seed=seed)
         assert DesignConfig(n0=2, budget=4, seed=np.int64(0)).seed == 0
-
-    def test_fixed_noise_conflicts_with_pinned_theta(self):
-        # before the fix, fixed_noise was silently ignored beside a pinned theta
-        with pytest.raises(ValueError, match="fixed_noise conflicts with pinned_theta"):
-            DesignConfig(n0=2, budget=4, seed=0, pinned_theta=pinned(), fixed_noise=0.01)
-        assert DesignConfig(n0=2, budget=4, seed=0, fixed_noise=0.01).fixed_noise == 0.01
 
 
 class TestStep:
@@ -228,7 +221,7 @@ class TestRun:
         assert all(records_equal(x, y) for x, y in zip(a, b))
 
     def test_auto_hyperparameters_smoke(self):
-        cfg = DesignConfig(n0=4, budget=8, seed=12, refit_every=2)
+        cfg = DesignConfig(n0=4, budget=8, seed=12)
         history = run(std_normal_mix(), self.quadratic, cfg)
         assert len(history) == 8
         assert np.isfinite(history[-1].mu1)

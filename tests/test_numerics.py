@@ -1,5 +1,5 @@
-"""Package-private helpers: the compiled scipy modules, the direct LAPACK solves,
-the stacked Cholesky solves and the stacked forward substitution."""
+"""Package-private helpers: the point-shape check, the compiled scipy modules, the
+direct LAPACK solves, the stacked Cholesky solves and the stacked forward substitution."""
 
 import json
 import os
@@ -17,6 +17,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 import gpexpect
 from gpexpect._numerics import (
+    as_points,
     chol_solve,
     chol_solves,
     forward_solve,
@@ -54,6 +55,21 @@ from gpexpect.gp import Dataset, select_hyperparameters
 select_hyperparameters(Dataset(X=np.linspace(-1, 1, 5)[:, None], y=np.linspace(-1, 1, 5)))
 assert "scipy.linalg" not in sys.modules and "scipy.optimize" not in sys.modules
 """
+
+
+class TestAsPoints:
+    @pytest.mark.parametrize(
+        "X", [[], np.array([]), np.zeros((0, 2))], ids=["list", "vector", "rows"]
+    )
+    def test_no_points_are_zero_rows_of_the_width(self, X):
+        assert as_points(X, 2).shape == (0, 2)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (0, 1), (0, 0), (1, 0), (0, 2, 1)], ids=str)
+    def test_an_empty_array_of_another_shape_is_rejected(self, shape):
+        # before the fix, any empty array became (0, dim): a 2-d posterior
+        # mean at np.zeros((0, 7)) was []
+        with pytest.raises(ValueError, match=re.escape(f"X has shape {shape}, expected (n, 2)")):
+            as_points(np.zeros(shape), 2)
 
 
 class TestScipyExtensions:
