@@ -241,21 +241,31 @@ class TestConfigErrors:
         assert black_box_calls == []
         assert [path.name for path in out.iterdir()] == [blocked]
 
-    def test_failed_write_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        cfg = write_config(tmp_path / "cfg.json")
+    @pytest.mark.parametrize(
+        "command, extra, failing",
+        [("run", {}, "run.csv"), ("run", {}, "summary.json"),
+         ("benchmark", {"seeds": 2}, "benchmark.csv"),
+         ("benchmark", {"seeds": 2}, "benchmark_summary.csv")],
+        ids=["run.csv", "summary.json", "benchmark.csv", "benchmark_summary.csv"],
+    )
+    def test_failed_write_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, command, extra, failing
+    ):
+        cfg = write_config(tmp_path / "cfg.json", **extra)
         write_text = Path.write_text
 
         def disk_full(self, *args, **kwargs):
-            if self.name == "summary.json":
+            if self.name == failing:
                 raise OSError(errno.ENOSPC, "No space left on device")
             return write_text(self, *args, **kwargs)
 
         monkeypatch.setattr(Path, "write_text", disk_full)
-        assert main(["run", str(cfg)]) == 2
-        summary = tmp_path / "out" / "summary.json"
+        assert main([command, str(cfg)]) == 2
+        path = tmp_path / "out" / failing
         assert capsys.readouterr().err.startswith(
-            f"config error: config: cannot write output file {summary}:"
+            f"config error: config: cannot write output file {path}:"
         )
+        assert not path.exists()
 
     @pytest.mark.parametrize("command, extra", [("run", {}), ("benchmark", {"seeds": 2})])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command, extra):

@@ -92,6 +92,12 @@ class TestDesignConfig:
             DesignConfig(n0=2, budget=4, seed=seed)
         assert DesignConfig(n0=2, budget=4, seed=np.int64(0)).seed == 0
 
+    @pytest.mark.parametrize("field, value", [("fixed_noise", 0.01), ("refit_every", 2)])
+    def test_removed_fields_are_unknown(self, field, value):
+        # the noise is always searched, and re-selection comes every _REFIT_EVERY steps
+        with pytest.raises(TypeError, match=field):
+            DesignConfig(n0=2, budget=4, seed=0, **{field: value})
+
 
 class TestStep:
     def make_state(self, seed=0, noise=0.01, **cfg_kwargs):

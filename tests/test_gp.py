@@ -257,6 +257,24 @@ class TestSelectHyperparameters:
         assert a.kernel.amplitude_sq == b.kernel.amplitude_sq
         assert a.noise.variance == b.noise.variance
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_box_holds_lengthscales_amplitude_and_noise(self, d):
+        # d + 2 log-parameters: the noise is always searched, never pinned
+        rng = np.random.default_rng(30 + d)
+        X = rng.uniform(-2, 2, size=(40, d))
+        y = np.sin(X).sum(axis=1) + 0.3 * rng.normal(size=40)
+        data = Dataset(X=X, y=y)
+        lo, hi = gpexpect.gp._search_box(data)
+        span_sq, var_y = np.ptp(X, axis=0) ** 2, float(np.var(y))
+        for side, bound in enumerate((lo, hi)):
+            assert bound.tolist() == [
+                *np.log(gpexpect.gp._LENGTHSCALE_BOX[side] * span_sq).tolist(),
+                float(np.log(gpexpect.gp._AMPLITUDE_BOX[side] * var_y)),
+                float(np.log(gpexpect.gp._NOISE_BOX[side] * var_y)),
+            ]
+        theta = select_hyperparameters(data)
+        assert lo[d + 1] < np.log(theta.noise.variance) < hi[d + 1]
+
     @pytest.mark.parametrize("failure", ["raise", "nan"])
     def test_all_candidates_failing_reports_the_count(self, monkeypatch, failure):
         calls = []
