@@ -80,10 +80,12 @@ _flapack = load_scipy_extension("scipy.linalg._flapack")
 _TRTRS, _POTRS = _flapack.dtrtrs, _flapack.dpotrs
 
 
-def require_count(value, name: str) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer: a ``numbers.Integral``, not a bool."""
+def require_count(value, name: str, minimum: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) of at least ``minimum``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
 
 
 def as_point(x, dim: int, name: str) -> np.ndarray:

@@ -64,7 +64,6 @@ from gpexpect._numerics import (
     as_point,
     as_points,
     chol_solve,
-    forward_solve,
     forward_substitute,
     row_dots,
     sum_in_order,
@@ -220,9 +219,10 @@ def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
     the prior variance of the integral estimate.  One Cholesky factor of
     each pair's scale gives both the determinant and the kernel.  One
     stacked Cholesky call factors every pair's scale as a call on that
-    matrix alone would, and one ``trtrs`` per pair solves its mean
-    difference.  The rest are whole-array passes over the pairs, each with
-    a lone pair's operations, and the terms are added in pair order.
+    matrix alone would, and one ``forward_substitute`` solves every pair's
+    mean difference, read back as contiguous rows.  The rest are
+    whole-array passes over the pairs, each with a lone pair's operations,
+    and the terms are added in pair order.
     """
     lam = np.diag(ker.lengthscales)
     log_lam = np.log(ker.lengthscales).sum()
@@ -232,7 +232,8 @@ def double_kernel_mean(ker: RbfKernel, mix: GaussianMixture) -> float:
     scales = lam + covs[0] + covs[1]
     chols = np.linalg.cholesky(0.5 * (scales + scales.transpose(0, 2, 1)))
     log_factors = 0.5 * log_lam - np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
-    u = np.array([forward_solve(chol, diff) for chol, diff in zip(chols, means[0] - means[1])])
+    diffs = (means[0] - means[1]).T[:, :, None]
+    u = np.ascontiguousarray(forward_substitute(chols, diffs)[..., 0].T)
     pair_kernels = ker.amplitude_sq * np.exp(-0.5 * row_dots(u, u))
     terms = weights[0] * weights[1] * np.exp(log_factors) * pair_kernels
     return float(sum_in_order(np.where(first == second, terms, 2.0 * terms)))

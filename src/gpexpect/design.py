@@ -12,6 +12,7 @@ which is the baseline the acquisition is meant to beat.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,9 +76,11 @@ class DesignConfig:
     ``bounds`` defaults to :func:`~gpexpect.optimize.default_bounds`, the
     component means +- ``optimize._DEFAULT_BOX_WIDTH`` (5) component
     stds.  The counts ``n0``, ``budget`` and ``theta_samples`` and the
-    ``seed`` must be integers, not bools, the seed ``>= 0``; anything
-    else raises ``ValueError`` here, before a black-box call.  The effort
-    of each step's acquisition ascent is fixed: 8 starts
+    ``seed`` must be integers, the seed ``>= 0``, and ``sigma_stop`` a real
+    number ``>= 0``, none of them a bool; ``bounds`` and ``pinned_theta``
+    are None or of their annotated types.  Anything else raises
+    ``ValueError`` naming the field here, before a black-box call.  The
+    effort of each step's acquisition ascent is fixed: 8 starts
     (``_ACQUISITION_STARTS``) of at most 100 steps each
     (``optimize._MAX_ITERATIONS``).
     """
@@ -99,8 +102,13 @@ class DesignConfig:
             raise InsufficientDataError("n0 must be at least 2")
         if self.budget < self.n0:
             raise ValueError("budget must be at least n0")
-        if not self.sigma_stop >= 0:
-            raise ValueError("sigma_stop must be nonnegative")
+        stop = self.sigma_stop
+        if isinstance(stop, bool) or not isinstance(stop, numbers.Real) or not stop >= 0:
+            raise ValueError(f"sigma_stop must be a real number >= 0, got {stop!r}")
+        for name, kind in (("bounds", BoxBounds), ("pinned_theta", HyperparameterSample)):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__} or None, got {value!r}")
         if self.theta_samples < 1:
             raise ValueError("theta_samples must be at least 1")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from gpexpect._numerics import as_point, as_points
+from gpexpect._numerics import as_point, as_points, require_count
 from gpexpect.errors import InsufficientDataError
 from gpexpect.mixtures import GaussianMixture, component_quads
 
@@ -127,7 +127,8 @@ def fit_em_trace(samples, k: int):
     Raises
     ------
     ValueError
-        If a sample is not finite; the message names its row.
+        If a sample is not finite, the message naming its row; or if ``k``
+        is not an integer of at least 1 (a bool is not).
     InsufficientDataError
         If fewer than ``10 * k`` samples are supplied.
     """
@@ -138,8 +139,7 @@ def fit_em_trace(samples, k: int):
     bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
     if bad.size:
         raise ValueError(f"sample row {bad[0]} (from 0) is not finite: {X[bad[0]].tolist()}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    require_count(k, "k", minimum=1)
     if n < 10 * k:
         raise InsufficientDataError(f"EM with k={k} needs at least {10 * k} samples, got {n}")
 
@@ -182,7 +182,8 @@ def gmm_from_box(lower, upper, per_dim: int) -> GaussianMixture:
     Raises
     ------
     ValueError
-        If ``per_dim ** d`` exceeds 1e5 components, or the box is empty.
+        If ``per_dim`` is not an integer of at least 1 (a bool is not), if
+        ``per_dim ** d`` exceeds 1e5 components, or if the box is empty.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -190,8 +191,7 @@ def gmm_from_box(lower, upper, per_dim: int) -> GaussianMixture:
         raise ValueError("lower and upper must be vectors of equal length")
     if not np.all(lower < upper):
         raise ValueError("lower must be elementwise below upper")
-    if per_dim < 1:
-        raise ValueError("per_dim must be at least 1")
+    require_count(per_dim, "per_dim", minimum=1)
     d = lower.size
     n_comp = per_dim**d
     if n_comp > 1e5:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gpexpect._numerics import row_dots
+from gpexpect._numerics import require_count, row_dots
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.mixtures import GaussianMixture, component_box, first_samples_inside, mixture_mean
 
@@ -101,32 +101,20 @@ def mixture_starts(mix: GaussianMixture, bounds: BoxBounds, count: int, seed: in
 
     The first start is the mixture mean (clipped into the box).  Each
     other start is the first inside the box of 100 mixture draws from a
-    seed of its own, with a uniform draw if none is.  The parent stream
-    gives each start its seed, and its uniform draw right after it.  One
-    sized call draws the seeds and one
+    seed of its own, or else a uniform draw in the box from a new generator
+    on that seed, so it depends on its seed alone.  One sized call of the
+    parent stream draws the seeds, and one
     :func:`~gpexpect.mixtures.first_samples_inside` pass draws the starts
     together, each one row at a time until its first draw inside, which is
     the point that drawing all 100 at once and keeping the first inside
-    gives.  Deterministic given ``seed``.
+    gives.  Deterministic given ``seed``; ``count`` must be an integer >= 1.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
-    lower, upper = bounds.lower, bounds.upper
+    require_count(count, "count", minimum=1)
     # Python ints: a generator seeded by a numpy integer takes longer to build
-    seeds = rng.integers(2**63, size=count - 1).tolist()
-    starts = first_samples_inside(mix, lower, upper, 100, seeds)
-    missed = np.flatnonzero(np.isnan(starts[:, 0]))
-    if missed.size:
-        # the first missing start's uniform draw moves the seeds after it,
-        # so the parent stream is replayed from there one start at a time
-        first = missed[0]
-        rng = np.random.default_rng(seed)
-        rng.integers(2**63, size=first + 1)
-        starts[first] = rng.uniform(lower, upper)
-        for i in range(first + 1, count - 1):
-            x = first_samples_inside(mix, lower, upper, 100, [int(rng.integers(2**63))])[0]
-            starts[i] = rng.uniform(lower, upper) if np.isnan(x[0]) else x
+    seeds = np.random.default_rng(seed).integers(2**63, size=count - 1).tolist()
+    starts = first_samples_inside(mix, bounds.lower, bounds.upper, 100, seeds)
+    for s in np.flatnonzero(np.isnan(starts[:, 0])):
+        starts[s] = np.random.default_rng(seeds[s]).uniform(bounds.lower, bounds.upper)
     return np.vstack([bounds.clip(mixture_mean(mix)), starts])
 
 

@@ -1,5 +1,6 @@
 """Estimate moments, kernel integrals, variance reduction, and information gain."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from gpexpect.acquisition import (
     kernel_mean_gradient,
     multi_theta_objective,
 )
-from gpexpect.benchmarks import branin
+from gpexpect.benchmarks import benchmark_problem, branin
 from gpexpect.errors import DegenerateEstimateError
 from gpexpect.gp import (
     Dataset,
@@ -40,7 +41,7 @@ from gpexpect.gp import (
     posterior_mean_many,
     posterior_var_many,
 )
-from gpexpect.inputs import pdf, pdf_many
+from gpexpect.inputs import gmm_from_box, pdf, pdf_many
 from gpexpect.kernels import (
     RbfKernel,
     eval_kernel,
@@ -194,8 +195,12 @@ class TestComponentFactors:
         assert chols.flags.c_contiguous
 
 
-def looped_double_kernel_mean(ker, mix):
-    """The double integral with one Cholesky call per pair, as computed before the stacked call."""
+def looped_double_kernel_mean(ker, mix, solve=forward_solve):
+    """The double integral with one Cholesky call and one ``solve(chol, diff)`` per pair.
+
+    The default solve is LAPACK's single-column ``trtrs``, as the double
+    integral was computed before its pairs were solved in one substitution.
+    """
     lam = np.diag(ker.lengthscales)
     log_lam = np.sum(np.log(ker.lengthscales))
     total = 0.0
@@ -205,30 +210,74 @@ def looped_double_kernel_mean(ker, mix):
             scale = lam + mix.covs[i] + mix.covs[j]
             chol = np.linalg.cholesky(0.5 * (scale + scale.T))
             log_factor = 0.5 * log_lam - np.sum(np.log(np.diag(chol)))
-            u = forward_solve(chol, mix.means[i] - mix.means[j])
+            u = solve(chol, mix.means[i] - mix.means[j])
             pair_kernel = float(ker.amplitude_sq * np.exp(-0.5 * np.dot(u, u)))
             term = mix.weights[i] * mix.weights[j] * np.exp(log_factor) * pair_kernel
             total += term if i == j else 2.0 * term
     return float(total)
 
 
+def substituted_pair(chol, diff):
+    """One pair's mean difference through :func:`forward_substitute`, as a stack of one."""
+    return forward_substitute(chol[None], diff[:, None, None])[:, 0, 0]
+
+
+def random_pairs_case(seed, d, k):
+    """A random k-component mixture in d dimensions and a kernel, scales spread over decades."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(k, d, d)) * np.exp(rng.uniform(-4, 4, size=(k, 1, 1)))
+    mix = GaussianMixture(
+        weights=rng.dirichlet(np.ones(k)),
+        means=rng.normal(scale=3.0, size=(k, d)),
+        covs=A @ A.transpose(0, 2, 1) + 1e-3 * np.eye(d),
+    )
+    ker = RbfKernel(
+        amplitude_sq=float(np.exp(rng.uniform(-3, 3))),
+        lengthscales=np.exp(rng.uniform(-5, 5, size=d)),
+    )
+    return ker, mix
+
+
+# the workloads' mixtures and the gmm_from_box grids, the fixed cases at d = 1 and 2
+PAIRS_MIXTURES = {
+    "standard_normal": lambda: single_comp(),
+    "two_components": lambda: two_comp_1d(),
+    "box_grid_1d_16": lambda: gmm_from_box([-1.0], [1.0], 16),
+    "branin": lambda: benchmark_problem("branin_gmm").mix,
+    "box_grid_2d_64": lambda: gmm_from_box([0.0, 0.0], [1.0, 1.0], 8),
+}
+
+
 class TestDoubleKernelMeanPairs:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), k=st.integers(1, 16))
     def test_stacked_call_is_the_per_pair_loop(self, seed, d, k):
-        rng = np.random.default_rng(seed)
-        A = rng.normal(size=(k, d, d)) * np.exp(rng.uniform(-4, 4, size=(k, 1, 1)))
-        mix = GaussianMixture(
-            weights=rng.dirichlet(np.ones(k)),
-            means=rng.normal(scale=3.0, size=(k, d)),
-            covs=A @ A.transpose(0, 2, 1) + 1e-3 * np.eye(d),
-        )
-        ker = RbfKernel(
-            amplitude_sq=float(np.exp(rng.uniform(-3, 3))),
-            lengthscales=np.exp(rng.uniform(-5, 5, size=d)),
-        )
+        ker, mix = random_pairs_case(seed, d, k)
         got = double_kernel_mean(ker, mix)
-        assert got.hex() == looped_double_kernel_mean(ker, mix).hex()
+        assert got.hex() == looped_double_kernel_mean(ker, mix, substituted_pair).hex()
+
+    @pytest.mark.parametrize("name", PAIRS_MIXTURES)
+    def test_workload_mixtures_are_the_lapack_loop(self, name):
+        # at d = 1 and 2 the substitution rounds as single-column trtrs does
+        mix = PAIRS_MIXTURES[name]()
+        for scale, amplitude_sq in itertools.product([1e-3, 0.3, 4.0, 50.0], [1.0, 2500.0]):
+            ker = RbfKernel(amplitude_sq=amplitude_sq, lengthscales=np.full(mix.dim, scale))
+            got = double_kernel_mean(ker, mix)
+            assert got.hex() == looped_double_kernel_mean(ker, mix).hex()
+
+    def test_random_low_dimensions_are_the_lapack_loop(self):
+        for seed in range(200):
+            ker, mix = random_pairs_case(seed, d=1 + seed % 2, k=1 + seed % 16)
+            got = double_kernel_mean(ker, mix)
+            assert got.hex() == looped_double_kernel_mean(ker, mix).hex(), seed
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 8), k=st.integers(1, 16))
+    def test_higher_dimensions_are_within_rounding_of_the_lapack_loop(self, seed, d, k):
+        # from d = 3 on the two substitutions may round apart; 1e-15 is about 4.5 ulp
+        ker, mix = random_pairs_case(seed, d, k)
+        assert_allclose(double_kernel_mean(ker, mix), looped_double_kernel_mean(ker, mix),
+                        rtol=1e-15, atol=0.0)
 
 
 class TestKernelMean:

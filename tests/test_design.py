@@ -92,6 +92,26 @@ class TestDesignConfig:
             DesignConfig(n0=2, budget=4, seed=seed)
         assert DesignConfig(n0=2, budget=4, seed=np.int64(0)).seed == 0
 
+    @pytest.mark.parametrize("value", ["0.1", True, None, [0.1]])
+    def test_rejects_sigma_stop_that_is_not_a_real_number(self, value):
+        # before the fix, "0.1" raised a bare TypeError from >=, and True was taken as 1
+        with pytest.raises(ValueError, match="sigma_stop must be a real number"):
+            DesignConfig(n0=2, budget=4, seed=0, sigma_stop=value)
+        assert DesignConfig(n0=2, budget=4, seed=0, sigma_stop=np.float64(0.1)).sigma_stop == 0.1
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [("bounds", ([-1.0], [1.0]), "BoxBounds"),
+         ("bounds", np.array([[-1.0], [1.0]]), "BoxBounds"),
+         ("pinned_theta", 1.0, "HyperparameterSample"),
+         ("pinned_theta", RbfKernel(1.0, [1.0]), "HyperparameterSample")],
+    )
+    def test_rejects_bounds_and_theta_of_another_type(self, field, value, kind):
+        # before the fix, the config was accepted and run failed with an
+        # AttributeError that named neither the field nor the type it needs
+        with pytest.raises(ValueError, match=f"{field} must be a {kind} or None"):
+            DesignConfig(n0=3, budget=4, seed=0, **{field: value})
+
     @pytest.mark.parametrize("field, value", [("fixed_noise", 0.01), ("refit_every", 2)])
     def test_removed_fields_are_unknown(self, field, value):
         # the noise is always searched, and re-selection comes every _REFIT_EVERY steps

@@ -138,6 +138,14 @@ class TestEm:
             fit_em(samples, 1)
         assert not isinstance(info.value, InsufficientDataError)
 
+    @pytest.mark.parametrize("k", [True, 1.5, 2.0, "2"])
+    def test_rejects_a_component_count_that_is_not_an_integer(self, k):
+        # before the fix, each raised a TypeError from numpy or from < that did not name k
+        samples = np.random.default_rng(9).normal(size=(30, 1))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            fit_em(samples, k)
+        assert fit_em(samples, np.int64(2)).n_components == 2
+
     def test_an_empty_kmeans_cluster_gives_a_valid_fit(self):
         """Three distinct points for four components: k-means leaves one cluster
         empty, which starts at weight 1/n, its k-means center and the data's
@@ -192,6 +200,13 @@ class TestGmmFromBox:
     def test_rejects_excessive_grid(self):
         with pytest.raises(ValueError):
             gmm_from_box(np.zeros(4), np.ones(4), per_dim=20)
+
+    @pytest.mark.parametrize("per_dim", [True, 2.5, 2.0, "2"])
+    def test_rejects_a_grid_size_that_is_not_an_integer(self, per_dim):
+        # before the fix, True gave a one-component mixture and the others a TypeError
+        with pytest.raises(ValueError, match="per_dim must be an integer"):
+            gmm_from_box([0.0], [1.0], per_dim)
+        assert gmm_from_box([0.0], [1.0], np.int64(2)).n_components == 2
 
     def test_rejects_inverted_box(self):
         with pytest.raises(ValueError):

@@ -745,7 +745,8 @@ def reference_mixture_starts(mix, bounds, count, seed):
     rng = np.random.default_rng(seed)
     starts = [bounds.clip(mixture_mean(mix))]
     for _ in range(count - 1):
-        draw_rng = np.random.default_rng(int(rng.integers(2**63)))
+        start_seed = int(rng.integers(2**63))
+        draw_rng = np.random.default_rng(start_seed)
         comp = draw_rng.choice(mix.n_components, size=100, p=mix.weights)
         z = draw_rng.standard_normal((100, mix.dim))
         draws = mix.means[comp] + np.einsum("nij,nj->ni", mix.chols[comp], z)
@@ -754,7 +755,7 @@ def reference_mixture_starts(mix, bounds, count, seed):
         if hits.size:
             starts.append(draws[hits[0]])
         else:
-            starts.append(rng.uniform(bounds.lower, bounds.upper))
+            starts.append(np.random.default_rng(start_seed).uniform(bounds.lower, bounds.upper))
     return np.array(starts)
 
 
@@ -843,6 +844,21 @@ class TestMixtureStarts:
         got = mixture_starts(mix, bounds, 4, seed=7)
         assert got.tobytes() == reference_mixture_starts(mix, bounds, 4, seed=7).tobytes()
 
+    def test_a_miss_leaves_each_later_start_on_its_own_seed(self):
+        # N(0, 1) in [2.0, 2.05]: the second of seed 3's start seeds misses, the third hits
+        mix = GaussianMixture(
+            weights=np.array([1.0]), means=np.array([[0.0]]), covs=np.ones((1, 1, 1))
+        )
+        bounds = box(2.0, 2.05)
+        seeds = np.random.default_rng(3).integers(2**63, size=3).tolist()
+        draws = [sample(mix, 100, seed=s)[:, 0] for s in seeds]
+        hits = [np.flatnonzero((x >= 2.0) & (x <= 2.05)) for x in draws]
+        assert hits[0].size and not hits[1].size and hits[2].size
+        got = mixture_starts(mix, bounds, 4, seed=3)
+        assert got[3, 0].hex() == draws[2][hits[2][0]].hex()
+        fallback = np.random.default_rng(seeds[1]).uniform(bounds.lower, bounds.upper)
+        assert got[2].tobytes() == fallback.tobytes()
+
     def make_mix(self):
         return GaussianMixture(
             weights=np.array([1.0]), means=np.array([[0.5]]), covs=np.ones((1, 1, 1))
@@ -865,6 +881,13 @@ class TestMixtureStarts:
         for s, t in zip(a, b):
             assert np.array_equal(s, t)
             assert bounds.lower[0] <= s[0] <= bounds.upper[0]
+
+    @pytest.mark.parametrize("count, message", [(0, "at least 1"), (2.0, "an integer"),
+                                                (True, "an integer")])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, count, message):
+        # before, 2.0 raised a numpy TypeError and True gave one start
+        with pytest.raises(ValueError, match=f"count must be {message}"):
+            mixture_starts(self.make_mix(), box(-1, 1), count=count, seed=0)
 
     def test_uniform_fallback_when_mass_outside_box(self):
         mix = self.make_mix()
