@@ -8,7 +8,8 @@ the very objects ``get_lapack_funcs`` returns.  :func:`load_scipy_extension`
 loads that module, and ``scipy.optimize._lbfgsb`` for the hyperparameter
 search, by file, without running any scipy package ``__init__``, the
 top-level ``scipy`` included, which cost most of a cold start.  No call
-of the package executes scipy Python code.  :func:`chol_solves` makes
+of the package executes scipy Python code.  :func:`chol_solve_in_place`
+solves over its right-hand side, and :func:`chol_solves` makes
 :func:`chol_solve`'s call once per factor of a stack, against one
 right-hand side, in one loop with one transposed copy of the stack.
 :func:`forward_substitute` is the triangular solve whose right-hand sides
@@ -188,6 +189,23 @@ def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if info:
         raise LinAlgError(f"LAPACK rejected an argument of the Cholesky solve (info {info})")
     return x
+
+
+def chol_solve_in_place(chol: np.ndarray, rhs: np.ndarray) -> None:
+    """Overwrite ``rhs`` with :func:`chol_solve` ``(chol, rhs)``, bit for bit.
+
+    ``rhs`` must be an F-contiguous float array, which ``potrs`` takes as it
+    is and solves in place; any other array would be copied and the solution
+    lost, so it raises ``ValueError``.
+    """
+    if not (rhs.flags.f_contiguous and rhs.dtype == np.float64):
+        raise ValueError("an in-place Cholesky solve needs an F-contiguous float64 array")
+    if chol.shape[0] == 0:
+        return
+    # lower=1, overwrite_b=1, positional: a keyword costs the wrapper more
+    info = _POTRS(chol, rhs, 1, 1)[1]
+    if info:
+        raise LinAlgError(f"LAPACK rejected an argument of the Cholesky solve (info {info})")
 
 
 def chol_solves(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:

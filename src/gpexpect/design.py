@@ -82,7 +82,9 @@ class DesignConfig:
     ``ValueError`` naming the field here, before a black-box call.  The
     effort of each step's acquisition ascent is fixed: 8 starts
     (``_ACQUISITION_STARTS``) of at most 100 steps each
-    (``optimize._MAX_ITERATIONS``).
+    (``optimize._MAX_ITERATIONS``), a start stopping sooner once its
+    projected gradient norm falls below 1e-8 or a step gains at most 1e-10
+    of its value (``optimize._RELATIVE_TOLERANCE``).
     """
 
     n0: int

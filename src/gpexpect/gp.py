@@ -49,6 +49,7 @@ from gpexpect._numerics import (
     as_point,
     as_points,
     chol_solve,
+    chol_solve_in_place,
     chol_solves,
     row_dots,
 )
@@ -247,9 +248,10 @@ def posterior_rows(post: PosteriorStack, X: np.ndarray):
     case.  The rows are taken as given, unchecked.
     """
     kv = kernel_crosses(X, post.X, post.amplitude_sq, post.lengthscales)
-    solved_kv = np.empty_like(kv)
+    # one copy of kv, each context's (n, m) transpose solved over itself
+    solved_kv = kv.copy()
     for t, factor in enumerate(post.gram_factors):
-        solved_kv[t] = chol_solve(factor, kv[t].T).T
+        chol_solve_in_place(factor, solved_kv[t].T)
     return kv, solved_kv, post.amplitude_sq[:, None] - row_dots(kv, solved_kv)
 
 

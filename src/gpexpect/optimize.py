@@ -2,7 +2,12 @@
 
 The acquisition surface is smooth but multimodal (one bump per data gap),
 so a single ascent is not enough.  Each start runs projected gradient
-ascent with a backtracking line search inside the box.  The starts ascend
+ascent with a backtracking line search inside the box.  A start stops when
+its projected gradient norm falls below an absolute 1e-8, when an accepted
+step gains at most 1e-10 of its new value (the relative progress test of
+L-BFGS-B's ``factr``; the absolute test alone let most rounds of a pinned
+decision gain less than 1e-9 of the value), when no trial improves, or
+after 100 accepted steps.  The starts ascend
 in lockstep: each round scores the line searches of every start still
 running in one objective call, and the gradients at the trial steps the
 starts accept come from that same call, so no accepted iterate is
@@ -13,7 +18,8 @@ so runs are reproducible.  Past the objective calls, a round costs a
 fixed few array passes, and a common round skips the masks that only rare
 rounds need.  One count finds a non-finite gradient or ladder value, and
 per-row finiteness masks are built only when there is one; starts are
-dropped only in rounds where one is abandoned, stalls or accepts no trial;
+dropped only in rounds where one is abandoned, stalls, gains too little or
+accepts no trial;
 the projected gradient is the gradient itself when every coordinate lies
 well inside the box, by a test against a box shrunk once per box.  Each
 skip leaves out only a mask that is all true or a selection that keeps
@@ -35,11 +41,13 @@ from gpexpect.mixtures import GaussianMixture, component_box, first_samples_insi
 
 # the 40 trial steps of a backtracking line search as fractions of the first,
 # each half the last; maximize scores all ladders of a round in one objective
-# call, and stops a start once its projected gradient norm is below 1e-8
-# or after 100 accepted steps
+# call, and stops a start once its projected gradient norm is below 1e-8,
+# once an accepted step gains at most 1e-10 of the start's new value, or
+# after 100 accepted steps
 STEP_FRACTIONS = 0.5 ** np.arange(40)
 STEP_FRACTIONS.setflags(write=False)
 _GRADIENT_TOLERANCE = 1e-8
+_RELATIVE_TOLERANCE = 1e-10
 _MAX_ITERATIONS = 100
 # half-width of the default search box, in component standard deviations
 _DEFAULT_BOX_WIDTH = 5.0
@@ -157,7 +165,9 @@ def maximize(objective, bounds: BoxBounds, start_points):
     takes the gradients of the starts still running from the call that
     scored their current iterates (one ``gradients_at`` call) and scores all
     of their ladders in one objective call.  A start stops when its
-    projected gradient norm falls below 1e-8, when no trial improves, or
+    projected gradient norm falls below 1e-8, when its accepted trial
+    improves its value by at most ``_RELATIVE_TOLERANCE`` (1e-10) times the
+    absolute new value (it keeps that trial), when no trial improves, or
     after ``_MAX_ITERATIONS`` (100) accepted steps, and is abandoned when its
     gradient or a trial before the first improving one is non-finite (a
     single warning reports how many).  Every start follows the path it would
@@ -169,11 +179,16 @@ def maximize(objective, bounds: BoxBounds, start_points):
     OptimizationFailedError
         If every start was abandoned.
     ValueError
-        If ``objective`` returns other than one value per row, or
-        ``gradients_at`` other than one ``d``-vector per index.
+        If ``start_points`` is not ``(s, d)`` with ``s >= 1`` and ``d`` the
+        box dimension (checked before any objective call), if ``objective``
+        returns other than one value per row, or ``gradients_at`` other
+        than one ``d``-vector per index.
     """
     lower, upper, dim = bounds.lower, bounds.upper, bounds.dim
-    x = bounds.clip(np.atleast_2d(np.asarray(start_points, dtype=float)))
+    x = np.asarray(start_points, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != dim:
+        raise ValueError(f"start_points has shape {x.shape}, expected (s, {dim}) with s >= 1")
+    x = bounds.clip(x)
     val, gradients_at = objective(x)
     val = _checked(val, x.shape[:1], "objective").copy()
     abandoned = ~np.isfinite(val)
@@ -217,7 +232,8 @@ def maximize(objective, bounds: BoxBounds, start_points):
         values, gradients_at = objective(ladders)
         values = _checked(values, ladders.shape[:1], "objective").reshape(steps.shape)
         # each start stops at its first improving trial, or at a non-finite one before it
-        stops = values > val[running][:, None]
+        before = val[running]
+        stops = values > before[:, None]
         finite = np.isfinite(values)
         all_finite = np.count_nonzero(finite) == finite.size
         if not all_finite:
@@ -231,11 +247,17 @@ def maximize(objective, bounds: BoxBounds, start_points):
             finite = np.isfinite(chosen)
             abandoned[running[~finite]] = True
             accept &= finite
+        # a start that gains at most _RELATIVE_TOLERANCE of its new value takes the step and stops
+        slow = chosen - before <= _RELATIVE_TOLERANCE * np.abs(chosen)
         if np.count_nonzero(accept) < accept.size:
             running, rows, chosen = running[accept], rows[accept], chosen[accept]
-        scored_rows = rows
+            slow = slow[accept]
         x[running] = ladders[rows]
         val[running] = chosen
+        if np.count_nonzero(slow):
+            moving = ~slow
+            running, rows = running[moving], rows[moving]
+        scored_rows = rows
 
     if abandoned.any():
         warnings.warn(

@@ -421,16 +421,16 @@ GOLDEN_PINNED_RUN = [
     ("-0x1.317b0e6bf2d18p+1", "0x1.d3f3d46cc34f0p-2", "0x1.8f6578051d254p-1", "0x0.0p+0"),
     ("-0x1.70e0ac366bcb4p-2", "0x1.d3f3d46cc34f0p-2", "0x1.8f6578051d254p-1", "0x0.0p+0"),
     ("0x1.4f9ee70757c38p-3", "0x1.d3f3d46cc34f0p-2", "0x1.8f6578051d254p-1", "0x0.0p+0"),
-    ("0x1.a702c8f6ee2fbp+0", "0x1.dfce35ff060e2p-1", "0x1.de0a9e7f09fd2p-2",
-     "0x1.8ff28a4311d16p-2"),
-    ("-0x1.1dfcc0cc8adefp+0", "0x1.533839138afecp+0", "0x1.1eb2598033ae0p-2",
-     "0x1.1dcc560c12289p-3"),
-    ("0x1.70618565d90aep+1", "0x1.340eab82bfd8fp+1", "0x1.1ce07bc7c5759p-3",
-     "0x1.e3a48cb8064c4p-5"),
-    ("0x1.693d83c6e9cf1p-1", "0x1.33ff6b5ca364fp+1", "0x1.65c84758446b3p-4",
-     "0x1.8001952250d80p-7"),
-    ("-0x1.d0af030be4519p+0", "0x1.305964d945183p+1", "0x1.036eba0581ee6p-4",
-     "0x1.da3deec06772cp-9"),
+    ("0x1.a702db88091f6p+0", "0x1.dfce6bf3d4cd7p-1", "0x1.de0a9e7f0ba83p-2",
+     "0x1.8ff28a4310428p-2"),
+    ("-0x1.1dfcb7f920974p+0", "0x1.53385544b0beep+0", "0x1.1eb24fcd947aap-2",
+     "0x1.1dcc60e86488ap-3"),
+    ("0x1.70618c95b2581p+1", "0x1.340eaed98293ap+1", "0x1.1ce0a55671d87p-3",
+     "0x1.e3a433080db55p-5"),
+    ("0x1.693dba4ae3e65p-1", "0x1.33ff6d31bd73fp+1", "0x1.65c84c98d8961p-4",
+     "0x1.800246c614685p-7"),
+    ("-0x1.d0aeec3ec3acap+0", "0x1.3059675a44cd3p+1", "0x1.036e9f5bd1d4cp-4",
+     "0x1.da3e7831e21abp-9"),
 ]
 
 # (x1, x2, mu1, sigma1, acquisition) of a pinned 5 + 3 step run on the
@@ -446,12 +446,12 @@ GOLDEN_PINNED_BRANIN_RUN = [
      "0x1.f8aa61b173f7dp+3", "0x0.0p+0"),
     ("-0x1.e9f12ca4d6db2p+1", "0x1.70182bdb5fe01p+3", "0x1.4c2b8fe633779p+0",
      "0x1.f8aa61b173f7dp+3", "0x0.0p+0"),
-    ("0x1.992213f80dc2bp+1", "0x1.239a276fb1e3ap+1", "0x1.6dcae6de321b3p+0",
-     "0x1.431a4c0dfcadfp+3", "0x1.2589f9b8e4439p+7"),
-    ("-0x1.497b89c7ce327p+1", "0x1.96d2464c51de3p+3", "0x1.0c1db7e8864bep+2",
-     "0x1.15f0ac1b2c290p+2", "0x1.4c5ab0f158013p+6"),
-    ("0x1.cdd8b5043a08bp+2", "0x1.6ac0de881aa4dp+1", "0x1.6044c40f4ae70p+2",
-     "0x1.e39cada562ac7p+1", "0x1.257243b5a7355p+2"),
+    ("0x1.99221180530abp+1", "0x1.239a4ba18063fp+1", "0x1.6dcae77b3c808p+0",
+     "0x1.431a4c0e00668p+3", "0x1.2589f9b8df914p+7"),
+    ("-0x1.497b8a8961bfap+1", "0x1.96d247e6ac9abp+3", "0x1.0c1db01fa064bp+2",
+     "0x1.15f0ac1b3a524p+2", "0x1.4c5ab0f159b53p+6"),
+    ("0x1.cdd8c1d4726fap+2", "0x1.6ac0bf761313ap+1", "0x1.6044b9deb478ap+2",
+     "0x1.e39cb08c05dd0p+1", "0x1.257238c04950ap+2"),
 ]
 
 
@@ -464,16 +464,16 @@ GOLDEN_MULTI_THETA_RUN = [
     ("0x1.bef069ec68f2ep-2", "0x1.51edcc0ddba3ap-1", "0x1.158e336bc9e44p-3", "0x0.0p+0"),
     ("-0x1.372c1f4333df1p-1", "0x1.51edcc0ddba3ap-1", "0x1.158e336bc9e44p-3", "0x0.0p+0"),
     ("0x1.9572014ee5284p-1", "0x1.51edcc0ddba3ap-1", "0x1.158e336bc9e44p-3", "0x0.0p+0"),
-    ("0x1.d60faa4f5e87ap+0", "0x1.d0cd43728f071p-1", "0x1.faeb9a4403146p-6",
-     "0x1.78d24b0fa385dp+0"),
-    ("-0x1.685e5e038ee37p+1", "0x1.f1b8731779fb3p-1", "0x1.3b04d4508439ep-6",
-     "0x1.caeb7fcec040cp-2"),
-    ("-0x1.2fc5cdc800000p-2", "0x1.f0f781c083474p-1", "0x1.d2ba283a89822p-7",
-     "0x1.2cc83112e957ap-2"),
-    ("0x1.7f88a60718b34p+1", "0x1.04204e13c8c59p+0", "0x1.b609ca69c232ap-8",
-     "0x1.9b82f7473b574p-1"),
-    ("-0x1.41dfc9fb91cd3p+1", "0x1.ff3964855e179p-1", "0x1.dc0dba72b2b47p-9",
-     "0x1.a6a213dce1f46p-1"),
+    ("0x1.d60fa79d9a523p+0", "0x1.d0cd4207e4c1dp-1", "0x1.faeb9a4ed2894p-6",
+     "0x1.78d24b0fa352cp+0"),
+    ("-0x1.685e5defcbb9ep+1", "0x1.f1b871c2c67afp-1", "0x1.3b04d2aba23e2p-6",
+     "0x1.caeb81a199307p-2"),
+    ("-0x1.2fc61001d9db8p-2", "0x1.f0f780d766b5ep-1", "0x1.d2ba36f3a67f0p-7",
+     "0x1.2cc80c174ee82p-2"),
+    ("0x1.7f88a56f2430cp+1", "0x1.04204e1fdaeeep+0", "0x1.b609cb3699618p-8",
+     "0x1.9b83064623810p-1"),
+    ("-0x1.41dfc7992f3b9p+1", "0x1.ff396482275d9p-1", "0x1.dc0da48bcc615p-9",
+     "0x1.a6a21fce6829cp-1"),
 ]
 
 
@@ -492,18 +492,18 @@ GOLDEN_MULTI_THETA_BRANIN_RUN = [
      "0x1.60d38f34b6df2p+0", "0x0.0p+0"),
     ("-0x1.b747cb49ff231p+1", "0x1.99388e67b212fp+3", "0x1.2623b8f8171e0p-1",
      "0x1.60d38f34b6df2p+0", "0x0.0p+0"),
-    ("0x1.2d9766fd0eb31p+3", "0x1.3cccc01846ce3p+1", "0x1.3cb1adfbd5290p-1",
-     "0x1.2f73341dc1374p+0", "0x1.37a751cbd3ef1p-3"),
-    ("0x1.4024867a3bd5bp+1", "0x1.20ca3764dbf06p+1", "0x1.15b3d34cef313p+0",
-     "0x1.f80acad9c0fd1p-1", "0x1.61a54d0f8f917p-3"),
-    ("-0x1.f387147b076f9p+0", "0x1.92fa001768b63p+3", "0x1.5f31bd5b3848fp+1",
-     "0x1.7d35b3dfddfd1p-1", "0x1.1ee5f08b80bc9p-2"),
-    ("-0x1.202068424e25ep+2", "0x1.7d9860678b5a9p+3", "0x1.2d69a4bb7a4b1p+2",
-     "0x1.171ab348ac895p-1", "0x1.3ffdf0b1928d3p-2"),
-    ("0x1.06a0debd57be5p+3", "0x1.3cc71975475a5p+1", "0x1.4080efbed7662p+2",
-     "0x1.f02e416a28ef0p-2", "0x1.b64e95c0db1acp-4"),
-    ("-0x1.0d024980695afp+0", "0x1.49febafa434f2p+3", "0x1.d5896f2c57df7p+2",
-     "0x1.0a184b8542c10p+1", "0x1.823daf7e01317p-5"),
+    ("0x1.2d97735f63273p+3", "0x1.3ccc9da604647p+1", "0x1.3cb1adf8ef83fp-1",
+     "0x1.2f73341db9b11p+0", "0x1.37a751cbad6d0p-3"),
+    ("0x1.40246e925fe16p+1", "0x1.20c9d997c1dedp+1", "0x1.15b3fe1b8cf4bp+0",
+     "0x1.f80ac9fdcb170p-1", "0x1.61a54d0fb95afp-3"),
+    ("-0x1.f387266d2b2aep+0", "0x1.92f9fd893ddbep+3", "0x1.5f31bb8720c12p+1",
+     "0x1.7d35b21e62eb2p-1", "0x1.1ee5f24ff678cp-2"),
+    ("-0x1.202067f640480p+2", "0x1.7d985c17d9610p+3", "0x1.2d69a961ee75fp+2",
+     "0x1.171aafa54bb4ep-1", "0x1.3ffdfa05a903bp-2"),
+    ("0x1.06a0f00ee4931p+3", "0x1.3cc70a9751577p+1", "0x1.4080f03926a30p+2",
+     "0x1.f02df47458b88p-2", "0x1.b650887c0bab7p-4"),
+    ("-0x1.0f14bf7c0bf87p+0", "0x1.49fc6032334dcp+3", "0x1.d4c2206ec0418p+2",
+     "0x1.0a18415501d46p+1", "0x1.823dcccfb0434p-5"),
 ]
 
 

@@ -7,16 +7,21 @@ The digest hashes ``float.hex`` of every ``RunRecord`` field, the
 iteration and each coordinate of ``chosen_x`` included, so it changes
 with any bit of any history.  A change that keeps every history
 byte-identical keeps these digests; one that moves a history must
-re-record them and say why.
+re-record them and say why.  Beside the digests, the number of objective
+calls the ascents make over the pinned panel is pinned, so wasted ascent
+rounds show without any timing, and each pinned and multi-theta decision
+is maximized again with the relative stop off to bound what the stop costs.
 """
 
 import hashlib
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from gpexpect import design, optimize
 from gpexpect.benchmarks import benchmark_problem
 from gpexpect.design import DesignConfig, run
 from gpexpect.gp import HyperparameterSample, NoiseModel
@@ -33,7 +38,7 @@ PINNED_BRANIN = HyperparameterSample(
 PANELS = {
     "pinned_branin_2d": (
         "branin_gmm", 10, range(900, 906), PINNED_BRANIN, 1,
-        "7cf1e59e6f1fcec3b2b19e0f22d9ea8f15a6e448706d6010062814aa07ea3dfd",
+        "050d2b3350189d67bfb922df32d1208ce56e4c8e3c6321034c0e7e0d6e961ce9",
     ),
     "refit_xsq_1d": (
         "x_squared", 30, range(900, 910), None, 1,
@@ -41,24 +46,35 @@ PANELS = {
     ),
     "multitheta_sin3x_1d": (
         "sin3x_plus_xsq", 10, range(900, 903), None, 4,
-        "4f413828aef9803abdb96ded4a5e40770053034757f6d0b03ada0ba31077a063",
+        "fd4883968b6daea0090e2ba4bb14371eb6a5454a8d60c23779f31781504c2a6d",
     ),
 }
 
 
-def panel_digest(problem_name, budget, seeds, pinned_theta, theta_samples) -> str:
-    """SHA-256 over ``float.hex`` of every field of every record of one pass over ``seeds``."""
+# objective calls maximize makes over one pass of the pinned_branin_2d panel: its
+# starts, then one ladder call per ascent round; a stop rule that lets the rounds
+# run on after they stop gaining moves this count with no timing
+PINNED_BRANIN_OBJECTIVE_CALLS = 1342
+
+
+def panel_records(problem_name, budget, seeds, pinned_theta, theta_samples):
+    """Every record of one pass over ``seeds``, seed by seed."""
     problem = benchmark_problem(problem_name)
-    digest = hashlib.sha256()
     for seed in seeds:
         cfg = DesignConfig(
             n0=N0, budget=budget, seed=seed, pinned_theta=pinned_theta,
             theta_samples=theta_samples,
         )
-        for rec in run(problem.mix, problem.black_box, cfg):
-            fields = [rec.iteration, *rec.chosen_x.tolist(), rec.observed_y, rec.mu1,
-                      rec.sigma1, rec.acquisition_at_chosen]
-            digest.update(" ".join(float.hex(float(v)) for v in fields).encode() + b"\n")
+        yield from run(problem.mix, problem.black_box, cfg)
+
+
+def panel_digest(problem_name, budget, seeds, pinned_theta, theta_samples) -> str:
+    """SHA-256 over ``float.hex`` of every field of every record of one pass over ``seeds``."""
+    digest = hashlib.sha256()
+    for rec in panel_records(problem_name, budget, seeds, pinned_theta, theta_samples):
+        fields = [rec.iteration, *rec.chosen_x.tolist(), rec.observed_y, rec.mu1,
+                  rec.sigma1, rec.acquisition_at_chosen]
+        digest.update(" ".join(float.hex(float(v)) for v in fields).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -66,6 +82,50 @@ def panel_digest(problem_name, budget, seeds, pinned_theta, theta_samples) -> st
 def test_panel_history_is_unchanged(workload):
     *config, expected = PANELS[workload]
     assert panel_digest(*config) == expected
+
+
+def run_panel_through(workload, maximize_in_design):
+    """One pass over the panel of ``workload`` with each step's ``maximize`` call replaced.
+
+    ``maximize_in_design(objective, bounds, starts)`` stands in for
+    ``maximize`` and returns what it returns.  Returns the number of steps.
+    """
+    *config, _ = PANELS[workload]
+    with mock.patch.object(design, "maximize", maximize_in_design):
+        return sum(rec.iteration >= N0 for rec in panel_records(*config))
+
+
+def test_maximize_objective_calls_over_the_pinned_panel_are_unchanged():
+    calls = 0
+
+    def counted(objective, bounds, starts):
+        def counting(X):
+            nonlocal calls
+            calls += 1
+            return objective(X)
+
+        return optimize.maximize(counting, bounds, starts)
+
+    run_panel_through("pinned_branin_2d", counted)
+    assert calls == PINNED_BRANIN_OBJECTIVE_CALLS
+
+
+@pytest.mark.parametrize("workload", ["pinned_branin_2d", "multitheta_sin3x_1d"])
+def test_the_relative_stop_keeps_each_decision_value_within_1e_8(workload, monkeypatch):
+    # each decision's ascent again with the relative stop off, from the same starts
+    values = []
+
+    def with_and_without_the_rule(objective, bounds, starts):
+        x, value = optimize.maximize(objective, bounds, starts)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "_RELATIVE_TOLERANCE", 0.0)
+            values.append((value, optimize.maximize(objective, bounds, starts)[1]))
+        return x, value
+
+    steps = run_panel_through(workload, with_and_without_the_rule)
+    assert len(values) == steps > 0
+    for value, without in values:
+        assert abs(value - without) <= 1e-8 * abs(without)
 
 
 def perfbench_run():

@@ -12,6 +12,7 @@ from scipy.optimize._numdiff import approx_derivative
 
 import gpexpect.gp
 import gpexpect.lbfgsb
+from gpexpect._numerics import chol_solve
 from gpexpect.errors import InsufficientDataError, NumericalConditioningError
 from gpexpect.gp import (
     Dataset,
@@ -21,10 +22,12 @@ from gpexpect.gp import (
     posterior_cov,
     posterior_mean,
     posterior_mean_many,
+    posterior_rows,
     posterior_var_many,
     select_hyperparameters,
+    stack_posteriors,
 )
-from gpexpect.kernels import RbfKernel, kernel_matrix, kernel_vector
+from gpexpect.kernels import RbfKernel, kernel_crosses, kernel_matrix, kernel_vector
 
 
 def make_kernel(d=1, s2=1.0, ls=1.0):
@@ -127,6 +130,21 @@ class TestPosteriorQueries:
         for i in range(5):
             assert abs(posterior_mean(gp, X[i]) - y[i]) < 1e-7
             assert posterior_cov(gp, X[i], X[i]) <= 1e-8
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (8, 4), (320, 12)])
+    def test_posterior_rows_solve_each_context_as_one_chol_solve(self, m, n):
+        rng = np.random.default_rng(m + n)
+        data = Dataset(X=rng.normal(size=(n, 2)), y=rng.normal(size=n))
+        gps = [fit(data, RbfKernel(amplitude_sq=s2, lengthscales=ls), NoiseModel(variance=1e-3))
+               for s2, ls in zip(rng.uniform(0.5, 2.0, 3), rng.uniform(0.4, 1.5, (3, 2)))]
+        post = stack_posteriors(gps)
+        X = rng.normal(size=(m, 2))
+        kv, solved_kv, _ = posterior_rows(post, X)
+        # the in-place solves leave the kernel rows as they are
+        fresh = kernel_crosses(X, data.X, post.amplitude_sq, post.lengthscales)
+        assert kv.tobytes() == fresh.tobytes()
+        want = np.array([chol_solve(gp.gram_factor, kv[t].T).T for t, gp in enumerate(gps)])
+        assert [v.hex() for v in solved_kv.ravel()] == [v.hex() for v in want.ravel()]
 
     def test_vectorized_queries_match_scalar(self):
         rng = np.random.default_rng(5)

@@ -19,6 +19,7 @@ import gpexpect
 from gpexpect._numerics import (
     as_points,
     chol_solve,
+    chol_solve_in_place,
     chol_solves,
     forward_solve,
     forward_substitute,
@@ -153,6 +154,26 @@ class TestLapackSolves:
         rows = rng.normal(size=(4, 6))
         assert_array_equal(chol_solve(L, rows.T), cho_solve((L, True), rows.T))
         assert_array_equal(forward_solve(L, rows.T), solve_triangular(L, rows.T, lower=True))
+
+    def test_the_in_place_solve_writes_chol_solve_over_its_right_hand_side(self):
+        rng = np.random.default_rng(54)
+        for chol, rhs in self.factors(rng):
+            # a vector is F-contiguous; a matrix is made so by its transposed copy
+            rhs = np.asfortranarray(rhs)
+            want = chol_solve(chol, rhs)
+            chol_solve_in_place(chol, rhs)
+            assert rhs.tobytes() == want.tobytes()
+        rhs = np.zeros((0, 3), order="F")
+        chol_solve_in_place(np.zeros((0, 0)), rhs)
+        assert rhs.shape == (0, 3)
+
+    @pytest.mark.parametrize("rhs", [np.ones((3, 2)), np.ones((2, 3), dtype=np.float32).T])
+    def test_the_in_place_solve_rejects_a_right_hand_side_it_would_copy(self, rhs):
+        # potrs would solve a copy and leave rhs as it was
+        before = rhs.copy()
+        with pytest.raises(ValueError, match="F-contiguous float64"):
+            chol_solve_in_place(np.eye(3), rhs)
+        assert_array_equal(rhs, before)
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (0, 0)])
     def test_empty_factor_gives_the_empty_solution(self, shape):

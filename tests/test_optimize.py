@@ -1,6 +1,7 @@
 """Bounded multi-start gradient ascent."""
 
 import contextlib
+import re
 import warnings
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gpexpect import optimize
+from gpexpect._numerics import row_dots
 from gpexpect.acquisition import acquisition_objective, build_context
 from gpexpect.errors import OptimizationFailedError
 from gpexpect.gp import Dataset, NoiseModel, fit
@@ -198,6 +200,22 @@ class TestMaximize:
                 objective_of(value, grad), bounds, uniform_starts(bounds, 3, 8)
             )
 
+    @pytest.mark.parametrize("starts", [np.array([[0.5]]), np.zeros((0, 2)), np.zeros(2),
+                                        np.zeros((1, 1, 2))],
+                             ids=["one coordinate", "no starts", "a vector", "three axes"])
+    def test_rejects_starts_not_shaped_to_the_box(self, starts):
+        # before, [[0.5]] was broadcast to (0.5, 0.5) and zero starts raised
+        # OptimizationFailedError
+        calls = []
+
+        def value(X):
+            calls.append(X)
+            return -np.sum(X**2, axis=1)
+
+        with pytest.raises(ValueError, match=re.escape(f"shape {starts.shape}, expected (s, 2)")):
+            maximize(objective_of(value, lambda X: -2.0 * X), box(-1, 1, d=2), starts)
+        assert not calls
+
     @pytest.mark.xfail(
         strict=True,
         reason="the gradient tolerance is absolute: a start whose projected gradient "
@@ -265,10 +283,13 @@ def sequential_maximize(value, gradient_fn, bounds, start_points):
                     dead = True
                     break
                 if trial_val > val:
+                    gain = trial_val - val
                     x, val, improved = trial, trial_val, True
                     break
                 step *= 0.5
             if dead or not improved:
+                break
+            if gain <= optimize._RELATIVE_TOLERANCE * abs(val):
                 break
         if dead:
             abandoned += 1
@@ -465,13 +486,17 @@ class TestBatchedLadderIsTheSequentialSearch:
             assert len(ladders) == len(gradient_calls[r - 1][1])
             improving = ladders > current[:, None]
             accepted = np.flatnonzero(improving.any(axis=1))
+            first = np.argmax(improving[accepted], axis=1)
+            new = ladders[accepted, first]
+            # a start whose step gains at most _RELATIVE_TOLERANCE of its new value stops
+            going = new - current[accepted] > optimize._RELATIVE_TOLERANCE * np.abs(new)
             if r == rounds:
                 # the last ladder ends every start, or the cap does
-                assert rounds == max_iterations or not accepted.size
+                assert rounds == max_iterations or not going.any()
                 break
             # gradients only at the first improving trial of each start still running
-            first = np.argmax(improving[accepted], axis=1)
-            assert gradient_calls[r][1].tolist() == (accepted * trials + first).tolist()
+            assert gradient_calls[r][1].tolist() == (
+                accepted[going] * trials + first[going]).tolist()
             current = calls[r][gradient_calls[r][1]]
 
     def test_objective_must_return_one_value_per_row(self):
@@ -567,10 +592,11 @@ class TestLockstepRoundsAreTheSequentialSearch:
     """Each lockstep round skips the masks only rare rounds need, and keeps every bit.
 
     The rounds build per-row masks only when a gradient or ladder value is
-    non-finite, a start stalls or a start accepts no trial, and take the
-    projected gradient as it is when no coordinate is near a bound.  Cases
-    start at box corners and within np.isclose's tolerance of a bound, so
-    every skip is taken and passed over.
+    non-finite, a start stalls, a start stops on relative progress or a
+    start accepts no trial, and take the projected gradient as it is when
+    no coordinate is near a bound.  Cases start at box corners and within
+    np.isclose's tolerance of a bound, so every skip is taken and passed
+    over.
     """
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -589,13 +615,16 @@ class TestLockstepRoundsAreTheSequentialSearch:
         def logged_projection(X, G, bounds):
             pg = real(X, G, bounds)
             sides.add(("projection taken as it is", pg is G))
-            norms = np.sqrt(np.sum(pg * pg, axis=1))
-            sides.add(("a start stalls", bool((norms < _GRADIENT_TOLERANCE).any())))
+            norms = np.sqrt(row_dots(pg, pg))
+            stalls = norms < _GRADIENT_TOLERANCE
+            sides.add(("a start stalls", bool(stalls.any())))
+            # the values of the iterates this round ladders, row by row
+            befores.append(np.array([value(x) for x in X[~stalls]]))
             return pg
 
         for case in EDGE_EXAMPLES:
             bounds, starts, objective, value, gradient = edge_case(*case)
-            calls, gradient_rows = [], {}
+            calls, gradient_rows, befores = [], {}, []
 
             def logged(X):
                 k = len(calls)
@@ -615,13 +644,20 @@ class TestLockstepRoundsAreTheSequentialSearch:
             assert hexed(got) == hexed(sequential_maximize(value, gradient, bounds, starts))
             for k, ladder in enumerate(calls[1:], start=1):
                 sides.add(("a ladder value is non-finite", not np.isfinite(ladder).all()))
-                if k == optimize._MAX_ITERATIONS:
-                    break
-                # the next round asks for gradients at the trial each start accepted
-                ladders = len(ladder) // STEP_FRACTIONS.size
-                sides.add(("every start accepts a trial", gradient_rows.get(k, 0) == ladders))
+                ladders = ladder.reshape(-1, STEP_FRACTIONS.size)
+                before = befores[k - 1]
+                # each start's first trial that improves or is non-finite
+                stops = (ladders > before[:, None]) | ~np.isfinite(ladders)
+                chosen = ladders[np.arange(len(ladders)), stops.argmax(axis=1)]
+                accept = stops.any(axis=1) & np.isfinite(chosen)
+                slow = accept & (chosen - before <= optimize._RELATIVE_TOLERANCE * np.abs(chosen))
+                sides.add(("every start accepts a trial", bool(accept.all())))
+                sides.add(("a start stops on relative progress", bool(slow.any())))
+                if k < optimize._MAX_ITERATIONS:
+                    # the next round asks for gradients at the trials of the starts going on
+                    assert gradient_rows.get(k, 0) == np.count_nonzero(accept & ~slow)
         names = {name for name, _ in sides}
-        assert len(names) == 5
+        assert len(names) == 6
         assert all((name, flag) in sides for name in names for flag in (True, False)), sides
 
 
