@@ -2,8 +2,9 @@
 
 Run with ``python -m pytest tests/bench_probe.py --benchmark-only``.  The
 file name keeps it out of the default test collection.  Two objectives
-are timed, each on m = 8, 40 and 320 candidate rows (the optimizer scores
-ladders of 40 trial steps per start, 320 with its 8 starts):
+are timed, each on m = 8, 40 and 320 candidate rows (an ascent round
+scores the first 24 trial steps of each start's ladder, 192 rows with
+its 8 starts, and all 40, 320 rows, only when a start needs them):
 
 - T = 1: ``acquisition_objective`` of the pinned Branin context;
 - T = 4: ``multi_theta_objective`` of four sin(3x) + x^2 contexts.
@@ -12,9 +13,11 @@ ladders of 40 trial steps per start, 320 with its 8 starts):
 gradients of all m rows from a probe made once, outside the timing.
 ``kernel_crosses`` times the stacked cross-kernel pass at the (m, n, d, T)
 shapes of a pinned Branin ladder call and a four-sample sin(3x) one, and
-``maximize`` one whole multi-start ascent on the pinned Branin objective
+``maximize`` one whole multi-start ascent on each of the two objectives
 from 8 ``mixture_starts``, so the cost of an ascent round can be compared
-across commits with ``--benchmark-save`` and ``--benchmark-compare``.
+across commits with ``--benchmark-save`` and ``--benchmark-compare``; a
+T = 4 row costs several times a T = 1 one, so the rows a round scores
+weigh most there.
 The set-up of a decision is timed too: ``mixture_starts`` draws the 8
 starts in the default box of the x^2 and the Branin mixtures, next to
 ``decision``, one whole ``design.step`` of a benchmark loop (seed 900):
@@ -136,12 +139,13 @@ def test_kernel_crosses(benchmark, m, n, d, T):
     assert kv.shape == (T, m, n)
 
 
-def test_maximize(benchmark):
-    objective, mix = _pinned_branin()
+@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+def test_maximize(benchmark, name):
+    objective, mix = OBJECTIVES[name]()
     bounds = default_bounds(mix)
     starts = mixture_starts(mix, bounds, _ACQUISITION_STARTS, seed=900)
     x, _ = benchmark(maximize, objective, bounds, starts)
-    assert x.shape == (2,)
+    assert x.shape == (mix.dim,)
 
 
 @pytest.mark.parametrize("problem_name", ["x_squared", "branin_gmm"])

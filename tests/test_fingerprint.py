@@ -7,10 +7,11 @@ The digest hashes ``float.hex`` of every ``RunRecord`` field, the
 iteration and each coordinate of ``chosen_x`` included, so it changes
 with any bit of any history.  A change that keeps every history
 byte-identical keeps these digests; one that moves a history must
-re-record them and say why.  Beside the digests, the number of objective
-calls the ascents make over the pinned panel is pinned, so wasted ascent
-rounds show without any timing, and each pinned and multi-theta decision
-is maximized again with the relative stop off to bound what the stop costs.
+re-record them and say why.  Beside the digests, the ascent rounds over
+the pinned panel, and the rounds among them that score the whole step
+ladders, are counted and pinned, so wasted rounds show without any
+timing, and each pinned and multi-theta decision is maximized again with
+the relative stop off to bound what the stop costs.
 """
 
 import hashlib
@@ -51,10 +52,13 @@ PANELS = {
 }
 
 
-# objective calls maximize makes over one pass of the pinned_branin_2d panel: its
-# starts, then one ladder call per ascent round; a stop rule that lets the rounds
-# run on after they stop gaining moves this count with no timing
-PINNED_BRANIN_OBJECTIVE_CALLS = 1342
+# over one pass of the pinned_branin_2d panel, maximize calls the objective once on
+# each decision's starts, once per ascent round on the first rungs of its ladders,
+# and once more in each round that scores the whole ladders.  A stop rule that lets
+# the rounds run on after they stop gaining moves the first count, a change to how
+# a round scores its ladders the second
+PINNED_BRANIN_ASCENT_ROUNDS = 1312
+PINNED_BRANIN_WHOLE_LADDER_ROUNDS = 4
 
 
 def panel_records(problem_name, budget, seeds, pinned_theta, theta_samples):
@@ -96,18 +100,40 @@ def run_panel_through(workload, maximize_in_design):
 
 
 def test_maximize_objective_calls_over_the_pinned_panel_are_unchanged():
-    calls = 0
+    # per maximize call, ("value", rows) per objective call and ("gradient", rows) per
+    # gradients_at call, in order
+    logs = []
 
     def counted(objective, bounds, starts):
-        def counting(X):
-            nonlocal calls
-            calls += 1
-            return objective(X)
+        log = []
+        logs.append(log)
 
-        return optimize.maximize(counting, bounds, starts)
+        def logging(X):
+            log.append(("value", len(X)))
+            values, gradients_at = objective(X)
+
+            def logged_gradients(idx):
+                log.append(("gradient", len(idx)))
+                return gradients_at(idx)
+
+            return values, logged_gradients
+
+        return optimize.maximize(logging, bounds, starts)
 
     run_panel_through("pinned_branin_2d", counted)
-    assert calls == PINNED_BRANIN_OBJECTIVE_CALLS
+    rounds = whole_ladder_rounds = 0
+    for log in logs:
+        # the starts' call, then each round's gradients and its first-rungs call, and
+        # straight after that, in a round that needs them, the whole ladders
+        assert log[0][0] == "value"
+        for (kind, rows), (kind_before, rows_before) in zip(log[1:], log):
+            if kind == "value" and kind_before == "gradient":
+                rounds += 1
+            elif kind == "value":
+                whole_ladder_rounds += 1
+                assert rows * optimize._FIRST_RUNGS == rows_before * optimize.STEP_FRACTIONS.size
+    assert rounds == PINNED_BRANIN_ASCENT_ROUNDS
+    assert whole_ladder_rounds == PINNED_BRANIN_WHOLE_LADDER_ROUNDS
 
 
 @pytest.mark.parametrize("workload", ["pinned_branin_2d", "multitheta_sin3x_1d"])

@@ -437,8 +437,8 @@ class TestBatchedLadderIsTheSequentialSearch:
         assert want[2] == 2
         with pytest.warns(RuntimeWarning, match="^2 of 4 optimizer starts abandoned"):
             x, val = maximize(objective_of(logged_value, logged_grads), bounds, starts)
-        # the first round laddered three starts, and one of them goes on
-        assert rows[:2] == [4, 3 * STEP_FRACTIONS.size] and gradient_rows[:2] == [4, 1]
+        # the first round scored the first rungs of three ladders, and one of them goes on
+        assert rows[:2] == [4, 3 * optimize._FIRST_RUNGS] and gradient_rows[:2] == [4, 1]
         assert [c.hex() for c in x] == [c.hex() for c in want[0]]
         assert val.hex() == want[1].hex()
 
@@ -472,18 +472,23 @@ class TestBatchedLadderIsTheSequentialSearch:
         maximize(self.logged_objective(calls, gradient_calls), bounds,
                  uniform_starts(bounds, 5, 6))
         rounds = len(gradient_calls)
-        # the starts, then one ladder call per round; the cap of 3 ends the ascent early
-        assert len(calls) == 1 + rounds
+        # the cap of 3 ends the ascent early
         assert rounds == 3 if max_iterations == 3 else 3 < rounds < max_iterations
-        # round r takes its gradients from call r, the starts' or the last round's ladders
-        assert [k for k, _ in gradient_calls] == list(range(rounds))
-        # every start runs in the first round
-        assert gradient_calls[0][1].tolist() == list(range(5))
-        current, trials = calls[0], STEP_FRACTIONS.size
+        # every start runs in the first round, on the gradients of the starts' call
+        assert gradient_calls[0][0] == 0 and gradient_calls[0][1].tolist() == list(range(5))
+        current, first_rungs, k, whole_rounds = calls[0], optimize._FIRST_RUNGS, 1, 0
         for r in range(1, rounds + 1):
-            # one ladder per start that asked for a gradient
-            ladders = calls[r].reshape(-1, trials)
-            assert len(ladders) == len(gradient_calls[r - 1][1])
+            # the first rungs of one ladder per start that asked for a gradient
+            running = len(gradient_calls[r - 1][1])
+            ladders = calls[k].reshape(running, first_rungs)
+            if not (ladders > current[:, None]).any(axis=1).all():
+                # a start found no better trial among them: one more call scores the
+                # whole ladders, and their first rungs are the same bits
+                k, whole_rounds = k + 1, whole_rounds + 1
+                short = ladders
+                ladders = calls[k].reshape(running, STEP_FRACTIONS.size)
+                assert ladders[:, :first_rungs].tobytes() == short.tobytes()
+            k += 1
             improving = ladders > current[:, None]
             accepted = np.flatnonzero(improving.any(axis=1))
             first = np.argmax(improving[accepted], axis=1)
@@ -491,13 +496,50 @@ class TestBatchedLadderIsTheSequentialSearch:
             # a start whose step gains at most _RELATIVE_TOLERANCE of its new value stops
             going = new - current[accepted] > optimize._RELATIVE_TOLERANCE * np.abs(new)
             if r == rounds:
-                # the last ladder ends every start, or the cap does
+                # the last round ends every start, or the cap does, and no call follows it
                 assert rounds == max_iterations or not going.any()
+                assert k == len(calls)
                 break
-            # gradients only at the first improving trial of each start still running
+            # round r + 1 takes its gradients from round r's last call, only at the
+            # first improving trial of each start still running
+            assert gradient_calls[r][0] == k - 1
             assert gradient_calls[r][1].tolist() == (
-                accepted[going] * trials + first[going]).tolist()
-            current = calls[r][gradient_calls[r][1]]
+                accepted[going] * ladders.shape[1] + first[going]).tolist()
+            current = calls[k - 1][gradient_calls[r][1]]
+        # the uncapped ascent reaches a round that scores the whole ladders
+        assert whole_rounds == (1 if max_iterations == 100 else 0)
+
+    # -a (x - c)^2 with its peak c = 1.5 * 2^-30 half box diagonals from 0: the trials
+    # from 0 are 2^-j, so the first to improve is 2^-29, the 30th rung, and a = 1e6
+    # keeps the gradient 2a |x - c| above 1e-8 near the peak.  From -1 the first
+    # trial, 0, improves, and the first round scores only the first rungs; from 0 with
+    # -1 beside it the first round makes one extra call, of the whole ladder of each
+    # running start
+    @pytest.mark.parametrize("starts, rows", [
+        ([[-1.0]], [1, 24, 24, 40, 24, 40]),
+        ([[0.0], [-1.0]], [2, 2 * 24, 2 * 40, 2 * 24, 2 * 40, 24, 40]),
+    ], ids=["from -1", "from 0 and -1"])
+    def test_a_late_first_improving_rung_scores_the_whole_ladders(self, starts, rows):
+        assert (optimize._FIRST_RUNGS, STEP_FRACTIONS.size) == (24, 40)
+        c, a = 1.5 * 2.0**-30, 1e6
+
+        def value(x):
+            return float(-a * (x[0] - c) ** 2)
+
+        def grads(X):
+            return -2.0 * a * (X - c)
+
+        logged_rows = []
+
+        def logged_value(X):
+            logged_rows.append(len(X))
+            return np.array([value(x) for x in X])
+
+        bounds, starts = box(-1, 1), np.array(starts)
+        want = sequential_maximize(value, lambda x: grads(x[None])[0], bounds, starts)
+        got = counted_maximize(objective_of(logged_value, grads), bounds, starts)
+        assert hexed(got) == hexed(want)
+        assert logged_rows == rows
 
     def test_objective_must_return_one_value_per_row(self):
         bounds = box(-1, 1)
@@ -593,10 +635,11 @@ class TestLockstepRoundsAreTheSequentialSearch:
 
     The rounds build per-row masks only when a gradient or ladder value is
     non-finite, a start stalls, a start stops on relative progress or a
-    start accepts no trial, and take the projected gradient as it is when
-    no coordinate is near a bound.  Cases start at box corners and within
-    np.isclose's tolerance of a bound, so every skip is taken and passed
-    over.
+    start accepts no trial, score the whole ladders only when a start finds
+    no improving or non-finite trial among the first rungs, and take the
+    projected gradient as it is when no coordinate is near a bound.  Cases
+    start at box corners and within np.isclose's tolerance of a bound, so
+    every skip is taken and passed over.
     """
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -624,12 +667,13 @@ class TestLockstepRoundsAreTheSequentialSearch:
 
         for case in EDGE_EXAMPLES:
             bounds, starts, objective, value, gradient = edge_case(*case)
+            # calls[k] is (round, values): the round is 0 for the starts' call
             calls, gradient_rows, befores = [], {}, []
 
             def logged(X):
                 k = len(calls)
                 values, gradients_at = objective(X)
-                calls.append(values)
+                calls.append((len(befores), values))
 
                 def logged_gradients(idx):
                     grads = gradients_at(idx)
@@ -642,22 +686,40 @@ class TestLockstepRoundsAreTheSequentialSearch:
             with mock.patch.object(optimize, "_projected_gradient", logged_projection):
                 got = counted_maximize(logged, bounds, starts)
             assert hexed(got) == hexed(sequential_maximize(value, gradient, bounds, starts))
-            for k, ladder in enumerate(calls[1:], start=1):
-                sides.add(("a ladder value is non-finite", not np.isfinite(ladder).all()))
-                ladders = ladder.reshape(-1, STEP_FRACTIONS.size)
-                before = befores[k - 1]
+            for r, before in enumerate(befores, start=1):
+                ks = [k for k, (round_, _) in enumerate(calls) if round_ == r]
+                if not ks:
+                    # every start stalled before the ladders
+                    continue
+                trials = [calls[k][1].reshape(before.size, -1) for k in ks]
+                first = trials[0]
+                assert first.shape[1] == optimize._FIRST_RUNGS
+                sides.add(("a ladder value is non-finite", not np.isfinite(trials[-1]).all()))
                 # each start's first trial that improves or is non-finite
-                stops = (ladders > before[:, None]) | ~np.isfinite(ladders)
+                stops = (first > before[:, None]) | ~np.isfinite(first)
+                # the whole ladders only when a start has no such trial among the first rungs
+                whole = not stops.any(axis=1).all()
+                sides.add(("a round scores the whole ladders", whole))
+                assert len(ks) == 1 + whole
+                if whole:
+                    ladders = trials[1]
+                    assert ladders.shape[1] == STEP_FRACTIONS.size
+                    assert ladders[:, : optimize._FIRST_RUNGS].tobytes() == first.tobytes()
+                    stops = (ladders > before[:, None]) | ~np.isfinite(ladders)
+                else:
+                    ladders = first
                 chosen = ladders[np.arange(len(ladders)), stops.argmax(axis=1)]
                 accept = stops.any(axis=1) & np.isfinite(chosen)
                 slow = accept & (chosen - before <= optimize._RELATIVE_TOLERANCE * np.abs(chosen))
                 sides.add(("every start accepts a trial", bool(accept.all())))
                 sides.add(("a start stops on relative progress", bool(slow.any())))
-                if k < optimize._MAX_ITERATIONS:
-                    # the next round asks for gradients at the trials of the starts going on
-                    assert gradient_rows.get(k, 0) == np.count_nonzero(accept & ~slow)
+                if r < optimize._MAX_ITERATIONS:
+                    # the next round asks for gradients at the trials of the starts going on,
+                    # from the round's last call
+                    assert gradient_rows.get(ks[-1], 0) == np.count_nonzero(accept & ~slow)
+                    assert all(k not in gradient_rows for k in ks[:-1])
         names = {name for name, _ in sides}
-        assert len(names) == 6
+        assert len(names) == 7
         assert all((name, flag) in sides for name in names for flag in (True, False)), sides
 
 
