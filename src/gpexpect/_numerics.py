@@ -1,17 +1,20 @@
 """Package-private helpers: point-shape and count checks, row dots and the linear solves.
 
-Two solves make scipy.linalg's exact LAPACK calls for a lower factor, so they
-equal ``solve_triangular`` and ``cho_solve`` bit for bit, without the per-call
-validation and batching that dominate the cost of a probe's small systems.
-They call ``dtrtrs`` and ``dpotrs`` of the compiled ``scipy.linalg._flapack``,
-the very objects ``get_lapack_funcs`` returns.  :func:`load_scipy_extension`
-loads that module, and ``scipy.optimize._lbfgsb`` for the hyperparameter
-search, by file, without running any scipy package ``__init__``, the
-top-level ``scipy`` included, which cost most of a cold start.  No call
-of the package executes scipy Python code.  :func:`chol_solve_in_place`
-solves over its right-hand side, and :func:`chol_solves` makes
-:func:`chol_solve`'s call once per factor of a stack, against one
-right-hand side, in one loop with one transposed copy of the stack.
+Two solves of a lower factor equal scipy.linalg's ``solve_triangular`` and
+``cho_solve`` bit for bit, without the per-call validation and batching
+that dominate the cost of a probe's small systems.  They call ``dtrtrs``
+and ``dpotrs`` of the compiled ``scipy.linalg._flapack``, the very objects
+``get_lapack_funcs`` returns.  :func:`load_scipy_extension` loads that
+module, and ``scipy.optimize._lbfgsb`` for the hyperparameter search, by
+file, without running any scipy package ``__init__``, the top-level
+``scipy`` included, which cost most of a cold start.  No call of the
+package executes scipy Python code.  LAPACK reads Fortran order, and a
+C-ordered lower factor, as ``np.linalg.cholesky`` returns it, is the
+F-ordered upper factor of the same system: each solve hands LAPACK that
+transposed view, so none copies its factor.  :func:`chol_solve_in_place`
+solves over its right-hand side, and :func:`chol_solves` solves a stack
+of factors against one right-hand side in one block filled with it, each
+row in place.
 :func:`forward_substitute` is the triangular solve whose right-hand sides
 do not depend on each other, for results that must not depend on the
 batch: it solves a stack of factors against a stack of rows in one pass,
@@ -175,53 +178,78 @@ def forward_substitute(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return u
 
 
+def _potrs_error(info: int) -> LinAlgError:
+    return LinAlgError(f"LAPACK rejected an argument of the Cholesky solve (info {info})")
+
+
 def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(chol chol^T)^-1 rhs for a lower Cholesky factor ``chol``, as cho_solve((chol, True)).
 
-    ``chol`` must come from a successful Cholesky: ``potrs`` reports only
-    an illegal argument, so a zero on the diagonal gives infinities
-    without an error.  A 0x0 factor (no data) gives the empty solution of
-    the empty system.
+    A C-ordered ``chol`` goes to ``potrs`` as the F-ordered upper factor
+    its transpose is, so it is not copied; any other layout goes as the
+    lower factor, which ``potrs`` copies unless it is F-ordered.  Both
+    read ``cho_solve``'s bits.  ``chol`` must come from a successful
+    Cholesky: ``potrs`` reports only an illegal argument, so a zero on the
+    diagonal gives infinities without an error.  A 0x0 factor (no data)
+    gives the empty solution of the empty system.
     """
     if chol.shape[0] == 0:
         return np.zeros(rhs.shape)
-    x, info = _POTRS(chol, rhs, 1)  # lower=1, positional: a keyword costs the wrapper more
+    # lower=0 or 1, positional: a keyword costs the wrapper more.  Not a call
+    # of chol_solve_in_place: its copy of rhs costs more than the factor copy saved
+    if chol.flags.c_contiguous:
+        x, info = _POTRS(chol.T, rhs, 0)
+    else:
+        x, info = _POTRS(chol, rhs, 1)
     if info:
-        raise LinAlgError(f"LAPACK rejected an argument of the Cholesky solve (info {info})")
+        raise _potrs_error(info)
     return x
 
 
 def chol_solve_in_place(chol: np.ndarray, rhs: np.ndarray) -> None:
     """Overwrite ``rhs`` with :func:`chol_solve` ``(chol, rhs)``, bit for bit.
 
-    ``rhs`` must be an F-contiguous float array, which ``potrs`` takes as it
-    is and solves in place; any other array would be copied and the solution
+    The factor goes to ``potrs`` as in :func:`chol_solve`.  ``rhs`` must
+    be an F-contiguous float array, which ``potrs`` takes as it is and
+    solves in place; any other array would be copied and the solution
     lost, so it raises ``ValueError``.
     """
     if not (rhs.flags.f_contiguous and rhs.dtype == np.float64):
         raise ValueError("an in-place Cholesky solve needs an F-contiguous float64 array")
     if chol.shape[0] == 0:
         return
-    # lower=1, overwrite_b=1, positional: a keyword costs the wrapper more
-    info = _POTRS(chol, rhs, 1, 1)[1]
+    # lower=0 or 1, overwrite_b=1, positional: a keyword costs the wrapper more
+    if chol.flags.c_contiguous:
+        info = _POTRS(chol.T, rhs, 0, 1)[1]
+    else:
+        info = _POTRS(chol, rhs, 1, 1)[1]
     if info:
-        raise LinAlgError(f"LAPACK rejected an argument of the Cholesky solve (info {info})")
+        raise _potrs_error(info)
 
 
 def chol_solves(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(chols[i] chols[i]^T)^-1 rhs per lower factor of the stack ``chols`` (k, n, n).
 
     Row ``i`` of the (k, n) result is ``chol_solve(chols[i], rhs)`` for a
-    vector ``rhs`` (n,), bit for bit, from one ``potrs`` call per factor.
-    ``potrs`` reads Fortran order, so one transposed copy of the stack
-    makes each factor an F-contiguous view that LAPACK takes without a
-    copy per factor.  Each factor must come from a successful Cholesky,
+    vector ``rhs`` (n,), bit for bit.  The result is one block filled with
+    ``rhs``, and each row is solved over itself by one ``potrs`` call.  On
+    a C-ordered stack each factor goes to LAPACK as its F-ordered upper
+    view, so nothing is copied; any other stack takes
+    :func:`chol_solve_in_place` per factor.  A stack of 0x0 factors gives
+    the (k, 0) block.  Each factor must come from a successful Cholesky,
     as for :func:`chol_solve`: a zero on a diagonal gives infinities
     without an error.
     """
     out = np.empty(chols.shape[:2])
-    for i, upper in enumerate(chols.transpose(0, 2, 1).copy()):
-        out[i], info = _POTRS(upper.T, rhs, 1)  # lower=1
-        if info:
-            raise LinAlgError(f"LAPACK rejected an argument of the Cholesky solve (info {info})")
+    out[...] = rhs
+    if chols.shape[1] == 0:
+        return out
+    if chols.flags.c_contiguous:
+        for chol, row in zip(chols, out):
+            info = _POTRS(chol.T, row, 0, 1)[1]  # lower=0, overwrite_b=1
+            if info:
+                raise _potrs_error(info)
+    else:
+        for chol, row in zip(chols, out):
+            chol_solve_in_place(chol, row)
     return out

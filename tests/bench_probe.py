@@ -37,8 +37,10 @@ S² objective on those grids, with 20 data points, and
 pieces of one search round are timed alone: ``log_evidences`` scores a
 stack of log-parameter rows, as a round of 1 start (n = 5, 4 rows with
 a 3-entry stencil) or of 6 starts (n = 25, 18 rows) does, in 1-d and
-2-d, ``chol_solves`` makes the 18 weight solves of the second at n = 25,
-and ``forward_steps`` gives the stencil steps of 4 interior iterates
+2-d, ``chol_solves`` makes a round's weight solves, (n, rows) = (5, 4),
+(15, 16), (25, 18) and (25, 32) as in the refit workload's searches,
+``chol_solve`` makes ``fit``'s one weight solve on a C-ordered factor at
+n = 25, and ``forward_steps`` gives the stencil steps of 4 interior iterates
 with 3 log-parameters each, in the box the search builds for 25 points
 of x^2.  ``cold_import`` times a fresh interpreter that compiles the
 package from source, as one that writes no bytecode does, on a copy of
@@ -61,7 +63,7 @@ import numpy as np
 import pytest
 
 import gpexpect
-from gpexpect._numerics import chol_solves
+from gpexpect._numerics import chol_solve, chol_solves
 from gpexpect.acquisition import (
     acquisition_objective,
     build_context,
@@ -265,13 +267,23 @@ def test_log_evidences(benchmark, n, rows, d):
     assert np.all(np.isfinite(values))
 
 
-def test_chol_solves(benchmark):
-    # the weight solves of a 6-start round at n = 25: 18 Gram factors against y
+@pytest.mark.parametrize("n, rows", [(5, 4), (15, 16), (25, 18), (25, 32)])
+def test_chol_solves(benchmark, n, rows):
+    # the weight solves of a search round: rows Gram factors against y
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(rows, n, n))
+    chols = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + n * np.eye(n))
+    solved = benchmark(chol_solves, chols, rng.normal(size=n))
+    assert solved.shape == (rows, n)
+
+
+def test_chol_solve(benchmark):
+    # fit's weight solve on its C-ordered Gram factor at n = 25
     rng = np.random.default_rng(25)
-    A = rng.normal(size=(18, 25, 25))
-    chols = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + 25 * np.eye(25))
-    solved = benchmark(chol_solves, chols, rng.normal(size=25))
-    assert solved.shape == (18, 25)
+    A = rng.normal(size=(25, 25))
+    chol = np.linalg.cholesky(A @ A.T + 25 * np.eye(25))
+    solved = benchmark(chol_solve, chol, rng.normal(size=25))
+    assert solved.shape == (25,)
 
 
 def test_forward_steps(benchmark):

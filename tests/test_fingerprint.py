@@ -9,9 +9,11 @@ with any bit of any history.  A change that keeps every history
 byte-identical keeps these digests; one that moves a history must
 re-record them and say why.  Beside the digests, the ascent rounds over
 the pinned panel, and the rounds among them that score the whole step
-ladders, are counted and pinned, so wasted rounds show without any
-timing, and each pinned and multi-theta decision is maximized again with
-the relative stop off to bound what the stop costs.
+ladders, are counted and pinned, and so are the hyperparameter search's
+stacked probes over the two panels that learn their kernel and the rows
+they score, so wasted rounds or rows show without any timing; and each
+pinned and multi-theta decision is maximized again with the relative
+stop off to bound what the stop costs.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ from unittest import mock
 
 import pytest
 
-from gpexpect import design, optimize
+from gpexpect import design, gp, optimize
 from gpexpect.benchmarks import benchmark_problem
 from gpexpect.design import DesignConfig, run
 from gpexpect.gp import HyperparameterSample, NoiseModel
@@ -59,6 +61,11 @@ PANELS = {
 # a round scores its ladders the second
 PINNED_BRANIN_ASCENT_ROUNDS = 1312
 PINNED_BRANIN_WHOLE_LADDER_ROUNDS = 4
+
+# over one pass of each panel that learns its kernel, the calls of the search's
+# stacked probe gp._log_evidences and the rows they score: a change that scores
+# extra rows, or drops some, moves these
+SEARCH_PROBES = {"refit_xsq_1d": (4962, 87072), "multitheta_sin3x_1d": (155, 2932)}
 
 
 def panel_records(problem_name, budget, seeds, pinned_theta, theta_samples):
@@ -134,6 +141,24 @@ def test_maximize_objective_calls_over_the_pinned_panel_are_unchanged():
                 assert rows * optimize._FIRST_RUNGS == rows_before * optimize.STEP_FRACTIONS.size
     assert rounds == PINNED_BRANIN_ASCENT_ROUNDS
     assert whole_ladder_rounds == PINNED_BRANIN_WHOLE_LADDER_ROUNDS
+
+
+@pytest.mark.parametrize("workload", sorted(SEARCH_PROBES))
+def test_search_probes_over_the_learned_panels_are_unchanged(workload):
+    calls = rows = 0
+    log_evidences = gp._log_evidences
+
+    def counted(data, amplitude_sq, lengthscales, noise):
+        nonlocal calls, rows
+        calls += 1
+        rows += len(amplitude_sq)
+        return log_evidences(data, amplitude_sq, lengthscales, noise)
+
+    *config, _ = PANELS[workload]
+    with mock.patch.object(gp, "_log_evidences", counted):
+        for _ in panel_records(*config):
+            pass
+    assert (calls, rows) == SEARCH_PROBES[workload]
 
 
 @pytest.mark.parametrize("workload", ["pinned_branin_2d", "multitheta_sin3x_1d"])

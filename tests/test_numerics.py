@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve, solve_triangular
@@ -180,6 +180,12 @@ class TestLapackSolves:
         got = chol_solve(np.zeros((0, 0)), np.zeros(shape))
         assert got.shape == shape
         assert got.dtype == np.float64
+        if len(shape) == 1:
+            # a stack of 0x0 factors against the one empty right-hand side;
+            # potrs itself rejects a 0x0 factor
+            stacked = chol_solves(np.zeros((3, 0, 0)), np.zeros(shape))
+            assert stacked.shape == (3, 0)
+            assert stacked.dtype == np.float64
 
     def test_singular_factor_raises(self):
         L = np.array([[1.0, 0.0], [0.5, 0.0]])
@@ -202,6 +208,46 @@ class TestLapackSolves:
             got = chol_solves(chols, y)
             assert got.shape == (18, n)
             assert_array_equal(got, np.array([chol_solve(chol, y) for chol in chols]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(1, 32),
+        log_noise=st.floats(-11, 0),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_search_stacks_solve_as_the_lower_factor_call(self, n, k, log_noise, order, seed):
+        # stacks as the hyperparameter search builds them: RBF Grams plus noise
+        # from 1e-11 to 1 times the amplitude (the first factor's at 10**log_noise),
+        # each factor C- or F-ordered; every solve must read the bits of
+        # cho_solve's lower-factor call and write neither the factor nor y
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2.0, 2.0, size=(n, 1))
+        amplitude_sq = np.exp(rng.uniform(-3.0, 3.0, size=k))
+        lengthscales = np.exp(rng.uniform(-3.0, 1.0, size=k))
+        exponents = rng.uniform(-11.0, 0.0, size=k)
+        exponents[0] = log_noise
+        A = amplitude_sq[:, None, None] * np.exp(
+            -0.5 * (X - X.T) ** 2 / lengthscales[:, None, None] ** 2)
+        A.reshape(k, n * n)[:, :: n + 1] += amplitude_sq[:, None] * 10.0**exponents[:, None]
+        try:
+            chols = np.linalg.cholesky(A)
+        except np.linalg.LinAlgError:
+            assume(False)
+        if order == "F":
+            chols = chols.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+        y = rng.normal(size=n)
+        before, y_before = chols.copy(), y.copy()
+        want = np.array([cho_solve((chol, True), y) for chol in chols])
+        assert chol_solves(chols, y).tobytes() == want.tobytes()
+        for chol, row in zip(chols, want):
+            assert chol.flags[f"{order}_CONTIGUOUS"]
+            assert chol_solve(chol, y).tobytes() == row.tobytes()
+            in_place = y.copy()
+            chol_solve_in_place(chol, in_place)
+            assert in_place.tobytes() == row.tobytes()
+        assert chols.tobytes() == before.tobytes() and y.tobytes() == y_before.tobytes()
 
 
 def reference_substitute(chols, rhs):
