@@ -232,10 +232,9 @@ def chol_solves(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Row ``i`` of the (k, n) result is ``chol_solve(chols[i], rhs)`` for a
     vector ``rhs`` (n,), bit for bit.  The result is one block filled with
-    ``rhs``, and each row is solved over itself by one ``potrs`` call.  On
-    a C-ordered stack each factor goes to LAPACK as its F-ordered upper
-    view, so nothing is copied; any other stack takes
-    :func:`chol_solve_in_place` per factor.  A stack of 0x0 factors gives
+    ``rhs``, and each row is solved over itself by one ``potrs`` call,
+    with the factor as its F-ordered upper view; a stack that is not
+    C-ordered is copied to C order first.  A stack of 0x0 factors gives
     the (k, 0) block.  Each factor must come from a successful Cholesky,
     as for :func:`chol_solve`: a zero on a diagonal gives infinities
     without an error.
@@ -244,12 +243,8 @@ def chol_solves(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     out[...] = rhs
     if chols.shape[1] == 0:
         return out
-    if chols.flags.c_contiguous:
-        for chol, row in zip(chols, out):
-            info = _POTRS(chol.T, row, 0, 1)[1]  # lower=0, overwrite_b=1
-            if info:
-                raise _potrs_error(info)
-    else:
-        for chol, row in zip(chols, out):
-            chol_solve_in_place(chol, row)
+    for chol, row in zip(np.ascontiguousarray(chols), out):
+        info = _POTRS(chol.T, row, 0, 1)[1]  # lower=0, overwrite_b=1
+        if info:
+            raise _potrs_error(info)
     return out
