@@ -1,7 +1,8 @@
 """Package-private helpers: point-shape and count checks, row dots and the linear solves.
 
-Two solves of a lower factor equal scipy.linalg's ``solve_triangular`` and
-``cho_solve`` bit for bit, without the per-call validation and batching
+Two solves of a lower factor give the bits of scipy.linalg's
+``solve_triangular`` and ``cho_solve`` (the latter on the BLAS named
+below), without the per-call validation and batching
 that dominate the cost of a probe's small systems.  They call ``dtrtrs``
 and ``dpotrs`` of the compiled ``scipy.linalg._flapack``, the very objects
 ``get_lapack_funcs`` returns.  :func:`load_scipy_extension` loads that
@@ -10,8 +11,11 @@ file, without running any scipy package ``__init__``, the top-level
 ``scipy`` included, which cost most of a cold start.  No call of the
 package executes scipy Python code.  LAPACK reads Fortran order, and a
 C-ordered lower factor, as ``np.linalg.cholesky`` returns it, is the
-F-ordered upper factor of the same system: each solve hands LAPACK that
-transposed view, so none copies its factor.  :func:`chol_solve_in_place`
+F-ordered upper factor of the same system: each Cholesky solve hands
+LAPACK that transposed view, so none copies a C-ordered factor.
+``cho_solve`` makes the lower-factor call; the upper view reads its bits
+on OpenBLAS 0.3.31 (x86-64), a measured property of that library's
+triangular kernels, not a promise of LAPACK.  :func:`chol_solve_in_place`
 solves over its right-hand side, and :func:`chol_solves` solves a stack
 of factors against one right-hand side in one block filled with it, each
 row in place.
@@ -185,22 +189,20 @@ def _potrs_error(info: int) -> LinAlgError:
 def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(chol chol^T)^-1 rhs for a lower Cholesky factor ``chol``, as cho_solve((chol, True)).
 
-    A C-ordered ``chol`` goes to ``potrs`` as the F-ordered upper factor
-    its transpose is, so it is not copied; any other layout goes as the
-    lower factor, which ``potrs`` copies unless it is F-ordered.  Both
-    read ``cho_solve``'s bits.  ``chol`` must come from a successful
-    Cholesky: ``potrs`` reports only an illegal argument, so a zero on the
-    diagonal gives infinities without an error.  A 0x0 factor (no data)
-    gives the empty solution of the empty system.
+    ``chol`` goes to ``potrs`` as the F-ordered upper factor its
+    C-ordered form's transpose is; a factor in another layout is copied
+    to C order first.  On OpenBLAS 0.3.31 (x86-64) this reads the bits of
+    ``cho_solve``'s lower-factor call, for a vector or a many-column
+    ``rhs``.  ``chol`` must come from a successful Cholesky: ``potrs``
+    reports only an illegal argument, so a zero on the diagonal gives
+    infinities without an error.  A 0x0 factor (no data) gives the empty
+    solution of the empty system.
     """
     if chol.shape[0] == 0:
         return np.zeros(rhs.shape)
-    # lower=0 or 1, positional: a keyword costs the wrapper more.  Not a call
-    # of chol_solve_in_place: its copy of rhs costs more than the factor copy saved
-    if chol.flags.c_contiguous:
-        x, info = _POTRS(chol.T, rhs, 0)
-    else:
-        x, info = _POTRS(chol, rhs, 1)
+    # lower=0, positional: a keyword costs the wrapper more.  Not a call of
+    # chol_solve_in_place: its copy of rhs costs more than a factor copy
+    x, info = _POTRS(np.ascontiguousarray(chol).T, rhs, 0)
     if info:
         raise _potrs_error(info)
     return x
@@ -218,11 +220,8 @@ def chol_solve_in_place(chol: np.ndarray, rhs: np.ndarray) -> None:
         raise ValueError("an in-place Cholesky solve needs an F-contiguous float64 array")
     if chol.shape[0] == 0:
         return
-    # lower=0 or 1, overwrite_b=1, positional: a keyword costs the wrapper more
-    if chol.flags.c_contiguous:
-        info = _POTRS(chol.T, rhs, 0, 1)[1]
-    else:
-        info = _POTRS(chol, rhs, 1, 1)[1]
+    # lower=0, overwrite_b=1, positional: a keyword costs the wrapper more
+    info = _POTRS(np.ascontiguousarray(chol).T, rhs, 0, 1)[1]
     if info:
         raise _potrs_error(info)
 
@@ -231,10 +230,11 @@ def chol_solves(chols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(chols[i] chols[i]^T)^-1 rhs per lower factor of the stack ``chols`` (k, n, n).
 
     Row ``i`` of the (k, n) result is ``chol_solve(chols[i], rhs)`` for a
-    vector ``rhs`` (n,), bit for bit.  The result is one block filled with
-    ``rhs``, and each row is solved over itself by one ``potrs`` call,
-    with the factor as its F-ordered upper view; a stack that is not
-    C-ordered is copied to C order first.  A stack of 0x0 factors gives
+    vector ``rhs`` (n,), bit for bit, and so, on OpenBLAS 0.3.31 (x86-64),
+    ``cho_solve``'s.  The result is one block filled with ``rhs``, and
+    each row is solved over itself by one ``potrs`` call, with the factor
+    as its F-ordered upper view; a stack that is not C-ordered is copied
+    to C order first.  A stack of 0x0 factors gives
     the (k, 0) block.  Each factor must come from a successful Cholesky,
     as for :func:`chol_solve`: a zero on a diagonal gives infinities
     without an error.

@@ -40,7 +40,9 @@ a 3-entry stencil) or of 6 starts (n = 25, 18 rows) does, in 1-d and
 2-d, ``chol_solves`` makes a round's weight solves, (n, rows) = (5, 4),
 (15, 16), (25, 18) and (25, 32) as in the refit workload's searches,
 ``chol_solve`` makes ``fit``'s one weight solve on a C-ordered factor at
-n = 25, and ``forward_steps`` gives the stencil steps of 4 interior iterates
+n = 25, ``chol_solve_in_place`` the many-column solve of ``posterior_rows``
+(a copy of m = 8 or 192 kernel rows solved over itself) on such a factor,
+and ``forward_steps`` gives the stencil steps of 4 interior iterates
 with 3 log-parameters each, in the box the search builds for 25 points
 of x^2.  ``cold_import`` times a fresh interpreter that compiles the
 package from source, as one that writes no bytecode does, on a copy of
@@ -63,7 +65,7 @@ import numpy as np
 import pytest
 
 import gpexpect
-from gpexpect._numerics import chol_solve, chol_solves
+from gpexpect._numerics import chol_solve, chol_solve_in_place, chol_solves
 from gpexpect.acquisition import (
     acquisition_objective,
     build_context,
@@ -284,6 +286,23 @@ def test_chol_solve(benchmark):
     chol = np.linalg.cholesky(A @ A.T + 25 * np.eye(25))
     solved = benchmark(chol_solve, chol, rng.normal(size=25))
     assert solved.shape == (25,)
+
+
+def _solve_kernel_rows(chol, kv):
+    # posterior_rows' solve for one context: copy the rows, solve their transpose in place
+    solved = kv.copy()
+    chol_solve_in_place(chol, solved.T)
+    return solved
+
+
+@pytest.mark.parametrize("m", [8, 192])
+def test_chol_solve_in_place(benchmark, m):
+    # posterior_rows' many-column solve of m kernel rows on a C-ordered factor at n = 25
+    rng = np.random.default_rng(m)
+    A = rng.normal(size=(25, 25))
+    chol = np.linalg.cholesky(A @ A.T + 25 * np.eye(25))
+    solved = benchmark(_solve_kernel_rows, chol, rng.normal(size=(m, 25)))
+    assert solved.shape == (m, 25)
 
 
 def test_forward_steps(benchmark):

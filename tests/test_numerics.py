@@ -213,15 +213,18 @@ class TestLapackSolves:
     @given(
         n=st.integers(1, 40),
         k=st.integers(1, 32),
+        m=st.integers(1, 256),
         log_noise=st.floats(-11, 0),
         order=st.sampled_from("CF"),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_search_stacks_solve_as_the_lower_factor_call(self, n, k, log_noise, order, seed):
+    def test_search_stacks_solve_as_the_lower_factor_call(self, n, k, m, log_noise, order, seed):
         # stacks as the hyperparameter search builds them: RBF Grams plus noise
         # from 1e-11 to 1 times the amplitude (the first factor's at 10**log_noise),
-        # each factor C- or F-ordered; every solve must read the bits of
-        # cho_solve's lower-factor call and write neither the factor nor y
+        # each factor C- or F-ordered, against a vector y and against m columns
+        # Y, as posterior_rows solves its kernel rows; every solve must read
+        # the bits of cho_solve's lower-factor call and write neither the
+        # factor nor y nor Y
         rng = np.random.default_rng(seed)
         X = rng.uniform(-2.0, 2.0, size=(n, 1))
         amplitude_sq = np.exp(rng.uniform(-3.0, 3.0, size=k))
@@ -238,7 +241,8 @@ class TestLapackSolves:
         if order == "F":
             chols = chols.transpose(0, 2, 1).copy().transpose(0, 2, 1)
         y = rng.normal(size=n)
-        before, y_before = chols.copy(), y.copy()
+        Y = rng.normal(size=(n, m))
+        before, y_before, Y_before = chols.copy(), y.copy(), Y.copy()
         want = np.array([cho_solve((chol, True), y) for chol in chols])
         assert chol_solves(chols, y).tobytes() == want.tobytes()
         for chol, row in zip(chols, want):
@@ -247,7 +251,13 @@ class TestLapackSolves:
             in_place = y.copy()
             chol_solve_in_place(chol, in_place)
             assert in_place.tobytes() == row.tobytes()
-        assert chols.tobytes() == before.tobytes() and y.tobytes() == y_before.tobytes()
+            block = cho_solve((chol, True), Y)
+            assert chol_solve(chol, Y).tobytes() == block.tobytes()
+            in_place = np.array(Y, order="F")
+            chol_solve_in_place(chol, in_place)
+            assert in_place.tobytes() == block.tobytes()
+        assert chols.tobytes() == before.tobytes()
+        assert y.tobytes() == y_before.tobytes() and Y.tobytes() == Y_before.tobytes()
 
 
 def reference_substitute(chols, rhs):
